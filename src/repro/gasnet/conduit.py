@@ -176,6 +176,20 @@ class Conduit:
         if reg is not None:
             reg(self)
 
+    def close(self) -> None:
+        """The job is over: give up every segment and unhook from the
+        scheduler and the client layer, so nothing here keeps the job (or
+        is kept by it) once the caller lets go.
+
+        Segments are dereferenced, never closed: memory goes back by
+        reference counting, and a segment whose view a rank returned from
+        its body lives until that view does.  Counters stay readable.
+        """
+        for ep in self.endpoints:
+            ep.segment = ep.device_segment = None
+        self._remote_cx_deliver = None
+        self.sched._conduits.remove(self)
+
     # ---------------------------------------------------------- shard routing
     def bind_shard(self, shard) -> None:
         """Attach this conduit to a sharded-backend worker process.
@@ -503,7 +517,7 @@ class Conduit:
         commit time: reads memory and streams the reply back over the
         reverse channel's retransmit ladder."""
         dst_ep = self.endpoints[dst]
-        data = bytes(dst_ep.segment.read(dst_off, nbytes))
+        data = dst_ep.segment.read(dst_off, nbytes)
         node = self._node
         ack_lat = self._lat_shm if node[src] == node[dst] else self._lat_net
         _, commit_at, _ = self._rel_ladder(
@@ -800,7 +814,7 @@ class Conduit:
             )
             return
         dst_ep = self.endpoints[dst]
-        data = bytes(dst_ep.segment.read(dst_off, nbytes))
+        data = dst_ep.segment.read(dst_off, nbytes)
         begin = max(fire_time, dst_ep.nic_free_at)
         key = (nbytes, path, False)  # cross-shard is always cross-node
         occ = self._occ_cache.get(key)

@@ -8,10 +8,19 @@ implements ``upcxx::allocate``/``deallocate``.
 Typed views are provided through numpy (``view(offset, dtype, count)``),
 which is how the UPC++ layer implements typed global pointers without
 copying.
+
+The bytes live in an anonymous private ``mmap``: like a GASNet segment the
+region is *reserved* at construction and costs nothing until touched — the
+kernel supplies zero pages on first access, so resident memory follows the
+bytes a job writes, not ``ranks x segment_size``.  The mapping is returned
+to the system by reference counting alone, when the segment and every view
+exported from it are gone; it is never closed explicitly, because a view a
+rank returned from its SPMD body may outlive the job.
 """
 
 from __future__ import annotations
 
+import mmap
 from typing import List, Tuple
 
 import numpy as np
@@ -37,7 +46,8 @@ class Segment:
         self.size = size
         self.owner_rank = owner_rank
         self.align = align
-        self.mem = bytearray(size)
+        #: the one backing buffer; ``read``/``write``/``view`` all go through it
+        self.mem = mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
         # free list: sorted list of (offset, length)
         self._free: List[Tuple[int, int]] = [(0, size)]
         self._live: dict = {}  # offset -> length
@@ -123,15 +133,20 @@ class Segment:
 
     def write(self, offset: int, data) -> None:
         """Raw byte store (used by the conduit to commit remote puts)."""
-        data = bytes(data) if not isinstance(data, (bytes, bytearray, memoryview)) else data
+        if not isinstance(data, (bytes, bytearray, memoryview)):
+            data = bytes(data)
         n = len(data)
+        if type(data) is memoryview and data.nbytes != n:
+            raise ValueError(
+                f"write of {n} items spanning {data.nbytes} bytes: pass a flat byte buffer"
+            )
         self._check_range(offset, n)
         self.mem[offset : offset + n] = data
 
     def read(self, offset: int, nbytes: int) -> bytes:
         """Raw byte load (used by the conduit to service remote gets)."""
         self._check_range(offset, nbytes)
-        return bytes(self.mem[offset : offset + nbytes])
+        return self.mem[offset : offset + nbytes]
 
     def view(self, offset: int, dtype, count: int) -> np.ndarray:
         """Zero-copy typed numpy view into the segment."""
@@ -162,7 +177,7 @@ class Segment:
             raise AssertionError(f"coverage {covered} != size {self.size}")
         # free list must be sorted and fully coalesced
         for (o1, l1), (o2, _l2) in zip(self._free, self._free[1:]):
-            if o1 + l1 >= o2 and o1 + l1 == o2:
+            if o1 + l1 == o2:
                 raise AssertionError(f"uncoalesced free blocks at {o1}+{l1} and {o2}")
             if o2 <= o1:
                 raise AssertionError("free list not sorted")

@@ -46,6 +46,18 @@ class MpiWorld:
         self.n_ranks = sched.n_ranks
         self.runtimes: List[Optional["MpiRuntime"]] = [None] * self.n_ranks
 
+    def close(self) -> None:
+        """The job is over: close the conduit and detach the runtimes, so
+        that reference counting alone frees the job at ``run_mpi`` return."""
+        self.conduit.close()
+        for rt in self.runtimes:
+            if rt is not None:
+                # requests an abort left unmatched point back at their runtime
+                rt.posted_recvs.clear()
+                rt.unexpected.clear()
+                rt.rndv_pending.clear()
+        self.runtimes = []
+
 
 class MpiRuntime:
     """One rank's MPI library state (matching queues, rendezvous table)."""
@@ -251,12 +263,13 @@ def run_mpi(
 
     def bootstrap(rank: int):
         rt = MpiRuntime(world, rank)
-        sched.rank_env()["mpi_rt"] = rt
         sched.rank_env()["mpi_comm_world"] = Communicator(rt, list(range(ranks)))
         try:
             return fn()
         finally:
-            sched.rank_env().pop("mpi_rt", None)
             sched.rank_env().pop("mpi_comm_world", None)
 
-    return sched.run(bootstrap)
+    try:
+        return sched.run(bootstrap)
+    finally:
+        world.close()

@@ -188,6 +188,43 @@ class Scheduler:
         """Is ``rank`` simulated by this process?  (Sharded overrides.)"""
         return True
 
+    def run(self, fn: Callable[[int], object]) -> List[object]:
+        """Run ``fn(rank)`` on every rank to completion; return the results.
+
+        Raises :class:`RankFailure` if any rank raised, or
+        :class:`DeadlockError` if the simulation wedged.  A scheduler runs
+        once: whatever the outcome, it lets go of the job on the way out.
+        """
+        if self._running:
+            raise SimError("Scheduler.run() is not reentrant")
+        self._running = True
+        try:
+            return self._run(fn)
+        finally:
+            self._release()
+
+    def _release(self) -> None:
+        """End of ``run()``: let go of everything that points back at the job.
+
+        What is left in a spent scheduler — the rank function, undelivered
+        events, death listeners, the per-rank env and client slots, the
+        failure about to be raised (whose traceback holds this very frame
+        chain) — belongs to the layers above, which hold the scheduler in
+        turn.  Dropping it here leaves no cycle through the scheduler, so
+        a finished job and its segments are freed by reference counting,
+        without waiting for a ``gc`` pass.  Results, clocks, counters and
+        the trace stay readable.
+        """
+        self._fn = None
+        self._failure = None
+        self._dead_ranks = {}
+        self._dead_listeners = []
+        del self._events._heap[:]
+        self._events._sched = None
+        for ctl in self._ranks:
+            ctl.env = {}
+            ctl.client = None
+
     def _notify_dead(self, rank: int, err: BaseException, t_detect: float) -> None:
         """Network context: the heartbeat timeout for ``rank`` fired under
         a survivable plan.  Instead of failing the run, record the death,
@@ -293,6 +330,15 @@ class _StampedQueue(EventQueue):
             stamp = (me.clock, rid, seq)
         heapq.heappush(self._heap, (time, stamp, fn))
         self._count_posted += 1
+
+
+def _rank_failure(rid: int, exc: BaseException) -> RankFailure:
+    """Wrap a rank's exception.  Built here, not in the catching frame:
+    that frame is in ``exc``'s traceback, and a local naming the wrapper
+    there would close a cycle only a ``gc`` pass could free."""
+    failure = RankFailure(rid, f"{type(exc).__name__}: {exc}")
+    failure.__cause__ = exc
+    return failure
 
 
 def _make_stamp(sched) -> tuple:
@@ -758,9 +804,7 @@ class CoroutineScheduler(Scheduler):
             pass  # fault-injected death: the rank just stops (fail-stop)
         except BaseException as exc:  # noqa: BLE001 - report any rank failure
             if self._failure is None:
-                failure = RankFailure(ctl.rid, f"{type(exc).__name__}: {exc}")
-                failure.__cause__ = exc
-                self._failure = failure
+                self._failure = _rank_failure(ctl.rid, exc)
             self._abort_all()
         finally:
             _tls.ctx = None
@@ -805,15 +849,7 @@ class CoroutineScheduler(Scheduler):
             self._main_baton.release()
 
     # ------------------------------------------------------------------- run
-    def run(self, fn: Callable[[int], object]) -> List[object]:
-        """Run ``fn(rank)`` on every rank to completion; return the results.
-
-        Raises :class:`RankFailure` if any rank raised, or
-        :class:`DeadlockError` if the simulation wedged.
-        """
-        if self._running:
-            raise SimError("Scheduler.run() is not reentrant")
-        self._running = True
+    def _run(self, fn: Callable[[int], object]) -> List[object]:
         self._fn = fn
         old_stack = threading.stack_size()
         try:
@@ -1131,9 +1167,7 @@ class ThreadScheduler(Scheduler):
         except BaseException as exc:  # noqa: BLE001 - report any rank failure
             with self._lock:
                 if self._failure is None:
-                    failure = RankFailure(ctl.rid, f"{type(exc).__name__}: {exc}")
-                    failure.__cause__ = exc
-                    self._failure = failure
+                    self._failure = _rank_failure(ctl.rid, exc)
                 self._abort_all_locked()
         finally:
             _tls.ctx = None
@@ -1146,11 +1180,7 @@ class ThreadScheduler(Scheduler):
                 else:
                     self._main_cond.notify()
 
-    def run(self, fn: Callable[[int], object]) -> List[object]:
-        """Run ``fn(rank)`` on every rank to completion; return the results."""
-        if self._running:
-            raise SimError("Scheduler.run() is not reentrant")
-        self._running = True
+    def _run(self, fn: Callable[[int], object]) -> List[object]:
         old_stack = threading.stack_size()
         try:
             threading.stack_size(_STACK_BYTES)

@@ -1246,10 +1246,7 @@ class ShardedScheduler(CoroutineScheduler):
         self._n_shards_used = n_shards
         return n_shards
 
-    def run(self, fn: Callable[[int], object]) -> List[object]:
-        if self._running:
-            raise SimError("Scheduler.run() is not reentrant")
-        self._running = True
+    def _run(self, fn: Callable[[int], object]) -> List[object]:
         self._fn = fn
         import multiprocessing
 
@@ -1305,6 +1302,10 @@ class ShardedScheduler(CoroutineScheduler):
                 if p.is_alive():
                     p.terminate()
         return self._merge(payloads)
+
+    def _release(self) -> None:
+        super()._release()
+        self._env_handlers = {}  # the built-in "wake" handler closes over self
 
     def _merge(self, payloads: List[tuple]) -> List[object]:
         # Flight-recorder state must survive *any* outcome, so it is

@@ -517,7 +517,9 @@ class AggStore:
         reader = self._my_trank if cache is not None else -1
         fut = rpc(self.team[t], _agg_read, self._dobj, key, reader, default)
         if cache is not None:
-            fut = fut.then(lambda v, k=key: self._fill_cache(k, v))
+            # v=None: the owner's None reply (missing key, default None)
+            # arrives as an empty future, which calls back with no argument
+            fut = fut.then(lambda v=None, k=key: self._fill_cache(k, v))
         return fut
 
     def _fill_cache(self, key, value):

@@ -101,7 +101,6 @@ def run_spmd(
         rt = Runtime(world, rank)
         sched.set_client(rt)
         sched.rank_env()["upcxx_rt"] = rt
-        sched.rank_env()["upcxx_world"] = world
         body = fn
         if profiling_enabled():
             # REPRO_PROFILE=1: cProfile one rank's body (see util.profile)
@@ -142,6 +141,7 @@ def run_spmd(
     finally:
         if sched_stats is not None:
             sched_stats.update(sched.stats())
+        world.close()
 
 
 # ----------------------------------------------------------------- queries

@@ -155,7 +155,7 @@ def copy(
 
     src_seg_kind = src.kind
     if src.rank == me:
-        data = bytes(rt.conduit.segment_of(me, src_seg_kind).read(src.offset, nbytes))
+        data = rt.conduit.segment_of(me, src_seg_kind).read(src.offset, nbytes)
         if src_seg_kind == "device":
             t_ready = rt.conduit.pcie_transfer(me, nbytes, now)
         else:

@@ -255,7 +255,7 @@ class ReplicatedStore:
         dest = self.map.primary(ctx["key"])
         ctx["dest"] = dest
 
-        def _done(v, ctx=ctx):
+        def _done(v=None, ctx=ctx):  # a None reply calls back with no argument
             # first completion wins: a late reply from a since-dead
             # primary and its failover re-issue may both land
             if not ctx["done"]:

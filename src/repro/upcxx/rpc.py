@@ -89,24 +89,26 @@ def _translate_args_out(rt: Runtime, args: tuple) -> tuple:
     if _DistObject is None:
         from repro.upcxx.dist_object import DistObject as _DistObject  # noqa: F811
 
-    DistObject = _DistObject
     fns: list = []
+    return tuple(_walk_out(a, fns) for a in args), fns
 
-    def walk(a):
-        if isinstance(a, DistObject):
-            return a.ref()
-        if callable(a) and not isinstance(a, type):
-            fns.append(a)
-            return _FnRef(len(fns) - 1)
-        if isinstance(a, tuple):
-            return tuple(walk(x) for x in a)
-        if isinstance(a, list):
-            return [walk(x) for x in a]
-        if isinstance(a, dict):
-            return {k: walk(v) for k, v in a.items()}
-        return a
 
-    return tuple(walk(a) for a in args), fns
+# The two walkers are module-level on purpose: a nested recursive ``walk``
+# is a closure over itself — a cycle per call that pins ``rt`` (and through
+# it the whole job) until a gc pass.
+def _walk_out(a, fns: list):
+    if isinstance(a, _DistObject):
+        return a.ref()
+    if callable(a) and not isinstance(a, type):
+        fns.append(a)
+        return _FnRef(len(fns) - 1)
+    if isinstance(a, tuple):
+        return tuple(_walk_out(x, fns) for x in a)
+    if isinstance(a, list):
+        return [_walk_out(x, fns) for x in a]
+    if isinstance(a, dict):
+        return {k: _walk_out(v, fns) for k, v in a.items()}
+    return a
 
 
 def _resolve_args_in(rt: Runtime, args: tuple, fns: list) -> tuple:
@@ -123,24 +125,25 @@ def _resolve_args_in(rt: Runtime, args: tuple, fns: list) -> tuple:
     else:
         return args
 
-    def walk(a):
-        if isinstance(a, _FnRef):
-            return fns[a.index]
-        if isinstance(a, serialization.DistObjectRef):
-            key = (a.team_uid, a.index)
-            obj = rt.dist_objects.get(key)
-            if obj is None:
-                raise _UnresolvedDistObject(key)
-            return obj
-        if isinstance(a, tuple):
-            return tuple(walk(x) for x in a)
-        if isinstance(a, list):
-            return [walk(x) for x in a]
-        if isinstance(a, dict):
-            return {k: walk(v) for k, v in a.items()}
-        return a
+    return tuple(_walk_in(a, rt, fns) for a in args)
 
-    return tuple(walk(a) for a in args)
+
+def _walk_in(a, rt: Runtime, fns: list):
+    if isinstance(a, _FnRef):
+        return fns[a.index]
+    if isinstance(a, serialization.DistObjectRef):
+        key = (a.team_uid, a.index)
+        obj = rt.dist_objects.get(key)
+        if obj is None:
+            raise _UnresolvedDistObject(key)
+        return obj
+    if isinstance(a, tuple):
+        return tuple(_walk_in(x, rt, fns) for x in a)
+    if isinstance(a, list):
+        return [_walk_in(x, rt, fns) for x in a]
+    if isinstance(a, dict):
+        return {k: _walk_in(v, rt, fns) for k, v in a.items()}
+    return a
 
 
 def _inject_am(

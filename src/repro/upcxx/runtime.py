@@ -176,6 +176,15 @@ class World:
         #: next team uid (uids are assigned collectively & deterministically)
         self.team_uid_seq = 1  # 0 is reserved for world
 
+    def close(self) -> None:
+        """The job is over: close the conduit and every rank's runtime, so
+        that reference counting alone frees the job at ``run_spmd`` return."""
+        self.conduit.close()
+        for rt in self.runtimes:
+            if rt is not None:
+                rt.close()
+        self.runtimes = []
+
     def _deliver_remote_cx(
         self, dst_rank: int, fn, args, nbytes: int, t_active: float, arrival: float,
         sid: Optional[tuple] = None,
@@ -284,6 +293,19 @@ class Runtime:
             self._arm_crash(plan, plan.crashes[rank])
 
         world.runtimes[rank] = self
+
+    def close(self) -> None:
+        """Empty the registries and queues: teams, dist_objects, the master
+        persona, collectives cut short by an abort (promise -> continuation
+        -> state -> promise) and queued continuations all point back here."""
+        for st in self.coll_state.values():
+            st.clear()
+        for held in (
+            self.teams, self.dist_objects, self.dist_waiters, self.coll_state,
+            self.reply_table, self.actQ, self.defQ, self.compQ, self._gasnet_done,
+        ):
+            held.clear()
+        self.__dict__.pop("_master_persona", None)
 
     # ---------------------------------------------------------- fault crashes
     def _arm_crash(self, plan, t_die: float) -> None:

@@ -72,7 +72,7 @@ def async_copy(src: GlobalPtr, dst: GlobalPtr, nbytes: int, ack: Optional[Event]
     rt = upcxx.current_runtime()
     rt.charge_sw(V01_EVENT_OVERHEAD)
     if src.rank == rt.rank:
-        data = bytes(rt.conduit.segment(src.rank).read(src.offset, nbytes))
+        data = rt.conduit.segment(src.rank).read(src.offset, nbytes)
         fut = upcxx.rput(data, dst.cast(np.uint8))
     elif dst.rank == rt.rank:
         fut = upcxx.rget(src.cast(np.uint8), count=nbytes).then(

@@ -1,5 +1,9 @@
 """Unit and property tests for the shared-segment allocator."""
 
+import os
+import resource
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -166,24 +170,41 @@ def test_peak_tracking():
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.tuples(st.booleans(), st.integers(1, 700)), min_size=1, max_size=120))
 def test_allocator_invariants_random_workload(ops):
-    """Random alloc/free sequences never corrupt the free list."""
-    seg = Segment(16 * 1024, owner_rank=0)
-    live = []
-    for do_alloc, size in ops:
+    """Random alloc/free sequences never corrupt the free list, and the
+    backing buffer holds what was written, where it was written."""
+    size = 16 * 1024
+    seg = Segment(size, owner_rank=0)
+    live = {}  # offset -> the bytes written there
+    high = 0  # no byte at or past this offset was ever handed out
+    for step, (do_alloc, n) in enumerate(ops):
         if do_alloc or not live:
             try:
-                off = seg.allocate(size)
+                off = seg.allocate(n)
             except SegmentAllocationError:
                 continue
-            live.append(off)
+            data = bytes([step % 251 + 1]) * n
+            seg.write(off, data)
+            assert seg.read(off, n) == data
+            assert seg.view(off, np.uint8, n).tobytes() == data
+            live[off] = data
+            high = max(high, off + seg.allocation_size(off))
         else:
-            idx = size % len(live)
-            seg.deallocate(live.pop(idx))
+            off = sorted(live)[n % len(live)]
+            seg.deallocate(off)
+            del live[off]
         seg.check_invariants()
-    for off in live:
+    for off, data in live.items():  # neighbours never bled into each other
+        assert seg.read(off, len(data)) == data
         seg.deallocate(off)
     seg.check_invariants()
-    assert seg.free_bytes == 16 * 1024
+    assert seg.free_bytes == size
+    assert seg.read(high, size - high) == bytes(size - high)  # untouched: zero
+    before = seg.read(0, size)
+    with pytest.raises(ValueError):
+        seg.write(size - 1, b"ab")  # runs off the end
+    with pytest.raises(ValueError):
+        seg.write(0, memoryview(np.arange(4.0)))  # 4 items but 32 bytes
+    assert seg.read(0, size) == before  # a rejected write stores nothing
 
 
 @settings(max_examples=40, deadline=None)
@@ -197,3 +218,53 @@ def test_no_overlap_between_live_allocations(sizes):
     spans.sort()
     for (s1, e1), (s2, _e2) in zip(spans, spans[1:]):
         assert e1 <= s2, "allocations overlap"
+
+
+# ------------------------------------------------------------ demand-zero
+def _rss_mib() -> float:
+    with open("/proc/self/statm") as fh:
+        return int(fh.read().split()[1]) * os.sysconf("SC_PAGE_SIZE") / (1 << 20)
+
+
+def _peak_rss_mib() -> float:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
+
+def test_segment_is_reserved_not_resident():
+    """Constructing a segment neither zeroes nor touches it."""
+    before = _rss_mib()
+    t0 = time.perf_counter()
+    seg = Segment(1 << 30, owner_rank=0)
+    took = time.perf_counter() - t0
+    assert took < 0.050, f"1 GiB segment took {took * 1e3:.1f} ms to construct"
+    assert _rss_mib() - before < 8
+    assert seg.read((1 << 30) - 64, 64) == bytes(64)
+    seg.write(1 << 29, b"touched")
+    assert seg.read(1 << 29, 7) == b"touched"
+    assert _rss_mib() - before < 8  # two pages touched, not 1 GiB
+
+
+def test_launch_pays_for_bytes_touched_not_reserved():
+    """256 ranks x 32 MiB is 8 GiB of address space and next to no memory."""
+    import repro.upcxx as upcxx
+
+    before = _peak_rss_mib()
+    assert upcxx.run_spmd(upcxx.rank_me, 256) == list(range(256))
+    assert _peak_rss_mib() - before < 256
+
+
+def test_returned_view_outlives_the_job():
+    """Teardown dereferences segments, it never closes them: a view a rank
+    hands back keeps its own segment mapped and readable."""
+    import repro.upcxx as upcxx
+
+    def body():
+        view = upcxx.new_array(np.int64, 1024).local()
+        view[:] = np.arange(1024) + 1024 * upcxx.rank_me()
+        return view
+
+    views = upcxx.run_spmd(body, 4)
+    for rank, view in enumerate(views):
+        assert np.array_equal(view, np.arange(1024) + 1024 * rank)
+        view[0] = -1  # still writable memory, not a dangling pointer
+        assert view[0] == -1

@@ -1,9 +1,12 @@
 """Tests for the MPI baseline: p2p (eager + rendezvous), collectives, RMA."""
 
+import weakref
+
 import numpy as np
 import pytest
 
 from repro.mpisim import run_mpi, comm_world, Win
+from repro.sim.errors import RankFailure
 from repro.mpisim.profile import DEFAULT_MPI_COSTS
 
 
@@ -269,3 +272,45 @@ class TestCosts:
         assert c.latency_window_extra(100) == 0
         assert c.latency_window_extra(512) > 0
         assert c.latency_window_extra(4096) == 0
+
+
+@pytest.mark.usefixtures("no_cycle_collector")
+class TestTeardown:
+    """A returned ``run_mpi`` holds nothing: with the cycle collector off,
+    the world, every runtime and every segment (windows live there) die by
+    reference counting the moment the call returns (or raises)."""
+
+    @staticmethod
+    def _job(refs, fail_on=None):
+        def body():
+            comm = comm_world()
+            rt = comm.rt
+            refs.extend(
+                weakref.ref(o) for o in (rt, rt.world, rt.conduit.segment(rt.rank))
+            )
+            win = Win.allocate(comm, 64)
+            win.local_view()[:] = comm.rank
+            comm.barrier()
+            assert comm.allreduce(comm.rank) == sum(range(comm.size))
+            if comm.rank == fail_on:
+                raise ValueError("boom")
+            return comm.rank
+
+        return body
+
+    @pytest.mark.parametrize("backend", ["coroutines", "threads"])
+    def test_success_path(self, backend):
+        refs = []
+        assert run_mpi(self._job(refs), 4, backend=backend) == [0, 1, 2, 3]
+        assert len(refs) == 12 and all(r() is None for r in refs)
+
+    @pytest.mark.parametrize("backend", ["coroutines", "threads"])
+    def test_rank_failure(self, backend):
+        refs = []
+        try:
+            run_mpi(self._job(refs, fail_on=1), 4, backend=backend)
+        except RankFailure:
+            pass
+        else:
+            pytest.fail("rank 1's ValueError did not surface")
+        assert len(refs) == 12 and all(r() is None for r in refs)

@@ -92,6 +92,25 @@ def test_every_key_lands_on_exactly_factor_ranks(factor):
         assert len(set(copies)) == 1, f"key {key}: diverging replicas"
 
 
+def test_read_of_missing_key_calls_back_with_none():
+    """A ``None`` reply is an empty future; the tracked-read continuation
+    must still complete the read and hand ``None`` to the callback."""
+    from repro.upcxx.replication import ReplicatedStore
+
+    def body():
+        store = ReplicatedStore("+", batch_size=4, replication=2)
+        upcxx.barrier()
+        seen = []
+        store.read("never-written", cb=lambda k, v: seen.append((k, v)))
+        while store.reads_outstanding():
+            upcxx.progress()
+        store.store.quiesce()
+        upcxx.barrier()
+        return seen
+
+    assert upcxx.run_spmd(body, 4) == [[("never-written", None)]] * 4
+
+
 # ------------------------------------------------------- admission control
 def test_admission_limit_sheds_as_typed_overloaded():
     from repro.apps.kvservice import KvService, Overloaded, default_config

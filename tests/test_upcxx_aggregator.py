@@ -299,3 +299,24 @@ class TestHotKeyCache:
         upcxx.run_spmd(body, 2)
         assert out["cache_hits"] == out["cache_misses"] == 0
         assert out["cache_invalidations"] == 0
+
+    @pytest.mark.parametrize("cache_capacity", [0, 8])
+    def test_missing_key_reads_back_none_default(self, cache_capacity):
+        # the owner's None reply is an empty future: the cache-fill
+        # continuation used to be called with no argument -> TypeError
+        def body():
+            store = AggStore("replace", batch_size=4, cache_capacity=cache_capacity)
+            key = next(k for k in range(64) if store.dest_of(k) == 1)
+            upcxx.barrier()
+            got = None
+            if upcxx.rank_me() == 0:
+                got = (
+                    store.read(key).wait(),  # miss at the owner
+                    store.read(key).wait(),  # the cached None, when caching
+                    store.read_from(1, key).wait(),
+                )
+            store.quiesce()
+            upcxx.barrier()
+            return got
+
+        assert upcxx.run_spmd(body, 2)[0] == (None, None, None)

@@ -1,10 +1,14 @@
 """Tests pinning the §III progress-engine structure: defQ/actQ/compQ
 observability, internal vs user progress, and charge accounting."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 import repro.upcxx as upcxx
+from repro.sim.errors import RankFailure
 
 
 def _exchange(n=4, dtype=np.float64):
@@ -175,3 +179,91 @@ class TestSegmentPressure:
 
         peak = upcxx.run_spmd(body, 1)[0]
         assert peak <= 2 * 8 * 1024  # no leak growth
+
+
+@pytest.mark.usefixtures("no_cycle_collector")
+class TestTeardown:
+    """A returned ``run_spmd`` holds nothing: with the cycle collector off,
+    the world, every runtime and every segment die by reference counting
+    the moment the call returns (or raises)."""
+
+    @staticmethod
+    def _job(refs, after=lambda: None):
+        """An SPMD body that exercises the back-pointing parts of the
+        library (teams, dist_objects, rpc, rma, a device segment, the
+        master persona) and leaves weakrefs to the job's objects in
+        ``refs``."""
+
+        def body():
+            rt = upcxx.runtime_here()
+            me, n = rt.rank, upcxx.rank_n()
+            dev = upcxx.Device(segment_size=1 << 20)
+            refs.extend(
+                weakref.ref(o)
+                for o in (rt, rt.world, rt.conduit.segment(me), dev.segment)
+            )
+            g = upcxx.new_array(np.float64, 8)
+            g.local()[:] = me
+            dobj = upcxx.DistObject(g)
+            upcxx.barrier()
+            peer = dobj.fetch((me + 1) % n).wait()
+            upcxx.rput(np.arange(8.0), peer).wait()
+            assert upcxx.rpc((me + 1) % n, lambda x: x + 1, me).wait() == me + 1
+            upcxx.lpc(lambda: None).wait()
+            upcxx.barrier()
+            after()
+            return me
+
+        return body
+
+    @pytest.mark.parametrize("backend", ["coroutines", "threads"])
+    def test_success_path(self, backend):
+        refs = []
+        assert upcxx.run_spmd(self._job(refs), 4, backend=backend) == [0, 1, 2, 3]
+        assert len(refs) == 16 and all(r() is None for r in refs)
+
+    @pytest.mark.parametrize("backend", ["coroutines", "threads"])
+    def test_rank_failure(self, backend):
+        def fail_on_one():
+            if upcxx.rank_me() == 1:
+                raise ValueError("boom")
+
+        refs = []
+        try:
+            upcxx.run_spmd(self._job(refs, after=fail_on_one), 4, backend=backend)
+        except RankFailure:
+            pass
+        else:
+            pytest.fail("rank 1's ValueError did not surface")
+        assert len(refs) == 16 and all(r() is None for r in refs)
+
+    @pytest.mark.parametrize("backend", ["coroutines", "threads"])
+    def test_survivable_crash(self, backend):
+        refs = []
+
+        def body():
+            rt = upcxx.runtime_here()
+            refs.extend(
+                weakref.ref(o) for o in (rt, rt.world, rt.conduit.segment(rt.rank))
+            )
+            upcxx.new_array(np.float64, 8).local()[:] = rt.rank
+            for _ in range(20):
+                upcxx.compute(1e-5)
+                upcxx.progress()
+            return rt.rank
+
+        got = upcxx.run_spmd(
+            body, 4, backend=backend, faults="seed=1,crash=1@5e-5,survive=1"
+        )
+        assert got == [0, None, 2, 3]  # rank 1 died, the job was served through
+        assert len(refs) == 12 and all(r() is None for r in refs)
+
+    def test_sharded_parent_keeps_no_segments(self, monkeypatch):
+        """The forked workers exit; the parent's own (never touched) world
+        must go the same way as an in-process one."""
+        from repro.gasnet.segment import Segment
+        from repro.upcxx.runtime import World
+
+        monkeypatch.setenv("REPRO_SIM_SHARDS", "2")
+        assert upcxx.run_spmd(upcxx.rank_me, 4, ppn=2, backend="sharded") == [0, 1, 2, 3]
+        assert not [o for o in gc.get_objects() if isinstance(o, (Segment, World))]
