@@ -1,18 +1,12 @@
 """Wall-clock perf smoke: the simulator itself must stay fast.
 
-Runs the :mod:`repro.bench.perf_harness` workloads at tiny scale on all
-three scheduler backends, writes ``BENCH_perf.json``, and gates against
-the committed baseline (``benchmarks/perf_baseline.json``).
+Runs the :mod:`repro.bench.perf_harness` workloads at tiny scale on both
+scheduler backends and writes ``BENCH_perf.json``.  How fast the
+simulator itself runs is ``perfbench/``'s job, not this file's: what is
+checked here is result identity, schema coverage, the simulated-time
+gates and the instrumentation-overhead ceilings.
 
-The regression gate compares the **coroutines-vs-threads speedup ratio**
-(events/sec), not absolute wall time: the ratio is dimensionless and
-mostly machine-independent, so the same baseline works on laptops and CI
-runners.  A >2× regression of the ratio fails the job — that catches
-"someone pessimized the coroutine hot path" without flaking on slow
-runners.
-
-The sharded backend is included for **result identity and schema
-coverage only** — its wall-clock ratio depends on physical core count
+The sharded backend's wall-clock ratio depends on physical core count
 and is deliberately NOT gated here (a 1-core CI runner would flake
 every run).  Its honest number still lands in ``BENCH_perf.json`` under
 the ``sharded_vs_coroutines`` gate entry, marked advisory when the
@@ -24,13 +18,10 @@ import os
 
 import pytest
 
-from repro.bench.perf_harness import GATES, KV_GATE, WORKLOADS, run_harness
+from repro.bench.perf_harness import CRASH_GATE, GATES, KV_GATE, WORKLOADS, run_harness
+from repro.sim import BACKENDS
 
-BASELINE_PATH = os.path.join(os.path.dirname(__file__), "perf_baseline.json")
 OUT_PATH = os.environ.get("REPRO_PERF_OUT", "BENCH_perf.json")
-
-#: a measured ratio below baseline/REGRESSION_FACTOR fails the gate
-REGRESSION_FACTOR = 2.0
 
 #: tiny-scale smoke uses 2 shards: exercises the cross-shard window
 #: protocol even on a single-core runner without oversubscribing it
@@ -49,7 +40,7 @@ def report():
 
 def test_harness_covers_all_workloads(report):
     assert set(report["workloads"]) == set(WORKLOADS)
-    assert set(report["backends"]) == {"coroutines", "threads", "sharded"}
+    assert report["backends"] == list(BACKENDS)
 
 
 def test_backends_produce_identical_results(report):
@@ -59,7 +50,7 @@ def test_backends_produce_identical_results(report):
 
 def test_counters_populated(report):
     for name, entry in report["workloads"].items():
-        for backend in ("coroutines", "threads", "sharded"):
+        for backend in BACKENDS:
             rec = entry[backend]
             assert rec["wall_s"] > 0
             assert rec["events_fired"] > 0, f"{name}/{backend}: no events recorded"
@@ -77,31 +68,11 @@ def test_sharded_counters_match_reference(report):
         assert 1 <= entry["sharded"]["n_shards"] <= SMOKE_SHARDS, name
 
 
-def test_no_ratio_regression_vs_baseline(report):
-    """Coroutines/threads speedup ratio must not regress >2× vs baseline."""
-    with open(BASELINE_PATH) as f:
-        baseline = json.load(f)
-    for name, entry in report["workloads"].items():
-        base = baseline["workloads"].get(name)
-        if base is None:
-            continue
-        measured = entry["speedup_events_per_s"]
-        floor = base["speedup_events_per_s"] / REGRESSION_FACTOR
-        assert measured >= floor, (
-            f"{name}: coroutines/threads events-per-sec ratio {measured:.3f} "
-            f"regressed below {floor:.3f} (baseline "
-            f"{base['speedup_events_per_s']:.3f} / {REGRESSION_FACTOR})"
-        )
-
-
 def test_gate_entries_recorded(report):
     """Every gate template produces a filled entry; the sharded gate's
     ratio is recorded honestly but never asserted on (core-count bound)."""
     by_name = {g["name"]: g for g in report["gates"]}
-    assert set(by_name) == {g["name"] for g in GATES} | {KV_GATE["name"]}
-    cvt = by_name["coroutines_vs_threads"]
-    assert cvt["measured_speedup"] is not None
-    assert isinstance(cvt["passed"], bool)
+    assert set(by_name) == {g["name"] for g in (*GATES, KV_GATE, CRASH_GATE)}
     svc = by_name["sharded_vs_coroutines"]
     assert svc["measured_speedup"] is not None
     assert "requirements_met" in svc
@@ -111,8 +82,6 @@ def test_gate_entries_recorded(report):
     assert isinstance(kv["passed"], bool)
     assert not kv.get("advisory")
     assert kv["ablation"]["per_op_rpc"]["batch_size"] == 1
-    # legacy single-gate key is preserved for older tooling
-    assert report["gate"] == report["gates"][0]
 
 
 def test_no_non_advisory_gate_failure(report):
@@ -153,7 +122,7 @@ def test_bench_perf_json_written(report):
     with open(OUT_PATH) as f:
         on_disk = json.load(f)
     assert on_disk["schema"] == "repro-perf/3"
-    assert "gate" in on_disk and "gates" in on_disk
+    assert "gates" in on_disk
     assert on_disk["shards"] == SMOKE_SHARDS
     assert on_disk["cpus"] == os.cpu_count()
 
@@ -162,7 +131,7 @@ def test_span_attribution_in_report(report):
     """Satellite: BENCH_perf.json carries the causal-span attribution
     summary per backend, with bit-identical fingerprints."""
     attr = report["span_attribution"]
-    assert set(attr) == {"coroutines", "threads", "sharded"}
+    assert set(attr) == set(BACKENDS)
     fps = {entry["fingerprint"] for entry in attr.values()}
     assert len(fps) == 1, "span fingerprints diverged across backends"
     for entry in attr.values():
@@ -174,7 +143,7 @@ def test_peak_rss_recorded_per_backend(report):
     """Satellite: peak RSS (self + children for sharded workers) lands in
     every backend record."""
     for entry in report["workloads"].values():
-        for backend in ("coroutines", "threads", "sharded"):
+        for backend in BACKENDS:
             rec = entry[backend]
             assert rec["peak_rss_kb"] > 0
             assert rec["peak_rss_children_kb"] >= 0

@@ -37,7 +37,7 @@ time (sleeping until each arrival via a scheduler timer), issues
 requests asynchronously, and drains with the aggregator's counting
 quiescence followed by the replication layer's anti-entropy sweep.
 Every field of the returned record is a deterministic function of the
-simulation, so the three scheduler backends must agree bit-for-bit —
+simulation, so the scheduler backends must agree bit-for-bit —
 pinned by ``tests/test_apps_kvservice.py`` and the chaos suite.
 """
 

@@ -21,7 +21,7 @@ Models a front-end rank's view of a large client population:
 All randomness flows through one ``random.Random`` handed in by the
 caller (derive it from the rank's :class:`repro.sim.rng.RankRandom`), so
 per-rank request streams are reproducible and bit-identical across the
-coroutine, thread, and sharded scheduler backends.
+coroutine and sharded scheduler backends.
 """
 
 from __future__ import annotations

@@ -32,6 +32,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import repro.upcxx as upcxx
 from repro.apps.kvservice import default_config, kv_rank_body
+from repro.sim import BACKENDS
 from repro.util.metrics import DwellHistogram
 from repro.util.telemetry import Telemetry
 
@@ -299,8 +300,7 @@ def crash_availability_sweep(
 def main(argv: Optional[Sequence[str]] = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--scale", choices=("tiny", "full", "xl"), default="tiny")
-    ap.add_argument("--backend", default="coroutines",
-                    choices=("coroutines", "threads", "sharded"))
+    ap.add_argument("--backend", default="coroutines", choices=BACKENDS)
     ap.add_argument("--sweep", action="store_true",
                     help="run the offered-load sweep instead of the ablation")
     ap.add_argument("--point", type=float, default=None, metavar="MULT",

@@ -355,7 +355,7 @@ class Conduit:
     # and then posts exactly ONE commit event and one completion, exactly
     # mirroring the fault-free event structure.  That is what keeps a
     # zero-fault plan bit-identical to ``faults=None`` and fault runs
-    # bit-identical across all three scheduler backends.
+    # bit-identical across the scheduler backends.
     def _rel_ladder(
         self,
         snd: int,

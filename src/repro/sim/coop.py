@@ -29,39 +29,27 @@ context is stamped ``(poster clock, poster rank, per-rank seq)``, and a
 post made while an event is firing extends the firing event's stamp with
 a child index.  The stamp — not a global insertion counter — breaks ties
 among events due at the same instant, so the fire order is a pure
-function of causality, identical across every backend (including the
-multi-process sharded one, where a global insertion order does not
+function of causality, identical in one process and across the sharded
+backend's worker processes (where a global insertion order does not
 exist).  Ranks are resumed in deterministic (clock, rank) order, so an
 entire simulation is a pure function of its inputs and seed.
 
-Three interchangeable backends implement the baton discipline:
+There is one in-process scheduler, :class:`Scheduler` (its invariants
+are on the class): rank bodies run as cooperative fibers resumed by a
+dispatch loop, and a fiber switch hands the baton directly to the next
+runnable entity through one raw lock release.  Because pure CPython
+cannot switch C stacks, each fiber's suspended call stack is carried by
+a parked OS thread; the dispatch structure, not thread elimination, is
+what makes switching cheap.
 
-``backend="coroutines"`` (default)
-    Rank bodies run as cooperative fibers resumed by a dispatch loop.  All
-    scheduler state is lock-free — the baton discipline itself (plus the
-    GIL) is the mutual exclusion — and the hot path of ``charge()`` is a
-    single comparison against a cached *horizon* (the earliest instant at
-    which anything else could need to run).  Fiber switches hand the baton
-    directly to the next runnable entity through one raw lock release.
-    Because pure CPython cannot switch C stacks, each fiber's suspended
-    call stack is carried by a parked OS thread; the dispatch structure,
-    not thread elimination, is what makes switching cheap.
-
-``backend="threads"``
-    The original conservative scheduler: one OS thread per rank, a global
-    re-entrant lock, and condition-variable handoffs.  Kept as the
-    reference implementation.
-
-``backend="sharded"``
-    Conservative *parallel* DES (``repro.sim.shard``): simulated nodes
-    are partitioned across ``REPRO_SIM_SHARDS`` forked worker processes,
-    each running the coroutine machinery under a lookahead-bounded
-    window protocol.  Wall-clock speedup scales with physical cores.
-
-All backends produce bit-identical simulated times, results, and
-canonical traces (see tests/test_backend_determinism.py).  Select one
-per scheduler (``Scheduler(n, backend=...)``) or globally with the
-``REPRO_SIM_BACKEND`` environment variable.
+``backend="sharded"`` (:mod:`repro.sim.shard`, a subclass) partitions
+simulated nodes across forked worker processes, each running this
+machinery under a lookahead-bounded window protocol; select it per
+scheduler or with ``$REPRO_SIM_BACKEND`` (:data:`BACKENDS` names every
+accepted value).  Determinism is checked against a committed artifact,
+not a second implementation: this scheduler must reproduce
+``tests/golden/fingerprints.json`` exactly and the sharded backend must
+match this scheduler (docs/simulator.md).
 """
 
 from __future__ import annotations
@@ -85,188 +73,170 @@ _DONE = 4
 
 _STATE_NAMES = {_NEW: "NEW", _READY: "READY", _RUNNING: "RUNNING", _BLOCKED: "BLOCKED", _DONE: "DONE"}
 
+#: environment override for the default backend
+BACKEND_ENV = "REPRO_SIM_BACKEND"
+DEFAULT_BACKEND = "coroutines"
+#: every value ``Scheduler(backend=...)`` and ``$REPRO_SIM_BACKEND`` accept
+BACKENDS = ("coroutines", "sharded")
+
+
+# ======================================================================
+# Carrier threads.  A fiber's suspended stack lives on a parked OS thread;
+# every use of ``threading``/``_thread`` in this module is in this block
+# (the scheduler below only acquires/releases batons and joins carriers).
+# ======================================================================
 _tls = threading.local()
 
 # Modest stacks: simulated ranks are shallow (library calls only), and jobs
 # may create thousands of rank fibers.
 _STACK_BYTES = 512 * 1024
 
-#: environment override for the default backend
-BACKEND_ENV = "REPRO_SIM_BACKEND"
-DEFAULT_BACKEND = "coroutines"
+
+def _baton(held: bool = True):
+    """A raw lock; one born held parks its first acquirer until released."""
+    lock = _thread.allocate_lock()
+    if held:
+        lock.acquire()
+    return lock
 
 
-class Scheduler:
-    """The global conservative scheduler for one SPMD job.
+def _carry(sched: "Scheduler", ctl: "_Fiber") -> None:
+    _tls.ctx = (sched, ctl.rid, ctl)
+    try:
+        sched._fiber_main(ctl)
+    finally:
+        _tls.ctx = None
 
-    Instantiating ``Scheduler(...)`` returns the selected backend
-    implementation (:class:`CoroutineScheduler` by default,
-    :class:`ThreadScheduler` with ``backend="threads"``); both are
-    subclasses, so ``isinstance(s, Scheduler)`` holds either way.
+
+def _start_carrier(sched: "Scheduler", ctl: "_Fiber") -> None:
+    """Create the carrier thread of ``ctl`` and let it run.  ``ctl.thread``
+    is set before the start: a fiber counts as started from then on."""
+    ctl.thread = threading.Thread(
+        target=_carry, args=(sched, ctl), name=f"simrank-{ctl.rid}", daemon=True
+    )
+    try:
+        old_stack = threading.stack_size(_STACK_BYTES)
+    except (ValueError, RuntimeError):  # this platform will not resize stacks
+        ctl.thread.start()
+        return
+    try:
+        ctl.thread.start()
+    finally:
+        threading.stack_size(old_stack)
+
+
+def current_scheduler() -> "Scheduler":
+    """The scheduler of the calling rank context."""
+    ctx = getattr(_tls, "ctx", None)
+    if ctx is None:
+        raise SimError("no active simulation on this thread")
+    return ctx[0]
+
+
+def current_rank() -> int:
+    """The rank id of the calling rank context."""
+    ctx = getattr(_tls, "ctx", None)
+    if ctx is None:
+        raise SimError("no active simulation on this thread")
+    return ctx[1]
+
+
+def current_client():
+    """The client-layer object attached via :meth:`Scheduler.set_client`.
+
+    O(1) slot read — the hot path for per-operation runtime lookups.
+    Returns None if no client is attached; raises :class:`SimError`
+    outside a simulation.
+    """
+    ctx = getattr(_tls, "ctx", None)
+    if ctx is None:
+        raise SimError("no active simulation on this thread")
+    return ctx[2].client
+
+
+# ======================================================================
+# Scheduler state: the per-rank control block and the stamped event queue
+# ======================================================================
+class _Fiber:
+    """Per-rank control block.
+
+    The fiber's suspended stack is carried by a lazily-started OS thread
+    parked on ``baton`` (initially held): releasing the baton resumes the
+    fiber; the fiber parks itself by re-acquiring it.
     """
 
-    def __new__(cls, *args, **kwargs):
-        if cls is Scheduler:
-            name = kwargs.get("backend") or os.environ.get(BACKEND_ENV) or DEFAULT_BACKEND
-            impl = _BACKENDS.get(name)
-            if impl is None and name in _LAZY_BACKENDS:
-                import importlib
+    __slots__ = (
+        "rid",
+        "state",
+        "clock",
+        "baton",
+        "thread",
+        "result",
+        "block_reason",
+        "ready_stamp",
+        "env",
+        "pending_wake",
+        "client",
+    )
 
-                importlib.import_module(_LAZY_BACKENDS[name])
-                impl = _BACKENDS.get(name)
-            if impl is None:
-                known = sorted(set(_BACKENDS) | set(_LAZY_BACKENDS))
-                raise ValueError(
-                    f"unknown scheduler backend {name!r}; expected one of {known}"
-                )
-            return object.__new__(impl)
-        return object.__new__(cls)
+    def __init__(self, rid: int):
+        self.rid = rid
+        self.state = _NEW
+        self.clock = 0.0
+        self.baton = _baton()  # parked until first dispatch
+        self.thread = None  # the carrier, once started
+        self.result = None
+        self.block_reason = ""
+        self.ready_stamp = 0
+        self.env: dict = {}
+        #: wake timestamps received while not blocked (sticky wakes);
+        #: consumed by block() in timestamp order to prevent lost wakeups
+        self.pending_wake: list = []
+        #: client-layer runtime attached via Scheduler.set_client
+        self.client = None
 
-    #: backend name, overridden by subclasses
-    backend = "abstract"
 
-    # ------------------------------------------------------------ shared API
-    def sleep(self, dt: float) -> None:
-        """Block for ``dt`` seconds of simulated time (pure delay)."""
-        me = self._me()
-        deadline = me.clock + dt
-        self.post(dt, lambda: self.wake(me.rid, deadline))
-        while me.clock < deadline:
-            self.block(f"sleep until {deadline}")
-        self.checkpoint()
+class _StampedQueue(EventQueue):
+    """EventQueue whose heap keys are causal stamps, not insertion seqs.
 
-    def rank_env(self, rid: Optional[int] = None) -> dict:
-        """Per-rank scratch dict for upper layers."""
-        if rid is None:
-            return self._me().env
-        return self._ranks[rid].env
+    ``push`` derives the stamp from the owning scheduler's current
+    context (rank posting, or firing event) — :meth:`Scheduler._make_stamp`
+    inlined, because ``push`` is on the per-operation hot path;
+    ``push_keyed`` (inherited) inserts under an externally minted stamp
+    (the sharded backend's cross-shard envelopes).  Stamps are tuples
+    ordered by (create_time, origin...), globally unique, and identical
+    in every process for the same logical post.
+    """
 
-    def set_client(self, obj) -> None:
-        """Attach a client-layer runtime object to the calling rank.
+    __slots__ = ("_sched",)
 
-        Retrieved in O(1) by :func:`current_client` — the fast path for
-        per-operation runtime lookups (e.g. ``upcxx.current_runtime``).
-        """
-        self._me().client = obj
+    def __init__(self, sched: "Scheduler"):
+        super().__init__()
+        self._sched = sched
 
-    def snapshot(self) -> str:
-        """Human-readable state of all ranks (for error messages/tests)."""
-        lines = [
-            f"rank {c.rid}: {_STATE_NAMES[c.state]} clock={c.clock:.9f}"
-            + (f" [{c.block_reason}]" if c.state == _BLOCKED else "")
-            for c in self._ranks
-        ]
-        lines.append(f"pending events: {len(self._events)}; switches: {self.switches}")
-        return "\n".join(lines)
-
-    def register_conduit(self, conduit) -> None:
-        """Conduits register here so ``stats()`` can fold in their
-        reliability-layer frame counters."""
-        self._conduits.append(conduit)
-
-    # ------------------------------------------------- survivable crashes
-    def on_rank_dead(self, fn: Callable[[int, BaseException, float], None]) -> None:
-        """Register a death listener for *survivable* fault plans.
-
-        ``fn(rank, err, t_detect)`` runs in network context at the
-        heartbeat-detection instant, once per dead rank, in registration
-        order (registration happens in rank context during bootstrap, so
-        the order — and hence every downstream effect — is deterministic).
-        Listeners must follow network-context rules: stage work for rank
-        context (e.g. via a runtime completion queue) and call
-        :meth:`wake`; never run user code or block.
-        """
-        self._dead_listeners.append(fn)
-
-    def detected_dead(self) -> dict:
-        """Ranks whose death the heartbeat has *detected* (survivable
-        mode): rank -> RankDeadError.  Before detection a dead rank is
-        indistinguishable from a slow one, exactly like the real thing."""
-        return self._detected_dead
-
-    def _rank_hosted(self, rank: int) -> bool:
-        """Is ``rank`` simulated by this process?  (Sharded overrides.)"""
-        return True
-
-    def run(self, fn: Callable[[int], object]) -> List[object]:
-        """Run ``fn(rank)`` on every rank to completion; return the results.
-
-        Raises :class:`RankFailure` if any rank raised, or
-        :class:`DeadlockError` if the simulation wedged.  A scheduler runs
-        once: whatever the outcome, it lets go of the job on the way out.
-        """
-        if self._running:
-            raise SimError("Scheduler.run() is not reentrant")
-        self._running = True
-        try:
-            return self._run(fn)
-        finally:
-            self._release()
-
-    def _release(self) -> None:
-        """End of ``run()``: let go of everything that points back at the job.
-
-        What is left in a spent scheduler — the rank function, undelivered
-        events, death listeners, the per-rank env and client slots, the
-        failure about to be raised (whose traceback holds this very frame
-        chain) — belongs to the layers above, which hold the scheduler in
-        turn.  Dropping it here leaves no cycle through the scheduler, so
-        a finished job and its segments are freed by reference counting,
-        without waiting for a ``gc`` pass.  Results, clocks, counters and
-        the trace stay readable.
-        """
-        self._fn = None
-        self._failure = None
-        self._dead_ranks = {}
-        self._dead_listeners = []
-        del self._events._heap[:]
-        self._events._sched = None
-        for ctl in self._ranks:
-            ctl.env = {}
-            ctl.client = None
-
-    def _notify_dead(self, rank: int, err: BaseException, t_detect: float) -> None:
-        """Network context: the heartbeat timeout for ``rank`` fired under
-        a survivable plan.  Instead of failing the run, record the death,
-        run the death listeners, and wake every hosted survivor so blocked
-        predicates re-evaluate against the new membership (spurious wakes
-        are legal on every backend)."""
-        if rank in self._detected_dead:
-            return
-        self._detected_dead[rank] = err
-        for fn in list(self._dead_listeners):
-            fn(rank, err, t_detect)
-        for r in range(self.n_ranks):
-            if r != rank and self._rank_hosted(r):
-                self.wake(r, t_detect)
-
-    def stats(self) -> dict:
-        """Machine-readable run counters (perf harness / postmortems)."""
-        ev = self._events.stats
-        out = {
-            "backend": self.backend,
-            "n_ranks": self.n_ranks,
-            "switches": self.switches,
-            "events_posted": ev["posted"],
-            "events_fired": ev["fired"],
-        }
-        conduits = getattr(self, "_conduits", None)
-        if conduits:
-            for key in (
-                "frames_retransmitted",
-                "frames_dropped",
-                "frames_duplicated",
-                "acks",
-                "agg_batches",
-                "agg_updates",
-                "agg_credit_stall_s",
-            ):
-                out[key] = sum(c.stats()[key] for c in conduits)
-        return out
+    def push(self, time: float, fn: Callable[[], None]) -> None:
+        if time != time or time < 0 or time == _INF:  # NaN, negative, or inf
+            raise ValueError(f"invalid event time: {time!r}")
+        if not callable(fn):
+            raise TypeError(f"event callback must be callable, got {type(fn).__name__}")
+        sched = self._sched
+        lane = sched._firing_lane
+        if lane is not None:
+            sched._fire_child += 1
+            stamp = lane + (sched._fire_child,)
+        else:
+            me = sched._current
+            if me is None:
+                raise SimError("cannot mint an event stamp outside rank/network context")
+            rid = me.rid
+            seq = sched._post_seq[rid] = sched._post_seq[rid] + 1
+            stamp = (me.clock, rid, seq)
+        heapq.heappush(self._heap, (time, stamp, fn))
+        self._count_posted += 1
 
 
 def _consume_pending_wakes(sched: Scheduler, me) -> bool:
-    """Shared ``block()`` prologue: drain sticky wakes in timestamp order.
+    """``block()`` prologue: drain sticky wakes in timestamp order.
 
     Wakes that targeted this rank while it was runnable are kept in
     ``pending_wake``.  Any at or before the rank's clock mean state already
@@ -292,46 +262,6 @@ def _consume_pending_wakes(sched: Scheduler, me) -> bool:
     return False
 
 
-class _StampedQueue(EventQueue):
-    """EventQueue whose heap keys are causal stamps, not insertion seqs.
-
-    ``push`` derives the stamp from the owning scheduler's current
-    context (rank posting, or firing event) — the minting logic of
-    :func:`_make_stamp` is inlined here because ``push`` is on the
-    per-operation hot path; ``push_keyed`` (inherited) inserts under an
-    externally minted stamp (the sharded backend's cross-shard
-    envelopes).  Stamps are tuples ordered by (create_time, origin...),
-    globally unique, and identical across backends for the same logical
-    post — equal-time ties resolve the same way everywhere.
-    """
-
-    __slots__ = ("_sched",)
-
-    def __init__(self, sched: "Scheduler"):
-        super().__init__()
-        self._sched = sched
-
-    def push(self, time: float, fn: Callable[[], None]) -> None:
-        if time != time or time < 0 or time == _INF:  # NaN, negative, or inf
-            raise ValueError(f"invalid event time: {time!r}")
-        if not callable(fn):
-            raise TypeError(f"event callback must be callable, got {type(fn).__name__}")
-        sched = self._sched
-        lane = sched._firing_lane
-        if lane is not None:
-            sched._fire_child += 1
-            stamp = lane + (sched._fire_child,)
-        else:
-            me = sched._stamp_rank()
-            if me is None:
-                raise SimError("cannot mint an event stamp outside rank/network context")
-            rid = me.rid
-            seq = sched._post_seq[rid] = sched._post_seq[rid] + 1
-            stamp = (me.clock, rid, seq)
-        heapq.heappush(self._heap, (time, stamp, fn))
-        self._count_posted += 1
-
-
 def _rank_failure(rid: int, exc: BaseException) -> RankFailure:
     """Wrap a rank's exception.  Built here, not in the catching frame:
     that frame is in ``exc``'s traceback, and a local naming the wrapper
@@ -341,72 +271,14 @@ def _rank_failure(rid: int, exc: BaseException) -> RankFailure:
     return failure
 
 
-def _make_stamp(sched) -> tuple:
-    """Mint the causal stamp for an event being posted right now.
-
-    Shared by every backend (``sched`` supplies ``_firing_lane``,
-    ``_fire_child``, ``_post_seq`` and ``_stamp_rank()``): a post made
-    while an event fires gets the firing event's stamp plus a child
-    index (parents sort before children); a post from rank context gets
-    ``(clock, rank, per-rank seq)``.
-    """
-    lane = sched._firing_lane
-    if lane is not None:
-        sched._fire_child += 1
-        return lane + (sched._fire_child,)
-    me = sched._stamp_rank()
-    if me is None:
-        raise SimError("cannot mint an event stamp outside rank/network context")
-    seq = sched._post_seq[me.rid] = sched._post_seq[me.rid] + 1
-    return (me.clock, me.rid, seq)
-
-
 # ======================================================================
-# Coroutine backend
+# The scheduler
 # ======================================================================
-class _Fiber:
-    """Per-rank control block of the coroutine backend.
+class Scheduler:
+    """The global conservative scheduler for one SPMD job.
 
-    The fiber's suspended stack is carried by a lazily-started OS thread
-    parked on ``baton`` (a raw lock, initially held): releasing the baton
-    resumes the fiber; the fiber parks itself by re-acquiring it.
-    """
-
-    __slots__ = (
-        "rid",
-        "state",
-        "clock",
-        "baton",
-        "thread",
-        "result",
-        "block_reason",
-        "ready_stamp",
-        "env",
-        "pending_wake",
-        "client",
-    )
-
-    def __init__(self, rid: int):
-        self.rid = rid
-        self.state = _NEW
-        self.clock = 0.0
-        self.baton = _thread.allocate_lock()
-        self.baton.acquire()  # parked until first dispatch
-        self.thread: Optional[threading.Thread] = None
-        self.result = None
-        self.block_reason = ""
-        self.ready_stamp = 0
-        self.env: dict = {}
-        #: wake timestamps received while not blocked (sticky wakes);
-        #: consumed by block() in timestamp order to prevent lost wakeups
-        self.pending_wake: list = []
-        #: client-layer runtime attached via Scheduler.set_client
-        self.client = None
-
-
-class CoroutineScheduler(Scheduler):
-    """Dispatch-loop scheduler: rank fibers, lock-free state, fast paths.
-
+    ``Scheduler(n, backend="sharded")`` (or ``$REPRO_SIM_BACKEND``)
+    returns the :class:`repro.sim.shard.ShardedScheduler` subclass.
     Invariants (enforced by the baton discipline plus the GIL):
 
     - exactly one entity — the current fiber or a dispatching context —
@@ -418,6 +290,20 @@ class CoroutineScheduler(Scheduler):
       charging rank remains globally earliest and nothing is due).
     """
 
+    def __new__(cls, *args, **kwargs):
+        if cls is Scheduler:
+            name = kwargs.get("backend") or os.environ.get(BACKEND_ENV) or DEFAULT_BACKEND
+            if name not in BACKENDS:
+                raise ValueError(f"unknown scheduler backend {name!r}; expected one of {BACKENDS}")
+            if name == "sharded":
+                # imported on demand: keeps multiprocessing machinery out
+                # of single-process imports
+                from repro.sim.shard import ShardedScheduler
+
+                cls = ShardedScheduler
+        return object.__new__(cls)
+
+    #: backend name, overridden by the sharded subclass
     backend = "coroutines"
 
     def __init__(self, n_ranks: int, trace: Optional[TraceBuffer] = None, max_time: float = 1e6, backend: Optional[str] = None):
@@ -459,12 +345,11 @@ class CoroutineScheduler(Scheduler):
         self._current: Optional[_Fiber] = None
         self._horizon = 0.0
         # Window bound hook: the sharded subclass lowers this to its CMB
-        # window edge (and clamps it on envelope emission); in-process
-        # backends leave it at +inf so _retarget never gates on it.
+        # window edge (and clamps it on envelope emission); in one process
+        # it stays at +inf so _retarget never gates on it.
         self._wbound = float("inf")
-        self._main_baton = _thread.allocate_lock()
-        self._main_baton.acquire()
-        self._main_release_guard = _thread.allocate_lock()
+        self._main_baton = _baton()
+        self._main_release_guard = _baton(held=False)
         self._fn: Optional[Callable[[int], object]] = None
 
     # ------------------------------------------------------------------ intro
@@ -474,11 +359,17 @@ class CoroutineScheduler(Scheduler):
             raise SimError("not inside a rank of this scheduler")
         return me
 
-    def _stamp_rank(self) -> Optional[_Fiber]:
-        return self._current
-
     def _make_stamp(self) -> tuple:
-        return _make_stamp(self)
+        """Mint the causal stamp (module docstring) of a post made now."""
+        lane = self._firing_lane
+        if lane is not None:
+            self._fire_child += 1
+            return lane + (self._fire_child,)
+        me = self._current
+        if me is None:
+            raise SimError("cannot mint an event stamp outside rank/network context")
+        seq = self._post_seq[me.rid] = self._post_seq[me.rid] + 1
+        return (me.clock, me.rid, seq)
 
     # ------------------------------------------------------------ rank context
     def now(self) -> float:
@@ -500,7 +391,9 @@ class CoroutineScheduler(Scheduler):
             return  # fast path: still globally earliest, nothing due
         if self._failure is not None:
             raise SimAbort()
-        if clock > self.max_time:
+        if not clock <= self.max_time:  # a NaN clock fails every comparison
+            if clock != clock:
+                raise ValueError(f"invalid charge: {dt}")
             self._fail(SimError(f"simulated time exceeded max_time={self.max_time}"))
             raise SimAbort()
         self._checkpoint_slow(me)
@@ -586,12 +479,88 @@ class CoroutineScheduler(Scheduler):
             ctl.state = _READY
             self._push_ready(ctl)
         elif state == _READY or state == _RUNNING:
-            # Sticky wake: the rank is runnable at an earlier clock and
-            # may block before reaching ``at_time``; remember every such
-            # wake so its next block() converts them into timers instead
-            # of sleeping forever (lost-wakeup guard).
+            # Sticky wake: the rank is runnable at an earlier clock and may
+            # block before ``at_time``; its next block() turns it into a timer.
             ctl.pending_wake.append(at_time)
         # DONE: nothing to do.
+
+    def _notify_dead(self, rank: int, err: BaseException, t_detect: float) -> None:
+        """Network context: the heartbeat timeout for ``rank`` fired under
+        a survivable plan.  Instead of failing the run, record the death,
+        run the death listeners, and wake every hosted survivor so blocked
+        predicates re-evaluate against the new membership (spurious wakes
+        are always legal)."""
+        if rank in self._detected_dead:
+            return
+        self._detected_dead[rank] = err
+        for fn in list(self._dead_listeners):
+            fn(rank, err, t_detect)
+        for r in range(self.n_ranks):
+            if r != rank and self._rank_hosted(r):
+                self.wake(r, t_detect)
+
+    # ----------------------------------------------------------- upper layers
+    def sleep(self, dt: float) -> None:
+        """Block for ``dt`` seconds of simulated time (pure delay)."""
+        me = self._me()
+        deadline = me.clock + dt
+        self.post(dt, lambda: self.wake(me.rid, deadline))
+        while me.clock < deadline:
+            self.block(f"sleep until {deadline}")
+        self.checkpoint()
+
+    def rank_env(self, rid: Optional[int] = None) -> dict:
+        """Per-rank scratch dict for upper layers."""
+        if rid is None:
+            return self._me().env
+        return self._ranks[rid].env
+
+    def set_client(self, obj) -> None:
+        """Attach a client-layer runtime object to the calling rank.
+
+        Retrieved in O(1) by :func:`current_client` — the fast path for
+        per-operation runtime lookups (e.g. ``upcxx.current_runtime``).
+        """
+        self._me().client = obj
+
+    def snapshot(self) -> str:
+        """Human-readable state of all ranks (for error messages/tests)."""
+        lines = [
+            f"rank {c.rid}: {_STATE_NAMES[c.state]} clock={c.clock:.9f}"
+            + (f" [{c.block_reason}]" if c.state == _BLOCKED else "")
+            for c in self._ranks
+        ]
+        lines.append(f"pending events: {len(self._events)}; switches: {self.switches}")
+        return "\n".join(lines)
+
+    def register_conduit(self, conduit) -> None:
+        """Conduits register here so ``stats()`` can fold in their
+        reliability-layer frame counters."""
+        self._conduits.append(conduit)
+
+    # ------------------------------------------------- survivable crashes
+    def on_rank_dead(self, fn: Callable[[int, BaseException, float], None]) -> None:
+        """Register a death listener for *survivable* fault plans.
+
+        ``fn(rank, err, t_detect)`` runs in network context at the
+        heartbeat-detection instant, once per dead rank, in registration
+        order (registration happens in rank context during bootstrap, so
+        the order — and hence every downstream effect — is deterministic).
+        Listeners must follow network-context rules: stage work for rank
+        context (e.g. via a runtime completion queue) and call
+        :meth:`wake`; never run user code or block.
+        """
+        self._dead_listeners.append(fn)
+
+    def detected_dead(self) -> dict:
+        """Ranks whose death the heartbeat has *detected* (survivable
+        mode): rank -> RankDeadError.  Before detection a dead rank is
+        indistinguishable from a slow one, exactly like the real thing."""
+        return self._detected_dead
+
+    def _rank_hosted(self, rank: int) -> bool:
+        """Is ``rank`` simulated by this process?  (Sharded overrides.)"""
+        return True
 
     # ------------------------------------------------------------- internals
     def _push_ready(self, ctl: _Fiber) -> None:
@@ -783,19 +752,9 @@ class CoroutineScheduler(Scheduler):
             )
             return
 
-    def _start_fiber(self, ctl: _Fiber) -> None:
-        """Lazily create the carrier thread of ``ctl`` and let it run."""
-        thread = threading.Thread(
-            target=self._fiber_main,
-            args=(ctl,),
-            name=f"simrank-{ctl.rid}",
-            daemon=True,
-        )
-        ctl.thread = thread
-        thread.start()
+    _start_fiber = _start_carrier  # called lazily, at a fiber's first dispatch
 
     def _fiber_main(self, ctl: _Fiber) -> None:
-        _tls.ctx = (self, ctl.rid, ctl)
         try:
             ctl.result = self._fn(ctl.rid)
         except SimAbort:
@@ -807,7 +766,6 @@ class CoroutineScheduler(Scheduler):
                 self._failure = _rank_failure(ctl.rid, exc)
             self._abort_all()
         finally:
-            _tls.ctx = None
             ctl.state = _DONE
             ctl.client = None
             self._n_done += 1
@@ -849,24 +807,50 @@ class CoroutineScheduler(Scheduler):
             self._main_baton.release()
 
     # ------------------------------------------------------------------- run
+    def run(self, fn: Callable[[int], object]) -> List[object]:
+        """Run ``fn(rank)`` on every rank to completion; return the results.
+
+        Raises :class:`RankFailure` if any rank raised, or
+        :class:`DeadlockError` if the simulation wedged.  A scheduler runs
+        once: whatever the outcome, it lets go of the job on the way out.
+        """
+        if self._running:
+            raise SimError("Scheduler.run() is not reentrant")
+        self._running = True
+        try:
+            return self._run(fn)
+        finally:
+            self._release()
+
+    def _release(self) -> None:
+        """End of ``run()``: let go of everything that points back at the job.
+
+        What is left in a spent scheduler — the rank function, undelivered
+        events, death listeners, the per-rank env and client slots, the
+        failure about to be raised (whose traceback holds this very frame
+        chain) — belongs to the layers above, which hold the scheduler in
+        turn.  Dropping it here leaves no cycle through the scheduler, so
+        a finished job and its segments are freed by reference counting,
+        without waiting for a ``gc`` pass.  Results, clocks, counters and
+        the trace stay readable.
+        """
+        self._fn = None
+        self._failure = None
+        self._dead_ranks = {}
+        self._dead_listeners = []
+        del self._events._heap[:]
+        self._events._sched = None
+        for ctl in self._ranks:
+            ctl.env = {}
+            ctl.client = None
+
     def _run(self, fn: Callable[[int], object]) -> List[object]:
         self._fn = fn
-        old_stack = threading.stack_size()
-        try:
-            threading.stack_size(_STACK_BYTES)
-        except (ValueError, RuntimeError):
-            pass
-        try:
-            for ctl in self._ranks:
-                ctl.state = _READY
-                self._push_ready(ctl)
-            self._dispatch()
-            self._main_baton.acquire()
-        finally:
-            try:
-                threading.stack_size(old_stack)
-            except (ValueError, RuntimeError):
-                pass
+        for ctl in self._ranks:
+            ctl.state = _READY
+            self._push_ready(ctl)
+        self._dispatch()
+        self._main_baton.acquire()
         for ctl in self._ranks:
             if ctl.thread is not None:
                 ctl.thread.join(timeout=30.0)
@@ -880,395 +864,28 @@ class CoroutineScheduler(Scheduler):
         # returned and a dead rank's slot holds None
         return [ctl.result for ctl in self._ranks]
 
-
-# ======================================================================
-# Thread backend (reference implementation)
-# ======================================================================
-class _RankCtl:
-    """Per-rank control block (thread-backend internals)."""
-
-    __slots__ = (
-        "rid",
-        "state",
-        "clock",
-        "cond",
-        "thread",
-        "result",
-        "block_reason",
-        "ready_stamp",
-        "env",
-        "pending_wake",
-        "client",
-    )
-
-    def __init__(self, rid: int, lock: threading.RLock):
-        self.rid = rid
-        self.state = _NEW
-        self.clock = 0.0
-        self.cond = threading.Condition(lock)
-        self.thread: Optional[threading.Thread] = None
-        self.result = None
-        self.block_reason = ""
-        self.ready_stamp = 0
-        self.env: dict = {}
-        #: wake timestamps received while not blocked (sticky wakes);
-        #: consumed by block() in timestamp order to prevent lost wakeups
-        self.pending_wake: list = []
-        #: client-layer runtime attached via Scheduler.set_client
-        self.client = None
-
-
-class ThreadScheduler(Scheduler):
-    """The original thread-per-rank conservative scheduler.
-
-    One OS thread per rank, a global re-entrant lock, and condition
-    variable handoffs.  Slower than the coroutine backend (every baton
-    pass costs two condition-variable handoffs and every primitive takes
-    the global lock) but structurally independent — the determinism
-    cross-check for the fast path.
-    """
-
-    backend = "threads"
-
-    def __init__(self, n_ranks: int, trace: Optional[TraceBuffer] = None, max_time: float = 1e6, backend: Optional[str] = None):
-        if n_ranks < 1:
-            raise ValueError(f"need at least 1 rank, got {n_ranks}")
-        self.n_ranks = n_ranks
-        self._lock = threading.RLock()
-        # causal-stamp state (see _make_stamp); all under self._lock
-        self._firing_lane: Optional[tuple] = None
-        self._fire_child = 0
-        self._post_seq = [0] * n_ranks
-        self._events = _StampedQueue(self)
-        self._ranks: List[_RankCtl] = [_RankCtl(r, self._lock) for r in range(n_ranks)]
-        self._ready: list = []  # heap of (clock, rid, stamp)
-        self._main_cond = threading.Condition(self._lock)
-        self._failure: Optional[BaseException] = None
-        #: rank -> RankDeadError, filled by fault-injection crash events
-        self._dead_ranks: dict = {}
-        #: survivable-mode state (see Scheduler.on_rank_dead)
-        self._survivable = False
-        self._dead_listeners: list = []
-        self._detected_dead: dict = {}
-        self._conduits: list = []
-        self._n_done = 0
-        self._running = False
-        self.trace = trace if trace is not None else TraceBuffer(enabled=False)
-        self.max_time = max_time
-        self.env: dict = {}  # upper layers stash per-job singletons here
-        self.switches = 0
-
-    # ------------------------------------------------------------------ intro
-    def _me(self) -> _RankCtl:
-        ctx = getattr(_tls, "ctx", None)
-        if ctx is None or ctx[0] is not self:
-            raise SimError("not inside a rank thread of this scheduler")
-        return ctx[2]
-
-    def _stamp_rank(self) -> Optional[_RankCtl]:
-        ctx = getattr(_tls, "ctx", None)
-        if ctx is None or ctx[0] is not self:
-            return None
-        return ctx[2]
-
-    def _make_stamp(self) -> tuple:
-        return _make_stamp(self)
-
-    # ------------------------------------------------------------ rank context
-    def now(self) -> float:
-        """Current rank's simulated clock (seconds)."""
-        return self._me().clock
-
-    def charge(self, dt: float) -> None:
-        """Advance my clock by ``dt`` seconds of simulated CPU time."""
-        if dt < 0:
-            raise ValueError(f"negative charge: {dt}")
-        me = self._me()
-        with self._lock:
-            self._check_abort()
-            me.clock += dt
-            if me.clock > self.max_time:
-                self._fail(SimError(f"simulated time exceeded max_time={self.max_time}"))
-                raise SimAbort()
-            self._checkpoint_locked(me)
-
-    def checkpoint(self) -> None:
-        """Deliver due events and yield if another entity is earlier."""
-        me = self._me()
-        with self._lock:
-            self._check_abort()
-            self._checkpoint_locked(me)
-
-    def post(self, delay: float, fn: Callable[[], None]) -> None:
-        """Schedule a network-context callback ``delay`` seconds from now."""
-        if delay < 0:
-            raise ValueError(f"negative delay: {delay}")
-        me = self._me()
-        with self._lock:
-            self._events.push(me.clock + delay, fn)
-
-    def post_at(self, t: float, fn: Callable[[], None]) -> None:
-        """Schedule a network-context callback at absolute time ``t``."""
-        with self._lock:
-            self._events.push(t, fn)
-
-    def post_keyed(self, t: float, stamp: tuple, fn: Callable[[], None]) -> None:
-        """Schedule a callback under an externally minted causal stamp
-        (see CoroutineScheduler.post_keyed)."""
-        with self._lock:
-            self._events.push_keyed(t, stamp, fn)
-
-    def block(self, reason: str = "") -> None:
-        """Sleep until some event wakes me.  Spurious wake-ups possible."""
-        me = self._me()
-        with self._lock:
-            self._check_abort()
-            if me.pending_wake and _consume_pending_wakes(self, me):
-                return
-            me.state = _BLOCKED
-            me.block_reason = reason
-            self.trace.record(me.clock, me.rid, "block", reason)
-            self._dispatch_locked()
-            while me.state != _RUNNING:
-                me.cond.wait()
-            self._check_abort()
-            self.trace.record(me.clock, me.rid, "resume", reason)
-
-    # -------------------------------------------------------- network context
-    def wake(self, rid: int, at_time: float) -> None:
-        """Make rank ``rid`` runnable with clock >= ``at_time``."""
-        with self._lock:
-            ctl = self._ranks[rid]
-            if ctl.state == _BLOCKED:
-                if at_time > ctl.clock:
-                    ctl.clock = at_time
-                ctl.state = _READY
-                self._push_ready(ctl)
-            elif ctl.state in (_READY, _RUNNING):
-                ctl.pending_wake.append(at_time)
-            # DONE: nothing to do.
-
-    # ------------------------------------------------------------- internals
-    def _push_ready(self, ctl: _RankCtl) -> None:
-        ctl.ready_stamp += 1
-        heapq.heappush(self._ready, (ctl.clock, ctl.rid, ctl.ready_stamp))
-
-    def _peek_ready(self):
-        """Return (clock, ctl) of the earliest ready rank, or None."""
-        while self._ready:
-            clock, rid, stamp = self._ready[0]
-            ctl = self._ranks[rid]
-            if ctl.state != _READY or stamp != ctl.ready_stamp or clock != ctl.clock:
-                heapq.heappop(self._ready)  # stale entry
-                continue
-            return clock, ctl
-        return None
-
-    def _pop_ready(self) -> _RankCtl:
-        clock, ctl = self._peek_ready()  # type: ignore[misc]
-        heapq.heappop(self._ready)
-        return ctl
-
-    def _checkpoint_locked(self, me: _RankCtl) -> None:
-        # Same globally-minimal delivery rule as the coroutine backend's
-        # _checkpoint_slow (see there for the invariant).
-        while True:
-            et = self._events.peek_time()
-            if et is None or et > me.clock:
-                break
-            top = self._peek_ready()
-            if top is not None and et > top[0]:
-                break  # an earlier rank must run first
-            _, key, fn = self._events.pop_entry()
-            self._firing_lane = key
-            self._fire_child = 0
-            fn()
-            self._firing_lane = None
-        top = self._peek_ready()
-        if top is not None and top[0] < me.clock:
-            # Someone is earlier: yield.
-            me.state = _READY
-            self._push_ready(me)
-            self._dispatch_locked()
-            while me.state != _RUNNING:
-                me.cond.wait()
-            self._check_abort()
-
-    def _dispatch_locked(self) -> None:
-        """Hand the baton to the next entity.  Caller must not be RUNNING."""
-        while True:
-            if self._failure is not None:
-                self._abort_all_locked()
-                return
-            top = self._peek_ready()
-            et = self._events.peek_time()
-            if top is not None and (et is None or top[0] < et):
-                ctl = self._pop_ready()
-                ctl.state = _RUNNING
-                self.switches += 1
-                ctl.cond.notify()
-                return
-            if et is not None:
-                # Event is due first (ties go to events so deliveries at
-                # time t are visible to a rank resuming at time t).
-                _, key, fn = self._events.pop_entry()
-                self._firing_lane = key
-                self._fire_child = 0
-                fn()
-                self._firing_lane = None
-                continue
-            # No ready ranks, no events.
-            if self._n_done == self.n_ranks:
-                self._main_cond.notify()
-                return
-            blocked = [
-                f"  rank {c.rid} (clock {c.clock:.9f}s): {c.block_reason or '<no reason>'}"
-                for c in self._ranks
-                if c.state == _BLOCKED
-            ]
-            self._fail(
-                DeadlockError(
-                    "simulation deadlock: no runnable ranks and no pending events.\n"
-                    + "\n".join(blocked)
-                )
-            )
-            return
-
-    def _fail(self, exc: BaseException) -> None:
-        if self._failure is None:
-            self._failure = exc
-        self._abort_all_locked()
-
-    def _abort_all_locked(self) -> None:
-        for ctl in self._ranks:
-            if ctl.state in (_BLOCKED, _READY):
-                ctl.state = _RUNNING  # so its wait-loop exits and aborts
-                ctl.cond.notify()
-        self._main_cond.notify()
-
-    def _check_abort(self) -> None:
-        if self._failure is not None:
-            raise SimAbort()
-
-    # ------------------------------------------------------------------- run
-    def _bootstrap(self, ctl: _RankCtl, fn: Callable[[int], object]) -> None:
-        _tls.ctx = (self, ctl.rid, ctl)
-        try:
-            with self._lock:
-                while ctl.state != _RUNNING:
-                    ctl.cond.wait()
-                if self._failure is not None:
-                    raise SimAbort()
-            ctl.result = fn(ctl.rid)
-        except SimAbort:
-            pass
-        except RankCrashed:
-            pass  # fault-injected death: the rank just stops (fail-stop)
-        except BaseException as exc:  # noqa: BLE001 - report any rank failure
-            with self._lock:
-                if self._failure is None:
-                    self._failure = _rank_failure(ctl.rid, exc)
-                self._abort_all_locked()
-        finally:
-            _tls.ctx = None
-            with self._lock:
-                ctl.state = _DONE
-                ctl.client = None
-                self._n_done += 1
-                if self._failure is None:
-                    self._dispatch_locked()
-                else:
-                    self._main_cond.notify()
-
-    def _run(self, fn: Callable[[int], object]) -> List[object]:
-        old_stack = threading.stack_size()
-        try:
-            threading.stack_size(_STACK_BYTES)
-        except (ValueError, RuntimeError):
-            pass
-        try:
-            for ctl in self._ranks:
-                ctl.thread = threading.Thread(
-                    target=self._bootstrap,
-                    args=(ctl, fn),
-                    name=f"simrank-{ctl.rid}",
-                    daemon=True,
-                )
-        finally:
-            try:
-                threading.stack_size(old_stack)
-            except (ValueError, RuntimeError):
-                pass
-
-        for ctl in self._ranks:
-            assert ctl.thread is not None
-            ctl.thread.start()
-
-        with self._lock:
-            for ctl in self._ranks:
-                ctl.state = _READY
-                self._push_ready(ctl)
-            self._dispatch_locked()
-            while self._n_done < self.n_ranks and self._failure is None:
-                self._main_cond.wait()
-
-        for ctl in self._ranks:
-            assert ctl.thread is not None
-            ctl.thread.join(timeout=30.0)
-
-        if self._failure is not None:
-            raise self._failure
-        if self._dead_ranks and not self._survivable:
-            # every survivor finished before the heartbeat timeout fired;
-            # the job still failed — a rank died (fail-stop semantics)
-            raise self._dead_ranks[min(self._dead_ranks)]
-        return [ctl.result for ctl in self._ranks]
-
-    def snapshot(self) -> str:
-        with self._lock:
-            return Scheduler.snapshot(self)
-
-
-#: backend name -> implementation class
-_BACKENDS = {
-    "coroutines": CoroutineScheduler,
-    "threads": ThreadScheduler,
-}
-
-#: backends registered on demand (importing the module adds to _BACKENDS);
-#: keeps multiprocessing machinery out of single-process imports
-_LAZY_BACKENDS = {
-    "sharded": "repro.sim.shard",
-}
-
-
-def current_scheduler() -> Scheduler:
-    """The scheduler of the calling rank context."""
-    ctx = getattr(_tls, "ctx", None)
-    if ctx is None:
-        raise SimError("no active simulation on this thread")
-    return ctx[0]
-
-
-def current_rank() -> int:
-    """The rank id of the calling rank context."""
-    ctx = getattr(_tls, "ctx", None)
-    if ctx is None:
-        raise SimError("no active simulation on this thread")
-    return ctx[1]
-
-
-def current_client():
-    """The client-layer object attached via :meth:`Scheduler.set_client`.
-
-    O(1) slot read — the hot path for per-operation runtime lookups.
-    Returns None if no client is attached; raises :class:`SimError`
-    outside a simulation.
-    """
-    ctx = getattr(_tls, "ctx", None)
-    if ctx is None:
-        raise SimError("no active simulation on this thread")
-    return ctx[2].client
+    def stats(self) -> dict:
+        """Machine-readable run counters (perf harness / postmortems)."""
+        ev = self._events.stats
+        out = {
+            "backend": self.backend,
+            "n_ranks": self.n_ranks,
+            "switches": self.switches,
+            "events_posted": ev["posted"],
+            "events_fired": ev["fired"],
+        }
+        if self._conduits:
+            for key in (
+                "frames_retransmitted",
+                "frames_dropped",
+                "frames_duplicated",
+                "acks",
+                "agg_batches",
+                "agg_updates",
+                "agg_credit_stall_s",
+            ):
+                out[key] = sum(c.stats()[key] for c in self._conduits)
+        return out
 
 
 def run_spmd(

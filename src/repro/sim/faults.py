@@ -21,8 +21,8 @@ hash, not a stateful generator — so the verdict of "was frame #3 of
 channel 0→1 dropped on its second attempt?" is identical no matter which
 scheduler backend asks, in which order, or how many times.  That is what
 lets the conduit compute a whole retransmit ladder analytically at send
-time and still be bit-identical across the coroutine, thread, and
-sharded backends.
+time and still be bit-identical across the coroutine and sharded
+backends.
 
 Plans can be given programmatically (``run_spmd(faults=FaultPlan(...))``),
 as a spec string (``run_spmd(faults="seed=1,drop=0.2,crash=1@3e-4")`` or

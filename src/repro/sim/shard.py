@@ -61,7 +61,7 @@ conservative window loop in each worker:
    posts, ``parent_stamp + (child_seq,)`` for events posted from network
    context — identical no matter which shard executes what when.  Merged
    results, simulated times and canonical trace fingerprints are
-   bit-identical to the coroutine/threads backends
+   bit-identical to the in-process scheduler
    (tests/test_backend_determinism.py).  The one theoretical divergence:
    two events firing at the *exact same instant* where one was posted by
    a rank after another rank posted the chain parent of the other — the
@@ -94,20 +94,11 @@ import os
 import pickle
 import struct
 import sys
-import threading
 import time
 import types
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.sim.coop import (
-    _BACKENDS,
-    _BLOCKED,
-    _READY,
-    _RUNNING,
-    _STACK_BYTES,
-    CoroutineScheduler,
-    Scheduler,
-)
+from repro.sim.coop import _BLOCKED, _READY, _RUNNING, Scheduler
 
 from repro.sim.errors import DeadlockError, RankDeadError, RankFailure, SimError
 from repro.util.trace import TraceBuffer
@@ -628,7 +619,7 @@ def _rebuild_failure(kind: str, message: str, rank, cause_desc=None) -> BaseExce
 # ======================================================================
 # The sharded scheduler
 # ======================================================================
-class ShardedScheduler(CoroutineScheduler):
+class ShardedScheduler(Scheduler):
     """Conservative-parallel scheduler: coroutine workers under a window loop.
 
     The object doubles as the parent-side facade (``run()`` forks workers
@@ -680,7 +671,7 @@ class ShardedScheduler(CoroutineScheduler):
         self._stall_hor_s = 0.0
         # built-in envelope kinds; conduits add theirs via bind_shard
         self._env_handlers: dict = {
-            "wake": lambda meta, ft: CoroutineScheduler.wake(self, meta, ft),
+            "wake": lambda meta, ft: Scheduler.wake(self, meta, ft),
         }
 
     # --------------------------------------------------------- configuration
@@ -720,7 +711,7 @@ class ShardedScheduler(CoroutineScheduler):
                 "it through conduit messaging or emit_envelope(..., 'wake', rid) "
                 "with fire_time >= now + lookahead"
             )
-        CoroutineScheduler.wake(self, rid, at_time)
+        Scheduler.wake(self, rid, at_time)
 
     def emit_envelope(self, dst_rank: int, fire_time: float, kind: str, meta) -> None:
         """Queue a cross-shard event for the shard owning ``dst_rank``.
@@ -1027,7 +1018,7 @@ class ShardedScheduler(CoroutineScheduler):
         The dying rank posts its own die/detect events in rank context,
         but those live in *its* shard's queue.  Every other shard arms the
         same detection here so that all shards stop executing at exactly
-        the detect time — the single-process backends abort there, and the
+        the detect time — the single-process backend aborts there, and the
         sharded backend must not over-execute survivors past it (the
         flight-recorder freeze relies on the execution sets matching).
         The synthetic stamp (0.0, rank, 0) sorts with — and never collides
@@ -1161,18 +1152,7 @@ class ShardedScheduler(CoroutineScheduler):
             self._chan = _Channel(shard_id, own_conns)
             for c in self._conduits:
                 c.bind_shard(self)
-            old_stack = threading.stack_size()
-            try:
-                threading.stack_size(_STACK_BYTES)
-            except (ValueError, RuntimeError):
-                pass
-            try:
-                self._worker_main()
-            finally:
-                try:
-                    threading.stack_size(old_stack)
-                except (ValueError, RuntimeError):
-                    pass
+            self._worker_main()
             for rid in range(self._local_lo, self._local_hi):
                 ctl = self._ranks[rid]
                 if ctl.thread is not None:
@@ -1368,7 +1348,7 @@ class ShardedScheduler(CoroutineScheduler):
                     sp.extend_canonical(span_lists)
                     break
         if dead_merged and not self._survivable:
-            # same verdict the single-process backends reach at run() end
+            # same verdict the single-process backend reaches at run() end
             rank = min(dead_merged)
             self._failure = RankDeadError(rank, dead_merged[rank])
             raise self._failure
@@ -1423,5 +1403,3 @@ class ShardedScheduler(CoroutineScheduler):
             d["agg_credit_stall_s"] = sum(st.get("agg_credit_stall_s", 0.0) for st in ps)
         return d
 
-
-_BACKENDS["sharded"] = ShardedScheduler

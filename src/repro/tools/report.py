@@ -21,8 +21,8 @@ app       application time between operations (gaps on the path)
 The walk is exact: spans of one operation tile the simulated timeline at
 shared junction values, so the attributed components sum to the analysis
 window *by construction* (the ISSUE's 1% acceptance bound holds with
-equality).  Because span records are bit-identical across the coroutine,
-thread, and sharded backends, the CLI doubles as a cross-backend
+equality).  Because span records are bit-identical across the coroutine
+and sharded backends, the CLI doubles as a cross-backend
 regression check: it exits non-zero when fingerprints diverge.
 
 Formats: ``text`` (human table), ``json`` (CI artifact), ``perfetto``
@@ -39,6 +39,7 @@ import sys
 from bisect import bisect_right
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.sim import BACKENDS
 from repro.util.spans import PHASES, SpanBuffer, _canon_key
 
 #: display order of attribution categories
@@ -442,7 +443,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--backends",
         nargs="+",
         default=["coroutines"],
-        choices=["coroutines", "threads", "sharded"],
+        choices=BACKENDS,
         help="backends to run and cross-check (default: coroutines)",
     )
     ap.add_argument("--shards", type=int, default=None,

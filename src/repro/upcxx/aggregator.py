@@ -47,8 +47,8 @@ aggregators:
 Everything is deterministic: buffers are plain per-destination lists
 filled in program order, flush order is ascending destination rank, and
 all pacing is simulated time — so results, traces, and span
-fingerprints stay bit-identical across the coroutine, thread, and
-sharded backends (pinned by ``tests/test_chaos_determinism.py``).
+fingerprints stay bit-identical across the coroutine and sharded
+backends (pinned by ``tests/test_chaos_determinism.py``).
 """
 
 from __future__ import annotations

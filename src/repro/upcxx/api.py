@@ -68,9 +68,9 @@ def run_spmd(
     ``telemetry.blackbox_path`` when configured) before the error
     propagates.  All default to off and cost nothing when absent.
 
-    ``backend`` selects the scheduler implementation ("coroutines",
-    "threads", or "sharded"; default: ``$REPRO_SIM_BACKEND`` or
-    coroutines).  Pass a dict as ``sched_stats`` to receive the
+    ``backend`` selects the scheduler implementation ("coroutines" or
+    "sharded" — :data:`repro.sim.BACKENDS`; default:
+    ``$REPRO_SIM_BACKEND`` or coroutines).  Pass a dict as ``sched_stats`` to receive the
     scheduler's run counters (switches, events fired — see
     :meth:`Scheduler.stats`) after the run.
 

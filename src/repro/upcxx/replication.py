@@ -48,8 +48,8 @@ the default, counted by the service as lost writes).
 All recovery work happens in rank context: the death listener runs in
 network context and only *stages* the handler onto the runtime's
 completion queue (the ``_deliver_remote_cx`` pattern), so every
-downstream effect carries a deterministic causal stamp on all three
-backends.
+downstream effect carries a deterministic causal stamp on every
+backend.
 """
 
 from __future__ import annotations

@@ -316,7 +316,7 @@ class Runtime:
 
         - *die* at ``t_die``: marks the rank dead (fail-stop — the next call
           into the library raises the internal :class:`RankCrashed` control
-          exception and the rank's fiber/thread simply stops) and records
+          exception and the rank's fiber simply stops) and records
           the :class:`RankDeadError` for the end-of-run verdict.
         - *detect* at ``t_die + detect_timeout``: the simulated heartbeat
           timeout fires on the survivors; unless the run already failed,

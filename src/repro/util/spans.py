@@ -24,7 +24,7 @@ Design rules (shared with :class:`repro.util.metrics.Metrics`):
   ``(t0, t1, rank, sid, phase)``) is backend-invariant, exactly like
   :meth:`repro.util.trace.TraceBuffer.canonical_events`.
   :meth:`SpanBuffer.fingerprint` is a content hash of that canonical
-  stream — bit-identical across the coroutine, thread, and sharded
+  stream — bit-identical across the coroutine and sharded
   backends (pinned by ``tests/test_backend_determinism.py``), and
   process-stable (no dependence on ``PYTHONHASHSEED``).
 

@@ -11,9 +11,9 @@ for three properties:
    context at fixed *simulated-time* window edges (the first library call
    at-or-after each edge closes the window), and every counter read is a
    pure observation of rank-local state — no clock-bearing events are
-   posted and nothing perturbs the schedule.  Because all three backends
-   execute each rank's program in an identical causal order, the rollup
-   stream is bit-identical across coroutines/threads/sharded runs.
+   posted and nothing perturbs the schedule.  Because every backend
+   executes each rank's program in an identical causal order, the rollup
+   stream is bit-identical across coroutines and sharded runs.
 
 2. **Near-zero cost, exactly zero when off.**  The runtime keeps a single
    per-rank reference (``None`` when telemetry is absent); every hook is
@@ -308,7 +308,7 @@ class Telemetry:
         For *fatal* crash plans the bundle is truncated at the first crash
         time: every backend is guaranteed to have executed all rank-context
         work stamped at-or-before that cutoff, so the bundle is
-        bit-identical across coroutines/threads/sharded for the same seed.
+        bit-identical across coroutines and sharded for the same seed.
         Non-crash failures (``RankFailure``) carry no cutoff.
 
         ``err=None`` records a *survived* crash run (survivable plan +

@@ -2,35 +2,19 @@
 
 Pins the deterministic surface the benchmark relies on: reproducible
 open-loop traffic (Poisson/bursty arrivals, Zipf skew, read/write mix),
-bit-identical service results and span fingerprints across all three
-scheduler backends, open-loop sojourn-latency semantics, and the
+service results and span fingerprints that reproduce the golden file
+on both scheduler backends, open-loop sojourn-latency semantics, and the
 per-op-RPC baseline path the aggregation gate compares against.
 """
 
-import os
 import random
-from contextlib import contextmanager
 
 import pytest
 
 import repro.upcxx as upcxx
-from repro.apps.kvservice import KvService, TrafficModel, default_config, kv_rank_body, zipf_cdf
-from repro.util.spans import SpanBuffer
-
-
-@contextmanager
-def _shards(n: int):
-    from repro.sim.shard import SHARDS_ENV
-
-    old = os.environ.get(SHARDS_ENV)
-    os.environ[SHARDS_ENV] = str(n)
-    try:
-        yield
-    finally:
-        if old is None:
-            os.environ.pop(SHARDS_ENV, None)
-        else:
-            os.environ[SHARDS_ENV] = old
+from repro.apps.kvservice import KvService, TrafficModel, default_config, zipf_cdf
+from repro.bench.kv_bench import run_kv
+from tests import golden
 
 
 # ------------------------------------------------------------------- traffic
@@ -107,34 +91,21 @@ def _tiny_cfg(**overrides):
     return cfg
 
 
-def _run_kv(backend, cfg, seed=7):
-    sp = SpanBuffer()
-    res = upcxx.run_spmd(
-        lambda: kv_rank_body(cfg), cfg["ranks"], ppn=cfg["ppn"],
-        seed=seed, backend=backend, spans=sp,
-    )
-    return list(res), sp.fingerprint()
-
-
 class TestKvService:
     def test_all_requests_complete(self):
         cfg = _tiny_cfg()
-        res, _ = _run_kv("coroutines", cfg)
+        res, _ = run_kv(cfg)
         total = sum(r["reads"] + r["writes"] for r in res)
         assert total == cfg["ranks"] * cfg["n_requests"]
         for r in res:
             assert r["read_lat"]["n"] == r["reads"]
             assert r["write_lat"]["n"] == r["writes"]
 
-    def test_bit_identical_across_backends(self):
-        cfg = _tiny_cfg()
-        ref = _run_kv("coroutines", cfg)
-        assert _run_kv("threads", cfg) == ref
-        with _shards(2):
-            assert _run_kv("sharded", cfg) == ref
+    def test_reproduces_golden_on_both_backends(self):
+        golden.reproduces("kv_service")  # _tiny_cfg(), seed 7
 
     def test_latency_histograms_have_tail_percentiles(self):
-        res, _ = _run_kv("coroutines", _tiny_cfg())
+        res, _ = run_kv(_tiny_cfg())
         for r in res:
             for lat in (r["read_lat"], r["write_lat"]):
                 if lat["n"] == 0:
@@ -148,7 +119,7 @@ class TestKvService:
         depends on (a closed-loop measurement would hide the backlog)."""
 
         def p50_read(cfg):
-            res, _ = _run_kv("coroutines", cfg)
+            res, _ = run_kv(cfg)
             from repro.util.metrics import DwellHistogram
 
             h = DwellHistogram()
@@ -162,14 +133,14 @@ class TestKvService:
 
     def test_cache_serves_hot_keys(self):
         cfg = _tiny_cfg(zipf_s=1.4, read_fraction=0.95)
-        res, _ = _run_kv("coroutines", cfg)
+        res, _ = run_kv(cfg)
         assert sum(r["cache_hits"] for r in res) > 0
 
     def test_per_op_rpc_baseline_path(self):
         """aggregate=False serves the same traffic through batch-1 acked
         RPCs — the gate's baseline; every request still completes."""
         cfg = _tiny_cfg(aggregate=False)
-        res, _ = _run_kv("coroutines", cfg)
+        res, _ = run_kv(cfg)
         total = sum(r["reads"] + r["writes"] for r in res)
         assert total == cfg["ranks"] * cfg["n_requests"]
         writes = sum(r["writes"] for r in res)
@@ -181,8 +152,8 @@ class TestKvService:
         # saturating rate: arrivals outpace the dwell deadline, so flushes
         # are size-triggered (the dwell path is covered by the aggregator
         # unit tests; at low offered load partial batches flush on time)
-        agg, _ = _run_kv("coroutines", _tiny_cfg(read_fraction=0.0, rate=5e7))
-        rpc, _ = _run_kv("coroutines", _tiny_cfg(read_fraction=0.0, rate=5e7, aggregate=False))
+        agg, _ = run_kv(_tiny_cfg(read_fraction=0.0, rate=5e7))
+        rpc, _ = run_kv(_tiny_cfg(read_fraction=0.0, rate=5e7, aggregate=False))
         assert sum(r["batches_sent"] for r in agg) < sum(r["batches_sent"] for r in rpc) / 4
 
     def test_service_validates_construction_collectively(self):
@@ -195,10 +166,10 @@ class TestKvService:
 
 class TestKvBench:
     def test_summarize_point_folds_ranks(self):
-        from repro.bench.kv_bench import run_kv, summarize_point
+        from repro.bench.kv_bench import summarize_point
 
         cfg = _tiny_cfg()
-        results, _ = run_kv(cfg, "coroutines")
+        results, _ = run_kv(cfg)
         point = summarize_point(cfg, results)
         assert point["n_requests"] == cfg["ranks"] * cfg["n_requests"]
         assert point["offered_rps"] == cfg["ranks"] * cfg["rate"]

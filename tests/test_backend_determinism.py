@@ -1,186 +1,66 @@
-"""Cross-backend determinism: all scheduler backends must be bit-identical.
+"""Backend determinism: the in-process scheduler reproduces the golden
+fingerprints, and the sharded backend is bit-identical to it.
 
-The coroutine scheduler (PR 2) replaces the thread/condvar scheduler on
-the hot path, and the sharded scheduler (PR 3) distributes the coroutine
-machinery across forked worker processes — but every backend must
-preserve the simulation *exactly*: same simulated times, same results,
-same trace — down to the last bit.  These tests run identical workloads
-on the backends and compare:
+The sharded scheduler distributes the coroutine machinery across forked
+worker processes but must preserve the simulation *exactly*: same
+simulated times, same results, same trace — down to the last bit.  Each
+canonical program (``tests/golden.py``) runs on both backends:
 
-- Fig. 3a blocking-put latency series (float series equality),
-- DHT insert totals (elapsed simulated time per rank),
-- ``TraceBuffer.fingerprint()`` digests for coroutines vs threads, and
-  ``canonical_fingerprint()`` (stable (time, rank) order — invariant to
-  the backend's legitimate same-instant interleaving freedom) for the
-  three-way comparison,
-- scheduler counters: events posted/fired match on every backend (each
-  logical event exists exactly once, on exactly one shard); ``switches``
-  match between coroutines and threads but not for sharded (each worker
-  dispatches only its own ranks, so the yield pattern differs).
+- coroutines == ``tests/golden/fingerprints.json`` (results sha256,
+  canonical trace digest — stable (time, rank) order, invariant to a
+  backend's legitimate same-instant interleaving freedom — span
+  fingerprint, events posted/fired, switches);
+- sharded == coroutines on all of those but ``switches`` (each worker
+  dispatches only its own ranks, so the yield pattern differs; each
+  logical event exists exactly once, on exactly one shard).
 
 Sharded-specific rules exercised here: SPMD bodies must *return* results
 (worker-process side effects don't reach the parent), and raw
 cross-shard wakes are an error rather than a silent no-op.
 
 Also here: the lost-wakeup regression test for sticky ``pending_wake``
-consumption on all backends (wakes arriving while a rank is runnable
-must be drained in timestamp order, never dropped), and the sharded
-lookahead-boundary regression (an event landing *exactly* on a window
-edge must wait for the next horizon round, at an unchanged timestamp).
+consumption (wakes arriving while a rank is runnable must be drained in
+timestamp order, never dropped), and the sharded lookahead-boundary
+regression (an event landing *exactly* on a window edge must wait for
+the next horizon round, at an unchanged timestamp).
 """
-
-import os
-from contextlib import contextmanager
 
 import numpy as np
 import pytest
 
 import repro.upcxx as upcxx
+from repro.sim import BACKENDS
 from repro.sim.coop import Scheduler, current_scheduler, run_spmd
-from repro.util.trace import TraceBuffer
-
-BACKENDS = ("coroutines", "threads")
-ALL_BACKENDS = ("coroutines", "threads", "sharded")
+from tests import golden
+from tests.golden import lookahead_mode as _lookahead_mode, shards as _shards
 
 
-@contextmanager
-def _shards(n: int):
-    """Force the sharded backend to use ``n`` worker processes."""
-    from repro.sim.shard import SHARDS_ENV
-
-    old = os.environ.get(SHARDS_ENV)
-    os.environ[SHARDS_ENV] = str(n)
-    try:
-        yield
-    finally:
-        if old is None:
-            os.environ.pop(SHARDS_ENV, None)
-        else:
-            os.environ[SHARDS_ENV] = old
+# ------------------------------------------- coroutines == golden == sharded
+@pytest.mark.parametrize(
+    "program", ["dht_totals", "rpc_ring", "rpc_ring_ppn2", "sched_mixed_wakes",
+                "mixed_collectives", "span_mix"]
+)
+def test_program_reproduces_golden_on_both_backends(program):
+    ref, _ = golden.reproduces(program)
+    assert len(ref.trace) > 0
 
 
-def _both_backends(fn):
-    """Run ``fn(backend)`` for both backends, return {backend: result}."""
-    return {b: fn(b) for b in BACKENDS}
+def test_fig3a_series_reproduces_golden_on_both_backends():
+    ref, sharded = golden.reproduces("fig3a_series")
+    series = ref.results[0][0]
+    assert sorted(series) == [8, 64, 512, 4096, 65536] and min(series.values()) > 0
+    assert sharded.stats["n_shards"] == 2
 
 
-def _all_backends(fn, n_shards: int = 2):
-    """Run ``fn(backend)`` on all three backends, sharded with ``n_shards``."""
-    out = {b: fn(b) for b in BACKENDS}
-    with _shards(n_shards):
-        out["sharded"] = fn("sharded")
-    return out
-
-
-# ----------------------------------------------------------- Fig. 3a series
-def _fig3a_series(backend):
-    sizes = [8, 64, 512, 4096, 65536]
-    out = {}
-
-    def body():
-        me = upcxx.rank_me()
-        landing = upcxx.new_array(np.uint8, max(sizes))
-        dest = upcxx.broadcast(landing, root=1).wait()
-        upcxx.barrier()
-        if me == 0:
-            for size in sizes:
-                payload = bytes(size)
-                t0 = upcxx.sim_now()
-                for _ in range(4):
-                    upcxx.rput(payload, dest).wait()
-                out[size] = upcxx.sim_now() - t0
-        upcxx.barrier()
-
-    stats: dict = {}
-    upcxx.run_spmd(body, 2, platform="haswell", ppn=1, backend=backend, sched_stats=stats)
-    return out, stats
-
-
-def test_fig3a_latency_series_bit_identical():
-    got = _both_backends(_fig3a_series)
-    series_c, stats_c = got["coroutines"]
-    series_t, stats_t = got["threads"]
-    assert series_c == series_t  # float == float: bit-identical or bust
-    assert stats_c["events_fired"] == stats_t["events_fired"]
-    assert stats_c["switches"] == stats_t["switches"]
-
-
-# --------------------------------------------------------------- DHT totals
-def _dht_totals(backend):
-    from repro.apps.dht import DhtRmaLz
-
-    def body():
-        dht = DhtRmaLz()
-        rng = upcxx.runtime_here().rng.spawn("dht-bench")
-        payload = bytes(1024)
-        upcxx.barrier()
-        t0 = upcxx.sim_now()
-        for _ in range(6):
-            dht.insert(rng.key64(), payload).wait()
-        upcxx.barrier()
-        return upcxx.sim_now() - t0
-
-    return upcxx.run_spmd(body, 16, platform="haswell", backend=backend)
-
-
-def test_dht_insert_totals_bit_identical():
-    got = _both_backends(_dht_totals)
-    assert got["coroutines"] == got["threads"]
-
-
-# ------------------------------------------------------------ trace digests
-def _traced_run(backend):
-    trace = TraceBuffer()
-
-    def body():
-        me = upcxx.rank_me()
-        n = upcxx.rank_n()
-        fut = upcxx.rpc((me + 1) % n, lambda: upcxx.rank_me())
-        assert fut.wait() == (me + 1) % n
-        upcxx.barrier()
-
-    upcxx.run_spmd(body, 8, platform="haswell", backend=backend, trace=trace)
-    return trace
-
-
-def test_trace_digests_bit_identical():
-    got = _both_backends(_traced_run)
-    assert len(got["coroutines"]) > 0
-    assert len(got["coroutines"]) == len(got["threads"])
-    assert got["coroutines"].fingerprint() == got["threads"].fingerprint()
-
-
-# ------------------------------------------------------ scheduler-level runs
-def _mixed_wake_run(backend):
-    """Raw scheduler workload mixing sleeps, posts, and cross-rank wakes."""
-    log = []
-
-    def body(r):
-        s = current_scheduler()
-        s.charge(1e-6 * (r + 1))
-        s.sleep(5e-6)
-        s.charge(2e-6)
-        if r == 0:
-            for other in range(1, s.n_ranks):
-                # fixed wake times: now() is rank-context-only, events are not
-                s.post(1e-6 * other, lambda o=other: s.wake(o, 15e-6 + 1e-6 * o))
-        s.sleep(20e-6)
-        log.append((r, s.now()))
-        return s.now()
-
-    sched = Scheduler(4, backend=backend)
-    out = sched.run(body)
-    return out, sorted(log), sched.stats()
-
-
-def test_scheduler_mixed_wakes_bit_identical():
-    got = _both_backends(_mixed_wake_run)
-    out_c, log_c, stats_c = got["coroutines"]
-    out_t, log_t, stats_t = got["threads"]
-    assert out_c == out_t
-    assert log_c == log_t
-    assert stats_c["switches"] == stats_t["switches"]
-    assert stats_c["events_fired"] == stats_t["events_fired"]
+def test_dht_totals_multishard_reproduces_golden():
+    _, sharded = golden.reproduces("dht_totals_ppn4", n_shards=4)
+    stats = sharded.stats
+    assert stats["n_shards"] == 4
+    # per-shard accounting must decompose the global totals exactly
+    per_shard = stats["per_shard"]
+    assert len(per_shard) == 4
+    assert sum(s["events_fired"] for s in per_shard) == stats["events_fired"]
+    assert sum(s["switches"] for s in per_shard) == stats["switches"]
 
 
 # ------------------------------------------------------- lost-wakeup guard
@@ -192,9 +72,10 @@ def test_pending_wakes_drain_in_timestamp_order(backend):
     is still running.  When it then blocks, the *earlier* wake must be
     consumed first: rank 1 resumes at 10us, not 30us.  Before the
     sort-before-consume fix, the wake list was consumed in arrival order
-    and the 10us wake could be shadowed by the 30us one.
+    and the 10us wake could be shadowed by the 30us one.  (Sharded: the
+    raw scheduler has no machine topology, so the job degenerates to one
+    worker — the windowed dispatch/park machinery still runs.)
     """
-    resumes = []
 
     def body(r):
         s = current_scheduler()
@@ -203,16 +84,17 @@ def test_pending_wakes_drain_in_timestamp_order(backend):
             s.post(5e-6, lambda: s.wake(1, 30e-6))
             s.post(6e-6, lambda: s.wake(1, 10e-6))
             s.sleep(50e-6)
-        else:
-            s.charge(8e-6)  # stay RUNNING past both wake deliveries
-            s.block("first wait")
-            resumes.append(s.now())
-            s.block("second wait")
-            resumes.append(s.now())
-        return s.now()
+            return None
+        s.charge(8e-6)  # stay RUNNING past both wake deliveries
+        resumes = []
+        s.block("first wait")
+        resumes.append(s.now())
+        s.block("second wait")
+        resumes.append(s.now())
+        return resumes
 
-    run_spmd(body, 2, backend=backend)
-    assert resumes == [10e-6, 30e-6]
+    out = run_spmd(body, 2, backend=backend)
+    assert out[1] == [10e-6, 30e-6]
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -230,156 +112,34 @@ def test_spurious_past_wake_returns_immediately(backend):
             assert s.now() == 10e-6  # unchanged: spurious return
         return s.now()
 
-    run_spmd(body, 2, backend=backend)
+    assert run_spmd(body, 2, backend=backend)[1] == 10e-6
 
 
 def test_backend_factory_and_env(monkeypatch):
     from repro.sim import coop
 
-    assert Scheduler(2, backend="threads").backend == "threads"
-    assert Scheduler(2, backend="coroutines").backend == "coroutines"
-    assert Scheduler(2, backend="sharded").backend == "sharded"
-    assert isinstance(Scheduler(2, backend="threads"), Scheduler)
-    assert isinstance(Scheduler(2, backend="sharded"), Scheduler)
-    monkeypatch.setenv(coop.BACKEND_ENV, "threads")
-    assert Scheduler(2).backend == "threads"
+    assert BACKENDS == ("coroutines", "sharded")
+    for name in BACKENDS:
+        sched = Scheduler(2, backend=name)
+        assert sched.backend == name and isinstance(sched, Scheduler)
+    monkeypatch.setenv(coop.BACKEND_ENV, "sharded")
+    assert Scheduler(2).backend == "sharded"
     monkeypatch.delenv(coop.BACKEND_ENV)
-    assert Scheduler(2).backend == coop.DEFAULT_BACKEND
-    with pytest.raises(ValueError):
-        Scheduler(2, backend="fibers-from-the-future")
+    assert Scheduler(2).backend == coop.DEFAULT_BACKEND == "coroutines"
 
 
-# ================================================== three-way sharded matrix
-def _fig3a_series_returning(backend):
-    """Fig. 3a series where the measuring rank *returns* its results —
-    the sharded-compatible idiom (worker side effects stay in the worker,
-    as in real process-per-rank UPC++)."""
-    sizes = [8, 64, 512, 4096, 65536]
+def test_unknown_backend_is_an_error_naming_the_valid_ones(monkeypatch):
+    """A deleted or misspelt backend never falls back silently."""
+    from repro.sim import coop
 
-    def body():
-        me = upcxx.rank_me()
-        landing = upcxx.new_array(np.uint8, max(sizes))
-        dest = upcxx.broadcast(landing, root=1).wait()
-        upcxx.barrier()
-        out = {}
-        if me == 0:
-            for size in sizes:
-                payload = bytes(size)
-                t0 = upcxx.sim_now()
-                for _ in range(4):
-                    upcxx.rput(payload, dest).wait()
-                out[size] = upcxx.sim_now() - t0
-        upcxx.barrier()
-        return (out, upcxx.sim_now())
-
-    stats: dict = {}
-    results = upcxx.run_spmd(
-        body, 2, platform="haswell", ppn=1, backend=backend, sched_stats=stats
-    )
-    return results, stats
-
-
-def test_fig3a_series_three_way_bit_identical():
-    got = _all_backends(_fig3a_series_returning, n_shards=2)
-    res_c, stats_c = got["coroutines"]
-    res_t, stats_t = got["threads"]
-    res_s, stats_s = got["sharded"]
-    assert res_c == res_t == res_s  # float == float: bit-identical or bust
-    assert stats_c["events_fired"] == stats_t["events_fired"] == stats_s["events_fired"]
-    assert stats_c["events_posted"] == stats_t["events_posted"] == stats_s["events_posted"]
-    # switches are an intra-process dispatch property: identical between the
-    # single-process backends, legitimately different under sharding
-    assert stats_c["switches"] == stats_t["switches"]
-    assert stats_s["n_shards"] == 2
-
-
-def _dht_totals_multishard(backend):
-    """DHT inserts across 4 nodes (ppn=4): real cross-shard AM + RMA mix."""
-    from repro.apps.dht import DhtRmaLz
-
-    def body():
-        dht = DhtRmaLz()
-        rng = upcxx.runtime_here().rng.spawn("dht-bench")
-        payload = bytes(1024)
-        upcxx.barrier()
-        t0 = upcxx.sim_now()
-        for _ in range(6):
-            dht.insert(rng.key64(), payload).wait()
-        upcxx.barrier()
-        return upcxx.sim_now() - t0
-
-    stats: dict = {}
-    totals = upcxx.run_spmd(
-        body, 16, platform="haswell", ppn=4, backend=backend, sched_stats=stats
-    )
-    return totals, stats
-
-
-def test_dht_totals_three_way_bit_identical():
-    got = _all_backends(_dht_totals_multishard, n_shards=4)
-    tot_c, stats_c = got["coroutines"]
-    tot_t, _ = got["threads"]
-    tot_s, stats_s = got["sharded"]
-    assert tot_c == tot_t == tot_s
-    assert stats_c["events_fired"] == stats_s["events_fired"]
-    assert stats_s["n_shards"] == 4
-    # per-shard accounting must decompose the global totals exactly
-    per_shard = stats_s["per_shard"]
-    assert len(per_shard) == 4
-    assert sum(s["events_fired"] for s in per_shard) == stats_s["events_fired"]
-    assert sum(s["switches"] for s in per_shard) == stats_s["switches"]
-
-
-def _traced_run_canonical(backend):
-    trace = TraceBuffer()
-
-    def body():
-        me = upcxx.rank_me()
-        n = upcxx.rank_n()
-        fut = upcxx.rpc((me + 1) % n, lambda: upcxx.rank_me())
-        assert fut.wait() == (me + 1) % n
-        upcxx.barrier()
-        return upcxx.sim_now()
-
-    results = upcxx.run_spmd(body, 8, platform="haswell", ppn=2, backend=backend, trace=trace)
-    return results, trace
-
-
-def test_trace_canonical_digests_three_way():
-    got = _all_backends(_traced_run_canonical, n_shards=2)
-    res = {b: r for b, (r, _) in got.items()}
-    assert res["coroutines"] == res["threads"] == res["sharded"]
-    traces = {b: t for b, (_, t) in got.items()}
-    assert len(traces["coroutines"]) > 0
-    assert len(traces["coroutines"]) == len(traces["threads"]) == len(traces["sharded"])
-    fp_c = traces["coroutines"].canonical_fingerprint()
-    assert fp_c == traces["threads"].canonical_fingerprint()
-    assert fp_c == traces["sharded"].canonical_fingerprint()
-
-
-@pytest.mark.parametrize("backend", ["sharded"])
-def test_pending_wakes_drain_in_timestamp_order_sharded(backend):
-    """Lost-wakeup guard under the sharded backend (single shard: the raw
-    scheduler has no machine topology, so the job degenerates to one
-    worker — the windowed dispatch/park machinery still runs)."""
-
-    def body(r):
-        s = current_scheduler()
-        if r == 0:
-            s.post(5e-6, lambda: s.wake(1, 30e-6))
-            s.post(6e-6, lambda: s.wake(1, 10e-6))
-            s.sleep(50e-6)
-            return None
-        s.charge(8e-6)  # stay RUNNING past both wake deliveries
-        resumes = []
-        s.block("first wait")
-        resumes.append(s.now())
-        s.block("second wait")
-        resumes.append(s.now())
-        return resumes
-
-    out = run_spmd(body, 2, backend=backend)
-    assert out[1] == [10e-6, 30e-6]
+    gone = 'threads'
+    with pytest.raises(ValueError) as ei:
+        Scheduler(2, backend=gone)
+    assert repr(gone) in str(ei.value) and str(BACKENDS) in str(ei.value)
+    monkeypatch.setenv(coop.BACKEND_ENV, gone)
+    with pytest.raises(ValueError) as ei:
+        Scheduler(2)
+    assert repr(gone) in str(ei.value) and str(BACKENDS) in str(ei.value)
 
 
 def test_sharded_window_edge_event_bit_identical():
@@ -451,122 +211,20 @@ def test_sharded_cross_shard_raw_wake_raises():
             sched.run(body)
 
 
-# ------------------------------------------- idle-peer reactivation motif
-def _mixed_collectives_run(backend):
-    """The quickstart motif: a mix of collectives, chained RMA, lambda RPC
-    and promise-tracked puts across a 2-node machine.  This pattern makes a
-    shard's entire peer go momentarily idle (all ranks blocked, no events)
-    while the other shard is still injecting traffic that will reactivate
-    it — the exact shape where an unsound infinite window bound lets ranks
-    poll past in-flight cross-shard replies and diverge from the
-    single-process backends by a few progress charges."""
-
-    def body():
-        me = upcxx.rank_me()
-        n = upcxx.rank_n()
-        right = (me + 1) % n
-        cell = upcxx.new_array(np.float64, 4)
-        cell.local()[:] = me
-        cells = [upcxx.broadcast(cell, root=r).wait() for r in range(n)]
-        upcxx.barrier()
-        upcxx.rput(np.full(4, 100.0 + me), cells[right]).then(lambda: None).wait()
-        upcxx.barrier()
-        upcxx.rget(cell).wait()
-        answer = upcxx.rpc(right, lambda a, b: a * b, 6, 7).wait()
-        assert answer == 42
-        everyone = upcxx.when_all(*[upcxx.rpc(r, upcxx.rank_me) for r in range(n)]).wait()
-        assert list(everyone) == list(range(n))
-        p = upcxx.Promise()
-        for i in range(8):
-            upcxx.rput(float(i), cells[right][i % 4], cx=upcxx.operation_cx.as_promise(p))
-        p.finalize().wait()
-        total = upcxx.reduce_all(me, "+").wait()
-        upcxx.barrier()
-        return (total, upcxx.sim_now())
-
-    return upcxx.run_spmd(body, 4, platform="haswell", ppn=2, backend=backend)
-
-
-def test_idle_peer_reactivation_three_way_bit_identical():
-    got = _all_backends(_mixed_collectives_run)
-    assert got["coroutines"] == got["threads"]
-    assert got["coroutines"] == got["sharded"]
-
-
-# ----------------------------------------------------- causal span tracing
-def _span_mix_run(backend):
-    """RMA + RPC mix with span tracing on; returns (results, fingerprint,
-    n_spans).  Spans must be bit-identical on every backend: sids are
-    minted per-rank, records are canonically merged, and the fingerprint
-    is a content hash (PYTHONHASHSEED-independent)."""
-    from repro.util.spans import SpanBuffer
-
-    def body():
-        me = upcxx.rank_me()
-        n = upcxx.rank_n()
-        peer = (me + 1) % n
-        cell = upcxx.new_array(np.uint8, 4096)
-        cells = [upcxx.broadcast(cell, root=r).wait() for r in range(n)]
-        upcxx.barrier()
-        out = []
-        for i in range(3):
-            upcxx.rput(bytes(256 * (i + 1)), cells[peer]).wait()
-            got = upcxx.rget(cells[peer], 16).wait()
-            out.append(int(got.sum()))
-        answer = upcxx.rpc(peer, lambda a, b: a + b, me, 7).wait()
-        out.append(answer)
-        upcxx.barrier()
-        return (tuple(out), upcxx.sim_now())
-
-    spans = SpanBuffer()
-    results = upcxx.run_spmd(body, 4, platform="haswell", ppn=2, spans=spans, backend=backend)
-    return results, spans.fingerprint(), len(spans)
-
-
-def test_span_fingerprints_three_way_bit_identical():
-    got = _all_backends(_span_mix_run)
-    res_c, fp_c, n_c = got["coroutines"]
-    res_t, fp_t, n_t = got["threads"]
-    res_s, fp_s, n_s = got["sharded"]
-    assert res_c == res_t == res_s  # simulated results first: same physics
-    assert n_c > 0
-    assert n_c == n_t == n_s
-    assert fp_c == fp_t == fp_s  # span streams bit-identical across backends
-
-
 # ----------------------------------- adaptive-lookahead invariance (v2)
-@contextmanager
-def _lookahead_mode(mode: str):
-    from repro.sim.shard import LOOKAHEAD_ENV
-
-    old = os.environ.get(LOOKAHEAD_ENV)
-    os.environ[LOOKAHEAD_ENV] = mode
-    try:
-        yield
-    finally:
-        if old is None:
-            os.environ.pop(LOOKAHEAD_ENV, None)
-        else:
-            os.environ[LOOKAHEAD_ENV] = old
-
-
 def test_adaptive_lookahead_bit_identical_to_fixed():
     """Protocol v2's window bound gates only *when* a worker pauses to
     exchange, never the (fire_time, stamp) execution order — so adaptive
     lookahead must reproduce the fixed-lookahead (v1-bound) run exactly:
-    same results, same span fingerprints, on all three backends.  The
-    only thing allowed to change is the number of windows."""
-    runs = {}
+    in either mode the sharded run matches the coroutine run, which
+    matches the golden file.  The only thing allowed to change is the
+    number of windows."""
     window_stats = {}
     for mode in ("fixed", "adaptive"):
         with _lookahead_mode(mode):
-            runs[mode] = _all_backends(_span_mix_run)
+            golden.reproduces("span_mix")
             with _shards(2):
-                _, st = _fig3a_series_returning("sharded")
-            window_stats[mode] = st
-    for mode, got in runs.items():
-        assert got["coroutines"] == got["threads"] == got["sharded"], mode
-    assert runs["fixed"] == runs["adaptive"]
+                window_stats[mode] = golden.fig3a_series("sharded").stats
     # the knob is real: both modes ran, surfaced in stats, and widening
     # the idle provision can only merge windows, never add them
     assert window_stats["fixed"]["lookahead_mode"] == "fixed"

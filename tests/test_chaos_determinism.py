@@ -5,8 +5,10 @@ crash) from its own seeded stream — decoupled from application RNG — and
 the reliable-delivery layer resolves each operation's full retransmit
 ladder analytically at send time.  Consequently the *same seed + same
 plan* must yield bit-identical results, trace fingerprints, and span
-fingerprints on all three scheduler backends, and a zero-rate plan must
-be indistinguishable from running with faults disabled.
+fingerprints: the coroutine scheduler reproduces the committed golden
+fingerprints (``tests/golden.py``) and the 2-shard sharded backend
+matches the coroutine run; a zero-rate plan must be indistinguishable
+from running with faults disabled.
 
 Also pinned here:
 
@@ -20,157 +22,59 @@ Also pinned here:
   backend: the reliability frame counters agree across backends.
 """
 
-import os
-from contextlib import contextmanager
-
 import numpy as np
 import pytest
 
 import repro.upcxx as upcxx
 from repro.sim.errors import DeadlockError, RankDeadError, RankFailure
 from repro.sim.faults import FaultPlan
-from repro.util.spans import SpanBuffer
-from repro.util.trace import TraceBuffer
-
-ALL_BACKENDS = ("coroutines", "threads", "sharded")
-
-SEEDS = (3, 11, 42)
-
-PLANS = (
-    "drop=0.2,dup=0.1",
-    "jitter=1e-6,dup=0.15,drop=0.05",
-    "drop=0.3,jitter=5e-7,stall=20000:2e-6",
-)
-
-
-@contextmanager
-def _shards(n: int):
-    from repro.sim.shard import SHARDS_ENV
-
-    old = os.environ.get(SHARDS_ENV)
-    os.environ[SHARDS_ENV] = str(n)
-    try:
-        yield
-    finally:
-        if old is None:
-            os.environ.pop(SHARDS_ENV, None)
-        else:
-            os.environ[SHARDS_ENV] = old
-
-
-def _mixed_body():
-    """RMA + RPC + collective mix touching every reliable-delivery path."""
-    me = upcxx.rank_me()
-    n = upcxx.rank_n()
-    g = upcxx.new_array(np.float64, 8)
-    g.local()[:] = 0.0
-    ptrs = [upcxx.broadcast(g, root=r).wait() for r in range(n)]
-    ad = upcxx.AtomicDomain(["add", "fetch_add"], np.int64)
-    counter = upcxx.new_array(np.int64, 1)
-    counter.local()[:] = 0
-    cptrs = [upcxx.broadcast(counter, root=r).wait() for r in range(n)]
-    upcxx.barrier()
-
-    upcxx.rput(np.full(8, float(me + 1)), ptrs[(me + 1) % n]).wait()
-    upcxx.barrier()
-    got = upcxx.rget(ptrs[(me + 2) % n]).wait()
-    v = upcxx.rpc((me + 1) % n, lambda a, b: a * 10 + b, me, 3).wait()
-    ad.add(cptrs[0][0], me + 1).wait()
-    upcxx.barrier()
-    total = int(counter.local()[0]) if me == 0 else -1
-    red = upcxx.reduce_all(me, "+").wait()
-    return (float(got.sum()), v, total, red, upcxx.sim_now())
-
-
-def _run(backend, faults, seed=5):
-    tr = TraceBuffer()
-    sp = SpanBuffer()
-    res = upcxx.run_spmd(
-        _mixed_body, 4, seed=seed, trace=tr, spans=sp, backend=backend, faults=faults
-    )
-    return res, tr.canonical_fingerprint(), sp.fingerprint()
-
-
-def _all_backends(fn):
-    out = {b: fn(b) for b in ("coroutines", "threads")}
-    with _shards(2):
-        out["sharded"] = fn("sharded")
-    return out
+from tests import golden
+from tests.golden import mixed_body as _mixed_body
 
 
 # ---------------------------------------------------------------- identity
-@pytest.mark.parametrize("seed", SEEDS)
-@pytest.mark.parametrize("plan", PLANS)
-def test_chaos_runs_bit_identical_across_backends(seed, plan):
-    """Same seed + same fault plan => identical results, trace and span
-    fingerprints on coroutines, threads, and 2-shard sharded."""
-    spec = f"seed={seed}," + plan
-    got = _all_backends(lambda b: _run(b, spec, seed=seed))
-    ref = got["coroutines"]
-    assert got["threads"] == ref
-    assert got["sharded"] == ref
-    # and the whole triple is fault-seed sensitive: a different fault
-    # seed must actually perturb the simulated timeline
-    other = _run("coroutines", f"seed={seed + 1}," + plan, seed=seed)
-    assert other[1] != ref[1] or other[2] != ref[2]
-
-
-@contextmanager
-def _lookahead_mode(mode: str):
-    from repro.sim.shard import LOOKAHEAD_ENV
-
-    old = os.environ.get(LOOKAHEAD_ENV)
-    os.environ[LOOKAHEAD_ENV] = mode
-    try:
-        yield
-    finally:
-        if old is None:
-            os.environ.pop(LOOKAHEAD_ENV, None)
-        else:
-            os.environ[LOOKAHEAD_ENV] = old
+@pytest.mark.parametrize("seed", golden.CHAOS_SEEDS)
+@pytest.mark.parametrize("plan", golden.CHAOS_PLANS)
+def test_chaos_runs_reproduce_golden_on_both_backends(seed, plan):
+    """Same seed + same fault plan => the golden results, trace and span
+    fingerprints on coroutines, and the same on 2-shard sharded."""
+    name = f"chaos_mixed[seed={seed},{plan}]"
+    golden.reproduces(name)
+    # the check can fail: a different fault seed must actually perturb
+    # the simulated timeline, i.e. differ from its golden entry
+    other = golden.fingerprint(
+        golden.chaos_mixed("coroutines", f"seed={seed + 1},{plan}", seed=seed)
+    )
+    want = golden.load()[name]
+    assert other["trace"] != want["trace"] or other["spans"] != want["spans"]
 
 
 def test_chaos_identical_across_lookahead_modes():
     """Protocol v2's adaptive window bound must not perturb the fault
     timeline: under an armed FaultPlan, fixed- and adaptive-lookahead
-    runs produce identical results, trace fingerprints, and span
+    runs both reproduce the golden results, trace fingerprints, and span
     fingerprints on every backend."""
-    spec = "seed=13,drop=0.2,dup=0.1,jitter=1e-6"
-    out = {}
     for mode in ("fixed", "adaptive"):
-        with _lookahead_mode(mode):
-            out[mode] = _all_backends(lambda b: _run(b, spec, seed=13))
-    for mode, got in out.items():
-        assert got["threads"] == got["coroutines"], mode
-        assert got["sharded"] == got["coroutines"], mode
-    assert out["fixed"] == out["adaptive"]
+        with golden.lookahead_mode(mode):
+            golden.reproduces(f"chaos_mixed[{golden.LOOKAHEAD_SPEC}]")
 
 
 def test_zero_rate_plan_identical_to_disabled():
     """An armed plan with all rates zero is simulation-invisible."""
-    for backend in ("coroutines", "threads"):
-        assert _run(backend, None) == _run(backend, FaultPlan(seed=9))
-    with _shards(2):
-        assert _run("sharded", None) == _run("sharded", "seed=9")
+
+    def fp(backend, faults):
+        return golden.fingerprint(golden.chaos_mixed(backend, faults))
+
+    assert fp("coroutines", None) == fp("coroutines", FaultPlan(seed=9))
+    with golden.shards(2):
+        assert fp("sharded", None) == fp("sharded", "seed=9")
 
 
-def test_frame_counters_identical_across_backends():
+def test_frame_counters_reproduce_golden_on_both_backends():
     """Retransmit/drop/dup/ack counters are part of the deterministic
     surface and must agree between single-process and sharded runs."""
-    spec = "seed=4,drop=0.25,dup=0.2,jitter=1e-6"
-
-    def run(backend):
-        stats: dict = {}
-        res = upcxx.run_spmd(
-            _mixed_body, 4, seed=4, backend=backend, faults=spec, sched_stats=stats
-        )
-        keys = ("frames_retransmitted", "frames_dropped", "frames_duplicated", "acks")
-        return res, {k: stats.get(k) for k in keys}
-
-    got = _all_backends(run)
-    assert got["threads"] == got["coroutines"]
-    assert got["sharded"] == got["coroutines"]
-    assert got["coroutines"][1]["frames_dropped"] > 0  # the plan actually bit
+    ref, _ = golden.reproduces("chaos_frame_counters")
+    assert ref.results[1]["frames_dropped"] > 0  # the plan actually bit
 
 
 # ------------------------------------------------------------- convergence
@@ -201,164 +105,61 @@ def test_drop_injected_dht_converges_byte_identical():
 
 
 # ------------------------------------------------------------ rank crashes
-def _crash_body():
-    me = upcxx.rank_me()
-    n = upcxx.rank_n()
-    for i in range(100):
-        upcxx.rpc((me + 1) % n, lambda x: x, i).wait()
-        upcxx.barrier()
-    return me
-
-
-@pytest.mark.parametrize("spec,dead_rank", [
-    ("seed=1,crash=2@1e-4", 2),
-    ("seed=1,crash=0@5e-5", 0),
-    ("seed=1,crash=1@1e-4+3@2e-4", 1),
-])
-def test_rank_crash_verdict_identical_across_backends(spec, dead_rank):
-    """Crashes surface as RankDeadError with the same rank and message on
+@pytest.mark.parametrize("spec,dead_rank", zip(golden.CRASH_SPECS, (2, 0, 1)))
+def test_rank_crash_verdict_reproduces_golden_on_both_backends(spec, dead_rank):
+    """Crashes surface as RankDeadError with the golden rank and message on
     every backend; survivors abort cleanly instead of hanging.  (Span
     streams legitimately end early on the failing path, so parity here is
     on the typed verdict, not fingerprints.)"""
-
-    def run(backend):
-        with pytest.raises(RankDeadError) as ei:
-            upcxx.run_spmd(_crash_body, 4, seed=5, backend=backend, faults=spec)
-        return (ei.value.rank, str(ei.value))
-
-    got = _all_backends(run)
-    ref = got["coroutines"]
-    assert ref[0] == dead_rank
-    assert got["threads"] == ref
-    assert got["sharded"] == ref
+    ref, _ = golden.reproduces(f"crash_verdict[{spec}]")
+    assert ref.results[0] == dead_rank
 
 
 def test_crash_before_any_communication():
     with pytest.raises(RankDeadError) as ei:
-        upcxx.run_spmd(_crash_body, 4, seed=5, faults="crash=3@0.0")
+        upcxx.run_spmd(golden.crash_body, 4, seed=5, faults="crash=3@0.0")
     assert ei.value.rank == 3
 
 
 # ----------------------------------------------------- aggregation layer
-def _agg_body():
-    """Aggregated updates + cached reads: batching, dwell flushes, credit
-    acks, and invalidations all under fire."""
-    from repro.upcxx.aggregator import AggStore
-
-    me = upcxx.rank_me()
-    store = AggStore("+", batch_size=4, credits=2, max_dwell=5e-6,
-                     cache_capacity=8)
-    upcxx.barrier()
-    rng = upcxx.runtime_here().rng.spawn("chaos-agg")
-    for i in range(24):
-        store.update(rng.key64() % 32, (me + 1) * (i + 1) % 7 + 1)
-        if i % 5 == 0:
-            store.poll()
-    store.quiesce()
-    vals = tuple(store.read(k, default=0).wait() for k in range(0, 32, 3))
-    store.quiesce()
-    upcxx.barrier()
-    s = store.stats()
-    return (vals, s["batches_sent"], s["applied_updates"], s["cache_hits"],
-            s["cache_invalidations"], upcxx.sim_now())
-
-
-def _run_agg(backend, faults, seed=5):
-    tr = TraceBuffer()
-    sp = SpanBuffer()
-    res = upcxx.run_spmd(
-        _agg_body, 4, seed=seed, trace=tr, spans=sp, backend=backend, faults=faults
-    )
-    return res, tr.canonical_fingerprint(), sp.fingerprint()
-
-
-@pytest.mark.parametrize("plan", PLANS)
-def test_aggregated_chaos_bit_identical_across_backends(plan):
+@pytest.mark.parametrize("plan", golden.CHAOS_PLANS)
+def test_aggregated_chaos_reproduces_golden_on_both_backends(plan):
     """The aggregation subsystem (batched frames, acks, invalidations)
-    joins the chaos surface: same seed + same fault plan => identical
-    results, trace, and span fingerprints on all three backends."""
-    spec = "seed=17," + plan
-    got = _all_backends(lambda b: _run_agg(b, spec, seed=17))
-    ref = got["coroutines"]
-    assert got["threads"] == ref
-    assert got["sharded"] == ref
+    joins the chaos surface: same seed + same fault plan => the golden
+    results, trace, and span fingerprints on both backends."""
+    ref, _ = golden.reproduces(f"chaos_agg[{plan}]")
     # and the store's contents survive the chaos: identical to fault-free
-    clean = _run_agg("coroutines", None, seed=17)
-    assert ref[0][0][0] == clean[0][0][0]  # rank 0's read-back values
+    clean = golden.chaos_agg("coroutines", None)
+    assert ref.results[0][0] == clean.results[0][0]  # rank 0's read-back values
 
 
-def test_aggregated_crash_typed_verdict_across_backends():
+def test_aggregated_crash_typed_verdict_on_both_backends():
     """A rank crash mid-aggregation (updates buffered, credits out,
-    watchers registered) must end in RankDeadError with identical rank
+    watchers registered) must end in RankDeadError with the golden rank
     attribution on every backend — never a hang in quiesce."""
-    spec = "seed=2,crash=2@1e-4"
-
-    def run(backend):
-        with pytest.raises(RankDeadError) as ei:
-            upcxx.run_spmd(_agg_body, 4, seed=5, backend=backend, faults=spec)
-        return (ei.value.rank, str(ei.value))
-
-    got = _all_backends(run)
-    assert got["threads"] == got["coroutines"]
-    assert got["sharded"] == got["coroutines"]
+    golden.reproduces("chaos_agg_crash")
 
 
-def test_kvservice_chaos_bit_identical_across_backends():
+def test_kvservice_chaos_reproduces_golden_on_both_backends():
     """The full served-KV workload (open-loop pacing + aggregation +
-    cache) stays three-way bit-identical under an armed fault plan."""
-    from repro.apps.kvservice import default_config, kv_rank_body
-
-    cfg = default_config("tiny")
-    cfg.update({"ranks": 4, "ppn": 2, "n_requests": 48, "n_keys": 64})
-    spec = "seed=19,drop=0.15,dup=0.1,jitter=1e-6"
-
-    def run(backend):
-        sp = SpanBuffer()
-        res = upcxx.run_spmd(
-            lambda: kv_rank_body(cfg), cfg["ranks"], ppn=cfg["ppn"],
-            seed=9, backend=backend, faults=spec, spans=sp,
-        )
-        return list(res), sp.fingerprint()
-
-    got = _all_backends(run)
-    assert got["threads"] == got["coroutines"]
-    assert got["sharded"] == got["coroutines"]
-    total = sum(r["reads"] + r["writes"] for r in got["coroutines"][0])
-    assert total == cfg["ranks"] * cfg["n_requests"]  # chaos lost nothing
+    cache) stays bit-identical under an armed fault plan."""
+    ref, _ = golden.reproduces("kv_chaos")
+    total = sum(r["reads"] + r["writes"] for r in ref.results)
+    assert total == 4 * 48  # ranks x n_requests: chaos lost nothing
 
 
 # ----------------------------------------- replicated survivable crashes
-def _kv_replicated_run(backend, spec, replication=2):
-    from repro.apps.kvservice import default_config, kv_rank_body
-
-    cfg = default_config("tiny")
-    cfg.update({"ranks": 4, "ppn": 2, "n_requests": 64, "n_keys": 128,
-                "replication": replication})
-    sp = SpanBuffer()
-    res = upcxx.run_spmd(
-        lambda: kv_rank_body(cfg), cfg["ranks"], ppn=cfg["ppn"],
-        seed=9, backend=backend, faults=spec, spans=sp,
-    )
-    return list(res), sp.fingerprint()
-
-
-@pytest.mark.parametrize("spec,dead_rank", [
-    ("seed=7,crash=3@2e-4,survive=1", 3),
-    ("seed=8,crash=1@1e-4,survive=1,detect=4e-5", 1),
-])
-def test_replicated_crash_bit_identical_across_backends(spec, dead_rank):
+@pytest.mark.parametrize("spec,dead_rank", zip(golden.REPLICATED_CRASH_SPECS, (3, 1)))
+def test_replicated_crash_reproduces_golden_on_both_backends(spec, dead_rank):
     """With replication factor 2 a survivable crash plan completes the
     run (no RankDeadError): failover reads retarget to surviving
     replicas, re-replication restores the factor, and the whole
     timeline — per-rank records AND span fingerprints, recovery spans
-    included — is bit-identical on coroutines, threads, and 2-shard
-    sharded.  The dead rank's result slot is None everywhere."""
-    got = _all_backends(lambda b: _kv_replicated_run(b, spec))
-    ref = got["coroutines"]
-    assert got["threads"] == ref
-    assert got["sharded"] == ref
+    included — is the golden one on coroutines and on 2-shard sharded.
+    The dead rank's result slot is None everywhere."""
+    ref, _ = golden.reproduces(f"kv_replicated_crash[{spec}]")
 
-    records, _fp = ref
+    records = ref.results
     assert records[dead_rank] is None
     survivors = [r for r in records if r is not None]
     assert len(survivors) == 3
@@ -376,11 +177,11 @@ def test_replicated_crash_survives_only_with_replication():
     """Sanity for the gate's premise: the same survivable crash plan that
     completes under rf=2 also completes under rf=1 (the run survives),
     but only rf=2 re-replicates — rf=1 has no surviving copy to ship."""
-    spec = "seed=7,crash=3@2e-4,survive=1"
-    rf2 = _kv_replicated_run("coroutines", spec, replication=2)
-    rf1 = _kv_replicated_run("coroutines", spec, replication=1)
-    s2 = [r for r in rf2[0] if r is not None]
-    s1 = [r for r in rf1[0] if r is not None]
+    spec = golden.REPLICATED_CRASH_SPECS[0]
+    rf2 = golden.kv_replicated_crash("coroutines", spec, replication=2)
+    rf1 = golden.kv_replicated_crash("coroutines", spec, replication=1)
+    s2 = [r for r in rf2.results if r is not None]
+    s1 = [r for r in rf1.results if r is not None]
     assert sum(r["rereplicated_keys"] for r in s2) > 0
     assert sum(r["rereplicated_keys"] for r in s1) == 0
 

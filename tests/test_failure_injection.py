@@ -5,10 +5,9 @@ plus the new MPI-3 accumulate operations.
 ``TestErrorPropagation`` runs on every scheduler backend: the error
 verdict — exception type, failing-rank attribution, and the original
 cause's type and message — must be identical whether the failing rank
-lives in-process (coroutines/threads) or in a forked shard worker
+lives in-process (coroutines) or in a forked shard worker
 (where the cause is reconstructed from a shipped descriptor)."""
 
-import os
 from contextlib import contextmanager
 
 import numpy as np
@@ -16,27 +15,19 @@ import pytest
 
 import repro.upcxx as upcxx
 from repro.mpisim import Win, comm_world, run_mpi
+from repro.sim import BACKENDS
 from repro.sim.errors import DeadlockError, RankFailure
+from tests.golden import shards
 
 
 @contextmanager
 def _backend_env(backend):
     """Yield run_spmd/run_mpi kwargs for ``backend`` (2 workers if sharded)."""
-    from repro.sim.shard import SHARDS_ENV
-
-    old = os.environ.get(SHARDS_ENV)
-    if backend == "sharded":
-        os.environ[SHARDS_ENV] = "2"
-    try:
+    with shards(2):
         yield {"backend": backend}
-    finally:
-        if old is None:
-            os.environ.pop(SHARDS_ENV, None)
-        else:
-            os.environ[SHARDS_ENV] = old
 
 
-@pytest.mark.parametrize("backend", ["coroutines", "threads", "sharded"])
+@pytest.mark.parametrize("backend", BACKENDS)
 class TestErrorPropagation:
     def test_exception_in_rpc_handler_surfaces(self, backend):
         def bad_handler():

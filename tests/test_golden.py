@@ -1,0 +1,56 @@
+"""The golden check itself: complete, runnable from the shell, able to fail.
+(The per-program cells live with the suites that own the programs; that a
+*different* run differs from its entry is pinned by the fault-seed test in
+``tests/test_chaos_determinism.py``.)"""
+
+import json
+
+import pytest
+
+from tests import golden
+
+CHEAP = "sched_mixed_wakes"
+
+
+def test_every_program_has_exactly_one_entry():
+    assert sorted(golden.load()) == sorted(golden.PROGRAMS)
+
+
+def test_check_passes_on_the_committed_file(capsys):
+    assert golden.main(["--check", CHEAP]) == 0
+    assert "0 difference(s)" in capsys.readouterr().out
+
+
+def test_check_names_program_and_component_of_an_edited_digest(tmp_path, monkeypatch, capsys):
+    entries = golden.load()
+    entries[CHEAP]["trace"] = "0" * 64
+    entries[CHEAP]["switches"] += 1
+    edited = tmp_path / "fingerprints.json"
+    edited.write_text(json.dumps(entries))
+    monkeypatch.setattr(golden, "GOLDEN_PATH", str(edited))
+    assert golden.main(["--check", CHEAP]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert any(l.startswith(f"{CHEAP}: trace: golden '{'0' * 64}', got ") for l in lines)
+    assert any(l.startswith(f"{CHEAP}: switches: golden ") for l in lines)
+    assert not any(l.startswith(f"{CHEAP}: results") for l in lines)
+
+
+def test_sharded_check_skips_only_switches():
+    entries = golden.load()
+    entries[CHEAP]["switches"] += 1
+    assert golden.check(entries, "sharded", [CHEAP]) == []
+    entries[CHEAP]["events_fired"] += 1
+    assert len(golden.check(entries, "sharded", [CHEAP])) == 1
+
+
+def test_write_records_the_default_backend_only(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "fingerprints.json"
+    path.write_text(json.dumps({"stale": {}}))
+    monkeypatch.setattr(golden, "GOLDEN_PATH", str(path))
+    assert golden.main(["--write", CHEAP]) == 0  # one program: the rest is kept
+    assert sorted(json.loads(path.read_text())) == sorted([CHEAP, "stale"])
+    assert golden.main(["--check", CHEAP]) == 0
+    monkeypatch.setenv(golden.BACKEND_ENV, "sharded")
+    with pytest.raises(SystemExit):
+        golden.main(["--write", CHEAP])
+    assert "unset $REPRO_SIM_BACKEND" in capsys.readouterr().err

@@ -298,17 +298,15 @@ class TestTeardown:
 
         return body
 
-    @pytest.mark.parametrize("backend", ["coroutines", "threads"])
-    def test_success_path(self, backend):
+    def test_success_path(self):
         refs = []
-        assert run_mpi(self._job(refs), 4, backend=backend) == [0, 1, 2, 3]
+        assert run_mpi(self._job(refs), 4, backend="coroutines") == [0, 1, 2, 3]
         assert len(refs) == 12 and all(r() is None for r in refs)
 
-    @pytest.mark.parametrize("backend", ["coroutines", "threads"])
-    def test_rank_failure(self, backend):
+    def test_rank_failure(self):
         refs = []
         try:
-            run_mpi(self._job(refs, fail_on=1), 4, backend=backend)
+            run_mpi(self._job(refs, fail_on=1), 4, backend="coroutines")
         except RankFailure:
             pass
         else:

@@ -8,7 +8,7 @@ propagation.
 import pytest
 
 from repro.sim.coop import Scheduler, current_rank, current_scheduler, run_spmd
-from repro.sim.errors import DeadlockError, RankFailure
+from repro.sim.errors import DeadlockError, RankDeadError, RankFailure, SimError
 from repro.util.trace import TraceBuffer
 
 
@@ -96,30 +96,30 @@ def test_event_delivery_and_wake():
     assert run_spmd(body, 2) == [None, "hello"]
 
 
-def test_deadlock_detected():
-    def body(r):
-        current_scheduler().block("forever")
+def _deadlock(r):
+    current_scheduler().block("forever")
 
+
+def _fail_on_two(r):
+    if r == 2:
+        raise ValueError("boom")
+    current_scheduler().block("peer died")
+
+
+def test_deadlock_detected():
     with pytest.raises(DeadlockError) as ei:
-        run_spmd(body, 2)
+        run_spmd(_deadlock, 2)
     assert "forever" in str(ei.value)
 
 
 def test_rank_exception_propagates_with_rank_id():
-    def body(r):
-        if r == 2:
-            raise ValueError("boom")
-        current_scheduler().block("peer died")
-
     with pytest.raises(RankFailure) as ei:
-        run_spmd(body, 4)
+        run_spmd(_fail_on_two, 4)
     assert ei.value.rank == 2
     assert isinstance(ei.value.__cause__, ValueError)
 
 
 def test_max_time_guard():
-    from repro.sim.errors import SimError
-
     def body(r):
         s = current_scheduler()
         while True:
@@ -200,3 +200,51 @@ def test_ties_resolved_by_rank_order():
 
     run_spmd(body, 6)
     assert log == sorted(log)
+
+
+def test_charge_rejects_nan():
+    """NaN fails the fast-path comparison forever, so it must be refused
+    where it is charged, not at some later, unrelated post."""
+
+    def body(r):
+        current_scheduler().charge(float("nan"))
+
+    with pytest.raises(RankFailure) as ei:
+        run_spmd(body, 1)
+    assert isinstance(ei.value.__cause__, ValueError)
+    assert "invalid charge: nan" in str(ei.value.__cause__)
+
+
+@pytest.mark.parametrize(
+    "job,outcome",
+    [
+        (lambda: run_spmd(lambda r: current_scheduler().sleep(1e-6), 4), None),
+        (lambda: run_spmd(_fail_on_two, 4), RankFailure),
+        (lambda: run_spmd(_deadlock, 4), DeadlockError),
+        (lambda: run_spmd(lambda r: current_scheduler().charge(2.0), 4, max_time=1.0), SimError),
+        (lambda: _upcxx_crash("seed=1,crash=1@5e-5"), RankDeadError),
+        (lambda: _upcxx_crash("seed=1,crash=1@5e-5,survive=1"), None),
+    ],
+    ids=["success", "rank-failure", "deadlock", "max-time", "fail-stop-crash", "survivable-crash"],
+)
+def test_no_carrier_thread_outlives_run(job, outcome):
+    """However ``run()`` ends, every rank's carrier thread has ended too."""
+    import threading
+
+    if outcome is None:
+        job()
+    else:
+        with pytest.raises(outcome):
+            job()
+    assert [t.name for t in threading.enumerate() if t.name.startswith("simrank-")] == []
+
+
+def _upcxx_crash(faults):
+    import repro.upcxx as upcxx
+
+    def body():
+        for _ in range(20):  # rank 1 dies at 5e-5, mid-loop
+            upcxx.compute(1e-5)
+            upcxx.progress()
+
+    return upcxx.run_spmd(body, 4, faults=faults)

@@ -39,6 +39,7 @@ from repro.sim.shard import (
     ShardedScheduler,
 )
 from repro.util.trace import TraceBuffer
+from tests.golden import shards
 
 _INF = float("inf")
 
@@ -329,18 +330,11 @@ def _plan(n_ranks, ppn, shards_env):
     from repro.gasnet.machine import Machine
     from repro.gasnet.network import AriesNetwork
 
-    old = os.environ.get(SHARDS_ENV)
-    os.environ[SHARDS_ENV] = str(shards_env)
-    try:
+    with shards(shards_env):
         s = Scheduler(n_ranks, backend="sharded")
         s.configure_sharding(Machine.for_ranks(n_ranks, ppn, name="haswell"), AriesNetwork())
         n = s._plan_shards()
         return n, s._parts, s._shard_of_rank
-    finally:
-        if old is None:
-            os.environ.pop(SHARDS_ENV, None)
-        else:
-            os.environ[SHARDS_ENV] = old
 
 
 def test_plan_even_split():
@@ -364,17 +358,10 @@ def test_plan_uneven_nodes():
 
 
 def test_plan_single_shard_without_machine():
-    old = os.environ.get(SHARDS_ENV)
-    os.environ[SHARDS_ENV] = "8"
-    try:
+    with shards(8):
         s = Scheduler(4, backend="sharded")  # no configure_sharding
         assert s._plan_shards() == 1
         assert s._parts == [(0, 4)]
-    finally:
-        if old is None:
-            os.environ.pop(SHARDS_ENV, None)
-        else:
-            os.environ[SHARDS_ENV] = old
 
 
 def test_plan_rejects_bad_env(monkeypatch):
@@ -436,10 +423,6 @@ def test_trace_extend_canonical_merges_shards():
 
 
 # ----------------------------------------------------- sharded error surfaces
-def _with_shards(n):
-    os.environ[SHARDS_ENV] = str(n)
-
-
 @pytest.fixture
 def two_shards(monkeypatch):
     monkeypatch.setenv(SHARDS_ENV, "2")

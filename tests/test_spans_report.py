@@ -143,14 +143,14 @@ class TestReportCli:
     def test_json_output_and_exit_code(self, tmp_path):
         out = tmp_path / "SPAN_report.json"
         rc = report_main(
-            ["--workload", "fig3a", "--backends", "coroutines", "threads",
-             "--format", "json", "--out", str(out)]
+            ["--workload", "fig3a", "--backends", "coroutines", "sharded",
+             "--shards", "2", "--format", "json", "--out", str(out)]
         )
         assert rc == 0
         doc = json.loads(out.read_text())
         assert doc["schema"] == "repro-span-report/1"
         assert doc["fingerprints_identical"] is True
-        assert set(doc["fingerprints"]) == {"coroutines", "threads"}
+        assert set(doc["fingerprints"]) == {"coroutines", "sharded"}
         rep = doc["reports"][0]
         assert rep["n_spans"] > 0
         assert "_spans" not in rep  # internal handles stripped from JSON
@@ -175,15 +175,15 @@ class TestReportCli:
         def tampered(name, backend, shards=None, faults=None):
             rep = real(name, backend, shards, faults)
             calls.append(backend)
-            if backend == "threads":
+            if backend == "sharded":
                 rep["fingerprint"] = "deadbeef"  # simulate a divergence
             return rep
 
         monkeypatch.setattr(report_mod, "analyze_workload", tampered)
         doc, identical, _ = report_mod.build_report(
-            "fig3a", ["coroutines", "threads"], None
+            "fig3a", ["coroutines", "sharded"], 2
         )
-        assert calls == ["coroutines", "threads"]
+        assert calls == ["coroutines", "sharded"]
         assert identical is False
         assert doc["fingerprints_identical"] is False
 

@@ -2,67 +2,38 @@
 
 Covers the observability tentpole's three acceptance properties:
 
-- windowed rollups are **bit-identical** across the coroutine, thread,
-  and sharded backends (the same bar simulated results are held to);
+- windowed rollups are **bit-identical** on the coroutine and sharded
+  backends and equal to the golden digest (``tests/golden.py`` — the
+  same bar simulated results are held to);
 - a rank crash produces a **blackbox** post-mortem bundle that is
-  byte-identical across all three backends — including when the dead
-  rank lives in a forked shard worker — frozen at the crash cutoff;
+  byte-identical on both backends and equal to the golden digest —
+  including when the dead rank lives in a forked shard worker — frozen
+  at the crash cutoff;
 - ``repro.tools.health`` flags an above-knee (saturated) KV run and
   passes a below-knee one.
 """
 
 import json
-import os
 
 import pytest
 
 import repro.upcxx as upcxx
-from repro.sim.errors import RankDeadError
 from repro.tools import health
-from repro.util.telemetry import BLACKBOX_SCHEMA, Telemetry, dumps_blackbox
+from repro.util.telemetry import BLACKBOX_SCHEMA, Telemetry
+from tests import golden
 
 N_RANKS = 4
-CRASH_SPEC = "seed=3,crash=1@3e-4"
 
 
-def _ring_body():
-    me, n = upcxx.rank_me(), upcxx.rank_n()
-    acc = 0
-    # long enough that the CRASH_SPEC crash at t=3e-4 lands mid-work, so
-    # the dying rank itself reaches the crash check and records its death
-    for i in range(200):
-        acc += upcxx.rpc((me + 1) % n, lambda x: x + 1, i).wait()
-    upcxx.barrier()
-    return acc
-
-
-def _run(backend, shards=None, faults=None, tel=None):
-    prev = os.environ.get("REPRO_SIM_SHARDS")
-    if shards is not None:
-        os.environ["REPRO_SIM_SHARDS"] = str(shards)
-    try:
-        return upcxx.run_spmd(_ring_body, N_RANKS, ppn=2, seed=5,
-                              backend=backend, faults=faults, telemetry=tel)
-    finally:
-        if shards is not None:
-            if prev is None:
-                os.environ.pop("REPRO_SIM_SHARDS", None)
-            else:
-                os.environ["REPRO_SIM_SHARDS"] = prev
-
-
-BACKENDS = (("coroutines", None), ("threads", None), ("sharded", 2))
+def _run(backend, tel=None):
+    return upcxx.run_spmd(golden.ring_body, N_RANKS, ppn=2, seed=5,
+                          backend=backend, telemetry=tel)
 
 
 # ------------------------------------------------------------------- rollups
-def test_rollups_bit_identical_across_backends():
-    dumps = {}
-    for backend, shards in BACKENDS:
-        tel = Telemetry()
-        res = _run(backend, shards, tel=tel)
-        assert len(res) == N_RANKS
-        dumps[backend] = tel.dumps()
-    assert dumps["coroutines"] == dumps["threads"] == dumps["sharded"]
+def test_rollups_reproduce_golden_on_both_backends():
+    ref, _ = golden.reproduces("telemetry_rollups")
+    assert len(ref.results[0]) == N_RANKS
 
 
 def test_window_structure_and_monotonicity():
@@ -102,22 +73,16 @@ def test_rollups_respect_window_cadence():
 
 
 # ------------------------------------------------------------------ blackbox
-def _crash_run(backend, shards=None, path=None):
-    tel = Telemetry(blackbox_path=path)
-    with pytest.raises(RankDeadError):
-        _run(backend, shards, faults=CRASH_SPEC, tel=tel)
-    assert tel.blackbox is not None
-    return tel
+def _crash_bundle(backend, path=None) -> str:
+    return golden.telemetry_blackbox(backend, path=path).results[2]
 
 
-def test_blackbox_bit_identical_across_backends():
-    bundles = {b: dumps_blackbox(_crash_run(b, s).blackbox)
-               for b, s in BACKENDS}
-    assert bundles["coroutines"] == bundles["threads"] == bundles["sharded"]
+def test_blackbox_reproduces_golden_on_both_backends():
+    golden.reproduces("telemetry_blackbox")
 
 
 def test_blackbox_contents():
-    bb = _crash_run("coroutines").blackbox
+    bb = json.loads(_crash_bundle("coroutines"))
     assert bb["schema"] == BLACKBOX_SCHEMA
     assert bb["verdict"]["type"] == "RankDeadError"
     assert bb["verdict"]["rank"] == 1
@@ -141,9 +106,9 @@ def test_blackbox_contents():
 
 def test_blackbox_written_to_path(tmp_path):
     path = tmp_path / "blackbox.json"
-    tel = _crash_run("coroutines", path=str(path))
+    bundle = _crash_bundle("coroutines", path=str(path))
     on_disk = path.read_text()
-    assert on_disk.rstrip("\n") == dumps_blackbox(tel.blackbox)
+    assert on_disk.rstrip("\n") == bundle
     parsed = json.loads(on_disk)
     assert parsed["verdict"]["rank"] == 1
 
@@ -152,8 +117,8 @@ def test_blackbox_through_shard_fail_frames(tmp_path):
     """The dead rank lives in a forked worker: its frozen telemetry must
     cross the FAIL frame and land in the parent's bundle."""
     path = tmp_path / "bb.json"
-    tel = _crash_run("sharded", shards=2, path=str(path))
-    bb = tel.blackbox
+    with golden.shards(2):
+        bb = json.loads(_crash_bundle("sharded", path=str(path)))
     assert bb["ranks"]["1"]["dead"] is True
     assert bb["ranks"]["1"]["tail"]
     assert path.exists()
@@ -213,8 +178,8 @@ def test_health_declarative_rules():
 def test_health_advisory_gates_never_fail_strict(tmp_path, capsys):
     bench = {
         "gates": [
-            {"name": "coroutines_vs_threads", "target_speedup": 1.4,
-             "measured_speedup": 1.1, "passed": False, "advisory": True},
+            {"name": "sharded_vs_coroutines", "target_speedup": 2.0,
+             "measured_speedup": 0.8, "passed": False, "advisory": True},
             {"name": "kv_aggregation_vs_rpc", "target_speedup": 4.0,
              "measured_speedup": 6.5, "passed": True},
         ],
@@ -230,7 +195,8 @@ def test_health_advisory_gates_never_fail_strict(tmp_path, capsys):
 def test_perf_harness_telemetry_digest():
     from repro.bench.perf_harness import telemetry_digest
 
-    d = telemetry_digest(("coroutines", "threads"))
+    with golden.shards(2):
+        d = telemetry_digest(("coroutines", "sharded"))
     assert d["identical"] is True
     assert d["n_ranks"] == 8
     assert d["totals"]["ops"] > 0

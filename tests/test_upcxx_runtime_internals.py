@@ -216,29 +216,26 @@ class TestTeardown:
 
         return body
 
-    @pytest.mark.parametrize("backend", ["coroutines", "threads"])
-    def test_success_path(self, backend):
+    def test_success_path(self):
         refs = []
-        assert upcxx.run_spmd(self._job(refs), 4, backend=backend) == [0, 1, 2, 3]
+        assert upcxx.run_spmd(self._job(refs), 4, backend="coroutines") == [0, 1, 2, 3]
         assert len(refs) == 16 and all(r() is None for r in refs)
 
-    @pytest.mark.parametrize("backend", ["coroutines", "threads"])
-    def test_rank_failure(self, backend):
+    def test_rank_failure(self):
         def fail_on_one():
             if upcxx.rank_me() == 1:
                 raise ValueError("boom")
 
         refs = []
         try:
-            upcxx.run_spmd(self._job(refs, after=fail_on_one), 4, backend=backend)
+            upcxx.run_spmd(self._job(refs, after=fail_on_one), 4, backend="coroutines")
         except RankFailure:
             pass
         else:
             pytest.fail("rank 1's ValueError did not surface")
         assert len(refs) == 16 and all(r() is None for r in refs)
 
-    @pytest.mark.parametrize("backend", ["coroutines", "threads"])
-    def test_survivable_crash(self, backend):
+    def test_survivable_crash(self):
         refs = []
 
         def body():
@@ -253,7 +250,7 @@ class TestTeardown:
             return rt.rank
 
         got = upcxx.run_spmd(
-            body, 4, backend=backend, faults="seed=1,crash=1@5e-5,survive=1"
+            body, 4, backend="coroutines", faults="seed=1,crash=1@5e-5,survive=1"
         )
         assert got == [0, None, 2, 3]  # rank 1 died, the job was served through
         assert len(refs) == 12 and all(r() is None for r in refs)
