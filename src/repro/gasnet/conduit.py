@@ -30,7 +30,7 @@ from typing import Any, Callable, Optional
 import numpy as np
 
 from repro.gasnet.am import AMInbox, AMMessage
-from repro.gasnet.handle import Handle
+from repro.gasnet.handle import GET_SERVICE, PUT_COMMIT, Handle, Transfer
 from repro.gasnet.machine import Machine
 from repro.gasnet.network import NetworkModel, PATH_FMA
 from repro.gasnet.segment import Segment
@@ -188,6 +188,7 @@ class Conduit:
         for ep in self.endpoints:
             ep.segment = ep.device_segment = None
         self._remote_cx_deliver = None
+        self._pending_handles.clear()
         self.sched._conduits.remove(self)
 
     # ---------------------------------------------------------- shard routing
@@ -223,13 +224,9 @@ class Conduit:
             }
         )
 
-    def _is_local(self, rank: int) -> bool:
-        """Does ``rank`` live in this process?  Always true unsharded."""
-        shard = self._shard
-        return shard is None or shard.shard_is_local(rank)
-
     def _check_local(self, rank: int, what: str):
-        if not self._is_local(rank):
+        """Sharded only: direct access is to ranks of this process."""
+        if not self._shard.shard_is_local(rank):
             raise SimError(
                 f"direct {what} access to rank {rank} from shard "
                 f"{self._shard._shard_id}: rank {rank} lives on another "
@@ -471,206 +468,32 @@ class Conduit:
             mrank.rel_update(i - 1, n_drop, n_dup, n_ack)
         return done0, commit_at, ack_recv
 
-    def _rel_put(self, src, dst, dst_off, data, path, occ_scale, remote_rpc, span):
-        """Reliable-mode put: same event structure as the fault-free path,
-        with commit/ack times produced by the retransmit ladder."""
-        data = bytes(data)
-        nbytes = len(data)
-        sched = self.sched
-        now = sched.now()
-        self.endpoints[src].n_puts += 1
-        handle = Handle(("put", src, dst, nbytes))
+    def _send(self, src, dst, nbytes, path, now, occ_scale, span, kind, ack_bytes=None):
+        """Time one ``src`` -> ``dst`` transfer injected at ``now``: one NIC
+        injection, or under a fault plan the reliable channel's whole
+        ladder.  Every operation's forward leg comes through here, so each
+        is written once for both modes.  Returns what :meth:`_rel_ladder`
+        does: ``(inj_done, commit_at, ack_at)`` — source buffer reusable,
+        frame landed at ``dst`` (None: it crashed first), commit seen
+        acknowledged at ``src`` (None: no ack survives).  Acknowledged ops
+        pass ``ack_bytes`` to have the ack's ``ack_wire`` span recorded."""
         node = self._node
-        ack_lat = self._lat_shm if node[src] == node[dst] else self._lat_net
-        _, commit_at, ack_recv = self._rel_ladder(
-            src, dst, nbytes, path, now, occ_scale, span,
-            "put", ack_lat, ("nic_wait", "nic_occ", "wire"),
-        )
-        if span is not None and self.spans is not None and ack_recv is not None:
-            self.spans.record(ack_recv - ack_lat, ack_recv, src, span, "ack_wire", "put", nbytes)
-        if commit_at is None:
-            # receiver crashed before any attempt landed; the op can never
-            # complete — crash detection (RankDeadError) unblocks the caller
-            return handle
-        if not self._is_local(dst):
-            hid = self._register_handle(handle)
-            self._shard.emit_envelope(
-                dst, commit_at, "put",
-                (src, dst, dst_off, data, hid, ack_recv, remote_rpc, nbytes, span),
+        lat = self._lat_shm if node[src] == node[dst] else self._lat_net
+        if self._faults is None:
+            inj_done, commit_at = self._inject(src, dst, nbytes, path, now, occ_scale, span, kind)
+            # remote commit is instantaneous; the ack rides one latency back
+            ack_from, ack_at = commit_at, commit_at + lat
+        else:
+            inj_done, commit_at, ack_at = self._rel_ladder(
+                src, dst, nbytes, path, now, occ_scale, span,
+                kind, lat, ("nic_wait", "nic_occ", "wire"),
             )
-            return handle
-        dst_seg = self.endpoints[dst].segment
+            ack_from = None if ack_at is None else ack_at - lat
+        if ack_bytes is not None and span is not None and self.spans is not None and ack_at is not None:
+            self.spans.record(ack_from, ack_at, src, span, "ack_wire", kind, ack_bytes)
+        return inj_done, commit_at, ack_at
 
-        def commit_and_ack():
-            dst_seg.write(dst_off, data)
-            if remote_rpc is not None:
-                fn, args, t_active = remote_rpc
-                self._remote_cx_deliver(dst, fn, args, nbytes, t_active, commit_at, span)
-            if ack_recv is not None:
-                sched.post_at(ack_recv, lambda: handle.complete(ack_recv))
-
-        sched.post_at(commit_at, commit_and_ack)
-        return handle
-
-    def _rel_get_service(self, src, dst, dst_off, nbytes, path, occ_scale, span, req_commit, complete):
-        """Reliable-mode reply half of a get, run at the target at request
-        commit time: reads memory and streams the reply back over the
-        reverse channel's retransmit ladder."""
-        dst_ep = self.endpoints[dst]
-        data = dst_ep.segment.read(dst_off, nbytes)
-        node = self._node
-        ack_lat = self._lat_shm if node[src] == node[dst] else self._lat_net
-        _, commit_at, _ = self._rel_ladder(
-            dst, src, nbytes, path, req_commit, occ_scale, span,
-            "get", ack_lat, ("remote_nic_wait", "remote_occ", "wire_back"),
-        )
-        if commit_at is not None:
-            complete(commit_at, data)
-
-    def _rel_get(self, src, dst, dst_off, nbytes, path, occ_scale, span):
-        """Reliable-mode get: request rides the forward channel's ladder,
-        the reply the reverse channel's."""
-        sched = self.sched
-        now = sched.now()
-        self.endpoints[src].n_gets += 1
-        handle = Handle(("get", src, dst, nbytes))
-        node = self._node
-        req_lat = self._lat_shm if node[src] == node[dst] else self._lat_net
-        _, req_commit, _ = self._rel_ladder(
-            src, dst, self.network.header_bytes, PATH_FMA, now, 1.0, span,
-            "get", req_lat, ("nic_wait", "nic_occ", "wire"),
-        )
-        if req_commit is None:
-            return handle
-        if not self._is_local(dst):
-            hid = self._register_handle(handle)
-            self._shard.emit_envelope(
-                dst, req_commit, "get",
-                (src, dst, dst_off, nbytes, path, occ_scale, hid, span),
-            )
-            return handle
-
-        def service_request():
-            self._rel_get_service(
-                src, dst, dst_off, nbytes, path, occ_scale, span, req_commit,
-                lambda back, data: sched.post_at(
-                    back, lambda: handle.complete(back, data=data)
-                ),
-            )
-
-        sched.post_at(req_commit, service_request)
-        return handle
-
-    def _rel_am(self, src, dst, tag, payload, nbytes, path, token, meta, occ_scale, span):
-        """Reliable-mode active message: source completion at first
-        injection end, delivery at channel commit."""
-        sched = self.sched
-        now = sched.now()
-        self.endpoints[src].n_ams += 1
-        handle = Handle(("am", src, dst, tag, nbytes))
-        node = self._node
-        ack_lat = self._lat_shm if node[src] == node[dst] else self._lat_net
-        inj_done, commit_at, _ = self._rel_ladder(
-            src, dst, nbytes, path, now, occ_scale, span,
-            "am", ack_lat, ("nic_wait", "nic_occ", "wire"),
-        )
-        msg_meta = dict(meta) if meta else None
-        if self.metrics is not None:
-            if msg_meta is None:
-                msg_meta = {}
-            msg_meta["t_injected"] = now
-        if span is not None and self.spans is not None:
-            if msg_meta is None:
-                msg_meta = {}
-            msg_meta["sid"] = span
-        if commit_at is None:
-            sched.post_at(inj_done, lambda: handle.complete(inj_done))
-            return handle
-        if not self._is_local(dst):
-            self._shard.emit_envelope(
-                dst, commit_at, "am",
-                (src, dst, tag, payload, nbytes, token, msg_meta),
-            )
-            sched.post_at(inj_done, lambda: handle.complete(inj_done))
-            return handle
-        msg = AMMessage.acquire(src, dst, tag, payload, nbytes, commit_at, token, msg_meta)
-        inbox = self.endpoints[dst].inbox
-
-        def deliver():
-            inbox.deliver(msg)
-            sched.wake(dst, commit_at)
-
-        sched.post_at(commit_at, deliver)
-        sched.post_at(inj_done, lambda: handle.complete(inj_done))
-        return handle
-
-    def _rel_acc(self, src, dst, dst_off, arr, dt, op, path, occ_scale, span):
-        """Reliable-mode accumulate: applies at commit, completes at ack."""
-        nbytes = arr.nbytes
-        sched = self.sched
-        now = sched.now()
-        self.endpoints[src].n_amos += 1
-        handle = Handle(("acc", op, src, dst, nbytes))
-        ack_lat = self.network.latency(self.machine.same_node(src, dst))
-        _, commit_at, ack_recv = self._rel_ladder(
-            src, dst, nbytes, path, now, occ_scale, span,
-            "acc", ack_lat, ("nic_wait", "nic_occ", "wire"),
-        )
-        if span is not None and self.spans is not None and ack_recv is not None:
-            self.spans.record(ack_recv - ack_lat, ack_recv, src, span, "ack_wire", "acc", nbytes)
-        if commit_at is None:
-            return handle
-        if not self._is_local(dst):
-            hid = self._register_handle(handle)
-            self._shard.emit_envelope(
-                dst, commit_at, "acc",
-                (src, dst, dst_off, arr.tobytes(), dt.str, op, hid, ack_recv),
-            )
-            return handle
-        seg = self.endpoints[dst].segment
-
-        def apply_and_ack():
-            self._acc_apply(seg, dst_off, dt, arr, op)
-            if ack_recv is not None:
-                sched.post_at(ack_recv, lambda: handle.complete(ack_recv))
-
-        sched.post_at(commit_at, apply_and_ack)
-        return handle
-
-    def _rel_amo(self, src, dst, dst_off, op, dt, operands, span):
-        """Reliable-mode atomic: applies at commit, result returns at ack."""
-        sched = self.sched
-        now = sched.now()
-        self.endpoints[src].n_amos += 1
-        handle = Handle(("amo", op, src, dst))
-        amo_bytes = dt.itemsize + self.network.header_bytes
-        back_lat = self.network.latency(self.machine.same_node(src, dst))
-        _, commit_at, ack_recv = self._rel_ladder(
-            src, dst, amo_bytes, PATH_FMA, now, 1.0, span,
-            "amo", back_lat, ("nic_wait", "nic_occ", "wire"),
-        )
-        if span is not None and self.spans is not None and ack_recv is not None:
-            self.spans.record(ack_recv - back_lat, ack_recv, src, span, "ack_wire", "amo", dt.itemsize)
-        if commit_at is None:
-            return handle
-        if not self._is_local(dst):
-            hid = self._register_handle(handle)
-            self._shard.emit_envelope(
-                dst, commit_at, "amo",
-                (src, dst, dst_off, op, dt.str, operands, hid, ack_recv),
-            )
-            return handle
-        seg = self.endpoints[dst].segment
-
-        def apply():
-            old = self._amo_apply(seg, dst_off, dt, op, operands)
-            if ack_recv is not None:
-                sched.post_at(ack_recv, lambda: handle.complete(ack_recv, data=old))
-
-        sched.post_at(commit_at, apply)
-        return handle
-
-    # ------------------------------------------------------------------- put
+    # ------------------------------------------------------------- put / get
     def put_nb(
         self,
         src: int,
@@ -693,40 +516,36 @@ class Conduit:
         client's span correlation id; it also rides the cross-shard
         envelope so target-side effects stay correlated.
         """
-        if self._faults is not None:
-            return self._rel_put(src, dst, dst_off, data, path, occ_scale, remote_rpc, span)
         data = bytes(data)
-        nbytes = len(data)
-        sched = self.sched
-        now = sched.now()
-        ep = self.endpoints[src]
-        ep.n_puts += 1
-        handle = Handle(("put", src, dst, nbytes))
-        _, arrival = self._inject(src, dst, nbytes, path, now, occ_scale, span, "put")
-        node = self._node
-        ack_latency = self._lat_shm if node[src] == node[dst] else self._lat_net
-        ack_time = arrival + ack_latency
-        if span is not None and self.spans is not None:
-            # remote commit is instantaneous; the ack rides one latency back
-            self.spans.record(arrival, ack_time, src, span, "ack_wire", "put", nbytes)
-        if not self._is_local(dst):
-            hid = self._register_handle(handle)
+        return self.put(
+            Transfer(self, src, "put", dst, dst_off, len(data), data, path, occ_scale, remote_rpc, span),
+            self.sched.now(),
+        )
+
+    def put(self, x: Transfer, now: float) -> Transfer:
+        """Inject the put ``x`` describes at rank clock ``now`` (rank
+        context): charge the NIC — or, under a fault plan, run the reliable
+        channel's retransmit ladder — and post the commit event."""
+        src, dst, nbytes, span = x.src, x.dst, x.nbytes, x.sid
+        self.endpoints[src].n_puts += 1
+        _, commit_at, ack_at = self._send(src, dst, nbytes, x.path, now, x.occ_scale, span, "put", nbytes)
+        if commit_at is None:
+            # receiver crashed before any attempt landed; the op can never
+            # complete — crash detection (RankDeadError) unblocks the caller
+            return x
+        if self._shard is not None and not self._shard.shard_is_local(dst):
+            hid = self._register_handle(x)
             self._shard.emit_envelope(
-                dst, arrival, "put",
-                (src, dst, dst_off, data, hid, ack_time, remote_rpc, nbytes, span),
+                dst, commit_at, "put",
+                (src, dst, x.dst_off, x.payload, hid, ack_at, x.remote_rpc, nbytes, span),
             )
-            return handle
-        dst_seg = self.endpoints[dst].segment
-
-        def commit_and_ack():
-            dst_seg.write(dst_off, data)
-            if remote_rpc is not None:
-                fn, args, t_active = remote_rpc
-                self._remote_cx_deliver(dst, fn, args, nbytes, t_active, arrival, span)
-            sched.post_at(ack_time, lambda: handle.complete(ack_time))
-
-        sched.post_at(arrival, commit_and_ack)
-        return handle
+            x.payload = None
+            return x
+        x.phase = PUT_COMMIT
+        x.t_commit = commit_at
+        x.t_ack = ack_at
+        self.sched.post_at(commit_at, x)
+        return x
 
     def _env_put(self, meta, fire_time: float) -> None:
         """Target half of a cross-shard put (network context, dst shard)."""
@@ -738,7 +557,6 @@ class Conduit:
         if ack_time is not None:
             self._shard.emit_envelope(src, ack_time, "cpl", (hid, False, None))
 
-    # ------------------------------------------------------------------- get
     def get_nb(
         self,
         src: int,
@@ -754,83 +572,72 @@ class Conduit:
         The handle completes when the data lands back at ``src``; the bytes
         are available as ``handle.data``.
         """
-        if self._faults is not None:
-            return self._rel_get(src, dst, dst_off, nbytes, path, occ_scale, span)
-        sched = self.sched
-        now = sched.now()
-        ep = self.endpoints[src]
-        ep.n_gets += 1
-        handle = Handle(("get", src, dst, nbytes))
-        # request: small control message
-        _, req_arrival = self._inject(
-            src, dst, self.network.header_bytes, PATH_FMA, now, 1.0, span, "get"
+        return self.get(
+            Transfer(self, src, "get", dst, dst_off, nbytes, None, path, occ_scale, None, span),
+            self.sched.now(),
         )
-        if not self._is_local(dst):
-            hid = self._register_handle(handle)
+
+    def get(self, x: Transfer, now: float) -> Transfer:
+        """Inject the get ``x`` describes at rank clock ``now``: the request
+        is a small control message (over the forward channel's ladder under
+        a fault plan); the target half is :meth:`_get_reply`."""
+        src, dst, span = x.src, x.dst, x.sid
+        self.endpoints[src].n_gets += 1
+        _, req_at, _ = self._send(src, dst, self.network.header_bytes, PATH_FMA, now, 1.0, span, "get")
+        if req_at is None:
+            return x
+        if self._shard is not None and not self._shard.shard_is_local(dst):
+            hid = self._register_handle(x)
             self._shard.emit_envelope(
-                dst, req_arrival, "get",
-                (src, dst, dst_off, nbytes, path, occ_scale, hid, span),
+                dst, req_at, "get",
+                (src, dst, x.dst_off, x.nbytes, x.path, x.occ_scale, hid, span),
             )
-            return handle
-        dst_ep = self.endpoints[dst]
-        node = self._node
-        same = node[src] == node[dst]
+            return x
+        x.phase = GET_SERVICE
+        x.t_commit = req_at
+        self.sched.post_at(req_at, x)
+        return x
 
-        def service_request():
-            # The destination NIC reads memory and streams the reply; no
-            # destination CPU is involved (true RDMA read).
-            data = dst_ep.segment.read(dst_off, nbytes)
-            begin = max(req_arrival, dst_ep.nic_free_at)
-            key = (nbytes, path, same)
-            occ = self._occ_cache.get(key)
-            if occ is None:
-                occ = self._occ_cache[key] = self.network.occupancy(nbytes, path, same)
-            occ *= occ_scale
-            dst_ep.nic_free_at = begin + occ
-            back = begin + occ + (self._lat_shm if same else self._lat_net)
-            if self.metrics is not None:
-                # the reply stream occupies the *destination* NIC
-                self.metrics.rank(dst).nic_injected(nbytes, occ, begin - req_arrival)
-            sp = self.spans
-            if sp is not None and span is not None:
-                sp.record(req_arrival, begin, dst, span, "remote_nic_wait", "get", nbytes)
-                sp.record(begin, begin + occ, dst, span, "remote_occ", "get", nbytes)
-                sp.record(begin + occ, back, dst, span, "wire_back", "get", nbytes)
-            sched.post_at(back, lambda: handle.complete(back, data=data))
-
-        sched.post_at(req_arrival, service_request)
-        return handle
-
-    def _env_get(self, meta, fire_time: float) -> None:
-        """Target half of a cross-shard get: the destination NIC reads
-        memory and streams the reply (network context, dst shard)."""
-        src, dst, dst_off, nbytes, path, occ_scale, hid, span = meta
-        if self._faults is not None:
-            self._rel_get_service(
-                src, dst, dst_off, nbytes, path, occ_scale, span, fire_time,
-                lambda back, data: self._shard.emit_envelope(
-                    src, back, "cpl", (hid, True, data)
-                ),
-            )
-            return
+    def _get_reply(self, src, dst, dst_off, nbytes, path, occ_scale, span, t_req):
+        """Target half of a get, at request-commit time ``t_req`` (network
+        context, ``dst``'s process): the destination NIC reads memory and
+        streams the reply.  Returns ``(back, data)``: when the reply lands
+        at ``src`` (None if no attempt ever does) and the bytes read."""
         dst_ep = self.endpoints[dst]
         data = dst_ep.segment.read(dst_off, nbytes)
-        begin = max(fire_time, dst_ep.nic_free_at)
-        key = (nbytes, path, False)  # cross-shard is always cross-node
+        node = self._node
+        same = node[src] == node[dst]
+        lat = self._lat_shm if same else self._lat_net
+        if self._faults is not None:
+            _, back, _ = self._rel_ladder(
+                dst, src, nbytes, path, t_req, occ_scale, span, "get", lat,
+                ("remote_nic_wait", "remote_occ", "wire_back"),
+            )
+            return back, data
+        begin = max(t_req, dst_ep.nic_free_at)
+        key = (nbytes, path, same)
         occ = self._occ_cache.get(key)
         if occ is None:
-            occ = self._occ_cache[key] = self.network.occupancy(nbytes, path, False)
+            occ = self._occ_cache[key] = self.network.occupancy(nbytes, path, same)
         occ *= occ_scale
         dst_ep.nic_free_at = begin + occ
-        back = begin + occ + self._lat_net
+        back = begin + occ + lat
         if self.metrics is not None:
-            self.metrics.rank(dst).nic_injected(nbytes, occ, begin - fire_time)
+            # the reply stream occupies the *destination* NIC
+            self.metrics.rank(dst).nic_injected(nbytes, occ, begin - t_req)
         sp = self.spans
         if sp is not None and span is not None:
-            sp.record(fire_time, begin, dst, span, "remote_nic_wait", "get", nbytes)
+            sp.record(t_req, begin, dst, span, "remote_nic_wait", "get", nbytes)
             sp.record(begin, begin + occ, dst, span, "remote_occ", "get", nbytes)
             sp.record(begin + occ, back, dst, span, "wire_back", "get", nbytes)
-        self._shard.emit_envelope(src, back, "cpl", (hid, True, data))
+        return back, data
+
+    def _env_get(self, meta, fire_time: float) -> None:
+        """Target half of a cross-shard get (network context, dst shard)."""
+        src, dst, dst_off, nbytes, path, occ_scale, hid, span = meta
+        back, data = self._get_reply(src, dst, dst_off, nbytes, path, occ_scale, span, fire_time)
+        if back is not None:
+            self._shard.emit_envelope(src, back, "cpl", (hid, True, data))
 
     # -------------------------------------------------------------------- AM
     def am_send(
@@ -854,14 +661,11 @@ class Conduit:
         rides the message metadata (``msg_meta["sid"]``) so the target's
         progress engine can correlate inbox dwell and dispatch.
         """
-        if self._faults is not None:
-            return self._rel_am(src, dst, tag, payload, nbytes, path, token, meta, occ_scale, span)
         sched = self.sched
         now = sched.now()
-        ep = self.endpoints[src]
-        ep.n_ams += 1
+        self.endpoints[src].n_ams += 1
         handle = Handle(("am", src, dst, tag, nbytes))
-        inj_done, arrival = self._inject(src, dst, nbytes, path, now, occ_scale, span, "am")
+        inj_done, arrival, _ = self._send(src, dst, nbytes, path, now, occ_scale, span, "am")
         msg_meta = dict(meta) if meta else None
         if self.metrics is not None:
             # lets the receiver account wire time (active -> complete dwell)
@@ -872,22 +676,23 @@ class Conduit:
             if msg_meta is None:
                 msg_meta = {}
             msg_meta["sid"] = span
-        if not self._is_local(dst):
+        if arrival is None:  # the receiver crashed before any attempt landed
+            pass
+        elif self._shard is not None and not self._shard.shard_is_local(dst):
             # source-side injection completion stays local; delivery crosses
             self._shard.emit_envelope(
                 dst, arrival, "am",
                 (src, dst, tag, payload, nbytes, token, msg_meta),
             )
-            sched.post_at(inj_done, lambda: handle.complete(inj_done))
-            return handle
-        msg = AMMessage.acquire(src, dst, tag, payload, nbytes, arrival, token, msg_meta)
-        inbox = self.endpoints[dst].inbox
+        else:
+            msg = AMMessage.acquire(src, dst, tag, payload, nbytes, arrival, token, msg_meta)
+            inbox = self.endpoints[dst].inbox
 
-        def deliver():
-            inbox.deliver(msg)
-            sched.wake(dst, arrival)
+            def deliver():
+                inbox.deliver(msg)
+                sched.wake(dst, arrival)
 
-        sched.post_at(arrival, deliver)
+            sched.post_at(arrival, deliver)
         sched.post_at(inj_done, lambda: handle.complete(inj_done))
         return handle
 
@@ -921,31 +726,27 @@ class Conduit:
             raise ValueError(f"unsupported accumulate op {op!r}")
         dt = np.dtype(dtype)
         arr = np.ascontiguousarray(np.asarray(data, dtype=dt))
-        if self._faults is not None:
-            return self._rel_acc(src, dst, dst_off, arr, dt, op, path, occ_scale, span)
         nbytes = arr.nbytes
-        now = self.sched.now()
-        ep = self.endpoints[src]
-        ep.n_amos += 1
+        self.endpoints[src].n_amos += 1
         handle = Handle(("acc", op, src, dst, nbytes))
-        _, arrival = self._inject(src, dst, nbytes, path, now, occ_scale, span, "acc")
-        same = self.machine.same_node(src, dst)
-        ack_latency = self.network.latency(same)
-        if span is not None and self.spans is not None:
-            self.spans.record(arrival, arrival + ack_latency, src, span, "ack_wire", "acc", nbytes)
-        if not self._is_local(dst):
+        _, arrival, ack_at = self._send(
+            src, dst, nbytes, path, self.sched.now(), occ_scale, span, "acc", nbytes
+        )
+        if arrival is None:
+            return handle
+        if self._shard is not None and not self._shard.shard_is_local(dst):
             hid = self._register_handle(handle)
             self._shard.emit_envelope(
                 dst, arrival, "acc",
-                (src, dst, dst_off, arr.tobytes(), dt.str, op, hid, arrival + ack_latency),
+                (src, dst, dst_off, arr.tobytes(), dt.str, op, hid, ack_at),
             )
             return handle
         seg = self.endpoints[dst].segment
 
         def apply_and_ack():
             self._acc_apply(seg, dst_off, dt, arr, op)
-            done = arrival + ack_latency
-            self.sched.post_at(done, lambda: handle.complete(done))
+            if ack_at is not None:
+                self.sched.post_at(ack_at, lambda: handle.complete(ack_at))
 
         self.sched.post_at(arrival, apply_and_ack)
         return handle
@@ -992,32 +793,28 @@ class Conduit:
         if op not in _AMO_OPS:
             raise ValueError(f"unsupported atomic op {op!r}")
         dt = np.dtype(dtype)
-        if self._faults is not None:
-            return self._rel_amo(src, dst, dst_off, op, dt, operands, span)
-        now = self.sched.now()
-        ep = self.endpoints[src]
-        ep.n_amos += 1
+        self.endpoints[src].n_amos += 1
         handle = Handle(("amo", op, src, dst))
-        amo_bytes = dt.itemsize + self.network.header_bytes
-        _, arrival = self._inject(src, dst, amo_bytes, PATH_FMA, now, 1.0, span, "amo")
-        same = self.machine.same_node(src, dst)
-        back_latency = self.network.latency(same)
-        if span is not None and self.spans is not None:
-            # the NIC applies the atomic at arrival; result rides one latency back
-            self.spans.record(arrival, arrival + back_latency, src, span, "ack_wire", "amo", dt.itemsize)
-        if not self._is_local(dst):
+        # the NIC applies the atomic at arrival; the result rides one latency back
+        _, arrival, done = self._send(
+            src, dst, dt.itemsize + self.network.header_bytes, PATH_FMA, self.sched.now(),
+            1.0, span, "amo", dt.itemsize,
+        )
+        if arrival is None:
+            return handle
+        if self._shard is not None and not self._shard.shard_is_local(dst):
             hid = self._register_handle(handle)
             self._shard.emit_envelope(
                 dst, arrival, "amo",
-                (src, dst, dst_off, op, dt.str, operands, hid, arrival + back_latency),
+                (src, dst, dst_off, op, dt.str, operands, hid, done),
             )
             return handle
         seg = self.endpoints[dst].segment
 
         def apply():
             old = self._amo_apply(seg, dst_off, dt, op, operands)
-            done = arrival + back_latency
-            self.sched.post_at(done, lambda: handle.complete(done, data=old))
+            if done is not None:
+                self.sched.post_at(done, lambda: handle.complete(done, data=old))
 
         self.sched.post_at(arrival, apply)
         return handle

@@ -155,7 +155,7 @@ def current_client():
 
 
 # ======================================================================
-# Scheduler state: the per-rank control block and the stamped event queue
+# Scheduler state: the per-rank control block
 # ======================================================================
 class _Fiber:
     """Per-rank control block.
@@ -196,45 +196,6 @@ class _Fiber:
         self.client = None
 
 
-class _StampedQueue(EventQueue):
-    """EventQueue whose heap keys are causal stamps, not insertion seqs.
-
-    ``push`` derives the stamp from the owning scheduler's current
-    context (rank posting, or firing event) — :meth:`Scheduler._make_stamp`
-    inlined, because ``push`` is on the per-operation hot path;
-    ``push_keyed`` (inherited) inserts under an externally minted stamp
-    (the sharded backend's cross-shard envelopes).  Stamps are tuples
-    ordered by (create_time, origin...), globally unique, and identical
-    in every process for the same logical post.
-    """
-
-    __slots__ = ("_sched",)
-
-    def __init__(self, sched: "Scheduler"):
-        super().__init__()
-        self._sched = sched
-
-    def push(self, time: float, fn: Callable[[], None]) -> None:
-        if time != time or time < 0 or time == _INF:  # NaN, negative, or inf
-            raise ValueError(f"invalid event time: {time!r}")
-        if not callable(fn):
-            raise TypeError(f"event callback must be callable, got {type(fn).__name__}")
-        sched = self._sched
-        lane = sched._firing_lane
-        if lane is not None:
-            sched._fire_child += 1
-            stamp = lane + (sched._fire_child,)
-        else:
-            me = sched._current
-            if me is None:
-                raise SimError("cannot mint an event stamp outside rank/network context")
-            rid = me.rid
-            seq = sched._post_seq[rid] = sched._post_seq[rid] + 1
-            stamp = (me.clock, rid, seq)
-        heapq.heappush(self._heap, (time, stamp, fn))
-        self._count_posted += 1
-
-
 def _consume_pending_wakes(sched: Scheduler, me) -> bool:
     """``block()`` prologue: drain sticky wakes in timestamp order.
 
@@ -258,7 +219,7 @@ def _consume_pending_wakes(sched: Scheduler, me) -> bool:
         return True
     t = pending.pop(0)
     rid = me.rid
-    sched._events.push(t, lambda: sched.wake(rid, t))
+    sched.post_at(t, lambda: sched.wake(rid, t))
     return False
 
 
@@ -315,7 +276,7 @@ class Scheduler:
         self._firing_lane: Optional[tuple] = None
         self._fire_child = 0
         self._post_seq = [0] * n_ranks
-        self._events = _StampedQueue(self)
+        self._events = EventQueue()
         self._eheap = self._events._heap  # direct alias for batched drains
         self._ranks: List[_Fiber] = [_Fiber(r) for r in range(n_ranks)]
         self._ready: list = []  # heap of (clock, rid, stamp)
@@ -420,17 +381,32 @@ class Scheduler:
         me = self._current
         if me is None:
             raise SimError("not inside a rank of this scheduler")
-        t = me.clock + delay
-        self._events.push(t, fn)
-        if t < self._horizon:
-            self._horizon = t
+        self.post_at(me.clock + delay, fn)
 
     def post_at(self, t: float, fn: Callable[[], None]) -> None:
         """Schedule a network-context callback at absolute time ``t``.
 
         Callable from network context (events posting follow-on events).
+        The heap key is ``(t, causal stamp)`` — :meth:`_make_stamp` inlined,
+        because every conduit operation comes through here twice.
         """
-        self._events.push(t, fn)
+        if t != t or t < 0 or t == _INF:  # NaN, negative, or inf
+            raise ValueError(f"invalid event time: {t!r}")
+        if not callable(fn):
+            raise TypeError(f"event callback must be callable, got {type(fn).__name__}")
+        lane = self._firing_lane
+        if lane is not None:
+            self._fire_child += 1
+            stamp = lane + (self._fire_child,)
+        else:
+            me = self._current
+            if me is None:
+                raise SimError("cannot mint an event stamp outside rank/network context")
+            rid = me.rid
+            seq = self._post_seq[rid] = self._post_seq[rid] + 1
+            stamp = (me.clock, rid, seq)
+        heapq.heappush(self._eheap, (t, stamp, fn))
+        self._events._count_posted += 1
         if t < self._horizon:
             self._horizon = t
 
@@ -839,7 +815,6 @@ class Scheduler:
         self._dead_ranks = {}
         self._dead_listeners = []
         del self._events._heap[:]
-        self._events._sched = None
         for ctl in self._ranks:
             ctl.env = {}
             ctl.client = None

@@ -22,7 +22,7 @@ import numpy as np
 from repro.upcxx.completion import Completion, resolve
 from repro.upcxx.errors import UpcxxError
 from repro.upcxx.future import Future
-from repro.upcxx.global_ptr import GlobalPtr
+from repro.upcxx.global_ptr import GlobalPtr, check_host_target
 from repro.upcxx.runtime import CompQItem, current_runtime
 
 #: domain op name -> (conduit op, fetches?)
@@ -59,6 +59,7 @@ class AtomicDomain:
         if gptr.dtype != self.dtype:
             raise UpcxxError(f"atomic_domain dtype {self.dtype} != pointer dtype {gptr.dtype}")
         rt = self.rt
+        check_host_target(gptr, rt.world.n_ranks, f"atomic {op}")
         conduit_op, fetches = _OP_TABLE[op]
         sp = rt.spans
         sid = None

@@ -29,7 +29,7 @@ import numpy as np
 from repro.upcxx.completion import Completion, resolve
 from repro.upcxx.errors import GlobalPtrError, UpcxxError
 from repro.upcxx.future import Future
-from repro.upcxx.global_ptr import GlobalPtr
+from repro.upcxx.global_ptr import GlobalPtr, check_rank
 from repro.upcxx.runtime import CompQItem, current_runtime
 from repro.gasnet.network import PATH_BTE, PATH_FMA
 
@@ -103,6 +103,9 @@ def copy(
     me = rt.rank
     net = rt.world.network
     nbytes, n = _common_bytes(src, dst, count)
+    for gptr in (src, dst):
+        if isinstance(gptr, GlobalPtr):
+            check_rank(gptr, rt.world.n_ranks, "copy")
     rt.charge_sw(rt.costs.rma_inject)
     src_is_local_host = (
         not isinstance(src, GlobalPtr) or (src.rank == rt.rank and src.kind == "host")

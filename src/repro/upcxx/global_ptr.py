@@ -116,5 +116,26 @@ class GlobalPtr:
         return f"gptr(rank={self.rank}, off={self.offset}, {self.dtype}x{self.count}{k})"
 
 
+def check_rank(gptr: GlobalPtr, n_ranks: int, what: str) -> None:
+    """Reject a pointer whose rank does not exist: a negative one (the null
+    pointer's) would index the endpoint table from its end and land in the
+    last rank's memory."""
+    if not 0 <= gptr.rank < n_ranks:
+        null = "the null pointer" if gptr.is_null() else repr(gptr)
+        raise GlobalPtrError(f"{what} through {null}: rank out of range [0, {n_ranks})")
+
+
+def check_host_target(gptr: GlobalPtr, n_ranks: int, what: str) -> None:
+    """Reject a pointer ``what`` (rput, rget, a VIS fragment, an atomic)
+    cannot address: these move bytes to or from a rank's *host* segment at
+    ``gptr.offset``, where a device offset would alias whatever the host
+    segment holds."""
+    check_rank(gptr, n_ranks, what)
+    if gptr.kind != "host":
+        raise GlobalPtrError(
+            f"{what} cannot address {gptr.kind} memory ({gptr!r}); use upcxx.copy"
+        )
+
+
 #: the null global pointer
 NULL = GlobalPtr(rank=-1, offset=0, dtype=np.uint8, count=0)

@@ -5,7 +5,8 @@ the §III queues: the injection call charges the software injection cost,
 enqueues the operation on defQ, and internal progress hands it to the
 conduit (actQ).  When the conduit acknowledges remote completion, the next
 internal progress promotes the operation to compQ, and user progress
-fulfills its promise — running any chained ``.then`` callbacks.
+fulfills its promise — running any chained ``.then`` callbacks.  One
+pooled :class:`RmaOp` record is the operation in every one of those states.
 
 ``rput`` optionally supports remote completion (``remote_cx.as_rpc``): the
 callback runs at the *target* after the bytes land, without a separate
@@ -18,13 +19,14 @@ from typing import Optional, Union
 
 import numpy as np
 
+from repro.gasnet.handle import Transfer
 from repro.gasnet.network import PATH_BTE, PATH_FMA
 from repro.upcxx import serialization
 from repro.upcxx.completion import Completion, resolve
 from repro.upcxx.errors import GlobalPtrError
 from repro.upcxx.future import Future
-from repro.upcxx.global_ptr import GlobalPtr
-from repro.upcxx.runtime import CompQItem, current_runtime
+from repro.upcxx.global_ptr import GlobalPtr, check_host_target
+from repro.upcxx.runtime import current_runtime
 
 
 def _as_bytes(src, dest: GlobalPtr) -> bytes:
@@ -40,8 +42,121 @@ def _as_bytes(src, dest: GlobalPtr) -> bytes:
     raise TypeError(f"cannot rput object of type {type(src).__name__}")
 
 
-def _pick_path(rt, nbytes: int) -> str:
-    return PATH_FMA if nbytes < rt.costs.bte_threshold else PATH_BTE
+class RmaOp(Transfer):
+    """One ``rput``/``rget`` from the API call to fulfilment, in one object.
+
+    The conduit's :class:`~repro.gasnet.handle.Transfer` carries the wire
+    half; this adds the runtime half, so the same record is in turn
+
+    - the **defQ** entry (``kind``/``nbytes``/``t_enq`` tags, :meth:`inject`),
+    - the **actQ** entry (``str()`` gives the description diagnostics print),
+    - the callable of both conduit events and — across shards — the
+      handle a completion envelope finishes,
+    - the staged / **compQ** item (:meth:`complete` stages it; ``cost``,
+      ``t_active``/``t_staged``/``sid``/``t_polled`` and :meth:`fn` are
+      what :class:`~repro.upcxx.runtime.CompQItem` offers user progress),
+
+    and user progress hands it back to its runtime's free list once
+    :meth:`fn` has run.  Metrics, spans, telemetry and the flight recorder
+    read every stamp they need (``t_api``, ``t_enq``, ``t_active``,
+    ``t_staged``, ``sid``) from these fields.  Nobody outside the runtime
+    ever holds the record, which is what makes recycling it safe.
+    """
+
+    __slots__ = (
+        "rt", "promise", "opid", "dtype", "scalar",
+        "cost", "t_api", "t_enq", "t_active", "t_staged", "t_polled",
+    )
+
+    #: free-list bound per runtime (a flood's in-flight depth can be far
+    #: deeper; the excess is simply garbage)
+    POOL_MAX = 256
+
+    def __init__(self, rt):
+        Transfer.__init__(self, rt.conduit, rt.rank)
+        self.rt = rt
+        self.cost = rt._c_completion
+        #: an RMA completion never passes through the inbox
+        self.t_polled = None
+
+    def inject(self) -> None:
+        """defQ -> actQ (internal progress): hand the operation to the conduit."""
+        rt = self.rt
+        self.opid = rt.next_op_id()
+        rt.actQ[self.opid] = self
+        self.t_active = now = rt.sched.now()
+        sid = self.sid
+        if sid is not None:
+            # API call + injection charge + defQ dwell, up to NIC handoff
+            rt.spans.record(self.t_api, now, self.src, sid, "inject_sw", self.kind, self.nbytes)
+        if self.kind == "rget":
+            self.conduit.get(self, now)
+            return
+        # remote_cx work crosses the wire as (fn, args, t_active) data — the
+        # conduit hands it to the target's runtime via the World's deliverer
+        # (a closure here could not cross a shard boundary)
+        rrpc = self.remote_rpc
+        if rrpc is not None:
+            self.remote_rpc = (rrpc[0], rrpc[1], now)
+        self.conduit.put(self, now)
+
+    def complete(self, time: float, data=None) -> None:
+        """Network context at the initiator: stage for promotion to compQ."""
+        Transfer.complete(self, time, data)
+        self.t_staged = time
+        rt = self.rt
+        rt._gasnet_done.append(self)
+        rt.sched.wake(self.src, time)
+
+    def fn(self) -> None:
+        """The compQ body (user progress): fulfil the promise."""
+        self.rt.actQ.pop(self.opid, None)
+        promise = self.promise
+        if promise is None:
+            return
+        dtype = self.dtype
+        if dtype is None:
+            promise.fulfill_anonymous(1)
+            return
+        arr = np.frombuffer(self.data, dtype=dtype)
+        promise.fulfill_result(arr[0].item() if self.scalar else arr.copy())
+
+    def release(self) -> None:
+        """Executed: drop what the operation referenced and rejoin the pool."""
+        self.done = False
+        self.promise = self.data = self.remote_rpc = None
+        pool = self.rt._op_pool
+        if len(pool) < self.POOL_MAX:
+            pool.append(self)
+
+    def __str__(self) -> str:
+        return str((self.kind, self.nbytes, self.dst))
+
+
+def _issue(rt, op_kind: str, gptr: GlobalPtr, nbytes: int, cx: Optional[Completion]):
+    """The part of an injection call ``rput`` and ``rget`` share: open the
+    span, charge the software injection cost, resolve the completion and
+    fill in a record.  Returns ``(record, future)``; the caller adds what
+    is specific to it and calls ``rt.defer``."""
+    check_host_target(gptr, rt.world.n_ranks, op_kind)
+    sid = None
+    t_api = 0.0
+    if rt.spans is not None:
+        sid = rt.next_span_sid()
+        t_api = rt.now()
+    rt.sched.charge(rt._c_rma_inject)
+    promise, fut = resolve(cx, rt)
+    pool = rt._op_pool
+    op = pool.pop() if pool else RmaOp(rt)
+    op.kind = op_kind
+    op.dst = gptr.rank
+    op.dst_off = gptr.offset
+    op.nbytes = nbytes
+    op.path = PATH_FMA if nbytes < rt.costs.bte_threshold else PATH_BTE
+    op.promise = promise
+    op.sid = sid
+    op.t_api = t_api
+    return op, fut
 
 
 def rput(
@@ -60,53 +175,13 @@ def rput(
     nbytes = len(data)
     if nbytes > dest.nbytes:
         raise GlobalPtrError(f"rput of {nbytes}B exceeds destination span of {dest.nbytes}B")
+    op, fut = _issue(rt, "rput", dest, nbytes, cx)
     rt.n_rputs += 1
-    sp = rt.spans
-    sid = None
-    t_api = 0.0
-    if sp is not None:
-        sid = rt.next_span_sid()
-        t_api = rt.now()
-    rt.sched.charge(rt._c_rma_inject)
-    promise, fut = resolve(cx, rt)
-    remote_rpc = cx.remote_rpc if cx is not None else None
-    path = _pick_path(rt, nbytes)
-
-    def injector():
-        opid = rt.next_op_id()
-        rt.actQ[opid] = ("rput", nbytes, dest.rank)
-        t_active = rt.now()
-        if sp is not None:
-            # API call + injection charge + defQ dwell, up to NIC handoff
-            sp.record(t_api, t_active, rt.rank, sid, "inject_sw", "rput", nbytes)
-
-        # remote_cx work crosses the wire as (fn, args, t_active) data — the
-        # conduit hands it to the target's runtime via the World's deliverer
-        # (a closure here could not cross a shard boundary)
-        rrpc = None
-        if remote_rpc is not None:
-            fn, args = remote_rpc
-            rrpc = (fn, args, t_active)
-
-        handle = rt.conduit.put_nb(
-            rt.rank, dest.rank, dest.offset, data, path, remote_rpc=rrpc, span=sid
-        )
-
-        def on_done(h):  # network context at initiator
-            def fulfill():
-                rt.actQ.pop(opid, None)
-                if promise is not None:
-                    promise.fulfill_anonymous(1)
-
-            rt.gasnet_completed(
-                CompQItem.acquire(rt._c_completion, fulfill, "rput", nbytes, t_active, sid=sid),
-                h.time_done,
-            )
-            rt.sched.wake(rt.rank, h.time_done)
-
-        handle.on_complete(on_done)
-
-    rt.enqueue_deferred(injector, kind="rput", nbytes=nbytes)
+    op.payload = data
+    op.dtype = None  # a put completes without a value
+    if cx is not None:
+        op.remote_rpc = cx.remote_rpc
+    rt.defer(op)
     rt.internal_progress()
     return fut
 
@@ -127,53 +202,13 @@ def rget(
     # n == 0 is legal (a zero-length get completes as a no-op transfer)
     if n < 0 or n > src.count:
         raise GlobalPtrError(f"rget of {n} elements outside span of {src.count}")
-    nbytes = n * src.itemsize
+    op, fut = _issue(rt, "rget", src, n * src.itemsize, cx)
     rt.n_rgets += 1
-    sp = rt.spans
-    sid = None
-    t_api = 0.0
-    if sp is not None:
-        sid = rt.next_span_sid()
-        t_api = rt.now()
-    rt.sched.charge(rt._c_rma_inject)
-    promise, fut = resolve(cx, rt)
     # a user-supplied promise may track many operations, so it is fulfilled
     # anonymously (no value); only the default as_future carries the data
-    anonymous = cx is not None and cx.kind == "promise"
-    path = _pick_path(rt, nbytes)
-    scalar = n == 1
-
-    def injector():
-        opid = rt.next_op_id()
-        rt.actQ[opid] = ("rget", nbytes, src.rank)
-        t_active = rt.now()
-        if sp is not None:
-            sp.record(t_api, t_active, rt.rank, sid, "inject_sw", "rget", nbytes)
-        handle = rt.conduit.get_nb(rt.rank, src.rank, src.offset, nbytes, path, span=sid)
-
-        def on_done(h):  # network context
-            raw = h.data
-
-            def fulfill():
-                rt.actQ.pop(opid, None)
-                if promise is None:
-                    return
-                if anonymous:
-                    promise.fulfill_anonymous(1)
-                    return
-                arr = np.frombuffer(raw, dtype=src.dtype)
-                value = arr[0].item() if scalar else arr.copy()
-                promise.fulfill_result(value)
-
-            rt.gasnet_completed(
-                CompQItem.acquire(rt._c_completion, fulfill, "rget", nbytes, t_active, sid=sid),
-                h.time_done,
-            )
-            rt.sched.wake(rt.rank, h.time_done)
-
-        handle.on_complete(on_done)
-
-    rt.enqueue_deferred(injector, kind="rget", nbytes=nbytes)
+    op.dtype = None if cx is not None and cx.kind == "promise" else src.dtype
+    op.scalar = n == 1
+    rt.defer(op)
     rt.internal_progress()
     return fut
 

@@ -55,7 +55,9 @@ class CompQItem:
 
     Items are single-use (built, executed once by user progress, dead), so
     ``progress()`` recycles them through a free list; hot creators go
-    through :meth:`acquire`.
+    through :meth:`acquire`.  compQ holds anything with these attributes
+    and ``fn()``/``release()``: an ``rput``/``rget`` is staged as its own
+    operation record (:class:`repro.upcxx.rma.RmaOp`), not wrapped in one.
     """
 
     __slots__ = ("cost", "fn", "kind", "nbytes", "t_active", "t_staged", "sid", "t_polled")
@@ -108,13 +110,28 @@ class CompQItem:
             return item
         return cls(cost, fn, kind, nbytes, t_active, t_staged, sid)
 
-    @classmethod
-    def release(cls, item: "CompQItem") -> None:
-        """Return an executed item to the free list (caller owns it)."""
-        pool = cls._pool
-        if len(pool) < cls._POOL_MAX:
-            item.fn = None
-            pool.append(item)
+    def release(self) -> None:
+        """Return this executed item to the free list (caller owns it)."""
+        pool = self._pool
+        if len(pool) < self._POOL_MAX:
+            self.fn = None
+            pool.append(self)
+
+
+class _Deferred:
+    """A defQ entry that wraps an injector closure (RPC, VIS, atomics).
+
+    defQ entries are objects with ``kind``/``nbytes``/``t_enq`` tags and an
+    ``inject()`` body; ``rput``/``rget`` queue their operation record
+    itself (:class:`repro.upcxx.rma.RmaOp`)."""
+
+    __slots__ = ("inject", "kind", "nbytes", "t_enq")
+
+    def __init__(self, inject: Callable[[], None], kind: str, nbytes: int, t_enq: float):
+        self.inject = inject
+        self.kind = kind
+        self.nbytes = nbytes
+        self.t_enq = t_enq
 
 
 class World:
@@ -254,12 +271,14 @@ class Runtime:
         self._copy_cache: dict = {}
 
         # §III queues
-        self.defQ: deque = deque()  # (injector, kind, nbytes, t_enqueued)
-        self.actQ: dict = {}  # opid -> description (diagnostics)
-        self.compQ: deque = deque()  # CompQItem
+        self.defQ: deque = deque()  # _Deferred or op record
+        self.actQ: dict = {}  # opid -> description, or an op record that prints as one
+        self.compQ: deque = deque()  # CompQItem or op record
         #: network-context staging area: conduit-completed ops waiting for
         #: the next internal progress to be promoted into compQ
         self._gasnet_done: deque = deque()
+        #: fulfilled rput/rget records awaiting reuse (repro.upcxx.rma)
+        self._op_pool: list = []
 
         self._op_seq = 0
         #: outstanding RPC replies: token -> callable(result)
@@ -303,6 +322,7 @@ class Runtime:
         for held in (
             self.teams, self.dist_objects, self.dist_waiters, self.coll_state,
             self.reply_table, self.actQ, self.defQ, self.compQ, self._gasnet_done,
+            self._op_pool,
         ):
             held.clear()
         self.__dict__.pop("_master_persona", None)
@@ -434,7 +454,12 @@ class Runtime:
         execution.
         """
         t_enq = self.sched.now() if self.metrics is not None else 0.0
-        self.defQ.append((injector, kind, nbytes, t_enq))
+        self.defQ.append(_Deferred(injector, kind, nbytes, t_enq))
+
+    def defer(self, op) -> None:
+        """Queue an operation record (``kind``, ``nbytes``, ``inject()``)."""
+        op.t_enq = self.sched.now() if self.metrics is not None else 0.0
+        self.defQ.append(op)
 
     def gasnet_completed(self, item: CompQItem, t_complete: Optional[float] = None) -> None:
         """Network context: a conduit op finished; stage for promotion.
@@ -486,12 +511,12 @@ class Runtime:
             )
         defQ = self.defQ
         while defQ:
-            injector, kind, nbytes, t_enq = defQ.popleft()
+            op = defQ.popleft()
             if m is not None:
-                m.op_injected(kind, nbytes, sched.now() - t_enq)
+                m.op_injected(op.kind, op.nbytes, sched.now() - op.t_enq)
             if tel is not None:
-                tel.op(kind, nbytes)
-            injector()
+                tel.op(op.kind, op.nbytes)
+            op.inject()
         compQ = self.compQ
         staged = self._gasnet_done
         while staged:
@@ -555,7 +580,6 @@ class Runtime:
         trace = self._trace
         sp = self.spans
         tel = self.telemetry
-        release = CompQItem.release
         if m is None and sp is None and tel is None and not trace.enabled:
             # Observability off: the execute loop carries zero per-item
             # instrumentation — charge, run, release (the "zero-cost when
@@ -567,7 +591,7 @@ class Runtime:
                 if cost > 0:
                     charge(cost)
                 item.fn()
-                release(item)
+                item.release()
                 # completions staged in network context while this item
                 # executed must not wait for compQ to drain (see below)
                 while staged:
@@ -598,7 +622,7 @@ class Runtime:
                 if t_q is not None:
                     sp.record(t_q, t_exec, self.rank, sid, "compq", item.kind, item.nbytes)
                 sp.record(t_exec, sched.now(), self.rank, sid, "exec_sw", item.kind, item.nbytes)
-            release(item)
+            item.release()
             # completions staged in network context while this item executed
             # (acks that arrived during its CPU charge or nested injections)
             # must not wait for compQ to drain: promote them immediately so

@@ -24,7 +24,7 @@ from repro.gasnet.network import PATH_BTE, PATH_FMA
 from repro.upcxx.completion import Completion, resolve
 from repro.upcxx.errors import GlobalPtrError, UpcxxError
 from repro.upcxx.future import Future
-from repro.upcxx.global_ptr import GlobalPtr
+from repro.upcxx.global_ptr import GlobalPtr, check_host_target
 from repro.upcxx.rma import _as_bytes
 from repro.upcxx.runtime import CompQItem, current_runtime
 
@@ -46,6 +46,7 @@ def rput_irregular(
         raise UpcxxError("rput_irregular requires at least one fragment")
     dst_rank = frags[0][0].rank
     for gptr, raw in frags:
+        check_host_target(gptr, rt.world.n_ranks, "rput_irregular")
         if gptr.rank != dst_rank:
             raise GlobalPtrError("all fragments of one rput_irregular must target one rank")
         if len(raw) > gptr.nbytes:
@@ -97,6 +98,7 @@ def rget_irregular(
         raise UpcxxError("rget_irregular requires at least one fragment")
     src_rank = frags[0].rank
     for gptr in frags:
+        check_host_target(gptr, rt.world.n_ranks, "rget_irregular")
         if gptr.rank != src_rank:
             raise GlobalPtrError("all fragments of one rget_irregular must target one rank")
 

@@ -225,6 +225,62 @@ def test_conduit_stats():
     assert st["puts"] == 1 and st["ams"] == 1
 
 
+def test_bare_transfer_is_the_callers_to_keep():
+    """``put_nb``/``get_nb`` hand their caller (mpisim, VIS, a test) a fresh
+    record every time: it completes once, a second completion raises, and
+    it is never reused for a later transfer while the caller holds it."""
+    from repro.gasnet.handle import Handle, Transfer
+
+    sched = Scheduler(2)
+    conduit = _mkconduit(sched, 2)
+
+    def body(r):
+        s = current_scheduler()
+        if r != 0:
+            return None
+        seg = conduit.segment(1)
+        off = seg.allocate(8)
+        seg.write(off, b"OLDBYTES")
+        first_put = _wait(s, conduit.put_nb(0, 1, off, b"NEWBYTES"), 0)
+        first_get = _wait(s, conduit.get_nb(0, 1, off, 8), 0)
+        assert type(first_put) is Transfer and isinstance(first_put, Handle)
+        assert first_put.op == ("put", 0, 1, 8) and first_put.payload is None
+        stamps = (first_put.time_done, first_get.time_done)
+        for h in (first_put, first_get):
+            with pytest.raises(RuntimeError, match="completed twice"):
+                h.complete(s.now())
+        later = []
+        for i in range(8):
+            later.append(_wait(s, conduit.put_nb(0, 1, off, bytes([i]) * 8), 0))
+            later.append(_wait(s, conduit.get_nb(0, 1, off, 8), 0))
+        assert len({id(h) for h in later + [first_put, first_get]}) == 18
+        assert (first_put.time_done, first_get.time_done) == stamps
+        return (first_get.data, later[-1].data)
+
+    assert sched.run(body)[0] == (b"NEWBYTES", bytes([7]) * 8)
+
+
+@pytest.mark.parametrize("program", ["chaos_mixed[seed=3,drop=0.2,dup=0.1]", "span_mix"])
+def test_every_put_and_get_takes_the_one_tail(program, monkeypatch):
+    """Fault-free or over the retransmit ladder, local or across shards: a
+    put is ``Conduit.put``, a get is ``Conduit.get`` + ``_get_reply``, and
+    the result is the committed golden entry on coroutines and on two
+    shards (where the envelope halves carry the same records)."""
+    from tests import golden
+
+    seen = set()
+    for name in ("put", "get", "_get_reply"):
+
+        def counting(self, *args, _orig=getattr(Conduit, name), _name=name):
+            seen.add((_name, self._faults is not None))
+            return _orig(self, *args)
+
+        monkeypatch.setattr(Conduit, name, counting)
+    golden.reproduces(program)
+    faulty = program.startswith("chaos")
+    assert seen == {(name, faulty) for name in ("put", "get", "_get_reply")}
+
+
 def test_machine_too_small_rejected():
     sched = Scheduler(4)
     with pytest.raises(ValueError):

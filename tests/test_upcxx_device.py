@@ -38,14 +38,34 @@ class TestDevice:
         upcxx.run_spmd(body, 1)
 
     def test_rput_into_device_memory_rejected_by_kind(self):
-        """Plain rput targets host segments; device traffic goes via copy."""
+        """Plain rput/rget (and VIS, atomics) address host segments; device
+        traffic goes via copy.  A device pointer used to be accepted and
+        hit the *host* segment at the same offset."""
 
         def body():
             dev = upcxx.Device()
-            g = dev.allocate(np.uint8, 16)
-            # pointer algebra works, but host local() is refused
+            host = upcxx.new_array(np.int64, 2)
+            host.local()[:] = 7
+            g = dev.allocate(np.int64, 2)
+            assert g.offset == host.offset  # the aliasing the check prevents
             with pytest.raises(GlobalPtrError):
                 g.local()
+            with pytest.raises(GlobalPtrError, match="upcxx.copy"):
+                upcxx.rput(np.zeros(2, np.int64), g)
+            with pytest.raises(GlobalPtrError, match="upcxx.copy"):
+                upcxx.rget(g)
+            with pytest.raises(GlobalPtrError, match="upcxx.copy"):
+                upcxx.rput_irregular([(g, np.zeros(2, np.int64))])
+            with pytest.raises(GlobalPtrError, match="upcxx.copy"):
+                upcxx.rget_irregular([g])
+            with pytest.raises(GlobalPtrError, match="upcxx.copy"):
+                upcxx.AtomicDomain(["store"], np.int64).store(g, 0)
+            assert host.local().tolist() == [7, 7]
+            # the supported route still works
+            upcxx.copy(np.array([1, 2]), g).wait()
+            back = upcxx.new_array(np.int64, 2)
+            upcxx.copy(g, back).wait()
+            assert back.local().tolist() == [1, 2] and host.local().tolist() == [7, 7]
 
         upcxx.run_spmd(body, 1)
 

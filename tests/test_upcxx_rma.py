@@ -218,6 +218,43 @@ class TestRputRget:
 
         upcxx.run_spmd(body, 2)
 
+    @pytest.mark.parametrize("rank", [-1, 2, 7])
+    def test_pointer_rank_is_range_checked(self, rank):
+        """A rank the job does not have is a typed error at the API; a
+        negative one used to index the endpoint table from its end and
+        overwrite the last rank's segment."""
+
+        def body():
+            g = upcxx.new_array(np.float64, 4)
+            g.local()[:] = 1.0
+            upcxx.barrier()
+            bad = upcxx.GlobalPtr(rank, g.offset, np.float64, 4)
+            with pytest.raises(GlobalPtrError, match="out of range"):
+                upcxx.rput(np.zeros(4), bad)
+            with pytest.raises(GlobalPtrError, match="out of range"):
+                upcxx.rget(bad)
+            with pytest.raises(GlobalPtrError, match="out of range"):
+                upcxx.rput_irregular([(bad, np.zeros(4))])
+            with pytest.raises(GlobalPtrError, match="out of range"):
+                upcxx.rget_irregular([bad])
+            with pytest.raises(GlobalPtrError, match="out of range"):
+                upcxx.AtomicDomain(["load"], np.float64).load(bad)
+            with pytest.raises(GlobalPtrError, match="out of range"):
+                upcxx.copy(np.zeros(4), bad)
+            upcxx.barrier()
+            return g.local().tolist()
+
+        assert upcxx.run_spmd(body, 2) == [[1.0] * 4] * 2
+
+    def test_zero_byte_rput_through_null_rejected(self):
+        def body():
+            with pytest.raises(GlobalPtrError, match="null pointer"):
+                upcxx.rput(b"", upcxx.NULL)
+            with pytest.raises(GlobalPtrError, match="null pointer"):
+                upcxx.rget(upcxx.NULL)
+
+        upcxx.run_spmd(body, 2)
+
     def test_remote_cx_as_rpc_runs_at_target(self):
         hits = []
 

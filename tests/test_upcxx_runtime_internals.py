@@ -30,7 +30,7 @@ class TestQueues:
                 # injected (defQ drained by internal progress) but the ack
                 # has not come back yet: active state
                 assert len(rt.actQ) == 1
-                assert "rput" in next(iter(rt.actQ.values()))
+                assert "rput" in str(next(iter(rt.actQ.values())))
                 fut.wait()
                 assert len(rt.actQ) == 0
             upcxx.barrier()
@@ -57,6 +57,47 @@ class TestQueues:
                 assert not fut.ready()
                 upcxx.progress()  # user progress: executes compQ
                 assert fut.ready()
+            upcxx.barrier()
+
+        upcxx.run_spmd(body, 2, ppn=1)
+
+    def test_one_record_from_defq_to_fulfilment(self):
+        """The rput's record is the actQ entry, then the staged/compQ item;
+        completing it a second time raises; user progress fulfils it and
+        hands it to the runtime's free list, where the next rput finds it."""
+        from repro.upcxx.rma import RmaOp
+
+        def body():
+            me = upcxx.rank_me()
+            _g, ptrs = _exchange(8)
+            upcxx.barrier()
+            rt = upcxx.runtime_here()
+            if me == 0:
+                del rt._op_pool[:]  # the exchange above left a record or two
+                p = upcxx.Promise()
+                upcxx.rput(np.ones(8), ptrs[1], cx=upcxx.operation_cx.as_promise(p))
+                (op,) = rt.actQ.values()
+                assert type(op) is RmaOp and str(op) == str(("rput", 64, 1))
+                assert not op.done and op.promise is p
+                rt.sched.sleep(20e-6)  # the ack arrives; no user progress yet
+                rt.internal_progress()
+                assert op in rt.compQ and op.done and op.t_staged == op.time_done
+                with pytest.raises(RuntimeError, match="completed twice"):
+                    op.complete(rt.now())
+                assert rt._op_pool == []
+                upcxx.progress()
+                assert rt._op_pool == [op] and not rt.actQ
+                # parked clean: nothing of the finished operation is kept alive
+                assert (op.promise, op.payload, op.data, op.remote_rpc, op.done) == (
+                    None, None, None, None, False)
+                fut = upcxx.rget(ptrs[1])
+                assert rt.actQ[op.opid] is op and rt._op_pool == []  # reused
+                assert np.array_equal(fut.wait(), np.ones(8))
+                # a bare conduit handle is not an RmaOp and never joins the pool
+                h = rt.conduit.put_nb(0, 1, ptrs[1].offset, bytes(8))
+                upcxx.rput(np.zeros(8), ptrs[1]).wait()
+                assert h.done and h is not op and rt._op_pool == [op]
+                p.finalize().wait()
             upcxx.barrier()
 
         upcxx.run_spmd(body, 2, ppn=1)
@@ -188,6 +229,25 @@ class TestTeardown:
     the moment the call returns (or raises)."""
 
     @staticmethod
+    def _nothing_parked_points_into_the_job():
+        """No put/get record outlives the job (each runtime's free list went
+        with it; records still in flight sat on queues the teardown empties),
+        and what is parked on the process-wide free lists holds no runtime,
+        promise, segment, payload or closure."""
+        from repro.gasnet.am import AMMessage
+        from repro.gasnet.handle import Transfer
+        from repro.gasnet.segment import Segment
+        from repro.upcxx.runtime import CompQItem, Runtime
+
+        assert not [o for o in gc.get_objects() if isinstance(o, Transfer)]
+        job_owned = (Runtime, upcxx.Promise, upcxx.Future, Segment, bytes, bytearray, memoryview)
+        for pool in (CompQItem._pool, AMMessage._pool):
+            for item in pool:
+                for slot in type(item).__slots__:
+                    value = getattr(item, slot)
+                    assert not isinstance(value, job_owned) and not callable(value), (item, slot)
+
+    @staticmethod
     def _job(refs, after=lambda: None):
         """An SPMD body that exercises the back-pointing parts of the
         library (teams, dist_objects, rpc, rma, a device segment, the
@@ -208,10 +268,15 @@ class TestTeardown:
             upcxx.barrier()
             peer = dobj.fetch((me + 1) % n).wait()
             upcxx.rput(np.arange(8.0), peer).wait()
+            assert upcxx.rget(peer).wait()[7] == 7.0
             assert upcxx.rpc((me + 1) % n, lambda x: x + 1, me).wait() == me + 1
             upcxx.lpc(lambda: None).wait()
             upcxx.barrier()
             after()
+            # left in flight on purpose: one record still on the event heap
+            # and one a promise nobody waits for
+            upcxx.rput(np.zeros(8), peer)
+            upcxx.rget(peer, cx=upcxx.operation_cx.as_promise(upcxx.Promise()))
             return me
 
         return body
@@ -220,6 +285,7 @@ class TestTeardown:
         refs = []
         assert upcxx.run_spmd(self._job(refs), 4, backend="coroutines") == [0, 1, 2, 3]
         assert len(refs) == 16 and all(r() is None for r in refs)
+        self._nothing_parked_points_into_the_job()
 
     def test_rank_failure(self):
         def fail_on_one():
@@ -234,6 +300,7 @@ class TestTeardown:
         else:
             pytest.fail("rank 1's ValueError did not surface")
         assert len(refs) == 16 and all(r() is None for r in refs)
+        self._nothing_parked_points_into_the_job()
 
     def test_survivable_crash(self):
         refs = []
@@ -243,9 +310,14 @@ class TestTeardown:
             refs.extend(
                 weakref.ref(o) for o in (rt, rt.world, rt.conduit.segment(rt.rank))
             )
-            upcxx.new_array(np.float64, 8).local()[:] = rt.rank
+            g = upcxx.new_array(np.float64, 8)
+            g.local()[:] = rt.rank
+            nxt = [upcxx.broadcast(g, root=r).wait() for r in range(4)][(rt.rank + 1) % 4]
             for _ in range(20):
                 upcxx.compute(1e-5)
+                # rank 0's puts target the rank that dies: once it has, their
+                # records can never complete and stay on actQ to the end
+                upcxx.rput(np.zeros(8), nxt)
                 upcxx.progress()
             return rt.rank
 
@@ -254,6 +326,7 @@ class TestTeardown:
         )
         assert got == [0, None, 2, 3]  # rank 1 died, the job was served through
         assert len(refs) == 12 and all(r() is None for r in refs)
+        self._nothing_parked_points_into_the_job()
 
     def test_sharded_parent_keeps_no_segments(self, monkeypatch):
         """The forked workers exit; the parent's own (never touched) world

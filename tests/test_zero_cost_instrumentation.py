@@ -12,16 +12,22 @@ gate again:
 - a constructed-but-``enabled=False`` SpanBuffer is indistinguishable
   from no buffer at all (the runtime nulls it once at startup — the
   single cached enabled-check the op layers rely on);
-- the run stays inside a fixed event and CompQItem-allocation budget
-  (the free-list pool must keep absorbing per-op churn);
+- the run stays inside a fixed event, CompQItem- and RMA-record-allocation
+  budget (the free lists must keep absorbing per-op churn);
+- an ``rput`` in flight is one record plus its heap entry — counted in
+  GC-tracked objects, not timed;
 - :meth:`DwellHistogram.percentile` boundary behavior (empty, single
   sample, p0/p100) stays exact, since the metrics layer is what the
   zero-cost discipline keeps off the hot path.
 """
 
+import gc
+
+import numpy as np
 import pytest
 
 import repro.upcxx as upcxx
+from repro.upcxx.rma import RmaOp
 from repro.upcxx.runtime import CompQItem, Runtime
 from repro.util.metrics import DwellHistogram
 from repro.util.spans import SpanBuffer
@@ -39,6 +45,9 @@ N_INSERTS = 4
 #: 8 ranks x 4 inserts = 32+ per leak) trips it immediately
 EVENT_BUDGET = 450
 COMPQ_ALLOC_BUDGET = 64
+#: fresh rput/rget records in the same run (measured: 8, one per rank —
+#: after its first rput each rank reuses the record); a per-op leak is 32+
+RMAOP_ALLOC_BUDGET = 24
 
 
 def _dht_body():
@@ -56,8 +65,9 @@ def _dht_body():
 
 def _run_counted(monkeypatch, **spmd_kwargs):
     """Run the DHT body counting span-sid mints, span records, and fresh
-    CompQItem constructions; returns (sids, records, allocs, stats)."""
-    counts = {"sids": 0, "records": 0, "allocs": 0}
+    CompQItem and RmaOp constructions; returns (sids, records, allocs,
+    stats), with the RmaOp count under ``stats["rmaop_allocs"]``."""
+    counts = {"sids": 0, "records": 0, "allocs": 0, "ops": 0}
 
     orig_sid = Runtime.next_span_sid
 
@@ -77,11 +87,19 @@ def _run_counted(monkeypatch, **spmd_kwargs):
         counts["allocs"] += 1
         return orig_item_init(self, *a, **k)
 
+    orig_op_init = RmaOp.__init__
+
+    def counting_op_init(self, *a, **k):
+        counts["ops"] += 1
+        return orig_op_init(self, *a, **k)
+
+    monkeypatch.setattr(RmaOp, "__init__", counting_op_init)
     monkeypatch.setattr(Runtime, "next_span_sid", counting_sid)
     monkeypatch.setattr(SpanBuffer, "record", counting_record)
     monkeypatch.setattr(CompQItem, "__init__", counting_init)
     stats: dict = {}
     upcxx.run_spmd(_dht_body, N_RANKS, ppn=8, seed=7, sched_stats=stats, **spmd_kwargs)
+    stats["rmaop_allocs"] = counts["ops"]
     return counts["sids"], counts["records"], counts["allocs"], stats
 
 
@@ -95,6 +113,10 @@ def test_no_span_work_when_observers_off(monkeypatch):
     assert allocs <= COMPQ_ALLOC_BUDGET, (
         f"{allocs} fresh CompQItem constructions (budget {COMPQ_ALLOC_BUDGET}): "
         "the free-list pool stopped absorbing per-op churn"
+    )
+    assert 0 < stats["rmaop_allocs"] <= RMAOP_ALLOC_BUDGET, (
+        f"{stats['rmaop_allocs']} fresh RmaOp constructions (budget "
+        f"{RMAOP_ALLOC_BUDGET}): fulfilled records are not being reused"
     )
 
 
@@ -129,6 +151,56 @@ def test_workload_results_identical_with_and_without_observers():
     )
     assert res_off == res_on
     assert stats_a["events_fired"] == stats_b["events_fired"]
+
+
+# ------------------------------------------------------ per-op object cost
+#: GC-tracked objects one unfulfilled rput may keep alive: the record, its
+#: pending event's heap entry and that entry's causal stamp (7.0 before the
+#: record replaced the Handle/closure/CompQItem graph)
+INFLIGHT_OBJECTS_PER_PUT = 3.0
+
+
+@pytest.mark.usefixtures("no_cycle_collector")
+@pytest.mark.parametrize("size", [8, 64 * 1024], ids=["staged", "on-the-wire"])
+def test_rput_in_flight_is_one_record(size):
+    """Pin the mechanism by count, not by time.  2 000 promise-tracked puts
+    issued without user progress: at 8 B nearly all have been acknowledged
+    and wait in compQ (the record alone), at 64 KiB the NIC paces them and
+    nearly all are still events on the heap (record + entry + stamp).
+    ``gc.get_count()[0]`` is allocations minus frees of GC-tracked objects
+    since the last collection, and the fixture keeps the collector off."""
+    n = 2000
+
+    def body():
+        landing = upcxx.new_array(np.uint8, size)
+        dest = upcxx.broadcast(landing, root=1).wait()
+        upcxx.barrier()
+        out = None
+        if upcxx.rank_me() == 0:
+            payload = bytes(size)
+            p = upcxx.Promise()
+            base = gc.get_count()[0]
+            for _ in range(n):
+                upcxx.rput(payload, dest, cx=upcxx.operation_cx.as_promise(p))
+            in_flight = gc.get_count()[0] - base
+            rt = upcxx.runtime_here()
+            assert len(rt.actQ) == n  # nothing was fulfilled behind our back
+            p.finalize().wait()
+            out = (in_flight, gc.get_count()[0] - base, len(rt.actQ))
+        upcxx.barrier()
+        return out
+
+    in_flight, after_drain, active = upcxx.run_spmd(body, 2, ppn=1)[0]
+    # + 16: what the loop itself holds (the promise, its future, a Completion)
+    assert in_flight <= INFLIGHT_OBJECTS_PER_PUT * n + 16, (
+        f"{in_flight / n:.2f} GC-tracked objects per unfulfilled rput"
+    )
+    assert active == 0
+    if size == 8:
+        # what is left is the free list; (the 64 KiB case parks ~2 n tuples
+        # in the interpreter's tuple free list, which the count cannot see
+        # being released)
+        assert after_drain <= RmaOp.POOL_MAX + 16, after_drain
 
 
 # ------------------------------------------------------- telemetry zero-cost
