@@ -8,7 +8,14 @@ scientific output — the simulated-time series matching the paper's figure
 ``benchmark.extra_info``.
 """
 
+import os
+
 import pytest
+
+# One baton, one runnable thread: a second core only adds cross-CPU wake
+# latency (same discipline, same reason as tests/conftest.py and perfbench).
+if hasattr(os, "sched_setaffinity"):
+    os.sched_setaffinity(0, {max(os.sched_getaffinity(0))})
 
 
 @pytest.fixture

@@ -14,7 +14,7 @@ cutoff and dumped as a ``blackbox.json`` post-mortem bundle — the dead
 rank's last actions, every survivor's tail, and the dead rank's pending
 operation table.
 
-Both parts are deterministic: same seed, same output, on every backend.
+Both parts are deterministic: same seed, same output.
 
 Run:  python examples/observability_demo.py
 """

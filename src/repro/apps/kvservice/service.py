@@ -37,8 +37,8 @@ time (sleeping until each arrival via a scheduler timer), issues
 requests asynchronously, and drains with the aggregator's counting
 quiescence followed by the replication layer's anti-entropy sweep.
 Every field of the returned record is a deterministic function of the
-simulation, so the scheduler backends must agree bit-for-bit —
-pinned by ``tests/test_apps_kvservice.py`` and the chaos suite.
+simulation — pinned by ``tests/test_apps_kvservice.py`` and the chaos
+suite.
 """
 
 from __future__ import annotations
@@ -228,7 +228,7 @@ class KvService:
 
     # ---------------------------------------------------------------- export
     def result(self) -> dict:
-        """Deterministic per-rank record (bit-identical across backends)."""
+        """Deterministic per-rank record (bit-identical for the same seed)."""
         s = self._store.stats()
         issued = self.reads_issued + self.writes_issued
         served = self.reads_done + self.writes_done
@@ -335,7 +335,7 @@ def kv_rank_body(cfg: dict) -> dict:
     # last scheduled detection has fired and its staged death handler has
     # run, so the drain collectives start on the final alive membership
     # everywhere.  The plan is deterministic data — identical on all
-    # ranks and backends.
+    # ranks.
     faults = getattr(rt.world, "faults", None)
     if faults is not None and getattr(faults, "survivable", False) and faults.crashes:
         t_settle = max(t + faults.detect_timeout for t in faults.crashes.values())

@@ -20,8 +20,7 @@ Models a front-end rank's view of a large client population:
 
 All randomness flows through one ``random.Random`` handed in by the
 caller (derive it from the rank's :class:`repro.sim.rng.RankRandom`), so
-per-rank request streams are reproducible and bit-identical across the
-coroutine and sharded scheduler backends.
+per-rank request streams are reproducible bit for bit.
 """
 
 from __future__ import annotations

@@ -7,8 +7,8 @@ host-independent and safe to hard-gate):
   runtime aggregation layer: an identical write-heavy workload served
   once with destination batching (batch >= 64) and once as per-op RPC
   (batch 1 through the same code path), reporting the simulated
-  updates/s ratio.  This feeds the non-advisory
-  ``kv_aggregation_vs_rpc`` gate in ``BENCH_perf.json``.
+  updates/s ratio, which must stay at or above
+  :data:`AGGREGATION_GATE_SPEEDUP` (a tier-1 test holds it there).
 - :func:`offered_load_sweep` — the saturation-knee procedure
   (docs/kvservice.md): walk offered load up a multiplier ladder at a
   fixed service configuration, recording achieved throughput and
@@ -32,7 +32,6 @@ from typing import List, Optional, Sequence, Tuple
 
 import repro.upcxx as upcxx
 from repro.apps.kvservice import default_config, kv_rank_body
-from repro.sim import BACKENDS
 from repro.util.metrics import DwellHistogram
 from repro.util.telemetry import Telemetry
 
@@ -42,6 +41,11 @@ SWEEP_MULTIPLIERS = (0.25, 0.5, 1.0, 2.0, 4.0, 8.0)
 
 #: achieved/offered ratio below which a sweep point counts as saturated
 KNEE_EFFICIENCY = 0.9
+
+#: the ``kv_aggregation_vs_rpc`` gate: destination batching must keep at
+#: least this simulated write-throughput win over per-op RPC in
+#: :func:`aggregation_ablation` (6.6x measured at tiny scale)
+AGGREGATION_GATE_SPEEDUP = 4.0
 
 #: write-latency drain wait is part of serving time; seed is fixed so the
 #: measurement is one reproducible simulation, not a statistical sample
@@ -56,8 +60,7 @@ CRASH_T_S = 3.5e-4
 CRASH_FACTORS = (1, 2, 3)
 
 
-def run_kv(cfg: dict, backend: str = "coroutines", seed: int = KV_SEED,
-           spans=None, faults=None, telemetry=None) -> Tuple[list, dict]:
+def run_kv(cfg: dict, seed: int = KV_SEED, spans=None, faults=None, telemetry=None) -> Tuple[list, dict]:
     """One kvservice run; returns (per-rank records, sched stats)."""
     stats: dict = {}
     results = upcxx.run_spmd(
@@ -66,7 +69,6 @@ def run_kv(cfg: dict, backend: str = "coroutines", seed: int = KV_SEED,
         platform="haswell",
         ppn=cfg["ppn"],
         seed=seed,
-        backend=backend,
         sched_stats=stats,
         telemetry=telemetry,
         spans=spans,
@@ -138,7 +140,7 @@ def _ratio(num: float, den: float, empty: float = 0.0) -> float:
 
 
 # ------------------------------------------------------------------ ablation
-def aggregation_ablation(scale: str = "tiny", backend: str = "coroutines") -> dict:
+def aggregation_ablation(scale: str = "tiny") -> dict:
     """Write-heavy A/B: aggregated (batch >= 64) vs per-op RPC baseline.
 
     The offered rate is set far above capacity so both variants run
@@ -156,7 +158,7 @@ def aggregation_ablation(scale: str = "tiny", backend: str = "coroutines") -> di
     rpc_cfg = dict(cfg, aggregate=False)
     out = {}
     for name, c in (("aggregated", agg_cfg), ("per_op_rpc", rpc_cfg)):
-        results, _ = run_kv(c, backend)
+        results, _ = run_kv(c)
         total = sum(r["writes"] for r in results)
         t_serve = max(r["t_serve_s"] for r in results)
         out[name] = {
@@ -176,7 +178,6 @@ def aggregation_ablation(scale: str = "tiny", backend: str = "coroutines") -> di
 # --------------------------------------------------------------------- sweep
 def offered_load_sweep(
     scale: str = "tiny",
-    backend: str = "coroutines",
     multipliers: Sequence[float] = SWEEP_MULTIPLIERS,
 ) -> dict:
     """Walk offered load past saturation; record the capacity curve."""
@@ -184,7 +185,7 @@ def offered_load_sweep(
     curve: List[dict] = []
     for m in multipliers:
         cfg = dict(base, rate=base["rate"] * m)
-        results, _ = run_kv(cfg, backend)
+        results, _ = run_kv(cfg)
         point = summarize_point(cfg, results)
         point["multiplier"] = m
         curve.append(point)
@@ -214,12 +215,11 @@ def offered_load_sweep(
     }
 
 
-def measure_point(scale: str, multiplier: float,
-                  backend: str = "coroutines") -> dict:
+def measure_point(scale: str, multiplier: float) -> dict:
     """One offered-load point (JSON-ready), for ``repro.tools.health --kv``."""
     base = default_config(scale)
     cfg = dict(base, rate=base["rate"] * multiplier)
-    results, _ = run_kv(cfg, backend)
+    results, _ = run_kv(cfg)
     point = summarize_point(cfg, results)
     point["multiplier"] = multiplier
     return point
@@ -233,7 +233,6 @@ def crash_spec(rank: int = CRASH_RANK, t: float = CRASH_T_S) -> str:
 
 def measure_crash_point(
     scale: str = "tiny",
-    backend: str = "coroutines",
     replication: int = 2,
     crash_rank: int = CRASH_RANK,
     crash_t: float = CRASH_T_S,
@@ -244,14 +243,13 @@ def measure_crash_point(
     fail-stops at ``crash_t``; the point reports the fraction of the
     surviving front ends' requests that were served, the lost-write
     count, and the detection-to-factor-restored recovery time.  Feeds
-    the ``kv_crash_availability`` perf gate and
-    ``repro.tools.health --kv`` in CI's chaos smoke.
+    the ``kv_crash_availability`` gate — the availability rules of
+    ``repro.tools.health --kv``, applied by a tier-1 test and by CI's
+    chaos smoke.
     """
     cfg = dict(default_config(scale), replication=replication)
     tel = Telemetry()
-    results, _ = run_kv(
-        cfg, backend, faults=crash_spec(crash_rank, crash_t), telemetry=tel
-    )
+    results, _ = run_kv(cfg, faults=crash_spec(crash_rank, crash_t), telemetry=tel)
     point = summarize_point(cfg, results)
     point.update(
         multiplier=1.0,
@@ -267,7 +265,6 @@ def measure_crash_point(
 
 def crash_availability_sweep(
     scale: str = "tiny",
-    backend: str = "coroutines",
     factors: Sequence[int] = CRASH_FACTORS,
 ) -> dict:
     """Availability/recovery curve across replication factors.
@@ -278,7 +275,7 @@ def crash_availability_sweep(
     """
     points: List[dict] = []
     for rf in factors:
-        p = measure_crash_point(scale, backend, rf)
+        p = measure_crash_point(scale, rf)
         points.append(p)
         print(
             f"[kv] rf={rf}: availability {p['availability']:.4f}, "
@@ -300,7 +297,6 @@ def crash_availability_sweep(
 def main(argv: Optional[Sequence[str]] = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--scale", choices=("tiny", "full", "xl"), default="tiny")
-    ap.add_argument("--backend", default="coroutines", choices=BACKENDS)
     ap.add_argument("--sweep", action="store_true",
                     help="run the offered-load sweep instead of the ablation")
     ap.add_argument("--point", type=float, default=None, metavar="MULT",
@@ -315,8 +311,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     ap.add_argument("--out", default=None, help="write JSON here")
     args = ap.parse_args(argv)
     if args.crash_point is not None:
-        doc = measure_crash_point(args.scale, args.backend,
-                                  replication=args.crash_point)
+        doc = measure_crash_point(args.scale, args.crash_point)
         print(
             f"[kv] crash rf={args.crash_point}: "
             f"availability {doc['availability']:.4f}, "
@@ -326,18 +321,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             flush=True,
         )
     elif args.crash:
-        doc = crash_availability_sweep(args.scale, args.backend)
+        doc = crash_availability_sweep(args.scale)
     elif args.point is not None:
-        doc = measure_point(args.scale, args.point, args.backend)
+        doc = measure_point(args.scale, args.point)
         print(
             f"[kv] x{args.point:g}: utilization {doc['utilization']:.3f}, "
             f"p99 {doc['p99_s'] * 1e6:.1f}us p999 {doc['p999_s'] * 1e6:.1f}us",
             flush=True,
         )
     elif args.sweep:
-        doc = offered_load_sweep(args.scale, args.backend)
+        doc = offered_load_sweep(args.scale)
     else:
-        doc = aggregation_ablation(args.scale, args.backend)
+        doc = aggregation_ablation(args.scale)
         print(
             f"[kv] aggregation {doc['aggregated']['updates_per_s'] / 1e6:.2f}M vs "
             f"per-op RPC {doc['per_op_rpc']['updates_per_s'] / 1e6:.2f}M updates/s "

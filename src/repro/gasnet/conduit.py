@@ -35,7 +35,6 @@ from repro.gasnet.machine import Machine
 from repro.gasnet.network import NetworkModel, PATH_FMA
 from repro.gasnet.segment import Segment
 from repro.sim.coop import Scheduler
-from repro.sim.errors import SimError
 
 
 class _Endpoint:
@@ -145,8 +144,7 @@ class Conduit:
         self.spans = spans if spans is not None and spans.enabled else None
         #: optional repro.util.telemetry.Telemetry (windowed rollups +
         #: flight recorder); the conduit records nothing itself — runtimes
-        #: read endpoint counters — but the reference is the cross-shard
-        #: anchor the sharded backend uses to collect/merge per-rank state
+        #: read endpoint counters
         self.telemetry = telemetry if telemetry is not None and telemetry.enabled else None
         #: optional repro.sim.faults.FaultPlan; when set, every op routes
         #: through the reliable-delivery layer (seq/ack/retransmit)
@@ -162,19 +160,10 @@ class Conduit:
         self._lat_net = network.latency_oneway
         self._lat_shm = network.latency_oneway_shm
         self._occ_cache: dict = {}
-        # Sharded-backend plumbing.  ``_shard`` is bound inside each worker
-        # process (None on single-process backends); ``_remote_cx_deliver``
-        # is installed by the UPC++ World so the conduit can hand
-        # remote_cx::as_rpc work to the *target's* runtime without the
-        # initiator capturing it in a closure (closures don't cross shards).
-        self._shard = None
+        # installed by the UPC++ World so the conduit can hand
+        # remote_cx::as_rpc work to the *target's* runtime
         self._remote_cx_deliver: Optional[Callable] = None
-        #: handles awaiting a cross-shard completion envelope, by id
-        self._pending_handles: dict = {}
-        self._next_hid = 0
-        reg = getattr(sched, "register_conduit", None)
-        if reg is not None:
-            reg(self)
+        sched.register_conduit(self)
 
     def close(self) -> None:
         """The job is over: give up every segment and unhook from the
@@ -188,90 +177,24 @@ class Conduit:
         for ep in self.endpoints:
             ep.segment = ep.device_segment = None
         self._remote_cx_deliver = None
-        self._pending_handles.clear()
         self.sched._conduits.remove(self)
-
-    # ---------------------------------------------------------- shard routing
-    def bind_shard(self, shard) -> None:
-        """Attach this conduit to a sharded-backend worker process.
-
-        Registers the envelope handlers that execute the remote half of
-        each conduit op when it arrives from a peer shard.
-
-        **Emission-margin contract** (what the sharded window protocol
-        leans on — see ``repro.sim.shard`` docstring §2): every
-        ``emit_envelope`` this conduit issues targets a rank on another
-        *node*, and every such fire time — data arrivals, AM deliveries,
-        completion acks, retransmit ladders under fault injection — rides
-        at least one ``network.latency_oneway`` past the simulated moment
-        it was decided.  Completion (``cpl``) envelopes are the tight
-        case: their margin is *exactly* one ``latency_oneway``, which is
-        why the window protocol's floor term provisions exactly one hop
-        and adapts only its self-horizon term.  Envelope metas stay flat
-        tuples of scalars/bytes wherever possible so the per-(peer,
-        window) batch frames encode them via the tagged serializer's raw
-        path instead of the pickler.
-        """
-        self._shard = shard
-        shard.set_envelope_handlers(
-            {
-                "put": self._env_put,
-                "get": self._env_get,
-                "am": self._env_am,
-                "acc": self._env_acc,
-                "amo": self._env_amo,
-                "cpl": self._env_complete,
-            }
-        )
-
-    def _check_local(self, rank: int, what: str):
-        """Sharded only: direct access is to ranks of this process."""
-        if not self._shard.shard_is_local(rank):
-            raise SimError(
-                f"direct {what} access to rank {rank} from shard "
-                f"{self._shard._shard_id}: rank {rank} lives on another "
-                "shard; only conduit ops (put/get/am/amo) cross shards"
-            )
-
-    def _register_handle(self, handle: Handle) -> int:
-        hid = self._next_hid
-        self._next_hid = hid + 1
-        self._pending_handles[hid] = handle
-        return hid
-
-    def _env_complete(self, meta, fire_time: float) -> None:
-        """Cross-shard completion envelope: finish a waiting local handle."""
-        hid, has_data, data = meta
-        handle = self._pending_handles.pop(hid)
-        if has_data:
-            handle.complete(fire_time, data=data)
-        else:
-            handle.complete(fire_time)
 
     # -------------------------------------------------------------- accessors
     def segment(self, rank: int) -> Segment:
-        if self._shard is not None:
-            self._check_local(rank, "segment")
         return self.endpoints[rank].segment
 
     def inbox(self, rank: int) -> AMInbox:
-        if self._shard is not None:
-            self._check_local(rank, "inbox")
         return self.endpoints[rank].inbox
 
     # --------------------------------------------------------- device memory
     def ensure_device_segment(self, rank: int, size: int) -> Segment:
         """Create (once) and return ``rank``'s GPU segment."""
-        if self._shard is not None:
-            self._check_local(rank, "device segment")
         ep = self.endpoints[rank]
         if ep.device_segment is None:
             ep.device_segment = Segment(size, owner_rank=rank)
         return ep.device_segment
 
     def device_segment(self, rank: int) -> Segment:
-        if self._shard is not None:
-            self._check_local(rank, "device segment")
         ep = self.endpoints[rank]
         if ep.device_segment is None:
             raise RuntimeError(f"rank {rank} has no device segment (create a Device first)")
@@ -351,8 +274,7 @@ class Conduit:
     # attempt to its NIC (occupancy, backpressure, metrics, retry spans)
     # and then posts exactly ONE commit event and one completion, exactly
     # mirroring the fault-free event structure.  That is what keeps a
-    # zero-fault plan bit-identical to ``faults=None`` and fault runs
-    # bit-identical across the scheduler backends.
+    # zero-fault plan bit-identical to ``faults=None``.
     def _rel_ladder(
         self,
         snd: int,
@@ -511,10 +433,8 @@ class Conduit:
         completes at ack time (remote commit acknowledged).
         ``remote_rpc``, if given, is a ``(fn, args, t_active)`` triple run
         at the target the instant the bytes land (UPC++
-        ``remote_cx::as_rpc`` piggybacking); it is structured data — not a
-        closure — so it can cross shard boundaries.  ``span`` is the
-        client's span correlation id; it also rides the cross-shard
-        envelope so target-side effects stay correlated.
+        ``remote_cx::as_rpc`` piggybacking).  ``span`` is the client's span
+        correlation id.
         """
         data = bytes(data)
         return self.put(
@@ -533,29 +453,11 @@ class Conduit:
             # receiver crashed before any attempt landed; the op can never
             # complete — crash detection (RankDeadError) unblocks the caller
             return x
-        if self._shard is not None and not self._shard.shard_is_local(dst):
-            hid = self._register_handle(x)
-            self._shard.emit_envelope(
-                dst, commit_at, "put",
-                (src, dst, x.dst_off, x.payload, hid, ack_at, x.remote_rpc, nbytes, span),
-            )
-            x.payload = None
-            return x
         x.phase = PUT_COMMIT
         x.t_commit = commit_at
         x.t_ack = ack_at
         self.sched.post_at(commit_at, x)
         return x
-
-    def _env_put(self, meta, fire_time: float) -> None:
-        """Target half of a cross-shard put (network context, dst shard)."""
-        src, dst, dst_off, data, hid, ack_time, remote_rpc, nbytes, span = meta
-        self.endpoints[dst].segment.write(dst_off, data)
-        if remote_rpc is not None:
-            fn, args, t_active = remote_rpc
-            self._remote_cx_deliver(dst, fn, args, nbytes, t_active, fire_time, span)
-        if ack_time is not None:
-            self._shard.emit_envelope(src, ack_time, "cpl", (hid, False, None))
 
     def get_nb(
         self,
@@ -585,13 +487,6 @@ class Conduit:
         self.endpoints[src].n_gets += 1
         _, req_at, _ = self._send(src, dst, self.network.header_bytes, PATH_FMA, now, 1.0, span, "get")
         if req_at is None:
-            return x
-        if self._shard is not None and not self._shard.shard_is_local(dst):
-            hid = self._register_handle(x)
-            self._shard.emit_envelope(
-                dst, req_at, "get",
-                (src, dst, x.dst_off, x.nbytes, x.path, x.occ_scale, hid, span),
-            )
             return x
         x.phase = GET_SERVICE
         x.t_commit = req_at
@@ -632,13 +527,6 @@ class Conduit:
             sp.record(begin + occ, back, dst, span, "wire_back", "get", nbytes)
         return back, data
 
-    def _env_get(self, meta, fire_time: float) -> None:
-        """Target half of a cross-shard get (network context, dst shard)."""
-        src, dst, dst_off, nbytes, path, occ_scale, hid, span = meta
-        back, data = self._get_reply(src, dst, dst_off, nbytes, path, occ_scale, span, fire_time)
-        if back is not None:
-            self._shard.emit_envelope(src, back, "cpl", (hid, True, data))
-
     # -------------------------------------------------------------------- AM
     def am_send(
         self,
@@ -676,15 +564,7 @@ class Conduit:
             if msg_meta is None:
                 msg_meta = {}
             msg_meta["sid"] = span
-        if arrival is None:  # the receiver crashed before any attempt landed
-            pass
-        elif self._shard is not None and not self._shard.shard_is_local(dst):
-            # source-side injection completion stays local; delivery crosses
-            self._shard.emit_envelope(
-                dst, arrival, "am",
-                (src, dst, tag, payload, nbytes, token, msg_meta),
-            )
-        else:
+        if arrival is not None:  # else the receiver crashed before any attempt landed
             msg = AMMessage.acquire(src, dst, tag, payload, nbytes, arrival, token, msg_meta)
             inbox = self.endpoints[dst].inbox
 
@@ -695,13 +575,6 @@ class Conduit:
             sched.post_at(arrival, deliver)
         sched.post_at(inj_done, lambda: handle.complete(inj_done))
         return handle
-
-    def _env_am(self, meta, fire_time: float) -> None:
-        """Target half of a cross-shard AM: deliver + wake (dst shard)."""
-        src, dst, tag, payload, nbytes, token, msg_meta = meta
-        msg = AMMessage.acquire(src, dst, tag, payload, nbytes, fire_time, token, msg_meta)
-        self.endpoints[dst].inbox.deliver(msg)
-        self.sched.wake(dst, fire_time)
 
     # ------------------------------------------------------------- accumulate
     def accumulate_nb(
@@ -734,13 +607,6 @@ class Conduit:
         )
         if arrival is None:
             return handle
-        if self._shard is not None and not self._shard.shard_is_local(dst):
-            hid = self._register_handle(handle)
-            self._shard.emit_envelope(
-                dst, arrival, "acc",
-                (src, dst, dst_off, arr.tobytes(), dt.str, op, hid, ack_at),
-            )
-            return handle
         seg = self.endpoints[dst].segment
 
         def apply_and_ack():
@@ -763,14 +629,6 @@ class Conduit:
             np.minimum(cells, arr, out=cells)
         else:  # replace
             cells[:] = arr
-
-    def _env_acc(self, meta, fire_time: float) -> None:
-        """Target half of a cross-shard accumulate (dst shard)."""
-        src, dst, dst_off, raw, dtstr, op, hid, ack_time = meta
-        dt = np.dtype(dtstr)
-        self._acc_apply(self.endpoints[dst].segment, dst_off, dt, np.frombuffer(raw, dtype=dt), op)
-        if ack_time is not None:
-            self._shard.emit_envelope(src, ack_time, "cpl", (hid, False, None))
 
     # ------------------------------------------------------------------- AMO
     def amo(
@@ -801,13 +659,6 @@ class Conduit:
             1.0, span, "amo", dt.itemsize,
         )
         if arrival is None:
-            return handle
-        if self._shard is not None and not self._shard.shard_is_local(dst):
-            hid = self._register_handle(handle)
-            self._shard.emit_envelope(
-                dst, arrival, "amo",
-                (src, dst, dst_off, op, dt.str, operands, hid, done),
-            )
             return handle
         seg = self.endpoints[dst].segment
 
@@ -845,13 +696,6 @@ class Conduit:
         elif op == "bit_xor":
             cell[0] = old ^ operands[0]
         return old
-
-    def _env_amo(self, meta, fire_time: float) -> None:
-        """Target half of a cross-shard atomic (dst shard)."""
-        src, dst, dst_off, op, dtstr, operands, hid, done = meta
-        old = self._amo_apply(self.endpoints[dst].segment, dst_off, np.dtype(dtstr), op, operands)
-        if done is not None:
-            self._shard.emit_envelope(src, done, "cpl", (hid, True, old))
 
     # ------------------------------------------------------------------ misc
     def peer_send_cutoff(self, rank: int) -> float:

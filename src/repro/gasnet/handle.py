@@ -12,8 +12,8 @@ non-blocking, and must not execute user code.
 
 A :class:`Transfer` is the handle of a put or get and, at the same time,
 everything the conduit keeps about that operation while it is in flight:
-the one object is what the caller holds, what both of the operation's
-events call, and what a cross-shard completion envelope finishes.
+the one object is what the caller holds and what both of the
+operation's events call.
 """
 
 from __future__ import annotations
@@ -109,8 +109,7 @@ class Transfer(Handle):
         self.dst = dst
         self.dst_off = dst_off
         self.nbytes = nbytes
-        #: a put's bytes, held until they are written (or shipped to the
-        #: target's shard)
+        #: a put's bytes, held until they are written
         self.payload = payload
         self.path = path
         self.occ_scale = occ_scale

@@ -55,5 +55,7 @@ class Machine:
         """Smallest machine of ``procs_per_node``-wide nodes fitting ``n_ranks``."""
         if n_ranks < 1:
             raise ValueError(f"n_ranks must be >= 1, got {n_ranks}")
+        if procs_per_node < 1:
+            raise ValueError(f"procs_per_node must be >= 1, got {procs_per_node}")
         n_nodes = -(-n_ranks // procs_per_node)  # ceil division
         return cls(n_nodes=n_nodes, procs_per_node=procs_per_node, name=name)

@@ -242,23 +242,15 @@ def run_mpi(
     costs: MpiCosts = DEFAULT_MPI_COSTS,
     segment_size: int = 32 * 1024 * 1024,
     max_time: float = 1e6,
-    backend: Optional[str] = None,
 ) -> List[object]:
-    """Run ``fn`` as an MPI program on ``ranks`` simulated processes.
-
-    ``backend`` selects the scheduler implementation exactly as in
-    :func:`repro.upcxx.api.run_spmd` (default: ``$REPRO_SIM_BACKEND``).
-    """
+    """Run ``fn`` as an MPI program on ``ranks`` simulated processes."""
     from repro.upcxx.api import default_ppn
 
     ppn = ppn if ppn is not None else default_ppn(platform)
     machine = Machine.for_ranks(ranks, ppn, name=platform)
     network = network if network is not None else AriesNetwork()
     cpu = cpu if cpu is not None else platform_cpu(platform)
-    sched = Scheduler(ranks, max_time=max_time, backend=backend)
-    cfg = getattr(sched, "configure_sharding", None)
-    if cfg is not None:
-        cfg(machine, network)
+    sched = Scheduler(ranks, max_time=max_time)
     world = MpiWorld(sched, machine, network, cpu, costs, segment_size)
 
     def bootstrap(rank: int):

@@ -19,7 +19,7 @@ measured quantity.
 
 from repro.sim.errors import SimError, DeadlockError, RankFailure, SimAbort
 from repro.sim.engine import EventQueue
-from repro.sim.coop import BACKENDS, Scheduler, current_scheduler, current_rank, run_spmd
+from repro.sim.coop import Scheduler, current_scheduler, current_rank, run_spmd
 from repro.sim.rng import RankRandom
 
 __all__ = [
@@ -28,7 +28,6 @@ __all__ = [
     "RankFailure",
     "SimAbort",
     "EventQueue",
-    "BACKENDS",
     "Scheduler",
     "current_scheduler",
     "current_rank",

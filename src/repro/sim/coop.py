@@ -29,33 +29,27 @@ context is stamped ``(poster clock, poster rank, per-rank seq)``, and a
 post made while an event is firing extends the firing event's stamp with
 a child index.  The stamp — not a global insertion counter — breaks ties
 among events due at the same instant, so the fire order is a pure
-function of causality, identical in one process and across the sharded
-backend's worker processes (where a global insertion order does not
-exist).  Ranks are resumed in deterministic (clock, rank) order, so an
-entire simulation is a pure function of its inputs and seed.
+function of causality rather than of the order in which the host
+happened to run things.  Ranks are resumed in deterministic (clock,
+rank) order, so an entire simulation is a pure function of its inputs
+and seed.
 
-There is one in-process scheduler, :class:`Scheduler` (its invariants
-are on the class): rank bodies run as cooperative fibers resumed by a
-dispatch loop, and a fiber switch hands the baton directly to the next
-runnable entity through one raw lock release.  Because pure CPython
-cannot switch C stacks, each fiber's suspended call stack is carried by
-a parked OS thread; the dispatch structure, not thread elimination, is
-what makes switching cheap.
-
-``backend="sharded"`` (:mod:`repro.sim.shard`, a subclass) partitions
-simulated nodes across forked worker processes, each running this
-machinery under a lookahead-bounded window protocol; select it per
-scheduler or with ``$REPRO_SIM_BACKEND`` (:data:`BACKENDS` names every
-accepted value).  Determinism is checked against a committed artifact,
-not a second implementation: this scheduler must reproduce
-``tests/golden/fingerprints.json`` exactly and the sharded backend must
-match this scheduler (docs/simulator.md).
+There is one scheduler, :class:`Scheduler` (its invariants are on the
+class), and it runs in one process: rank bodies run as cooperative
+fibers resumed by a dispatch loop, and a fiber switch hands the baton
+directly to the next runnable entity through one raw lock release.
+Because pure CPython cannot switch C stacks, each fiber's suspended call
+stack is carried by a parked OS thread; the dispatch structure, not
+thread elimination, is what makes switching cheap.  One baton means a
+second core only adds cross-CPU wake latency: run long jobs under
+``taskset -c N`` (docs/simulator.md §6).  Determinism is checked against
+a committed artifact, not a second implementation: this scheduler must
+reproduce ``tests/golden/fingerprints.json`` exactly.
 """
 
 from __future__ import annotations
 
 import heapq
-import os
 import threading
 import _thread
 from typing import Callable, List, Optional, Sequence
@@ -72,12 +66,6 @@ _BLOCKED = 3
 _DONE = 4
 
 _STATE_NAMES = {_NEW: "NEW", _READY: "READY", _RUNNING: "RUNNING", _BLOCKED: "BLOCKED", _DONE: "DONE"}
-
-#: environment override for the default backend
-BACKEND_ENV = "REPRO_SIM_BACKEND"
-DEFAULT_BACKEND = "coroutines"
-#: every value ``Scheduler(backend=...)`` and ``$REPRO_SIM_BACKEND`` accept
-BACKENDS = ("coroutines", "sharded")
 
 
 # ======================================================================
@@ -238,8 +226,6 @@ def _rank_failure(rid: int, exc: BaseException) -> RankFailure:
 class Scheduler:
     """The global conservative scheduler for one SPMD job.
 
-    ``Scheduler(n, backend="sharded")`` (or ``$REPRO_SIM_BACKEND``)
-    returns the :class:`repro.sim.shard.ShardedScheduler` subclass.
     Invariants (enforced by the baton discipline plus the GIL):
 
     - exactly one entity — the current fiber or a dispatching context —
@@ -251,23 +237,7 @@ class Scheduler:
       charging rank remains globally earliest and nothing is due).
     """
 
-    def __new__(cls, *args, **kwargs):
-        if cls is Scheduler:
-            name = kwargs.get("backend") or os.environ.get(BACKEND_ENV) or DEFAULT_BACKEND
-            if name not in BACKENDS:
-                raise ValueError(f"unknown scheduler backend {name!r}; expected one of {BACKENDS}")
-            if name == "sharded":
-                # imported on demand: keeps multiprocessing machinery out
-                # of single-process imports
-                from repro.sim.shard import ShardedScheduler
-
-                cls = ShardedScheduler
-        return object.__new__(cls)
-
-    #: backend name, overridden by the sharded subclass
-    backend = "coroutines"
-
-    def __init__(self, n_ranks: int, trace: Optional[TraceBuffer] = None, max_time: float = 1e6, backend: Optional[str] = None):
+    def __init__(self, n_ranks: int, trace: Optional[TraceBuffer] = None, max_time: float = 1e6):
         if n_ranks < 1:
             raise ValueError(f"need at least 1 rank, got {n_ranks}")
         self.n_ranks = n_ranks
@@ -305,10 +275,6 @@ class Scheduler:
         #: the fiber currently holding the baton (None outside run())
         self._current: Optional[_Fiber] = None
         self._horizon = 0.0
-        # Window bound hook: the sharded subclass lowers this to its CMB
-        # window edge (and clamps it on envelope emission); in one process
-        # it stays at +inf so _retarget never gates on it.
-        self._wbound = float("inf")
         self._main_baton = _baton()
         self._main_release_guard = _baton(held=False)
         self._fn: Optional[Callable[[int], object]] = None
@@ -413,10 +379,10 @@ class Scheduler:
     def post_keyed(self, t: float, stamp: tuple, fn: Callable[[], None]) -> None:
         """Schedule a callback under an externally minted causal stamp.
 
-        Used for events whose tie-break order must be identical across
-        *processes* (survivable crash detection): the synthetic stamp
-        ``(0.0, rank, 0)`` sorts the same everywhere, matching the sharded
-        backend's remote-detection events.
+        Used for events whose tie-break order must not depend on who posts
+        them or when (crash detection): the synthetic stamp
+        ``(0.0, rank, 0)`` is one no real post can mint (per-rank seqs
+        start at 1), so its place among same-instant events is fixed.
         """
         self._events.push_keyed(t, stamp, fn)
         if t < self._horizon:
@@ -463,7 +429,7 @@ class Scheduler:
     def _notify_dead(self, rank: int, err: BaseException, t_detect: float) -> None:
         """Network context: the heartbeat timeout for ``rank`` fired under
         a survivable plan.  Instead of failing the run, record the death,
-        run the death listeners, and wake every hosted survivor so blocked
+        run the death listeners, and wake every survivor so blocked
         predicates re-evaluate against the new membership (spurious wakes
         are always legal)."""
         if rank in self._detected_dead:
@@ -472,7 +438,7 @@ class Scheduler:
         for fn in list(self._dead_listeners):
             fn(rank, err, t_detect)
         for r in range(self.n_ranks):
-            if r != rank and self._rank_hosted(r):
+            if r != rank:
                 self.wake(r, t_detect)
 
     # ----------------------------------------------------------- upper layers
@@ -534,10 +500,6 @@ class Scheduler:
         indistinguishable from a slow one, exactly like the real thing."""
         return self._detected_dead
 
-    def _rank_hosted(self, rank: int) -> bool:
-        """Is ``rank`` simulated by this process?  (Sharded overrides.)"""
-        return True
-
     # ------------------------------------------------------------- internals
     def _push_ready(self, ctl: _Fiber) -> None:
         ctl.ready_stamp += 1
@@ -591,9 +553,6 @@ class Scheduler:
         )
         if top is not None and top[0] < h:
             h = top[0]
-        wb = self._wbound
-        if wb < h:
-            h = wb
         self._horizon = h
 
     def _checkpoint_slow(self, me: _Fiber) -> None:
@@ -794,7 +753,24 @@ class Scheduler:
             raise SimError("Scheduler.run() is not reentrant")
         self._running = True
         try:
-            return self._run(fn)
+            self._fn = fn
+            for ctl in self._ranks:
+                ctl.state = _READY
+                self._push_ready(ctl)
+            self._dispatch()
+            self._main_baton.acquire()
+            for ctl in self._ranks:
+                if ctl.thread is not None:
+                    ctl.thread.join(timeout=30.0)
+            if self._failure is not None:
+                raise self._failure
+            if self._dead_ranks and not self._survivable:
+                # every survivor finished before the heartbeat timeout fired;
+                # the job still failed — a rank died (fail-stop semantics)
+                raise self._dead_ranks[min(self._dead_ranks)]
+            # survivable plans serve through the crash: survivors' results are
+            # returned and a dead rank's slot holds None
+            return [ctl.result for ctl in self._ranks]
         finally:
             self._release()
 
@@ -819,31 +795,10 @@ class Scheduler:
             ctl.env = {}
             ctl.client = None
 
-    def _run(self, fn: Callable[[int], object]) -> List[object]:
-        self._fn = fn
-        for ctl in self._ranks:
-            ctl.state = _READY
-            self._push_ready(ctl)
-        self._dispatch()
-        self._main_baton.acquire()
-        for ctl in self._ranks:
-            if ctl.thread is not None:
-                ctl.thread.join(timeout=30.0)
-        if self._failure is not None:
-            raise self._failure
-        if self._dead_ranks and not self._survivable:
-            # every survivor finished before the heartbeat timeout fired;
-            # the job still failed — a rank died (fail-stop semantics)
-            raise self._dead_ranks[min(self._dead_ranks)]
-        # survivable plans serve through the crash: survivors' results are
-        # returned and a dead rank's slot holds None
-        return [ctl.result for ctl in self._ranks]
-
     def stats(self) -> dict:
-        """Machine-readable run counters (perf harness / postmortems)."""
+        """Machine-readable run counters (benchmarks / postmortems)."""
         ev = self._events.stats
         out = {
-            "backend": self.backend,
             "n_ranks": self.n_ranks,
             "switches": self.switches,
             "events_posted": ev["posted"],
@@ -868,8 +823,6 @@ def run_spmd(
     n_ranks: int,
     trace: Optional[TraceBuffer] = None,
     max_time: float = 1e6,
-    backend: Optional[str] = None,
 ) -> Sequence[object]:
     """Convenience wrapper: build a scheduler and run ``fn`` on every rank."""
-    sched = Scheduler(n_ranks, trace=trace, max_time=max_time, backend=backend)
-    return sched.run(fn)
+    return Scheduler(n_ranks, trace=trace, max_time=max_time).run(fn)

@@ -42,10 +42,10 @@ class EventQueue:
     def push_keyed(self, time: float, key, fn: Callable[[], None]) -> None:
         """Schedule ``fn`` at ``time`` with an explicit tie-break ``key``.
 
-        Used by the sharded backend, where the local insertion counter is
-        meaningless across processes: ``key`` is a causal stamp that totally
-        orders same-instant events identically on every shard.  ``key`` must
-        be orderable against every other key pushed into this queue.
+        ``key`` is a causal stamp (see :mod:`repro.sim.coop`) that orders
+        same-instant events by who caused them, not by when the host
+        happened to push them.  ``key`` must be orderable against every
+        other key pushed into this queue.
         """
         if time != time or time < 0 or time == _INF:  # NaN, negative, or inf
             raise ValueError(f"invalid event time: {time!r}")

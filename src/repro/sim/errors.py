@@ -33,8 +33,7 @@ class RankDeadError(SimError):
 
     Raised on surviving ranks once the heartbeat timeout expires.  The dead
     rank id is available as :attr:`rank`; the crash and detection times are
-    embedded in the message so the verdict is reproducible bit-for-bit
-    across scheduler backends.
+    embedded in the message so the verdict is reproducible bit-for-bit.
     """
 
     def __init__(self, rank: int, message: str):

@@ -18,11 +18,10 @@ seed), a set of adversarial network conditions:
 Determinism is the hard requirement: every decision is a *pure function*
 of ``(plan seed, stream name, src, dst, seq, attempt)`` — a stateless
 hash, not a stateful generator — so the verdict of "was frame #3 of
-channel 0→1 dropped on its second attempt?" is identical no matter which
-scheduler backend asks, in which order, or how many times.  That is what
-lets the conduit compute a whole retransmit ladder analytically at send
-time and still be bit-identical across the coroutine and sharded
-backends.
+channel 0→1 dropped on its second attempt?" is identical no matter who
+asks, in which order, or how many times.  That is what lets the conduit
+compute a whole retransmit ladder analytically at send time and still
+reproduce the golden fingerprints.
 
 Plans can be given programmatically (``run_spmd(faults=FaultPlan(...))``),
 as a spec string (``run_spmd(faults="seed=1,drop=0.2,crash=1@3e-4")`` or
@@ -201,9 +200,8 @@ class FaultPlan:
     def dead_error(self, rank: int):
         """The :class:`RankDeadError` survivors raise for ``rank``'s death.
 
-        Single construction point so every backend — including shard
-        workers that don't host the dead rank — raises a byte-identical
-        verdict.
+        Single construction point, so every survivor raises a
+        byte-identical verdict.
         """
         from repro.sim.errors import RankDeadError
 

@@ -1,30 +1,30 @@
-"""Health-gate CLI: declarative rules over perf reports / KV runs / rollups.
+"""Health-gate CLI: declarative rules over KV runs / telemetry rollups.
 
 ``python -m repro.tools.health`` evaluates a rule set against any mix of:
 
-- ``--bench BENCH_perf.json``  — a ``repro.bench.perf_harness`` report
-  (gate entries, overhead sections, ``kv_capacity`` knee curve,
-  ``span_attribution``);
-- ``--kv POINT.json``          — one ``repro.bench.kv_bench``
-  ``summarize_point`` dict (utilization + p50..p999 sojourn latency);
+- ``--kv DOC.json``            — a ``repro.bench.kv_bench`` document:
+  one ``summarize_point`` dict (utilization + p50..p999 sojourn latency,
+  availability fields of a crash point) or, recognized by its ``curve``
+  key, a ``--sweep`` capacity curve (below-knee utilization rule);
 - ``--telemetry TEL.json``     — a ``repro.util.Telemetry.as_dict`` dump
   (windowed rollups: attentiveness gap, retransmits, credit stalls);
 - ``--rules RULES.json``       — extra declarative rules (see below).
 
 Every rule prints one verdict line and the process exits non-zero when
-any FAIL-severity rule is violated (with ``--strict``, WARN-severity
-violations fail too) — which is how CI turns a green-looking perf run
-into a hard gate.
+any FAIL-severity rule is violated.  With ``--strict``, WARN-severity
+violations fail too, and so does a run in which no rule applied at all
+(an empty or renamed artifact must not read as healthy) — which is how
+CI turns a green-looking run into a hard gate.
 
 Declarative rule format (``--rules``)::
 
     [{"name": "kv-p99", "doc": "kv", "path": "p99_s",
       "op": "<=", "value": 200e-6, "severity": "fail"}]
 
-``doc`` names the input the rule applies to (``bench`` / ``kv`` /
-``telemetry``); ``path`` is a dotted lookup into that JSON document; a
-missing document or path yields SKIP, never a crash — health checks must
-degrade gracefully when a report section was not recorded.
+``doc`` names the input the rule applies to (``kv`` / ``telemetry``);
+``path`` is a dotted lookup into that JSON document.  A missing document
+or path yields SKIP and a value that cannot be compared yields FAIL,
+never a crash — a health check must say what is wrong with its input.
 """
 
 from __future__ import annotations
@@ -37,11 +37,9 @@ from typing import Any, Dict, List, Optional, Sequence
 #: default ceilings for the built-in computed rules
 DEFAULT_MIN_UTILIZATION = 0.9        # the kv knee efficiency
 DEFAULT_MIN_AVAILABILITY = 0.99      # requests served under a crash plan
-DEFAULT_MAX_OVERHEAD_RATIO = 1.02    # telemetry/reliability wall-clock adds
 DEFAULT_MAX_GAP_S = 1e-3             # attentiveness ceiling (simulated)
 DEFAULT_MAX_RETX_RATE = 0.05         # retransmits per NIC op
 DEFAULT_MAX_STALL_FRAC = 0.5         # agg credit stall share of served time
-DEFAULT_MAX_BACKPRESSURE_SHARE = 0.6 # of the span attribution total
 
 _OPS = {
     "<=": lambda a, b: a <= b,
@@ -57,9 +55,9 @@ class Verdict:
     """One evaluated rule plus a detail line.
 
     Statuses: PASS, FAIL (always fails the run), WARN (fails only under
-    ``--strict``), INFO (never fails — honest numbers that reflect the
-    host rather than the code, e.g. advisory perf gates), SKIP (input or
-    report section absent).
+    ``--strict``), INFO (never fails — a number worth printing that is
+    not a statement about health, e.g. a crash point's utilization), SKIP
+    (input or report section absent).
     """
 
     def __init__(self, name: str, status: str, detail: str, severity: str = "fail"):
@@ -94,13 +92,31 @@ def _lookup(doc: Any, path: str) -> Any:
     return cur
 
 
+class _Incomparable(Exception):
+    """A document value that a rule must compare is not a number."""
+
+    def __init__(self, path: str, value: Any):
+        super().__init__(path)
+        self.path = path
+        self.value = value
+
+
+def _num(doc: dict, key: str, path: Optional[str] = None):
+    """``doc[key]`` if it is a number, None if absent; anything else
+    raises :class:`_Incomparable` naming ``path`` (default: ``key``)."""
+    value = doc.get(key)
+    if value is None or (isinstance(value, (int, float)) and not isinstance(value, bool)):
+        return value
+    raise _Incomparable(path or key, value)
+
+
 def eval_rule(rule: dict, docs: Dict[str, Optional[dict]]) -> Verdict:
     """Evaluate one declarative rule against the loaded documents."""
     name = rule.get("name", rule.get("path", "rule"))
     severity = rule.get("severity", "fail")
-    doc = docs.get(rule.get("doc", "bench"))
+    doc = docs.get(rule.get("doc", "kv"))
     if doc is None:
-        return Verdict(name, "SKIP", f"no {rule.get('doc', 'bench')} document loaded", severity)
+        return Verdict(name, "SKIP", f"no {rule.get('doc', 'kv')} document loaded", severity)
     value = _lookup(doc, rule["path"])
     if value is None:
         return Verdict(name, "SKIP", f"path {rule['path']!r} not present", severity)
@@ -109,120 +125,50 @@ def eval_rule(rule: dict, docs: Dict[str, Optional[dict]]) -> Verdict:
     if fn is None:
         return Verdict(name, "FAIL", f"unknown op {op!r}", severity)
     target = rule["value"]
-    ok = bool(fn(value, target))
+    try:
+        ok = bool(fn(value, target))
+    except TypeError:
+        return Verdict(name, "FAIL",
+                       f"{rule['path']} = {value!r} cannot be compared with {target!r}", severity)
     status = "PASS" if ok else ("WARN" if severity == "warn" else "FAIL")
     return Verdict(name, status, f"{rule['path']} = {value!r} {op} {target!r}", severity)
 
 
 # -------------------------------------------------------- built-in checks
-def _check_bench_gates(bench: dict) -> List[Verdict]:
-    """Every non-advisory, non-skipped harness gate must have passed."""
-    out: List[Verdict] = []
-    for g in bench.get("gates", []):
-        name = f"gate:{g.get('name', '?')}"
-        if g.get("skipped"):
-            out.append(Verdict(name, "SKIP", "gate skipped (workload not run)"))
-            continue
-        if "target_speedup" in g:
-            detail = (f"measured {g.get('measured_speedup')}x vs target "
-                      f"{g.get('target_speedup')}x")
-        else:
-            # availability-shaped gate (kv_crash_availability)
-            detail = (f"availability {g.get('measured_availability')} >= "
-                      f"{g.get('min_availability')}, writes lost "
-                      f"{g.get('writes_lost')}, factor restored "
-                      f"{g.get('factor_restored')}")
-        if g.get("advisory"):
-            # advisory = the runner can't meet the gate's documented
-            # cpu/shard requirements; the number is honest but reflects
-            # the host, not the code — informational even under --strict
-            status = "PASS" if g.get("passed") else "INFO"
-            out.append(Verdict(name, status, detail + " (advisory: runner below "
-                               "gate requirements)", "info"))
-        else:
-            out.append(Verdict(name, "PASS" if g.get("passed") else "FAIL", detail))
-    return out
-
-
-def _check_bench_overheads(bench: dict, max_ratio: float) -> List[Verdict]:
-    """Re-evaluate the recorded overhead gates with the bench's own
-    semantics: ratio ceiling plus the 50ms absolute cushion that keeps
-    sub-second smoke runs from flaking on scheduler jitter."""
-    out: List[Verdict] = []
-    for key in ("telemetry_overhead", "reliability_bookkeeping"):
-        sec = bench.get(key)
-        if not isinstance(sec, dict) or "ratio" not in sec:
-            out.append(Verdict(f"overhead:{key}", "SKIP", "section not recorded"))
-            continue
-        base_s = sec.get("base_s")
-        with_s = sec.get("with_s")
-        if base_s is not None and with_s is not None:
-            ceiling = max(base_s * max_ratio, base_s + 0.05)
-            ok = with_s <= ceiling
-            detail = (f"{base_s:.3f}s -> {with_s:.3f}s "
-                      f"(ratio {sec['ratio']:.4f}, ceiling {ceiling:.3f}s)")
-        else:
-            ok = sec["ratio"] <= max_ratio
-            detail = f"wall ratio {sec['ratio']:.4f} <= {max_ratio}"
-        out.append(Verdict(f"overhead:{key}", "PASS" if ok else "FAIL", detail))
-    return out
-
-
-def _check_bench_kv_capacity(bench: dict, min_util: float) -> List[Verdict]:
-    """Below-knee sweep points must hold the knee efficiency."""
-    cap = bench.get("kv_capacity")
-    if not isinstance(cap, dict):
-        return [Verdict("kv-capacity", "SKIP", "no kv_capacity sweep recorded")]
-    out: List[Verdict] = []
-    knee = cap.get("knee")
-    knee_mult = knee["multiplier"] if knee else None
+def _check_kv_capacity(sweep: dict, min_util: float) -> List[Verdict]:
+    """Below-knee points of a ``kv_bench --sweep`` curve must hold the
+    knee efficiency."""
+    knee = sweep.get("knee")
+    knee_mult = _num(knee, "multiplier") if isinstance(knee, dict) else None
     bad = []
-    for p in cap.get("curve", []):
-        if knee_mult is not None and p["multiplier"] >= knee_mult:
+    for i, p in enumerate(sweep["curve"]):
+        mult = _num(p, "multiplier", f"curve.{i}.multiplier")
+        util = _num(p, "utilization", f"curve.{i}.utilization")
+        if mult is None or util is None:
+            return [Verdict("kv-capacity", "FAIL",
+                            f"curve.{i} lacks multiplier/utilization")]
+        if knee_mult is not None and mult >= knee_mult:
             continue  # at/above the knee saturation is expected
-        if p["utilization"] < min_util:
-            bad.append(p["multiplier"])
+        if util < min_util:
+            bad.append(mult)
     if bad:
-        out.append(Verdict(
+        return [Verdict(
             "kv-capacity", "FAIL",
             f"below-knee points x{bad} under utilization floor {min_util}",
-        ))
-    else:
-        desc = (f"knee at x{knee_mult}" if knee_mult is not None
-                else "no knee found in sweep")
-        out.append(Verdict(
-            "kv-capacity", "PASS",
-            f"below-knee utilization >= {min_util} ({desc}, capacity "
-            f"{cap.get('capacity_per_rank_rps')} req/s/rank)",
-        ))
-    return out
-
-
-def _check_bench_backpressure(bench: dict, max_share: float) -> List[Verdict]:
-    attr = bench.get("span_attribution")
-    if not isinstance(attr, dict) or not attr:
-        return [Verdict("backpressure-share", "SKIP", "no span_attribution section")]
-    out: List[Verdict] = []
-    for backend, sec in sorted(attr.items()):
-        parts = sec.get("attribution_s")
-        if not isinstance(parts, dict):
-            continue
-        total = sum(v for v in parts.values() if isinstance(v, (int, float)))
-        share = (parts.get("backpressure", 0.0) / total) if total > 0 else 0.0
-        ok = share <= max_share
-        out.append(Verdict(
-            f"backpressure-share:{backend}",
-            "PASS" if ok else "WARN",
-            f"backpressure {share:.3f} of attributed time <= {max_share}",
-            "warn",
-        ))
-    return out
+        )]
+    desc = (f"knee at x{knee_mult}" if knee_mult is not None
+            else "no knee found in sweep")
+    return [Verdict(
+        "kv-capacity", "PASS",
+        f"below-knee utilization >= {min_util} ({desc}, capacity "
+        f"{sweep.get('capacity_per_rank_rps')} req/s/rank)",
+    )]
 
 
 def _check_kv_point(kv: dict, min_util: float, p99_slo: Optional[float],
                     p999_slo: Optional[float]) -> List[Verdict]:
     out: List[Verdict] = []
-    util = kv.get("utilization")
+    util = _num(kv, "utilization")
     is_crash = kv.get("crash_rank") is not None
     if util is not None:
         if is_crash:
@@ -245,7 +191,7 @@ def _check_kv_point(kv: dict, min_util: float, p99_slo: Optional[float],
     for pct, slo in (("p99_s", p99_slo), ("p999_s", p999_slo)):
         if slo is None:
             continue
-        v = kv.get(pct)
+        v = _num(kv, pct)
         if v is None:
             out.append(Verdict(f"kv-{pct[:-2]}", "SKIP", f"{pct} not present"))
             continue
@@ -260,7 +206,7 @@ def _check_kv_point(kv: dict, min_util: float, p99_slo: Optional[float],
 def _check_kv_availability(kv: dict, min_avail: float,
                            max_recovery_s: Optional[float]) -> List[Verdict]:
     """Availability / recovery rules over a kv point's robustness fields."""
-    avail = kv.get("availability")
+    avail = _num(kv, "availability")
     if avail is None:
         return [Verdict("kv-availability", "SKIP",
                         "no availability fields recorded (pre-replication point)")]
@@ -272,7 +218,7 @@ def _check_kv_availability(kv: dict, min_avail: float,
         "kv-availability", "PASS" if ok else "FAIL",
         f"{served}/{issued} accepted requests served = {avail:.4f} >= {min_avail}",
     ))
-    shed = kv.get("shed_fraction")
+    shed = _num(kv, "shed_fraction")
     if shed:
         out.append(Verdict(
             "kv-shed", "INFO",
@@ -281,7 +227,7 @@ def _check_kv_availability(kv: dict, min_avail: float,
         ))
     if kv.get("crash_rank") is None:
         return out
-    lost = kv.get("writes_lost", 0)
+    lost = _num(kv, "writes_lost") or 0
     out.append(Verdict(
         "kv-writes-lost", "PASS" if lost == 0 else "FAIL",
         f"{lost} writes lost their every owner before an ack",
@@ -293,7 +239,7 @@ def _check_kv_availability(kv: dict, min_avail: float,
         f"{'restored online' if restored else 'NOT restored'} "
         f"({kv.get('rereplicated_keys')} keys re-shipped)",
     ))
-    rec = kv.get("recovery_s", 0.0)
+    rec = _num(kv, "recovery_s") or 0.0
     if max_recovery_s is None:
         out.append(Verdict(
             "kv-recovery", "INFO",
@@ -357,7 +303,6 @@ def _check_telemetry(tel: dict, max_gap: float, max_retx_rate: float,
 # ---------------------------------------------------------------- evaluate
 def evaluate(docs: Dict[str, Optional[dict]], rules: Sequence[dict] = (),
              min_utilization: float = DEFAULT_MIN_UTILIZATION,
-             max_overhead_ratio: float = DEFAULT_MAX_OVERHEAD_RATIO,
              p99_slo: Optional[float] = None,
              p999_slo: Optional[float] = None,
              min_availability: float = DEFAULT_MIN_AVAILABILITY,
@@ -365,23 +310,26 @@ def evaluate(docs: Dict[str, Optional[dict]], rules: Sequence[dict] = (),
              max_gap_s: float = DEFAULT_MAX_GAP_S,
              max_retx_rate: float = DEFAULT_MAX_RETX_RATE,
              max_stall_frac: float = DEFAULT_MAX_STALL_FRAC,
-             max_backpressure_share: float = DEFAULT_MAX_BACKPRESSURE_SHARE,
              ) -> List[Verdict]:
     """Run the built-in checks plus any declarative rules."""
     verdicts: List[Verdict] = []
-    bench = docs.get("bench")
-    if bench is not None:
-        verdicts.extend(_check_bench_gates(bench))
-        verdicts.extend(_check_bench_overheads(bench, max_overhead_ratio))
-        verdicts.extend(_check_bench_kv_capacity(bench, min_utilization))
-        verdicts.extend(_check_bench_backpressure(bench, max_backpressure_share))
+
+    def apply(check, *args) -> None:
+        try:
+            verdicts.extend(check(*args))
+        except _Incomparable as exc:
+            verdicts.append(Verdict(
+                exc.path, "FAIL", f"{exc.path} = {exc.value!r} is not a number"))
+
     kv = docs.get("kv")
-    if kv is not None:
-        verdicts.extend(_check_kv_point(kv, min_utilization, p99_slo, p999_slo))
-        verdicts.extend(_check_kv_availability(kv, min_availability, max_recovery_s))
+    if kv is not None and isinstance(kv.get("curve"), list):
+        apply(_check_kv_capacity, kv, min_utilization)
+    elif kv is not None:
+        apply(_check_kv_point, kv, min_utilization, p99_slo, p999_slo)
+        apply(_check_kv_availability, kv, min_availability, max_recovery_s)
     tel = docs.get("telemetry")
     if tel is not None:
-        verdicts.extend(_check_telemetry(tel, max_gap_s, max_retx_rate, max_stall_frac))
+        apply(_check_telemetry, tel, max_gap_s, max_retx_rate, max_stall_frac)
     for rule in rules:
         verdicts.append(eval_rule(rule, docs))
     return verdicts
@@ -396,12 +344,12 @@ def _load(path: Optional[str]) -> Optional[dict]:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--bench", default=None, help="BENCH_perf.json report")
-    ap.add_argument("--kv", default=None, help="one kv_bench summarize_point JSON")
+    ap.add_argument("--kv", default=None,
+                    help="kv_bench JSON: one point (--point/--crash-point) "
+                    "or a capacity curve (--sweep)")
     ap.add_argument("--telemetry", default=None, help="Telemetry.as_dict JSON dump")
     ap.add_argument("--rules", default=None, help="extra declarative rules (JSON list)")
     ap.add_argument("--min-utilization", type=float, default=DEFAULT_MIN_UTILIZATION)
-    ap.add_argument("--max-overhead-ratio", type=float, default=DEFAULT_MAX_OVERHEAD_RATIO)
     ap.add_argument("--p99-slo", type=float, default=None,
                     help="p99 sojourn SLO in seconds (kv doc)")
     ap.add_argument("--p999-slo", type=float, default=None,
@@ -418,26 +366,23 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                     help="attentiveness ceiling in simulated seconds")
     ap.add_argument("--max-retx-rate", type=float, default=DEFAULT_MAX_RETX_RATE)
     ap.add_argument("--max-stall-frac", type=float, default=DEFAULT_MAX_STALL_FRAC)
-    ap.add_argument("--max-backpressure-share", type=float,
-                    default=DEFAULT_MAX_BACKPRESSURE_SHARE)
     ap.add_argument("--strict", action="store_true",
-                    help="WARN-severity violations also fail the run")
+                    help="WARN-severity violations also fail the run, and "
+                    "so does a run in which no rule applied")
     ap.add_argument("--out", default=None, help="write the verdict list as JSON here")
     args = ap.parse_args(argv)
 
     docs = {
-        "bench": _load(args.bench),
         "kv": _load(args.kv),
         "telemetry": _load(args.telemetry),
     }
     if all(d is None for d in docs.values()):
-        ap.error("nothing to check: pass at least one of --bench/--kv/--telemetry")
+        ap.error("nothing to check: pass at least one of --kv/--telemetry")
     rules = _load(args.rules) or []
 
     verdicts = evaluate(
         docs, rules,
         min_utilization=args.min_utilization,
-        max_overhead_ratio=args.max_overhead_ratio,
         p99_slo=args.p99_slo,
         p999_slo=args.p999_slo,
         min_availability=args.min_availability,
@@ -445,8 +390,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         max_gap_s=args.max_gap,
         max_retx_rate=args.max_retx_rate,
         max_stall_frac=args.max_stall_frac,
-        max_backpressure_share=args.max_backpressure_share,
     )
+    if args.strict and all(v.status == "SKIP" for v in verdicts):
+        # an empty or renamed artifact must not read as healthy
+        verdicts.append(Verdict(
+            "no-rule-applied", "FAIL",
+            "the documents held nothing a rule reads (empty or renamed artifact?)"))
     for v in verdicts:
         print(v.line())
     n_fail = sum(1 for v in verdicts if v.status == "FAIL")

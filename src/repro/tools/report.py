@@ -1,4 +1,4 @@
-"""Causal span report: critical path + time attribution per backend.
+"""Causal span report: critical path + time attribution.
 
 ``python -m repro.tools.report`` runs a small instrumented workload with
 span tracing on, reconstructs the simulated-time **critical path** from
@@ -21,25 +21,21 @@ app       application time between operations (gaps on the path)
 The walk is exact: spans of one operation tile the simulated timeline at
 shared junction values, so the attributed components sum to the analysis
 window *by construction* (the ISSUE's 1% acceptance bound holds with
-equality).  Because span records are bit-identical across the coroutine
-and sharded backends, the CLI doubles as a cross-backend
-regression check: it exits non-zero when fingerprints diverge.
+equality).  The report also prints the run's span fingerprint, the
+content hash ``tests/golden/fingerprints.json`` pins for its programs.
 
-Formats: ``text`` (human table), ``json`` (CI artifact), ``perfetto``
+Formats: ``text`` (human table), ``json`` (machine-readable), ``perfetto``
 (Chrome Trace Event JSON via :func:`repro.util.trace_export
-.chrome_trace_span_events`, one process per shard).
+.chrome_trace_span_events`).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
-import sys
 from bisect import bisect_right
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.sim import BACKENDS
 from repro.util.spans import PHASES, SpanBuffer, _canon_key
 
 #: display order of attribution categories
@@ -118,29 +114,6 @@ def attribution(segments: Sequence[Segment]) -> Dict[str, float]:
 # ======================================================================
 # Instrumented workloads
 # ======================================================================
-def _run(body, ranks: int, ppn: int, backend: str, shards: Optional[int], faults=None):
-    """run_spmd with span tracing on; returns (results, spans, sched_stats)."""
-    import repro.upcxx as upcxx
-
-    spans = SpanBuffer()
-    sched_stats: dict = {}
-    saved = os.environ.get("REPRO_SIM_SHARDS")
-    try:
-        if shards is not None:
-            os.environ["REPRO_SIM_SHARDS"] = str(shards)
-        results = upcxx.run_spmd(
-            body, ranks, ppn=ppn, spans=spans, backend=backend,
-            sched_stats=sched_stats, faults=faults,
-        )
-    finally:
-        if shards is not None:
-            if saved is None:
-                os.environ.pop("REPRO_SIM_SHARDS", None)
-            else:
-                os.environ["REPRO_SIM_SHARDS"] = saved
-    return results, spans, sched_stats
-
-
 def _fig3a_body():
     """Fig. 3a inner loop: blocking rputs, rank 0 -> rank 1 (2 nodes).
 
@@ -229,18 +202,22 @@ WORKLOADS = {
 }
 
 
-def analyze_workload(
-    name: str, backend: str, shards: Optional[int] = None, faults=None
-) -> dict:
-    """Run one workload on one backend and build its span diagnostics.
+def analyze_workload(name: str, faults=None) -> dict:
+    """Run one workload with span tracing on and build its diagnostics.
 
     Returns a JSON-ready dict: span fingerprint, critical-path segments
     over the workload's measurement window, per-category attribution, and
-    backend diagnostics (CMB window/stall counters for sharded runs,
-    reliability frame counters when fault injection is on).
+    scheduler diagnostics (reliability frame counters when fault
+    injection is on).
     """
+    import repro.upcxx as upcxx
+
     body, ranks, ppn = WORKLOADS[name]
-    results, spans, sched_stats = _run(body, ranks, ppn, backend, shards, faults)
+    spans = SpanBuffer()
+    sched_stats: dict = {}
+    results = upcxx.run_spmd(
+        body, ranks, ppn=ppn, spans=spans, sched_stats=sched_stats, faults=faults
+    )
     window = next((r for r in results if r is not None), None)
     if window is None:
         raise RuntimeError(f"workload {name!r} returned no measurement window")
@@ -249,30 +226,15 @@ def analyze_workload(
     segments = critical_path(records, t0, t1)
     attr = attribution(segments)
     diag = {
-        "backend": sched_stats.get("backend", backend),
-        "switches": sched_stats.get("switches"),
-        "events_fired": sched_stats.get("events_fired"),
+        key: sched_stats[key]
+        for key in ("switches", "events_fired", "frames_dropped",
+                    "frames_duplicated", "frames_retransmitted", "acks")
     }
-    for key in ("n_shards", "windows", "quiet_windows", "window_stall_s",
-                "horizon_wait_s", "envelopes_exchanged", "pipe_bytes",
-                "env_frames", "sentinel_frames",
-                "frames_dropped", "frames_duplicated", "frames_retransmitted",
-                "acks"):
-        if key in sched_stats:
-            diag[key] = sched_stats[key]
-    shard_of = None
-    if sched_stats.get("per_shard"):
-        shard_of = [0] * ranks
-        for st in sched_stats["per_shard"]:
-            lo, hi = st["ranks"]
-            for r in range(lo, hi):
-                shard_of[r] = st["shard"]
     kv_latency = None
     if all(r is not None and len(r) > 2 for r in results):
         kv_latency = _kv_latency_summary([r[2] for r in results])
     return {
         "workload": name,
-        "backend": backend,
         "n_ranks": ranks,
         "fingerprint": spans.fingerprint(),
         "n_spans": len(records),
@@ -286,7 +248,6 @@ def analyze_workload(
         "diagnostics": diag,
         "kv_latency": kv_latency,
         "_spans": spans,      # stripped before JSON output
-        "_shard_of": shard_of,
     }
 
 
@@ -328,109 +289,57 @@ def _kv_latency_summary(records: Sequence[dict]) -> dict:
 # ======================================================================
 # Rendering
 # ======================================================================
-def _render_text(reports: List[dict], identical: bool) -> str:
+def _render_text(rep: dict) -> str:
     lines: List[str] = []
-    for rep in reports:
-        attr = rep["attribution_s"]
-        total = attr["total"]
+    attr = rep["attribution_s"]
+    total = attr["total"]
+    lines.append(
+        f"== {rep['workload']} "
+        f"({rep['n_spans']} spans, fingerprint {rep['fingerprint'][:16]}…) =="
+    )
+    w0, w1 = rep["window_s"]
+    lines.append(f"analysis window: {(w1 - w0) * 1e6:.3f} us of simulated time")
+    lines.append("time attribution (simulated critical path):")
+    for cat in CATEGORIES:
+        sec = attr.get(cat, 0.0)
+        pct = 100.0 * sec / total if total else 0.0
+        lines.append(f"  {cat:>13}  {sec * 1e6:10.3f} us  {pct:5.1f}%")
+    covered = sum(attr.get(c, 0.0) for c in CATEGORIES)
+    lines.append(
+        f"  {'sum':>13}  {covered * 1e6:10.3f} us  "
+        f"({100.0 * covered / total if total else 0.0:.2f}% of window)"
+    )
+    diag = rep["diagnostics"]
+    if diag["frames_dropped"] or diag["frames_duplicated"] or diag["frames_retransmitted"]:
         lines.append(
-            f"== {rep['workload']} on {rep['backend']} "
-            f"({rep['n_spans']} spans, fingerprint {rep['fingerprint'][:16]}…) =="
+            f"reliability: {diag['frames_dropped']} dropped / "
+            f"{diag['frames_duplicated']} duplicated / "
+            f"{diag['frames_retransmitted']} retransmitted frames"
         )
-        w0, w1 = rep["window_s"]
-        lines.append(f"analysis window: {(w1 - w0) * 1e6:.3f} us of simulated time")
-        lines.append("time attribution (simulated critical path):")
-        for cat in CATEGORIES:
-            sec = attr.get(cat, 0.0)
-            pct = 100.0 * sec / total if total else 0.0
-            lines.append(f"  {cat:>13}  {sec * 1e6:10.3f} us  {pct:5.1f}%")
-        covered = sum(attr.get(c, 0.0) for c in CATEGORIES)
+    kv = rep.get("kv_latency")
+    if kv:
         lines.append(
-            f"  {'sum':>13}  {covered * 1e6:10.3f} us  "
-            f"({100.0 * covered / total if total else 0.0:.2f}% of window)"
+            f"kv request latency ({kv['reads']} reads / {kv['writes']} writes, "
+            "cross-rank merged):"
         )
-        diag = rep["diagnostics"]
-        rel = (
-            f"{diag.get('frames_dropped', 0)} dropped / "
-            f"{diag.get('frames_duplicated', 0)} duplicated / "
-            f"{diag.get('frames_retransmitted', 0)} retransmitted frames"
-        )
-        if diag.get("n_shards"):
-            # batching efficiency (protocol v2): envelopes per non-sentinel
-            # frame, and the fraction of frame slots idle pairs collapsed
-            # to one-byte sentinels — a coalescing regression shows up here
-            n_frames = diag.get("env_frames", 0) or 0
-            n_sent = diag.get("sentinel_frames", 0) or 0
-            n_env = diag.get("envelopes_exchanged", 0) or 0
-            env_per_frame = n_env / n_frames if n_frames else 0.0
-            sent_frac = n_sent / (n_frames + n_sent) if (n_frames + n_sent) else 0.0
+        for cls in ("read", "write", "all"):
+            p = kv[cls]
             lines.append(
-                f"CMB: {diag.get('n_shards')} shards, {diag.get('windows')} windows, "
-                f"env-exchange stall {diag.get('window_stall_s', 0.0) * 1e3:.2f} ms, "
-                f"horizon wait {diag.get('horizon_wait_s', 0.0) * 1e3:.2f} ms, "
-                f"{n_env} envelopes / "
-                f"{diag.get('pipe_bytes', 0)} pipe bytes, "
-                f"{env_per_frame:.2f} envelopes/frame, "
-                f"{sent_frac:.1%} sentinel frames, "
-                + rel
+                f"  {cls:>13}  p50 {p['p50_s'] * 1e6:8.2f} us  "
+                f"p95 {p['p95_s'] * 1e6:8.2f} us  "
+                f"p99 {p['p99_s'] * 1e6:8.2f} us  "
+                f"p999 {p['p999_s'] * 1e6:8.2f} us"
             )
-        elif any(diag.get(k) for k in
-                 ("frames_dropped", "frames_duplicated", "frames_retransmitted")):
-            lines.append("reliability: " + rel)
-        kv = rep.get("kv_latency")
-        if kv:
-            lines.append(
-                f"kv request latency ({kv['reads']} reads / {kv['writes']} writes, "
-                "cross-rank merged):"
-            )
-            for cls in ("read", "write", "all"):
-                p = kv[cls]
-                lines.append(
-                    f"  {cls:>13}  p50 {p['p50_s'] * 1e6:8.2f} us  "
-                    f"p95 {p['p95_s'] * 1e6:8.2f} us  "
-                    f"p99 {p['p99_s'] * 1e6:8.2f} us  "
-                    f"p999 {p['p999_s'] * 1e6:8.2f} us"
-                )
-        segs = rep["critical_path"]
-        lines.append(f"critical path: {len(segs)} segments; longest:")
-        longest = sorted(segs, key=lambda s: s["t1"] - s["t0"], reverse=True)[:8]
-        for s in longest:
-            sid = "-" if s["sid"] is None else f"r{s['sid'][0]}#{s['sid'][1]}"
-            lines.append(
-                f"  {(s['t1'] - s['t0']) * 1e6:9.3f} us  {s['category']:>13}  "
-                f"{s['kind'] or 'app'}:{s['phase']}  [{sid}]"
-            )
-        lines.append("")
-    if len(reports) > 1:
+    segs = rep["critical_path"]
+    lines.append(f"critical path: {len(segs)} segments; longest:")
+    longest = sorted(segs, key=lambda s: s["t1"] - s["t0"], reverse=True)[:8]
+    for s in longest:
+        sid = "-" if s["sid"] is None else f"r{s['sid'][0]}#{s['sid'][1]}"
         lines.append(
-            "span fingerprints: "
-            + ("IDENTICAL across backends" if identical else "DIVERGED across backends!")
+            f"  {(s['t1'] - s['t0']) * 1e6:9.3f} us  {s['category']:>13}  "
+            f"{s['kind'] or 'app'}:{s['phase']}  [{sid}]"
         )
     return "\n".join(lines)
-
-
-def build_report(
-    workload: str, backends: Sequence[str], shards: Optional[int], faults=None
-) -> Tuple[dict, bool, List[dict]]:
-    """Run ``workload`` on every backend; returns (doc, identical, reports)."""
-    reports = [
-        analyze_workload(workload, b, shards if b == "sharded" else None, faults)
-        for b in backends
-    ]
-    fps = {rep["backend"]: rep["fingerprint"] for rep in reports}
-    identical = len(set(fps.values())) <= 1
-    doc = {
-        "schema": "repro-span-report/1",
-        "workload": workload,
-        "backends": list(backends),
-        "faults": faults,
-        "fingerprints": fps,
-        "fingerprints_identical": identical,
-        "reports": [
-            {k: v for k, v in rep.items() if not k.startswith("_")} for rep in reports
-        ],
-    }
-    return doc, identical, reports
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -439,15 +348,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         description="causal span report: critical path + time attribution",
     )
     ap.add_argument("--workload", choices=sorted(WORKLOADS), default="fig3a")
-    ap.add_argument(
-        "--backends",
-        nargs="+",
-        default=["coroutines"],
-        choices=BACKENDS,
-        help="backends to run and cross-check (default: coroutines)",
-    )
-    ap.add_argument("--shards", type=int, default=None,
-                    help="worker count for the sharded backend")
     ap.add_argument("--faults", default=None,
                     help='fault-plan spec, e.g. "seed=1,drop=0.1,jitter=1e-6" '
                          "(see repro.sim.faults.FaultPlan.parse)")
@@ -455,23 +355,20 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     ap.add_argument("--out", default=None, help="write output here instead of stdout")
     args = ap.parse_args(argv)
 
-    doc, identical, reports = build_report(
-        args.workload, args.backends, args.shards, args.faults
-    )
-
+    rep = analyze_workload(args.workload, args.faults)
+    spans = rep.pop("_spans")
     if args.format == "json":
+        doc = dict(rep, schema="repro-span-report/2", faults=args.faults)
         text = json.dumps(doc, sort_keys=True, indent=2)
     elif args.format == "perfetto":
         from repro.util.trace_export import chrome_trace_span_events
 
-        rep = reports[0]
-        events = chrome_trace_span_events(rep["_spans"], rep["_shard_of"])
         text = json.dumps(
-            {"displayTimeUnit": "ms", "traceEvents": events},
+            {"displayTimeUnit": "ms", "traceEvents": chrome_trace_span_events(spans)},
             sort_keys=True, separators=(",", ":"),
         )
     else:
-        text = _render_text(doc["reports"], identical)
+        text = _render_text(rep)
 
     if args.out:
         with open(args.out, "w") as fh:
@@ -479,12 +376,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"wrote {args.format} report to {args.out}")
     else:
         print(text)
-    if not identical:
-        print(
-            f"ERROR: span fingerprints diverged across backends: {doc['fingerprints']}",
-            file=sys.stderr,
-        )
-        return 1
     return 0
 
 

@@ -47,8 +47,8 @@ aggregators:
 Everything is deterministic: buffers are plain per-destination lists
 filled in program order, flush order is ascending destination rank, and
 all pacing is simulated time — so results, traces, and span
-fingerprints stay bit-identical across the coroutine and sharded
-backends (pinned by ``tests/test_chaos_determinism.py``).
+fingerprints are a pure function of (program, seed), pinned by the
+golden file (``tests/test_chaos_determinism.py``).
 """
 
 from __future__ import annotations
@@ -103,7 +103,7 @@ def default_route(key, n_ranks: int) -> int:
 
     Non-integer keys go through blake2b rather than ``hash()``: builtin
     string hashing is salted per process, which would scatter a key's
-    owner across runs and break cross-backend bit-identity.
+    owner across runs and break run-to-run bit-identity.
     """
     if not isinstance(key, int):
         key = int.from_bytes(

@@ -45,7 +45,6 @@ def run_spmd(
     trace=None,
     spans=None,
     telemetry=None,
-    backend: Optional[str] = None,
     sched_stats: Optional[dict] = None,
     faults=None,
 ) -> List[object]:
@@ -68,11 +67,8 @@ def run_spmd(
     ``telemetry.blackbox_path`` when configured) before the error
     propagates.  All default to off and cost nothing when absent.
 
-    ``backend`` selects the scheduler implementation ("coroutines" or
-    "sharded" — :data:`repro.sim.BACKENDS`; default:
-    ``$REPRO_SIM_BACKEND`` or coroutines).  Pass a dict as ``sched_stats`` to receive the
-    scheduler's run counters (switches, events fired — see
-    :meth:`Scheduler.stats`) after the run.
+    Pass a dict as ``sched_stats`` to receive the scheduler's run counters
+    (switches, events fired — see :meth:`Scheduler.stats`) after the run.
 
     ``faults`` enables chaos injection: a :class:`repro.sim.faults.FaultPlan`,
     a spec string (``"seed=1,drop=0.05,crash=2@1e-3"``), or a kwargs dict.
@@ -86,12 +82,7 @@ def run_spmd(
     machine = Machine.for_ranks(ranks, ppn, name=platform)
     network = network if network is not None else AriesNetwork()
     cpu = cpu if cpu is not None else platform_cpu(platform)
-    sched = Scheduler(ranks, trace=trace, max_time=max_time, backend=backend)
-    # the sharded backend partitions ranks by simulated node and derives
-    # its conservative lookahead from the cross-node wire latency
-    cfg = getattr(sched, "configure_sharding", None)
-    if cfg is not None:
-        cfg(machine, network)
+    sched = Scheduler(ranks, trace=trace, max_time=max_time)
     world = World(
         sched, machine, network, cpu, costs, segment_size, seed,
         metrics=metrics, spans=spans, faults=faults, telemetry=telemetry,
@@ -133,9 +124,7 @@ def run_spmd(
     except (RankDeadError, RankFailure) as err:
         tel = world.telemetry
         if tel is not None:
-            # post-mortem flight-recorder bundle; on the sharded backend
-            # the per-rank state was merged back through the FAIL/ok
-            # payloads before the error was re-raised here
+            # post-mortem flight-recorder bundle
             tel.emit_blackbox(err, faults)
         raise
     finally:

@@ -48,8 +48,7 @@ the default, counted by the service as lost writes).
 All recovery work happens in rank context: the death listener runs in
 network context and only *stages* the handler onto the runtime's
 completion queue (the ``_deliver_remote_cx`` pattern), so every
-downstream effect carries a deterministic causal stamp on every
-backend.
+downstream effect carries a deterministic causal stamp.
 """
 
 from __future__ import annotations

@@ -50,8 +50,7 @@ class RmaOp(Transfer):
 
     - the **defQ** entry (``kind``/``nbytes``/``t_enq`` tags, :meth:`inject`),
     - the **actQ** entry (``str()`` gives the description diagnostics print),
-    - the callable of both conduit events and — across shards — the
-      handle a completion envelope finishes,
+    - the callable of both conduit events,
     - the staged / **compQ** item (:meth:`complete` stages it; ``cost``,
       ``t_active``/``t_staged``/``sid``/``t_polled`` and :meth:`fn` are
       what :class:`~repro.upcxx.runtime.CompQItem` offers user progress),
@@ -94,7 +93,6 @@ class RmaOp(Transfer):
             return
         # remote_cx work crosses the wire as (fn, args, t_active) data — the
         # conduit hands it to the target's runtime via the World's deliverer
-        # (a closure here could not cross a shard boundary)
         rrpc = self.remote_rpc
         if rrpc is not None:
             self.remote_rpc = (rrpc[0], rrpc[1], now)

@@ -170,16 +170,14 @@ class World:
             and faults.crashes
             and not faults.survivable
         ):
-            # freeze rings/windows at the first crash time so post-mortem
-            # bundles are bit-identical across backends (the sharded
-            # backend over-executes survivors past the abort point).
-            # Survivable plans keep recording: execution past the crash is
-            # deterministic there, and the post-crash windows are the story.
+            # freeze rings/windows at the first crash time so the
+            # post-mortem bundle shows the job at the moment of death.
+            # Survivable plans keep recording: the post-crash windows are
+            # the story there.
             self.telemetry.freeze_at = min(faults.crashes.values())
         if faults is not None and faults.survivable:
-            # every process of the job (including shard workers that host
-            # no crashing rank) must return results instead of re-raising
-            # the recorded death at end of run
+            # return results instead of re-raising the recorded death at
+            # end of run
             sched._survivable = True
         #: optional repro.sim.faults.FaultPlan (chaos injection)
         self.faults = faults
@@ -248,7 +246,7 @@ class Runtime:
         self.telemetry = world.telemetry.rank(rank) if world.telemetry is not None else None
         self._ep = world.conduit.endpoints[rank]
         #: per-rank span-id counter; sids are (rank, seq), minted in rank
-        #: context in program order, hence identical on every backend
+        #: context in program order
         self._span_seq = 0
         #: scheduler trace buffer (records only when the buffer is enabled)
         self._trace = world.sched.trace
@@ -331,8 +329,7 @@ class Runtime:
     def _arm_crash(self, plan, t_die: float) -> None:
         """Schedule this rank's fail-stop death and its detection.
 
-        Two events, both posted in rank context at clock 0 (hence identical
-        on every backend and owned by this rank's shard):
+        Two events, both posted in rank context at clock 0:
 
         - *die* at ``t_die``: marks the rank dead (fail-stop — the next call
           into the library raises the internal :class:`RankCrashed` control
@@ -346,10 +343,9 @@ class Runtime:
         Under a *survivable* plan the detect event instead notifies the
         scheduler's death listeners (``Scheduler._notify_dead``) and the
         run keeps going.  Because execution continues past detection, the
-        detect event's causal stamp must be identical on every backend: it
-        is armed under the synthetic stamp ``(0.0, rank, 0)`` — disjoint
-        from every organically minted stamp (rank-context seqs start at 1)
-        and exactly what the sharded backend's remote-detection events use.
+        detect event's place among same-instant events matters: it is
+        armed under the synthetic stamp ``(0.0, rank, 0)`` — disjoint from
+        every organically minted stamp (rank-context seqs start at 1).
         """
         rank = self.rank
         sched = self.sched
@@ -384,7 +380,7 @@ class Runtime:
 
         Feeds the blackbox pending-op table: queue depths plus a bounded
         sample of operation descriptions (rank-local state read in program
-        order, hence identical on every backend).
+        order).
         """
         from repro.util.telemetry import _PENDING_DETAIL
 
@@ -489,7 +485,7 @@ class Runtime:
             if tel is not None:
                 # capture the dying rank's in-flight state at its last
                 # deterministic point (queue contents as of the previous
-                # suspension — identical on every backend)
+                # suspension)
                 tel.record_death(
                     self._crash_at, self._pending_snapshot(),
                     (len(self.defQ), len(self.actQ), len(self.compQ), len(self._gasnet_done)),

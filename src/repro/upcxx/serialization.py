@@ -322,9 +322,9 @@ def serializable_fields(*fields):
 def pack(obj: Any) -> bytes:
     """Serialize ``obj`` into wire bytes."""
     # Fast path: a top-level bytes/bytearray payload (the dominant AM/RPC
-    # shape in the DHT workloads, and the dominant cross-shard envelope
-    # body) skips the dispatch chain and list assembly.  The emitted frame
-    # is byte-identical to the general path: tag + u32 length + raw.
+    # shape in the DHT workloads) skips the dispatch chain and list
+    # assembly.  The emitted frame is byte-identical to the general path:
+    # tag + u32 length + raw.
     t = type(obj)
     if t is bytes:
         return _B_BYTES + _U32.pack(len(obj)) + obj
@@ -377,9 +377,8 @@ def pack(obj: Any) -> bytes:
             elif x is False:
                 append(_B_FALSE)
             elif tx is tuple:
-                # One level of nested scalar tuples: causal stamps and
-                # span sids ride inside every traced cross-shard envelope
-                # meta, and they must not knock the whole meta off the
+                # One level of nested scalar tuples (span sids, (key,
+                # version) pairs) must not knock the whole tuple off the
                 # fast path.  Byte-identical to _pack_into.
                 sub: Optional[List[bytes]] = [_B_TUPLE, _U32.pack(len(x))]
                 sapp = sub.append

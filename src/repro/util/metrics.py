@@ -118,8 +118,8 @@ class DwellHistogram:
 
     @classmethod
     def from_dict(cls, d: dict) -> "DwellHistogram":
-        """Rebuild a histogram from :meth:`as_dict` output (the sharded
-        backend returns per-rank results as plain dicts)."""
+        """Rebuild a histogram from :meth:`as_dict` output (rank bodies
+        return their histograms as plain dicts)."""
         h = cls()
         h.n = d["n"]
         h.total = d["total_s"]

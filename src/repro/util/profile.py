@@ -11,7 +11,7 @@ from __future__ import annotations
 import os
 import sys
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List
 
 from repro.util.units import fmt_bytes, fmt_time
 
@@ -23,19 +23,11 @@ PROFILE_RANK_ENV = "REPRO_PROFILE_RANK"
 #: optional .pstats dump path (default: print top entries to stderr)
 PROFILE_OUT_ENV = "REPRO_PROFILE_OUT"
 
-#: when set (a list), :func:`maybe_profiled` wraps EVERY rank body in its
-#: own cProfile and appends the finished profiles here instead of dumping
-#: them — the collection mode :func:`profile_phase_breakdown` uses.
-#: Per-fiber wrapping is mandatory: cProfile hooks only the calling
-#: thread, and each simulated rank runs on its own carrier thread.
-_collector: Optional[list] = None
-
 
 def profiling_enabled() -> bool:
-    """Whether rank bodies should be routed through :func:`maybe_profiled`:
-    either ``REPRO_PROFILE`` asks for a per-rank cProfile dump, or a
-    phase-breakdown collection pass is active."""
-    return _collector is not None or os.environ.get(PROFILE_ENV, "") not in ("", "0")
+    """Whether ``REPRO_PROFILE`` asks for a per-rank cProfile dump (rank
+    bodies are then routed through :func:`maybe_profiled`)."""
+    return os.environ.get(PROFILE_ENV, "") not in ("", "0")
 
 
 def maybe_profiled(fn: Callable[[], object], rank: int) -> Callable[[], object]:
@@ -47,21 +39,6 @@ def maybe_profiled(fn: Callable[[], object], rank: int) -> Callable[[], object]:
     dumped when the body returns: to ``$REPRO_PROFILE_OUT`` as a pstats
     file if set, else as a top-40 cumulative-time table on stderr.
     """
-    coll = _collector
-    if coll is not None:
-
-        def collected():
-            import cProfile
-
-            prof = cProfile.Profile()
-            prof.enable()
-            try:
-                return fn()
-            finally:
-                prof.disable()
-                coll.append(prof)
-
-        return collected
     if not profiling_enabled() or rank != int(os.environ.get(PROFILE_RANK_ENV, "0")):
         return fn
 
@@ -86,90 +63,6 @@ def maybe_profiled(fn: Callable[[], object], rank: int) -> Callable[[], object]:
                 stats.print_stats(40)
 
     return profiled
-
-
-# ----------------------------------------------------- per-phase breakdown
-#: hot-path phases, matched against profiled filenames in order; the
-#: first hit wins, so the narrower instrumentation patterns must precede
-#: the broad per-layer directories
-_PHASE_PATTERNS = (
-    ("instrumentation", ("/repro/util/spans", "/repro/util/metrics", "/repro/util/trace")),
-    ("scheduler", ("/repro/sim/",)),
-    ("conduit", ("/repro/gasnet/",)),
-    ("upcxx_api", ("/repro/upcxx/",)),
-    ("workload", ("/repro/apps/", "/repro/bench/")),
-)
-
-#: all phase keys a breakdown dict carries, in reporting order
-PHASE_KEYS = tuple(name for name, _ in _PHASE_PATTERNS) + ("blocked_wait", "other")
-
-
-def classify_phases(profiles: list) -> Dict[str, float]:
-    """Aggregate per-fiber cProfile objects into per-phase tottime seconds.
-
-    ``blocked_wait`` collects ``_thread.lock.acquire`` time — a parked
-    fiber's baton wait, which sums *across* fibers and therefore exceeds
-    wall clock; it is reported separately so the CPU-bound phases can be
-    read as honest fractions of interpreter work.
-    """
-    out: Dict[str, float] = {k: 0.0 for k in PHASE_KEYS}
-    for prof in profiles:
-        for entry in prof.getstats():
-            code = entry.code
-            tt = entry.inlinetime
-            if not tt:
-                continue
-            if isinstance(code, str):  # built-in: "<method 'acquire' of ...>"
-                if "acquire" in code and "lock" in code:
-                    out["blocked_wait"] += tt
-                else:
-                    out["other"] += tt
-                continue
-            fname = code.co_filename.replace(os.sep, "/")
-            for phase, pats in _PHASE_PATTERNS:
-                if any(p in fname for p in pats):
-                    out[phase] += tt
-                    break
-            else:
-                out["other"] += tt
-    return out
-
-
-def profile_phase_breakdown(run: Callable[[], object]) -> Dict[str, object]:
-    """Run ``run()`` with every rank body cProfiled; return the per-phase
-    hot-path breakdown (scheduler vs conduit vs upcxx API vs
-    instrumentation) the perf harness embeds in ``BENCH_perf.json``.
-
-    The profiled pass is separate from any timed measurement — cProfile
-    multiplies Python call cost several-fold, so its absolute seconds are
-    only meaningful relative to each other.  Fractions are therefore
-    reported over the CPU-bound phases only (``blocked_wait`` excluded).
-    """
-    global _collector
-    profiles: list = []
-    prev = _collector
-    _collector = profiles
-    try:
-        run()
-    finally:
-        _collector = prev
-    seconds = classify_phases(profiles)
-    cpu_total = sum(v for k, v in seconds.items() if k != "blocked_wait")
-    return {
-        "phases_s": {k: round(v, 4) for k, v in seconds.items()},
-        "fractions": {
-            k: round(v / cpu_total, 4) if cpu_total else 0.0
-            for k, v in seconds.items()
-            if k != "blocked_wait"
-        },
-        "n_fibers_profiled": len(profiles),
-        "note": (
-            "per-fiber cProfile tottime aggregated over all ranks; "
-            "blocked_wait is parked baton time summed across fibers "
-            "(exceeds wall clock by design); fractions cover CPU-bound "
-            "phases only and are profiler-inflated but comparable"
-        ),
-    }
 
 
 @dataclass

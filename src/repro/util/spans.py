@@ -18,14 +18,12 @@ Design rules (shared with :class:`repro.util.metrics.Metrics`):
 - **Off by default.**  When no buffer is installed the instrumented
   layers skip every hook behind one ``is not None`` check.
 - **Deterministic.**  Correlation ids are ``(initiator_rank, seq)``
-  with a per-rank counter, so they are identical on every scheduler
-  backend; records are plain tuples that cross shard boundaries by
-  pickling, and the canonical order (stable sort by
-  ``(t0, t1, rank, sid, phase)``) is backend-invariant, exactly like
+  with a per-rank counter, records are plain tuples, and the canonical
+  order (stable sort by ``(t0, t1, rank, sid, phase)``) depends only on
+  what each rank did, exactly like
   :meth:`repro.util.trace.TraceBuffer.canonical_events`.
   :meth:`SpanBuffer.fingerprint` is a content hash of that canonical
-  stream — bit-identical across the coroutine and sharded
-  backends (pinned by ``tests/test_backend_determinism.py``), and
+  stream — pinned per program by ``tests/golden/fingerprints.json`` and
   process-stable (no dependence on ``PYTHONHASHSEED``).
 
 A record is the tuple ``(t0, t1, rank, sid, phase, kind, nbytes,
@@ -47,7 +45,7 @@ parent    ``sid`` of the causally-parent operation, or ``None``
 from __future__ import annotations
 
 import hashlib
-from typing import Iterable, Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 #: every phase the instrumented layers emit, with the attribution
 #: category the critical-path report folds it into
@@ -90,10 +88,10 @@ PHASES = {
 
 SpanRecord = Tuple[float, float, int, tuple, str, str, int, Optional[tuple]]
 
-#: canonical sort key — backend-invariant for the same reason as
-#: TraceBuffer: a rank's own records are appended in its execution
-#: order on every backend, and the key is unique per record (one op
-#: never emits the same phase twice at identical times on one rank)
+#: canonical sort key — independent of cross-rank interleaving for the
+#: same reason as TraceBuffer: a rank's own records are appended in its
+#: execution order, and the key is unique per record (one op never
+#: emits the same phase twice at identical times on one rank)
 def _canon_key(r: SpanRecord):
     return (r[0], r[1], r[2], r[3], r[4])
 
@@ -139,24 +137,11 @@ class SpanBuffer:
         """Records stably sorted by ``(t0, t1, rank, sid, phase)``."""
         return sorted(self._records, key=_canon_key)
 
-    def extend_canonical(self, record_lists: Iterable[Iterable[SpanRecord]]) -> None:
-        """Merge per-shard record lists in canonical order (parent side).
-
-        Concatenation preserves each rank's own append order (a rank
-        lives on exactly one shard); the stable sort then reproduces the
-        canonical stream a single-process run would yield.
-        """
-        merged: List[SpanRecord] = []
-        for records in record_lists:
-            merged.extend(tuple(r) for r in records)
-        merged.sort(key=_canon_key)
-        self._records.extend(merged)
-
     def fingerprint(self) -> str:
         """Content hash of the canonical stream (hex digest).
 
         Uses blake2b over a rounded repr, so the digest is identical
-        across backends, processes, and interpreter hash seeds.
+        across processes and interpreter hash seeds.
         """
         h = hashlib.blake2b(digest_size=16)
         for r in self.canonical_records():

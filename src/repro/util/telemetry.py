@@ -7,13 +7,12 @@ capture *distributions* (dwell histograms), while telemetry captures
 events** — the GASNet-EX performance-counter philosophy.  It is designed
 for three properties:
 
-1. **Deterministic across backends.**  Snapshots are taken in rank
-   context at fixed *simulated-time* window edges (the first library call
-   at-or-after each edge closes the window), and every counter read is a
-   pure observation of rank-local state — no clock-bearing events are
-   posted and nothing perturbs the schedule.  Because every backend
-   executes each rank's program in an identical causal order, the rollup
-   stream is bit-identical across coroutines and sharded runs.
+1. **Deterministic.**  Snapshots are taken in rank context at fixed
+   *simulated-time* window edges (the first library call at-or-after each
+   edge closes the window), and every counter read is a pure observation
+   of rank-local state — no clock-bearing events are posted and nothing
+   perturbs the schedule, so the rollup stream is a pure function of
+   (program, seed).
 
 2. **Near-zero cost, exactly zero when off.**  The runtime keeps a single
    per-rank reference (``None`` when telemetry is absent); every hook is
@@ -23,11 +22,8 @@ for three properties:
 3. **Crash-safe.**  Under a fault plan with rank crashes the recorder
    *freezes* at the first crash time: entries stamped after the cutoff
    are not admitted, so the bundle reflects the job as of the moment of
-   death.  Every backend stops executing at exactly the heartbeat
-   detection time (the sharded backend arms the detection event on every
-   shard and fences its CMB windows at each crash/detect time), so the
-   ring's contents — and therefore the ``blackbox.json`` post-mortem
-   bundle — are bit-identical on every backend.
+   death, and the ring's contents — and therefore the ``blackbox.json``
+   post-mortem bundle — are bit-identical for the same seed.
 
 Usage::
 
@@ -62,7 +58,7 @@ class RankTelemetry:
     """One rank's telemetry: cumulative counters, windows, flight ring.
 
     All mutation happens in rank context in program order, so the state is
-    a pure function of (program, seed) on every backend.  Times arrive as
+    a pure function of (program, seed).  Times arrive as
     explicit arguments — this class never reads a clock.
     """
 
@@ -154,8 +150,7 @@ class RankTelemetry:
             return
         freeze = self.freeze_at
         if freeze is not None and t_die > freeze:
-            # a second, later crash that some backends never reach —
-            # excluded so the bundle stays deterministic
+            # a second, later crash, past the moment the bundle describes
             return
         self.died_at = t_die
         self.pending = pending
@@ -252,8 +247,8 @@ class Telemetry:
 
     ``blackbox_path``: when a run ends in ``RankDeadError``/``RankFailure``
     the post-mortem bundle is stored as :attr:`blackbox` and — when a path
-    is configured — written there as canonical JSON (byte-identical across
-    backends for the same seed).
+    is configured — written there as canonical JSON (byte-identical for
+    the same seed).
     """
 
     def __init__(self, enabled: bool = True, window_s: float = DEFAULT_WINDOW_S,
@@ -263,7 +258,7 @@ class Telemetry:
         self.ring = ring
         self.blackbox_path = blackbox_path
         #: first crash time of the active fault plan (set by the runtime);
-        #: freezes rings/windows so crash bundles are backend-identical
+        #: freezes rings/windows so a crash bundle shows the moment of death
         self.freeze_at: Optional[float] = None
         #: last post-mortem bundle built (dict), if any
         self.blackbox: Optional[dict] = None
@@ -281,10 +276,6 @@ class Telemetry:
     @property
     def ranks(self) -> Dict[int, RankTelemetry]:
         return dict(sorted(self._ranks.items()))
-
-    def merge_ranks(self, ranks: Dict[int, RankTelemetry]) -> None:
-        """Adopt per-rank telemetry collected elsewhere (shard workers)."""
-        self._ranks.update(ranks)
 
     def set_replica_state(self, rank: int, state: dict) -> None:
         """Record a rank's replication-layer state table (blackbox feed)."""
@@ -306,10 +297,8 @@ class Telemetry:
         """Assemble the post-mortem bundle for a failed (or survived) run.
 
         For *fatal* crash plans the bundle is truncated at the first crash
-        time: every backend is guaranteed to have executed all rank-context
-        work stamped at-or-before that cutoff, so the bundle is
-        bit-identical across coroutines and sharded for the same seed.
-        Non-crash failures (``RankFailure``) carry no cutoff.
+        time, the moment of death it describes.  Non-crash failures
+        (``RankFailure``) carry no cutoff.
 
         ``err=None`` records a *survived* crash run (survivable plan +
         replication): no cutoff is applied — execution past the crash is

@@ -61,34 +61,20 @@ class TraceBuffer:
         """Events stably sorted by ``(time, rank)``.
 
         Within one rank, records are appended in that rank's execution
-        order on every backend; *across* ranks the interleaving at equal
-        timestamps depends on the scheduler's internal dispatch order,
-        which legitimately differs between the single-process and sharded
-        backends.  The canonical order — stable sort by (time, rank),
-        preserving each rank's own subsequence — is backend-invariant.
+        order; *across* ranks the interleaving at equal timestamps is the
+        scheduler's internal dispatch order, which is not part of the
+        simulated result.  The canonical order — stable sort by (time,
+        rank), preserving each rank's own subsequence — depends only on
+        what each rank did, and is what the golden trace digest hashes.
         """
         return sorted(self._events, key=lambda ev: (ev.time, ev.rank))
 
     def canonical_fingerprint(self) -> int:
-        """Order-sensitive hash of the canonical (backend-invariant) trace."""
+        """Order-sensitive hash of the canonical trace."""
         acc = 0
         for ev in self.canonical_events():
             acc = hash((acc, round(ev.time, 12), ev.rank, ev.kind, ev.detail))
         return acc
-
-    def extend_canonical(self, event_lists) -> None:
-        """Merge per-shard event lists into this buffer in canonical order.
-
-        ``event_lists`` is an iterable of per-shard event sequences (shard
-        order).  Concatenation preserves each rank's execution order (a
-        rank lives on exactly one shard); the stable (time, rank) sort then
-        produces the same canonical stream a single-process run would.
-        """
-        merged: list = []
-        for events in event_lists:
-            merged.extend(events)
-        merged.sort(key=lambda ev: (ev.time, ev.rank))
-        self._events.extend(merged)
 
     def dump(self, limit: Optional[int] = None) -> str:
         events = list(self._events)

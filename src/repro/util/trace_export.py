@@ -13,10 +13,9 @@ lane (tid) per rank:
 - metrics queue-depth samples become counter ("C") tracks, one per rank,
   plotting defQ/actQ/compQ/staged depths over time.
 
-Sharded runs can pass ``shard_of`` (rank -> shard id) so each shard gets
-its own Perfetto *process* (pid) instead of all ranks collapsing into one
-track group; ``process_name``/``thread_name`` metadata events label the
-tracks.  :func:`chrome_trace_span_events` renders a
+All lanes sit in one Perfetto *process* (pid 0, "simulation");
+``process_name``/``thread_name`` metadata events label the tracks.
+:func:`chrome_trace_span_events` renders a
 :class:`~repro.util.spans.SpanBuffer` the same way, one "X" slice per
 lifecycle phase.
 
@@ -28,7 +27,7 @@ function of the inputs: two same-seed runs produce byte-identical JSON
 from __future__ import annotations
 
 import json
-from typing import IO, Dict, List, Optional, Sequence, Union
+from typing import IO, List, Optional, Sequence, Union
 
 from repro.util.metrics import Metrics, QUEUE_NAMES
 from repro.util.trace import TraceBuffer
@@ -37,31 +36,17 @@ from repro.util.trace import TraceBuffer
 _US = 1e6
 
 
-def _pid_of(shard_of: Optional[Sequence[int]], rank: int) -> int:
-    if shard_of is None:
-        return 0
-    try:
-        return shard_of[rank]
-    except (IndexError, KeyError):
-        return 0
-
-
-def _meta_events(
-    ranks: Sequence[int], shard_of: Optional[Sequence[int]]
-) -> List[dict]:
-    """process_name / thread_name metadata for every (pid, tid) in use."""
+def _meta_events(ranks: Sequence[int]) -> List[dict]:
+    """process_name / thread_name metadata for every lane in use."""
     events: List[dict] = []
-    pids: Dict[int, None] = {}
-    for r in ranks:
-        pids.setdefault(_pid_of(shard_of, r), None)
-    for pid in sorted(pids):
+    if ranks:
         events.append(
             {
                 "ph": "M",
                 "name": "process_name",
-                "pid": pid,
+                "pid": 0,
                 "tid": 0,
-                "args": {"name": f"shard {pid}" if shard_of is not None else "simulation"},
+                "args": {"name": "simulation"},
             }
         )
     for r in ranks:
@@ -69,7 +54,7 @@ def _meta_events(
             {
                 "ph": "M",
                 "name": "thread_name",
-                "pid": _pid_of(shard_of, r),
+                "pid": 0,
                 "tid": r,
                 "args": {"name": f"rank {r}"},
             }
@@ -80,14 +65,13 @@ def _meta_events(
 def chrome_trace_events(
     trace: TraceBuffer,
     metrics: Optional[Metrics] = None,
-    shard_of: Optional[Sequence[int]] = None,
 ) -> List[dict]:
-    """Build the ``traceEvents`` list (one process per shard, lane per rank)."""
+    """Build the ``traceEvents`` list (one lane per rank)."""
     events: List[dict] = []
     ranks = sorted({ev.rank for ev in trace})
     if metrics is not None:
         ranks = sorted(set(ranks) | {rm.rank for rm in metrics.ranks})
-    events.extend(_meta_events(ranks, shard_of))
+    events.extend(_meta_events(ranks))
 
     open_block: dict = {}
     for ev in trace:
@@ -95,7 +79,7 @@ def chrome_trace_events(
             # an unmatched earlier block (abort path) degrades to an instant
             prev = open_block.pop(ev.rank, None)
             if prev is not None:
-                events.append(_instant(prev, shard_of))
+                events.append(_instant(prev))
             open_block[ev.rank] = ev
         elif ev.kind == "resume" and ev.rank in open_block:
             b = open_block.pop(ev.rank)
@@ -104,28 +88,27 @@ def chrome_trace_events(
                     "ph": "X",
                     "name": b.detail or "blocked",
                     "cat": "sched",
-                    "pid": _pid_of(shard_of, ev.rank),
+                    "pid": 0,
                     "tid": ev.rank,
                     "ts": b.time * _US,
                     "dur": (ev.time - b.time) * _US,
                 }
             )
         else:
-            events.append(_instant(ev, shard_of))
+            events.append(_instant(ev))
     for ev in open_block.values():
-        events.append(_instant(ev, shard_of))
+        events.append(_instant(ev))
 
     if metrics is not None:
         for rm in metrics.ranks:
             name = f"rank {rm.rank} queues"
-            pid = _pid_of(shard_of, rm.rank)
             for sample in rm.queue_samples:
                 events.append(
                     {
                         "ph": "C",
                         "name": name,
                         "cat": "queues",
-                        "pid": pid,
+                        "pid": 0,
                         "tid": rm.rank,
                         "ts": sample[0] * _US,
                         "args": dict(zip(QUEUE_NAMES, sample[1:])),
@@ -136,13 +119,13 @@ def chrome_trace_events(
     return events
 
 
-def _instant(ev, shard_of: Optional[Sequence[int]] = None) -> dict:
+def _instant(ev) -> dict:
     out = {
         "ph": "i",
         "s": "t",
         "name": ev.kind,
         "cat": "sim",
-        "pid": _pid_of(shard_of, ev.rank),
+        "pid": 0,
         "tid": ev.rank,
         "ts": ev.time * _US,
     }
@@ -151,9 +134,7 @@ def _instant(ev, shard_of: Optional[Sequence[int]] = None) -> dict:
     return out
 
 
-def chrome_trace_span_events(
-    spans, shard_of: Optional[Sequence[int]] = None
-) -> List[dict]:
+def chrome_trace_span_events(spans) -> List[dict]:
     """Render a :class:`~repro.util.spans.SpanBuffer` as "X" slice events.
 
     One slice per lifecycle phase, named ``kind:phase``, on the lane of
@@ -163,7 +144,7 @@ def chrome_trace_span_events(
     """
     records = spans.canonical_records()
     ranks = sorted({r[2] for r in records})
-    events = _meta_events(ranks, shard_of)
+    events = _meta_events(ranks)
     for t0, t1, rank, sid, phase, kind, nbytes, parent in records:
         args = {"sid": f"r{sid[0]}#{sid[1]}", "nbytes": nbytes}
         if parent is not None:
@@ -173,7 +154,7 @@ def chrome_trace_span_events(
                 "ph": "X",
                 "name": f"{kind}:{phase}",
                 "cat": "span",
-                "pid": _pid_of(shard_of, rank),
+                "pid": 0,
                 "tid": rank,
                 "ts": t0 * _US,
                 "dur": (t1 - t0) * _US,
@@ -184,9 +165,7 @@ def chrome_trace_span_events(
     return events
 
 
-def chrome_trace_telemetry_events(
-    telemetry, shard_of: Optional[Sequence[int]] = None
-) -> List[dict]:
+def chrome_trace_telemetry_events(telemetry) -> List[dict]:
     """Render telemetry rollup windows as Perfetto counter ("C") tracks.
 
     One sample per closed window on the owning rank's lane; cumulative
@@ -196,13 +175,12 @@ def chrome_trace_telemetry_events(
     AM polls), ``tel.queues`` (defQ/actQ/compQ/staged), ``tel.nic``
     (bytes + backlog + retransmits), ``tel.agg`` (batches/updates/stall/
     cache hits) and ``tel.attentiveness`` (max progress gap).  Pure
-    function of the telemetry state — byte-identical across backends.
+    function of the telemetry state.
     """
     events: List[dict] = []
     ranks_map = telemetry.ranks
-    events.extend(_meta_events(sorted(ranks_map), shard_of))
+    events.extend(_meta_events(sorted(ranks_map)))
     for rank, rt in sorted(ranks_map.items()):
-        pid = _pid_of(shard_of, rank)
         prev_ops = prev_exec = prev_ams = 0
         prev_bytes = prev_retx = 0
         prev_batches = prev_updates = prev_hits = 0
@@ -213,7 +191,7 @@ def chrome_trace_telemetry_events(
             n_bytes = win["nic"]["bytes_out"]
             n_retx = win["rel"]["retx"]
             agg = win["agg"]
-            base = {"pid": pid, "tid": rank, "ph": "C", "ts": ts}
+            base = {"pid": 0, "tid": rank, "ph": "C", "ts": ts}
             events.append(dict(base, name=f"rank {rank} tel.ops", cat="telemetry", args={
                 "injected": n_ops - prev_ops,
                 "executed": win["executed"] - prev_exec,
@@ -251,15 +229,14 @@ def chrome_trace_telemetry_events(
 def chrome_trace(
     trace: TraceBuffer,
     metrics: Optional[Metrics] = None,
-    shard_of: Optional[Sequence[int]] = None,
     telemetry=None,
 ) -> dict:
     """The full Chrome Trace Event JSON document."""
-    events = chrome_trace_events(trace, metrics, shard_of)
+    events = chrome_trace_events(trace, metrics)
     if telemetry is not None:
         # counter tracks interleave with the span/instant lanes; re-sort so
         # the merged stream keeps the canonical deterministic order
-        events.extend(chrome_trace_telemetry_events(telemetry, shard_of))
+        events.extend(chrome_trace_telemetry_events(telemetry))
         seen = set()
         deduped = []
         for e in events:
@@ -280,12 +257,11 @@ def chrome_trace(
 def dumps_chrome_trace(
     trace: TraceBuffer,
     metrics: Optional[Metrics] = None,
-    shard_of: Optional[Sequence[int]] = None,
     telemetry=None,
 ) -> str:
     """Deterministic JSON text of the trace (byte-stable across runs)."""
     return json.dumps(
-        chrome_trace(trace, metrics, shard_of, telemetry),
+        chrome_trace(trace, metrics, telemetry),
         sort_keys=True, separators=(",", ":")
     )
 
@@ -294,11 +270,10 @@ def export_chrome_trace(
     dest: Union[str, IO[str]],
     trace: TraceBuffer,
     metrics: Optional[Metrics] = None,
-    shard_of: Optional[Sequence[int]] = None,
     telemetry=None,
 ) -> Union[str, IO[str]]:
     """Write the trace JSON to ``dest`` (a path or open text file)."""
-    text = dumps_chrome_trace(trace, metrics, shard_of, telemetry)
+    text = dumps_chrome_trace(trace, metrics, telemetry)
     if isinstance(dest, str):
         with open(dest, "w") as fh:
             fh.write(text)

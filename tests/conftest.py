@@ -5,15 +5,18 @@ default 200 ms deadline (each example may spin up a scheduler with several
 rank threads), so the deadline is disabled globally and example counts are
 kept moderate.
 
+The session pins itself to one CPU (below; child processes inherit it).
 The terminal summary ends with the run's CPU split — user, sys and wall
-seconds of this process and its children (the sharded backend forks).  A
+seconds of this process and its children (subprocess tests).  A
 pure-Python simulator has no business in the kernel: when tier-1 last
 spent more time there than in Python (26 s user / 81 s sys) every job was
-zeroing ``ranks x 32 MiB`` of segment at launch.  ``--fail-if-sys-exceeds-user``
-(set by the CI tier-1 step) turns that signature into a failure.
+zeroing ``ranks x 32 MiB`` of segment at launch.
+``--fail-if-sys-exceeds-user`` (set by the CI tier-1 step) turns that
+signature into a failure.
 """
 
 import gc
+import os
 import resource
 import time
 
@@ -29,6 +32,16 @@ settings.register_profile(
 settings.load_profile("repro")
 
 _T0 = time.perf_counter()
+
+
+# Pin the session to one of the CPUs it may run on.  The scheduler hands one
+# baton between rank threads, so exactly one thread is ever runnable: a second
+# core buys no parallelism and costs a cross-CPU wake on most hand-offs
+# (perfbench's ``sim.unpinned_slowdown``; tier-1 measured 34.5 s wall
+# unpinned, 18.3 s pinned).  Linux-only call; elsewhere the session runs
+# unpinned.
+if hasattr(os, "sched_setaffinity"):
+    os.sched_setaffinity(0, {max(os.sched_getaffinity(0))})
 
 
 @pytest.fixture

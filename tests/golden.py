@@ -1,13 +1,12 @@
-"""Golden determinism fingerprints: the frozen reference every backend is held to.
+"""Golden determinism fingerprints: the frozen reference the simulator is held to.
 
 The simulator's contract is that a program plus its seeds fixes the run:
 results, trace, spans and the scheduler's event counts.  The committed
-``tests/golden/fingerprints.json`` is the reference for that; the sharded
-backend (structurally different: windows, processes) is the live second
-execution (docs/simulator.md §1).
+``tests/golden/fingerprints.json`` is the reference for that
+(docs/simulator.md §1).
 
 This module holds the canonical programs of the determinism, chaos and
-telemetry suites (name -> ``fn(backend) -> Run``), reduces a run to its
+telemetry suites (name -> ``fn() -> Run``), reduces a run to its
 fingerprint (``results`` sha256, canonical ``trace`` digest, ``spans``
 fingerprint, ``events_posted``/``events_fired``, ``switches``) and
 compares fingerprints with the committed file::
@@ -15,12 +14,10 @@ compares fingerprints with the committed file::
     PYTHONPATH=src python -m tests.golden --check [program ...]
     PYTHONPATH=src python -m tests.golden --write [program ...]
 
-``--check`` runs on the backend ``$REPRO_SIM_BACKEND`` selects (sharded:
-``switches`` is a per-worker dispatch property and is not compared) and
-prints which program and which component differs.  ``--write`` is for a
-change that is *meant* to move simulated behaviour: the resulting diff of
-the JSON says exactly which programs and counters moved and must be
-explained in review.
+``--check`` prints which program and which component differs.
+``--write`` is for a change that is *meant* to move simulated behaviour:
+the resulting diff of the JSON says exactly which programs and counters
+moved and must be explained in review.
 """
 
 import argparse
@@ -28,24 +25,19 @@ import hashlib
 import json
 import os
 import sys
-from contextlib import contextmanager
 from functools import partial
 from typing import Callable, Dict, NamedTuple, Optional
 
 import numpy as np
 
 import repro.upcxx as upcxx
-from repro.sim.coop import BACKEND_ENV, DEFAULT_BACKEND, Scheduler, current_scheduler
+from repro.sim.coop import Scheduler, current_scheduler
 from repro.sim.errors import RankDeadError
 from repro.util.spans import SpanBuffer
 from repro.util.telemetry import Telemetry, dumps_blackbox
 from repro.util.trace import TraceBuffer
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden", "fingerprints.json")
-
-#: fingerprint components that legitimately differ on the sharded backend
-#: (each worker dispatches only its own ranks)
-SHARDED_SKIP = ("switches",)
 
 
 class Run(NamedTuple):
@@ -55,33 +47,6 @@ class Run(NamedTuple):
     trace: Optional[TraceBuffer] = None
     spans: Optional[SpanBuffer] = None
     stats: Optional[dict] = None
-
-
-@contextmanager
-def _env(name: str, value: str):
-    old = os.environ.get(name)
-    os.environ[name] = value
-    try:
-        yield
-    finally:
-        if old is None:
-            os.environ.pop(name, None)
-        else:
-            os.environ[name] = old
-
-
-def shards(n: int):
-    """Force the sharded backend to use ``n`` worker processes."""
-    from repro.sim.shard import SHARDS_ENV
-
-    return _env(SHARDS_ENV, str(n))
-
-
-def lookahead_mode(mode: str):
-    """Pin the sharded backend's window-bound policy (fixed / adaptive)."""
-    from repro.sim.shard import LOOKAHEAD_ENV
-
-    return _env(LOOKAHEAD_ENV, mode)
 
 
 # ------------------------------------------------------------- fingerprints
@@ -131,53 +96,46 @@ def load() -> dict:
         return json.load(f)
 
 
-def diff(name: str, got: dict, want: dict, skip=()) -> list:
+def diff(name: str, got: dict, want: dict) -> list:
     """One line per differing component of program ``name``."""
     return [
         f"{name}: {key}: golden {want.get(key)!r}, got {got.get(key)!r}"
         for key in sorted(set(got) | set(want))
-        if key not in skip and got.get(key) != want.get(key)
+        if got.get(key) != want.get(key)
     ]
 
 
-def check(golden: dict, backend: str, names=None) -> list:
-    """Run programs on ``backend``; return every difference from ``golden``."""
-    skip = SHARDED_SKIP if backend == "sharded" else ()
+def check(golden: dict, names=None) -> list:
+    """Run programs; return every difference from ``golden``."""
     out = []
     for name in names or PROGRAMS:
         if name not in golden:
             out.append(f"{name}: no golden entry")
             continue
-        out += diff(name, fingerprint(PROGRAMS[name](backend)), golden[name], skip)
+        out += diff(name, fingerprint(PROGRAMS[name]()), golden[name])
     return out
 
 
-def reproduces(name: str, n_shards: int = 2):
-    """The determinism matrix for one program: coroutines == golden,
-    sharded == coroutines.  Returns both runs for further assertions."""
-    ref = PROGRAMS[name]("coroutines")
-    with shards(n_shards):
-        sharded = PROGRAMS[name]("sharded")
-    fp = fingerprint(ref)
-    lines = diff(name, fp, load()[name])
-    lines += diff(name + " (sharded vs coroutines)", fingerprint(sharded), fp, SHARDED_SKIP)
+def reproduces(name: str) -> Run:
+    """Run one program and hold it to its golden entry.  Returns the run
+    for further assertions."""
+    run = PROGRAMS[name]()
+    lines = diff(name, fingerprint(run), load()[name])
     assert not lines, "\n".join(lines)  # not a test module: pytest shows only this message
-    return ref, sharded
+    return run
 
 
 # ------------------------------------------------------------------ programs
-def _spmd(body, ranks: int, backend, **kw) -> Run:
+def _spmd(body, ranks: int, **kw) -> Run:
     """A UPC++ program with every passive observer on."""
     trace, spans, stats = TraceBuffer(), SpanBuffer(), {}
-    results = upcxx.run_spmd(
-        body, ranks, backend=backend, trace=trace, spans=spans, sched_stats=stats, **kw
-    )
+    results = upcxx.run_spmd(body, ranks, trace=trace, spans=spans, sched_stats=stats, **kw)
     return Run(list(results), trace, spans, stats)
 
 
-def fig3a_series(backend) -> Run:
+def fig3a_series() -> Run:
     """Fig. 3a blocking-put latency series; the measuring rank *returns*
-    it (worker side effects stay in the worker, as in real UPC++)."""
+    it (a rank's side effects stay on the rank, as in real UPC++)."""
     sizes = [8, 64, 512, 4096, 65536]
 
     def body():
@@ -196,12 +154,12 @@ def fig3a_series(backend) -> Run:
         upcxx.barrier()
         return (out, upcxx.sim_now())
 
-    return _spmd(body, 2, backend, platform="haswell", ppn=1)
+    return _spmd(body, 2, platform="haswell", ppn=1)
 
 
-def dht_totals(backend, ppn=None) -> Run:
+def dht_totals(ppn=None) -> Run:
     """DHT insert totals (elapsed simulated time per rank); ``ppn=4``
-    spreads the 16 ranks over 4 nodes: real cross-shard AM + RMA mix."""
+    spreads the 16 ranks over 4 nodes: real cross-node AM + RMA mix."""
     from repro.apps.dht import DhtRmaLz
 
     def body():
@@ -215,10 +173,10 @@ def dht_totals(backend, ppn=None) -> Run:
         upcxx.barrier()
         return upcxx.sim_now() - t0
 
-    return _spmd(body, 16, backend, platform="haswell", ppn=ppn)
+    return _spmd(body, 16, platform="haswell", ppn=ppn)
 
 
-def rpc_ring(backend, ppn=None) -> Run:
+def rpc_ring(ppn=None) -> Run:
     def body():
         me = upcxx.rank_me()
         n = upcxx.rank_n()
@@ -227,10 +185,10 @@ def rpc_ring(backend, ppn=None) -> Run:
         upcxx.barrier()
         return upcxx.sim_now()
 
-    return _spmd(body, 8, backend, platform="haswell", ppn=ppn)
+    return _spmd(body, 8, platform="haswell", ppn=ppn)
 
 
-def sched_mixed_wakes(backend) -> Run:
+def sched_mixed_wakes() -> Run:
     """Raw scheduler workload mixing sleeps, posts, and cross-rank wakes."""
 
     def body(r):
@@ -246,18 +204,15 @@ def sched_mixed_wakes(backend) -> Run:
         return s.now()
 
     trace = TraceBuffer()
-    sched = Scheduler(4, trace=trace, backend=backend)
+    sched = Scheduler(4, trace=trace)
     return Run(sched.run(body), trace, None, sched.stats())
 
 
-def mixed_collectives(backend) -> Run:
+def mixed_collectives() -> Run:
     """The quickstart motif: a mix of collectives, chained RMA, lambda RPC
-    and promise-tracked puts across a 2-node machine.  This pattern makes a
-    shard's entire peer go momentarily idle (all ranks blocked, no events)
-    while the other shard is still injecting traffic that will reactivate
-    it — the exact shape where an unsound infinite window bound lets ranks
-    poll past in-flight cross-shard replies and diverge from the
-    single-process run by a few progress charges."""
+    and promise-tracked puts across a 2-node machine.  One node's ranks go
+    momentarily idle (all blocked, no events) while the other node is
+    still injecting the traffic that will reactivate them."""
 
     def body():
         me = upcxx.rank_me()
@@ -282,10 +237,10 @@ def mixed_collectives(backend) -> Run:
         upcxx.barrier()
         return (total, upcxx.sim_now())
 
-    return _spmd(body, 4, backend, platform="haswell", ppn=2)
+    return _spmd(body, 4, platform="haswell", ppn=2)
 
 
-def span_mix(backend) -> Run:
+def span_mix() -> Run:
     """RMA + RPC mix: span sids are minted per-rank, records canonically
     merged, and the fingerprint is a content hash."""
 
@@ -306,7 +261,7 @@ def span_mix(backend) -> Run:
         upcxx.barrier()
         return (tuple(out), upcxx.sim_now())
 
-    return _spmd(body, 4, backend, platform="haswell", ppn=2)
+    return _spmd(body, 4, platform="haswell", ppn=2)
 
 
 # ---- chaos: fault plans draw from their own seeded stream
@@ -316,7 +271,7 @@ CHAOS_PLANS = (
     "jitter=1e-6,dup=0.15,drop=0.05",
     "drop=0.3,jitter=5e-7,stall=20000:2e-6",
 )
-LOOKAHEAD_SPEC = "seed=13,drop=0.2,dup=0.1,jitter=1e-6"
+SEED13_SPEC = "seed=13,drop=0.2,dup=0.1,jitter=1e-6"
 CRASH_SPECS = ("seed=1,crash=2@1e-4", "seed=1,crash=0@5e-5", "seed=1,crash=1@1e-4+3@2e-4")
 REPLICATED_CRASH_SPECS = (
     "seed=7,crash=3@2e-4,survive=1",
@@ -348,14 +303,14 @@ def mixed_body():
     return (float(got.sum()), v, total, red, upcxx.sim_now())
 
 
-def chaos_mixed(backend, faults, seed=5) -> Run:
-    return _spmd(mixed_body, 4, backend, seed=seed, faults=faults)
+def chaos_mixed(faults, seed=5) -> Run:
+    return _spmd(mixed_body, 4, seed=seed, faults=faults)
 
 
-def chaos_frame_counters(backend) -> Run:
+def chaos_frame_counters() -> Run:
     """Retransmit/drop/dup/ack counters are part of the deterministic
     surface: they ride in ``results`` next to the per-rank values."""
-    run = chaos_mixed(backend, "seed=4,drop=0.25,dup=0.2,jitter=1e-6", seed=4)
+    run = chaos_mixed("seed=4,drop=0.25,dup=0.2,jitter=1e-6", seed=4)
     keys = ("frames_retransmitted", "frames_dropped", "frames_duplicated", "acks")
     return run._replace(results=(run.results, {k: run.stats[k] for k in keys}))
 
@@ -369,11 +324,11 @@ def crash_body(iters=100):
     return me
 
 
-def crash_verdict(backend, body, spec, tel=None, **kw) -> Run:
+def crash_verdict(body, spec, tel=None, **kw) -> Run:
     """A fail-stop crash: the typed verdict (rank, message) is the result.
     Span streams legitimately end early on the failing path."""
     try:
-        upcxx.run_spmd(body, 4, seed=5, backend=backend, faults=spec, telemetry=tel, **kw)
+        upcxx.run_spmd(body, 4, seed=5, faults=spec, telemetry=tel, **kw)
     except RankDeadError as err:
         return Run((err.rank, str(err)))
     raise AssertionError(f"crash plan {spec!r} did not abort the run")
@@ -402,27 +357,24 @@ def agg_body():
             s["cache_invalidations"], upcxx.sim_now())
 
 
-def chaos_agg(backend, faults, seed=17) -> Run:
-    return _spmd(agg_body, 4, backend, seed=seed, faults=faults)
+def chaos_agg(faults, seed=17) -> Run:
+    return _spmd(agg_body, 4, seed=seed, faults=faults)
 
 
-def kv_service(backend, faults=None, seed=7, **overrides) -> Run:
+def kv_service(faults=None, seed=7, **overrides) -> Run:
     """The served-KV workload (open-loop pacing + aggregation + cache)."""
     from repro.apps.kvservice import default_config, kv_rank_body
 
     cfg = default_config("tiny")
     cfg.update({"ranks": 4, "ppn": 2, "n_requests": 64, "n_keys": 64})
     cfg.update(overrides)
-    return _spmd(lambda: kv_rank_body(cfg), cfg["ranks"], backend,
+    return _spmd(lambda: kv_rank_body(cfg), cfg["ranks"],
                  ppn=cfg["ppn"], seed=seed, faults=faults)
 
 
-def kv_replicated_crash(backend, spec, replication=2) -> Run:
-    """A survivable crash served through by the replicated KV service.
-    Event counts are left out: every shard posts its own copy of the
-    heartbeat-detection event, so they are not backend-invariant here."""
-    run = kv_service(backend, faults=spec, seed=9, n_keys=128, replication=replication)
-    return run._replace(stats=None)
+def kv_replicated_crash(spec, replication=2) -> Run:
+    """A survivable crash served through by the replicated KV service."""
+    return kv_service(faults=spec, seed=9, n_keys=128, replication=replication)
 
 
 # ---- telemetry: rollups and the crash blackbox
@@ -440,17 +392,17 @@ def ring_body():
     return acc
 
 
-def telemetry_rollups(backend) -> Run:
+def telemetry_rollups() -> Run:
     tel = Telemetry()
-    res = upcxx.run_spmd(ring_body, 4, ppn=2, seed=5, backend=backend, telemetry=tel)
+    res = upcxx.run_spmd(ring_body, 4, ppn=2, seed=5, telemetry=tel)
     return Run((list(res), tel.dumps()))
 
 
-def crash_blackbox(backend, body, spec=TEL_CRASH_SPEC, path=None, **kw) -> Run:
+def crash_blackbox(body, spec=TEL_CRASH_SPEC, path=None, **kw) -> Run:
     """A fail-stop crash with the flight recorder on: results are the typed
     verdict and the post-mortem bundle text (also written to ``path``)."""
     tel = Telemetry(blackbox_path=path)
-    verdict = crash_verdict(backend, body, spec, tel, **kw).results
+    verdict = crash_verdict(body, spec, tel, **kw).results
     return Run(verdict + (dumps_blackbox(tel.blackbox),))
 
 
@@ -458,7 +410,7 @@ telemetry_blackbox = partial(crash_blackbox, body=ring_body, ppn=2)
 ci_barrier_body = partial(crash_body, 200)
 
 
-def survived_blackbox(backend, spec="seed=7,crash=3@3.5e-4,survive=1") -> Run:
+def survived_blackbox() -> Run:
     """The survivable analogue: the run completes and ``run_spmd`` emits a
     blackbox with a "Survived" verdict and per-rank replica-state tables."""
     from repro.apps.kvservice import default_config
@@ -467,12 +419,21 @@ def survived_blackbox(backend, spec="seed=7,crash=3@3.5e-4,survive=1") -> Run:
     cfg = default_config("tiny")
     cfg["replication"] = 2
     tel = Telemetry()
-    run_kv(cfg, backend=backend, faults=spec, telemetry=tel)
+    run_kv(cfg, faults="seed=7,crash=3@3.5e-4,survive=1", telemetry=tel)
     assert tel.blackbox["verdict"]["type"] == "Survived", tel.blackbox["verdict"]
     return Run(dumps_blackbox(tel.blackbox))
 
 
-PROGRAMS: Dict[str, Callable[[Optional[str]], Run]] = {
+def fault_report(spec) -> Run:
+    """``repro.tools.report --workload fig3a --faults SPEC``: the span
+    fingerprint pinned here is the one that report prints."""
+    from repro.tools.report import WORKLOADS
+
+    body, ranks, ppn = WORKLOADS["fig3a"]
+    return _spmd(body, ranks, ppn=ppn, faults=spec)
+
+
+PROGRAMS: Dict[str, Callable[[], Run]] = {
     "fig3a_series": fig3a_series,
     "dht_totals": dht_totals,
     "dht_totals_ppn4": partial(dht_totals, ppn=4),
@@ -488,7 +449,9 @@ PROGRAMS: Dict[str, Callable[[Optional[str]], Run]] = {
                         seed=9, n_requests=48),
     "telemetry_rollups": telemetry_rollups,
     "telemetry_blackbox": telemetry_blackbox,
-    # the two chaos-smoke CI cells (.github/workflows/ci.yml)
+    # the four chaos-smoke CI cells (.github/workflows/ci.yml)
+    "ci_drop_heavy": partial(fault_report, "seed=1,drop=0.25,dup=0.1"),
+    "ci_jitter_heavy": partial(fault_report, "seed=2,jitter=2e-6,dup=0.05"),
     "ci_rank_crash_blackbox": partial(crash_blackbox, body=ci_barrier_body),
     "ci_survived_blackbox": survived_blackbox,
 }
@@ -496,7 +459,7 @@ for _seed in CHAOS_SEEDS:
     for _plan in CHAOS_PLANS:
         _spec = f"seed={_seed},{_plan}"
         PROGRAMS[f"chaos_mixed[{_spec}]"] = partial(chaos_mixed, faults=_spec, seed=_seed)
-PROGRAMS[f"chaos_mixed[{LOOKAHEAD_SPEC}]"] = partial(chaos_mixed, faults=LOOKAHEAD_SPEC, seed=13)
+PROGRAMS[f"chaos_mixed[{SEED13_SPEC}]"] = partial(chaos_mixed, faults=SEED13_SPEC, seed=13)
 for _plan in CHAOS_PLANS:
     PROGRAMS[f"chaos_agg[{_plan}]"] = partial(chaos_agg, faults="seed=17," + _plan)
 for _spec in CRASH_SPECS:
@@ -511,30 +474,27 @@ def main(argv=None) -> int:
     mode.add_argument("--check", action="store_true",
                       help="compare against the committed file; exit 1 on any difference")
     mode.add_argument("--write", action="store_true",
-                      help="regenerate the committed file (default backend only)")
+                      help="regenerate the committed file")
     ap.add_argument("programs", nargs="*", metavar="program",
                     help="restrict to these programs (default: all)")
     args = ap.parse_args(argv)
     for name in args.programs:
         if name not in PROGRAMS:
             ap.error(f"unknown program {name!r}; choose from {sorted(PROGRAMS)}")
-    backend = os.environ.get(BACKEND_ENV) or DEFAULT_BACKEND
     names = args.programs or list(PROGRAMS)
     if args.write:
-        if backend != DEFAULT_BACKEND:
-            ap.error(f"--write records the {DEFAULT_BACKEND} backend; unset ${BACKEND_ENV}")
         golden = load() if args.programs else {}
         for name in names:
-            golden[name] = fingerprint(PROGRAMS[name](backend))
+            golden[name] = fingerprint(PROGRAMS[name]())
         with open(GOLDEN_PATH, "w") as f:
             json.dump(golden, f, indent=1, sort_keys=True)
             f.write("\n")
         print(f"wrote {len(names)} program(s) to {GOLDEN_PATH}")
         return 0
-    diffs = check(load(), backend, names)
+    diffs = check(load(), names)
     for line in diffs:
         print(line)
-    print(f"{backend}: {len(names)} program(s), {len(diffs)} difference(s)")
+    print(f"{len(names)} program(s), {len(diffs)} difference(s)")
     return 1 if diffs else 0
 
 

@@ -5,21 +5,21 @@ crash) from its own seeded stream — decoupled from application RNG — and
 the reliable-delivery layer resolves each operation's full retransmit
 ladder analytically at send time.  Consequently the *same seed + same
 plan* must yield bit-identical results, trace fingerprints, and span
-fingerprints: the coroutine scheduler reproduces the committed golden
-fingerprints (``tests/golden.py``) and the 2-shard sharded backend
-matches the coroutine run; a zero-rate plan must be indistinguishable
-from running with faults disabled.
+fingerprints — the committed golden fingerprints (``tests/golden.py``;
+the "both backends" in the names below dates from when a second
+scheduler was the cross-check) — and a zero-rate plan must be
+indistinguishable from running with faults disabled.
 
 Also pinned here:
 
 - drop/dup/jitter-injected DHT runs converge to byte-identical final
   memory vs the fault-free run (reliable delivery is exactly-once at the
   UPC++ level, so data-plane chaos may shift timing but never results);
-- rank crashes surface as :class:`RankDeadError` with identical rank
-  attribution and message on every backend — single-process and sharded
-  (FAIL-frame path) — and the run always terminates (no-hang guarantee);
-- fault frames are charged to the cost model identically on every
-  backend: the reliability frame counters agree across backends.
+- rank crashes surface as :class:`RankDeadError` with the golden rank
+  attribution and message, and the run always terminates (no-hang
+  guarantee);
+- fault frames are charged to the cost model deterministically: the
+  reliability frame counters are part of the golden results.
 """
 
 import numpy as np
@@ -37,44 +37,38 @@ from tests.golden import mixed_body as _mixed_body
 @pytest.mark.parametrize("plan", golden.CHAOS_PLANS)
 def test_chaos_runs_reproduce_golden_on_both_backends(seed, plan):
     """Same seed + same fault plan => the golden results, trace and span
-    fingerprints on coroutines, and the same on 2-shard sharded."""
+    fingerprints."""
     name = f"chaos_mixed[seed={seed},{plan}]"
     golden.reproduces(name)
     # the check can fail: a different fault seed must actually perturb
     # the simulated timeline, i.e. differ from its golden entry
     other = golden.fingerprint(
-        golden.chaos_mixed("coroutines", f"seed={seed + 1},{plan}", seed=seed)
+        golden.chaos_mixed(f"seed={seed + 1},{plan}", seed=seed)
     )
     want = golden.load()[name]
     assert other["trace"] != want["trace"] or other["spans"] != want["spans"]
 
 
-def test_chaos_identical_across_lookahead_modes():
-    """Protocol v2's adaptive window bound must not perturb the fault
-    timeline: under an armed FaultPlan, fixed- and adaptive-lookahead
-    runs both reproduce the golden results, trace fingerprints, and span
-    fingerprints on every backend."""
-    for mode in ("fixed", "adaptive"):
-        with golden.lookahead_mode(mode):
-            golden.reproduces(f"chaos_mixed[{golden.LOOKAHEAD_SPEC}]")
+def test_chaos_seed13_reproduces_golden():
+    """One more (seed, plan) point off the grid above: drop, dup and
+    jitter together at seed 13."""
+    golden.reproduces(f"chaos_mixed[{golden.SEED13_SPEC}]")
 
 
 def test_zero_rate_plan_identical_to_disabled():
     """An armed plan with all rates zero is simulation-invisible."""
 
-    def fp(backend, faults):
-        return golden.fingerprint(golden.chaos_mixed(backend, faults))
+    def fp(faults):
+        return golden.fingerprint(golden.chaos_mixed(faults))
 
-    assert fp("coroutines", None) == fp("coroutines", FaultPlan(seed=9))
-    with golden.shards(2):
-        assert fp("sharded", None) == fp("sharded", "seed=9")
+    assert fp(None) == fp(FaultPlan(seed=9)) == fp("seed=9")
 
 
 def test_frame_counters_reproduce_golden_on_both_backends():
     """Retransmit/drop/dup/ack counters are part of the deterministic
-    surface and must agree between single-process and sharded runs."""
-    ref, _ = golden.reproduces("chaos_frame_counters")
-    assert ref.results[1]["frames_dropped"] > 0  # the plan actually bit
+    surface."""
+    run = golden.reproduces("chaos_frame_counters")
+    assert run.results[1]["frames_dropped"] > 0  # the plan actually bit
 
 
 # ------------------------------------------------------------- convergence
@@ -107,12 +101,11 @@ def test_drop_injected_dht_converges_byte_identical():
 # ------------------------------------------------------------ rank crashes
 @pytest.mark.parametrize("spec,dead_rank", zip(golden.CRASH_SPECS, (2, 0, 1)))
 def test_rank_crash_verdict_reproduces_golden_on_both_backends(spec, dead_rank):
-    """Crashes surface as RankDeadError with the golden rank and message on
-    every backend; survivors abort cleanly instead of hanging.  (Span
-    streams legitimately end early on the failing path, so parity here is
-    on the typed verdict, not fingerprints.)"""
-    ref, _ = golden.reproduces(f"crash_verdict[{spec}]")
-    assert ref.results[0] == dead_rank
+    """Crashes surface as RankDeadError with the golden rank and message;
+    survivors abort cleanly instead of hanging.  (Span streams
+    legitimately end early on the failing path, so the golden entry is
+    the typed verdict, not fingerprints.)"""
+    assert golden.reproduces(f"crash_verdict[{spec}]").results[0] == dead_rank
 
 
 def test_crash_before_any_communication():
@@ -126,25 +119,25 @@ def test_crash_before_any_communication():
 def test_aggregated_chaos_reproduces_golden_on_both_backends(plan):
     """The aggregation subsystem (batched frames, acks, invalidations)
     joins the chaos surface: same seed + same fault plan => the golden
-    results, trace, and span fingerprints on both backends."""
-    ref, _ = golden.reproduces(f"chaos_agg[{plan}]")
+    results, trace, and span fingerprints."""
+    run = golden.reproduces(f"chaos_agg[{plan}]")
     # and the store's contents survive the chaos: identical to fault-free
-    clean = golden.chaos_agg("coroutines", None)
-    assert ref.results[0][0] == clean.results[0][0]  # rank 0's read-back values
+    clean = golden.chaos_agg(None)
+    assert run.results[0][0] == clean.results[0][0]  # rank 0's read-back values
 
 
 def test_aggregated_crash_typed_verdict_on_both_backends():
     """A rank crash mid-aggregation (updates buffered, credits out,
     watchers registered) must end in RankDeadError with the golden rank
-    attribution on every backend — never a hang in quiesce."""
+    attribution — never a hang in quiesce."""
     golden.reproduces("chaos_agg_crash")
 
 
 def test_kvservice_chaos_reproduces_golden_on_both_backends():
     """The full served-KV workload (open-loop pacing + aggregation +
     cache) stays bit-identical under an armed fault plan."""
-    ref, _ = golden.reproduces("kv_chaos")
-    total = sum(r["reads"] + r["writes"] for r in ref.results)
+    run = golden.reproduces("kv_chaos")
+    total = sum(r["reads"] + r["writes"] for r in run.results)
     assert total == 4 * 48  # ranks x n_requests: chaos lost nothing
 
 
@@ -154,12 +147,10 @@ def test_replicated_crash_reproduces_golden_on_both_backends(spec, dead_rank):
     """With replication factor 2 a survivable crash plan completes the
     run (no RankDeadError): failover reads retarget to surviving
     replicas, re-replication restores the factor, and the whole
-    timeline — per-rank records AND span fingerprints, recovery spans
-    included — is the golden one on coroutines and on 2-shard sharded.
-    The dead rank's result slot is None everywhere."""
-    ref, _ = golden.reproduces(f"kv_replicated_crash[{spec}]")
-
-    records = ref.results
+    timeline — per-rank records, span fingerprints (recovery spans
+    included) and event counts — is the golden one.  The dead rank's
+    result slot is None."""
+    records = golden.reproduces(f"kv_replicated_crash[{spec}]").results
     assert records[dead_rank] is None
     survivors = [r for r in records if r is not None]
     assert len(survivors) == 3
@@ -178,8 +169,8 @@ def test_replicated_crash_survives_only_with_replication():
     completes under rf=2 also completes under rf=1 (the run survives),
     but only rf=2 re-replicates — rf=1 has no surviving copy to ship."""
     spec = golden.REPLICATED_CRASH_SPECS[0]
-    rf2 = golden.kv_replicated_crash("coroutines", spec, replication=2)
-    rf1 = golden.kv_replicated_crash("coroutines", spec, replication=1)
+    rf2 = golden.kv_replicated_crash(spec, replication=2)
+    rf1 = golden.kv_replicated_crash(spec, replication=1)
     s2 = [r for r in rf2.results if r is not None]
     s1 = [r for r in rf1.results if r is not None]
     assert sum(r["rereplicated_keys"] for r in s2) > 0

@@ -2,34 +2,19 @@
 surface cleanly (with rank attribution), never hang or corrupt the run,
 plus the new MPI-3 accumulate operations.
 
-``TestErrorPropagation`` runs on every scheduler backend: the error
-verdict — exception type, failing-rank attribution, and the original
-cause's type and message — must be identical whether the failing rank
-lives in-process (coroutines) or in a forked shard worker
-(where the cause is reconstructed from a shipped descriptor)."""
-
-from contextlib import contextmanager
+``TestErrorPropagation`` pins the error verdict: exception type,
+failing-rank attribution, and the original cause's type and message."""
 
 import numpy as np
 import pytest
 
 import repro.upcxx as upcxx
 from repro.mpisim import Win, comm_world, run_mpi
-from repro.sim import BACKENDS
 from repro.sim.errors import DeadlockError, RankFailure
-from tests.golden import shards
 
 
-@contextmanager
-def _backend_env(backend):
-    """Yield run_spmd/run_mpi kwargs for ``backend`` (2 workers if sharded)."""
-    with shards(2):
-        yield {"backend": backend}
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
 class TestErrorPropagation:
-    def test_exception_in_rpc_handler_surfaces(self, backend):
+    def test_exception_in_rpc_handler_surfaces(self):
         def bad_handler():
             raise RuntimeError("handler exploded")
 
@@ -38,24 +23,22 @@ class TestErrorPropagation:
                 upcxx.rpc(1, bad_handler).wait()
             upcxx.barrier()
 
-        with _backend_env(backend) as kw:
-            with pytest.raises(RankFailure) as ei:
-                upcxx.run_spmd(body, 2, **kw)
+        with pytest.raises(RankFailure) as ei:
+            upcxx.run_spmd(body, 2)
         # the failure is attributed to the EXECUTING rank (the target)
         assert ei.value.rank == 1
         assert isinstance(ei.value.__cause__, RuntimeError)
         assert "handler exploded" in str(ei.value.__cause__)
 
-    def test_exception_in_then_callback_surfaces(self, backend):
+    def test_exception_in_then_callback_surfaces(self):
         def body():
             upcxx.make_future(1).then(lambda x: 1 / 0)
 
-        with _backend_env(backend) as kw:
-            with pytest.raises(RankFailure) as ei:
-                upcxx.run_spmd(body, 2, **kw)
+        with pytest.raises(RankFailure) as ei:
+            upcxx.run_spmd(body, 2)
         assert isinstance(ei.value.__cause__, ZeroDivisionError)
 
-    def test_exception_mid_collective_aborts_everyone(self, backend):
+    def test_exception_mid_collective_aborts_everyone(self):
         def body():
             me = upcxx.rank_me()
             upcxx.barrier()
@@ -65,35 +48,32 @@ class TestErrorPropagation:
             # the abort must unwind them rather than deadlock
             upcxx.barrier()
 
-        with _backend_env(backend) as kw:
-            with pytest.raises(RankFailure) as ei:
-                upcxx.run_spmd(body, 4, **kw)
+        with pytest.raises(RankFailure) as ei:
+            upcxx.run_spmd(body, 4)
         assert ei.value.rank == 2
         assert isinstance(ei.value.__cause__, ValueError)
         assert "rank 2 dies" in str(ei.value.__cause__)
 
-    def test_barrier_mismatch_is_detected_as_deadlock(self, backend):
+    def test_barrier_mismatch_is_detected_as_deadlock(self):
         def body():
             if upcxx.rank_me() == 0:
                 upcxx.barrier()  # nobody else joins
             # other ranks return immediately
 
-        with _backend_env(backend) as kw:
-            with pytest.raises(DeadlockError):
-                upcxx.run_spmd(body, 3, **kw)
+        with pytest.raises(DeadlockError):
+            upcxx.run_spmd(body, 3)
 
-    def test_mpi_recv_without_send_deadlocks_cleanly(self, backend):
+    def test_mpi_recv_without_send_deadlocks_cleanly(self):
         def body():
             comm = comm_world()
             if comm.rank == 0:
                 comm.recv(source=1, tag=1)  # never sent
 
-        with _backend_env(backend) as kw:
-            with pytest.raises(DeadlockError) as ei:
-                run_mpi(body, 2, **kw)
+        with pytest.raises(DeadlockError) as ei:
+            run_mpi(body, 2)
         assert "MPI_Waitall" in str(ei.value)
 
-    def test_segment_exhaustion_inside_rpc(self, backend):
+    def test_segment_exhaustion_inside_rpc(self):
         """An allocation failure inside an RPC handler propagates with the
         executing rank's id."""
         from repro.gasnet.segment import SegmentAllocationError
@@ -106,9 +86,8 @@ class TestErrorPropagation:
                 upcxx.rpc(1, hog).wait()
             upcxx.barrier()
 
-        with _backend_env(backend) as kw:
-            with pytest.raises(RankFailure) as ei:
-                upcxx.run_spmd(body, 2, **kw)
+        with pytest.raises(RankFailure) as ei:
+            upcxx.run_spmd(body, 2)
         assert ei.value.rank == 1
         assert isinstance(ei.value.__cause__, SegmentAllocationError)
 

@@ -262,10 +262,9 @@ def test_bare_transfer_is_the_callers_to_keep():
 
 @pytest.mark.parametrize("program", ["chaos_mixed[seed=3,drop=0.2,dup=0.1]", "span_mix"])
 def test_every_put_and_get_takes_the_one_tail(program, monkeypatch):
-    """Fault-free or over the retransmit ladder, local or across shards: a
-    put is ``Conduit.put``, a get is ``Conduit.get`` + ``_get_reply``, and
-    the result is the committed golden entry on coroutines and on two
-    shards (where the envelope halves carry the same records)."""
+    """Fault-free or over the retransmit ladder: a put is ``Conduit.put``,
+    a get is ``Conduit.get`` + ``_get_reply``, and the result is the
+    committed golden entry."""
     from tests import golden
 
     seen = set()

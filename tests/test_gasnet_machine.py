@@ -3,9 +3,11 @@
 import pytest
 from hypothesis import given, strategies as st
 
+import repro.upcxx as upcxx
 from repro.gasnet.machine import Machine
 from repro.gasnet.network import AriesNetwork, PATH_BTE, PATH_FMA
 from repro.gasnet.cpumodel import HASWELL, KNL, platform_cpu
+from repro.mpisim import run_mpi
 
 
 class TestMachine:
@@ -41,6 +43,17 @@ class TestMachine:
             m.node_of(4)
         with pytest.raises(ValueError):
             m.ranks_on_node(1)
+        with pytest.raises(ValueError, match="n_ranks"):
+            Machine.for_ranks(0, procs_per_node=4)
+        # ppn reaches for_ranks from run_spmd/run_mpi: name the argument,
+        # not a ZeroDivisionError or a complaint about a derived n_nodes
+        for bad in (0, -1):
+            with pytest.raises(ValueError, match="procs_per_node must be >= 1"):
+                Machine.for_ranks(2, procs_per_node=bad)
+            with pytest.raises(ValueError, match="procs_per_node must be >= 1"):
+                upcxx.run_spmd(lambda: None, 2, ppn=bad)
+            with pytest.raises(ValueError, match="procs_per_node must be >= 1"):
+                run_mpi(lambda: None, 2, ppn=bad)
 
     @given(st.integers(1, 10_000), st.integers(1, 68))
     def test_every_rank_has_exactly_one_node(self, n_ranks, ppn):

@@ -5,8 +5,6 @@
 
 import json
 
-import pytest
-
 from tests import golden
 
 CHEAP = "sched_mixed_wakes"
@@ -35,22 +33,10 @@ def test_check_names_program_and_component_of_an_edited_digest(tmp_path, monkeyp
     assert not any(l.startswith(f"{CHEAP}: results") for l in lines)
 
 
-def test_sharded_check_skips_only_switches():
-    entries = golden.load()
-    entries[CHEAP]["switches"] += 1
-    assert golden.check(entries, "sharded", [CHEAP]) == []
-    entries[CHEAP]["events_fired"] += 1
-    assert len(golden.check(entries, "sharded", [CHEAP])) == 1
-
-
-def test_write_records_the_default_backend_only(tmp_path, monkeypatch, capsys):
+def test_write_of_one_program_keeps_the_rest(tmp_path, monkeypatch):
     path = tmp_path / "fingerprints.json"
     path.write_text(json.dumps({"stale": {}}))
     monkeypatch.setattr(golden, "GOLDEN_PATH", str(path))
-    assert golden.main(["--write", CHEAP]) == 0  # one program: the rest is kept
+    assert golden.main(["--write", CHEAP]) == 0
     assert sorted(json.loads(path.read_text())) == sorted([CHEAP, "stale"])
     assert golden.main(["--check", CHEAP]) == 0
-    monkeypatch.setenv(golden.BACKEND_ENV, "sharded")
-    with pytest.raises(SystemExit):
-        golden.main(["--write", CHEAP])
-    assert "unset $REPRO_SIM_BACKEND" in capsys.readouterr().err

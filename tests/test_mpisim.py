@@ -300,13 +300,13 @@ class TestTeardown:
 
     def test_success_path(self):
         refs = []
-        assert run_mpi(self._job(refs), 4, backend="coroutines") == [0, 1, 2, 3]
+        assert run_mpi(self._job(refs), 4) == [0, 1, 2, 3]
         assert len(refs) == 12 and all(r() is None for r in refs)
 
     def test_rank_failure(self):
         refs = []
         try:
-            run_mpi(self._job(refs, fail_on=1), 4, backend="coroutines")
+            run_mpi(self._job(refs, fail_on=1), 4)
         except RankFailure:
             pass
         else:

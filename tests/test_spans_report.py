@@ -1,9 +1,9 @@
 """Causal span tracer + critical-path report unit and integration tests.
 
-Covers the span buffer's canonical merge/fingerprint contract, the exact
+Covers the span buffer's canonical order/fingerprint contract, the exact
 tiling property of the critical-path walk (the ISSUE's "components sum to
 within 1% of the round trip" acceptance bound — met with equality here),
-the ``repro.tools.report`` CLI, and the per-shard Perfetto export lanes.
+the ``repro.tools.report`` CLI, and the Perfetto export lanes.
 """
 
 import json
@@ -16,7 +16,6 @@ from repro.tools.report import (
     CATEGORIES,
     analyze_workload,
     attribution,
-    build_report,
     critical_path,
     main as report_main,
 )
@@ -34,19 +33,6 @@ class TestSpanBuffer:
         recs = sp.canonical_records()
         assert [r[0] for r in recs] == [0.0, 2.0]
         assert len(sp) == 2
-
-    def test_merge_equals_single_stream(self):
-        """Parent-side shard merge == one buffer fed the same records."""
-        single = SpanBuffer()
-        a, b = SpanBuffer(), SpanBuffer()
-        for i in range(10):
-            rec = (float(i), float(i) + 0.5, i % 4, (i % 4, i), "wire", "put", 64, None)
-            single.record(*rec)
-            (a if i % 4 < 2 else b).record(*rec)
-        merged = SpanBuffer()
-        merged.extend_canonical([list(b._records), list(a._records)])
-        assert merged.canonical_records() == single.canonical_records()
-        assert merged.fingerprint() == single.fingerprint()
 
     def test_fingerprint_sensitivity(self):
         a, b = SpanBuffer(), SpanBuffer()
@@ -109,7 +95,7 @@ class TestCriticalPath:
 # ------------------------------------------------- fig3a report integration
 @pytest.fixture(scope="module")
 def fig3a_report():
-    return analyze_workload("fig3a", "coroutines")
+    return analyze_workload("fig3a")
 
 
 class TestFig3aReport:
@@ -143,82 +129,40 @@ class TestReportCli:
     def test_json_output_and_exit_code(self, tmp_path):
         out = tmp_path / "SPAN_report.json"
         rc = report_main(
-            ["--workload", "fig3a", "--backends", "coroutines", "sharded",
-             "--shards", "2", "--format", "json", "--out", str(out)]
+            ["--workload", "fig3a", "--format", "json", "--out", str(out)]
         )
         assert rc == 0
         doc = json.loads(out.read_text())
-        assert doc["schema"] == "repro-span-report/1"
-        assert doc["fingerprints_identical"] is True
-        assert set(doc["fingerprints"]) == {"coroutines", "sharded"}
-        rep = doc["reports"][0]
-        assert rep["n_spans"] > 0
-        assert "_spans" not in rep  # internal handles stripped from JSON
+        assert doc["schema"] == "repro-span-report/2"
+        assert doc["n_spans"] > 0 and len(doc["fingerprint"]) == 32
+        assert "_spans" not in doc  # internal handles stripped from JSON
+
+    def test_fault_report_is_the_golden_ci_cell(self, tmp_path):
+        """``--faults`` reaches the run, and the fingerprint the CLI reports
+        is the one ``tests/golden`` pins for the same plan."""
+        from tests import golden
+
+        out = tmp_path / "SPAN_report.json"
+        spec = golden.PROGRAMS["ci_drop_heavy"].args[0]
+        assert report_main(["--faults", spec, "--format", "json", "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["faults"] == spec and doc["diagnostics"]["frames_dropped"] > 0
+        assert doc["fingerprint"] == golden.load()["ci_drop_heavy"]["spans"]
 
     def test_perfetto_output(self, tmp_path, capsys):
         out = tmp_path / "spans.trace.json"
         rc = report_main(
-            ["--workload", "fig3a", "--backends", "coroutines",
-             "--format", "perfetto", "--out", str(out)]
+            ["--workload", "fig3a", "--format", "perfetto", "--out", str(out)]
         )
         assert rc == 0
         doc = json.loads(out.read_text())
         names = {e["name"] for e in doc["traceEvents"] if e["ph"] == "X"}
         assert "put:wire" in names and "rput:inject_sw" in names
 
-    def test_build_report_flags_divergence(self, monkeypatch):
-        import repro.tools.report as report_mod
-
-        real = report_mod.analyze_workload
-        calls = []
-
-        def tampered(name, backend, shards=None, faults=None):
-            rep = real(name, backend, shards, faults)
-            calls.append(backend)
-            if backend == "sharded":
-                rep["fingerprint"] = "deadbeef"  # simulate a divergence
-            return rep
-
-        monkeypatch.setattr(report_mod, "analyze_workload", tampered)
-        doc, identical, _ = report_mod.build_report(
-            "fig3a", ["coroutines", "sharded"], 2
-        )
-        assert calls == ["coroutines", "sharded"]
-        assert identical is False
-        assert doc["fingerprints_identical"] is False
-
 
 # ------------------------------------------------------- Perfetto export
-class TestShardedExportLanes:
-    def test_distinct_pid_per_shard_with_metadata(self):
-        trace = TraceBuffer()
-        results = upcxx.run_spmd(
-            lambda: upcxx.barrier() or upcxx.rank_me(),
-            4, platform="haswell", ppn=2, trace=trace,
-        )
-        assert results == [0, 1, 2, 3]
-        shard_of = [0, 0, 1, 1]
-        events = chrome_trace_events(trace, shard_of=shard_of)
-        pids = {e["pid"] for e in events}
-        assert pids == {0, 1}
-        proc_names = {
-            e["pid"]: e["args"]["name"]
-            for e in events
-            if e["ph"] == "M" and e["name"] == "process_name"
-        }
-        assert proc_names == {0: "shard 0", 1: "shard 1"}
-        thread_names = {
-            (e["pid"], e["tid"]): e["args"]["name"]
-            for e in events
-            if e["ph"] == "M" and e["name"] == "thread_name"
-        }
-        assert thread_names[(1, 3)] == "rank 3"
-        # rank events landed on their shard's pid
-        for e in events:
-            if e["ph"] != "M":
-                assert e["pid"] == shard_of[e["tid"]]
-
-    def test_unsharded_default_is_single_process(self):
+class TestExportLanes:
+    def test_one_process_with_a_lane_per_rank(self):
         trace = TraceBuffer()
         upcxx.run_spmd(lambda: upcxx.barrier(), 2, platform="haswell", ppn=1, trace=trace)
         events = chrome_trace_events(trace)
@@ -232,9 +176,9 @@ class TestShardedExportLanes:
         sp = SpanBuffer()
         sp.record(1e-6, 2e-6, 1, (0, 1), "wire", "rpc", 64)
         sp.record(3e-6, 4e-6, 0, (1, 1), "wire", "rpc_reply", 16, parent=(0, 1))
-        events = [e for e in chrome_trace_span_events(sp, [0, 1]) if e["ph"] == "X"]
+        events = [e for e in chrome_trace_span_events(sp) if e["ph"] == "X"]
         assert [e["name"] for e in events] == ["rpc:wire", "rpc_reply:wire"]
-        assert events[0]["pid"] == 1 and events[0]["tid"] == 1
+        assert events[0]["pid"] == 0 and events[0]["tid"] == 1
         assert events[0]["args"]["sid"] == "r0#1"
         assert events[1]["args"]["parent"] == "r0#1"
         assert events[0]["dur"] == pytest.approx(1.0)  # us

@@ -2,15 +2,13 @@
 
 Covers the observability tentpole's three acceptance properties:
 
-- windowed rollups are **bit-identical** on the coroutine and sharded
-  backends and equal to the golden digest (``tests/golden.py`` — the
+- windowed rollups equal the golden digest (``tests/golden.py`` — the
   same bar simulated results are held to);
-- a rank crash produces a **blackbox** post-mortem bundle that is
-  byte-identical on both backends and equal to the golden digest —
-  including when the dead rank lives in a forked shard worker — frozen
-  at the crash cutoff;
+- a rank crash produces a **blackbox** post-mortem bundle equal to the
+  golden digest, frozen at the crash cutoff;
 - ``repro.tools.health`` flags an above-knee (saturated) KV run and
-  passes a below-knee one.
+  passes a below-knee one — and every rule it applies can be seen to
+  FAIL, including "no rule applied" under ``--strict``.
 """
 
 import json
@@ -25,20 +23,18 @@ from tests import golden
 N_RANKS = 4
 
 
-def _run(backend, tel=None):
-    return upcxx.run_spmd(golden.ring_body, N_RANKS, ppn=2, seed=5,
-                          backend=backend, telemetry=tel)
+def _run(tel):
+    return upcxx.run_spmd(golden.ring_body, N_RANKS, ppn=2, seed=5, telemetry=tel)
 
 
 # ------------------------------------------------------------------- rollups
 def test_rollups_reproduce_golden_on_both_backends():
-    ref, _ = golden.reproduces("telemetry_rollups")
-    assert len(ref.results[0]) == N_RANKS
+    assert len(golden.reproduces("telemetry_rollups").results[0]) == N_RANKS
 
 
 def test_window_structure_and_monotonicity():
     tel = Telemetry()
-    _run("coroutines", tel=tel)
+    _run(tel)
     assert sorted(tel.ranks) == list(range(N_RANKS))
     for rank, rt in tel.ranks.items():
         wins = rt.windows
@@ -64,17 +60,17 @@ def test_window_structure_and_monotonicity():
 
 def test_rollups_respect_window_cadence():
     tel = Telemetry(window_s=5e-6)
-    _run("coroutines", tel=tel)
+    _run(tel)
     wide = Telemetry(window_s=1e-3)
-    _run("coroutines", tel=wide)
+    _run(wide)
     n_narrow = sum(len(rt.windows) for rt in tel.ranks.values())
     n_wide = sum(len(rt.windows) for rt in wide.ranks.values())
     assert n_narrow > n_wide  # finer cadence -> more windows
 
 
 # ------------------------------------------------------------------ blackbox
-def _crash_bundle(backend, path=None) -> str:
-    return golden.telemetry_blackbox(backend, path=path).results[2]
+def _crash_bundle(path=None) -> str:
+    return golden.telemetry_blackbox(path=path).results[2]
 
 
 def test_blackbox_reproduces_golden_on_both_backends():
@@ -82,7 +78,7 @@ def test_blackbox_reproduces_golden_on_both_backends():
 
 
 def test_blackbox_contents():
-    bb = json.loads(_crash_bundle("coroutines"))
+    bb = json.loads(_crash_bundle())
     assert bb["schema"] == BLACKBOX_SCHEMA
     assert bb["verdict"]["type"] == "RankDeadError"
     assert bb["verdict"]["rank"] == 1
@@ -106,22 +102,11 @@ def test_blackbox_contents():
 
 def test_blackbox_written_to_path(tmp_path):
     path = tmp_path / "blackbox.json"
-    bundle = _crash_bundle("coroutines", path=str(path))
+    bundle = _crash_bundle(path=str(path))
     on_disk = path.read_text()
     assert on_disk.rstrip("\n") == bundle
     parsed = json.loads(on_disk)
     assert parsed["verdict"]["rank"] == 1
-
-
-def test_blackbox_through_shard_fail_frames(tmp_path):
-    """The dead rank lives in a forked worker: its frozen telemetry must
-    cross the FAIL frame and land in the parent's bundle."""
-    path = tmp_path / "bb.json"
-    with golden.shards(2):
-        bb = json.loads(_crash_bundle("sharded", path=str(path)))
-    assert bb["ranks"]["1"]["dead"] is True
-    assert bb["ranks"]["1"]["tail"]
-    assert path.exists()
 
 
 # -------------------------------------------------------------------- health
@@ -150,7 +135,7 @@ def test_health_cli_exit_codes(tmp_path):
 
 def test_health_telemetry_rules():
     tel = Telemetry()
-    _run("coroutines", tel=tel)
+    _run(tel)
     verdicts = health.evaluate({"telemetry": json.loads(tel.dumps())})
     names = {v.name for v in verdicts}
     assert {"attentiveness-gap", "retransmit-rate",
@@ -175,30 +160,62 @@ def test_health_declarative_rules():
     assert bad.status == "FAIL"
 
 
-def test_health_advisory_gates_never_fail_strict(tmp_path, capsys):
-    bench = {
-        "gates": [
-            {"name": "sharded_vs_coroutines", "target_speedup": 2.0,
-             "measured_speedup": 0.8, "passed": False, "advisory": True},
-            {"name": "kv_aggregation_vs_rpc", "target_speedup": 4.0,
-             "measured_speedup": 6.5, "passed": True},
-        ],
+def test_health_strict_fails_when_no_rule_applied(tmp_path, capsys):
+    """An empty or renamed artifact must not read as healthy."""
+    empty = tmp_path / "kv_crash.json"
+    empty.write_text("{}")
+    assert health.main(["--kv", str(empty)]) == 0  # degrade gracefully...
+    assert health.main(["--kv", str(empty), "--strict"]) == 1  # ...but not in a gate
+    assert "[FAIL] no-rule-applied" in capsys.readouterr().out
+
+
+def test_health_incomparable_value_is_a_fail_naming_the_path(tmp_path, capsys):
+    doc = tmp_path / "point.json"
+    doc.write_text(json.dumps({"utilization": "high"}))
+    assert health.main(["--kv", str(doc), "--strict"]) == 1
+    assert "[FAIL] utilization: utilization = 'high' is not a number" in capsys.readouterr().out
+    rule = {"name": "r", "doc": "kv", "path": "utilization", "op": ">=", "value": 0.9}
+    assert health.evaluate({"kv": {}}, rules=[rule])[-1].status == "SKIP"
+    verdict = health.evaluate({"kv": {"utilization": "high"}}, rules=[rule])[-1]
+    assert verdict.status == "FAIL" and "utilization = 'high' cannot be compared" in verdict.detail
+
+
+@pytest.mark.parametrize("doctored,rule", [
+    ({"availability": 0.98}, "kv-availability"),
+    ({"writes_lost": 1}, "kv-writes-lost"),
+    ({"factor_restored": False}, "kv-factor-restored"),
+], ids=["availability-0.98", "one-lost-write", "factor-not-restored"])
+def test_health_kv_availability_conditions_can_fail(doctored, rule):
+    """Each condition of the ``kv_crash_availability`` gate, driven to FAIL
+    from an otherwise healthy rf=2 crash point."""
+    healthy = {
+        "crash_rank": 3, "replication": 2, "utilization": 0.5,
+        "availability": 1.0, "requests_served": 100, "requests_issued": 100,
+        "writes_lost": 0, "factor_restored": True, "rereplicated_keys": 9,
+        "recovery_s": 1e-4, "failover_reads": 2,
     }
-    p = tmp_path / "bench.json"
-    p.write_text(json.dumps(bench))
-    assert health.main(["--bench", str(p), "--strict"]) == 0
-    out = capsys.readouterr().out
-    assert "[INFO]" in out
+    assert all(v.status != "FAIL" for v in health.evaluate({"kv": healthy}))
+    failed = [v.name for v in health.evaluate({"kv": dict(healthy, **doctored)})
+              if v.status == "FAIL"]
+    assert failed == [rule]
 
 
-# ------------------------------------------------------------- perf digest
-def test_perf_harness_telemetry_digest():
-    from repro.bench.perf_harness import telemetry_digest
+def test_health_applies_the_below_knee_rule_to_a_sweep_document():
+    """``health --kv`` recognizes a ``kv_bench --sweep`` curve by its
+    ``curve`` key: saturation at or above the knee is expected, below it
+    is a FAIL."""
+    def sweep(utils, knee_mult):
+        return {
+            "curve": [{"multiplier": m, "utilization": u} for m, u in utils],
+            "knee": None if knee_mult is None else {"multiplier": knee_mult},
+            "capacity_per_rank_rps": 1.0,
+        }
 
-    with golden.shards(2):
-        d = telemetry_digest(("coroutines", "sharded"))
-    assert d["identical"] is True
-    assert d["n_ranks"] == 8
-    assert d["totals"]["ops"] > 0
-    assert d["totals"]["windows"] > 0
-    assert len(d["fingerprint"]) == 16
+    ok = sweep([(0.5, 1.0), (1.0, 0.97), (2.0, 0.6)], knee_mult=2.0)
+    (v,) = health.evaluate({"kv": ok})
+    assert (v.name, v.status) == ("kv-capacity", "PASS")
+    sagging = sweep([(0.5, 0.8), (1.0, 0.97), (2.0, 0.6)], knee_mult=2.0)
+    (v,) = health.evaluate({"kv": sagging})
+    assert v.status == "FAIL" and "x[0.5]" in v.detail
+    (v,) = health.evaluate({"kv": sweep([(0.5, "high")], None)})
+    assert v.status == "FAIL" and v.name == "curve.0.utilization"

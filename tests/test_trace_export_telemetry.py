@@ -3,7 +3,7 @@
 Pins the observability satellite contract for
 :func:`repro.util.trace_export.chrome_trace_telemetry_events`: five
 counter tracks per rank with per-window *deltas* of the cumulative
-rollup counters, shard-aware pid mapping, metadata dedup when merged
+rollup counters, lane metadata, metadata dedup when merged
 into a full chrome trace, and byte-stable deterministic output.
 """
 
@@ -79,21 +79,13 @@ def test_counter_args_are_window_deltas():
         assert [e["ts"] for e in ops] == [w["t"] * 1e6 for w in rt.windows]
 
 
-def test_shard_pid_mapping_and_metadata():
-    tel = _run_telemetry()
-    shard_of = [0, 0, 1, 1]
-    events = chrome_trace_telemetry_events(tel, shard_of=shard_of)
-    for e in events:
-        if e["ph"] == "C":
-            assert e["pid"] == shard_of[e["tid"]]
+def test_one_process_with_a_lane_per_rank():
+    events = chrome_trace_telemetry_events(_run_telemetry())
+    assert {e["pid"] for e in events} == {0}
     meta = [e for e in events if e["ph"] == "M"]
-    proc_names = {e["pid"]: e["args"]["name"] for e in meta
-                  if e["name"] == "process_name"}
-    assert proc_names == {0: "shard 0", 1: "shard 1"}
-    thread_names = {(e["pid"], e["tid"]): e["args"]["name"] for e in meta
-                    if e["name"] == "thread_name"}
-    for r in range(N_RANKS):
-        assert thread_names[(shard_of[r], r)] == f"rank {r}"
+    assert [e["args"]["name"] for e in meta if e["name"] == "process_name"] == ["simulation"]
+    thread_names = {e["tid"]: e["args"]["name"] for e in meta if e["name"] == "thread_name"}
+    assert thread_names == {r: f"rank {r}" for r in range(N_RANKS)}
 
 
 def test_merged_trace_dedups_metadata_and_sorts():

@@ -283,7 +283,7 @@ class TestTeardown:
 
     def test_success_path(self):
         refs = []
-        assert upcxx.run_spmd(self._job(refs), 4, backend="coroutines") == [0, 1, 2, 3]
+        assert upcxx.run_spmd(self._job(refs), 4) == [0, 1, 2, 3]
         assert len(refs) == 16 and all(r() is None for r in refs)
         self._nothing_parked_points_into_the_job()
 
@@ -294,7 +294,7 @@ class TestTeardown:
 
         refs = []
         try:
-            upcxx.run_spmd(self._job(refs, after=fail_on_one), 4, backend="coroutines")
+            upcxx.run_spmd(self._job(refs, after=fail_on_one), 4)
         except RankFailure:
             pass
         else:
@@ -321,19 +321,7 @@ class TestTeardown:
                 upcxx.progress()
             return rt.rank
 
-        got = upcxx.run_spmd(
-            body, 4, backend="coroutines", faults="seed=1,crash=1@5e-5,survive=1"
-        )
+        got = upcxx.run_spmd(body, 4, faults="seed=1,crash=1@5e-5,survive=1")
         assert got == [0, None, 2, 3]  # rank 1 died, the job was served through
         assert len(refs) == 12 and all(r() is None for r in refs)
         self._nothing_parked_points_into_the_job()
-
-    def test_sharded_parent_keeps_no_segments(self, monkeypatch):
-        """The forked workers exit; the parent's own (never touched) world
-        must go the same way as an in-process one."""
-        from repro.gasnet.segment import Segment
-        from repro.upcxx.runtime import World
-
-        monkeypatch.setenv("REPRO_SIM_SHARDS", "2")
-        assert upcxx.run_spmd(upcxx.rank_me, 4, ppn=2, backend="sharded") == [0, 1, 2, 3]
-        assert not [o for o in gc.get_objects() if isinstance(o, (Segment, World))]

@@ -193,6 +193,34 @@ class TestTrace:
         t2.record(1.0, 0, "a")
         assert t1.fingerprint() != t2.fingerprint()
 
+    def test_canonical_sort_is_stable_per_rank(self):
+        t = TraceBuffer()
+        t.record(2.0, 0, "block", "b")
+        t.record(1.0, 1, "block", "x")
+        t.record(1.0, 0, "block", "a")
+        t.record(1.0, 1, "resume", "x")  # same (time, rank): order must persist
+        assert [(e.time, e.rank, e.kind) for e in t.canonical_events()] == [
+            (1.0, 0, "block"),
+            (1.0, 1, "block"),
+            (1.0, 1, "resume"),
+            (2.0, 0, "block"),
+        ]
+
+    def test_canonical_order_ignores_cross_rank_interleaving(self):
+        """Two dispatch orders of the same per-rank histories: the raw
+        traces differ, the canonical one (what the golden digest hashes)
+        does not."""
+        rank0 = [(1.0, 0, "block", "p"), (3.0, 0, "resume", "p")]
+        rank1 = [(1.0, 1, "block", "q"), (2.0, 1, "resume", "q")]
+        a, b = TraceBuffer(), TraceBuffer()
+        for ev in rank0 + rank1:
+            a.record(*ev)
+        for ev in rank1 + rank0:
+            b.record(*ev)
+        assert a.fingerprint() != b.fingerprint()
+        assert a.canonical_events() == b.canonical_events()
+        assert a.canonical_fingerprint() == b.canonical_fingerprint()
+
     def test_dump_limit(self):
         tb = TraceBuffer()
         for i in range(5):
