@@ -5,8 +5,8 @@ stream) and a *shard owner* (holding a slice of the key space).  Writes
 flow through a :class:`repro.upcxx.replication.ReplicatedStore` with
 last-writer-wins combine — destination-batched, dwell-bounded, credit
 flow-controlled, fanned out to ``replication`` owners per key — and
-reads go through its hot-key cache with watcher-based invalidation,
-targeted at the key's current primary.
+reads go through its hot-key cache, targeted at the key's current
+primary, which keeps the sharer list a write consumes to invalidate it.
 
 Robustness features (both off by default, preserving the bare-store
 behavior bit-for-bit):
@@ -245,6 +245,9 @@ class KvService:
             "cache_hits": s["cache_hits"],
             "cache_misses": s["cache_misses"],
             "cache_invalidations": s["cache_invalidations"],
+            # owner side of the cache protocol: invals_sent <= sharers_registered
+            "invals_sent": s["invals_sent"],
+            "sharers_registered": s["sharers_registered"],
             "read_lat": self.read_lat.as_dict(),
             "write_lat": self.write_lat.as_dict(),
             # -- availability / admission ----------------------------------

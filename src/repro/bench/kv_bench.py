@@ -111,6 +111,8 @@ def summarize_point(cfg: dict, results: Sequence[dict]) -> dict:
         "p999_s": lat.percentile(99.9),
         "cache_hits": sum(r["cache_hits"] for r in results),
         "cache_misses": sum(r["cache_misses"] for r in results),
+        "invals_sent": sum(r["invals_sent"] for r in results),
+        "sharers_registered": sum(r["sharers_registered"] for r in results),
         "credit_stalls": sum(r["credit_stalls"] for r in results),
         "batches_sent": sum(r["batches_sent"] for r in results),
         # -- availability / robustness (zero-valued on calm runs) ----------

@@ -5,7 +5,8 @@
 - ``--kv DOC.json``            — a ``repro.bench.kv_bench`` document:
   one ``summarize_point`` dict (utilization + p50..p999 sojourn latency,
   availability fields of a crash point) or, recognized by its ``curve``
-  key, a ``--sweep`` capacity curve (below-knee utilization rule);
+  key, a ``--sweep`` capacity curve (below-knee utilization rule); either
+  way ``kv-coherence`` holds ``invals_sent <= sharers_registered``;
 - ``--telemetry TEL.json``     — a ``repro.util.Telemetry.as_dict`` dump
   (windowed rollups: attentiveness gap, retransmits, credit stalls);
 - ``--rules RULES.json``       — extra declarative rules (see below).
@@ -254,6 +255,29 @@ def _check_kv_availability(kv: dict, min_avail: float,
     return out
 
 
+def _check_kv_coherence(kv: dict) -> List[Verdict]:
+    """The economy law of ``AggStore``'s cache protocol, on one point or on
+    every point of a sweep curve: a registration entitles a reader to one
+    invalidation, so owners cannot have sent more than were registered."""
+    curve = kv.get("curve")
+    points = ([(f"curve.{i}.", p) for i, p in enumerate(curve)]
+              if isinstance(curve, list) else [("", kv)])
+    bad = []
+    for prefix, p in points:
+        sent = _num(p, "invals_sent", prefix + "invals_sent")
+        registered = _num(p, "sharers_registered", prefix + "sharers_registered")
+        if sent is None or registered is None:
+            return [Verdict("kv-coherence", "SKIP",
+                            f"{prefix}invals_sent/sharers_registered not present")]
+        if sent > registered:
+            bad.append(f"{prefix}invals_sent {sent} > sharers_registered {registered}")
+    if bad:
+        return [Verdict("kv-coherence", "FAIL",
+                        "; ".join(bad) + " — invalidations went to ranks holding no copy")]
+    return [Verdict("kv-coherence", "PASS",
+                    f"invals_sent <= sharers_registered on {len(points)} point(s)")]
+
+
 def _check_telemetry(tel: dict, max_gap: float, max_retx_rate: float,
                      max_stall_frac: float) -> List[Verdict]:
     ranks = tel.get("ranks", {})
@@ -327,6 +351,8 @@ def evaluate(docs: Dict[str, Optional[dict]], rules: Sequence[dict] = (),
     elif kv is not None:
         apply(_check_kv_point, kv, min_utilization, p99_slo, p999_slo)
         apply(_check_kv_availability, kv, min_availability, max_recovery_s)
+    if kv is not None:
+        apply(_check_kv_coherence, kv)
     tel = docs.get("telemetry")
     if tel is not None:
         apply(_check_telemetry, tel, max_gap_s, max_retx_rate, max_stall_frac)

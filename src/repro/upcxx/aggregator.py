@@ -34,15 +34,22 @@ aggregators:
   *applied* count reaches what the world owes it.  One collective per
   round instead of an unbounded polling loop.
 - **Hot-key read cache** — with ``cache_capacity > 0``, :meth:`read`
-  serves repeated keys from a local LRU.  A read-through registers the
-  reader as a *watcher* at the owner; when a later batch updates a
-  watched key the owner queues an invalidation, piggybacked onto the
-  aggregated flush stream (data batches headed to the watcher carry it
-  for free; otherwise it flushes with the store's own batching rules).
-  Coherence rides the conduit's per-channel FIFO delivery: the fill
-  reply is injected before any subsequent invalidation for the same
-  key, so a stale value can never outlive the invalidation that
-  supersedes it.
+  serves repeated keys from a local LRU, kept coherent the way a
+  directory protocol does it.  A read-through *registers* the reader in
+  the owner's sharer list for the key (``state["watchers"]``); a write
+  *consumes* the list: every member — the writer included, it may have
+  re-read the old value while its write sat in a buffer — is owed
+  exactly one invalidation, piggybacked onto the aggregated flush
+  stream (data batches headed to the sharer carry it for free;
+  otherwise it flushes with the store's own batching rules), and the
+  reader registers again on its next read-through.  Per-channel FIFO
+  delivery orders the fill reply before the invalidation of any later
+  write.  Two laws, both checked by ``tests/test_kv_coherence.py``:
+  after :meth:`quiesce` every cached value equals the owner's and its
+  holder is in the owner's sharer list; and per owner ``invals_sent <=
+  sharers_registered`` — invalidation traffic is bounded by the copies
+  that exist, not by the ranks that ever read the key.  A silent LRU
+  eviction costs at most one spurious invalidation (DESIGN.md §4.6).
 
 Everything is deterministic: buffers are plain per-destination lists
 filled in program order, flush order is ascending destination rank, and
@@ -140,9 +147,9 @@ def _apply_invals(rt, state, store: "AggStore", keys) -> None:
 def _agg_apply(dobj: DistObject, src: int, seq: int, keys, vals, invals) -> None:
     """RPC body: merge one aggregated batch into the local shard.
 
-    ``src`` is the sender's team rank when it wants an ack (credits or
-    latency tracking), else ``-1``.  ``invals`` piggybacks invalidation
-    keys the sender's shard owes *this* rank as a cache client.
+    ``src`` is only "ack to": the sender's team rank when it wants an ack
+    (credits or latency tracking), else ``-1``.  ``invals`` piggybacks
+    invalidation keys the sender's shard owes *this* rank as a sharer.
     """
     rt = current_runtime()
     state = dobj.value
@@ -157,11 +164,10 @@ def _agg_apply(dobj: DistObject, src: int, seq: int, keys, vals, invals) -> None
         old = data.get(k, _MISS)
         data[k] = v if old is _MISS else combine(old, v)
         if watchers:
-            ws = watchers.get(k)
-            if ws:
-                for w in ws:
-                    if w != src:
-                        store._queue_inval(w, k)
+            # a write consumes the sharer list: popped before queueing, so
+            # a registration arriving mid-flush starts a fresh list
+            for w in watchers.pop(k, ()):
+                store._queue_inval(w, k)
     state["applied_updates"] += len(klist)
     state["applied_batches"] += 1
     if invals:
@@ -183,7 +189,8 @@ def _agg_invalidate(dobj: DistObject, keys) -> None:
 
 
 def _agg_read(dobj: DistObject, key, reader: int, default):
-    """RPC body at the owner: read-through; optionally register a watcher."""
+    """RPC body at the owner: read-through; a caching ``reader`` joins the
+    key's sharer list (good for one invalidation, see ``_agg_apply``)."""
     rt = current_runtime()
     rt.charge_sw(rt.cpu.map_lookup)
     state = dobj.value
@@ -191,6 +198,7 @@ def _agg_read(dobj: DistObject, key, reader: int, default):
         ws = state["watchers"].setdefault(key, [])
         if reader not in ws:
             ws.append(reader)
+            state["sharers_registered"] += 1
     return state["data"].get(key, default)
 
 
@@ -216,7 +224,7 @@ class AggStore:
         sender stalls in simulated time when a peer's credits run out.
     cache_capacity:
         >0 enables the hot-key read cache (LRU of that many keys) and
-        watcher-based invalidation.  Must be uniform across ranks (it
+        its sharer-list invalidation.  Must be uniform across ranks (it
         decides whether :meth:`quiesce` runs its invalidation round).
     route:
         key -> team-rank mapping (default :func:`default_route`).
@@ -262,6 +270,7 @@ class AggStore:
             "data": {},
             "combine": combine_fn,
             "watchers": {},
+            "sharers_registered": 0,
             "applied_updates": 0,
             "applied_batches": 0,
             "applied_invals": 0,
@@ -628,6 +637,7 @@ class AggStore:
             "batches_sent": self.batches_sent,
             "updates_sent": self.updates_sent,
             "invals_sent": int(self._sent_invals.sum()),
+            "sharers_registered": self.state["sharers_registered"],
             "acks_received": self.acks_received,
             "applied_updates": self.state["applied_updates"],
             "applied_batches": self.state["applied_batches"],

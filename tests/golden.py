@@ -16,8 +16,9 @@ compares fingerprints with the committed file::
 
 ``--check`` prints which program and which component differs.
 ``--write`` is for a change that is *meant* to move simulated behaviour:
-the resulting diff of the JSON says exactly which programs and counters
-moved and must be explained in review.
+it prints, per program, ``unchanged`` or the components that moved
+against the file it replaces (counters with both values) and a last line
+``K changed, M unchanged`` — the evidence to paste and explain in review.
 """
 
 import argparse
@@ -96,12 +97,25 @@ def load() -> dict:
         return json.load(f)
 
 
+def _differing(got: dict, want: dict) -> list:
+    return [k for k in sorted(set(got) | set(want)) if got.get(k) != want.get(k)]
+
+
 def diff(name: str, got: dict, want: dict) -> list:
     """One line per differing component of program ``name``."""
     return [
         f"{name}: {key}: golden {want.get(key)!r}, got {got.get(key)!r}"
-        for key in sorted(set(got) | set(want))
-        if got.get(key) != want.get(key)
+        for key in _differing(got, want)
+    ]
+
+
+def moved(got: dict, was: dict) -> list:
+    """The components on which ``got`` differs from the entry it replaces;
+    counters carry both values, digests only their name."""
+    return [
+        f"{key} {was[key]} -> {got[key]}"
+        if isinstance(was.get(key), int) and isinstance(got.get(key), int) else key
+        for key in _differing(got, was)
     ]
 
 
@@ -483,13 +497,20 @@ def main(argv=None) -> int:
             ap.error(f"unknown program {name!r}; choose from {sorted(PROGRAMS)}")
     names = args.programs or list(PROGRAMS)
     if args.write:
-        golden = load() if args.programs else {}
+        replaced = load() if os.path.exists(GOLDEN_PATH) else {}
+        golden = dict(replaced) if args.programs else {}
+        n_changed = 0
         for name in names:
             golden[name] = fingerprint(PROGRAMS[name]())
+            # a program new to the file moves every component it has
+            what = ", ".join(moved(golden[name], replaced.get(name, {}))) or "unchanged"
+            n_changed += what != "unchanged"
+            print(f"{name}: {what}")
         with open(GOLDEN_PATH, "w") as f:
             json.dump(golden, f, indent=1, sort_keys=True)
             f.write("\n")
         print(f"wrote {len(names)} program(s) to {GOLDEN_PATH}")
+        print(f"{n_changed} changed, {len(names) - n_changed} unchanged")
         return 0
     diffs = check(load(), names)
     for line in diffs:

@@ -40,3 +40,21 @@ def test_write_of_one_program_keeps_the_rest(tmp_path, monkeypatch):
     assert golden.main(["--write", CHEAP]) == 0
     assert sorted(json.loads(path.read_text())) == sorted([CHEAP, "stale"])
     assert golden.main(["--check", CHEAP]) == 0
+
+
+def test_write_prints_what_moved_against_the_file_it_replaces(tmp_path, monkeypatch, capsys):
+    entries = golden.load()
+    switches = entries[CHEAP]["switches"]
+    entries[CHEAP]["switches"] += 1
+    entries[CHEAP]["trace"] = "0" * 64
+    path = tmp_path / "fingerprints.json"
+    path.write_text(json.dumps({CHEAP: entries[CHEAP]}))
+    monkeypatch.setattr(golden, "GOLDEN_PATH", str(path))
+    assert golden.main(["--write", CHEAP]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == f"{CHEAP}: switches {switches + 1} -> {switches}, trace"
+    assert lines[-1] == "1 changed, 0 unchanged"
+    assert golden.main(["--write", CHEAP]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == f"{CHEAP}: unchanged"
+    assert lines[-1] == "0 changed, 1 unchanged"

@@ -211,11 +211,38 @@ def test_health_applies_the_below_knee_rule_to_a_sweep_document():
             "capacity_per_rank_rps": 1.0,
         }
 
+    def capacity_verdict(doc):
+        v, coherence = health.evaluate({"kv": doc})  # no cache counters here
+        assert (coherence.name, coherence.status) == ("kv-coherence", "SKIP")
+        return v
+
     ok = sweep([(0.5, 1.0), (1.0, 0.97), (2.0, 0.6)], knee_mult=2.0)
-    (v,) = health.evaluate({"kv": ok})
+    v = capacity_verdict(ok)
     assert (v.name, v.status) == ("kv-capacity", "PASS")
     sagging = sweep([(0.5, 0.8), (1.0, 0.97), (2.0, 0.6)], knee_mult=2.0)
-    (v,) = health.evaluate({"kv": sagging})
+    v = capacity_verdict(sagging)
     assert v.status == "FAIL" and "x[0.5]" in v.detail
-    (v,) = health.evaluate({"kv": sweep([(0.5, "high")], None)})
+    v = capacity_verdict(sweep([(0.5, "high")], None))
     assert v.status == "FAIL" and v.name == "curve.0.utilization"
+
+
+def test_health_kv_coherence_rule_can_fail():
+    """``kv-coherence``: owners may not send more invalidations than sharers
+    were registered — on a point, or on any point of a sweep curve."""
+    from repro.bench.kv_bench import measure_point
+
+    def coherence(doc):
+        (v,) = [v for v in health.evaluate({"kv": doc}) if v.name == "kv-coherence"]
+        return v
+
+    real = measure_point("tiny", 1)
+    assert real["sharers_registered"] > 0
+    assert coherence(real).status == "PASS"
+    doctored = dict(real, invals_sent=real["sharers_registered"] + 1)
+    assert coherence(doctored).status == "FAIL"
+    assert coherence({"curve": [real, real]}).status == "PASS"
+    v = coherence({"curve": [real, doctored]})
+    assert v.status == "FAIL" and "curve.1.invals_sent" in v.detail
+    assert coherence({"utilization": 0.97}).status == "SKIP"
+    garbled = health.evaluate({"kv": dict(real, invals_sent="many")})[-1]
+    assert (garbled.name, garbled.status) == ("invals_sent", "FAIL")

@@ -2,7 +2,7 @@
 
 Covers the AggStore surface the apps build on: pluggable combines,
 counting quiescence, dwell-deadline flushing, credit flow control (and
-its backpressure accounting), the hot-key read cache with watcher-based
+its backpressure accounting), the hot-key read cache with its sharer-list
 invalidation, and the stats/conduit counter plumbing.
 """
 
@@ -129,7 +129,8 @@ class TestAggStoreCore:
 
         res = upcxx.run_spmd(body, 2)
         expected_keys = {
-            "batches_sent", "updates_sent", "invals_sent", "acks_received",
+            "batches_sent", "updates_sent", "invals_sent", "sharers_registered",
+            "acks_received",
             "applied_updates", "applied_batches", "applied_invals",
             "credit_stalls", "credit_stall_s",
             "cache_hits", "cache_misses", "cache_invalidations",
@@ -299,6 +300,41 @@ class TestHotKeyCache:
         upcxx.run_spmd(body, 2)
         assert out["cache_hits"] == out["cache_misses"] == 0
         assert out["cache_invalidations"] == 0
+
+    @pytest.mark.parametrize("credits", [None, 4])
+    def test_writer_rereading_before_its_write_lands_is_invalidated(self, credits):
+        # the writer is a sharer like any other: it re-read (and re-cached)
+        # the old value while its own write sat in a buffer, so the write
+        # owes it an invalidation — whether or not batches carry an ack-to
+        out = {}
+
+        def body():
+            me = upcxx.rank_me()
+            store = AggStore("replace", batch_size=4, credits=credits, cache_capacity=8)
+            key = next(k for k in range(64) if store.dest_of(k) == 1)
+            upcxx.barrier()
+            if me == 0:
+                store.update(key, 111)
+            store.quiesce()
+            seq = []
+            if me == 0:
+                seq.append(store.read(key).wait())  # miss -> fill 111
+                store.update(key, 222)  # buffered; local copy popped
+                seq.append(store.read(key).wait())  # read-through: 111, re-fill
+            store.quiesce()
+            if me == 0:
+                seq.append(store.read(key).wait())
+                out["seq"] = seq
+                out.update(store.stats())
+            else:
+                out["owner"] = store.local_items()[key]
+            upcxx.barrier()
+
+        upcxx.run_spmd(body, 2)
+        assert out["seq"] == [111, 111, 222]
+        assert out["owner"] == 222
+        assert out["cache_hits"] == 0
+        assert out["cache_invalidations"] == 1
 
     @pytest.mark.parametrize("cache_capacity", [0, 8])
     def test_missing_key_reads_back_none_default(self, cache_capacity):
