@@ -25,7 +25,7 @@ could not), and the test suite's apps follow that rule.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional
+from typing import Callable, Optional, Tuple
 
 from repro.upcxx import serialization
 from repro.upcxx.errors import UpcxxError
@@ -73,7 +73,7 @@ _PASSTHROUGH_ARG_TYPES = frozenset(
 )
 
 
-def _translate_args_out(rt: Runtime, args: tuple) -> tuple:
+def _translate_args_out(rt: Runtime, args: tuple) -> Tuple[tuple, list]:
     """Initiator side: replace DistObject arguments by wire references.
 
     Recurses through containers so dist_objects nested in lists/dicts
@@ -177,11 +177,12 @@ def _inject_am(
     rt.internal_progress()
 
 
-def rpc(target: int, fn: Callable, *args) -> Future:
-    """Run ``fn(*args)`` on rank ``target``; future of its return value."""
+def _request(target: int, fn: Callable, args: tuple, want_reply: bool) -> Optional[Promise]:
+    """Ship ``fn(*args)`` to ``target``; the reply's promise if one is wanted."""
     rt = current_runtime()
     if not 0 <= target < rt.world.n_ranks:
-        raise UpcxxError(f"rpc target {target} out of range [0, {rt.world.n_ranks})")
+        name = "rpc" if want_reply else "rpc_ff"
+        raise UpcxxError(f"{name} target {target} out of range [0, {rt.world.n_ranks})")
     rt.n_rpcs_sent += 1
     sid = None
     t_api = 0.0
@@ -195,36 +196,26 @@ def rpc(target: int, fn: Callable, *args) -> Future:
     rt.sched.charge(rt._c_rpc_inject)
     rt.charge_copy(nraw)
 
-    promise = Promise(rt)
-    token = rt.next_token()
-    rt.reply_table[token] = promise
+    promise = token = None
+    if want_reply:
+        promise = Promise(rt)
+        token = rt.next_token()
+        rt.reply_table[token] = promise
     # envelope tuple: (fn, fns, raw, token, reply_to, copy_bytes)
     payload = (fn, fns, raw, token, rt.rank, nraw - view_bytes)
     _inject_am(rt, target, "upcxx.rpc", payload, nbytes=nraw + _ENVELOPE_BYTES,
                sid=sid, t_api=t_api)
-    return promise.get_future()
+    return promise
+
+
+def rpc(target: int, fn: Callable, *args) -> Future:
+    """Run ``fn(*args)`` on rank ``target``; future of its return value."""
+    return _request(target, fn, args, True).get_future()
 
 
 def rpc_ff(target: int, fn: Callable, *args) -> None:
     """Fire-and-forget RPC: no acknowledgment, nothing returned (``rpc_ff``)."""
-    rt = current_runtime()
-    if not 0 <= target < rt.world.n_ranks:
-        raise UpcxxError(f"rpc_ff target {target} out of range [0, {rt.world.n_ranks})")
-    rt.n_rpcs_sent += 1
-    sid = None
-    t_api = 0.0
-    if rt.spans is not None:
-        sid = rt.next_span_sid()
-        t_api = rt.now()
-    wire_args, fns = _translate_args_out(rt, args)
-    raw = serialization.pack(wire_args)
-    view_bytes = serialization.copy_free_bytes(args)
-    nraw = len(raw)
-    rt.sched.charge(rt._c_rpc_inject)
-    rt.charge_copy(nraw)
-    payload = (fn, fns, raw, None, rt.rank, nraw - view_bytes)
-    _inject_am(rt, target, "upcxx.rpc", payload, nbytes=nraw + _ENVELOPE_BYTES,
-               sid=sid, t_api=t_api)
+    _request(target, fn, args, False)
 
 
 # --------------------------------------------------------------- dispatchers

@@ -13,6 +13,10 @@ Two properties matter for fidelity:
   received buffer (zero-copy at the target, as in UPC++);
 - ``measure()`` reports the exact wire size so CPU serialization costs can
   be charged proportionally.
+
+The codec is two tables, ``_ENC`` (exact type -> encoder) and ``_DEC`` (tag ->
+decoder); containers recurse through the same two.  A new wire type is a tag,
+a row in each table and an entry in ``tests/test_wire_frames.py``'s corpus.
 """
 
 from __future__ import annotations
@@ -20,7 +24,8 @@ from __future__ import annotations
 import pickle
 import struct
 from dataclasses import dataclass
-from typing import Any, List, Optional, Tuple
+from itertools import repeat
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -28,55 +33,41 @@ from repro.upcxx.errors import SerializationError
 from repro.upcxx.global_ptr import GlobalPtr
 from repro.upcxx.view import View
 
-# one-byte type tags
-_T_NONE = 0
-_T_TRUE = 1
-_T_FALSE = 2
-_T_INT = 3
-_T_BIGINT = 4
-_T_FLOAT = 5
-_T_STR = 6
-_T_BYTES = 7
-_T_TUPLE = 8
-_T_LIST = 9
-_T_DICT = 10
-_T_NDARRAY = 11
-_T_GPTR = 12
-_T_VIEW = 13
-_T_DISTREF = 14
-_T_PICKLE = 15
-_T_CUSTOM = 16
+# The wire format: one tag byte, then the layout in this table (little-endian;
+# ``u32``/``i64``/``f64`` fixed width; ``blob`` = u32 length + that many bytes;
+# ``frame`` = a nested tag + layout).  docs/api.md carries the same table.
+_T_NONE = 0  # -
+_T_TRUE = 1  # -
+_T_FALSE = 2  # -
+_T_INT = 3  # i64
+_T_BIGINT = 4  # blob: pickle of an int outside int64
+_T_FLOAT = 5  # f64
+_T_STR = 6  # blob: utf-8
+_T_BYTES = 7  # blob
+_T_TUPLE = 8  # u32 n, n frames
+_T_LIST = 9  # u32 n, n frames
+_T_DICT = 10  # u32 n, n (key frame, value frame) pairs
+_T_NDARRAY = 11  # blob dtype, u32 ndim, ndim u32 dims, blob C-order data
+_T_GPTR = 12  # i64 rank, i64 offset, blob dtype, i64 count, u8 kind (0 host, 1 device)
+_T_VIEW = 13  # blob dtype, blob data (decoded in place, zero-copy)
+_T_DISTREF = 14  # i64 team uid, i64 index
+_T_PICKLE = 15  # blob: pickle of anything without a row below
+_T_CUSTOM = 16  # blob type id, frame of to_wire(obj)
 
-#: user-registered class serializers: cls -> (type_id, to_wire, from_wire)
-_CUSTOM_BY_CLS: dict = {}
-#: type_id -> from_wire
-_CUSTOM_BY_ID: dict = {}
-
+_U32 = struct.Struct("<I")
 _I64 = struct.Struct("<q")
 _F64 = struct.Struct("<d")
-_U32 = struct.Struct("<I")
+_TAG_I64 = struct.Struct("<Bq")
+_TAG_F64 = struct.Struct("<Bd")
+_TAG_U32 = struct.Struct("<BI")  # a tag and the length or count that follows it
+_TAG_2I64 = struct.Struct("<Bqq")
+_2I64 = struct.Struct("<qq")
+_I64_U8 = struct.Struct("<qB")
+_B_NONE, _B_TRUE, _B_FALSE = bytes((_T_NONE,)), bytes((_T_TRUE,)), bytes((_T_FALSE,))
 
-# precomputed one-byte tag frames: bytes([...]) per element is a measurable
-# allocation cost on the RPC hot path, so each tag is materialized once
-_B_NONE = bytes([_T_NONE])
-_B_TRUE = bytes([_T_TRUE])
-_B_FALSE = bytes([_T_FALSE])
-_B_INT = bytes([_T_INT])
-_B_BIGINT = bytes([_T_BIGINT])
-_B_FLOAT = bytes([_T_FLOAT])
-_B_STR = bytes([_T_STR])
-_B_BYTES = bytes([_T_BYTES])
-_B_TUPLE = bytes([_T_TUPLE])
-_B_LIST = bytes([_T_LIST])
-_B_DICT = bytes([_T_DICT])
-_B_NDARRAY = bytes([_T_NDARRAY])
-_B_GPTR = bytes([_T_GPTR])
-_B_VIEW = bytes([_T_VIEW])
-_B_DISTREF = bytes([_T_DISTREF])
-_B_PICKLE = bytes([_T_PICKLE])
-_B_CUSTOM = bytes([_T_CUSTOM])
-_B_KIND_HOST = bytes([0])
-_B_KIND_DEVICE = bytes([1])
+#: user-registered classes: cls -> (type id, to_wire); type id -> from_wire
+_CUSTOM_BY_CLS: dict = {}
+_CUSTOM_BY_ID: dict = {}
 
 
 @dataclass(frozen=True)
@@ -87,202 +78,229 @@ class DistObjectRef:
     index: int
 
 
-def _is_dist_object(obj: Any) -> bool:
-    """Late-bound isinstance check (avoids a circular import)."""
-    from repro.upcxx.dist_object import DistObject
-
-    return isinstance(obj, DistObject)
-
-
-def _pack_len(out: List[bytes], n: int) -> None:
-    out.append(_U32.pack(n))
+# ------------------------------------------------------------------ encoders
+# encoder(append, obj) appends obj's frame, piecewise, to the output list.
+def _encode(append: Callable[[bytes], None], obj: Any) -> None:
+    _ENC.get(type(obj), _enc_other)(append, obj)
 
 
-def _pack_into(out: List[bytes], obj: Any) -> None:
-    if obj is None:
-        out.append(_B_NONE)
-    elif obj is True:
-        out.append(_B_TRUE)
-    elif obj is False:
-        out.append(_B_FALSE)
-    elif isinstance(obj, int):
-        if -(2**63) <= obj < 2**63:
-            out.append(_B_INT)
-            out.append(_I64.pack(obj))
-        else:
-            raw = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
-            out.append(_B_BIGINT)
-            _pack_len(out, len(raw))
-            out.append(raw)
-    elif isinstance(obj, float):
-        out.append(_B_FLOAT)
-        out.append(_F64.pack(obj))
-    elif isinstance(obj, str):
-        raw = obj.encode("utf-8")
-        out.append(_B_STR)
-        _pack_len(out, len(raw))
-        out.append(raw)
-    elif isinstance(obj, (bytes, bytearray, memoryview)):
-        raw = bytes(obj)
-        out.append(_B_BYTES)
-        _pack_len(out, len(raw))
-        out.append(raw)
-    elif isinstance(obj, tuple):
-        out.append(_B_TUPLE)
-        _pack_len(out, len(obj))
+def _put_blob(append, tag: int, raw: bytes) -> None:
+    append(_TAG_U32.pack(tag, len(raw)))
+    append(raw)
+
+
+def _enc_int(append, obj) -> None:
+    try:
+        append(_TAG_I64.pack(_T_INT, obj))
+    except struct.error:  # outside int64
+        _put_blob(append, _T_BIGINT, pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL))
+
+
+def _enc_bytes(append, obj) -> None:
+    append(_TAG_U32.pack(_T_BYTES, len(obj)))
+    append(obj)
+
+
+def _enc_sequence(tag: int):
+    def enc(append, obj) -> None:
+        append(_TAG_U32.pack(tag, len(obj)))
+        get = _ENC.get
         for x in obj:
-            _pack_into(out, x)
-    elif isinstance(obj, list):
-        out.append(_B_LIST)
-        _pack_len(out, len(obj))
-        for x in obj:
-            _pack_into(out, x)
-    elif isinstance(obj, dict):
-        out.append(_B_DICT)
-        _pack_len(out, len(obj))
-        for k, v in obj.items():
-            _pack_into(out, k)
-            _pack_into(out, v)
-    elif isinstance(obj, View):
-        arr = obj.to_numpy()
-        dt = str(arr.dtype).encode()
-        out.append(_B_VIEW)
-        _pack_len(out, len(dt))
-        out.append(dt)
-        raw = arr.tobytes()
-        _pack_len(out, len(raw))
-        out.append(raw)
-    elif isinstance(obj, np.ndarray):
-        dt = str(obj.dtype).encode()
-        shape = obj.shape
-        out.append(_B_NDARRAY)
-        _pack_len(out, len(dt))
-        out.append(dt)
-        _pack_len(out, len(shape))
-        for s in shape:
-            out.append(_U32.pack(s))
-        raw = np.ascontiguousarray(obj).tobytes()
-        _pack_len(out, len(raw))
-        out.append(raw)
-    elif isinstance(obj, np.generic):  # numpy scalar
-        _pack_into(out, obj.item())
-    elif isinstance(obj, GlobalPtr):
-        out.append(_B_GPTR)
-        out.append(_I64.pack(obj.rank))
-        out.append(_I64.pack(obj.offset))
-        dt = str(obj.dtype).encode()
-        _pack_len(out, len(dt))
-        out.append(dt)
-        out.append(_I64.pack(obj.count))
-        out.append(_B_KIND_HOST if obj.kind == "host" else _B_KIND_DEVICE)
-    elif isinstance(obj, DistObjectRef):
-        out.append(_B_DISTREF)
-        out.append(_I64.pack(obj.team_uid))
-        out.append(_I64.pack(obj.index))
-    elif _is_dist_object(obj):
-        # a dist_object serializes as its global id (never by value)
-        _pack_into(out, obj.ref())
-    elif type(obj) in _CUSTOM_BY_CLS:
-        type_id, to_wire, _from_wire = _CUSTOM_BY_CLS[type(obj)]
-        out.append(_B_CUSTOM)
-        tid = type_id.encode()
-        _pack_len(out, len(tid))
-        out.append(tid)
-        _pack_into(out, to_wire(obj))
-    else:
-        try:
-            raw = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
-        except Exception as exc:
-            raise SerializationError(f"cannot serialize {type(obj).__name__}: {exc}") from exc
-        out.append(_B_PICKLE)
-        _pack_len(out, len(raw))
-        out.append(raw)
+            get(type(x), _enc_other)(append, x)
+
+    return enc
 
 
-class _Reader:
-    __slots__ = ("buf", "pos")
-
-    def __init__(self, buf: bytes):
-        self.buf = buf
-        self.pos = 0
-
-    def take(self, n: int) -> bytes:
-        b = self.buf[self.pos : self.pos + n]
-        if len(b) != n:
-            raise SerializationError("truncated buffer")
-        self.pos += n
-        return b
-
-    def take_view(self, n: int) -> memoryview:
-        if self.pos + n > len(self.buf):
-            raise SerializationError("truncated buffer")
-        mv = memoryview(self.buf)[self.pos : self.pos + n]
-        self.pos += n
-        return mv
-
-    def u32(self) -> int:
-        return _U32.unpack(self.take(4))[0]
-
-    def i64(self) -> int:
-        return _I64.unpack(self.take(8))[0]
+def _enc_dict(append, obj) -> None:
+    append(_TAG_U32.pack(_T_DICT, len(obj)))
+    for k, v in obj.items():
+        _encode(append, k)
+        _encode(append, v)
 
 
-def _unpack_from(r: _Reader) -> Any:
-    tag = r.take(1)[0]
-    if tag == _T_NONE:
-        return None
-    if tag == _T_TRUE:
-        return True
-    if tag == _T_FALSE:
-        return False
-    if tag == _T_INT:
-        return r.i64()
-    if tag in (_T_BIGINT, _T_PICKLE):
-        return pickle.loads(r.take(r.u32()))
-    if tag == _T_FLOAT:
-        return _F64.unpack(r.take(8))[0]
-    if tag == _T_STR:
-        return r.take(r.u32()).decode("utf-8")
-    if tag == _T_BYTES:
-        return r.take(r.u32())
-    if tag == _T_TUPLE:
-        n = r.u32()
-        return tuple(_unpack_from(r) for _ in range(n))
-    if tag == _T_LIST:
-        n = r.u32()
-        return [_unpack_from(r) for _ in range(n)]
-    if tag == _T_DICT:
-        n = r.u32()
-        return {_unpack_from(r): _unpack_from(r) for _ in range(n)}
-    if tag == _T_VIEW:
-        dt = np.dtype(r.take(r.u32()).decode())
-        nraw = r.u32()
-        # zero-copy: the view aliases the incoming buffer
-        arr = np.frombuffer(r.take_view(nraw), dtype=dt)
-        return View(arr)
-    if tag == _T_NDARRAY:
-        dt = np.dtype(r.take(r.u32()).decode())
-        ndim = r.u32()
-        shape = tuple(_U32.unpack(r.take(4))[0] for _ in range(ndim))
-        nraw = r.u32()
-        arr = np.frombuffer(r.take(nraw), dtype=dt).reshape(shape).copy()
-        return arr
-    if tag == _T_GPTR:
-        rank = r.i64()
-        offset = r.i64()
-        dt = np.dtype(r.take(r.u32()).decode())
-        count = r.i64()
-        kind = "host" if r.take(1)[0] == 0 else "device"
-        return GlobalPtr(rank, offset, dt, count, kind)
-    if tag == _T_DISTREF:
-        return DistObjectRef(r.i64(), r.i64())
-    if tag == _T_CUSTOM:
-        type_id = r.take(r.u32()).decode()
-        from_wire = _CUSTOM_BY_ID.get(type_id)
-        if from_wire is None:
-            raise SerializationError(f"no deserializer registered for {type_id!r}")
-        return from_wire(_unpack_from(r))
-    raise SerializationError(f"unknown tag {tag}")
+def _enc_array(append, tag: int, arr: np.ndarray, dims: tuple) -> None:
+    _put_blob(append, tag, str(arr.dtype).encode())
+    raw = arr.tobytes()  # C order, whatever the strides
+    append(struct.pack(f"<{len(dims) + 1}I", *dims, len(raw)))
+    append(raw)
+
+
+def _enc_gptr(append, obj) -> None:
+    append(_TAG_2I64.pack(_T_GPTR, obj.rank, obj.offset))
+    dt = str(obj.dtype).encode()
+    append(_U32.pack(len(dt)))
+    append(dt)
+    append(_I64_U8.pack(obj.count, obj.kind != "host"))
+
+
+def _enc_other(append, obj) -> None:
+    """Every type without a row of its own in ``_ENC``.
+
+    A subclass travels as the first wire type it is an instance of (an
+    ``IntEnum`` as int, a namedtuple as tuple), a numpy scalar as its Python
+    value, a dist_object as its global id (never by value), a registered
+    class by its ``to_wire``, and the rest by pickle.
+    """
+    for base, enc in _ENC.items():
+        if isinstance(obj, base):
+            return enc(append, obj)
+    if isinstance(obj, np.generic):
+        return _encode(append, obj.item())
+    from repro.upcxx.dist_object import DistObject  # late: dist_object imports this module
+
+    if isinstance(obj, DistObject):
+        return _encode(append, obj.ref())
+    custom = _CUSTOM_BY_CLS.get(type(obj))
+    if custom is not None:
+        type_id, to_wire = custom
+        _put_blob(append, _T_CUSTOM, type_id.encode())
+        return _encode(append, to_wire(obj))
+    try:
+        raw = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
+    except Exception as exc:
+        raise SerializationError(f"cannot serialize {type(obj).__name__}: {exc}") from exc
+    _put_blob(append, _T_PICKLE, raw)
+
+
+#: exact type -> encoder, in the order ``_enc_other`` tries them on subclasses
+_ENC: Dict[type, Callable] = {
+    type(None): lambda append, obj: append(_B_NONE),
+    bool: lambda append, obj: append(_B_TRUE if obj else _B_FALSE),
+    int: _enc_int,
+    float: lambda append, obj: append(_TAG_F64.pack(_T_FLOAT, obj)),
+    str: lambda append, obj: _put_blob(append, _T_STR, obj.encode("utf-8")),
+    bytes: _enc_bytes,
+    bytearray: lambda append, obj: _enc_bytes(append, bytes(obj)),
+    memoryview: lambda append, obj: _enc_bytes(append, bytes(obj)),
+    tuple: _enc_sequence(_T_TUPLE),
+    list: _enc_sequence(_T_LIST),
+    dict: _enc_dict,
+    View: lambda append, obj: _enc_array(append, _T_VIEW, obj.to_numpy(), ()),
+    np.ndarray: lambda append, obj: _enc_array(append, _T_NDARRAY, obj, (obj.ndim, *obj.shape)),
+    GlobalPtr: _enc_gptr,
+    DistObjectRef: lambda append, obj: append(_TAG_2I64.pack(_T_DISTREF, obj.team_uid, obj.index)),
+}
+
+
+# ------------------------------------------------------------------ decoders
+# decoder(buf, pos, emit) reads the layout after a tag byte, hands the value to
+# ``emit`` and returns the position after it: the encoders' shape mirrored, so
+# a container's loop is one call per element.  None checks for the end of the
+# buffer before a fixed-width read or a tag lookup — ``unpack()`` turns that
+# struct.error/IndexError into the one SerializationError.  Only a length
+# field needs a test (a slice never fails).
+def _take(buf, pos: int):
+    """The blob at ``pos``: (its bytes, the position after them)."""
+    end = pos + 4 + _U32.unpack_from(buf, pos)[0]
+    if end > len(buf):
+        raise IndexError("length field reaches past the buffer")
+    return buf[pos + 4 : end], end
+
+
+def _dec_const(value):
+    def dec(buf, pos, emit):
+        emit(value)
+        return pos
+
+    return dec
+
+
+def _dec_fixed(layout: struct.Struct):
+    read, size = layout.unpack_from, layout.size
+
+    def dec(buf, pos, emit):
+        emit(read(buf, pos)[0])
+        return pos + size
+
+    return dec
+
+
+def _dec_blob(convert: Optional[Callable]):
+    def dec(buf, pos, emit):  # _take() spelled out: str and bytes are in most frames
+        end = pos + 4 + _U32.unpack_from(buf, pos)[0]
+        if end > len(buf):
+            raise IndexError("length field reaches past the buffer")
+        raw = buf[pos + 4 : end]
+        emit(raw if convert is None else convert(raw))
+        return end
+
+    return dec
+
+
+def _dec_container(build: Optional[Callable], per: int = 1):
+    def dec(buf, pos, emit):  # a u32 count, then ``per`` frames for each
+        n = _U32.unpack_from(buf, pos)[0] * per
+        pos += 4
+        items: list = []
+        append = items.append
+        decoders = _DEC
+        for _ in repeat(None, n):
+            pos = decoders[buf[pos]](buf, pos + 1, append)
+        emit(items if build is None else build(items))
+        return pos
+
+    return dec
+
+
+def _dec_ndarray(buf, pos, emit):
+    dt, pos = _take(buf, pos)
+    ndim = _U32.unpack_from(buf, pos)[0]
+    shape = struct.unpack_from(f"<{ndim}I", buf, pos + 4)
+    raw, pos = _take(buf, pos + 4 + 4 * ndim)
+    emit(np.frombuffer(raw, np.dtype(dt.decode())).reshape(shape).copy())
+    return pos
+
+
+def _dec_gptr(buf, pos, emit):
+    rank, offset = _2I64.unpack_from(buf, pos)
+    dt, pos = _take(buf, pos + 16)
+    count, kind = _I64_U8.unpack_from(buf, pos)
+    emit(GlobalPtr(rank, offset, np.dtype(dt.decode()), count, "device" if kind else "host"))
+    return pos + 9
+
+
+def _dec_view(buf, pos, emit):
+    dt, pos = _take(buf, pos)
+    raw, pos = _take(memoryview(buf), pos)  # zero-copy: the view aliases the incoming buffer
+    emit(View(np.frombuffer(raw, np.dtype(dt.decode()))))
+    return pos
+
+
+def _dec_distref(buf, pos, emit):
+    emit(DistObjectRef(*_2I64.unpack_from(buf, pos)))
+    return pos + 16
+
+
+def _dec_custom(buf, pos, emit):
+    raw, pos = _take(buf, pos)
+    type_id = raw.decode()
+    from_wire = _CUSTOM_BY_ID.get(type_id)
+    if from_wire is None:
+        raise SerializationError(f"no deserializer registered for {type_id!r}")
+    return _DEC[buf[pos]](buf, pos + 1, lambda value: emit(from_wire(value)))
+
+
+_DEC_BY_TAG = {
+    _T_NONE: _dec_const(None),
+    _T_TRUE: _dec_const(True),
+    _T_FALSE: _dec_const(False),
+    _T_INT: _dec_fixed(_I64),
+    _T_BIGINT: _dec_blob(pickle.loads),
+    _T_FLOAT: _dec_fixed(_F64),
+    _T_STR: _dec_blob(bytes.decode),  # utf-8
+    _T_BYTES: _dec_blob(None),
+    _T_TUPLE: _dec_container(tuple),
+    _T_LIST: _dec_container(None),
+    _T_DICT: _dec_container(lambda flat: dict(zip(flat[::2], flat[1::2])), per=2),
+    _T_NDARRAY: _dec_ndarray,
+    _T_GPTR: _dec_gptr,
+    _T_VIEW: _dec_view,
+    _T_DISTREF: _dec_distref,
+    _T_PICKLE: _dec_blob(pickle.loads),
+    _T_CUSTOM: _dec_custom,
+}
+#: tag -> decoder; a tag past the end is an IndexError, like any short read
+_DEC: List[Callable] = [_DEC_BY_TAG[tag] for tag in range(len(_DEC_BY_TAG))]
 
 
 # -------------------------------------------------------- custom serializers
@@ -294,7 +312,7 @@ def register_serialization(cls, to_wire, from_wire, type_id: str = None) -> None
     ``from_wire(value)`` reconstructs the instance at the target.
     """
     tid = type_id or f"{cls.__module__}.{cls.__qualname__}"
-    _CUSTOM_BY_CLS[cls] = (tid, to_wire, from_wire)
+    _CUSTOM_BY_CLS[cls] = (tid, to_wire)
     _CUSTOM_BY_ID[tid] = from_wire
 
 
@@ -321,229 +339,36 @@ def serializable_fields(*fields):
 
 def pack(obj: Any) -> bytes:
     """Serialize ``obj`` into wire bytes."""
-    # Fast path: a top-level bytes/bytearray payload (the dominant AM/RPC
-    # shape in the DHT workloads) skips the dispatch chain and list
-    # assembly.  The emitted frame is byte-identical to the general path:
-    # tag + u32 length + raw.
-    t = type(obj)
-    if t is bytes:
-        return _B_BYTES + _U32.pack(len(obj)) + obj
-    if t is bytearray:
-        return _B_BYTES + _U32.pack(len(obj)) + bytes(obj)
-    if t is tuple:
-        # Flat argument tuples of scalars/refs/pointers are the other hot
-        # RPC shape (every request and reply envelope); emit their frames
-        # inline — byte-identical to _pack_into — and bail to the general
-        # recursive packer on the first element it doesn't cover.
-        out = [_B_TUPLE, _U32.pack(len(obj))]
-        append = out.append
-        for x in obj:
-            tx = type(x)
-            if tx is int:
-                if -(2**63) <= x < 2**63:
-                    append(_B_INT)
-                    append(_I64.pack(x))
-                else:
-                    break
-            elif tx is bytes:
-                append(_B_BYTES)
-                append(_U32.pack(len(x)))
-                append(x)
-            elif tx is DistObjectRef:
-                append(_B_DISTREF)
-                append(_I64.pack(x.team_uid))
-                append(_I64.pack(x.index))
-            elif tx is GlobalPtr:
-                append(_B_GPTR)
-                append(_I64.pack(x.rank))
-                append(_I64.pack(x.offset))
-                dt = str(x.dtype).encode()
-                append(_U32.pack(len(dt)))
-                append(dt)
-                append(_I64.pack(x.count))
-                append(_B_KIND_HOST if x.kind == "host" else _B_KIND_DEVICE)
-            elif tx is float:
-                append(_B_FLOAT)
-                append(_F64.pack(x))
-            elif tx is str:
-                raw = x.encode("utf-8")
-                append(_B_STR)
-                append(_U32.pack(len(raw)))
-                append(raw)
-            elif x is None:
-                append(_B_NONE)
-            elif x is True:
-                append(_B_TRUE)
-            elif x is False:
-                append(_B_FALSE)
-            elif tx is tuple:
-                # One level of nested scalar tuples (span sids, (key,
-                # version) pairs) must not knock the whole tuple off the
-                # fast path.  Byte-identical to _pack_into.
-                sub: Optional[List[bytes]] = [_B_TUPLE, _U32.pack(len(x))]
-                sapp = sub.append
-                for y in x:
-                    ty = type(y)
-                    if ty is int:
-                        if -(2**63) <= y < 2**63:
-                            sapp(_B_INT)
-                            sapp(_I64.pack(y))
-                        else:
-                            sub = None
-                            break
-                    elif ty is float:
-                        sapp(_B_FLOAT)
-                        sapp(_F64.pack(y))
-                    elif ty is bytes:
-                        sapp(_B_BYTES)
-                        sapp(_U32.pack(len(y)))
-                        sapp(y)
-                    elif ty is str:
-                        raw = y.encode("utf-8")
-                        sapp(_B_STR)
-                        sapp(_U32.pack(len(raw)))
-                        sapp(raw)
-                    elif y is None:
-                        sapp(_B_NONE)
-                    elif y is True:
-                        sapp(_B_TRUE)
-                    elif y is False:
-                        sapp(_B_FALSE)
-                    else:
-                        sub = None
-                        break
-                if sub is None:
-                    break
-                out.extend(sub)
-            else:
-                break
-        else:
-            return b"".join(out)
-    out = []
-    _pack_into(out, obj)
+    out: List[bytes] = []
+    _ENC.get(type(obj), _enc_other)(out.append, obj)
     return b"".join(out)
 
 
+def _raised_here(exc: BaseException) -> bool:
+    """Whether this module raised ``exc`` (a decoder's short read) rather than
+    user code a decoder called (``from_wire``, a class being unpickled)."""
+    tb = exc.__traceback__
+    while tb.tb_next is not None:
+        tb = tb.tb_next
+    return tb.tb_frame.f_code.co_filename == __file__
+
+
 def unpack(buf: bytes) -> Any:
-    """Deserialize one object from ``buf``."""
-    # Fast paths mirroring pack(): a whole-buffer bytes frame needs no
-    # reader state — one tag check, one length check, one slice — and a
-    # flat tuple of scalars/refs/pointers is decoded inline without the
-    # per-element reader dispatch.  Any anomaly (unexpected tag, short
-    # buffer, trailing bytes) falls through to the general path, which
-    # raises the proper SerializationError.
-    n = len(buf)
-    if n >= 5:
-        tag = buf[0]
-        if tag == _T_BYTES and 5 + _U32.unpack_from(buf, 1)[0] == n:
-            return buf[5:]  # same slice the general path's take() would produce
-        if tag == _T_TUPLE:
-            count = _U32.unpack_from(buf, 1)[0]
-            pos = 5
-            vals: List[Any] = []
-            append = vals.append
-            ok = True
-            try:
-                for _ in range(count):
-                    if pos >= n:
-                        ok = False
-                        break
-                    t = buf[pos]
-                    pos += 1
-                    if t == _T_INT:
-                        append(_I64.unpack_from(buf, pos)[0])
-                        pos += 8
-                    elif t == _T_BYTES:
-                        ln = _U32.unpack_from(buf, pos)[0]
-                        pos += 4
-                        append(buf[pos : pos + ln])
-                        pos += ln
-                    elif t == _T_DISTREF:
-                        append(
-                            DistObjectRef(
-                                _I64.unpack_from(buf, pos)[0],
-                                _I64.unpack_from(buf, pos + 8)[0],
-                            )
-                        )
-                        pos += 16
-                    elif t == _T_GPTR:
-                        rank = _I64.unpack_from(buf, pos)[0]
-                        offset = _I64.unpack_from(buf, pos + 8)[0]
-                        pos += 16
-                        ln = _U32.unpack_from(buf, pos)[0]
-                        pos += 4
-                        dt = np.dtype(buf[pos : pos + ln].decode())
-                        pos += ln
-                        cnt = _I64.unpack_from(buf, pos)[0]
-                        pos += 8
-                        kind = "host" if buf[pos] == 0 else "device"
-                        pos += 1
-                        append(GlobalPtr(rank, offset, dt, cnt, kind))
-                    elif t == _T_FLOAT:
-                        append(_F64.unpack_from(buf, pos)[0])
-                        pos += 8
-                    elif t == _T_STR:
-                        ln = _U32.unpack_from(buf, pos)[0]
-                        pos += 4
-                        append(buf[pos : pos + ln].decode("utf-8"))
-                        pos += ln
-                    elif t == _T_NONE:
-                        append(None)
-                    elif t == _T_TRUE:
-                        append(True)
-                    elif t == _T_FALSE:
-                        append(False)
-                    elif t == _T_TUPLE:
-                        # one nested level of scalars, mirroring pack()
-                        sub_n = _U32.unpack_from(buf, pos)[0]
-                        pos += 4
-                        sub: List[Any] = []
-                        for _ in range(sub_n):
-                            if pos >= n:
-                                ok = False
-                                break
-                            st = buf[pos]
-                            pos += 1
-                            if st == _T_INT:
-                                sub.append(_I64.unpack_from(buf, pos)[0])
-                                pos += 8
-                            elif st == _T_FLOAT:
-                                sub.append(_F64.unpack_from(buf, pos)[0])
-                                pos += 8
-                            elif st == _T_BYTES:
-                                ln = _U32.unpack_from(buf, pos)[0]
-                                pos += 4
-                                sub.append(buf[pos : pos + ln])
-                                pos += ln
-                            elif st == _T_STR:
-                                ln = _U32.unpack_from(buf, pos)[0]
-                                pos += 4
-                                sub.append(buf[pos : pos + ln].decode("utf-8"))
-                                pos += ln
-                            elif st == _T_NONE:
-                                sub.append(None)
-                            elif st == _T_TRUE:
-                                sub.append(True)
-                            elif st == _T_FALSE:
-                                sub.append(False)
-                            else:
-                                ok = False
-                                break
-                        if not ok:
-                            break
-                        append(tuple(sub))
-                    else:
-                        ok = False
-                        break
-            except struct.error:
-                ok = False
-            if ok and pos == n:
-                return tuple(vals)
-    r = _Reader(buf)
-    obj = _unpack_from(r)
-    if r.pos != len(buf):
-        raise SerializationError(f"trailing bytes: {len(buf) - r.pos}")
-    return obj
+    """Deserialize one object from ``buf``.
+
+    A malformed buffer — truncated, a length field reaching past the end, an
+    unknown tag, trailing bytes — raises :class:`SerializationError`.
+    """
+    out: list = []
+    try:
+        pos = _DEC[buf[0]](buf, 1, out.append)
+    except (struct.error, IndexError) as exc:
+        if not _raised_here(exc):
+            raise
+        raise SerializationError(f"truncated buffer or unknown tag: {exc}") from exc
+    if pos != len(buf):
+        raise SerializationError(f"trailing bytes: {len(buf) - pos}")
+    return out[0]
 
 
 def measure(obj: Any) -> int:

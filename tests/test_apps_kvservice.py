@@ -102,7 +102,7 @@ class TestKvService:
             assert r["read_lat"]["n"] == r["reads"]
             assert r["write_lat"]["n"] == r["writes"]
 
-    def test_reproduces_golden_on_both_backends(self):
+    def test_reproduces_golden(self):
         golden.reproduces("kv_service")  # _tiny_cfg(), seed 7
 
     def test_latency_histograms_have_tail_percentiles(self):

@@ -5,10 +5,9 @@ crash) from its own seeded stream — decoupled from application RNG — and
 the reliable-delivery layer resolves each operation's full retransmit
 ladder analytically at send time.  Consequently the *same seed + same
 plan* must yield bit-identical results, trace fingerprints, and span
-fingerprints — the committed golden fingerprints (``tests/golden.py``;
-the "both backends" in the names below dates from when a second
-scheduler was the cross-check) — and a zero-rate plan must be
-indistinguishable from running with faults disabled.
+fingerprints — the committed golden fingerprints (``tests/golden.py``) —
+and a zero-rate plan must be indistinguishable from running with faults
+disabled.
 
 Also pinned here:
 
@@ -35,7 +34,7 @@ from tests.golden import mixed_body as _mixed_body
 # ---------------------------------------------------------------- identity
 @pytest.mark.parametrize("seed", golden.CHAOS_SEEDS)
 @pytest.mark.parametrize("plan", golden.CHAOS_PLANS)
-def test_chaos_runs_reproduce_golden_on_both_backends(seed, plan):
+def test_chaos_runs_reproduce_golden(seed, plan):
     """Same seed + same fault plan => the golden results, trace and span
     fingerprints."""
     name = f"chaos_mixed[seed={seed},{plan}]"
@@ -64,7 +63,7 @@ def test_zero_rate_plan_identical_to_disabled():
     assert fp(None) == fp(FaultPlan(seed=9)) == fp("seed=9")
 
 
-def test_frame_counters_reproduce_golden_on_both_backends():
+def test_frame_counters_reproduce_golden():
     """Retransmit/drop/dup/ack counters are part of the deterministic
     surface."""
     run = golden.reproduces("chaos_frame_counters")
@@ -100,7 +99,7 @@ def test_drop_injected_dht_converges_byte_identical():
 
 # ------------------------------------------------------------ rank crashes
 @pytest.mark.parametrize("spec,dead_rank", zip(golden.CRASH_SPECS, (2, 0, 1)))
-def test_rank_crash_verdict_reproduces_golden_on_both_backends(spec, dead_rank):
+def test_rank_crash_verdict_reproduces_golden(spec, dead_rank):
     """Crashes surface as RankDeadError with the golden rank and message;
     survivors abort cleanly instead of hanging.  (Span streams
     legitimately end early on the failing path, so the golden entry is
@@ -116,7 +115,7 @@ def test_crash_before_any_communication():
 
 # ----------------------------------------------------- aggregation layer
 @pytest.mark.parametrize("plan", golden.CHAOS_PLANS)
-def test_aggregated_chaos_reproduces_golden_on_both_backends(plan):
+def test_aggregated_chaos_reproduces_golden(plan):
     """The aggregation subsystem (batched frames, acks, invalidations)
     joins the chaos surface: same seed + same fault plan => the golden
     results, trace, and span fingerprints."""
@@ -126,14 +125,14 @@ def test_aggregated_chaos_reproduces_golden_on_both_backends(plan):
     assert run.results[0][0] == clean.results[0][0]  # rank 0's read-back values
 
 
-def test_aggregated_crash_typed_verdict_on_both_backends():
+def test_aggregated_crash_typed_verdict():
     """A rank crash mid-aggregation (updates buffered, credits out,
     watchers registered) must end in RankDeadError with the golden rank
     attribution — never a hang in quiesce."""
     golden.reproduces("chaos_agg_crash")
 
 
-def test_kvservice_chaos_reproduces_golden_on_both_backends():
+def test_kvservice_chaos_reproduces_golden():
     """The full served-KV workload (open-loop pacing + aggregation +
     cache) stays bit-identical under an armed fault plan."""
     run = golden.reproduces("kv_chaos")
@@ -143,7 +142,7 @@ def test_kvservice_chaos_reproduces_golden_on_both_backends():
 
 # ----------------------------------------- replicated survivable crashes
 @pytest.mark.parametrize("spec,dead_rank", zip(golden.REPLICATED_CRASH_SPECS, (3, 1)))
-def test_replicated_crash_reproduces_golden_on_both_backends(spec, dead_rank):
+def test_replicated_crash_reproduces_golden(spec, dead_rank):
     """With replication factor 2 a survivable crash plan completes the
     run (no RankDeadError): failover reads retarget to surviving
     replicas, re-replication restores the factor, and the whole

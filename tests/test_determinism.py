@@ -5,10 +5,8 @@ Each canonical program (``tests/golden.py``) must equal its entry in
 ``tests/golden/fingerprints.json``: results sha256, canonical trace
 digest (stable (time, rank) order, invariant to the dispatch order of
 same-instant events on different ranks), span fingerprint, events
-posted/fired, switches.  A second implementation used to be the
-cross-check; the committed file is the whole reference now
-(docs/simulator.md §6), which is why these names still say "both
-backends" — they are kept so the suite's history stays comparable.
+posted/fired, switches.  The committed file is the whole reference
+(docs/simulator.md §6); there is no second implementation to compare with.
 
 Also here: the lost-wakeup regression test for sticky ``pending_wake``
 consumption (wakes arriving while a rank is runnable must be drained in
@@ -28,11 +26,11 @@ from tests import golden
     "program", ["dht_totals", "dht_totals_ppn4", "rpc_ring", "rpc_ring_ppn2",
                 "sched_mixed_wakes", "mixed_collectives", "span_mix"]
 )
-def test_program_reproduces_golden_on_both_backends(program):
+def test_program_reproduces_golden(program):
     assert len(golden.reproduces(program).trace) > 0
 
 
-def test_fig3a_series_reproduces_golden_on_both_backends():
+def test_fig3a_series_reproduces_golden():
     series = golden.reproduces("fig3a_series").results[0][0]
     assert sorted(series) == [8, 64, 512, 4096, 65536] and min(series.values()) > 0
 

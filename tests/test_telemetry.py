@@ -28,7 +28,7 @@ def _run(tel):
 
 
 # ------------------------------------------------------------------- rollups
-def test_rollups_reproduce_golden_on_both_backends():
+def test_rollups_reproduce_golden():
     assert len(golden.reproduces("telemetry_rollups").results[0]) == N_RANKS
 
 
@@ -73,7 +73,7 @@ def _crash_bundle(path=None) -> str:
     return golden.telemetry_blackbox(path=path).results[2]
 
 
-def test_blackbox_reproduces_golden_on_both_backends():
+def test_blackbox_reproduces_golden():
     golden.reproduces("telemetry_blackbox")
 
 

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from repro.upcxx import serialization as ser
 from repro.upcxx.errors import SerializationError
@@ -145,3 +145,70 @@ def test_view_roundtrip_property(xs):
 @given(_json_like)
 def test_measure_equals_len_pack(obj):
     assert ser.measure(obj) == len(ser.pack(obj))
+
+
+# ------------------------------------------------------------ error contract
+_wire_leaves = st.one_of(
+    _scalars,
+    st.integers(min_value=2**63, max_value=2**80),  # travels as a pickled bigint
+    st.builds(
+        GlobalPtr,
+        st.integers(0, 63),
+        st.integers(0, 2**40),
+        st.sampled_from([np.uint8, np.int32, np.float64]),
+        st.integers(0, 2**20),
+        st.sampled_from(["host", "device"]),
+    ),
+    st.builds(ser.DistObjectRef, st.integers(0, 2**30), st.integers(0, 99)),
+    st.lists(st.integers(-9, 9), max_size=6).map(lambda xs: np.asarray(xs, dtype=np.int16)),
+    st.lists(st.floats(allow_nan=False), max_size=6).map(make_view),
+    st.just(complex(1, 2)),  # the pickle fallback
+)
+_wire_objects = st.recursive(
+    _wire_leaves,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    ),
+    max_leaves=8,
+)
+
+
+@given(_wire_objects)
+@example((GlobalPtr(3, 1024, np.float64, 17),))
+def test_every_strict_prefix_and_every_extension_is_a_serialization_error(obj):
+    """A malformed frame raises SerializationError and nothing else."""
+    raw = ser.pack(obj)
+    for cut in range(len(raw)):
+        with pytest.raises(SerializationError):
+            ser.unpack(raw[:cut])
+    with pytest.raises(SerializationError):
+        ser.unpack(raw + b"\0")
+
+
+def test_unknown_tag_and_unregistered_custom_id_are_serialization_errors():
+    for tag in (17, 200, 255):
+        with pytest.raises(SerializationError):
+            ser.unpack(bytes([tag]))
+        with pytest.raises(SerializationError):
+            ser.unpack(ser.pack((1, 2))[:-9] + bytes([tag]) + bytes(8))
+    frame = bytes([16]) + (7).to_bytes(4, "little") + b"nowhere" + ser.pack(1)
+    with pytest.raises(SerializationError, match="nowhere"):
+        ser.unpack(frame)
+
+
+class _Picky:
+    def __init__(self, values):
+        self.first = values[0]  # IndexError on an empty tuple: the user's, not a short read
+
+
+ser.register_serialization(_Picky, to_wire=lambda p: (), from_wire=_Picky, type_id="test._Picky")
+
+
+def test_errors_raised_by_user_from_wire_are_not_swallowed():
+    raw = ser.pack([_Picky((1,))])
+    with pytest.raises(IndexError):
+        ser.unpack(raw)
+    with pytest.raises(SerializationError):
+        ser.unpack(raw[:-1])
