@@ -4,9 +4,12 @@ Every rank is both a *front end* (serving a :class:`TrafficModel` client
 stream) and a *shard owner* (holding a slice of the key space).  Writes
 flow through a :class:`repro.upcxx.replication.ReplicatedStore` with
 last-writer-wins combine — destination-batched, dwell-bounded, credit
-flow-controlled, fanned out to ``replication`` owners per key — and
-reads go through its hot-key cache, targeted at the key's current
-primary, which keeps the sharer list a write consumes to invalidate it.
+flow-controlled, fanned out to ``replication`` owners per key, same-key
+writes of one batch folded at the sender before it ships (the keys are
+Zipf: most of a saturated batch is duplicates) — and reads go through
+its hot-key cache, targeted at the key's current primary, which keeps
+the sharer list a write consumes to invalidate it; concurrent misses on
+one key share one read-through.
 
 Robustness features (both off by default, preserving the bare-store
 behavior bit-for-bit):
@@ -111,6 +114,7 @@ class KvService:
             max_dwell=max_dwell,
             credits=credits,
             cache_capacity=cache_capacity,
+            combine_at_source=True,  # Zipf keys: duplicates meet at the sender
             on_batch_flushed=self._batch_flushed,
             on_batch_acked=self._batch_acked,
             on_death=self._on_death,
@@ -239,15 +243,22 @@ class KvService:
             "read_sum": self._read_sum,
             "shard_size": self._store.local_size(),
             "batches_sent": s["batches_sent"],
+            # application updates shipped; the wire carried
+            # updates_sent - updates_combined entries
             "updates_sent": s["updates_sent"],
+            "updates_combined": s["updates_combined"],
             "credit_stalls": s["credit_stalls"],
             "credit_stall_s": s["credit_stall_s"],
             "cache_hits": s["cache_hits"],
             "cache_misses": s["cache_misses"],
+            "reads_coalesced": s["reads_coalesced"],
             "cache_invalidations": s["cache_invalidations"],
             # owner side of the cache protocol: invals_sent <= sharers_registered
             "invals_sent": s["invals_sent"],
             "sharers_registered": s["sharers_registered"],
+            # what this rank did as a shard owner (its load, not its traffic)
+            "applied_updates": s["applied_updates"],
+            "reads_served": s["reads_served"],
             "read_lat": self.read_lat.as_dict(),
             "write_lat": self.write_lat.as_dict(),
             # -- availability / admission ----------------------------------

@@ -44,7 +44,7 @@ KNEE_EFFICIENCY = 0.9
 
 #: the ``kv_aggregation_vs_rpc`` gate: destination batching must keep at
 #: least this simulated write-throughput win over per-op RPC in
-#: :func:`aggregation_ablation` (6.6x measured at tiny scale)
+#: :func:`aggregation_ablation` (10.3x measured at tiny scale)
 AGGREGATION_GATE_SPEEDUP = 4.0
 
 #: write-latency drain wait is part of serving time; seed is fixed so the
@@ -99,6 +99,8 @@ def summarize_point(cfg: dict, results: Sequence[dict]) -> dict:
     lat.merge(_merge_latencies(results, "write_lat"))
     offered = cfg["ranks"] * cfg["rate"]
     achieved = total / t_serve if t_serve > 0 else 0.0
+    # what each rank did as a shard owner: the hot shard paces a skewed run
+    shard_load = [r["applied_updates"] + r["reads_served"] for r in results]
     return {
         "offered_rps": offered,
         "achieved_rps": round(achieved, 1),
@@ -111,6 +113,12 @@ def summarize_point(cfg: dict, results: Sequence[dict]) -> dict:
         "p999_s": lat.percentile(99.9),
         "cache_hits": sum(r["cache_hits"] for r in results),
         "cache_misses": sum(r["cache_misses"] for r in results),
+        "reads_coalesced": sum(r["reads_coalesced"] for r in results),
+        "updates_sent": sum(r["updates_sent"] for r in results),
+        "updates_combined": sum(r["updates_combined"] for r in results),
+        "shard_load_skew": round(
+            _ratio(max(shard_load), sum(shard_load) / len(shard_load), empty=1.0), 4
+        ),
         "invals_sent": sum(r["invals_sent"] for r in results),
         "sharers_registered": sum(r["sharers_registered"] for r in results),
         "credit_stalls": sum(r["credit_stalls"] for r in results),

@@ -6,7 +6,8 @@
   one ``summarize_point`` dict (utilization + p50..p999 sojourn latency,
   availability fields of a crash point) or, recognized by its ``curve``
   key, a ``--sweep`` capacity curve (below-knee utilization rule); either
-  way ``kv-coherence`` holds ``invals_sent <= sharers_registered``;
+  way ``kv-coherence`` holds ``invals_sent <= sharers_registered`` and
+  ``kv-shard-skew`` prints the owner-side load imbalance (INFO);
 - ``--telemetry TEL.json``     — a ``repro.util.Telemetry.as_dict`` dump
   (windowed rollups: attentiveness gap, retransmits, credit stalls);
 - ``--rules RULES.json``       — extra declarative rules (see below).
@@ -255,13 +256,20 @@ def _check_kv_availability(kv: dict, min_avail: float,
     return out
 
 
+def _kv_points(kv: dict) -> List[tuple]:
+    """``(path prefix, point)`` for one point, or for each point of a
+    sweep curve."""
+    curve = kv.get("curve")
+    if isinstance(curve, list):
+        return [(f"curve.{i}.", p) for i, p in enumerate(curve)]
+    return [("", kv)]
+
+
 def _check_kv_coherence(kv: dict) -> List[Verdict]:
     """The economy law of ``AggStore``'s cache protocol, on one point or on
     every point of a sweep curve: a registration entitles a reader to one
     invalidation, so owners cannot have sent more than were registered."""
-    curve = kv.get("curve")
-    points = ([(f"curve.{i}.", p) for i, p in enumerate(curve)]
-              if isinstance(curve, list) else [("", kv)])
+    points = _kv_points(kv)
     bad = []
     for prefix, p in points:
         sent = _num(p, "invals_sent", prefix + "invals_sent")
@@ -276,6 +284,23 @@ def _check_kv_coherence(kv: dict) -> List[Verdict]:
                         "; ".join(bad) + " — invalidations went to ranks holding no copy")]
     return [Verdict("kv-coherence", "PASS",
                     f"invals_sent <= sharers_registered on {len(points)} point(s)")]
+
+
+def _check_kv_shard_skew(kv: dict) -> List[Verdict]:
+    """Owner-side load balance, printed not judged: max/mean over ranks of
+    ``applied_updates + reads_served``.  A skewed key stream puts one
+    shard's CPU behind every other rank's requests, and no latency or
+    stall number says so; the worst point of a sweep curve is reported."""
+    skews = [(_num(p, "shard_load_skew", prefix + "shard_load_skew"), prefix)
+             for prefix, p in _kv_points(kv)]
+    if not skews or any(skew is None for skew, _ in skews):
+        return [Verdict("kv-shard-skew", "SKIP", "shard_load_skew not present", "info")]
+    skew, prefix = max(skews)
+    return [Verdict(
+        "kv-shard-skew", "INFO",
+        f"{prefix}shard_load_skew = {skew} (busiest shard's applied updates "
+        "+ served reads, over the mean rank's)", "info",
+    )]
 
 
 def _check_telemetry(tel: dict, max_gap: float, max_retx_rate: float,
@@ -353,6 +378,7 @@ def evaluate(docs: Dict[str, Optional[dict]], rules: Sequence[dict] = (),
         apply(_check_kv_availability, kv, min_availability, max_recovery_s)
     if kv is not None:
         apply(_check_kv_coherence, kv)
+        apply(_check_kv_shard_skew, kv)
     tel = docs.get("telemetry")
     if tel is not None:
         apply(_check_telemetry, tel, max_gap_s, max_retx_rate, max_stall_frac)

@@ -16,6 +16,17 @@ aggregators:
   with a per-store combine function (``"+"``, ``"replace"``, ``"min"``,
   ``"max"`` or any callable).  The combine is registered locally at
   construction, so it never crosses the wire.
+- **Source combining** — with ``combine_at_source=True`` a buffer's
+  same-key entries are folded with the store's own combine when the
+  batch is *sealed* (one hash pass in ``_flush_dest``, charged
+  ``cpu.map_lookup`` per raw entry at the sender, nothing for a
+  one-entry batch), so duplicates meet at the sender instead of at the
+  rank that owns a hot key — the "combine" half of the HipMer motif.
+  Buffering, the flush triggers and the per-batch ack are untouched;
+  the folded count leaves the quiescence ledger again
+  (``updates_combined``).  Worth it on skewed keys (the KV service
+  folds 61 % of a saturated Zipf(1.1) stream), a pure cost on uniform
+  ones, hence opt-in.
 - **Adaptive flush** — buffers also flush on *simulated-time* dwell
   (``max_dwell``): at low offered load a partial batch does not strand
   in its buffer past the deadline.  ``poll()`` is the pacing hook apps
@@ -44,7 +55,15 @@ aggregators:
   otherwise it flushes with the store's own batching rules), and the
   reader registers again on its next read-through.  Per-channel FIFO
   delivery orders the fill reply before the invalidation of any later
-  write.  Two laws, both checked by ``tests/test_kv_coherence.py``:
+  write.  Concurrent misses share one fill: a miss on a key whose
+  read-through is already in flight to the same holder waits on that
+  reply instead of sending a second RPC (``reads_coalesced``; the entry
+  dies when the reply lands, when a batch carrying the key to that
+  holder is sealed — a read issued after my write *shipped* is ordered
+  after it at the owner and must not see an older fill — and at a peer's
+  death).  The owner reports a missing key as absent; the cache holds an
+  absent marker and every reader applies its own ``default``.  Two
+  laws, both checked by ``tests/test_kv_coherence.py``:
   after :meth:`quiesce` every cached value equals the owner's and its
   holder is in the owner's sharer list; and per owner ``invals_sent <=
   sharers_registered`` — invalidation traffic is bounded by the copies
@@ -103,6 +122,10 @@ COMBINES = {
 }
 
 _MISS = object()
+
+#: cached in place of a value when the owner reported the key absent; a
+#: reader holding it answers with its *own* default
+_ABSENT = object()
 
 
 def default_route(key, n_ranks: int) -> int:
@@ -188,18 +211,31 @@ def _agg_invalidate(dobj: DistObject, keys) -> None:
     _apply_invals(rt, state, state["store"], keys)
 
 
-def _agg_read(dobj: DistObject, key, reader: int, default):
+def _agg_read(dobj: DistObject, key, reader: int) -> Future:
     """RPC body at the owner: read-through; a caching ``reader`` joins the
-    key's sharer list (good for one invalidation, see ``_agg_apply``)."""
+    key's sharer list (good for one invalidation, see ``_agg_apply``).
+
+    The owner reports absence instead of guessing the reader's default:
+    the reply is empty for a missing key and ``(v,)`` otherwise, so a
+    stored ``None`` stays distinguishable from no entry.
+    """
     rt = current_runtime()
     rt.charge_sw(rt.cpu.map_lookup)
     state = dobj.value
+    state["reads_served"] += 1
     if reader >= 0:
         ws = state["watchers"].setdefault(key, [])
         if reader not in ws:
             ws.append(reader)
             state["sharers_registered"] += 1
-    return state["data"].get(key, default)
+    v = state["data"].get(key, _MISS)
+    return make_future() if v is _MISS else make_future(v)
+
+
+def _or_default(reply: Future, default) -> Future:
+    """A reader's view of an ``_agg_read`` reply: the value, or the
+    reader's own ``default`` when the owner reported the key absent."""
+    return reply.then(lambda *found: found[0] if found else default)
 
 
 # ---------------------------------------------------------------- the store
@@ -223,9 +259,16 @@ class AggStore:
         optional per-peer bound on in-flight (unacked) batches; the
         sender stalls in simulated time when a peer's credits run out.
     cache_capacity:
-        >0 enables the hot-key read cache (LRU of that many keys) and
-        its sharer-list invalidation.  Must be uniform across ranks (it
-        decides whether :meth:`quiesce` runs its invalidation round).
+        >0 enables the hot-key read cache (LRU of that many keys), its
+        sharer-list invalidation and shared fills.  Must be uniform
+        across ranks (it decides whether :meth:`quiesce` runs its
+        invalidation round).
+    combine_at_source:
+        fold same-key entries of a batch at the sender when it is sealed.
+        Requires an *associative* combine — the owner then sees
+        ``combine(old, combine(a, b))`` where it used to see
+        ``combine(combine(old, a), b)``.  The four named combines are; a
+        callable is taken at the caller's word.
     route:
         key -> team-rank mapping (default :func:`default_route`).
     on_batch_flushed / on_batch_acked:
@@ -243,6 +286,7 @@ class AggStore:
         max_dwell: Optional[float] = None,
         credits: Optional[int] = None,
         cache_capacity: int = 0,
+        combine_at_source: bool = False,
         route: Callable[[int, int], int] = default_route,
         on_batch_flushed: Optional[Callable[[int, int, int], None]] = None,
         on_batch_acked: Optional[Callable[[int, int, float], None]] = None,
@@ -257,6 +301,7 @@ class AggStore:
         self.batch_size = batch_size
         self.max_dwell = max_dwell
         self.cache_capacity = cache_capacity
+        self.combine_at_source = combine_at_source
         self._route = route
         self._on_batch_flushed = on_batch_flushed
         self._on_batch_acked = on_batch_acked
@@ -274,6 +319,7 @@ class AggStore:
             "applied_updates": 0,
             "applied_batches": 0,
             "applied_invals": 0,
+            "reads_served": 0,
             "store": self,
         }
         self._dobj = DistObject(self.state, team=self.team)
@@ -287,7 +333,10 @@ class AggStore:
         self._sent_updates = np.zeros(n, dtype=np.int64)
         self._sent_invals = np.zeros(n, dtype=np.int64)
         self.batches_sent = 0
+        #: application updates shipped, folded ones included; the wire
+        #: carried ``updates_sent - updates_combined`` entries
         self.updates_sent = 0
+        self.updates_combined = 0
         self.acks_received = 0
         self._batch_seq = 0
         # -- flow control ---------------------------------------------------
@@ -318,6 +367,11 @@ class AggStore:
         self.cache_hits = 0
         self.cache_misses = 0
         self.cache_invalidations = 0
+        #: read-throughs in flight per holder (team-rank indexed), ``key ->
+        #: reply future``: a second miss on the key waits on the same reply
+        #: (an MSHR)
+        self._fills: List[dict] = [{} for _ in range(n)]
+        self.reads_coalesced = 0
 
     # ----------------------------------------------------------- update side
     def dest_of(self, key) -> int:
@@ -415,6 +469,15 @@ class AggStore:
         self._buf_keys[t] = []
         self._buf_vals[t] = []
         self._t_first[t] = None
+        n_raw = len(bk)
+        if self.combine_at_source and n_raw > 1:
+            bk, bv = self._fold(t, bk, bv)
+        fills = self._fills[t]
+        if fills:
+            # a read issued after this batch ships is FIFO-ordered after
+            # it at the owner: it must not share a fill from before it
+            for k in bk:
+                fills.pop(k, None)
         inv = self._inval_buf[t]
         if inv:
             self._inval_buf[t] = []
@@ -427,17 +490,36 @@ class AggStore:
         self._batch_seq += 1
         seq = self._batch_seq
         self.batches_sent += 1
-        self.updates_sent += len(bk)
+        self.updates_sent += n_raw
         if self._wants_ack:
             self._inflight_to[t] += 1
         ep = rt.conduit.endpoints[rt.rank]
         ep.agg_batches += 1
-        ep.agg_updates += len(bk)
+        ep.agg_updates += n_raw
         src = self._my_trank if self._wants_ack else -1
         cb = self._on_batch_flushed
         if cb is not None:
-            cb(t, seq, len(bk))
+            cb(t, seq, n_raw)
         rpc_ff(self.team[t], _agg_apply, self._dobj, src, seq, keys, vals, invals)
+
+    def _fold(self, t: int, bk: list, bv: list):
+        """Seal-time combining: fold same-key entries of one batch with the
+        store's combine in one hash pass, first-occurrence order kept.
+        The folded entries leave ``_sent_updates`` again — the owner will
+        never apply them — so counting quiescence still closes."""
+        rt = self._rt
+        rt.charge_sw(rt.cpu.map_lookup * len(bk))
+        combine = self.state["combine"]
+        folded: dict = {}
+        for k, v in zip(bk, bv):
+            old = folded.get(k, _MISS)
+            folded[k] = v if old is _MISS else combine(old, v)
+        n_folded = len(bk) - len(folded)
+        if not n_folded:
+            return bk, bv
+        self._sent_updates[t] -= n_folded
+        self.updates_combined += n_folded
+        return list(folded), list(folded.values())
 
     @staticmethod
     def _pack(items: list):
@@ -504,40 +586,55 @@ class AggStore:
 
     def read_from(self, t: int, key, default=None) -> Future:
         """Read-through against an explicit holder rank (the replication
-        layer's failover entry point; :meth:`read` is the routed case)."""
-        rt = self._rt
+        layer's failover entry point; :meth:`read` is the routed case).
+        ``default`` is what *this* reader gets for a key the holder does
+        not have; it never crosses the wire and is never cached."""
         cache = self._cache
-        if cache is not None:
-            v = cache.get(key, _MISS)
-            if v is not _MISS:
-                self.cache_hits += 1
-                # endpoint-level mirror: telemetry rollups snapshot the
-                # conduit endpoint, which outlives any one AggStore
-                rt._ep.agg_cache_hits += 1
-                t0 = rt.now()
-                rt.charge_sw(rt.cpu.map_lookup)
-                sp = rt.spans
-                if sp is not None:
-                    sp.record(t0, rt.now(), rt.rank, rt.next_span_sid(),
-                              "cache_hit", "agg", 0)
-                cache.move_to_end(key)
-                return make_future(v)
+        if cache is None:
+            return _or_default(rpc(self.team[t], _agg_read, self._dobj, key, -1), default)
+        v = cache.get(key, _MISS)
+        if v is not _MISS:
+            self.cache_hits += 1
+            # endpoint-level mirror: telemetry rollups snapshot the
+            # conduit endpoint, which outlives any one AggStore
+            self._rt._ep.agg_cache_hits += 1
+            self._charge_probe("cache_hit")
+            cache.move_to_end(key)
+            return make_future(default if v is _ABSENT else v)
+        fills = self._fills[t]
+        fill = fills.get(key)
+        if fill is not None:
+            # a read-through of this key is already in flight to this
+            # holder: wait on its reply instead of sending a second RPC
+            self.reads_coalesced += 1
+            self._charge_probe("fill_share")
+        else:
             self.cache_misses += 1
-        reader = self._my_trank if cache is not None else -1
-        fut = rpc(self.team[t], _agg_read, self._dobj, key, reader, default)
-        if cache is not None:
-            # v=None: the owner's None reply (missing key, default None)
-            # arrives as an empty future, which calls back with no argument
-            fut = fut.then(lambda v=None, k=key: self._fill_cache(k, v))
-        return fut
+            fill = fills[key] = rpc(
+                self.team[t], _agg_read, self._dobj, key, self._my_trank
+            )
+            fill._on_ready(lambda: self._fill_landed(fills, key, fill))
+        return _or_default(fill, default)
 
-    def _fill_cache(self, key, value):
+    def _charge_probe(self, phase: str) -> None:
+        """One local hash probe that answered a read without an RPC."""
+        rt = self._rt
+        t0 = rt.now()
+        rt.charge_sw(rt.cpu.map_lookup)
+        sp = rt.spans
+        if sp is not None:
+            sp.record(t0, rt.now(), rt.rank, rt.next_span_sid(), phase, "agg", 0)
+
+    def _fill_landed(self, fills: dict, key, fill: Future) -> None:
+        """The holder's reply is home: retire its shared-fill entry (unless
+        a sealed write already replaced it) and cache what it said."""
+        if fills.get(key) is fill:
+            del fills[key]
         cache = self._cache
-        cache[key] = value
+        cache[key] = fill._values[0] if fill._values else _ABSENT
         cache.move_to_end(key)
         if len(cache) > self.cache_capacity:
             cache.popitem(last=False)
-        return value
 
     # ----------------------------------------------------- death handling
     def exclude_dead(self, trank: int, alive_team) -> None:
@@ -580,6 +677,11 @@ class AggStore:
         if self._cache is not None and self._cache:
             self.cache_purges += len(self._cache)
             self._cache.clear()
+        # ... and forget every fill in flight: one aimed at the dead rank
+        # never lands, so nothing else would retire it (the replication
+        # layer's failover re-issue names a new holder and starts afresh)
+        for fills in self._fills:
+            fills.clear()
         self.quiesce_team = alive_team
 
     # --------------------------------------------------------- quiescence
@@ -636,16 +738,19 @@ class AggStore:
         return {
             "batches_sent": self.batches_sent,
             "updates_sent": self.updates_sent,
+            "updates_combined": self.updates_combined,
             "invals_sent": int(self._sent_invals.sum()),
             "sharers_registered": self.state["sharers_registered"],
             "acks_received": self.acks_received,
             "applied_updates": self.state["applied_updates"],
             "applied_batches": self.state["applied_batches"],
             "applied_invals": self.state["applied_invals"],
+            "reads_served": self.state["reads_served"],
             "credit_stalls": self.credit_stalls,
             "credit_stall_s": self.credit_stall_s,
             "cache_hits": self.cache_hits,
             "cache_misses": self.cache_misses,
+            "reads_coalesced": self.reads_coalesced,
             "cache_invalidations": self.cache_invalidations,
             "acks_forgiven": self.acks_forgiven,
             "acks_ignored": self.acks_ignored,

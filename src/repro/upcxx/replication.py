@@ -173,6 +173,7 @@ class ReplicatedStore:
         max_dwell: Optional[float] = None,
         credits: Optional[int] = None,
         cache_capacity: int = 0,
+        combine_at_source: bool = False,
         route: Callable = default_route,
         on_batch_flushed: Optional[Callable] = None,
         on_batch_acked: Optional[Callable] = None,
@@ -187,6 +188,7 @@ class ReplicatedStore:
             max_dwell=max_dwell,
             credits=credits,
             cache_capacity=cache_capacity,
+            combine_at_source=combine_at_source,
             route=route,
             on_batch_flushed=on_batch_flushed,
             on_batch_acked=on_batch_acked,

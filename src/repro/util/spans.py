@@ -76,6 +76,9 @@ PHASES = {
     "credit_wait": "backpressure",
     # hot-key read served from the local cache (the map_lookup charge)
     "cache_hit": "cache",
+    # hot-key miss that joined a read-through already in flight (same
+    # probe charge, no second RPC)
+    "fill_share": "cache",
     # replication layer: rank-death exclusion handler (cache purge,
     # credit restoration, read failover, write settlement)
     "death_exclude": "recovery",

@@ -11,15 +11,16 @@ After global quiescence that gives
 2. *economy* — per owner, ``invals_sent <= sharers_registered``: an
    invalidation is owed only to a copy that exists.
 
-Checked on a seeded fuzz of the bare store and on the served KV workload
-(plain, replicated, saturated, and through both golden crash plans).
+Checked on a seeded fuzz of the bare store (source combining off and on)
+and on the served KV workload, which always combines (plain, replicated,
+saturated, and through both golden crash plans).
 """
 
 import pytest
 
 import repro.upcxx as upcxx
 from repro.apps.kvservice import KvService
-from repro.upcxx.aggregator import AggStore
+from repro.upcxx.aggregator import _ABSENT, AggStore
 from tests import golden
 
 
@@ -38,15 +39,15 @@ def _snapshot(store: AggStore, primary_of) -> dict:
 
 def _violations(snaps: list) -> list:
     """Every breach of the two laws; ``snaps`` is indexed by rank, ``None``
-    for a rank that did not survive.  A missing key reads back, and is
-    cached, as the read's default: 0 in every workload here."""
+    for a rank that did not survive.  A key the owner does not hold is
+    cached as the absent marker, never as some reader's default."""
     out = []
     for r, snap in enumerate(snaps):
         if snap is None:
             continue
         for k, v in snap["cache"].items():
             owner = snaps[snap["primary"][k]]
-            if owner["data"].get(k, 0) != v:
+            if owner["data"].get(k, _ABSENT) != v:
                 out.append(f"rank {r} caches {k}={v}, owner holds {owner['data'].get(k)}")
             if r not in owner["sharers"].get(k, ()):
                 out.append(f"rank {r} caches {k} but is not in its owner's sharer list")
@@ -60,14 +61,12 @@ def _violations(snaps: list) -> list:
 
 
 # ------------------------------------------------------------ the bare store
-@pytest.mark.parametrize("max_dwell", [None, 2e-6])
-@pytest.mark.parametrize("credits", [None, 2])
-@pytest.mark.parametrize("seed", range(8))
-def test_store_fuzz_keeps_both_laws(seed, credits, max_dwell):
+def _store_fuzz_violations(seed, credits, max_dwell, combine_at_source) -> list:
     def body():
         me = upcxx.rank_me()
         store = AggStore("replace", batch_size=4, credits=credits,
-                         max_dwell=max_dwell, cache_capacity=8)
+                         max_dwell=max_dwell, cache_capacity=8,
+                         combine_at_source=combine_at_source)
         rng = upcxx.runtime_here().rng.spawn("coherence-fuzz").py
         upcxx.barrier()
         for i in range(300):
@@ -86,7 +85,21 @@ def test_store_fuzz_keeps_both_laws(seed, credits, max_dwell):
 
     snaps = list(upcxx.run_spmd(body, 4, seed=seed))
     assert sum(len(s["cache"]) for s in snaps) > 0  # the oracle saw copies
-    assert _violations(snaps) == []
+    return _violations(snaps)
+
+
+@pytest.mark.parametrize("max_dwell", [None, 2e-6])
+@pytest.mark.parametrize("credits", [None, 2])
+@pytest.mark.parametrize("seed", range(8))
+def test_store_fuzz_keeps_both_laws(seed, credits, max_dwell):
+    assert _store_fuzz_violations(seed, credits, max_dwell, False) == []
+
+
+@pytest.mark.parametrize("max_dwell", [None, 2e-6])
+@pytest.mark.parametrize("credits", [None, 2])
+@pytest.mark.parametrize("seed", range(8))
+def test_store_fuzz_keeps_both_laws_combining_at_source(seed, credits, max_dwell):
+    assert _store_fuzz_violations(seed, credits, max_dwell, True) == []
 
 
 # ---------------------------------------------------------- the served store

@@ -6,6 +6,8 @@ Covers the pieces the chaos suites exercise only end-to-end:
   stability of surviving original owners across deaths, factor clamping;
 - :class:`ReplicatedStore` fan-out — with factor ``f`` every key is
   present on exactly ``f`` ranks after quiesce, with equal values;
+- read failover under a shared fill — reads coalesced onto one
+  read-through whose primary then dies all complete on the replica;
 - admission control — a backlog limit sheds load as the typed
   :class:`Overloaded` rejection, counted in the service record and never
   silently folded into availability.
@@ -15,6 +17,7 @@ import pytest
 
 import repro.upcxx as upcxx
 from repro.upcxx.replication import ReplicaMap
+from tests import golden
 
 N = 8
 
@@ -109,6 +112,48 @@ def test_read_of_missing_key_calls_back_with_none():
         return seen
 
     assert upcxx.run_spmd(body, 4) == [[("never-written", None)]] * 4
+
+
+# ------------------------------------------- failover under a shared fill
+@pytest.mark.parametrize(
+    "spec,dead,t_die", zip(golden.REPLICATED_CRASH_SPECS, (3, 1), (2e-4, 1e-4))
+)
+def test_reads_sharing_a_fill_to_a_dying_primary_all_fail_over(spec, dead, t_die):
+    """Three reads of one key coalesce onto one read-through that reaches
+    a corpse.  The death handler forgets the fill, so each tracked read is
+    re-issued (and coalesces afresh) against the new primary: none hangs,
+    none is answered with the default."""
+    from repro.upcxx.replication import ReplicatedStore
+
+    def body():
+        rt = upcxx.runtime_here()
+        store = ReplicatedStore("replace", batch_size=4, replication=2, credits=4,
+                                max_dwell=5e-6, cache_capacity=8)
+        key = next(k for k in range(256) if store.map.primary(k) == dead)
+        upcxx.barrier()
+        if upcxx.rank_me() == 0:
+            store.update(key, 4242)
+        store.store.quiesce()
+        rt.compute(t_die - 1e-7 - rt.now())  # the request is on the wire at t_die
+        seen = []
+        for _ in range(3):
+            store.read(key, default=-1, cb=lambda _k, v: seen.append(v))
+        in_flight = store.stats()
+        while store.reads_outstanding():
+            upcxx.progress()
+        store.store.quiesce()
+        store.anti_entropy()
+        return seen, in_flight, store.stats()
+
+    res = upcxx.run_spmd(body, 4, seed=9, faults=spec)
+    assert res[dead] is None
+    survivors = [r for r in res if r is not None]
+    assert len(survivors) == 3
+    for seen, in_flight, s in survivors:
+        assert seen == [4242] * 3
+        assert (in_flight["cache_misses"], in_flight["reads_coalesced"]) == (1, 2)
+        assert (s["cache_misses"], s["reads_coalesced"]) == (2, 4)
+        assert s["failover_reads"] == 3
 
 
 # ------------------------------------------------------- admission control

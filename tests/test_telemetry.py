@@ -8,7 +8,8 @@ Covers the observability tentpole's three acceptance properties:
   golden digest, frozen at the crash cutoff;
 - ``repro.tools.health`` flags an above-knee (saturated) KV run and
   passes a below-knee one — and every rule it applies can be seen to
-  FAIL, including "no rule applied" under ``--strict``.
+  FAIL (or WARN, from a real run: ``credit-stall-fraction``), including
+  "no rule applied" under ``--strict``.
 """
 
 import json
@@ -212,8 +213,9 @@ def test_health_applies_the_below_knee_rule_to_a_sweep_document():
         }
 
     def capacity_verdict(doc):
-        v, coherence = health.evaluate({"kv": doc})  # no cache counters here
+        v, coherence, skew = health.evaluate({"kv": doc})  # no counters here
         assert (coherence.name, coherence.status) == ("kv-coherence", "SKIP")
+        assert (skew.name, skew.status) == ("kv-shard-skew", "SKIP")
         return v
 
     ok = sweep([(0.5, 1.0), (1.0, 0.97), (2.0, 0.6)], knee_mult=2.0)
@@ -244,5 +246,58 @@ def test_health_kv_coherence_rule_can_fail():
     v = coherence({"curve": [real, doctored]})
     assert v.status == "FAIL" and "curve.1.invals_sent" in v.detail
     assert coherence({"utilization": 0.97}).status == "SKIP"
-    garbled = health.evaluate({"kv": dict(real, invals_sent="many")})[-1]
-    assert (garbled.name, garbled.status) == ("invals_sent", "FAIL")
+    (garbled,) = [v for v in health.evaluate({"kv": dict(real, invals_sent="many")})
+                  if v.name == "invals_sent"]
+    assert garbled.status == "FAIL"
+
+
+def test_health_prints_shard_skew_from_a_real_point():
+    """``kv-shard-skew``: the owner-side load imbalance is in the artifact
+    and on the health sheet — INFO, so it can never fail a gate; the worst
+    point of a curve is the one named."""
+    from repro.bench.kv_bench import measure_point
+
+    def skew(doc):
+        (v,) = [v for v in health.evaluate({"kv": doc}) if v.name == "kv-shard-skew"]
+        return v
+
+    real = measure_point("tiny", 1)
+    # Zipf(1.1) over 8 shards: one owner applies and serves most
+    assert 1.5 < real["shard_load_skew"] < 8.0
+    v = skew(real)
+    assert v.status == "INFO" and f"shard_load_skew = {real['shard_load_skew']}" in v.detail
+    worse = dict(real, shard_load_skew=7.5)
+    v = skew({"curve": [real, worse, real]})
+    assert v.status == "INFO" and "curve.1.shard_load_skew = 7.5" in v.detail
+    assert skew({"utilization": 0.97}).status == "SKIP"
+    assert skew({"curve": [real, {"utilization": 0.97}]}).status == "SKIP"
+    (garbled,) = [v for v in health.evaluate({"kv": dict(real, shard_load_skew="hot")})
+                  if v.name == "shard_load_skew"]
+    assert garbled.status == "FAIL"
+
+
+def test_credit_stall_fraction_warns_on_a_stop_and_wait_window(tmp_path):
+    """``credit-stall-fraction`` seen off PASS on a real run: one credit per
+    peer and one-entry batches under saturating writes make every update
+    wait out its predecessor's ack; the default configuration never
+    stalls at its base rate."""
+    from repro.apps.kvservice import default_config
+    from repro.bench.kv_bench import run_kv
+
+    def stall_verdict(path, **overrides):
+        tel = Telemetry()
+        run_kv(dict(default_config("tiny"), **overrides), telemetry=tel)
+        path.write_text(tel.dumps())
+        (v,) = [v for v in health.evaluate({"telemetry": json.loads(tel.dumps())})
+                if v.name == "credit-stall-fraction"]
+        return v
+
+    calm = tmp_path / "calm.json"
+    assert stall_verdict(calm).status == "PASS"
+    assert health.main(["--telemetry", str(calm), "--strict"]) == 0
+    starved = tmp_path / "starved.json"
+    v = stall_verdict(starved, ranks=4, credits=1, batch_size=1,
+                      rate=1e9, read_fraction=0.1)
+    assert v.status == "WARN", v.line()
+    assert health.main(["--telemetry", str(starved)]) == 0  # a warning...
+    assert health.main(["--telemetry", str(starved), "--strict"]) == 1  # ...gated

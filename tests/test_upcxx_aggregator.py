@@ -129,11 +129,11 @@ class TestAggStoreCore:
 
         res = upcxx.run_spmd(body, 2)
         expected_keys = {
-            "batches_sent", "updates_sent", "invals_sent", "sharers_registered",
-            "acks_received",
-            "applied_updates", "applied_batches", "applied_invals",
+            "batches_sent", "updates_sent", "updates_combined",
+            "invals_sent", "sharers_registered", "acks_received",
+            "applied_updates", "applied_batches", "applied_invals", "reads_served",
             "credit_stalls", "credit_stall_s",
-            "cache_hits", "cache_misses", "cache_invalidations",
+            "cache_hits", "cache_misses", "reads_coalesced", "cache_invalidations",
             "acks_forgiven", "acks_ignored", "updates_dropped", "cache_purges",
         }
         for s in res:
@@ -356,3 +356,223 @@ class TestHotKeyCache:
             return got
 
         assert upcxx.run_spmd(body, 2)[0] == (None, None, None)
+
+    def test_each_reader_of_a_missing_key_gets_its_own_default(self):
+        # the owner reports absence and the cache holds an absent marker:
+        # the first reader's default used to be cached as if it were the
+        # owner's value, so the second read returned 5
+        def body():
+            store = AggStore("replace", batch_size=4, cache_capacity=8)
+            key = next(k for k in range(64) if store.dest_of(k) == 1)
+            upcxx.barrier()
+            got = None
+            if upcxx.rank_me() == 0:
+                got = (
+                    store.read(key, default=5).wait(),
+                    store.read(key, default=7).wait(),  # a cache hit
+                    store.stats()["cache_hits"],
+                )
+            store.quiesce()
+            upcxx.barrier()
+            return got
+
+        assert upcxx.run_spmd(body, 2)[0] == (5, 7, 1)
+
+    @pytest.mark.parametrize("cache_capacity", [0, 8])
+    def test_stored_none_is_not_a_missing_key(self, cache_capacity):
+        def body():
+            store = AggStore("replace", batch_size=4, cache_capacity=cache_capacity)
+            key = next(k for k in range(64) if store.dest_of(k) == 1)
+            upcxx.barrier()
+            if upcxx.rank_me() == 1:
+                store.update(key, None)
+            store.quiesce()
+            got = None
+            if upcxx.rank_me() == 0:
+                got = (store.read(key, default=5).wait(), store.read(key, default=7).wait())
+            store.quiesce()
+            upcxx.barrier()
+            return got
+
+        assert upcxx.run_spmd(body, 2)[0] == (None, None)
+
+
+class TestSharedFills:
+    """Concurrent misses on one key share one read-through (an MSHR)."""
+
+    def test_two_reads_with_nothing_shipped_between_cost_one_rpc(self):
+        def body():
+            me = upcxx.rank_me()
+            store = AggStore("replace", batch_size=4, cache_capacity=8)
+            key = next(k for k in range(64) if store.dest_of(k) == 1)
+            upcxx.barrier()
+            if me == 1:
+                store.update(key, 111)
+            store.quiesce()
+            got = None
+            if me == 0:
+                rpcs = upcxx.runtime_here().n_rpcs_sent
+                a = store.read(key, default=5)
+                b = store.read(key, default=7)
+                rpcs = upcxx.runtime_here().n_rpcs_sent - rpcs
+                s = store.stats()
+                got = (a.wait(), b.wait(), rpcs, s["cache_misses"], s["reads_coalesced"])
+            store.quiesce()
+            upcxx.barrier()
+            return got, store.stats()["reads_served"]
+
+        (got, _), (_, served_by_owner) = upcxx.run_spmd(body, 2)
+        assert got == (111, 111, 1, 1, 1)
+        assert served_by_owner == 1
+
+    def test_coalesced_readers_of_a_missing_key_keep_their_defaults(self):
+        def body():
+            store = AggStore("replace", batch_size=4, cache_capacity=8)
+            key = next(k for k in range(64) if store.dest_of(k) == 1)
+            upcxx.barrier()
+            got = None
+            if upcxx.rank_me() == 0:
+                a = store.read(key, default=5)
+                b = store.read(key, default=7)
+                got = (a.wait(), b.wait(), store.stats()["reads_coalesced"])
+            store.quiesce()
+            upcxx.barrier()
+            return got
+
+        assert upcxx.run_spmd(body, 2)[0] == (5, 7, 1)
+
+    @pytest.mark.parametrize("combine_at_source", [False, True])
+    def test_a_read_after_my_shipped_write_does_not_share_an_older_fill(self, combine_at_source):
+        # read, update, flush, read: the second read is FIFO-ordered after
+        # the shipped write at the owner, so it must be its own RPC
+        def body():
+            me = upcxx.rank_me()
+            store = AggStore("replace", batch_size=4, cache_capacity=8,
+                             combine_at_source=combine_at_source)
+            key = next(k for k in range(64) if store.dest_of(k) == 1)
+            upcxx.barrier()
+            if me == 1:
+                store.update(key, 111)
+            store.quiesce()
+            got = None
+            if me == 0:
+                a = store.read(key)
+                store.update(key, 222)
+                buffered = store.read(key)  # write not shipped yet: shares a's fill
+                store.flush()
+                b = store.read(key)
+                s = store.stats()
+                got = (a.wait(), buffered.wait(), b.wait(),
+                       s["cache_misses"], s["reads_coalesced"])
+            store.quiesce()
+            upcxx.barrier()
+            return got
+
+        assert upcxx.run_spmd(body, 2)[0] == (111, 111, 222, 2, 1)
+
+    def test_shared_fill_probe_is_a_span_in_the_cache_bucket(self):
+        from repro.util.spans import PHASES, SpanBuffer
+
+        def body():
+            store = AggStore("replace", batch_size=4, cache_capacity=8)
+            key = next(k for k in range(64) if store.dest_of(k) == 1)
+            upcxx.barrier()
+            if upcxx.rank_me() == 0:
+                futs = [store.read(key, default=0) for _ in range(3)]
+                for f in futs:
+                    f.wait()
+            store.quiesce()
+            upcxx.barrier()
+
+        spans = SpanBuffer()
+        upcxx.run_spmd(body, 2, spans=spans)
+        assert PHASES["fill_share"] == "cache"
+        shares = [r for r in spans if r[4] == "fill_share"]
+        assert len(shares) == 2 and all(r[1] > r[0] and r[2] == 0 for r in shares)
+
+
+class TestSourceCombining:
+    """Seal-time combining must be invisible in the owners' shards."""
+
+    def test_off_by_default_and_free_for_a_one_entry_batch(self):
+        def body():
+            plain = AggStore("+", batch_size=1)
+            folding = AggStore("+", batch_size=1, combine_at_source=True)
+            upcxx.barrier()
+            times = []
+            for store in (plain, folding):
+                t0 = upcxx.sim_now()
+                for _ in range(8):
+                    store.update(3, 1)
+                times.append(upcxx.sim_now() - t0)
+                store.quiesce()
+            upcxx.barrier()
+            return plain.combine_at_source, times, folding.stats()["updates_combined"]
+
+        off, times, combined = upcxx.run_spmd(body, 2)[0]
+        assert off is False
+        assert times[0] == pytest.approx(times[1], rel=1e-9)
+        assert combined == 0
+
+    def test_duplicates_fold_and_the_sender_pays_one_probe_per_raw_entry(self):
+        def body():
+            rt = upcxx.runtime_here()
+            store = AggStore("+", batch_size=8, combine_at_source=True)
+            key, other = [k for k in range(64) if store.dest_of(k) == 1][:2]
+            upcxx.barrier()
+            seal = None
+            if upcxx.rank_me() == 0:
+                hook = []
+                store._on_batch_flushed = lambda t, seq, n: hook.append((n, rt.now()))
+                for i in range(7):
+                    store.update(key, i)
+                t0 = rt.now()
+                store.update(other, 100)  # 8th entry: seals the batch
+                (n, t_sealed), = hook
+                seal = (n, t_sealed - t0, rt.cpu.t(rt.cpu.map_lookup * 8))
+            store.quiesce()
+            upcxx.barrier()
+            return seal, store.stats(), store.local_items()
+
+        (seal, s0, _), (_, s1, owned) = upcxx.run_spmd(body, 2)
+        n_hook, t_seal, t_probes = seal
+        assert n_hook == 8  # the hook still sees application updates
+        assert t_seal == pytest.approx(t_probes)
+        assert (s0["updates_sent"], s0["updates_combined"]) == (8, 6)
+        assert s1["applied_updates"] == 2
+        assert sorted(owned.values()) == [21, 100]
+
+    @pytest.mark.parametrize("max_dwell", [None, 2e-6])
+    @pytest.mark.parametrize("credits", [None, 2])
+    @pytest.mark.parametrize("combine", ["+", "replace", "min", "max"])
+    def test_equivalence_fuzz(self, combine, credits, max_dwell):
+        def body(combine_at_source):
+            me = upcxx.rank_me()
+            store = AggStore(combine, batch_size=8, credits=credits, max_dwell=max_dwell,
+                             combine_at_source=combine_at_source)
+            rng = upcxx.runtime_here().rng.spawn("combine-fuzz").py
+            upcxx.barrier()
+            for i in range(400):
+                # skewed: half the stream hits four keys
+                k = rng.randrange(4) if rng.random() < 0.5 else rng.randrange(64)
+                if combine == "replace":
+                    # last-writer-wins across senders is decided by arrival
+                    # time, which the seal pass moves: one writer per key
+                    k = k * 4 + me
+                store.update(k, me * 1000 + i)
+                if i % 7 == 0:
+                    store.poll()
+            store.quiesce()
+            upcxx.barrier()
+            return store.local_items(), store.stats()
+
+        off = upcxx.run_spmd(lambda: body(False), 4, seed=3)
+        on = upcxx.run_spmd(lambda: body(True), 4, seed=3)
+        assert [items for items, _ in on] == [items for items, _ in off]
+        for run, folds in ((off, False), (on, True)):
+            sent = sum(s["updates_sent"] for _, s in run)
+            combined = sum(s["updates_combined"] for _, s in run)
+            applied = sum(s["applied_updates"] for _, s in run)
+            assert sent == 4 * 400
+            assert applied == sent - combined
+            assert (combined > 0) == folds
