@@ -36,9 +36,12 @@ inline).  Latencies feed per-op-kind
 p999 come out in :meth:`KvService.result`.
 
 ``kv_rank_body`` is the SPMD body: it paces the stream in *simulated*
-time (sleeping until each arrival via a scheduler timer), issues
-requests asynchronously, and drains with the aggregator's counting
-quiescence followed by the replication layer's anti-entropy sweep.
+time (sleeping until each arrival via a scheduler timer; a front end
+about to sleep ships its partial write batches first —
+:meth:`KvService.park` — so below saturation a write costs an ack round
+trip, not ``max_dwell``), issues requests asynchronously, and drains
+with the aggregator's counting quiescence followed by the replication
+layer's anti-entropy sweep.
 Every field of the returned record is a deterministic function of the
 simulation — pinned by ``tests/test_apps_kvservice.py`` and the chaos
 suite.
@@ -182,6 +185,11 @@ class KvService:
         """Pacing hook: honor the aggregator's dwell deadlines."""
         self._store.poll()
 
+    def park(self) -> None:
+        """The front end is about to sleep: a partial batch has nothing
+        left to wait for, ship it."""
+        self._store.flush_ready()
+
     # ----------------------------------------------------------- completions
     def _batch_flushed(self, dest: int, seq: int, n: int) -> None:
         pend = self._pending_w[dest]
@@ -293,12 +301,12 @@ class KvService:
         return out
 
 
-def _sleep_until(rt, t: float) -> None:
+def _sleep_until(rt, t: float, before_park=None) -> None:
     """Simulated-time sleep: park the rank until the clock reaches ``t``."""
     sched = rt.sched
     rank = rt.rank
     sched.post_at(t, lambda: sched.wake(rank, t))
-    rt.wait_quiet(lambda: rt.now() >= t, "kv::pace")
+    rt.wait_quiet(lambda: rt.now() >= t, "kv::pace", before_park)
 
 
 def kv_rank_body(cfg: dict) -> dict:
@@ -334,7 +342,7 @@ def kv_rank_body(cfg: dict) -> dict:
     for dt, op, key, val in tm.requests():
         t_arr = t_start + dt
         if rt.now() < t_arr:
-            _sleep_until(rt, t_arr)
+            _sleep_until(rt, t_arr, svc.park)
         try:
             if op == "get":
                 svc.get(key, t_arr)

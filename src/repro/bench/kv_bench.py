@@ -95,8 +95,10 @@ def summarize_point(cfg: dict, results: Sequence[dict]) -> dict:
     results = [r for r in results if r is not None]
     total = sum(r["reads"] + r["writes"] for r in results)
     t_serve = max(r["t_serve_s"] for r in results)
-    lat = _merge_latencies(results, "read_lat")
-    lat.merge(_merge_latencies(results, "write_lat"))
+    read_lat = _merge_latencies(results, "read_lat")
+    write_lat = _merge_latencies(results, "write_lat")
+    lat = DwellHistogram().merge(read_lat).merge(write_lat)
+    batches = sum(r["batches_sent"] for r in results)
     offered = cfg["ranks"] * cfg["rate"]
     achieved = total / t_serve if t_serve > 0 else 0.0
     # what each rank did as a shard owner: the hot shard paces a skewed run
@@ -111,6 +113,13 @@ def summarize_point(cfg: dict, results: Sequence[dict]) -> dict:
         "p95_s": lat.percentile(95),
         "p99_s": lat.percentile(99),
         "p999_s": lat.percentile(99.9),
+        # the split the merged percentiles hide: a write completes at its
+        # batch's ack, so its median shows what the batch waited for
+        "read_p50_s": read_lat.percentile(50),
+        "read_p99_s": read_lat.percentile(99),
+        "write_p50_s": write_lat.percentile(50),
+        "write_p99_s": write_lat.percentile(99),
+        "max_dwell_s": cfg.get("max_dwell") if cfg.get("aggregate", True) else None,
         "cache_hits": sum(r["cache_hits"] for r in results),
         "cache_misses": sum(r["cache_misses"] for r in results),
         "reads_coalesced": sum(r["reads_coalesced"] for r in results),
@@ -122,7 +131,10 @@ def summarize_point(cfg: dict, results: Sequence[dict]) -> dict:
         "invals_sent": sum(r["invals_sent"] for r in results),
         "sharers_registered": sum(r["sharers_registered"] for r in results),
         "credit_stalls": sum(r["credit_stalls"] for r in results),
-        "batches_sent": sum(r["batches_sent"] for r in results),
+        "batches_sent": batches,
+        "updates_per_batch": round(
+            _ratio(sum(r["updates_sent"] for r in results), batches), 4
+        ),
         # -- availability / robustness (zero-valued on calm runs) ----------
         "requests_issued": sum(r["requests_issued"] for r in results),
         "requests_served": sum(r["requests_served"] for r in results),
@@ -204,7 +216,8 @@ def offered_load_sweep(
             f"achieved {point['achieved_rps'] / 1e6:.2f}M "
             f"(util {point['utilization']:.2f}), "
             f"p50 {point['p50_s'] * 1e6:.1f}us p99 {point['p99_s'] * 1e6:.1f}us "
-            f"p999 {point['p999_s'] * 1e6:.1f}us",
+            f"p999 {point['p999_s'] * 1e6:.1f}us, "
+            f"write p50 {point['write_p50_s'] * 1e6:.1f}us",
             flush=True,
         )
     knee = next((p for p in curve if p["utilization"] < KNEE_EFFICIENCY), None)
@@ -336,7 +349,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         doc = measure_point(args.scale, args.point)
         print(
             f"[kv] x{args.point:g}: utilization {doc['utilization']:.3f}, "
-            f"p99 {doc['p99_s'] * 1e6:.1f}us p999 {doc['p999_s'] * 1e6:.1f}us",
+            f"p99 {doc['p99_s'] * 1e6:.1f}us p999 {doc['p999_s'] * 1e6:.1f}us, "
+            f"write p50 {doc['write_p50_s'] * 1e6:.1f}us",
             flush=True,
         )
     elif args.sweep:

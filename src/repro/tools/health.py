@@ -6,8 +6,10 @@
   one ``summarize_point`` dict (utilization + p50..p999 sojourn latency,
   availability fields of a crash point) or, recognized by its ``curve``
   key, a ``--sweep`` capacity curve (below-knee utilization rule); either
-  way ``kv-coherence`` holds ``invals_sent <= sharers_registered`` and
-  ``kv-shard-skew`` prints the owner-side load imbalance (INFO);
+  way ``kv-coherence`` holds ``invals_sent <= sharers_registered``,
+  ``kv-write-dwell`` compares write p50 with the aggregator's ``max_dwell``
+  at every non-saturated point (WARN: writes are waiting out the timer)
+  and ``kv-shard-skew`` prints the owner-side load imbalance (INFO);
 - ``--telemetry TEL.json``     — a ``repro.util.Telemetry.as_dict`` dump
   (windowed rollups: attentiveness gap, retransmits, credit stalls);
 - ``--rules RULES.json``       — extra declarative rules (see below).
@@ -42,6 +44,11 @@ DEFAULT_MIN_AVAILABILITY = 0.99      # requests served under a crash plan
 DEFAULT_MAX_GAP_S = 1e-3             # attentiveness ceiling (simulated)
 DEFAULT_MAX_RETX_RATE = 0.05         # retransmits per NIC op
 DEFAULT_MAX_STALL_FRAC = 0.5         # agg credit stall share of served time
+
+#: ``kv-write-dwell``: write p50 over ``max_dwell`` below saturation — an
+#: ack round trip is a small fraction of the timer, the timer itself is 1
+WRITE_DWELL_PASS = 0.5
+WRITE_DWELL_WARN = 1.0
 
 _OPS = {
     "<=": lambda a, b: a <= b,
@@ -303,6 +310,48 @@ def _check_kv_shard_skew(kv: dict) -> List[Verdict]:
     )]
 
 
+def _check_kv_write_dwell(kv: dict, min_util: float) -> List[Verdict]:
+    """Write p50 as a multiple of the aggregator's ``max_dwell`` wherever
+    the front end has idle time (a point at or above the utilization
+    floor; the below-knee points of a curve).  A front end that parks
+    ships its partial batches, so a write costs one ack round trip; a
+    median at the timer says batches sit out the dwell with nothing to
+    coalesce.  Saturated points are exempt: there the dwell buys batching."""
+    knee = kv.get("knee")
+    knee_mult = _num(knee, "multiplier") if isinstance(knee, dict) else None
+    is_curve = isinstance(kv.get("curve"), list)
+    worst = None
+    for prefix, p in _kv_points(kv):
+        p50 = _num(p, "write_p50_s", prefix + "write_p50_s")
+        dwell = _num(p, "max_dwell_s", prefix + "max_dwell_s")
+        if p50 is None or not dwell:
+            return [Verdict("kv-write-dwell", "SKIP",
+                            f"{prefix}write_p50_s/max_dwell_s not present", "warn")]
+        if is_curve:
+            mult = _num(p, "multiplier", prefix + "multiplier")
+            idle = mult is not None and (knee_mult is None or mult < knee_mult)
+        else:
+            idle = (_num(p, "utilization") or 0.0) >= min_util
+        if idle and (worst is None or p50 / dwell > worst[0]):
+            worst = (p50 / dwell, prefix, p50, dwell,
+                     _num(p, "read_p50_s", prefix + "read_p50_s"))
+    if worst is None:
+        return [Verdict("kv-write-dwell", "SKIP",
+                        "no point below saturation (utilization floor / knee)", "warn")]
+    ratio, prefix, p50, dwell, read_p50 = worst
+    detail = (f"{prefix}write_p50_s = {p50 * 1e6:.1f}us = {ratio:.2f}x "
+              f"max_dwell {dwell * 1e6:.1f}us")
+    if read_p50 is not None:
+        # a read median far above a round trip says the point is queueing
+        detail += f" (read p50 {read_p50 * 1e6:.1f}us)"
+    if ratio >= WRITE_DWELL_WARN:
+        return [Verdict("kv-write-dwell", "WARN",
+                        detail + " — writes are waiting out the timer", "warn")]
+    if ratio < WRITE_DWELL_PASS:
+        return [Verdict("kv-write-dwell", "PASS", detail + f" < {WRITE_DWELL_PASS}x", "warn")]
+    return [Verdict("kv-write-dwell", "INFO", detail, "info")]
+
+
 def _check_telemetry(tel: dict, max_gap: float, max_retx_rate: float,
                      max_stall_frac: float) -> List[Verdict]:
     ranks = tel.get("ranks", {})
@@ -378,6 +427,7 @@ def evaluate(docs: Dict[str, Optional[dict]], rules: Sequence[dict] = (),
         apply(_check_kv_availability, kv, min_availability, max_recovery_s)
     if kv is not None:
         apply(_check_kv_coherence, kv)
+        apply(_check_kv_write_dwell, kv, min_utilization)
         apply(_check_kv_shard_skew, kv)
     tel = docs.get("telemetry")
     if tel is not None:

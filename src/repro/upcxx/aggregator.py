@@ -28,9 +28,15 @@ aggregators:
   folds 61 % of a saturated Zipf(1.1) stream), a pure cost on uniform
   ones, hence opt-in.
 - **Adaptive flush** — buffers also flush on *simulated-time* dwell
-  (``max_dwell``): at low offered load a partial batch does not strand
-  in its buffer past the deadline.  ``poll()`` is the pacing hook apps
-  call from their request loop.
+  (``max_dwell``): a partial batch does not strand in its buffer past
+  the deadline.  ``poll()`` is the pacing hook apps call from their
+  request loop.  The dwell is for a sender that is busy; one about to
+  sleep has nothing left to coalesce with and calls
+  :meth:`AggStore.flush_ready` (from ``Runtime.wait_quiet``'s
+  ``before_park`` hook — the KV front end's pacing sleep does), which
+  ships every partial data buffer whose peer has a credit and never
+  stalls, so aggregation costs latency only where there is throughput
+  to buy.
 - **Credit-based flow control** — with ``credits=k`` at most ``k``
   batches per peer are in flight; the target acks each applied batch and
   the ack returns the credit.  An exhausted peer stalls the sender in
@@ -254,7 +260,8 @@ class AggStore:
         the participating team (default: world).
     max_dwell:
         optional simulated-seconds deadline: a partial batch older than
-        this flushes at the next :meth:`poll` / :meth:`update`.
+        this flushes at the next :meth:`poll` (:meth:`update` stamps the
+        buffer's age, it does not check the deadline).
     credits:
         optional per-peer bound on in-flight (unacked) batches; the
         sender stalls in simulated time when a peer's credits run out.
@@ -423,6 +430,21 @@ class AggStore:
         """Push out every partially-filled data buffer (invals piggyback)."""
         for t in range(self._n):
             self._flush_dest(t)
+
+    def flush_ready(self) -> None:
+        """Ship every partial *data* buffer whose peer can take it now.
+
+        The work-conserving rule: a caller about to park has nothing left
+        to coalesce with, so holding a batch for ``max_dwell`` only buys
+        latency.  Never stalls — a peer at zero credits keeps its buffer
+        until the ack (or the dwell deadline) — and leaves the
+        invalidation buffers to their own dwell (a data batch still
+        carries the ones queued for its destination).
+        """
+        credits = self._credits
+        for t in range(self._n):
+            if self._buf_keys[t] and (credits is None or credits[t] > 0):
+                self._flush_dest(t)
 
     def _drop_dead_buffer(self, t: int) -> None:
         """Discard the (undeliverable) buffer for a detected-dead peer."""

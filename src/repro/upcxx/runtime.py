@@ -639,12 +639,27 @@ class Runtime:
                 break
             self.sched.block("upcxx::wait")
 
-    def wait_quiet(self, pred: Callable[[], bool], reason: str = "upcxx::quiesce") -> None:
-        """Progress until an arbitrary predicate holds (library-internal)."""
+    def wait_quiet(
+        self,
+        pred: Callable[[], bool],
+        reason: str = "upcxx::quiesce",
+        before_park: Optional[Callable[[], None]] = None,
+    ) -> None:
+        """Progress until an arbitrary predicate holds (library-internal).
+
+        ``before_park`` runs when ``progress()`` has served the inbox, the
+        predicate is still false and the rank is about to sleep — the one
+        moment it provably has nothing else to do.  The hook may charge
+        CPU, so the predicate is checked again after it.
+        """
         while not pred():
             self.progress()
             if pred():
                 break
+            if before_park is not None:
+                before_park()
+                if pred():
+                    break
             self.sched.block(reason)
 
     # -------------------------------------------------------------- teams

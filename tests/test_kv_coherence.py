@@ -134,6 +134,41 @@ def test_service_caches_match_primaries_after_drain(service_snapshots, seed, var
     _assert_service_coherent(4, seed=seed, **variant)
 
 
+@pytest.fixture
+def park_log(monkeypatch):
+    """Record every park — ``(rank, t, batch seqs it shipped)`` — and the
+    park-shipped batches a survivor still had in flight to a peer at the
+    moment it learned of that peer's death."""
+    log = {"parks": [], "orphaned": []}
+    park, on_death = KvService.park, KvService._on_death
+
+    def logged_park(self):
+        first = self._store._batch_seq + 1
+        park(self)
+        log["parks"].append((upcxx.rank_me(), upcxx.sim_now(),
+                             range(first, self._store._batch_seq + 1)))
+
+    def logged_on_death(self, dead, t_detect):
+        me = upcxx.rank_me()
+        shipped_at_park = {q for r, _, seqs in log["parks"] if r == me for q in seqs}
+        log["orphaned"] += [q for q, (d, _) in self._inflight.items()
+                            if d == dead and q in shipped_at_park]
+        on_death(self, dead, t_detect)
+
+    monkeypatch.setattr(KvService, "park", logged_park)
+    monkeypatch.setattr(KvService, "_on_death", logged_on_death)
+    return log
+
+
 @pytest.mark.parametrize("spec", golden.REPLICATED_CRASH_SPECS)
-def test_service_caches_match_primaries_after_a_crash(service_snapshots, spec):
+def test_service_caches_match_primaries_after_a_crash(service_snapshots, park_log, spec):
     _assert_service_coherent(3, seed=9, replication=2, faults=spec)
+    # the plans cover both park-time deaths: the victim's last act was a
+    # park, and a survivor was left holding a park-shipped batch the
+    # victim will never ack
+    dead, t_crash = {"crash=3@2e-4": (3, 2e-4), "crash=1@1e-4": (1, 1e-4)}[spec.split(",")[1]]
+    parked = {r for r, _, _ in park_log["parks"]}
+    assert parked == {0, 1, 2, 3}
+    last = max(t for r, t, _ in park_log["parks"] if r == dead)
+    assert t_crash - 5e-6 < last <= t_crash
+    assert park_log["orphaned"]

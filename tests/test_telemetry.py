@@ -8,8 +8,9 @@ Covers the observability tentpole's three acceptance properties:
   golden digest, frozen at the crash cutoff;
 - ``repro.tools.health`` flags an above-knee (saturated) KV run and
   passes a below-knee one — and every rule it applies can be seen to
-  FAIL (or WARN, from a real run: ``credit-stall-fraction``), including
-  "no rule applied" under ``--strict``.
+  FAIL (or WARN, from a real run: ``credit-stall-fraction``,
+  ``retransmit-rate``, ``kv-write-dwell``), including "no rule applied"
+  under ``--strict``.
 """
 
 import json
@@ -213,8 +214,9 @@ def test_health_applies_the_below_knee_rule_to_a_sweep_document():
         }
 
     def capacity_verdict(doc):
-        v, coherence, skew = health.evaluate({"kv": doc})  # no counters here
+        v, coherence, dwell, skew = health.evaluate({"kv": doc})  # no counters here
         assert (coherence.name, coherence.status) == ("kv-coherence", "SKIP")
+        assert (dwell.name, dwell.status) == ("kv-write-dwell", "SKIP")
         assert (skew.name, skew.status) == ("kv-shard-skew", "SKIP")
         return v
 
@@ -274,6 +276,116 @@ def test_health_prints_shard_skew_from_a_real_point():
     (garbled,) = [v for v in health.evaluate({"kv": dict(real, shard_load_skew="hot")})
                   if v.name == "shard_load_skew"]
     assert garbled.status == "FAIL"
+
+
+def test_health_write_dwell_rule_passes_because_the_front_end_parks(tmp_path, monkeypatch):
+    """``kv-write-dwell``: below saturation a write should cost an ack round
+    trip, not the aggregator's timer.  PASS on the real base-rate point;
+    the same point with ``KvService.park`` stubbed out — the service as it
+    was before partial batches shipped at park — reads WARN."""
+    from repro.apps.kvservice import KvService
+    from repro.bench.kv_bench import measure_point
+
+    def dwell(doc):
+        (v,) = [v for v in health.evaluate({"kv": doc}) if v.name == "kv-write-dwell"]
+        return v
+
+    real = measure_point("tiny", 1)
+    assert real["write_p50_s"] < 0.25 * real["max_dwell_s"]
+    v = dwell(real)
+    assert v.status == "PASS" and "0.11x max_dwell 40.0us" in v.detail, v.line()
+    # thresholds: PASS under 0.5x, WARN from 1.0x, a number in between
+    assert dwell(dict(real, write_p50_s=19.9e-6)).status == "PASS"
+    assert dwell(dict(real, write_p50_s=20e-6)).status == "INFO"
+    assert dwell(dict(real, write_p50_s=40e-6)).status == "WARN"
+    # only points with idle time are judged: a saturated point, or one at
+    # or past the knee of a curve, is buying batching with its dwell
+    slow = dict(real, write_p50_s=90e-6)
+    assert dwell(dict(slow, utilization=0.5)).status == "SKIP"
+    knee = {"multiplier": 2.0}
+    assert dwell({"curve": [dict(real, multiplier=1.0), dict(slow, multiplier=2.0)],
+                  "knee": knee}).status == "PASS"
+    v = dwell({"curve": [dict(slow, multiplier=1.0), dict(real, multiplier=2.0)], "knee": knee})
+    assert v.status == "WARN" and "curve.0.write_p50_s" in v.detail
+    without = {k: v for k, v in real.items() if k != "max_dwell_s"}
+    assert dwell(without).status == "SKIP"
+    assert dwell(dict(real, max_dwell_s=None)).status == "SKIP"  # aggregate=False
+    (garbled,) = [v for v in health.evaluate({"kv": dict(real, write_p50_s="slow")})
+                  if v.name == "write_p50_s"]
+    assert garbled.status == "FAIL"
+
+    monkeypatch.setattr(KvService, "park", lambda self: None)
+    timer = measure_point("tiny", 1)
+    v = dwell(timer)
+    assert v.status == "WARN" and "waiting out the timer" in v.detail, v.line()
+    assert timer["write_p50_s"] > real["max_dwell_s"] and timer["updates_per_batch"] > 1.1
+    doc = tmp_path / "point.json"
+    doc.write_text(json.dumps(timer))
+    assert health.main(["--kv", str(doc)]) == 0  # a warning...
+    assert health.main(["--kv", str(doc), "--strict"]) == 1  # ...gated
+
+
+def test_health_p99_slo_fails_above_the_knee_and_passes_at_the_base_rate(tmp_path):
+    """``kv-p99`` at the SLO CI's kv-smoke job sets (``--p99-slo 25e-6``):
+    the real x1 point meets it (15.8 us; 62.2 us while writes sat out the
+    dwell timer), the real x4 point (257 us) does not."""
+    from repro.bench.kv_bench import measure_point
+
+    for mult, status, code in ((1, "PASS", 0), (4, "FAIL", 1)):
+        point = measure_point("tiny", mult)
+        (v,) = [v for v in health.evaluate({"kv": point}, p99_slo=25e-6, min_utilization=0.0)
+                if v.name == "kv-p99"]
+        assert v.status == status, v.line()
+        doc = tmp_path / f"x{mult}.json"
+        doc.write_text(json.dumps(point))
+        assert health.main(["--kv", str(doc), "--p99-slo", "25e-6",
+                            "--min-utilization", "0", "--strict"]) == code
+    assert [v for v in health.evaluate({"kv": {"utilization": 1.0}}, p99_slo=25e-6)
+            if v.name == "kv-p99"][0].status == "SKIP"
+
+
+def test_health_recovery_ceiling_fails_and_passes_on_a_real_crash_point(tmp_path):
+    """``kv-recovery``: INFO until ``--max-recovery`` is set; the real rf=2
+    single-crash point restores its factor in about 2.7 ms."""
+    from repro.bench.kv_bench import measure_crash_point
+
+    point = measure_crash_point("tiny", replication=2)
+    assert 1e-3 < point["recovery_s"] < 5e-3
+
+    def recovery(**kw):
+        (v,) = [v for v in health.evaluate({"kv": point}, **kw) if v.name == "kv-recovery"]
+        return v.status
+
+    assert recovery() == "INFO"
+    assert recovery(max_recovery_s=1e-3) == "FAIL"
+    assert recovery(max_recovery_s=5e-3) == "PASS"
+    doc = tmp_path / "kv_crash.json"
+    doc.write_text(json.dumps(point))
+    assert health.main(["--kv", str(doc), "--strict", "--max-recovery", "1e-3"]) == 1
+    assert health.main(["--kv", str(doc), "--strict", "--max-recovery", "5e-3"]) == 0
+
+
+def test_retransmit_rate_warns_on_a_lossy_run(tmp_path):
+    """``retransmit-rate`` seen off PASS on a real run: 30 % frame loss
+    makes the reliable layer resend more frames than the program injects;
+    the fault-free run of the same program resends none."""
+    def retx(path, faults):
+        tel = Telemetry()
+        upcxx.run_spmd(golden.ring_body, N_RANKS, ppn=2, seed=5, telemetry=tel, faults=faults)
+        path.write_text(tel.dumps())
+        (v,) = [v for v in health.evaluate({"telemetry": json.loads(tel.dumps())},
+                                           max_gap_s=1.0)
+                if v.name == "retransmit-rate"]
+        return v
+
+    calm, lossy = tmp_path / "calm.json", tmp_path / "lossy.json"
+    assert retx(calm, None).status == "PASS"
+    v = retx(lossy, "seed=3,drop=0.3")
+    assert v.status == "WARN" and "retransmits" in v.detail, v.line()
+    argv = ["--max-gap", "1.0", "--strict", "--telemetry"]  # isolate the rule
+    assert health.main(argv + [str(calm)]) == 0
+    assert health.main(argv + [str(lossy)]) == 1
+    assert health.main(argv[:2] + ["--telemetry", str(lossy)]) == 0  # a warning, gated by --strict
 
 
 def test_credit_stall_fraction_warns_on_a_stop_and_wait_window(tmp_path):

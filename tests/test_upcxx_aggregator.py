@@ -226,6 +226,125 @@ class TestDwellAndCredits:
         assert stats["acks_received"] == 0  # unacked fire-and-forget mode
 
 
+class TestFlushReady:
+    """The work-conserving flush a parking caller makes."""
+
+    def test_ships_partial_data_buffers_and_leaves_invalidations_to_their_dwell(self):
+        def body():
+            rt = upcxx.runtime_here()
+            me = upcxx.rank_me()
+            store = AggStore("replace", batch_size=64, max_dwell=1.0, cache_capacity=8)
+            mine = {r: [k for k in range(64) if store.dest_of(k) == r] for r in range(3)}
+            hot = mine[0][0]
+            upcxx.barrier()
+            if me == 1:
+                store.read(hot, default=0).wait()  # rank 1 joins hot's sharer list
+            upcxx.barrier()
+            if me == 2:
+                store.update(hot, 5)
+                store.flush_ready()
+                assert store.batches_sent == 1
+            seen = None
+            if me == 0:
+                # the write lands here and leaves rank 1 owed an invalidation
+                rt.wait_quiet(lambda: store.state["applied_updates"] == 1, "test")
+                owed = (list(store._inval_buf[1]), store._t_first_inval[1])
+                assert owed[0] == [hot] and owed[1] is not None
+                store.update(mine[0][1], 1)
+                store.update(mine[2][0], 2)
+                store.update(mine[2][1], 3)
+                store.flush_ready()
+                seen = (
+                    store.batches_sent,
+                    [len(b) for b in store._buf_keys],
+                    store._t_first,
+                    (list(store._inval_buf[1]), store._t_first_inval[1]) == owed,
+                )
+            store.quiesce()
+            upcxx.barrier()
+            return seen, store.stats()["cache_invalidations"]
+
+        (seen, _), (_, invalidated), _ = upcxx.run_spmd(body, 3)
+        assert seen == (2, [0, 0, 0], [None, None, None], True)
+        assert invalidated == 1  # quiesce() delivered what the park left alone
+
+    def test_an_exhausted_peer_keeps_its_buffer_and_nobody_stalls(self):
+        def body():
+            rt = upcxx.runtime_here()
+            store = AggStore("+", batch_size=4, credits=1, max_dwell=1.0)
+            k = next(k for k in range(64) if store.dest_of(k) == 1)
+            upcxx.barrier()
+            log = None
+            if upcxx.rank_me() == 0:
+                store.update(k, 1)
+                store.flush_ready()  # takes the peer's only credit
+                store.update(k, 10)
+                t0 = rt.now()
+                store.flush_ready()  # zero credits: hold, do not wait
+                held = (store.batches_sent, list(store._buf_keys[1]), rt.now() - t0)
+                rt.wait_quiet(lambda: store.acks_received == 1, "test")
+                store.flush_ready()  # the credit is home
+                log = (held, store.batches_sent, store.credit_stalls)
+            store.quiesce()
+            upcxx.barrier()
+            return log, store.local_items()
+
+        (log, _), (_, owned) = upcxx.run_spmd(body, 2, ppn=1)
+        assert log == ((1, [next(iter(owned))], 0.0), 2, 0)
+        assert list(owned.values()) == [11]
+
+    def test_a_dead_peers_buffer_is_dropped_and_counted(self):
+        def body():
+            store = AggStore("+", batch_size=4, credits=1)
+            k = next(k for k in range(64) if store.dest_of(k) == 1)
+            upcxx.barrier()
+            if upcxx.rank_me() == 0:
+                store.update(k, 1)
+                store.update(k, 2)
+                # detection lands between buffering and the park
+                store._dead_peers.add(1)
+                store.flush_ready()
+                assert store._buf_keys[1] == [] and store._sent_updates[1] == 0
+                store._dead_peers.discard(1)  # let the test's quiesce include rank 1
+            store.quiesce()
+            upcxx.barrier()
+            return store.stats()
+
+        s0, s1 = upcxx.run_spmd(body, 2)
+        assert (s0["updates_dropped"], s0["batches_sent"]) == (2, 0)
+        assert s1["applied_updates"] == 0
+
+    @pytest.mark.parametrize("combine_at_source", [False, True])
+    @pytest.mark.parametrize("combine", ["+", "replace"])
+    def test_counting_quiescence_closes_after_park_flushes(self, combine, combine_at_source):
+        def body():
+            me = upcxx.rank_me()
+            store = AggStore(combine, batch_size=8, credits=2, max_dwell=2e-6,
+                             combine_at_source=combine_at_source)
+            rng = upcxx.runtime_here().rng.spawn("park-fuzz").py
+            upcxx.barrier()
+            for i in range(300):
+                k = rng.randrange(4) if rng.random() < 0.5 else rng.randrange(64)
+                store.update(k, me * 1000 + i)
+                if i % 5 == 0:
+                    store.flush_ready()
+                if i % 11 == 0:
+                    _sim_sleep(1e-6)
+                    store.poll()
+            store.quiesce()
+            upcxx.barrier()
+            return store.stats(), store._sent_updates.tolist()
+
+        res = upcxx.run_spmd(body, 4, seed=5)
+        for r, (s, _) in enumerate(res):
+            # every rank applied exactly the wire entries the world sent it
+            assert s["applied_updates"] == sum(sent[r] for _, sent in res)
+            assert sum(res[r][1]) == s["updates_sent"] - s["updates_combined"]
+            assert s["acks_received"] == s["batches_sent"]
+            assert s["updates_sent"] == 300
+        assert (sum(s["updates_combined"] for s, _ in res) > 0) == combine_at_source
+
+
 class TestHotKeyCache:
     def test_hit_after_fill_and_invalidation_on_update(self):
         out = {}
@@ -441,10 +560,13 @@ class TestSharedFills:
 
         assert upcxx.run_spmd(body, 2)[0] == (5, 7, 1)
 
+    @pytest.mark.parametrize("ship", ["flush", "flush_ready"])
     @pytest.mark.parametrize("combine_at_source", [False, True])
-    def test_a_read_after_my_shipped_write_does_not_share_an_older_fill(self, combine_at_source):
-        # read, update, flush, read: the second read is FIFO-ordered after
-        # the shipped write at the owner, so it must be its own RPC
+    def test_a_read_after_my_shipped_write_does_not_share_an_older_fill(
+            self, combine_at_source, ship):
+        # read, update, flush (or park), read: the second read is
+        # FIFO-ordered after the shipped write at the owner, so it must be
+        # its own RPC
         def body():
             me = upcxx.rank_me()
             store = AggStore("replace", batch_size=4, cache_capacity=8,
@@ -459,7 +581,7 @@ class TestSharedFills:
                 a = store.read(key)
                 store.update(key, 222)
                 buffered = store.read(key)  # write not shipped yet: shares a's fill
-                store.flush()
+                getattr(store, ship)()
                 b = store.read(key)
                 s = store.stats()
                 got = (a.wait(), buffered.wait(), b.wait(),

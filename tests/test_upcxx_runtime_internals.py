@@ -198,6 +198,84 @@ class TestWaitSemantics:
         assert upcxx.run_spmd(body, 1) == [[0, 1, 2, 3]]
 
 
+class TestWaitQuietBeforePark:
+    """``wait_quiet(before_park=...)``: the hook marks the moment a rank
+    has served its inbox and is about to sleep."""
+
+    def test_hook_runs_only_when_the_rank_would_block(self):
+        def body():
+            rt = upcxx.runtime_here()
+            me = upcxx.rank_me()
+            flag = upcxx.DistObject([False])
+            calls = []
+            upcxx.barrier()
+            if me == 1:
+                upcxx.rpc_ff(0, lambda d: d.value.__setitem__(0, True), flag)
+            if me == 0:
+                # predicate already true: no progress, no hook
+                rt.wait_quiet(lambda: True, "test", lambda: calls.append("true"))
+                # the AM is delivered while this rank is inattentive, so the
+                # wait's own progress() makes the predicate true: no hook
+                rt.sched.sleep(20e-6)
+                assert not flag.value[0]
+                rt.wait_quiet(lambda: flag.value[0], "test", lambda: calls.append("served"))
+                assert flag.value[0]
+                # nothing to serve and a timer 10us out: about to block
+                t = rt.now() + 10e-6
+                rt.sched.post_at(t, lambda: rt.sched.wake(0, t))
+                rt.wait_quiet(lambda: rt.now() >= t, "test", lambda: calls.append("park"))
+            upcxx.barrier()
+            return calls
+
+        calls = upcxx.run_spmd(body, 2, ppn=1)[0]
+        assert calls and set(calls) == {"park"}
+
+    def test_predicate_is_rechecked_after_the_hook(self):
+        """A hook that satisfies the predicate must not be followed by a
+        block: nothing would ever wake this rank (the run would end in the
+        scheduler's deadlock report)."""
+
+        def body():
+            rt = upcxx.runtime_here()
+            done = []
+            rt.wait_quiet(lambda: bool(done), "test", lambda: done.append(1))
+            return done
+
+        assert upcxx.run_spmd(body, 1) == [[1]]
+
+    def test_am_arriving_while_the_hook_runs_is_served_before_sleeping(self):
+        """No lost wake-up: the hook charges CPU, a reply lands meanwhile,
+        and it is that reply — nothing later — that ends the wait."""
+
+        def body():
+            rt = upcxx.runtime_here()
+            me = upcxx.rank_me()
+            flag = upcxx.DistObject([False])
+            hook_windows = []
+            upcxx.barrier()
+            t_done = None
+            if me == 0:
+                def hook():
+                    t0 = rt.now()
+                    if not hook_windows:
+                        # rank 1 bounces this straight back (it sits in the
+                        # barrier below, attentive); the charge outlasts
+                        # the round trip
+                        upcxx.rpc_ff(1, lambda d: upcxx.rpc_ff(
+                            0, lambda d: d.value.__setitem__(0, True), d), flag)
+                    rt.sched.charge(100e-6)
+                    hook_windows.append((t0, rt.now()))
+
+                rt.wait_quiet(lambda: flag.value[0], "test", hook)
+                t_done = rt.now()
+            upcxx.barrier()
+            return hook_windows, t_done
+
+        windows, t_done = upcxx.run_spmd(body, 2, ppn=1)[0]
+        assert len(windows) == 1  # served on the first wake, never parked again
+        assert t_done >= windows[0][1]
+
+
 class TestSegmentPressure:
     def test_segment_exhaustion_raises_cleanly(self):
         from repro.gasnet.segment import SegmentAllocationError
