@@ -40,16 +40,25 @@ fibers resumed by a dispatch loop, and a fiber switch hands the baton
 directly to the next runnable entity through one raw lock release.
 Because pure CPython cannot switch C stacks, each fiber's suspended call
 stack is carried by a parked OS thread; the dispatch structure, not
-thread elimination, is what makes switching cheap.  One baton means a
-second core only adds cross-CPU wake latency: run long jobs under
-``taskset -c N`` (docs/simulator.md §6).  Determinism is checked against
-a committed artifact, not a second implementation: this scheduler must
-reproduce ``tests/golden/fingerprints.json`` exactly.
+thread elimination, is what makes switching cheap.  A yield swaps
+itself into the ready heap in place of the earlier rank and resumes it
+directly; a block goes through the dispatch loop; both end in one
+``_resume`` and one park.  A hand-off costs one host context switch
+only if the woken carrier waits until its waker has parked and dropped
+the GIL.  Linux lets an ordinary woken thread preempt its waker (which
+then finds the GIL held and sleeps again), so every carrier makes itself
+``SCHED_BATCH``, whose wakeups never preempt; the caller's thread keeps
+its policy.  One baton means a second core only adds cross-CPU wake
+latency: run long jobs under ``taskset -c N`` (docs/simulator.md §6).
+Determinism is checked against a committed artifact, not a second
+implementation: this scheduler must reproduce
+``tests/golden/fingerprints.json`` exactly.
 """
 
 from __future__ import annotations
 
 import heapq
+import os
 import threading
 import _thread
 from typing import Callable, List, Optional, Sequence
@@ -89,6 +98,10 @@ def _baton(held: bool = True):
 
 
 def _carry(sched: "Scheduler", ctl: "_Fiber") -> None:
+    try:  # this thread's wakeups stop preempting (module docstring)
+        os.sched_setscheduler(0, os.SCHED_BATCH, os.sched_param(0))
+    except (AttributeError, OSError):
+        pass  # not Linux, or not permitted: a hand-off is only slower
     _tls.ctx = (sched, ctl.rid, ctl)
     try:
         sched._fiber_main(ctl)
@@ -251,8 +264,8 @@ class Scheduler:
         self._ranks: List[_Fiber] = [_Fiber(r) for r in range(n_ranks)]
         self._ready: list = []  # heap of (clock, rid, stamp)
         # bumped on every mutation that can change the validated heap top
-        # (push, dispatch pop) — both the drain-loop gate and the memoized
-        # _peek_ready result key off it
+        # (push; a switch's pop or swap, in _resume) — both the drain-loop
+        # gate and the memoized _peek_ready result key off it
         self._ready_version = 0
         self._top_cache = None  # memoized (clock, ctl) for _ready_version
         self._top_version = -1
@@ -513,9 +526,9 @@ class Scheduler:
         """Return (clock, ctl) of the earliest ready rank, or None.
 
         Memoized on ``_ready_version``: a validated top stays the top
-        until a push or a dispatch pop (a READY rank's clock and stamp
-        are frozen while it is READY), so repeated peeks between heap
-        mutations are one version compare instead of a heap walk.
+        until a push or a switch's pop or swap (a READY rank's clock and
+        stamp are frozen while it is READY), so repeated peeks between
+        heap mutations are one version compare instead of a heap walk.
         """
         if self._top_version == self._ready_version:
             return self._top_cache
@@ -600,25 +613,46 @@ class Scheduler:
             else self._peek_ready()
         )
         if top is not None and top[0] < clock:
-            # Someone is earlier: yield.
+            # Someone is earlier: yield to them directly.  ``top`` is the
+            # heap's validated head and the drain stopped at the first event
+            # later than it, so it is what _dispatch would select: swap me
+            # in for it.  No failure branch: a failure fired by the drain
+            # ran _abort_all, which leaves no rank READY, so top is None.
             me.state = _READY
-            self._push_ready(me)
-            self._switch_out(me)
+            me.ready_stamp += 1
+            heapq.heapreplace(self._ready, (clock, me.rid, me.ready_stamp))
+            self._switch_out(me, top[1])
         else:
             self._retarget()
 
-    def _switch_out(self, me: _Fiber) -> None:
-        """Hand the baton to the next entity and park until resumed.
+    def _switch_out(self, me: _Fiber, nxt: Optional[_Fiber] = None) -> None:
+        """Resume ``nxt`` (else what _dispatch selects); park until resumed.
 
         If the dispatch re-selects *me* (an event at my own clock woke me
         back up), my baton was just released and the acquire succeeds
         immediately, leaving it held again — the protocol is insensitive
         to release-before-acquire ordering.
         """
-        self._dispatch()
+        if nxt is None:
+            self._dispatch()
+        else:
+            self._resume(nxt)
         me.baton.acquire()
         if self._failure is not None:
             raise SimAbort()
+
+    def _resume(self, ctl: _Fiber) -> None:
+        """Make ``ctl``, just taken off the ready heap, the running fiber
+        and hand it the baton — every switch of the run comes through here."""
+        self._ready_version += 1
+        ctl.state = _RUNNING
+        self.switches += 1
+        self._current = ctl
+        self._retarget()
+        if ctl.thread is None:
+            self._start_fiber(ctl)
+        else:
+            ctl.baton.release()
 
     def _dispatch(self) -> None:
         """Select and start the next entity.  Caller must not be RUNNING.
@@ -643,18 +677,9 @@ class Scheduler:
             )
             if top is not None and (not eheap or top[0] < eheap[0][0]):
                 heapq.heappop(self._ready)
-                self._ready_version += 1
-                ctl = top[1]
-                ctl.state = _RUNNING
-                self.switches += 1
-                self._current = ctl
-                self._retarget()
                 if n_fired:
                     self._events.account_fired(n_fired)
-                if ctl.thread is None:
-                    self._start_fiber(ctl)
-                else:
-                    ctl.baton.release()
+                self._resume(top[1])
                 return
             if eheap:
                 # Event is due first (ties go to events so deliveries at

@@ -7,7 +7,10 @@ kept moderate.
 
 The session pins itself to one CPU (below; child processes inherit it).
 The terminal summary ends with the run's CPU split — user, sys and wall
-seconds of this process and its children (subprocess tests).  A
+seconds of this process and its children (subprocess tests) — and its
+voluntary/involuntary context switches: a baton hand-off is one voluntary
+switch, and involuntary ones near zero mean woken rank carriers are not
+preempting their wakers (``repro.sim.coop``).  A
 pure-Python simulator has no business in the kernel: when tier-1 last
 spent more time there than in Python (26 s user / 81 s sys) every job was
 zeroing ``ranks x 32 MiB`` of segment at launch.
@@ -62,11 +65,22 @@ def pytest_addoption(parser):
     )
 
 
-def _cpu_split():
-    """(user, sys) CPU seconds of this process plus its reaped children."""
+def _usage():
+    """(user s, sys s, voluntary, involuntary context switches) of this
+    process plus its reaped children."""
     me = resource.getrusage(resource.RUSAGE_SELF)
     kids = resource.getrusage(resource.RUSAGE_CHILDREN)
-    return me.ru_utime + kids.ru_utime, me.ru_stime + kids.ru_stime
+    return (
+        me.ru_utime + kids.ru_utime,
+        me.ru_stime + kids.ru_stime,
+        me.ru_nvcsw + kids.ru_nvcsw,
+        me.ru_nivcsw + kids.ru_nivcsw,
+    )
+
+
+def _cpu_split():
+    """(user, sys) CPU seconds of this process plus its reaped children."""
+    return _usage()[:2]
 
 
 def pytest_sessionfinish(session, exitstatus):
@@ -76,10 +90,11 @@ def pytest_sessionfinish(session, exitstatus):
 
 
 def pytest_terminal_summary(terminalreporter, config):
-    user, sys_ = _cpu_split()
+    user, sys_, nvcsw, nivcsw = _usage()
     wall = time.perf_counter() - _T0
     terminalreporter.write_line(
-        f"cpu split: user {user:.1f} s, sys {sys_:.1f} s, wall {wall:.1f} s (self + children)"
+        f"cpu split: user {user:.1f} s, sys {sys_:.1f} s, wall {wall:.1f} s, "
+        f"context switches {nvcsw} voluntary / {nivcsw} involuntary (self + children)"
     )
     if sys_ > user:
         terminalreporter.write_line(

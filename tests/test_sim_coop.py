@@ -5,6 +5,9 @@ semantics, message-style wakeups, deadlock detection, and failure
 propagation.
 """
 
+import os
+import resource
+
 import pytest
 
 from repro.sim.coop import Scheduler, current_rank, current_scheduler, run_spmd
@@ -98,6 +101,28 @@ def test_event_delivery_and_wake():
 
 def _deadlock(r):
     current_scheduler().block("forever")
+
+
+def _crash_detected_inside_a_yield():
+    """Rank 1 dies at 50 us and is detected at 70 us.  Rank 3 charges 1 ms
+    from 60 us while ranks 0 and 2 are READY at 500 us, so the detect event
+    fails the run inside rank 3's drain, on the path that would otherwise
+    hand the baton straight to rank 0."""
+    import repro.upcxx as upcxx
+
+    def body():
+        me = upcxx.rank_me()
+        if me == 1:
+            for _ in range(20):
+                upcxx.compute(1e-5)
+                upcxx.progress()
+        elif me == 3:
+            upcxx.compute(6e-5)
+            upcxx.compute(1e-3)
+        else:
+            upcxx.compute(5e-4)
+
+    return upcxx.run_spmd(body, 4, faults="seed=1,crash=1@5e-5")
 
 
 def _fail_on_two(r):
@@ -215,6 +240,61 @@ def test_charge_rejects_nan():
     assert "invalid charge: nan" in str(ei.value.__cause__)
 
 
+def _charge_storm(policies=None):
+    """64 ranks with staggered start clocks, 200 x ``charge(1e-6)`` each:
+    nearly every charge yields.  Returns (results, switches)."""
+
+    def body(r):
+        s = current_scheduler()
+        if policies is not None:
+            policies.append(os.sched_getscheduler(0) == os.SCHED_BATCH)
+        s.charge(r * 1e-8)
+        for _ in range(200):
+            s.charge(1e-6)
+        return s.now()
+
+    sched = Scheduler(64)
+    return sched.run(body), sched.switches
+
+
+_needs_sched_setscheduler = pytest.mark.skipif(
+    not hasattr(os, "sched_setscheduler"), reason="no os.sched_setscheduler on this platform"
+)
+
+
+@_needs_sched_setscheduler
+def test_a_hand_off_does_not_preempt_its_waker():
+    """Carriers are SCHED_BATCH, the caller's thread keeps its policy, and a
+    woken carrier waits for its waker to park: involuntary context switches
+    stay far below one per switch (a preempting wake costs about one each)."""
+    policies = []
+    before = os.sched_getscheduler(0)
+    nivcsw = resource.getrusage(resource.RUSAGE_SELF).ru_nivcsw
+    _, switches = _charge_storm(policies)
+    nivcsw = resource.getrusage(resource.RUSAGE_SELF).ru_nivcsw - nivcsw
+    assert policies == [True] * 64
+    assert os.sched_getscheduler(0) == before
+    assert nivcsw < switches // 4, f"{nivcsw} involuntary context switches for {switches} switches"
+
+
+@_needs_sched_setscheduler
+@pytest.mark.parametrize("fallback", ["refused", "absent"])
+def test_without_sched_batch_only_host_time_changes(monkeypatch, fallback):
+    expected = _charge_storm()
+    refusals = []
+    if fallback == "refused":
+
+        def refuse(*args):
+            refusals.append(args)
+            raise PermissionError(1, "Operation not permitted")
+
+        monkeypatch.setattr(os, "sched_setscheduler", refuse)
+    else:
+        monkeypatch.delattr(os, "sched_setscheduler")
+    assert _charge_storm() == expected
+    assert len(refusals) == (64 if fallback == "refused" else 0)
+
+
 @pytest.mark.parametrize(
     "job,outcome",
     [
@@ -224,8 +304,17 @@ def test_charge_rejects_nan():
         (lambda: run_spmd(lambda r: current_scheduler().charge(2.0), 4, max_time=1.0), SimError),
         (lambda: _upcxx_crash("seed=1,crash=1@5e-5"), RankDeadError),
         (lambda: _upcxx_crash("seed=1,crash=1@5e-5,survive=1"), None),
+        (_crash_detected_inside_a_yield, RankDeadError),
     ],
-    ids=["success", "rank-failure", "deadlock", "max-time", "fail-stop-crash", "survivable-crash"],
+    ids=[
+        "success",
+        "rank-failure",
+        "deadlock",
+        "max-time",
+        "fail-stop-crash",
+        "survivable-crash",
+        "crash-detected-inside-a-yield",
+    ],
 )
 def test_no_carrier_thread_outlives_run(job, outcome):
     """However ``run()`` ends, every rank's carrier thread has ended too."""

@@ -8,9 +8,49 @@ that historically exposed ordering bugs.
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.sim.coop import Scheduler, current_scheduler, run_spmd
 from repro.sim.errors import DeadlockError
+
+#: charges are multiples of a dyadic tick, so clock sums are exact and
+#: equal clocks are real ties
+_TICK = 2.0**-20
+
+
+def _i2_order(charges):
+    """The (rank, i) log of invariant I2 with its tie rule, computed without
+    a scheduler: the running rank keeps the baton while no READY rank is
+    strictly earlier; otherwise the smallest (clock, rank) resumes, and a
+    finished rank hands over to that same minimum.  A rank's i-th entry is
+    logged when its i-th charge returns."""
+    n = len(charges)
+    clock = [0.0] * n
+    done = [0] * n  # charges returned so far
+    inside = [False] * n  # yielded inside charge number done[r]
+    ready = set(range(n))
+    log = []
+    cur = 0
+    while True:
+        if inside[cur]:
+            inside[cur] = False
+            log.append((cur, done[cur]))
+            done[cur] += 1
+        while done[cur] < len(charges[cur]):
+            clock[cur] += charges[cur][done[cur]] * _TICK
+            earliest = min(((clock[r], r) for r in ready if r != cur), default=None)
+            if earliest is not None and earliest[0] < clock[cur]:
+                inside[cur] = True
+                cur = earliest[1]
+                break
+            log.append((cur, done[cur]))
+            done[cur] += 1
+        else:
+            ready.discard(cur)
+            if not ready:
+                return log
+            cur = min((clock[r], r) for r in ready)[1]
 
 
 class TestStickyWakes:
@@ -151,6 +191,20 @@ class TestInterleavingStress:
         run_spmd(body, 4)
         times = [t for t, _ in observed]
         assert times == sorted(times)
+
+    @given(st.lists(st.lists(st.integers(1, 4), max_size=12), min_size=1, max_size=9))
+    def test_resume_order_is_i2_with_its_tie_rule(self, steps):
+        """Not just sorted times: the exact interleaving, ties included."""
+        log = []
+
+        def body(r):
+            s = current_scheduler()
+            for i, k in enumerate(steps[r]):
+                s.charge(k * _TICK)
+                log.append((r, i))
+
+        run_spmd(body, len(steps))
+        assert log == _i2_order(steps)
 
     def test_many_ranks_sleep_storm(self):
         """Hundreds of overlapping sleeps resolve without deadlock."""
