@@ -12,7 +12,7 @@ contract over the deterministic DES in :mod:`repro.sim`:
   (Haswell vs. KNL serial-speed ratio, per-byte copy/serialize costs);
 - :mod:`repro.gasnet.segment` — the shared segment and its allocator;
 - :mod:`repro.gasnet.handle` — completion handles;
-- :mod:`repro.gasnet.am` — active-message inboxes and dispatch bookkeeping;
+- :mod:`repro.gasnet.am` — the active-message record and per-rank inboxes;
 - :mod:`repro.gasnet.conduit` — ties it together: ``put_nb``/``get_nb``/
   ``am_send``/``amo`` plus per-rank polling.
 

@@ -1,4 +1,4 @@
-"""Active Messages: typed envelopes and per-rank inboxes.
+"""Active Messages: the conduit's AM record and per-rank inboxes.
 
 An AM carries an opaque payload plus a client-layer handler tag from a
 source to a destination rank.  The conduit appends arriving messages to the
@@ -11,26 +11,21 @@ RPCs).
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, List, Optional
+from typing import Any, Optional
 
 
 class AMMessage:
-    """One active message as it sits in an inbox.
+    """One active message, from injection to the poll that takes it.
 
-    Envelopes are allocated per message on the hot path, so the class is
-    slotted and recycled through a free list: :meth:`acquire` reuses a
-    released envelope when one is available, and a client layer that has
-    fully consumed a message (handler dispatched, no field retained) may
-    hand it back with :meth:`release`.  Releasing is strictly optional —
-    layers that retain messages (e.g. MPI unexpected-message queues)
-    simply never release them.
+    Like :class:`~repro.gasnet.handle.Transfer` for a put, the message is
+    the conduit's whole record of the AM: ``Conduit.am`` posts it *itself*
+    as the callable of its arrival event (which lands it in ``dst``'s inbox
+    and wakes ``dst``) and posts :meth:`injected` as its source-completion
+    event.  A client layer may subclass it to carry its own per-message
+    state on the same object (``repro.upcxx.rpc``).
     """
 
-    __slots__ = ("src", "dst", "tag", "payload", "nbytes", "arrival", "token", "meta")
-
-    #: free list of released envelopes (bounded; see release())
-    _pool: List["AMMessage"] = []
-    _POOL_MAX = 256
+    __slots__ = ("src", "dst", "tag", "payload", "nbytes", "arrival", "sid", "conduit")
 
     def __init__(
         self,
@@ -40,8 +35,7 @@ class AMMessage:
         payload: Any,
         nbytes: int,
         arrival: float = 0.0,
-        token: Any = None,
-        meta: Optional[dict] = None,
+        sid: Optional[tuple] = None,
     ):
         self.src = src
         self.dst = dst
@@ -53,55 +47,23 @@ class AMMessage:
         self.nbytes = nbytes
         #: simulated arrival time at the destination NIC
         self.arrival = arrival
-        #: optional client-layer correlation token (reply routing)
-        self.token = token
-        #: optional observability tags (None when nothing was attached)
-        self.meta = meta
+        #: the client's span correlation id (None: not traced)
+        self.sid = sid
 
-    @classmethod
-    def acquire(
-        cls,
-        src: int,
-        dst: int,
-        tag: str,
-        payload: Any,
-        nbytes: int,
-        arrival: float = 0.0,
-        token: Any = None,
-        meta: Optional[dict] = None,
-    ) -> "AMMessage":
-        """Pooled constructor: reuse a released envelope when available."""
-        pool = cls._pool
-        if pool:
-            msg = pool.pop()
-            msg.src = src
-            msg.dst = dst
-            msg.tag = tag
-            msg.payload = payload
-            msg.nbytes = nbytes
-            msg.arrival = arrival
-            msg.token = token
-            msg.meta = meta
-            return msg
-        return cls(src, dst, tag, payload, nbytes, arrival, token, meta)
+    def __call__(self) -> None:
+        """The arrival event (network context): land in the inbox, wake ``dst``."""
+        conduit = self.conduit
+        dst = self.dst
+        conduit.endpoints[dst].inbox.deliver(self)
+        conduit.sched.wake(dst, self.arrival)
 
-    @classmethod
-    def release(cls, msg: "AMMessage") -> None:
-        """Return a fully-consumed envelope to the free list.
-
-        The caller asserts nothing retains ``msg`` (payload references may
-        live on; the envelope itself must be dead).
-        """
-        pool = cls._pool
-        if len(pool) < cls._POOL_MAX:
-            msg.payload = None
-            msg.token = None
-            msg.meta = None
-            pool.append(msg)
+    def injected(self) -> None:
+        """The source-completion event: the buffer is reusable.  A bare
+        message has nothing to do then."""
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"AMMessage(src={self.src}, dst={self.dst}, tag={self.tag!r}, "
+            f"{type(self).__name__}(src={self.src}, dst={self.dst}, tag={self.tag!r}, "
             f"nbytes={self.nbytes}, arrival={self.arrival})"
         )
 

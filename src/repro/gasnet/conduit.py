@@ -8,10 +8,11 @@ runtime consumes:
   when the remote commit has been acknowledged (GASNet "remote completion",
   which is what a blocking ``upcxx::rput(...).wait()`` observes).
 - ``get_nb``   — one-sided RMA get; the handle carries the fetched bytes.
-- ``am_send``  — active message; delivered into the destination inbox at
-  wire arrival (waking the destination if it is blocked), *executed* only
-  when the destination polls.  The handle completes at source-side
-  injection completion (buffer reusable).
+- ``am``       — active message; the :class:`~repro.gasnet.am.AMMessage`
+  record lands in the destination inbox at wire arrival (waking the
+  destination if it is blocked) and is *executed* only when the
+  destination polls.  Its ``injected()`` fires at source-side injection
+  completion (buffer reusable).
 - ``amo``      — remote atomic, NIC-offloaded: the update applies at the
   target segment at arrival time with **no target CPU involvement**,
   mirroring Aries hardware atomics (paper §II).
@@ -176,6 +177,8 @@ class Conduit:
         """
         for ep in self.endpoints:
             ep.segment = ep.device_segment = None
+            # an unpolled message points back at this conduit
+            ep.inbox._queue.clear()
         self._remote_cx_deliver = None
         self.sched._conduits.remove(self)
 
@@ -536,45 +539,32 @@ class Conduit:
         payload: Any,
         nbytes: int,
         path: str = PATH_FMA,
-        token: Any = None,
-        meta: Optional[dict] = None,
-        occ_scale: float = 1.0,
         span: Optional[tuple] = None,
-    ) -> Handle:
-        """Send an active message; handle completes at source injection end.
+    ) -> AMMessage:
+        """Send a bare active message from rank ``src`` (rank context).
 
         The destination is woken at arrival so a rank blocked in ``wait()``
         (user-level progress) can process the message; a rank that is busy
-        computing will only see it at its next progress call.  ``span``
-        rides the message metadata (``msg_meta["sid"]``) so the target's
-        progress engine can correlate inbox dwell and dispatch.
+        computing will only see it at its next progress call.  ``span`` is
+        the message's ``sid``: the target's progress engine reads it to
+        correlate inbox dwell and dispatch.
         """
-        sched = self.sched
-        now = sched.now()
+        return self.am(AMMessage(src, dst, tag, payload, nbytes, 0.0, span), self.sched.now(), path)
+
+    def am(self, x: AMMessage, now: float, path: str = PATH_FMA) -> AMMessage:
+        """Inject the active message ``x`` at rank clock ``now``: charge the
+        NIC (or run the reliable channel's ladder), then post ``x`` at its
+        arrival and ``x.injected`` at injection end."""
+        src, dst = x.src, x.dst
         self.endpoints[src].n_ams += 1
-        handle = Handle(("am", src, dst, tag, nbytes))
-        inj_done, arrival, _ = self._send(src, dst, nbytes, path, now, occ_scale, span, "am")
-        msg_meta = dict(meta) if meta else None
-        if self.metrics is not None:
-            # lets the receiver account wire time (active -> complete dwell)
-            if msg_meta is None:
-                msg_meta = {}
-            msg_meta["t_injected"] = now
-        if span is not None and self.spans is not None:
-            if msg_meta is None:
-                msg_meta = {}
-            msg_meta["sid"] = span
+        inj_done, arrival, _ = self._send(src, dst, x.nbytes, path, now, 1.0, x.sid, "am")
+        x.conduit = self
+        sched = self.sched
         if arrival is not None:  # else the receiver crashed before any attempt landed
-            msg = AMMessage.acquire(src, dst, tag, payload, nbytes, arrival, token, msg_meta)
-            inbox = self.endpoints[dst].inbox
-
-            def deliver():
-                inbox.deliver(msg)
-                sched.wake(dst, arrival)
-
-            sched.post_at(arrival, deliver)
-        sched.post_at(inj_done, lambda: handle.complete(inj_done))
-        return handle
+            x.arrival = arrival
+            sched.post_at(arrival, x)
+        sched.post_at(inj_done, x.injected)
+        return x
 
     # ------------------------------------------------------------- accumulate
     def accumulate_nb(
@@ -711,10 +701,6 @@ class Conduit:
         if self._faults is None:
             return float("inf")
         return self._faults.crash_cutoff(rank)
-
-    def wake_on(self, handle: Handle, rank: int) -> None:
-        """Convenience: wake ``rank`` when ``handle`` completes."""
-        handle.on_complete(lambda h: self.sched.wake(rank, h.time_done))
 
     def stats(self) -> dict:
         """Aggregate counters across endpoints."""

@@ -5,7 +5,9 @@ Progression matches the paper's Fig. 2: the injection is staged on the
 initiator's defQ, handed to GASNet as an AM (actQ), and lands in the
 *target's* compQ where it waits for the target's **user-level progress**
 to execute.  A returning RPC sends its value back the same way, fulfilling
-the initiator's future during the initiator's user progress.
+the initiator's future during the initiator's user progress.  One pooled
+:class:`RpcOp` record is the request (or the reply) in every one of those
+states.
 
 Argument handling:
 
@@ -27,10 +29,14 @@ from __future__ import annotations
 
 from typing import Callable, Optional, Tuple
 
+from repro.gasnet.am import AMMessage
 from repro.upcxx import serialization
+from repro.upcxx.dist_object import DistObject
 from repro.upcxx.errors import UpcxxError
 from repro.upcxx.future import Future, Promise
-from repro.upcxx.runtime import CompQItem, Runtime, current_runtime, register_am
+from repro.upcxx.runtime import CompQItem, Runtime, current_runtime
+from repro.upcxx.serialization import DistObjectRef
+from repro.upcxx.view import View
 
 #: wire overhead of an RPC envelope beyond the packed arguments
 _ENVELOPE_BYTES = 48
@@ -61,43 +67,49 @@ class _UnresolvedDistObject(Exception):
         self.key = key
 
 
-#: late-bound DistObject class (import cycle: dist_object imports rpc)
-_DistObject = None
-
 #: argument types that never need translation or resolution: not a
 #: DistObject/DistObjectRef/_FnRef, not callable, and not a container that
-#: could hide one.  Arg tuples made only of these skip the recursive walk
-#: on both sides of the wire (the hot RPC shapes are flat scalar tuples).
+#: could hide one.  The hot RPC shapes are flat tuples of these, a
+#: dist_object and perhaps a View.
 _PASSTHROUGH_ARG_TYPES = frozenset(
-    {int, float, str, bytes, bytearray, memoryview, bool, type(None)}
+    {int, float, str, bytes, bytearray, memoryview, bool, type(None), View}
 )
+#: the shipped-callables table of an RPC that ships none
+_NO_FNS: tuple = ()
 
 
-def _translate_args_out(rt: Runtime, args: tuple) -> Tuple[tuple, list]:
-    """Initiator side: replace DistObject arguments by wire references.
-
-    Recurses through containers so dist_objects nested in lists/dicts
-    (e.g. forwarded argument packs) are translated too.
+def _translate_args_out(args: tuple) -> Tuple[tuple, list, int]:
+    """Initiator side, one pass: ``(wire args, shipped callables, View
+    bytes)``.  DistObjects become wire references and callables
+    :class:`_FnRef` placeholders; the View bytes move zero-copy, so the
+    target does not pay to deserialize them.  Exact types first; anything
+    else goes through the recursive walkers, so a dist_object or View
+    nested in a list or dict is found too.
     """
     passthrough = _PASSTHROUGH_ARG_TYPES
+    wire = []
+    fns = _NO_FNS
+    views = 0
     for a in args:
-        if type(a) not in passthrough:
-            break
-    else:
-        return args, []
-    global _DistObject
-    if _DistObject is None:
-        from repro.upcxx.dist_object import DistObject as _DistObject  # noqa: F811
-
-    fns: list = []
-    return tuple(_walk_out(a, fns) for a in args), fns
+        t = type(a)
+        if t is View:
+            views += a.nbytes
+        elif t is DistObject:
+            a = a.ref()
+        elif t not in passthrough:
+            if fns is _NO_FNS:
+                fns = []
+            views += serialization.copy_free_bytes(a)
+            a = _walk_out(a, fns)
+        wire.append(a)
+    return tuple(wire), fns, views
 
 
 # The two walkers are module-level on purpose: a nested recursive ``walk``
 # is a closure over itself — a cycle per call that pins ``rt`` (and through
 # it the whole job) until a gc pass.
 def _walk_out(a, fns: list):
-    if isinstance(a, _DistObject):
+    if isinstance(a, DistObject):
         return a.ref()
     if callable(a) and not isinstance(a, type):
         fns.append(a)
@@ -111,27 +123,21 @@ def _walk_out(a, fns: list):
     return a
 
 
-def _resolve_args_in(rt: Runtime, args: tuple, fns: list) -> tuple:
-    """Target side: replace DistObjectRef tokens by local representatives
-    and _FnRef placeholders by the shipped callables.
+def _resolve_args_in(rt: Runtime, args: tuple, fns) -> list:
+    """Target side, one pass: DistObjectRef tokens become the local
+    representatives and _FnRef placeholders the shipped callables.
 
     Raises :class:`_UnresolvedDistObject` (deferring the RPC) if any named
     dist_object has not been constructed here yet.
     """
     passthrough = _PASSTHROUGH_ARG_TYPES
-    for a in args:
-        if type(a) not in passthrough:
-            break
-    else:
-        return args
-
-    return tuple(_walk_in(a, rt, fns) for a in args)
+    return [a if type(a) in passthrough else _walk_in(a, rt, fns) for a in args]
 
 
 def _walk_in(a, rt: Runtime, fns: list):
     if isinstance(a, _FnRef):
         return fns[a.index]
-    if isinstance(a, serialization.DistObjectRef):
+    if isinstance(a, DistObjectRef):
         key = (a.team_uid, a.index)
         obj = rt.dist_objects.get(key)
         if obj is None:
@@ -146,34 +152,99 @@ def _walk_in(a, rt: Runtime, fns: list):
     return a
 
 
-def _inject_am(
-    rt: Runtime,
-    target: int,
-    tag: str,
-    payload: dict,
-    nbytes: int,
-    sid: Optional[tuple] = None,
-    t_api: float = 0.0,
-    parent: Optional[tuple] = None,
-) -> None:
-    """Stage an AM on defQ and run internal progress (Fig. 2 left side).
+class RpcOp(AMMessage):
+    """One ``rpc``/``rpc_ff`` request or its reply, in one object.
 
-    ``sid``/``t_api`` open the op's ``inject_sw`` span (minted by the
-    caller *before* its injection charges); ``parent`` links a reply to
-    the request that spawned it.
+    The conduit's :class:`~repro.gasnet.am.AMMessage` carries the wire
+    half and this the runtime half, as :class:`~repro.upcxx.rma.RmaOp`
+    does for a put: the record is in turn the **defQ** entry
+    (:meth:`inject`), the **actQ** entry (``str()``), the callable of its
+    two conduit events, the inbox message and the **compQ** item
+    (``cost``, :meth:`fn`, the ``t_*`` stamps, ``sid``).
+
+    A request's ``payload`` is its packed arguments and ``body`` the
+    function; a reply's ``payload`` is the packed return values and its
+    ``body`` None.  ``token`` routes the reply (None: ``rpc_ff``).  ``rt``
+    sends the record and ``trt``, set by the drain that polls it, runs it.
+    A record is acquired by one rank and released by another, so its free
+    list is process-wide, like ``CompQItem``'s.
     """
 
-    def injector():
-        opid = rt.next_op_id()
-        rt.actQ[opid] = (tag, target, nbytes)
-        if sid is not None:
-            rt.spans.record(t_api, rt.now(), rt.rank, sid, "inject_sw", tag[6:], nbytes, parent)
-        handle = rt.conduit.am_send(rt.rank, target, tag, payload, nbytes=nbytes, span=sid)
-        handle.on_complete(lambda h: rt.actQ.pop(opid, None))
+    __slots__ = (
+        "rt", "trt", "kind", "body", "fns", "token", "parent", "opid",
+        "cost", "t_api", "t_enq", "t_active", "t_staged", "t_polled",
+    )
 
-    # metrics kind: the tag minus its "upcxx." namespace, so injection and
-    # execution of the same op family share one name ("rpc", "rpc_reply")
-    rt.enqueue_deferred(injector, kind=tag[6:], nbytes=nbytes)
+    #: free list of executed records (bounded; a burst's excess is garbage)
+    _pool: list = []
+    POOL_MAX = 256
+
+    def __init__(self) -> None:
+        """Empty: :func:`_ship` fills in every field."""
+
+    def inject(self) -> None:
+        """defQ -> actQ (internal progress): hand the message to the conduit."""
+        rt = self.rt
+        self.opid = opid = rt.next_op_id()
+        rt.actQ[opid] = self
+        self.t_active = now = rt.sched.now()
+        sid = self.sid
+        if sid is not None:
+            # API call + injection charge + defQ dwell, up to NIC handoff
+            rt.spans.record(
+                self.t_api, now, self.src, sid, "inject_sw", self.kind, self.nbytes, self.parent
+            )
+        rt.conduit.am(self, now)
+
+    def injected(self) -> None:
+        """Network context at the sender: the message left the NIC."""
+        self.rt.actQ.pop(self.opid, None)
+
+    def fn(self) -> None:
+        """The compQ body (the target's user progress)."""
+        body = self.body
+        if body is not None:
+            _execute_rpc_body(self.trt, body, self.fns, self.payload, self.token, self.src, self.sid)
+            return
+        promise = self.trt.reply_table.pop(self.token, None)
+        if promise is None:
+            raise UpcxxError(f"orphan rpc reply token {self.token}")
+        promise.fulfill_result(*serialization.unpack(self.payload))
+
+    def release(self) -> None:
+        """Executed: drop what the message referenced and rejoin the pool."""
+        self.rt = self.trt = self.conduit = self.body = self.fns = None
+        self.payload = self.token = None
+        pool = self._pool
+        if len(pool) < self.POOL_MAX:
+            pool.append(self)
+
+    def __str__(self) -> str:
+        return str((self.tag, self.dst, self.nbytes))
+
+
+def _ship(rt, dst, tag, kind, payload, nbytes, cost, body, fns, token, sid, t_api, parent) -> None:
+    """Fill a record, stage it on defQ and run internal progress (Fig. 2
+    left side).  ``sid``/``t_api`` open its ``inject_sw`` span; ``parent``
+    links a reply to its request."""
+    pool = RpcOp._pool
+    op = pool.pop() if pool else RpcOp()
+    op.rt = rt
+    op.src = rt.rank
+    op.dst = dst
+    op.tag = tag
+    op.kind = kind
+    op.payload = payload
+    op.nbytes = nbytes
+    op.cost = cost
+    op.body = body
+    op.fns = fns
+    op.token = token
+    op.sid = sid
+    op.t_api = t_api
+    op.parent = parent
+    op.t_polled = None
+    rt.defer(op)
     rt.internal_progress()
 
 
@@ -189,9 +260,8 @@ def _request(target: int, fn: Callable, args: tuple, want_reply: bool) -> Option
     if rt.spans is not None:
         sid = rt.next_span_sid()
         t_api = rt.now()
-    wire_args, fns = _translate_args_out(rt, args)
+    wire_args, fns, view_bytes = _translate_args_out(args)
     raw = serialization.pack(wire_args)
-    view_bytes = serialization.copy_free_bytes(args)
     nraw = len(raw)
     rt.sched.charge(rt._c_rpc_inject)
     rt.charge_copy(nraw)
@@ -201,10 +271,11 @@ def _request(target: int, fn: Callable, args: tuple, want_reply: bool) -> Option
         promise = Promise(rt)
         token = rt.next_token()
         rt.reply_table[token] = promise
-    # envelope tuple: (fn, fns, raw, token, reply_to, copy_bytes)
-    payload = (fn, fns, raw, token, rt.rank, nraw - view_bytes)
-    _inject_am(rt, target, "upcxx.rpc", payload, nbytes=nraw + _ENVELOPE_BYTES,
-               sid=sid, t_api=t_api)
+    # every runtime of a job has the same cpu model, so the target's
+    # dispatch charge can be priced here
+    cost = rt._c_rpc_dispatch + rt.copy_time(nraw - view_bytes)
+    _ship(rt, target, "upcxx.rpc", "rpc", raw, nraw + _ENVELOPE_BYTES, cost,
+          fn, fns, token, sid, t_api, None)
     return promise
 
 
@@ -219,15 +290,19 @@ def rpc_ff(target: int, fn: Callable, *args) -> None:
 
 
 # --------------------------------------------------------------- dispatchers
-def _execute_rpc_body(rt: Runtime, payload: tuple, req_sid: Optional[tuple] = None) -> None:
+def _execute_rpc_body(rt: Runtime, fn, fns, raw: bytes, token, reply_to: int,
+                      req_sid: Optional[tuple]) -> None:
     """Run an incoming RPC (rank context, inside user progress)."""
-    fn, fns, raw, token, reply_to, _copy_bytes = payload
     args = serialization.unpack(raw)
     try:
         resolved = _resolve_args_in(rt, args, fns)
     except _UnresolvedDistObject as ex:
-        # Defer until the local representative is constructed.
-        item = CompQItem(0.0, lambda: _execute_rpc_body(rt, payload, req_sid), "rpc-deferred")
+        # Defer until the local representative is constructed.  The item
+        # keeps the fields, not the record: that is recycled once fn() returns.
+        item = CompQItem(
+            0.0, lambda: _execute_rpc_body(rt, fn, fns, raw, token, reply_to, req_sid),
+            "rpc-deferred",
+        )
         rt.dist_waiters.setdefault(ex.key, []).append(item)
         return
 
@@ -235,61 +310,23 @@ def _execute_rpc_body(rt: Runtime, payload: tuple, req_sid: Optional[tuple] = No
     result = fn(*resolved)
     if token is None:
         return
-
-    def send_reply(values: tuple) -> None:
-        reply_raw = serialization.pack(values)
-        # the reply is a child operation, causally linked to the request
-        rsid = None
-        t_api = 0.0
-        if rt.spans is not None:
-            rsid = rt.next_span_sid()
-            t_api = rt.now()
-        rt.sched.charge(rt._c_rpc_reply_inject)
-        rt.charge_copy(len(reply_raw))
-        _inject_am(
-            rt,
-            reply_to,
-            "upcxx.rpc_reply",
-            (token, reply_raw),
-            nbytes=len(reply_raw) + _ENVELOPE_BYTES,
-            sid=rsid,
-            t_api=t_api,
-            parent=req_sid,
-        )
-
     if isinstance(result, Future):
-        result._on_ready(lambda: send_reply(result._values))
-    elif result is None:
-        send_reply(())
+        result._on_ready(lambda: _reply(rt, reply_to, token, result._values, req_sid))
     else:
-        send_reply((result,))
+        _reply(rt, reply_to, token, () if result is None else (result,), req_sid)
 
 
-def _dispatch_rpc(rt: Runtime, msg) -> CompQItem:
-    """Build the compQ item for an arrived RPC request."""
-    payload = msg.payload
-    meta = msg.meta
-    req_sid = None if meta is None else meta.get("sid")
-    cost = rt._c_rpc_dispatch + rt.copy_time(payload[5])
-    return CompQItem.acquire(
-        cost, lambda: _execute_rpc_body(rt, payload, req_sid), "rpc", nbytes=msg.nbytes
-    )
-
-
-def _dispatch_rpc_reply(rt: Runtime, msg) -> CompQItem:
-    """Build the compQ item for an arrived RPC reply."""
-    token, raw = msg.payload
-
-    def run():
-        promise = rt.reply_table.pop(token, None)
-        if promise is None:
-            raise UpcxxError(f"orphan rpc reply token {token}")
-        values = serialization.unpack(raw)
-        promise.fulfill_result(*values)
-
-    cost = rt._c_completion + rt.copy_time(len(raw))
-    return CompQItem.acquire(cost, run, "rpc_reply", nbytes=msg.nbytes)
-
-
-register_am("upcxx.rpc", _dispatch_rpc)
-register_am("upcxx.rpc_reply", _dispatch_rpc_reply)
+def _reply(rt: Runtime, reply_to: int, token, values: tuple, req_sid: Optional[tuple]) -> None:
+    """Send an RPC's return values back to its initiator."""
+    raw = serialization.pack(values)
+    # the reply is a child operation, causally linked to the request
+    sid = None
+    t_api = 0.0
+    if rt.spans is not None:
+        sid = rt.next_span_sid()
+        t_api = rt.now()
+    nraw = len(raw)
+    rt.sched.charge(rt._c_rpc_reply_inject)
+    rt.charge_copy(nraw)
+    _ship(rt, reply_to, "upcxx.rpc_reply", "rpc_reply", raw, nraw + _ENVELOPE_BYTES,
+          rt._c_completion + rt.copy_time(nraw), None, None, token, sid, t_api, req_sid)

@@ -27,7 +27,6 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, List, Optional
 
-from repro.gasnet.am import AMMessage
 from repro.gasnet.conduit import Conduit
 from repro.gasnet.cpumodel import CpuModel
 from repro.gasnet.machine import Machine
@@ -56,8 +55,10 @@ class CompQItem:
     Items are single-use (built, executed once by user progress, dead), so
     ``progress()`` recycles them through a free list; hot creators go
     through :meth:`acquire`.  compQ holds anything with these attributes
-    and ``fn()``/``release()``: an ``rput``/``rget`` is staged as its own
-    operation record (:class:`repro.upcxx.rma.RmaOp`), not wrapped in one.
+    and ``fn()``/``release()``: an ``rput``/``rget`` and an RPC request or
+    reply are staged as their own operation records
+    (:class:`repro.upcxx.rma.RmaOp`, :class:`repro.upcxx.rpc.RpcOp`), not
+    wrapped in one.
     """
 
     __slots__ = ("cost", "fn", "kind", "nbytes", "t_active", "t_staged", "sid", "t_polled")
@@ -119,11 +120,12 @@ class CompQItem:
 
 
 class _Deferred:
-    """A defQ entry that wraps an injector closure (RPC, VIS, atomics).
+    """A defQ entry that wraps an injector closure (VIS, atomics).
 
     defQ entries are objects with ``kind``/``nbytes``/``t_enq`` tags and an
-    ``inject()`` body; ``rput``/``rget`` queue their operation record
-    itself (:class:`repro.upcxx.rma.RmaOp`)."""
+    ``inject()`` body; ``rput``/``rget`` and RPCs queue their operation
+    record itself (:class:`repro.upcxx.rma.RmaOp`,
+    :class:`repro.upcxx.rpc.RpcOp`)."""
 
     __slots__ = ("inject", "kind", "nbytes", "t_enq")
 
@@ -518,45 +520,32 @@ class Runtime:
         while staged:
             compQ.append(staged.popleft())
         # merged inbox drain: head check and pop read the deque directly
-        # (arrival times are nondecreasing, exactly what has_due/poll use)
+        # (arrival times are nondecreasing, exactly what has_due/poll use).
+        # Every UPC++ AM is an rpc request or reply record (repro.upcxx.rpc):
+        # the polled message *is* the compQ item, run by this runtime.
         inbox = self._inbox
         queue = inbox._queue
         if queue:
             now = sched.now()
             trace = self._trace
             sp = self.spans
-            dispatch = _AM_DISPATCH
             while queue and queue[0].arrival <= now:
                 inbox.n_polled += 1
                 msg = queue.popleft()
-                handler = dispatch.get(msg.tag)
-                if handler is None:
-                    raise NotInSpmdError(f"no dispatcher for AM tag {msg.tag!r}")
+                msg.trt = self
+                msg.t_staged = arrival = msg.arrival
                 if m is not None:
-                    m.am_polled(msg.tag, now - msg.arrival)
+                    m.am_polled(msg.tag, now - arrival)
                 if tel is not None:
                     tel.am(now, msg.tag)
                 if trace.enabled:
                     trace.record(now, self.rank, "am", msg.tag)
-                item = handler(self, msg)
-                if item.t_staged is None:
-                    item.t_staged = msg.arrival
-                if item.t_active is None:
-                    meta = msg.meta
-                    if meta is not None:
-                        item.t_active = meta.get("t_injected")
-                if sp is not None:
-                    meta = msg.meta
-                    msid = None if meta is None else meta.get("sid")
-                    if msid is not None:
-                        # inbox dwell: wire arrival -> this poll; the compQ
-                        # span then starts here so the two phases tile
-                        item.sid = msid
-                        item.t_polled = now
-                        sp.record(msg.arrival, now, self.rank, msid, "inbox", item.kind, msg.nbytes)
-                compQ.append(item)
-                # the handler captured what it needed from the envelope
-                AMMessage.release(msg)
+                if sp is not None and msg.sid is not None:
+                    # inbox dwell: wire arrival -> this poll; the compQ
+                    # span then starts here so the two phases tile
+                    msg.t_polled = now
+                    sp.record(arrival, now, self.rank, msg.sid, "inbox", msg.kind, msg.nbytes)
+                compQ.append(msg)
         if m is not None:
             m.sample_queues(
                 sched.now(), len(defQ), len(self.actQ), len(compQ), len(staged)
@@ -671,15 +660,6 @@ class Runtime:
             team = Team(self, uid=0, members=list(range(self.world.n_ranks)))
             self.teams[0] = team
         return team
-
-
-#: AM tag -> (runtime, msg) -> CompQItem; populated by rpc/collectives
-_AM_DISPATCH: dict = {}
-
-
-def register_am(tag: str, builder: Callable) -> None:
-    """Register a compQ-item builder for an AM tag (module initialization)."""
-    _AM_DISPATCH[tag] = builder
 
 
 def current_runtime() -> Runtime:

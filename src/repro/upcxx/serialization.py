@@ -21,6 +21,7 @@ a row in each table and an entry in ``tests/test_wire_frames.py``'s corpus.
 
 from __future__ import annotations
 
+import ast
 import pickle
 import struct
 from dataclasses import dataclass
@@ -68,6 +69,35 @@ _B_NONE, _B_TRUE, _B_FALSE = bytes((_T_NONE,)), bytes((_T_TRUE,)), bytes((_T_FAL
 #: user-registered classes: cls -> (type id, to_wire); type id -> from_wire
 _CUSTOM_BY_CLS: dict = {}
 _CUSTOM_BY_ID: dict = {}
+
+#: dtype -> wire name and back: ``str(dtype)`` and ``np.dtype(name)`` cost
+#: microseconds.  Only dtypes without fields or subarray are kept: those
+#: print alike when equal (an aligned struct equals its explicit-offset twin
+#: but prints differently), so no wire byte moves, and a decoded one is not
+#: shared mutable state (a struct's ``names`` can be reassigned).
+_DTYPE_NAME: dict = {}
+_NAME_DTYPE: dict = {}
+
+
+def _dtype_name(dt: np.dtype) -> bytes:
+    name = _DTYPE_NAME.get(dt)
+    if name is None:
+        name = str(dt).encode()
+        if dt.names is None and dt.subdtype is None:
+            _DTYPE_NAME[dt] = name
+    return name
+
+
+def _dtype_of(name: bytes) -> np.dtype:
+    name = name if type(name) is bytes else bytes(name)  # a bytearray buffer's slice
+    dt = _NAME_DTYPE.get(name)
+    if dt is None:
+        text = name.decode()
+        # a struct or subarray prints as the literal that builds it
+        dt = np.dtype(ast.literal_eval(text) if text[:1] in ("[", "{", "(") else text)
+        if dt.names is None and dt.subdtype is None:
+            _NAME_DTYPE[name] = dt
+    return dt
 
 
 @dataclass(frozen=True)
@@ -119,7 +149,7 @@ def _enc_dict(append, obj) -> None:
 
 
 def _enc_array(append, tag: int, arr: np.ndarray, dims: tuple) -> None:
-    _put_blob(append, tag, str(arr.dtype).encode())
+    _put_blob(append, tag, _dtype_name(arr.dtype))
     raw = arr.tobytes()  # C order, whatever the strides
     append(struct.pack(f"<{len(dims) + 1}I", *dims, len(raw)))
     append(raw)
@@ -127,7 +157,7 @@ def _enc_array(append, tag: int, arr: np.ndarray, dims: tuple) -> None:
 
 def _enc_gptr(append, obj) -> None:
     append(_TAG_2I64.pack(_T_GPTR, obj.rank, obj.offset))
-    dt = str(obj.dtype).encode()
+    dt = _dtype_name(obj.dtype)
     append(_U32.pack(len(dt)))
     append(dt)
     append(_I64_U8.pack(obj.count, obj.kind != "host"))
@@ -247,7 +277,7 @@ def _dec_ndarray(buf, pos, emit):
     ndim = _U32.unpack_from(buf, pos)[0]
     shape = struct.unpack_from(f"<{ndim}I", buf, pos + 4)
     raw, pos = _take(buf, pos + 4 + 4 * ndim)
-    emit(np.frombuffer(raw, np.dtype(dt.decode())).reshape(shape).copy())
+    emit(np.frombuffer(raw, _dtype_of(dt)).reshape(shape).copy())
     return pos
 
 
@@ -255,14 +285,14 @@ def _dec_gptr(buf, pos, emit):
     rank, offset = _2I64.unpack_from(buf, pos)
     dt, pos = _take(buf, pos + 16)
     count, kind = _I64_U8.unpack_from(buf, pos)
-    emit(GlobalPtr(rank, offset, np.dtype(dt.decode()), count, "device" if kind else "host"))
+    emit(GlobalPtr(rank, offset, _dtype_of(dt), count, "device" if kind else "host"))
     return pos + 9
 
 
 def _dec_view(buf, pos, emit):
     dt, pos = _take(buf, pos)
     raw, pos = _take(memoryview(buf), pos)  # zero-copy: the view aliases the incoming buffer
-    emit(View(np.frombuffer(raw, np.dtype(dt.decode()))))
+    emit(View(np.frombuffer(raw, _dtype_of(dt))))
     return pos
 
 

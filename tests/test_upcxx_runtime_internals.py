@@ -311,19 +311,27 @@ class TestTeardown:
         """No put/get record outlives the job (each runtime's free list went
         with it; records still in flight sat on queues the teardown empties),
         and what is parked on the process-wide free lists holds no runtime,
-        promise, segment, payload or closure."""
-        from repro.gasnet.am import AMMessage
+        promise, segment, conduit, scheduler, payload or closure (every
+        slot of the record's whole class hierarchy is read)."""
+        from repro.gasnet.conduit import Conduit
         from repro.gasnet.handle import Transfer
         from repro.gasnet.segment import Segment
+        from repro.sim.coop import Scheduler
+        from repro.upcxx.rpc import RpcOp
         from repro.upcxx.runtime import CompQItem, Runtime
 
         assert not [o for o in gc.get_objects() if isinstance(o, Transfer)]
-        job_owned = (Runtime, upcxx.Promise, upcxx.Future, Segment, bytes, bytearray, memoryview)
-        for pool in (CompQItem._pool, AMMessage._pool):
+        job_owned = (
+            Runtime, Conduit, Scheduler, upcxx.Promise, upcxx.Future, Segment,
+            bytes, bytearray, memoryview,
+        )
+        assert RpcOp._pool, "the job parked no rpc record"
+        for pool in (CompQItem._pool, RpcOp._pool):
             for item in pool:
-                for slot in type(item).__slots__:
-                    value = getattr(item, slot)
-                    assert not isinstance(value, job_owned) and not callable(value), (item, slot)
+                for cls in type(item).__mro__:
+                    for slot in cls.__dict__.get("__slots__", ()):
+                        value = getattr(item, slot, None)
+                        assert not isinstance(value, job_owned) and not callable(value), (item, slot)
 
     @staticmethod
     def _job(refs, after=lambda: None):

@@ -1,5 +1,7 @@
 """Property and unit tests for the wire serialization format."""
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
@@ -60,6 +62,46 @@ class TestNumpy:
     def test_noncontiguous_array(self):
         a = np.arange(20.0).reshape(4, 5)[:, ::2]
         assert np.array_equal(ser.unpack(ser.pack(a)), a)
+
+
+class TestDtypeNames:
+    """The codec memoizes dtype <-> wire name; the memo must not move a byte."""
+
+    @staticmethod
+    def _frames(dt):
+        """The three frames that carry a dtype name: GlobalPtr, ndarray, View."""
+        return [
+            ser.pack(GlobalPtr(1, 64, dt, 4)),
+            ser.pack(np.zeros(2, dtype=dt)),
+            ser.pack(make_view(np.zeros(2, dtype=dt))),
+        ]
+
+    @pytest.mark.skipif(sys.byteorder != "little", reason="'<i8' is the native int64 here")
+    def test_equal_dtypes_spelled_differently_ship_identical_frames(self):
+        spellings = [np.dtype(s) for s in ("<i8", "int64", "=i8")]
+        assert spellings[0] == spellings[1] == spellings[2]
+        frames = [self._frames(dt) for dt in spellings]
+        assert frames[0] == frames[1] == frames[2]
+        assert all(b"int64" in f for f in frames[0])
+
+    def test_struct_twins_each_ship_their_own_name(self):
+        fields = [("a", "<i4"), ("b", "<f8")]
+        packed, aligned = np.dtype(fields), np.dtype(fields, align=True)
+        assert packed != aligned and str(packed) != str(aligned)
+        # the aligned struct's explicit-offset twin is *equal* to it, yet
+        # prints differently: a memo keyed by dtype would send one name for both
+        twin = np.dtype({"names": ["a", "b"], "formats": ["<i4", "<f8"],
+                         "offsets": [0, 8], "itemsize": 16})
+        assert twin == aligned and str(twin) != str(aligned)
+        for dt in (packed, aligned, twin) * 2:  # the second round meets any memo
+            name = str(dt).encode()
+            blob = len(name).to_bytes(4, "little") + name
+            gptr, arr, view = self._frames(dt)
+            for frame in (gptr, arr, view):
+                assert blob in frame
+            assert ser.unpack(gptr).dtype == dt
+            assert ser.unpack(arr).dtype == dt
+            assert ser.unpack(view).dtype == dt
 
 
 class TestSpecialTypes:

@@ -188,24 +188,45 @@ class TestDistObject:
         upcxx.run_spmd(body, 3)
 
     def test_rpc_before_construction_is_deferred(self):
-        """UPC++ defers RPCs that name a dist_object not yet constructed."""
+        """UPC++ defers RPCs that name a dist_object not yet constructed.
+
+        The target polls the call before it constructs the object, so the
+        call is parked; then more round trips than the rpc record free list
+        holds run through the target, recycling the record the call
+        arrived in.  The parked call still runs once, with its own
+        arguments, and fulfils its own future."""
+        from repro.upcxx.rpc import RpcOp
+
+        trips = 300
+        assert trips > RpcOp.POOL_MAX
+
+        def note(d, tag, n):
+            d.value.append((tag, n))
+            return tag, n, len(d.value)
 
         def body():
-            me = upcxx.rank_me()
-            if me == 0:
-                dobj = upcxx.DistObject("early")
-                # rank 1 constructs its representative 100us later
-                got = upcxx.rpc(1, lambda d: d.value, dobj).wait()
-                assert got == "late"
-            else:
-                upcxx.runtime_here().sched.sleep(100e-6)
-                upcxx.DistObject("late")
-                # stay attentive so deferred RPC can complete
+            rt = upcxx.runtime_here()
+            if upcxx.rank_me() == 0:
+                dobj = upcxx.DistObject(["early"])
+                parked = upcxx.rpc(1, note, dobj, "parked", 7)
+                for i in range(trips):
+                    assert upcxx.rpc(1, lambda x: x + 1, i).wait() == i + 1
+                got = parked.wait()
                 upcxx.barrier()
-                return
+                return got
+            while not rt.dist_waiters:
+                upcxx.progress()
+            parked = [len(calls) for calls in rt.dist_waiters.values()]
+            rt.wait_quiet(lambda: rt.n_rpcs_executed >= trips)
+            dobj = upcxx.DistObject([])
+            # stay attentive so the deferred RPC can complete
             upcxx.barrier()
+            return parked, dobj.value
 
-        upcxx.run_spmd(body, 2)
+        got, (parked, calls) = upcxx.run_spmd(body, 2)
+        assert parked == [1]
+        assert calls == [("parked", 7)]
+        assert got == ("parked", 7, 1)
 
     def test_creation_order_gives_matching_ids(self):
         def body():

@@ -203,6 +203,59 @@ def test_rput_in_flight_is_one_record(size):
         assert after_drain <= RmaOp.POOL_MAX + 16, after_drain
 
 
+#: rpc round trips, and as many rpc_ff, counted after the warm-up
+RPC_MESSAGES = 500
+
+
+def test_rpc_messages_build_no_helper_objects(monkeypatch):
+    """An rpc request, its reply and an rpc_ff are each one pooled record:
+    after a warm-up, N round trips plus N fire-and-forget calls construct
+    no ``Handle``, ``CompQItem`` or defQ wrapper, and the fresh records stay
+    within the free-list bound.  Only the rpc path runs while counting: the
+    target waits in ``wait_quiet``, which allocates none of these."""
+    from repro.gasnet.handle import Handle
+    from repro.upcxx.rpc import RpcOp
+    from repro.upcxx.runtime import _Deferred
+
+    counting = [False]
+    counts = {}
+    for cls in (Handle, CompQItem, _Deferred, RpcOp):
+        counts[cls.__name__] = 0
+
+        def counted(self, *a, _orig=cls.__init__, _name=cls.__name__, **k):
+            if counting[0]:
+                counts[_name] += 1
+            _orig(self, *a, **k)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+
+    def traffic(n):
+        for i in range(n):
+            assert upcxx.rpc(1, lambda x: x + 1, i).wait() == i + 1
+        for i in range(n):
+            upcxx.rpc_ff(1, lambda x: None, i)
+        upcxx.rpc(1, lambda: None).wait()  # the target has run every rpc_ff
+
+    def body():
+        rt = upcxx.runtime_here()
+        warm = 50
+        if upcxx.rank_me() == 0:
+            traffic(warm)
+            counting[0] = True
+            traffic(RPC_MESSAGES)
+            counting[0] = False
+        else:
+            # each traffic(n): n round trips, n rpc_ff, one closing round trip
+            total = (2 * warm + 1) + (2 * RPC_MESSAGES + 1)
+            rt.wait_quiet(lambda: rt.n_rpcs_executed >= total)
+        upcxx.barrier()
+
+    upcxx.run_spmd(body, 2, ppn=1)
+    fresh = counts.pop("RpcOp")
+    assert counts == {"Handle": 0, "CompQItem": 0, "_Deferred": 0}, counts
+    assert fresh <= RpcOp.POOL_MAX, f"{fresh} fresh rpc records"
+
+
 # ------------------------------------------------------- telemetry zero-cost
 def _run_telemetry_counted(monkeypatch, **spmd_kwargs):
     """Run the DHT body counting telemetry samples and ring appends."""
