@@ -447,6 +447,133 @@ def fault_report(spec) -> Run:
     return _spmd(body, ranks, ppn=ppn, faults=spec)
 
 
+# ---- the rest of the paper's op surface: VIS, atomics, remote_cx, copy;
+# each runs fault-free and under API_CHAOS_SPEC
+API_CHAOS_SPEC = "seed=3,drop=0.2,dup=0.1,jitter=1e-6"
+
+
+def _first(p, count):
+    """``p`` narrowed to its first ``count`` elements."""
+    return upcxx.GlobalPtr(p.rank, p.offset, p.dtype, count, p.kind)
+
+
+def vis_body():
+    """Irregular and strided puts and gets, future and promise completion."""
+    me, n = upcxx.rank_me(), upcxx.rank_n()
+    g = upcxx.new_array(np.float64, 64)
+    g.local()[:] = np.arange(64.0) + 100 * me
+    ptrs = [upcxx.broadcast(g, root=r).wait() for r in range(n)]
+    upcxx.barrier()
+    dst, far = ptrs[(me + 1) % n], ptrs[(me + 2) % n]
+    upcxx.rput_irregular([(dst, np.full(3, me + 0.5)), (dst + 40, np.full(5, me + 1.5))]).wait()
+    p = upcxx.Promise()
+    as_p = upcxx.operation_cx.as_promise(p)
+    upcxx.rput_strided(np.full((4, 3), me + 2.0), dst + 8, 10, cx=as_p)
+    upcxx.rget_irregular([_first(far + 45, 3), _first(far + 58, 6)], cx=as_p)
+    p.finalize().wait()
+    upcxx.barrier()
+    frags = upcxx.rget_irregular([_first(dst, 4), _first(dst + 40, 6)]).wait()
+    block = upcxx.rget_strided(dst + 8, 4, 3, 10).wait()
+    upcxx.barrier()
+    return ([f.tolist() for f in frags], block.tolist(), g.local().tolist(), upcxx.sim_now())
+
+
+ATOMIC_OPS = ("load", "store", "add", "fetch_add", "min", "max",
+              "bit_and", "bit_or", "bit_xor", "compare_exchange")
+
+
+def atomics_body():
+    """All ten atomic-domain ops: blocking on futures against the next
+    rank's cells and rank 0's contended counter, then promise-tracked."""
+    me, n = upcxx.rank_me(), upcxx.rank_n()
+    ad = upcxx.AtomicDomain(ATOMIC_OPS, np.int64)
+    g = upcxx.new_array(np.int64, 4)
+    g.local()[:] = me
+    ptrs = [upcxx.broadcast(g, root=r).wait() for r in range(n)]
+    upcxx.barrier()
+    c, shared = ptrs[(me + 1) % n], ptrs[0]
+    out = [ad.fetch_add(shared, me + 1).wait()]
+    ad.store(c[1], 40 + me).wait()
+    ad.add(c[1], 2).wait()
+    out.append(ad.load(c[1]).wait())
+    out.append(ad.compare_exchange(c[1], 42 + me, 7).wait())
+    p = upcxx.Promise()
+    as_p = upcxx.operation_cx.as_promise(p)
+    ad.min(c[2], -me, cx=as_p)
+    ad.max(c[3], 100 + me, cx=as_p)
+    ad.bit_or(shared[1], 1 << me, cx=as_p)
+    ad.fetch_add(shared[2], 1, cx=as_p)
+    p.finalize().wait()
+    upcxx.when_all(ad.bit_and(c[2], ~1), ad.bit_xor(c[3], 0xFF)).wait()
+    upcxx.barrier()
+    return (out, g.local().tolist(), upcxx.sim_now())
+
+
+def remote_cx_mix(faults=None) -> Run:
+    """``rput_then_rpc`` and a future-plus-remote completion: the bytes
+    land, then the callback runs on the target with no initiator round
+    trip.  Each target records what its callbacks saw and returns it."""
+    landed: dict = {}
+    cells: dict = {}
+
+    def note(src, i):  # runs on the target, in its user progress
+        me = upcxx.rank_me()
+        landed[me].append((src, i, float(cells[me].local().sum()), upcxx.sim_now()))
+
+    def body():
+        me, n = upcxx.rank_me(), upcxx.rank_n()
+        g = cells[me] = upcxx.new_array(np.float64, 8)
+        landed[me] = []
+        ptrs = [upcxx.broadcast(g, root=r).wait() for r in range(n)]
+        upcxx.barrier()
+        dst = ptrs[(me + 1) % n]
+        for i in range(3):
+            upcxx.rput_then_rpc(np.full(8, me + i / 4), dst, note, me, i)
+        cx = upcxx.operation_cx.as_future().with_remote_rpc(note, me, 3)
+        upcxx.rput(np.full(8, -1.0 - me), dst, cx=cx).wait()
+        rt = upcxx.runtime_here()
+        rt.wait_quiet(lambda: len(landed[me]) == 4)
+        upcxx.barrier()
+        return (landed[me], upcxx.sim_now())
+
+    return _api_program(body, faults)
+
+
+def copy_body():
+    """``copy`` over every endpoint kind: a host array, host and device
+    pointers, local and remote, future and promise completion."""
+    me, n = upcxx.rank_me(), upcxx.rank_n()
+    peer = (me + 1) % n
+    dev = upcxx.Device(segment_size=1 << 16)
+    d = dev.allocate(np.float64, 16)
+    h = upcxx.new_array(np.float64, 16)
+    h.local()[:] = me
+    ds = [upcxx.broadcast(d, root=r).wait() for r in range(n)]
+    hs = [upcxx.broadcast(h, root=r).wait() for r in range(n)]
+    upcxx.barrier()
+    upcxx.copy(np.arange(16.0) + me, d).wait()  # host array -> local device
+    upcxx.barrier()
+    upcxx.copy(d, hs[peer], count=4).wait()  # local device -> remote host
+    upcxx.copy(h + 4, ds[peer] + 8, count=4).wait()  # local host -> remote device
+    upcxx.barrier()
+    p = upcxx.Promise()
+    as_p = upcxx.operation_cx.as_promise(p)
+    upcxx.copy(ds[peer] + 8, h + 8, count=4, cx=as_p)  # remote device -> local host
+    upcxx.copy(np.full(2, -1.0 - me), hs[peer] + 12, cx=as_p)  # host array -> remote host
+    upcxx.copy(hs[peer] + 14, d + 4, count=2, cx=as_p)  # remote host -> local device
+    upcxx.copy(h, h + 6, count=2, cx=as_p)  # local host -> local host
+    p.finalize().wait()
+    upcxx.barrier()
+    back = upcxx.new_array(np.float64, 16)
+    upcxx.copy(d, back).wait()  # local device -> local host
+    upcxx.barrier()
+    return (h.local().tolist(), back.local().tolist(), upcxx.sim_now())
+
+
+def _api_program(body, faults=None) -> Run:
+    return _spmd(body, 4, ppn=2, faults=faults)
+
+
 PROGRAMS: Dict[str, Callable[[], Run]] = {
     "fig3a_series": fig3a_series,
     "dht_totals": dht_totals,
@@ -480,6 +607,14 @@ for _spec in CRASH_SPECS:
     PROGRAMS[f"crash_verdict[{_spec}]"] = partial(crash_verdict, body=crash_body, spec=_spec)
 for _spec in REPLICATED_CRASH_SPECS:
     PROGRAMS[f"kv_replicated_crash[{_spec}]"] = partial(kv_replicated_crash, spec=_spec)
+for _name, _prog in (
+    ("vis_mix", partial(_api_program, vis_body)),
+    ("atomics_mix", partial(_api_program, atomics_body)),
+    ("remote_cx_mix", remote_cx_mix),
+    ("copy_kinds", partial(_api_program, copy_body)),
+):
+    PROGRAMS[_name] = _prog
+    PROGRAMS[f"{_name}[{API_CHAOS_SPEC}]"] = partial(_prog, faults=API_CHAOS_SPEC)
 
 
 def main(argv=None) -> int:

@@ -30,6 +30,13 @@ def test_program_reproduces_golden(program):
     assert len(golden.reproduces(program).trace) > 0
 
 
+@pytest.mark.parametrize("faults", [None, golden.API_CHAOS_SPEC], ids=["fault-free", "chaos"])
+@pytest.mark.parametrize("program", ["vis_mix", "atomics_mix", "remote_cx_mix", "copy_kinds"])
+def test_api_surface_program_reproduces_golden(program, faults):
+    name = program if faults is None else f"{program}[{faults}]"
+    assert len(golden.reproduces(name).trace) > 0
+
+
 def test_fig3a_series_reproduces_golden():
     series = golden.reproduces("fig3a_series").results[0][0]
     assert sorted(series) == [8, 64, 512, 4096, 65536] and min(series.values()) > 0
