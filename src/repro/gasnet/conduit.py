@@ -15,7 +15,8 @@ runtime consumes:
   completion (buffer reusable).
 - ``amo``      — remote atomic, NIC-offloaded: the update applies at the
   target segment at arrival time with **no target CPU involvement**,
-  mirroring Aries hardware atomics (paper §II).
+  mirroring Aries hardware atomics (paper §II); ``accumulate_nb`` is its
+  element-wise, MPI_Accumulate-class sibling.
 
 Timing: each endpoint's NIC serializes injections (``occupancy``); wire
 latency is added per the machine topology (intra-node transfers take the
@@ -31,7 +32,7 @@ from typing import Any, Callable, Optional
 import numpy as np
 
 from repro.gasnet.am import AMInbox, AMMessage
-from repro.gasnet.handle import GET_SERVICE, PUT_COMMIT, Handle, Transfer
+from repro.gasnet.handle import ATOMIC_APPLY, GET_SERVICE, PUT_COMMIT, Handle, Transfer
 from repro.gasnet.machine import Machine
 from repro.gasnet.network import NetworkModel, PATH_FMA
 from repro.gasnet.segment import Segment
@@ -101,18 +102,26 @@ class _Endpoint:
         self.kv_rereplicated = 0
 
 
-#: atomic ops supported by the simulated NIC (name -> (applies, returns_old))
+#: atomic ops supported by the simulated NIC: name -> the element's new
+#: value from (prior value, operands), None to leave it as it is
 _AMO_OPS = {
-    "add",
-    "fetch_add",
-    "put",
-    "get",
-    "cas",
-    "min",
-    "max",
-    "bit_and",
-    "bit_or",
-    "bit_xor",
+    "add": lambda old, x: old + x[0],
+    "fetch_add": lambda old, x: old + x[0],
+    "put": lambda old, x: x[0],
+    "get": lambda old, x: None,
+    "cas": lambda old, x: x[1] if old == x[0] else None,
+    "min": lambda old, x: min(old, x[0]),
+    "max": lambda old, x: max(old, x[0]),
+    "bit_and": lambda old, x: old & x[0],
+    "bit_or": lambda old, x: old | x[0],
+    "bit_xor": lambda old, x: old ^ x[0],
+}
+#: accumulate ops: name -> in-place element-wise update of (cells, values)
+_ACC_OPS = {
+    "+": lambda cells, v: np.add(cells, v, out=cells),
+    "max": lambda cells, v: np.maximum(cells, v, out=cells),
+    "min": lambda cells, v: np.minimum(cells, v, out=cells),
+    "replace": np.copyto,
 }
 
 
@@ -496,13 +505,14 @@ class Conduit:
         self.sched.post_at(req_at, x)
         return x
 
-    def _get_reply(self, src, dst, dst_off, nbytes, path, occ_scale, span, t_req):
+    def _get_reply(self, src, dst, dst_off, nbytes, path, occ_scale, span, t_req, seg=None):
         """Target half of a get, at request-commit time ``t_req`` (network
-        context, ``dst``'s process): the destination NIC reads memory and
-        streams the reply.  Returns ``(back, data)``: when the reply lands
-        at ``src`` (None if no attempt ever does) and the bytes read."""
+        context, ``dst``'s process): the destination NIC reads ``seg``
+        (default: ``dst``'s host segment) and streams the reply.  Returns
+        ``(back, data)``: when the reply lands at ``src`` (None if no
+        attempt ever does) and the bytes read."""
         dst_ep = self.endpoints[dst]
-        data = dst_ep.segment.read(dst_off, nbytes)
+        data = (dst_ep.segment if seg is None else seg).read(dst_off, nbytes)
         node = self._node
         same = node[src] == node[dst]
         lat = self._lat_shm if same else self._lat_net
@@ -566,7 +576,7 @@ class Conduit:
         sched.post_at(inj_done, x.injected)
         return x
 
-    # ------------------------------------------------------------- accumulate
+    # ---------------------------------------------------------------- atomics
     def accumulate_nb(
         self,
         src: int,
@@ -585,42 +595,16 @@ class Conduit:
         (modeling the NIC/async-agent path Cray MPICH uses for passive
         target accumulates).  The handle completes at ack time.
         """
-        if op not in ("+", "max", "min", "replace"):
+        if op not in _ACC_OPS:
             raise ValueError(f"unsupported accumulate op {op!r}")
         dt = np.dtype(dtype)
         arr = np.ascontiguousarray(np.asarray(data, dtype=dt))
-        nbytes = arr.nbytes
-        self.endpoints[src].n_amos += 1
-        handle = Handle(("acc", op, src, dst, nbytes))
-        _, arrival, ack_at = self._send(
-            src, dst, nbytes, path, self.sched.now(), occ_scale, span, "acc", nbytes
+        return self.atomic(
+            Transfer(self, src, "acc", dst, dst_off, arr.nbytes, (op, dt, arr),
+                     path, occ_scale, None, span),
+            self.sched.now(),
         )
-        if arrival is None:
-            return handle
-        seg = self.endpoints[dst].segment
 
-        def apply_and_ack():
-            self._acc_apply(seg, dst_off, dt, arr, op)
-            if ack_at is not None:
-                self.sched.post_at(ack_at, lambda: handle.complete(ack_at))
-
-        self.sched.post_at(arrival, apply_and_ack)
-        return handle
-
-    @staticmethod
-    def _acc_apply(seg: Segment, dst_off: int, dt, arr, op: str) -> None:
-        """Apply one accumulate update to a target segment in place."""
-        cells = seg.view(dst_off, dt, len(arr))
-        if op == "+":
-            cells += arr
-        elif op == "max":
-            np.maximum(cells, arr, out=cells)
-        elif op == "min":
-            np.minimum(cells, arr, out=cells)
-        else:  # replace
-            cells[:] = arr
-
-    # ------------------------------------------------------------------- AMO
     def amo(
         self,
         src: int,
@@ -641,50 +625,42 @@ class Conduit:
         if op not in _AMO_OPS:
             raise ValueError(f"unsupported atomic op {op!r}")
         dt = np.dtype(dtype)
-        self.endpoints[src].n_amos += 1
-        handle = Handle(("amo", op, src, dst))
-        # the NIC applies the atomic at arrival; the result rides one latency back
-        _, arrival, done = self._send(
-            src, dst, dt.itemsize + self.network.header_bytes, PATH_FMA, self.sched.now(),
-            1.0, span, "amo", dt.itemsize,
+        return self.atomic(
+            Transfer(self, src, "amo", dst, dst_off, dt.itemsize, (op, dt, operands),
+                     PATH_FMA, 1.0, None, span),
+            self.sched.now(),
         )
+
+    def atomic(self, x: Transfer, now: float) -> Transfer:
+        """Inject the atomic (``kind`` "amo": one element) or accumulate
+        ("acc": element-wise) ``x`` at rank clock ``now``: the target NIC
+        applies it at arrival (``ATOMIC_APPLY``) and the ack, carrying an
+        atomic's prior value, rides one latency back."""
+        src, dst, nbytes = x.src, x.dst, x.nbytes
+        self.endpoints[src].n_amos += 1
+        # an atomic's request carries a header beside its one element
+        wire = nbytes + self.network.header_bytes if x.kind == "amo" else nbytes
+        _, arrival, ack_at = self._send(src, dst, wire, x.path, now, x.occ_scale, x.sid, x.kind, nbytes)
         if arrival is None:
-            return handle
-        seg = self.endpoints[dst].segment
-
-        def apply():
-            old = self._amo_apply(seg, dst_off, dt, op, operands)
-            if done is not None:
-                self.sched.post_at(done, lambda: handle.complete(done, data=old))
-
-        self.sched.post_at(arrival, apply)
-        return handle
+            return x
+        x.phase = ATOMIC_APPLY
+        x.t_ack = ack_at
+        self.sched.post_at(arrival, x)
+        return x
 
     @staticmethod
-    def _amo_apply(seg: Segment, dst_off: int, dt, op: str, operands: tuple):
-        """Apply one atomic to a target segment; returns the prior value."""
+    def _atomic_apply(kind: str, seg: Segment, dst_off: int, payload: tuple):
+        """Apply one atomic or accumulate ``payload = (op, dtype, operands)``
+        to a target segment in place; returns an atomic's prior value."""
+        op, dt, operands = payload
+        if kind == "acc":
+            _ACC_OPS[op](seg.view(dst_off, dt, len(operands)), operands)
+            return None
         cell = seg.view(dst_off, dt, 1)
         old = cell[0].item()
-        if op in ("add", "fetch_add"):
-            cell[0] = old + operands[0]
-        elif op == "put":
-            cell[0] = operands[0]
-        elif op == "get":
-            pass
-        elif op == "cas":
-            expected, desired = operands
-            if old == expected:
-                cell[0] = desired
-        elif op == "min":
-            cell[0] = min(old, operands[0])
-        elif op == "max":
-            cell[0] = max(old, operands[0])
-        elif op == "bit_and":
-            cell[0] = old & operands[0]
-        elif op == "bit_or":
-            cell[0] = old | operands[0]
-        elif op == "bit_xor":
-            cell[0] = old ^ operands[0]
+        new = _AMO_OPS[op](old, operands)
+        if new is not None:
+            cell[0] = new
         return old
 
     # ------------------------------------------------------------------ misc

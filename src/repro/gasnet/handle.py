@@ -10,10 +10,10 @@ wake the owning rank if it is blocked in ``wait()``.
 Callbacks run with the scheduler lock held — they must be cheap,
 non-blocking, and must not execute user code.
 
-A :class:`Transfer` is the handle of a put or get and, at the same time,
-everything the conduit keeps about that operation while it is in flight:
-the one object is what the caller holds and what both of the
-operation's events call.
+A :class:`Transfer` is the handle of a put, get or remote atomic and, at
+the same time, everything the conduit keeps about that operation while it
+is in flight: the one object is what the caller holds and what both of
+the operation's events call.
 """
 
 from __future__ import annotations
@@ -69,11 +69,11 @@ class Handle:
 
 
 #: what a :class:`Transfer`'s next event does
-PUT_COMMIT, GET_SERVICE, COMPLETE = range(3)
+PUT_COMMIT, GET_SERVICE, COMPLETE, ATOMIC_APPLY = range(4)
 
 
 class Transfer(Handle):
-    """One put or get, from injection to completion.
+    """One put, get or remote atomic, from injection to completion.
 
     The conduit posts the record *itself* as the callable of the
     operation's two events, and ``phase`` says which one is due:
@@ -82,19 +82,23 @@ class Transfer(Handle):
       payload into the target segment, delivers a piggybacked
       ``remote_cx`` and posts the second (``COMPLETE`` at ``t_ack``) as
       its child; a get's first event (``GET_SERVICE``) has the target NIC
-      read memory and stream the reply, then posts the second the same way;
+      read memory and stream the reply, and an atomic's
+      (``ATOMIC_APPLY``) has it apply ``payload = (op, dtype, operands)``
+      and keep the prior value in ``data``; both then post the second the
+      same way;
     - ``COMPLETE`` calls :meth:`complete`.
 
     Two events per operation, the second the child of the first, is part
     of the simulator's contract: it fixes every causal stamp downstream.
     A client layer may subclass the record to carry its own per-operation
     state on the same object (``repro.upcxx.rma``); the fields here are
-    filled in by whoever creates it and read by ``Conduit.put``/``get``.
+    filled in by whoever creates it and read by ``Conduit.put``/``get``/
+    ``atomic``.
     """
 
     __slots__ = (
         "conduit", "kind", "src", "dst", "dst_off", "nbytes", "payload", "path",
-        "occ_scale", "remote_rpc", "sid", "phase", "t_commit", "t_ack",
+        "occ_scale", "remote_rpc", "sid", "seg", "phase", "t_commit", "t_ack",
     )
 
     def __init__(self, conduit, src, kind=None, dst=None, dst_off=None, nbytes=0,
@@ -117,6 +121,9 @@ class Transfer(Handle):
         self.remote_rpc = remote_rpc
         #: the client's span correlation id (None: not traced)
         self.sid = sid
+        #: the memory at ``dst`` a put writes or a get reads (None: its
+        #: host segment)
+        self.seg = None
 
     @property
     def op(self) -> tuple:
@@ -131,7 +138,10 @@ class Transfer(Handle):
             return
         conduit = self.conduit
         if phase == PUT_COMMIT:
-            conduit.endpoints[self.dst].segment.write(self.dst_off, self.payload)
+            seg = self.seg
+            if seg is None:
+                seg = conduit.endpoints[self.dst].segment
+            seg.write(self.dst_off, self.payload)
             self.payload = None
             rrpc = self.remote_rpc
             if rrpc is not None:
@@ -139,12 +149,17 @@ class Transfer(Handle):
                 conduit._remote_cx_deliver(
                     self.dst, fn, args, self.nbytes, t_active, self.t_commit, self.sid
                 )
-        else:
+        elif phase == GET_SERVICE:
             # the target NIC reads memory and streams the reply: no target
             # CPU is involved (true RDMA read)
             self.t_ack, self.data = conduit._get_reply(
                 self.src, self.dst, self.dst_off, self.nbytes, self.path,
-                self.occ_scale, self.sid, self.t_commit,
+                self.occ_scale, self.sid, self.t_commit, self.seg,
+            )
+        else:
+            # the target NIC applies the atomic, with no target CPU either
+            self.data = conduit._atomic_apply(
+                self.kind, conduit.endpoints[self.dst].segment, self.dst_off, self.payload
             )
         # None: no ack or reply ever survives (the peer crashed); crash
         # detection, not this handle, unblocks the caller

@@ -10,7 +10,9 @@ improving latency and scalability").
 
 All operations are asynchronous and future-returning; fetching ops yield
 the value *before* the update (like ``fetch_add``), ``load`` yields the
-current value, ``compare_exchange`` yields the previous value.
+current value, ``compare_exchange`` yields the previous value.  Each is
+one :class:`AmoOp` record from the API call to fulfilment, as an ``rput``
+is one :class:`~repro.upcxx.rma.RmaOp`.
 """
 
 from __future__ import annotations
@@ -19,11 +21,12 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from repro.upcxx.completion import Completion, resolve
+from repro.upcxx.completion import Completion
 from repro.upcxx.errors import UpcxxError
 from repro.upcxx.future import Future
-from repro.upcxx.global_ptr import GlobalPtr, check_host_target
-from repro.upcxx.runtime import CompQItem, current_runtime
+from repro.upcxx.global_ptr import GlobalPtr
+from repro.upcxx.rma import RmaOp, _issue
+from repro.upcxx.runtime import current_runtime
 
 #: domain op name -> (conduit op, fetches?)
 _OP_TABLE = {
@@ -38,6 +41,23 @@ _OP_TABLE = {
     "bit_xor": ("bit_xor", False),
     "compare_exchange": ("cas", True),
 }
+
+
+class AmoOp(RmaOp):
+    """One remote atomic: an :class:`~repro.upcxx.rma.RmaOp` that
+    ``Conduit.atomic`` applies at the target NIC, leaving the prior value
+    in ``data``.  Not pooled: no workload is atomic-bound."""
+
+    __slots__ = ()
+    POOL_MAX = 0
+
+    def inject(self) -> None:
+        """defQ -> actQ (internal progress): hand the atomic to the conduit."""
+        self.conduit.atomic(self, self._activate())
+
+    def value(self):
+        """What a fetching op's future carries: the prior value."""
+        return self.data
 
 
 class AtomicDomain:
@@ -59,56 +79,13 @@ class AtomicDomain:
         if gptr.dtype != self.dtype:
             raise UpcxxError(f"atomic_domain dtype {self.dtype} != pointer dtype {gptr.dtype}")
         rt = self.rt
-        check_host_target(gptr, rt.world.n_ranks, f"atomic {op}")
         conduit_op, fetches = _OP_TABLE[op]
-        sp = rt.spans
-        sid = None
-        t_api = 0.0
-        if sp is not None:
-            sid = rt.next_span_sid()
-            t_api = rt.now()
-        rt.charge_sw(rt.costs.atomic_inject)
-        promise, fut = resolve(cx, rt)
-        anonymous = cx is not None and cx.kind == "promise"
-
-        def injector():
-            opid = rt.next_op_id()
-            rt.actQ[opid] = f"amo {op} -> {gptr.rank}"
-            t_active = rt.now()
-            if sp is not None:
-                sp.record(t_api, t_active, rt.rank, sid, "inject_sw", "amo", self.dtype.itemsize)
-            handle = rt.conduit.amo(
-                rt.rank, gptr.rank, gptr.offset, conduit_op, self.dtype, operands, span=sid
-            )
-
-            def on_done(h):
-                def fulfill():
-                    rt.actQ.pop(opid, None)
-                    if promise is None:
-                        return
-                    if anonymous:
-                        promise.fulfill_anonymous(1)
-                    elif fetches:
-                        promise.fulfill_result(h.data)
-                    else:
-                        promise.fulfill_result()
-
-                rt.gasnet_completed(
-                    CompQItem.acquire(
-                        rt._c_completion,
-                        fulfill,
-                        "amo",
-                        self.dtype.itemsize,
-                        t_active,
-                        sid=sid,
-                    ),
-                    h.time_done,
-                )
-                rt.sched.wake(rt.rank, h.time_done)
-
-            handle.on_complete(on_done)
-
-        rt.enqueue_deferred(injector, kind="amo", nbytes=self.dtype.itemsize)
+        x = AmoOp(rt)
+        fut = _issue(rt, x, "amo", gptr, self.dtype.itemsize, cx, rt._c_atomic_inject, f"atomic {op}")
+        x.payload = (conduit_op, self.dtype, operands)
+        # a non-fetching op, or one a promise tracks, completes without a value
+        x.dtype = self.dtype if fetches and (cx is None or cx.kind != "promise") else None
+        rt.defer(x)
         rt.internal_progress()
         return fut
 

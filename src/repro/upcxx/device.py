@@ -16,8 +16,10 @@ This module implements that extension the way UPC++ later shipped it
   and adds latency — so the simulated cost structure matches a
   GPUDirect-less interconnect.
 
-Like every UPC++ operation, ``copy`` is asynchronous and completes through
-the usual completion objects.
+Like every UPC++ operation, ``copy`` is asynchronous, moves through defQ,
+actQ and compQ as one record (:class:`CopyOp`) and completes through the
+usual completion objects.  Its wire legs are the conduit's put and get,
+so they go through the reliable-delivery layer under a fault plan.
 """
 
 from __future__ import annotations
@@ -26,12 +28,14 @@ from typing import Optional, Union
 
 import numpy as np
 
+from repro.gasnet.handle import ATOMIC_APPLY, PUT_COMMIT, Transfer
+from repro.gasnet.network import PATH_BTE, PATH_FMA
 from repro.upcxx.completion import Completion, resolve
 from repro.upcxx.errors import GlobalPtrError, UpcxxError
 from repro.upcxx.future import Future
 from repro.upcxx.global_ptr import GlobalPtr, check_rank
-from repro.upcxx.runtime import CompQItem, current_runtime
-from repro.gasnet.network import PATH_BTE, PATH_FMA
+from repro.upcxx.rma import RmaOp
+from repro.upcxx.runtime import current_runtime
 
 #: default device segment size
 _DEFAULT_DEVICE_SEGMENT = 64 * 1024 * 1024
@@ -85,6 +89,83 @@ def _common_bytes(src, dst: GlobalPtr, count: Optional[int]):
     return n * dst.itemsize, n
 
 
+#: a :class:`CopyOp` phase after ATOMIC_APPLY: a put leg's frame bound for
+#: device memory is at the target's host side and crosses its PCIe link
+#: before ``PUT_COMMIT`` lands it
+PCIE_IN = ATOMIC_APPLY + 1
+
+
+class CopyOp(RmaOp):
+    """One ``copy``, from the API call to fulfilment: an
+    :class:`~repro.upcxx.rma.RmaOp` whose wire legs are the conduit's own
+    ``get`` (a remote ``source``) and ``put`` (a remote ``target``).  Device
+    memory adds a PCIe staging hop on its owner's link where it is touched:
+    at the source once its bytes are in hand (after a get leg's reply
+    lands), at the target before they land.  A local target is written by
+    the record's own ``PUT_COMMIT`` event.  Not pooled."""
+
+    __slots__ = ("source", "target")
+    POOL_MAX = 0
+
+    def inject(self) -> None:
+        """defQ -> actQ (internal progress): start the get leg, or go
+        straight on with the bytes read at the API call."""
+        now = self._activate()
+        if self.payload is not None:
+            self._send_on(self.payload, now)
+            return
+        src = self.source
+        conduit = self.conduit
+        self.dst, self.dst_off = src.rank, src.offset
+        self.seg = conduit.segment_of(src.rank, src.kind)
+        conduit.get(self, now)
+
+    def complete(self, time: float, data=None) -> None:
+        """Network context at the initiator: the get leg's reply has landed
+        (on to the target), or the copy is done (stage it)."""
+        got = self.data
+        if got is None:
+            RmaOp.complete(self, time)
+            return
+        self.data = None
+        self._send_on(got, time)
+
+    def _send_on(self, data: bytes, t: float) -> None:
+        """The source's bytes are in hand at ``t``: take them to the target."""
+        conduit = self.conduit
+        src, dst = self.source, self.target
+        if src is not None and src.kind == "device":
+            t = conduit.pcie_transfer(src.rank, self.nbytes, t)
+        self.dst, self.dst_off, self.payload = dst.rank, dst.offset, data
+        self.seg = conduit.segment_of(dst.rank, dst.kind)
+        if dst.rank != self.src:
+            conduit.put(self, t)
+            if dst.kind == "device":
+                # the commit event ``put`` posted reserves the PCIe link first
+                self.phase = PCIE_IN
+            return
+        if dst.kind == "device":
+            t = conduit.pcie_transfer(dst.rank, self.nbytes, t)
+        self.phase = PUT_COMMIT
+        self.t_commit = self.t_ack = t
+        conduit.sched.post_at(t, self)
+
+    def __call__(self) -> None:
+        """The event body: :data:`PCIE_IN` here, every other phase that of
+        a :class:`~repro.gasnet.handle.Transfer`."""
+        if self.phase != PCIE_IN:
+            Transfer.__call__(self)
+            return
+        conduit = self.conduit
+        t = self.t_commit = conduit.pcie_transfer(self.dst, self.nbytes, self.t_commit)
+        if self.t_ack is not None:
+            # the ack leaves once the bytes have landed
+            lat = conduit.network.latency(conduit.machine.same_node(self.src, self.dst))
+            self.t_ack = max(self.t_ack, t + lat)
+        self.phase = PUT_COMMIT
+        conduit.sched.post_at(t, self)
+
+
 def copy(
     src: Union[GlobalPtr, np.ndarray],
     dst: GlobalPtr,
@@ -101,130 +182,30 @@ def copy(
     """
     rt = current_runtime()
     me = rt.rank
-    net = rt.world.network
     nbytes, n = _common_bytes(src, dst, count)
     for gptr in (src, dst):
         if isinstance(gptr, GlobalPtr):
             check_rank(gptr, rt.world.n_ranks, "copy")
     rt.charge_sw(rt.costs.rma_inject)
     src_is_local_host = (
-        not isinstance(src, GlobalPtr) or (src.rank == rt.rank and src.kind == "host")
+        not isinstance(src, GlobalPtr) or (src.rank == me and src.kind == "host")
     )
-    if src_is_local_host and dst.rank == rt.rank and dst.kind == "host":
+    if src_is_local_host and dst.rank == me and dst.kind == "host":
         rt.charge_copy(nbytes)  # plain local memcpy
-    promise, fut = resolve(cx, rt)
-    path = PATH_FMA if nbytes < rt.costs.bte_threshold else PATH_BTE
-
-    def finish_at(t: float):
-        """Complete the operation at simulated time t (network context)."""
-
-        def fulfill():
-            if promise is not None:
-                promise.fulfill_anonymous(1)
-
-        def cb():
-            rt.gasnet_completed(
-                CompQItem(rt.cpu.t(rt.costs.completion), fulfill, "copy", nbytes), t
-            )
-            rt.sched.wake(me, t)
-
-        rt.sched.post_at(t, cb)
-
-    def store_phase(data: bytes, t_ready: float):
-        """Write ``data`` into dst starting no earlier than ``t_ready``."""
-        seg = rt.conduit.segment_of(dst.rank, dst.kind)
-        if dst.rank == me:
-            if dst.kind == "device":
-                done = rt.conduit.pcie_transfer(me, nbytes, t_ready)
-                rt.sched.post_at(done, lambda: (seg.write(dst.offset, data), finish_at(done))[1])
-            else:
-                def commit():
-                    seg.write(dst.offset, data)
-                    finish_at(t_ready)
-
-                rt.sched.post_at(t_ready, commit)
-            return
-
-        # remote destination: wire put (from the initiator), then an extra
-        # PCIe hop at the target for device memory
-        rt.sched.post_at(t_ready, lambda: _raw_put(rt, me, dst, data, path, t_ready, finish_at))
-
-    # ---------------------------------------------------------- fetch phase
-    now = rt.sched.now()
-    if isinstance(src, np.ndarray) or not isinstance(src, GlobalPtr):
-        data = np.ascontiguousarray(src).tobytes()[:nbytes]
-        store_phase(data, now)
-        return fut
-
-    src_seg_kind = src.kind
-    if src.rank == me:
-        data = rt.conduit.segment_of(me, src_seg_kind).read(src.offset, nbytes)
-        if src_seg_kind == "device":
-            t_ready = rt.conduit.pcie_transfer(me, nbytes, now)
-        else:
-            t_ready = now
-        store_phase(data, t_ready)
-        return fut
-
-    # remote source: one-sided get, plus a PCIe hop at the source for
-    # device memory (staged through the source's host memory)
-    handle = _raw_get(rt, me, src, nbytes, path)
-
-    def on_got(h):
-        t = h.time_done
-        if src_seg_kind == "device":
-            t = rt.conduit.pcie_transfer(src.rank, nbytes, t)
-        store_phase(h.data, t)
-
-    handle.on_complete(on_got)
+    op = CopyOp(rt)
+    op.promise, fut = resolve(cx, rt)
+    op.kind = "copy"
+    op.nbytes = nbytes
+    op.path = PATH_FMA if nbytes < rt.costs.bte_threshold else PATH_BTE
+    op.dtype = None  # a copy completes without a value
+    op.target = dst
+    if not isinstance(src, GlobalPtr):
+        op.source = None
+        op.payload = np.ascontiguousarray(src).tobytes()[:nbytes]
+    else:
+        op.source = src
+        if src.rank == me:  # a local source is read at the call, like an array
+            op.payload = rt.conduit.segment_of(me, src.kind).read(src.offset, nbytes)
+    rt.defer(op)
+    rt.internal_progress()
     return fut
-
-
-def _raw_put(rt, me: int, dst: GlobalPtr, data: bytes, path: str, start: float, finish_at) -> None:
-    """Wire put into the destination's segment of the right kind.
-
-    Runs in network context: all times are explicit (no rank-clock reads).
-    """
-    conduit = rt.conduit
-    seg = conduit.segment_of(dst.rank, dst.kind)
-    nbytes = len(data)
-    # reuse the conduit's wire machinery but commit into the chosen segment
-    _, arrival = conduit._inject(me, dst.rank, nbytes, path, start)
-    same = conduit.machine.same_node(me, dst.rank)
-    ack_latency = conduit.network.latency(same)
-
-    def commit():
-        t_commit = arrival
-        if dst.kind == "device":
-            t_commit = conduit.pcie_transfer(dst.rank, nbytes, arrival)
-
-        def write_and_ack():
-            seg.write(dst.offset, data)
-            finish_at(t_commit + ack_latency)
-
-        rt.sched.post_at(t_commit, write_and_ack)
-
-    rt.sched.post_at(arrival, commit)
-
-
-def _raw_get(rt, me: int, src: GlobalPtr, nbytes: int, path: str):
-    """Wire get from the source's segment of the right kind."""
-    from repro.gasnet.handle import Handle
-
-    conduit = rt.conduit
-    seg = conduit.segment_of(src.rank, src.kind)
-    handle = Handle(f"copy-get {me}<-{src.rank} {nbytes}B")
-    _, req_arrival = conduit._inject(me, src.rank, conduit.network.header_bytes, PATH_FMA, rt.sched.now())
-    src_ep = conduit.endpoints[src.rank]
-    same = conduit.machine.same_node(me, src.rank)
-
-    def service():
-        data = seg.read(src.offset, nbytes)
-        begin = max(req_arrival, src_ep.nic_free_at)
-        occ = conduit.network.occupancy(nbytes, path, same)
-        src_ep.nic_free_at = begin + occ
-        back = begin + occ + conduit.network.latency(same)
-        rt.sched.post_at(back, lambda: handle.complete(back, data=data))
-
-    rt.sched.post_at(req_arrival, service)
-    return handle

@@ -281,7 +281,7 @@ class ReplicatedStore:
         dead = self.team.from_world(dead_world)
         if dead == self._my:
             return
-        item = CompQItem.acquire(
+        item = CompQItem(
             rt._c_rpc_dispatch,
             lambda: self._handle_death(dead, t_detect),
             "rank_death",

@@ -60,6 +60,11 @@ class RmaOp(Transfer):
     read every stamp they need (``t_api``, ``t_enq``, ``t_active``,
     ``t_staged``, ``sid``) from these fields.  Nobody outside the runtime
     ever holds the record, which is what makes recycling it safe.
+
+    An atomic, a VIS operation and a ``copy`` are subclasses
+    (``repro.upcxx.atomics``, ``vis``, ``device``) that replace
+    :meth:`inject`, and :meth:`value` where their future carries one; they
+    set ``POOL_MAX`` to 0, so they are not recycled.
     """
 
     __slots__ = (
@@ -78,8 +83,8 @@ class RmaOp(Transfer):
         #: an RMA completion never passes through the inbox
         self.t_polled = None
 
-    def inject(self) -> None:
-        """defQ -> actQ (internal progress): hand the operation to the conduit."""
+    def _activate(self) -> float:
+        """defQ -> actQ: enter actQ and close the ``inject_sw`` span; returns now."""
         rt = self.rt
         self.opid = rt.next_op_id()
         rt.actQ[self.opid] = self
@@ -88,6 +93,11 @@ class RmaOp(Transfer):
         if sid is not None:
             # API call + injection charge + defQ dwell, up to NIC handoff
             rt.spans.record(self.t_api, now, self.src, sid, "inject_sw", self.kind, self.nbytes)
+        return now
+
+    def inject(self) -> None:
+        """defQ -> actQ (internal progress): hand the operation to the conduit."""
+        now = self._activate()
         if self.kind == "rget":
             self.conduit.get(self, now)
             return
@@ -107,17 +117,21 @@ class RmaOp(Transfer):
         rt.sched.wake(self.src, time)
 
     def fn(self) -> None:
-        """The compQ body (user progress): fulfil the promise."""
+        """The compQ body (user progress): fulfil the promise, with
+        :meth:`value` unless ``dtype`` is None (no value to carry)."""
         self.rt.actQ.pop(self.opid, None)
         promise = self.promise
         if promise is None:
             return
-        dtype = self.dtype
-        if dtype is None:
+        if self.dtype is None:
             promise.fulfill_anonymous(1)
-            return
-        arr = np.frombuffer(self.data, dtype=dtype)
-        promise.fulfill_result(arr[0].item() if self.scalar else arr.copy())
+        else:
+            promise.fulfill_result(self.value())
+
+    def value(self):
+        """What an ``rget``'s future carries: the fetched elements."""
+        arr = np.frombuffer(self.data, dtype=self.dtype)
+        return arr[0].item() if self.scalar else arr.copy()
 
     def release(self) -> None:
         """Executed: drop what the operation referenced and rejoin the pool."""
@@ -131,22 +145,23 @@ class RmaOp(Transfer):
         return str((self.kind, self.nbytes, self.dst))
 
 
-def _issue(rt, op_kind: str, gptr: GlobalPtr, nbytes: int, cx: Optional[Completion]):
-    """The part of an injection call ``rput`` and ``rget`` share: open the
-    span, charge the software injection cost, resolve the completion and
-    fill in a record.  Returns ``(record, future)``; the caller adds what
-    is specific to it and calls ``rt.defer``."""
-    check_host_target(gptr, rt.world.n_ranks, op_kind)
+def _issue(rt, op, kind: str, gptr: GlobalPtr, nbytes: int, cx: Optional[Completion],
+           charge: float, what: Optional[str] = None):
+    """The part of an injection call ``rput``, ``rget`` and an atomic
+    share: check the pointer (``what`` names the operation in the error,
+    default ``kind``), open the span, charge the software injection cost
+    ``charge``, resolve the completion and fill in the record ``op``.
+    Returns the future; the caller adds what is specific to it and calls
+    ``rt.defer``."""
+    check_host_target(gptr, rt.world.n_ranks, what or kind)
     sid = None
     t_api = 0.0
     if rt.spans is not None:
         sid = rt.next_span_sid()
         t_api = rt.now()
-    rt.sched.charge(rt._c_rma_inject)
+    rt.sched.charge(charge)
     promise, fut = resolve(cx, rt)
-    pool = rt._op_pool
-    op = pool.pop() if pool else RmaOp(rt)
-    op.kind = op_kind
+    op.kind = kind
     op.dst = gptr.rank
     op.dst_off = gptr.offset
     op.nbytes = nbytes
@@ -154,7 +169,7 @@ def _issue(rt, op_kind: str, gptr: GlobalPtr, nbytes: int, cx: Optional[Completi
     op.promise = promise
     op.sid = sid
     op.t_api = t_api
-    return op, fut
+    return fut
 
 
 def rput(
@@ -173,7 +188,8 @@ def rput(
     nbytes = len(data)
     if nbytes > dest.nbytes:
         raise GlobalPtrError(f"rput of {nbytes}B exceeds destination span of {dest.nbytes}B")
-    op, fut = _issue(rt, "rput", dest, nbytes, cx)
+    op = rt._op_pool.pop() if rt._op_pool else RmaOp(rt)
+    fut = _issue(rt, op, "rput", dest, nbytes, cx, rt._c_rma_inject)
     rt.n_rputs += 1
     op.payload = data
     op.dtype = None  # a put completes without a value
@@ -200,7 +216,8 @@ def rget(
     # n == 0 is legal (a zero-length get completes as a no-op transfer)
     if n < 0 or n > src.count:
         raise GlobalPtrError(f"rget of {n} elements outside span of {src.count}")
-    op, fut = _issue(rt, "rget", src, n * src.itemsize, cx)
+    op = rt._op_pool.pop() if rt._op_pool else RmaOp(rt)
+    fut = _issue(rt, op, "rget", src, n * src.itemsize, cx, rt._c_rma_inject)
     rt.n_rgets += 1
     # a user-supplied promise may track many operations, so it is fulfilled
     # anonymously (no value); only the default as_future carries the data

@@ -52,19 +52,16 @@ class CompQItem:
     than at wire arrival, so the inbox and compQ phases tile instead of
     overlapping).
 
-    Items are single-use (built, executed once by user progress, dead), so
-    ``progress()`` recycles them through a free list; hot creators go
-    through :meth:`acquire`.  compQ holds anything with these attributes
-    and ``fn()``/``release()``: an ``rput``/``rget`` and an RPC request or
-    reply are staged as their own operation records
-    (:class:`repro.upcxx.rma.RmaOp`, :class:`repro.upcxx.rpc.RpcOp`), not
-    wrapped in one.
+    compQ holds anything with these attributes and ``fn()``/``release()``:
+    every RMA-class operation (``rput``/``rget``, an atomic, a VIS
+    operation, a ``copy``) and every RPC request or reply is staged as its
+    own operation record (:class:`repro.upcxx.rma.RmaOp` and its
+    subclasses, :class:`repro.upcxx.rpc.RpcOp`), not wrapped in one.  An
+    item is what is left: an LPC, a team wait, a deferred RPC, a
+    ``remote_cx`` body, a death handler.
     """
 
     __slots__ = ("cost", "fn", "kind", "nbytes", "t_active", "t_staged", "sid", "t_polled")
-
-    _pool: list = []
-    _POOL_MAX = 256
 
     def __init__(
         self,
@@ -85,55 +82,8 @@ class CompQItem:
         self.sid = sid
         self.t_polled: Optional[float] = None
 
-    @classmethod
-    def acquire(
-        cls,
-        cost: float,
-        fn: Callable[[], None],
-        kind: str = "op",
-        nbytes: int = 0,
-        t_active: Optional[float] = None,
-        t_staged: Optional[float] = None,
-        sid: Optional[tuple] = None,
-    ) -> "CompQItem":
-        """Pooled constructor: reuse an executed item when one is free."""
-        pool = cls._pool
-        if pool:
-            item = pool.pop()
-            item.cost = cost
-            item.fn = fn
-            item.kind = kind
-            item.nbytes = nbytes
-            item.t_active = t_active
-            item.t_staged = t_staged
-            item.sid = sid
-            item.t_polled = None
-            return item
-        return cls(cost, fn, kind, nbytes, t_active, t_staged, sid)
-
     def release(self) -> None:
-        """Return this executed item to the free list (caller owns it)."""
-        pool = self._pool
-        if len(pool) < self._POOL_MAX:
-            self.fn = None
-            pool.append(self)
-
-
-class _Deferred:
-    """A defQ entry that wraps an injector closure (VIS, atomics).
-
-    defQ entries are objects with ``kind``/``nbytes``/``t_enq`` tags and an
-    ``inject()`` body; ``rput``/``rget`` and RPCs queue their operation
-    record itself (:class:`repro.upcxx.rma.RmaOp`,
-    :class:`repro.upcxx.rpc.RpcOp`)."""
-
-    __slots__ = ("inject", "kind", "nbytes", "t_enq")
-
-    def __init__(self, inject: Callable[[], None], kind: str, nbytes: int, t_enq: float):
-        self.inject = inject
-        self.kind = kind
-        self.nbytes = nbytes
-        self.t_enq = t_enq
+        """Executed: an item is not recycled (records are, by their owners)."""
 
 
 class World:
@@ -215,7 +165,7 @@ class World:
         span correlation id through to the target-side execution spans.
         """
         target_rt = self.runtimes[dst_rank]
-        item = CompQItem.acquire(
+        item = CompQItem(
             target_rt._c_rpc_dispatch,
             lambda: fn(*args),
             "remote_cx_rpc",
@@ -264,6 +214,7 @@ class Runtime:
         self._c_rpc_inject = cpu.t(costs.rpc_inject)
         self._c_rpc_reply_inject = cpu.t(costs.rpc_reply_inject)
         self._c_rma_inject = cpu.t(costs.rma_inject)
+        self._c_atomic_inject = cpu.t(costs.atomic_inject)
         self._c_completion = cpu.t(costs.completion)
         self._c_rpc_dispatch = cpu.t(costs.rpc_dispatch)
         self._c_then_dispatch = cpu.t(costs.then_dispatch)
@@ -271,8 +222,8 @@ class Runtime:
         self._copy_cache: dict = {}
 
         # §III queues
-        self.defQ: deque = deque()  # _Deferred or op record
-        self.actQ: dict = {}  # opid -> description, or an op record that prints as one
+        self.defQ: deque = deque()  # op records
+        self.actQ: dict = {}  # opid -> op record (prints as its description)
         self.compQ: deque = deque()  # CompQItem or op record
         #: network-context staging area: conduit-completed ops waiting for
         #: the next internal progress to be promoted into compQ
@@ -444,18 +395,13 @@ class Runtime:
         self._span_seq += 1
         return (self.rank, self._span_seq)
 
-    def enqueue_deferred(self, injector: Callable[[], None], kind: str = "op", nbytes: int = 0) -> None:
-        """Put an operation in the deferred state (defQ).
-
-        ``kind``/``nbytes`` tag the operation for the metrics layer (op
-        counts, byte totals, deferred-dwell histograms); they do not affect
-        execution.
-        """
-        t_enq = self.sched.now() if self.metrics is not None else 0.0
-        self.defQ.append(_Deferred(injector, kind, nbytes, t_enq))
-
     def defer(self, op) -> None:
-        """Queue an operation record (``kind``, ``nbytes``, ``inject()``)."""
+        """Put an operation record in the deferred state (defQ).
+
+        ``op.kind``/``op.nbytes`` tag it for the metrics layer (op counts,
+        byte totals, deferred-dwell histograms); internal progress calls
+        ``op.inject()``.
+        """
         op.t_enq = self.sched.now() if self.metrics is not None else 0.0
         self.defQ.append(op)
 

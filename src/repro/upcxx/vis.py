@@ -16,17 +16,99 @@ software and because fragments pipeline on the NIC.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.gasnet.handle import Transfer
 from repro.gasnet.network import PATH_BTE, PATH_FMA
 from repro.upcxx.completion import Completion, resolve
 from repro.upcxx.errors import GlobalPtrError, UpcxxError
 from repro.upcxx.future import Future
 from repro.upcxx.global_ptr import GlobalPtr, check_host_target
-from repro.upcxx.rma import _as_bytes
-from repro.upcxx.runtime import CompQItem, current_runtime
+from repro.upcxx.rma import RmaOp, _as_bytes
+from repro.upcxx.runtime import current_runtime
+
+
+class VisOp(RmaOp):
+    """One ``rput_irregular``/``rget_irregular`` (so one strided transfer
+    too): an :class:`~repro.upcxx.rma.RmaOp` whose ``frags`` — (pointer,
+    bytes to put or None to get) pairs — go on the wire as one conduit
+    put or get each.  The last fragment to complete stages the operation,
+    whose ``data`` then holds each fragment's bytes (None for a put's);
+    ``dtype`` is each fragment's element type when the future carries
+    them.  Not pooled."""
+
+    __slots__ = ("frags", "left")
+    POOL_MAX = 0
+
+    def inject(self) -> None:
+        """defQ -> actQ (internal progress): hand every fragment to the conduit."""
+        now = self._activate()
+        # defQ counted the direction; compQ, metrics and trace count "vis"
+        self.kind = "vis"
+        conduit = self.conduit
+        frags = self.frags
+        self.left = len(frags)
+        self.data = [None] * len(frags)
+        for i, (gptr, raw) in enumerate(frags):
+            get = raw is None
+            x = _Fragment(conduit, self.src, "get" if get else "put", gptr.rank, gptr.offset,
+                          gptr.nbytes if get else len(raw), raw, self.path)
+            x.op = self
+            x.i = i
+            if get:
+                conduit.get(x, now)
+            else:
+                conduit.put(x, now)
+
+    def value(self) -> List[np.ndarray]:
+        """What an ``rget_irregular``'s future carries: one array per fragment."""
+        return [np.frombuffer(b, dtype=dt).copy() for b, dt in zip(self.data, self.dtype)]
+
+
+class _Fragment(Transfer):
+    """One VIS fragment on the wire: completing, it counts its operation down."""
+
+    __slots__ = ("op", "i")
+
+    def complete(self, time: float, data=None) -> None:
+        op = self.op
+        op.data[self.i] = self.data
+        op.left -= 1
+        if not op.left:
+            op.complete(time)
+
+
+def _vis(kind: str, frags: List[Tuple[GlobalPtr, Optional[bytes]]], cx: Optional[Completion]):
+    """The injection call ``rput_irregular`` and ``rget_irregular`` share:
+    check the fragments, charge one injection plus a little per fragment,
+    and queue one :class:`VisOp`."""
+    rt = current_runtime()
+    if not frags:
+        raise UpcxxError(f"{kind} requires at least one fragment")
+    rank = frags[0][0].rank
+    for gptr, raw in frags:
+        check_host_target(gptr, rt.world.n_ranks, kind)
+        if gptr.rank != rank:
+            raise GlobalPtrError(f"all fragments of one {kind} must target one rank")
+        if raw is not None and len(raw) > gptr.nbytes:
+            raise GlobalPtrError(f"fragment of {len(raw)}B exceeds span {gptr.nbytes}B")
+
+    rt.charge_sw(rt.costs.rma_inject + rt.costs.vis_per_fragment * len(frags))
+    op = VisOp(rt)
+    op.promise, fut = resolve(cx, rt)
+    op.kind = kind
+    op.dst = rank
+    op.frags = frags
+    op.nbytes = total = sum(g.nbytes if raw is None else len(raw) for g, raw in frags)
+    op.path = PATH_FMA if total < rt.costs.bte_threshold else PATH_BTE
+    # a put, or a get a promise tracks, completes without a value
+    fetched = kind == "rget_irregular" and (cx is None or cx.kind != "promise")
+    op.dtype = tuple(g.dtype for g, _ in frags) if fetched else None
+    rt.defer(op)
+    rt.internal_progress()
+    return fut
 
 
 def rput_irregular(
@@ -38,53 +120,7 @@ def rput_irregular(
     All fragments must target the same rank (one VIS operation maps to one
     network flow, as in GASNet VIS).
     """
-    rt = current_runtime()
-    frags: List[Tuple[GlobalPtr, bytes]] = []
-    for gptr, data in fragments:
-        frags.append((gptr, _as_bytes(data, gptr)))
-    if not frags:
-        raise UpcxxError("rput_irregular requires at least one fragment")
-    dst_rank = frags[0][0].rank
-    for gptr, raw in frags:
-        check_host_target(gptr, rt.world.n_ranks, "rput_irregular")
-        if gptr.rank != dst_rank:
-            raise GlobalPtrError("all fragments of one rput_irregular must target one rank")
-        if len(raw) > gptr.nbytes:
-            raise GlobalPtrError(f"fragment of {len(raw)}B exceeds span {gptr.nbytes}B")
-
-    rt.charge_sw(rt.costs.rma_inject + rt.costs.vis_per_fragment * len(frags))
-    promise, fut = resolve(cx, rt)
-    total = sum(len(raw) for _, raw in frags)
-    path = PATH_FMA if total < rt.costs.bte_threshold else PATH_BTE
-
-    def injector():
-        opid = rt.next_op_id()
-        rt.actQ[opid] = f"rput_irregular {len(frags)} frags -> {dst_rank}"
-        t_active = rt.now()
-        state = {"left": len(frags)}
-
-        def on_done(h):
-            state["left"] -= 1
-            if state["left"]:
-                return
-
-            def fulfill():
-                rt.actQ.pop(opid, None)
-                if promise is not None:
-                    promise.fulfill_anonymous(1)
-
-            rt.gasnet_completed(
-                CompQItem(rt.cpu.t(rt.costs.completion), fulfill, "vis", total, t_active),
-                h.time_done,
-            )
-            rt.sched.wake(rt.rank, h.time_done)
-
-        for gptr, raw in frags:
-            rt.conduit.put_nb(rt.rank, dst_rank, gptr.offset, raw, path).on_complete(on_done)
-
-    rt.enqueue_deferred(injector, kind="rput_irregular", nbytes=total)
-    rt.internal_progress()
-    return fut
+    return _vis("rput_irregular", [(gptr, _as_bytes(data, gptr)) for gptr, data in fragments], cx)
 
 
 def rget_irregular(
@@ -92,61 +128,7 @@ def rget_irregular(
     cx: Optional[Completion] = None,
 ) -> Optional[Future]:
     """Get many fragments as one operation; future of a list of arrays."""
-    rt = current_runtime()
-    frags = list(fragments)
-    if not frags:
-        raise UpcxxError("rget_irregular requires at least one fragment")
-    src_rank = frags[0].rank
-    for gptr in frags:
-        check_host_target(gptr, rt.world.n_ranks, "rget_irregular")
-        if gptr.rank != src_rank:
-            raise GlobalPtrError("all fragments of one rget_irregular must target one rank")
-
-    rt.charge_sw(rt.costs.rma_inject + rt.costs.vis_per_fragment * len(frags))
-    promise, fut = resolve(cx, rt)
-    anonymous = cx is not None and cx.kind == "promise"
-    total = sum(g.nbytes for g in frags)
-    path = PATH_FMA if total < rt.costs.bte_threshold else PATH_BTE
-
-    def injector():
-        opid = rt.next_op_id()
-        rt.actQ[opid] = f"rget_irregular {len(frags)} frags <- {src_rank}"
-        t_active = rt.now()
-        results: List[Optional[np.ndarray]] = [None] * len(frags)
-        state = {"left": len(frags)}
-
-        def make_cb(i: int, gptr: GlobalPtr):
-            def on_done(h):
-                results[i] = np.frombuffer(h.data, dtype=gptr.dtype).copy()
-                state["left"] -= 1
-                if state["left"]:
-                    return
-
-                def fulfill():
-                    rt.actQ.pop(opid, None)
-                    if promise is None:
-                        return
-                    if anonymous:
-                        promise.fulfill_anonymous(1)
-                    else:
-                        promise.fulfill_result(list(results))
-
-                rt.gasnet_completed(
-                    CompQItem(rt.cpu.t(rt.costs.completion), fulfill, "vis", total, t_active),
-                    h.time_done,
-                )
-                rt.sched.wake(rt.rank, h.time_done)
-
-            return on_done
-
-        for i, gptr in enumerate(frags):
-            rt.conduit.get_nb(rt.rank, src_rank, gptr.offset, gptr.nbytes, path).on_complete(
-                make_cb(i, gptr)
-            )
-
-    rt.enqueue_deferred(injector, kind="rget_irregular", nbytes=total)
-    rt.internal_progress()
-    return fut
+    return _vis("rget_irregular", [(gptr, None) for gptr in fragments], cx)
 
 
 def _strided_fragments(base: GlobalPtr, n_rows: int, n_cols: int, col_stride_elems: int):

@@ -318,7 +318,7 @@ class TestTeardown:
         from repro.gasnet.segment import Segment
         from repro.sim.coop import Scheduler
         from repro.upcxx.rpc import RpcOp
-        from repro.upcxx.runtime import CompQItem, Runtime
+        from repro.upcxx.runtime import Runtime
 
         assert not [o for o in gc.get_objects() if isinstance(o, Transfer)]
         job_owned = (
@@ -326,12 +326,11 @@ class TestTeardown:
             bytes, bytearray, memoryview,
         )
         assert RpcOp._pool, "the job parked no rpc record"
-        for pool in (CompQItem._pool, RpcOp._pool):
-            for item in pool:
-                for cls in type(item).__mro__:
-                    for slot in cls.__dict__.get("__slots__", ()):
-                        value = getattr(item, slot, None)
-                        assert not isinstance(value, job_owned) and not callable(value), (item, slot)
+        for item in RpcOp._pool:
+            for cls in type(item).__mro__:
+                for slot in cls.__dict__.get("__slots__", ()):
+                    value = getattr(item, slot, None)
+                    assert not isinstance(value, job_owned) and not callable(value), (item, slot)
 
     @staticmethod
     def _job(refs, after=lambda: None):
@@ -359,10 +358,12 @@ class TestTeardown:
             upcxx.lpc(lambda: None).wait()
             upcxx.barrier()
             after()
-            # left in flight on purpose: one record still on the event heap
-            # and one a promise nobody waits for
+            # left in flight on purpose: one record still on the event heap,
+            # one a promise nobody waits for, and a copy (holding a segment)
+            # in its get leg
             upcxx.rput(np.zeros(8), peer)
             upcxx.rget(peer, cx=upcxx.operation_cx.as_promise(upcxx.Promise()))
+            upcxx.copy(peer, dev.allocate(np.float64, 8))
             return me
 
         return body

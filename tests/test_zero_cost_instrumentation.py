@@ -12,8 +12,9 @@ gate again:
 - a constructed-but-``enabled=False`` SpanBuffer is indistinguishable
   from no buffer at all (the runtime nulls it once at startup — the
   single cached enabled-check the op layers rely on);
-- the run stays inside a fixed event, CompQItem- and RMA-record-allocation
-  budget (the free lists must keep absorbing per-op churn);
+- the run stays inside a fixed event and RMA-record-allocation budget and
+  constructs no CompQItem at all (every op is its own record, and the
+  rput/rget free lists must keep absorbing per-op churn);
 - an ``rput`` in flight is one record plus its heap entry — counted in
   GC-tracked objects, not timed;
 - :meth:`DwellHistogram.percentile` boundary behavior (empty, single
@@ -38,13 +39,13 @@ from repro.util.telemetry import RankTelemetry, Telemetry
 N_RANKS = 8
 N_INSERTS = 4
 
-#: budgets for the instrumentation-off run, with headroom over the
-#: measured values (288 events fired, 8 fresh CompQItems in a cold
-#: process) so legitimate scheduler changes don't flake the pin but a
-#: per-op leak (one extra event or pool-missing allocation per insert:
-#: 8 ranks x 4 inserts = 32+ per leak) trips it immediately
+#: budgets for the instrumentation-off run: events with headroom over the
+#: measured 288, so legitimate scheduler changes don't flake the pin but a
+#: per-op leak (one extra event per insert: 8 ranks x 4 inserts = 32+)
+#: trips it immediately; CompQItems exactly (measured: 0 — rpc, its reply
+#: and rput are each their own compQ record, and a barrier builds none)
 EVENT_BUDGET = 450
-COMPQ_ALLOC_BUDGET = 64
+COMPQ_ALLOC_BUDGET = 0
 #: fresh rput/rget records in the same run (measured: 8, one per rank —
 #: after its first rput each rank reuses the record); a per-op leak is 32+
 RMAOP_ALLOC_BUDGET = 24
@@ -64,8 +65,8 @@ def _dht_body():
 
 
 def _run_counted(monkeypatch, **spmd_kwargs):
-    """Run the DHT body counting span-sid mints, span records, and fresh
-    CompQItem and RmaOp constructions; returns (sids, records, allocs,
+    """Run the DHT body counting span-sid mints, span records, CompQItem
+    constructions and fresh RmaOp constructions; returns (sids, records, allocs,
     stats), with the RmaOp count under ``stats["rmaop_allocs"]``."""
     counts = {"sids": 0, "records": 0, "allocs": 0, "ops": 0}
 
@@ -111,8 +112,8 @@ def test_no_span_work_when_observers_off(monkeypatch):
     assert records == 0, f"{records} span records with spans disabled"
     assert stats["events_fired"] <= EVENT_BUDGET, stats
     assert allocs <= COMPQ_ALLOC_BUDGET, (
-        f"{allocs} fresh CompQItem constructions (budget {COMPQ_ALLOC_BUDGET}): "
-        "the free-list pool stopped absorbing per-op churn"
+        f"{allocs} CompQItem constructions (budget {COMPQ_ALLOC_BUDGET}): "
+        "an operation on the DHT path is wrapped in a compQ item again"
     )
     assert 0 < stats["rmaop_allocs"] <= RMAOP_ALLOC_BUDGET, (
         f"{stats['rmaop_allocs']} fresh RmaOp constructions (budget "
@@ -203,23 +204,57 @@ def test_rput_in_flight_is_one_record(size):
         assert after_drain <= RmaOp.POOL_MAX + 16, after_drain
 
 
-#: rpc round trips, and as many rpc_ff, counted after the warm-up
-RPC_MESSAGES = 500
+#: operations of each kind counted after the warm-up
+OPS_COUNTED = 500
 
 
-def test_rpc_messages_build_no_helper_objects(monkeypatch):
-    """An rpc request, its reply and an rpc_ff are each one pooled record:
-    after a warm-up, N round trips plus N fire-and-forget calls construct
-    no ``Handle``, ``CompQItem`` or defQ wrapper, and the fresh records stay
-    within the free-list bound.  Only the rpc path runs while counting: the
-    target waits in ``wait_quiet``, which allocates none of these."""
+def _rpc_traffic(n, env):
+    for i in range(n):
+        assert upcxx.rpc(1, lambda x: x + 1, i).wait() == i + 1
+    for i in range(n):
+        upcxx.rpc_ff(1, lambda x: None, i)
+    upcxx.rpc(1, lambda: None).wait()  # the target has run every rpc_ff
+
+
+def _atomic_traffic(n, env):
+    ad, counter = env["ad"], env["counter"]
+    p = upcxx.Promise()
+    for _ in range(n):
+        ad.fetch_add(counter, 1).wait()
+        ad.add(counter, 1, cx=upcxx.operation_cx.as_promise(p))
+    p.finalize().wait()
+
+
+def _vis_traffic(n, env):
+    cells = env["cells"]
+    for _ in range(n):
+        upcxx.rput_strided(np.ones((2, 2)), cells, 4).wait()
+        upcxx.rget_irregular([cells, cells + 4]).wait()
+
+
+def _copy_traffic(n, env):
+    for _ in range(n):
+        upcxx.copy(np.ones(4), env["dev"]).wait()  # to a remote device
+        upcxx.copy(env["cells"], env["mine"], count=4).wait()  # from a remote host
+
+
+@pytest.mark.parametrize(
+    "traffic", [_rpc_traffic, _atomic_traffic, _vis_traffic, _copy_traffic],
+    ids=["rpc", "atomics", "vis", "copy"],
+)
+def test_operations_build_no_helper_objects(monkeypatch, traffic):
+    """Every operation is one record: after a warm-up, N rpc round trips
+    plus N rpc_ff (each request and reply one pooled ``RpcOp``, the fresh
+    ones within the free-list bound), or N pairs of atomics, VIS
+    operations or copies, construct no ``Handle`` and no ``CompQItem``.
+    Only rank 0's traffic runs while counting: the target waits in
+    ``wait_quiet``, which allocates neither."""
     from repro.gasnet.handle import Handle
     from repro.upcxx.rpc import RpcOp
-    from repro.upcxx.runtime import _Deferred
 
     counting = [False]
     counts = {}
-    for cls in (Handle, CompQItem, _Deferred, RpcOp):
+    for cls in (Handle, CompQItem, RpcOp):
         counts[cls.__name__] = 0
 
         def counted(self, *a, _orig=cls.__init__, _name=cls.__name__, **k):
@@ -228,31 +263,34 @@ def test_rpc_messages_build_no_helper_objects(monkeypatch):
             _orig(self, *a, **k)
 
         monkeypatch.setattr(cls, "__init__", counted)
-
-    def traffic(n):
-        for i in range(n):
-            assert upcxx.rpc(1, lambda x: x + 1, i).wait() == i + 1
-        for i in range(n):
-            upcxx.rpc_ff(1, lambda x: None, i)
-        upcxx.rpc(1, lambda: None).wait()  # the target has run every rpc_ff
+    done = []
 
     def body():
-        rt = upcxx.runtime_here()
-        warm = 50
+        cells = upcxx.new_array(np.float64, 16)
+        counter = upcxx.new_array(np.int64, 1)
+        dev = upcxx.Device(segment_size=1 << 16).allocate(np.float64, 4)
+        env = {
+            "ad": upcxx.AtomicDomain(["fetch_add", "add"], np.int64),
+            "cells": upcxx.broadcast(cells, root=1).wait(),
+            "counter": upcxx.broadcast(counter, root=1).wait(),
+            "dev": upcxx.broadcast(dev, root=1).wait(),
+            "mine": cells,
+        }
+        upcxx.barrier()
         if upcxx.rank_me() == 0:
-            traffic(warm)
+            traffic(50, env)
             counting[0] = True
-            traffic(RPC_MESSAGES)
+            traffic(OPS_COUNTED, env)
             counting[0] = False
+            upcxx.rpc_ff(1, done.append, True)
         else:
-            # each traffic(n): n round trips, n rpc_ff, one closing round trip
-            total = (2 * warm + 1) + (2 * RPC_MESSAGES + 1)
-            rt.wait_quiet(lambda: rt.n_rpcs_executed >= total)
+            rt = upcxx.runtime_here()
+            rt.wait_quiet(lambda: bool(done))
         upcxx.barrier()
 
     upcxx.run_spmd(body, 2, ppn=1)
     fresh = counts.pop("RpcOp")
-    assert counts == {"Handle": 0, "CompQItem": 0, "_Deferred": 0}, counts
+    assert counts == {"Handle": 0, "CompQItem": 0}, counts
     assert fresh <= RpcOp.POOL_MAX, f"{fresh} fresh rpc records"
 
 
