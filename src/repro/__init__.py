@@ -9,9 +9,9 @@ Subpackages
 - ``repro.upcxx``     the paper's contribution: the UPC++ v1.0 library
 - ``repro.upcxx_v01`` the 2014 predecessor API (events/asyncs)
 - ``repro.mpisim``    the Cray-MPICH-like MPI baseline
-- ``repro.apps``      the evaluated motifs (DHT, sparse solver, linalg)
+- ``repro.apps``      the evaluated motifs (DHT, sparse solver, KV service)
 - ``repro.bench``     per-figure benchmark drivers
-- ``repro.util``      units, stats, records, tracing, profiling
+- ``repro.util``      units, stats, records, tracing, metrics, telemetry
 
 Start with ``import repro.upcxx as upcxx`` and ``upcxx.run_spmd``; see
 README.md and docs/guide.md.

@@ -38,16 +38,9 @@ class AggregatingCounter:
         self.batch_size = batch_size
 
     # ---------------------------------------------------------------- update
-    def target_of(self, key: int) -> int:
-        return self._store.dest_of(key)
-
     def add(self, key: int, delta: int = 1) -> None:
         """Buffer one update; flushes the destination's buffer when full."""
         self._store.update(key, delta)
-
-    def flush(self) -> None:
-        """Push out all partially-filled buffers."""
-        self._store.flush()
 
     @property
     def batches_sent(self) -> int:
@@ -65,6 +58,3 @@ class AggregatingCounter:
 
     def local_items(self) -> Dict[int, int]:
         return self._store.local_items()
-
-    def local_size(self) -> int:
-        return self._store.local_size()

@@ -77,6 +77,3 @@ class DistGraph:
     def get_vertex(self, vid: int) -> Future:
         """Future of a snapshot copy of the vertex (or None)."""
         return upcxx.rpc(self.owner_of(vid), _get_vertex, self._dobj, vid)
-
-    def local_degree_sum(self) -> int:
-        return sum(len(v.nbs) for v in self.local.values())

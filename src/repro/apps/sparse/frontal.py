@@ -215,10 +215,6 @@ class FrontInstance:
             )
 
     # ------------------------------------------------------------- queries
-    def local_sum(self) -> float:
-        """Sum of all owned entries (correctness checks)."""
-        return float(sum(blk.sum() for blk in self.blocks.values()))
-
     def dense(self) -> np.ndarray:
         """Assemble my owned entries into a full (n x n) array (tests)."""
         out = np.zeros((self.n, self.n))

@@ -38,9 +38,6 @@ class DissectionNode:
         rec(self)
         return out
 
-    def n_nodes(self) -> int:
-        return 1 + sum(c.n_nodes() for c in self.children)
-
 
 def _box_vertices(nx: int, ny: int, box: Tuple[int, int, int, int, int, int]) -> List[int]:
     x0, x1, y0, y1, z0, z1 = box

@@ -14,8 +14,7 @@ import os
 from typing import Dict, List, Sequence
 
 import repro.upcxx as upcxx
-from repro.apps.dht import AggregatingCounter, DhtRmaLz, SerialMap
-from repro.bench.harness import Observation
+from repro.apps.dht import DhtRmaLz, SerialMap
 from repro.bench.platforms import PLATFORMS
 from repro.util.records import BenchTable
 from repro.util.units import KiB, MiB
@@ -39,14 +38,8 @@ def dht_insert_rate(
     volume_per_rank: int = FIG4_VOLUME_PER_RANK,
     platform: str = "haswell",
     seed: int = 0,
-    metrics=None,
-    trace=None,
 ) -> float:
-    """Aggregate insert throughput (bytes/second) for one configuration.
-
-    ``metrics``/``trace`` (see :func:`repro.upcxx.run_spmd`) observe the
-    run's progress engine; both default to off.
-    """
+    """Aggregate insert throughput (bytes/second) for one configuration."""
     n_inserts = max(1, volume_per_rank // value_size)
     ppn = PLATFORMS[platform].ppn_dht
 
@@ -61,9 +54,7 @@ def dht_insert_rate(
                 m.insert(rng.key64(), payload)
             return upcxx.sim_now() - t0
 
-        elapsed = upcxx.run_spmd(
-            serial_body, 1, platform=platform, ppn=ppn, seed=seed, metrics=metrics, trace=trace
-        )[0]
+        elapsed = upcxx.run_spmd(serial_body, 1, platform=platform, ppn=ppn, seed=seed)[0]
         return n_inserts * value_size / elapsed
 
     def body():
@@ -85,49 +76,9 @@ def dht_insert_rate(
             ppn=ppn,
             seed=seed,
             segment_size=max(4 * MiB, 4 * n_inserts * value_size),
-            metrics=metrics,
-            trace=trace,
         )
     )
     return n_procs * n_inserts * value_size / elapsed
-
-
-def dht_aggregating_rate(
-    n_procs: int = 8,
-    updates_per_rank: int = 256,
-    batch_size: int = 16,
-    key_space: int = 1 << 12,
-    platform: str = "haswell",
-    seed: int = 0,
-    metrics=None,
-    trace=None,
-) -> float:
-    """Fig. 4a companion: aggregate update throughput (updates/second) of
-    the message-aggregating DHT (the HipMer pattern, §IV-C discussion).
-
-    This is the canonical observability workload: with ``metrics``/``trace``
-    attached it exercises every queue (deferred AM injection, inbox dwell,
-    compQ bursts at ``sync()``) across all ranks.
-    """
-    ppn = PLATFORMS[platform].ppn_dht
-
-    def body():
-        agg = AggregatingCounter(batch_size=batch_size)
-        rng = upcxx.runtime_here().rng.spawn("dht-agg-bench")
-        upcxx.barrier()
-        t0 = upcxx.sim_now()
-        for _ in range(updates_per_rank):
-            agg.add(rng.key64() % key_space, 1)
-        agg.sync()
-        upcxx.barrier()
-        return upcxx.sim_now() - t0
-
-    elapsed = max(
-        upcxx.run_spmd(
-            body, n_procs, platform=platform, ppn=ppn, seed=seed, metrics=metrics, trace=trace
-        )
-    )
-    return n_procs * updates_per_rank / elapsed
 
 
 def run_fig4(
@@ -147,11 +98,6 @@ def run_fig4(
         for p in procs:
             rate = dht_insert_rate(p, vs, volume_per_rank, platform)
             series.add(p, rate / 1e6)
-    # REPRO_METRICS=1: emit an observed aggregating-DHT run alongside
-    obs = Observation.maybe(f"fig4_{platform}_dht_agg")
-    if obs is not None:
-        dht_aggregating_rate(platform=platform, metrics=obs.metrics, trace=obs.trace)
-        obs.save()
     return table
 
 

@@ -18,7 +18,6 @@ from typing import Dict, Sequence
 
 import repro.upcxx as upcxx
 from repro.apps.sparse.extend_add import EaddPlan, build_eadd_plan, mpi_eadd_run, upcxx_eadd_run
-from repro.bench.harness import Observation
 from repro.bench.platforms import PLATFORMS
 from repro.mpisim import run_mpi
 from repro.util.records import BenchTable
@@ -41,14 +40,8 @@ def eadd_times(
     grid: Sequence[int] = FIG8_GRID,
     leaf: int = FIG8_LEAF,
     plan: EaddPlan = None,
-    metrics=None,
-    trace=None,
 ) -> Dict[str, float]:
-    """Elapsed simulated seconds of one sweep for each variant.
-
-    ``metrics``/``trace`` observe the UPC++ variant's progress engine
-    (the MPI runs are out of scope for the op-lifecycle instrumentation).
-    """
+    """Elapsed simulated seconds of one sweep for each variant."""
     if plan is None:
         plan = build_eadd_plan(*grid, n_procs=n_procs, leaf_size=leaf)
     ppn = PLATFORMS[platform].ppn_eadd
@@ -56,11 +49,7 @@ def eadd_times(
     def upcxx_body():
         return upcxx_eadd_run(plan)
 
-    t_upcxx = max(
-        upcxx.run_spmd(
-            upcxx_body, n_procs, platform=platform, ppn=ppn, metrics=metrics, trace=trace
-        )
-    )
+    t_upcxx = max(upcxx.run_spmd(upcxx_body, n_procs, platform=platform, ppn=ppn))
     t_a2a = max(
         run_mpi(lambda: mpi_eadd_run(plan, "alltoallv"), n_procs, platform=platform, ppn=ppn)
     )
@@ -86,13 +75,7 @@ def run_fig8(
     s_p2p = table.new_series("MPI P2P")
     s_upcxx = table.new_series("UPC++ RPC")
     for p in procs:
-        # observe the largest configuration when REPRO_METRICS=1
-        obs = Observation.maybe(f"fig8_{platform}_eadd") if p == procs[-1] else None
-        times = eadd_times(
-            p, platform, grid, leaf, metrics=obs and obs.metrics, trace=obs and obs.trace
-        )
-        if obs is not None:
-            obs.save()
+        times = eadd_times(p, platform, grid, leaf)
         s_a2a.add(p, times["MPI Alltoallv"])
         s_p2p.add(p, times["MPI P2P"])
         s_upcxx.add(p, times["UPC++ RPC"])

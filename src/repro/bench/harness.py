@@ -1,16 +1,9 @@
-"""Shared benchmark harness: result persistence, observability, claims.
+"""Shared benchmark harness: result persistence and claims.
 
 Each figure benchmark renders its :class:`BenchTable` under ``results/``
 (so ``pytest benchmarks/`` leaves a reviewable artifact trail matching
 EXPERIMENTS.md) and asserts the paper's qualitative claims through the
 helpers here.
-
-Observability: set ``REPRO_METRICS=1`` and every instrumented figure
-benchmark additionally emits ``results/<name>_metrics.json`` (per-rank
-op-lifecycle metrics: queue depths, dwell histograms, attentiveness gaps)
-and ``results/<name>_trace.json`` (a Perfetto/Chrome-loadable trace with
-one lane per rank) for its observed configuration — the before/after
-baseline for performance work.  See :class:`Observation`.
 """
 
 from __future__ import annotations
@@ -18,10 +11,7 @@ from __future__ import annotations
 import os
 from typing import Callable, Optional
 
-from repro.util.metrics import Metrics
 from repro.util.records import BenchTable
-from repro.util.trace import TraceBuffer
-from repro.util.trace_export import dumps_chrome_trace, dumps_metrics
 from repro.util.units import fmt_bytes
 
 #: results directory at the repository root
@@ -67,44 +57,3 @@ def improvement(slow: float, fast: float) -> float:
 def size_fmt(x) -> str:
     return fmt_bytes(int(x))
 
-
-# ------------------------------------------------------------ observability
-def metrics_enabled() -> bool:
-    """Whether benchmark observability is requested (``REPRO_METRICS=1``)."""
-    return os.environ.get("REPRO_METRICS", "").strip() not in ("", "0", "false", "no")
-
-
-class Observation:
-    """Optional metrics+trace collection for one observed benchmark run.
-
-    ``Observation.maybe(name)`` returns ``None`` unless ``REPRO_METRICS`` is
-    set, so callers pay nothing by default::
-
-        obs = Observation.maybe("fig4a_dht_agg")
-        rates = dht_insert_rate(..., metrics=obs and obs.metrics,
-                                trace=obs and obs.trace)
-        if obs:
-            obs.save()   # -> results/fig4a_dht_agg_{metrics,trace}.json
-    """
-
-    def __init__(self, name: str, trace_capacity: int = 1 << 20):
-        self.name = name
-        self.metrics = Metrics()
-        self.trace = TraceBuffer(capacity=trace_capacity)
-
-    @classmethod
-    def maybe(cls, name: str) -> Optional["Observation"]:
-        return cls(name) if metrics_enabled() else None
-
-    def save(self, results_dir: Optional[str] = None) -> "tuple[str, str]":
-        """Write ``<name>_metrics.json`` and ``<name>_trace.json``; returns
-        the two paths."""
-        out = results_dir or RESULTS_DIR
-        os.makedirs(out, exist_ok=True)
-        mpath = os.path.join(out, f"{self.name}_metrics.json")
-        tpath = os.path.join(out, f"{self.name}_trace.json")
-        with open(mpath, "w") as fh:
-            fh.write(dumps_metrics(self.metrics) + "\n")
-        with open(tpath, "w") as fh:
-            fh.write(dumps_chrome_trace(self.trace, self.metrics) + "\n")
-        return mpath, tpath

@@ -17,12 +17,11 @@ passive target), as on Cori.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Dict, Sequence
 
 import numpy as np
 
 import repro.upcxx as upcxx
-from repro.bench.harness import Observation
 from repro.mpisim import Win, comm_world, run_mpi
 from repro.upcxx import operation_cx
 from repro.util.records import BenchTable
@@ -47,8 +46,6 @@ def upcxx_put_latency(
     sizes: Sequence[int] = FIG3_SIZES,
     iters: int = 20,
     platform: str = "haswell",
-    metrics=None,
-    trace=None,
 ) -> Dict[int, float]:
     """Mean blocking-rput round-trip time per size (seconds)."""
     out: Dict[int, float] = {}
@@ -68,7 +65,7 @@ def upcxx_put_latency(
                 out[size] = (upcxx.sim_now() - t0) / iters
         upcxx.barrier()
 
-    upcxx.run_spmd(body, 2, platform=platform, ppn=1, metrics=metrics, trace=trace)
+    upcxx.run_spmd(body, 2, platform=platform, ppn=1)
     return out
 
 
@@ -76,8 +73,6 @@ def upcxx_flood_bw(
     sizes: Sequence[int] = FIG3_SIZES,
     iters: int = 64,
     platform: str = "haswell",
-    metrics=None,
-    trace=None,
 ) -> Dict[int, float]:
     """Flood put bandwidth per size (bytes/second), promise-tracked."""
     out: Dict[int, float] = {}
@@ -104,7 +99,7 @@ def upcxx_flood_bw(
                 out[size] = size * n / (upcxx.sim_now() - t0)
         upcxx.barrier()
 
-    upcxx.run_spmd(body, 2, platform=platform, ppn=1, metrics=metrics, trace=trace)
+    upcxx.run_spmd(body, 2, platform=platform, ppn=1)
     return out
 
 
@@ -240,10 +235,7 @@ def run_fig3a(sizes: Sequence[int] = FIG3_SIZES, iters: int = 20) -> BenchTable:
         x_name="size",
         y_name="latency (us)",
     )
-    obs = Observation.maybe("fig3a_put_latency")
-    u = upcxx_put_latency(sizes, iters, metrics=obs and obs.metrics, trace=obs and obs.trace)
-    if obs is not None:
-        obs.save()
+    u = upcxx_put_latency(sizes, iters)
     m = mpi_put_latency(sizes, iters)
     su = table.new_series("UPC++ rput")
     sm = table.new_series("MPI RMA Put")
@@ -260,10 +252,7 @@ def run_fig3b(sizes: Sequence[int] = FIG3_SIZES, iters: int = 64) -> BenchTable:
         x_name="size",
         y_name="bandwidth (GiB/s)",
     )
-    obs = Observation.maybe("fig3b_flood_bw")
-    u = upcxx_flood_bw(sizes, iters, metrics=obs and obs.metrics, trace=obs and obs.trace)
-    if obs is not None:
-        obs.save()
+    u = upcxx_flood_bw(sizes, iters)
     m = mpi_flood_bw(sizes, iters)
     su = table.new_series("UPC++ rput")
     sm = table.new_series("MPI RMA Put")
@@ -273,39 +262,3 @@ def run_fig3b(sizes: Sequence[int] = FIG3_SIZES, iters: int = 64) -> BenchTable:
         sm.add(size, m[size] / giB)
     return table
 
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    """Figure runner: ``python -m repro.bench.microbench --fig 3a [--report]``.
-
-    ``--report`` appends the causal-span critical-path breakdown for the
-    figure's workload (see ``docs/observability.md``) so a latency number
-    can be read next to *where* that latency comes from.
-    """
-    import argparse
-
-    ap = argparse.ArgumentParser(description="Fig. 3 microbenchmark runner")
-    ap.add_argument("--fig", choices=("3a", "3b"), default="3a")
-    ap.add_argument("--sizes", type=int, nargs="*", default=None)
-    ap.add_argument("--iters", type=int, default=None)
-    ap.add_argument(
-        "--report",
-        action="store_true",
-        help="follow the figure with a span critical-path report (repro.tools.report)",
-    )
-    args = ap.parse_args(argv)
-    sizes = args.sizes or FIG3_SIZES
-    if args.fig == "3a":
-        table = run_fig3a(sizes, args.iters or 20)
-    else:
-        table = run_fig3b(sizes, args.iters or 64)
-    print(table.render())
-    if args.report:
-        from repro.tools.report import main as report_main
-
-        print()
-        return report_main(["--workload", "fig3a", "--format", "text"])
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -13,10 +13,9 @@ runtime consumes:
   destination if it is blocked) and is *executed* only when the
   destination polls.  Its ``injected()`` fires at source-side injection
   completion (buffer reusable).
-- ``amo``      — remote atomic, NIC-offloaded: the update applies at the
-  target segment at arrival time with **no target CPU involvement**,
-  mirroring Aries hardware atomics (paper §II); ``accumulate_nb`` is its
-  element-wise, MPI_Accumulate-class sibling.
+- ``atomic``   — remote atomic on one element, NIC-offloaded: the update
+  applies at the target segment at arrival time with **no target CPU
+  involvement**, mirroring Aries hardware atomics (paper §II).
 
 Timing: each endpoint's NIC serializes injections (``occupancy``); wire
 latency is added per the machine topology (intra-node transfers take the
@@ -28,8 +27,6 @@ because that is precisely where the two stacks differ in the paper.
 from __future__ import annotations
 
 from typing import Any, Callable, Optional
-
-import numpy as np
 
 from repro.gasnet.am import AMInbox, AMMessage
 from repro.gasnet.handle import ATOMIC_APPLY, GET_SERVICE, PUT_COMMIT, Handle, Transfer
@@ -116,13 +113,6 @@ _AMO_OPS = {
     "bit_or": lambda old, x: old | x[0],
     "bit_xor": lambda old, x: old ^ x[0],
 }
-#: accumulate ops: name -> in-place element-wise update of (cells, values)
-_ACC_OPS = {
-    "+": lambda cells, v: np.add(cells, v, out=cells),
-    "max": lambda cells, v: np.maximum(cells, v, out=cells),
-    "min": lambda cells, v: np.minimum(cells, v, out=cells),
-    "replace": np.copyto,
-}
 
 
 class Conduit:
@@ -137,7 +127,6 @@ class Conduit:
         metrics=None,
         spans=None,
         faults=None,
-        telemetry=None,
     ):
         if machine.n_ranks < sched.n_ranks:
             raise ValueError(
@@ -152,10 +141,6 @@ class Conduit:
         #: ops that carry a ``span`` correlation id record their NIC and
         #: wire phases here (passive: no clock reads, no event posts)
         self.spans = spans if spans is not None and spans.enabled else None
-        #: optional repro.util.telemetry.Telemetry (windowed rollups +
-        #: flight recorder); the conduit records nothing itself — runtimes
-        #: read endpoint counters
-        self.telemetry = telemetry if telemetry is not None and telemetry.enabled else None
         #: optional repro.sim.faults.FaultPlan; when set, every op routes
         #: through the reliable-delivery layer (seq/ack/retransmit)
         self._faults = faults
@@ -529,6 +514,7 @@ class Conduit:
             occ = self._occ_cache[key] = self.network.occupancy(nbytes, path, same)
         occ *= occ_scale
         dst_ep.nic_free_at = begin + occ
+        dst_ep.bytes_out += nbytes
         back = begin + occ + lat
         if self.metrics is not None:
             # the reply stream occupies the *destination* NIC
@@ -577,69 +563,15 @@ class Conduit:
         return x
 
     # ---------------------------------------------------------------- atomics
-    def accumulate_nb(
-        self,
-        src: int,
-        dst: int,
-        dst_off: int,
-        data,
-        dtype,
-        op: str = "+",
-        path: str = PATH_FMA,
-        occ_scale: float = 1.0,
-        span: Optional[tuple] = None,
-    ) -> Handle:
-        """Element-wise remote accumulate (MPI_Accumulate-class operation).
-
-        The update applies at the target at arrival time with no target CPU
-        (modeling the NIC/async-agent path Cray MPICH uses for passive
-        target accumulates).  The handle completes at ack time.
-        """
-        if op not in _ACC_OPS:
-            raise ValueError(f"unsupported accumulate op {op!r}")
-        dt = np.dtype(dtype)
-        arr = np.ascontiguousarray(np.asarray(data, dtype=dt))
-        return self.atomic(
-            Transfer(self, src, "acc", dst, dst_off, arr.nbytes, (op, dt, arr),
-                     path, occ_scale, None, span),
-            self.sched.now(),
-        )
-
-    def amo(
-        self,
-        src: int,
-        dst: int,
-        dst_off: int,
-        op: str,
-        dtype,
-        operands: tuple = (),
-        span: Optional[tuple] = None,
-    ) -> Handle:
-        """NIC-offloaded remote atomic on one element at ``dst_off``.
-
-        Supported ops: add, fetch_add, put, get, cas, min, max, bit_and,
-        bit_or, bit_xor.  The handle completes when the result returns to
-        the initiator; fetching ops expose the prior value via
-        ``handle.data``.
-        """
-        if op not in _AMO_OPS:
-            raise ValueError(f"unsupported atomic op {op!r}")
-        dt = np.dtype(dtype)
-        return self.atomic(
-            Transfer(self, src, "amo", dst, dst_off, dt.itemsize, (op, dt, operands),
-                     PATH_FMA, 1.0, None, span),
-            self.sched.now(),
-        )
-
     def atomic(self, x: Transfer, now: float) -> Transfer:
-        """Inject the atomic (``kind`` "amo": one element) or accumulate
-        ("acc": element-wise) ``x`` at rank clock ``now``: the target NIC
-        applies it at arrival (``ATOMIC_APPLY``) and the ack, carrying an
-        atomic's prior value, rides one latency back."""
+        """Inject the one-element atomic ``x`` (``payload = (op, dtype,
+        operands)``, ``op`` one of ``_AMO_OPS``) at rank clock ``now``: the
+        target NIC applies it at arrival (``ATOMIC_APPLY``) and the ack,
+        carrying the prior value, rides one latency back."""
         src, dst, nbytes = x.src, x.dst, x.nbytes
         self.endpoints[src].n_amos += 1
-        # an atomic's request carries a header beside its one element
-        wire = nbytes + self.network.header_bytes if x.kind == "amo" else nbytes
+        # the request carries a header beside its one element
+        wire = nbytes + self.network.header_bytes
         _, arrival, ack_at = self._send(src, dst, wire, x.path, now, x.occ_scale, x.sid, x.kind, nbytes)
         if arrival is None:
             return x
@@ -649,13 +581,10 @@ class Conduit:
         return x
 
     @staticmethod
-    def _atomic_apply(kind: str, seg: Segment, dst_off: int, payload: tuple):
-        """Apply one atomic or accumulate ``payload = (op, dtype, operands)``
-        to a target segment in place; returns an atomic's prior value."""
+    def _atomic_apply(seg: Segment, dst_off: int, payload: tuple):
+        """Apply one atomic ``payload = (op, dtype, operands)`` to a target
+        segment in place; returns the element's prior value."""
         op, dt, operands = payload
-        if kind == "acc":
-            _ACC_OPS[op](seg.view(dst_off, dt, len(operands)), operands)
-            return None
         cell = seg.view(dst_off, dt, 1)
         old = cell[0].item()
         new = _AMO_OPS[op](old, operands)
@@ -664,20 +593,6 @@ class Conduit:
         return old
 
     # ------------------------------------------------------------------ misc
-    def peer_send_cutoff(self, rank: int) -> float:
-        """Simulated time after which frames addressed to ``rank`` are
-        never delivered (``inf`` for a rank that never crashes).
-
-        This is the reliability layer's dead-peer send cutoff surfaced to
-        upper layers: the replication/failover machinery
-        (:mod:`repro.upcxx.replication`) consults it to decide whether an
-        in-flight operation can still land at a peer, without reaching
-        into the fault plan itself.
-        """
-        if self._faults is None:
-            return float("inf")
-        return self._faults.crash_cutoff(rank)
-
     def stats(self) -> dict:
         """Aggregate counters across endpoints."""
         return {

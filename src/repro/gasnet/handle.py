@@ -159,7 +159,7 @@ class Transfer(Handle):
         else:
             # the target NIC applies the atomic, with no target CPU either
             self.data = conduit._atomic_apply(
-                self.kind, conduit.endpoints[self.dst].segment, self.dst_off, self.payload
+                conduit.endpoints[self.dst].segment, self.dst_off, self.payload
             )
         # None: no ack or reply ever survives (the peer crashed); crash
         # detection, not this handle, unblocks the caller

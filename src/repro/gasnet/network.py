@@ -91,8 +91,3 @@ class AriesNetwork(NetworkModel):
     """The Cray Aries dragonfly defaults used for Cori in this reproduction."""
 
     name: str = "aries"
-
-
-def aries() -> AriesNetwork:
-    """Factory for the default Aries model."""
-    return AriesNetwork()

@@ -1,12 +1,12 @@
-"""MPI-3 one-sided RMA: windows, Put/Get, passive-target synchronization.
+"""MPI-3 one-sided RMA: windows, Put, passive-target synchronization.
 
 Matches the semantics the paper benchmarks against (IMB-RMA ``Unidir_put``):
-a passive-target access epoch (``lock``/``lock_all``) with completion via
-``flush``.  Puts and gets are one-sided over the conduit — no target CPU —
-but carry the Cray-MPICH-like software profile from
-:mod:`repro.mpisim.profile`: heavier per-op path than UPC++, an extra
-penalty in the 256 B–2 KiB protocol-switch window, and the mid-size
-pipeline-efficiency dip that produces the paper's Fig. 3b bandwidth gap.
+a passive-target access epoch (``lock``) with completion via ``flush``.
+Puts are one-sided over the conduit — no target CPU — but carry the
+Cray-MPICH-like software profile from :mod:`repro.mpisim.profile`:
+heavier per-op path than UPC++, an extra penalty in the 256 B–2 KiB
+protocol-switch window, and the mid-size pipeline-efficiency dip that
+produces the paper's Fig. 3b bandwidth gap.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from repro.mpisim.comm import Communicator
 
 
 class Win:
-    """An RMA window: one allocation per rank, exposed for Put/Get."""
+    """An RMA window: one allocation per rank, exposed for Put."""
 
     def __init__(self, comm: Communicator, nbytes: int, offsets: List[int]):
         self.comm = comm
@@ -30,7 +30,6 @@ class Win:
         self.offsets = offsets
         #: outstanding one-sided ops per target comm rank
         self._outstanding = [0] * comm.size
-        self._locked: set = set()
 
     # ------------------------------------------------------------ lifecycle
     @classmethod
@@ -54,20 +53,10 @@ class Win:
     def lock(self, target: int) -> None:
         """Begin a passive-target epoch (cheap on RDMA hardware)."""
         self.rt.charge_sw(self.rt.costs.progress_poll)
-        self._locked.add(target)
 
     def unlock(self, target: int) -> None:
         """End the epoch: completes all operations to ``target``."""
         self.flush(target)
-        self._locked.discard(target)
-
-    def lock_all(self) -> None:
-        self.rt.charge_sw(self.rt.costs.progress_poll)
-        self._locked.update(range(self.comm.size))
-
-    def unlock_all(self) -> None:
-        self.flush_all()
-        self._locked.clear()
 
     def flush(self, target: int) -> None:
         """Block until all ops this rank issued to ``target`` completed
@@ -80,12 +69,6 @@ class Win:
         self.rt.wait_until(lambda: self._outstanding[target] == 0, "MPI_Win_flush")
         self.rt.charge_sw(self.rt.costs.flush_sw)
 
-    def flush_all(self) -> None:
-        self.rt.wait_until(
-            lambda: all(o == 0 for o in self._outstanding), "MPI_Win_flush_all"
-        )
-        self.rt.charge_sw(self.rt.costs.flush_sw)
-
     # ------------------------------------------------------------ data motion
     def _check(self, target: int, offset: int, nbytes: int) -> None:
         if not 0 <= target < self.comm.size:
@@ -94,11 +77,6 @@ class Win:
             raise ValueError(
                 f"window access [{offset}, {offset + nbytes}) outside window of {self.nbytes}B"
             )
-
-    def _path_and_scale(self, nbytes: int):
-        costs = self.rt.costs
-        path = PATH_FMA if nbytes < costs.bte_threshold else PATH_BTE
-        return path, costs.rma_occ_scale(nbytes)
 
     def put(self, data, target: int, offset: int = 0) -> None:
         """Nonblocking ``MPI_Put``; complete it with ``flush``."""
@@ -114,7 +92,7 @@ class Win:
         # queue busy and bypass it, matching IMB aggregate-mode behavior.
         extra = rt.costs.latency_window_extra(nbytes) if self._outstanding[target] == 0 else 0.0
         rt.charge_sw(rt.costs.put_sw + extra)
-        path, scale = self._path_and_scale(nbytes)
+        path = PATH_FMA if nbytes < rt.costs.bte_threshold else PATH_BTE
         self._outstanding[target] += 1
         target_world = self.comm.members[target]
         handle = rt.conduit.put_nb(
@@ -123,7 +101,7 @@ class Win:
             self.offsets[target] + offset,
             data,
             path,
-            occ_scale=scale,
+            occ_scale=rt.costs.rma_occ_scale(nbytes),
         )
 
         def on_done(h):  # network context
@@ -131,85 +109,3 @@ class Win:
             rt.sched.wake(rt.rank, h.time_done)
 
         handle.on_complete(on_done)
-
-    def accumulate(self, data, target: int, offset: int = 0, op: str = "+", dtype=np.float64) -> None:
-        """Nonblocking ``MPI_Accumulate``; complete with ``flush``.
-
-        Element-wise ``op`` ('+', 'min', 'max', 'replace') applied at the
-        target without target CPU (NIC/async-agent path).  Ordering between
-        accumulates to the same window location is the arrival order.
-        """
-        rt = self.rt
-        dt = np.dtype(dtype)
-        arr = np.ascontiguousarray(np.asarray(data, dtype=dt))
-        self._check(target, offset, arr.nbytes)
-        rt.charge_sw(rt.costs.put_sw)
-        rt.charge_copy(arr.nbytes)  # accumulate path stages through MPI buffers
-        path, scale = self._path_and_scale(arr.nbytes)
-        self._outstanding[target] += 1
-        target_world = self.comm.members[target]
-        handle = rt.conduit.accumulate_nb(
-            rt.rank, target_world, self.offsets[target] + offset, arr, dt, op, path, scale
-        )
-
-        def on_done(h):  # network context
-            self._outstanding[target] -= 1
-            rt.sched.wake(rt.rank, h.time_done)
-
-        handle.on_complete(on_done)
-
-    def fetch_and_op(self, value, target: int, offset: int = 0, op: str = "fetch_add", dtype=np.int64) -> "_GetResult":
-        """``MPI_Fetch_and_op`` on one element; result valid after flush."""
-        rt = self.rt
-        dt = np.dtype(dtype)
-        self._check(target, offset, dt.itemsize)
-        rt.charge_sw(rt.costs.put_sw)
-        self._outstanding[target] += 1
-        result = _GetResult()
-        target_world = self.comm.members[target]
-        handle = rt.conduit.amo(
-            rt.rank, target_world, self.offsets[target] + offset, op, dt, (value,)
-        )
-
-        def on_done(h):  # network context
-            result.data = np.asarray([h.data], dtype=dt).tobytes()
-            self._outstanding[target] -= 1
-            rt.sched.wake(rt.rank, h.time_done)
-
-        handle.on_complete(on_done)
-        return result
-
-    def get(self, target: int, offset: int, nbytes: int) -> "_GetResult":
-        """Nonblocking ``MPI_Get``; the result is valid after ``flush``."""
-        rt = self.rt
-        self._check(target, offset, nbytes)
-        rt.charge_sw(rt.costs.put_sw)
-        path, scale = self._path_and_scale(nbytes)
-        self._outstanding[target] += 1
-        result = _GetResult()
-        target_world = self.comm.members[target]
-        handle = rt.conduit.get_nb(
-            rt.rank, target_world, self.offsets[target] + offset, nbytes, path, occ_scale=scale
-        )
-
-        def on_done(h):  # network context
-            result.data = h.data
-            self._outstanding[target] -= 1
-            rt.sched.wake(rt.rank, h.time_done)
-
-        handle.on_complete(on_done)
-        return result
-
-
-class _GetResult:
-    """Holder for MPI_Get output; populated by the time flush returns."""
-
-    __slots__ = ("data",)
-
-    def __init__(self):
-        self.data: Optional[bytes] = None
-
-    def as_array(self, dtype=np.uint8) -> np.ndarray:
-        if self.data is None:
-            raise RuntimeError("MPI_Get result read before flush")
-        return np.frombuffer(self.data, dtype=dtype)

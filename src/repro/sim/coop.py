@@ -254,7 +254,7 @@ class Scheduler:
         if n_ranks < 1:
             raise ValueError(f"need at least 1 rank, got {n_ranks}")
         self.n_ranks = n_ranks
-        # causal-stamp state (see _make_stamp): the stamp of the event
+        # causal-stamp state (see post_at): the stamp of the event
         # currently firing, its running child index, and per-rank post seqs
         self._firing_lane: Optional[tuple] = None
         self._fire_child = 0
@@ -298,18 +298,6 @@ class Scheduler:
         if me is None:
             raise SimError("not inside a rank of this scheduler")
         return me
-
-    def _make_stamp(self) -> tuple:
-        """Mint the causal stamp (module docstring) of a post made now."""
-        lane = self._firing_lane
-        if lane is not None:
-            self._fire_child += 1
-            return lane + (self._fire_child,)
-        me = self._current
-        if me is None:
-            raise SimError("cannot mint an event stamp outside rank/network context")
-        seq = self._post_seq[me.rid] = self._post_seq[me.rid] + 1
-        return (me.clock, me.rid, seq)
 
     # ------------------------------------------------------------ rank context
     def now(self) -> float:
@@ -366,8 +354,9 @@ class Scheduler:
         """Schedule a network-context callback at absolute time ``t``.
 
         Callable from network context (events posting follow-on events).
-        The heap key is ``(t, causal stamp)`` — :meth:`_make_stamp` inlined,
-        because every conduit operation comes through here twice.
+        The heap key is ``(t, causal stamp)``; the stamp (module docstring)
+        is minted here, inline, because every conduit operation comes
+        through here twice.
         """
         if t != t or t < 0 or t == _INF:  # NaN, negative, or inf
             raise ValueError(f"invalid event time: {t!r}")
@@ -506,12 +495,6 @@ class Scheduler:
         :meth:`wake`; never run user code or block.
         """
         self._dead_listeners.append(fn)
-
-    def detected_dead(self) -> dict:
-        """Ranks whose death the heartbeat has *detected* (survivable
-        mode): rank -> RankDeadError.  Before detection a dead rank is
-        indistinguishable from a slow one, exactly like the real thing."""
-        return self._detected_dead
 
     # ------------------------------------------------------------- internals
     def _push_ready(self, ctl: _Fiber) -> None:

@@ -66,12 +66,6 @@ class EventQueue:
         self._count_fired += 1
         return time, fn
 
-    def pop_entry(self):
-        """Pop the earliest event as ``(time, key, fn)`` (key = tie-break)."""
-        time, key, fn = heapq.heappop(self._heap)
-        self._count_fired += 1
-        return time, key, fn
-
     def account_fired(self, n: int) -> None:
         """Batched-drain accounting: credit ``n`` events popped directly.
 

@@ -227,25 +227,6 @@ class FaultPlan:
     # ------------------------------------------------------------------
     # construction helpers
     # ------------------------------------------------------------------
-    def describe(self) -> str:
-        parts = [f"seed={self.seed}"]
-        if self.drop:
-            parts.append(f"drop={self.drop:g}")
-        if self.dup:
-            parts.append(f"dup={self.dup:g}")
-        if self.jitter:
-            parts.append(f"jitter={self.jitter:g}")
-        if self.stall_rate:
-            parts.append(f"stall={self.stall_rate:g}:{self.stall_s:g}")
-        if self.crash:
-            parts.append(
-                "crash=" + "+".join(f"{r}@{t:g}" for r, t in sorted(self.crash.items()))
-            )
-            parts.append(f"detect={self.detect_timeout:g}")
-        if self.survivable:
-            parts.append("survive=1")
-        return ",".join(parts)
-
     @staticmethod
     def parse(spec: str) -> "FaultPlan":
         """Parse a comma-separated spec string.

@@ -20,7 +20,6 @@ from repro.sim.faults import FaultPlan
 from repro.upcxx.costs import DEFAULT_COSTS, UpcxxCosts
 from repro.upcxx.errors import NotInSpmdError
 from repro.upcxx.runtime import Runtime, World, current_runtime
-from repro.util.profile import maybe_profiled, profiling_enabled
 
 #: default processes-per-node, matching the paper's configurations
 DEFAULT_PPN = {"haswell": 32, "knl": 68}
@@ -92,12 +91,8 @@ def run_spmd(
         rt = Runtime(world, rank)
         sched.set_client(rt)
         sched.rank_env()["upcxx_rt"] = rt
-        body = fn
-        if profiling_enabled():
-            # REPRO_PROFILE=1: cProfile one rank's body (see util.profile)
-            body = maybe_profiled(fn, rank)
         try:
-            result = body()
+            result = fn()
             # close the final (partial) rollup window at the rank's own
             # completion time — only on the success path, where the clock
             # read is deterministic (abort unwinding is not)

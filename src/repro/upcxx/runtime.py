@@ -135,7 +135,7 @@ class World:
         self.faults = faults
         self.conduit = Conduit(
             sched, machine, network, segment_size, metrics=self.metrics,
-            spans=self.spans, faults=faults, telemetry=self.telemetry,
+            spans=self.spans, faults=faults,
         )
         self.conduit._remote_cx_deliver = self._deliver_remote_cx
         self.n_ranks = sched.n_ranks

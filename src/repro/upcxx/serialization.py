@@ -26,7 +26,7 @@ import pickle
 import struct
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional
 
 import numpy as np
 
@@ -418,9 +418,3 @@ def copy_free_bytes(obj: Any) -> int:
     if isinstance(obj, dict):
         return sum(copy_free_bytes(v) for v in obj.values())
     return 0
-
-
-def split_roundtrip(obj: Any) -> Tuple[bytes, Any]:
-    """Pack then unpack (testing helper): returns (wire bytes, clone)."""
-    raw = pack(obj)
-    return raw, unpack(raw)

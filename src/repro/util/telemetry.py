@@ -277,10 +277,6 @@ class Telemetry:
     def ranks(self) -> Dict[int, RankTelemetry]:
         return dict(sorted(self._ranks.items()))
 
-    def set_replica_state(self, rank: int, state: dict) -> None:
-        """Record a rank's replication-layer state table (blackbox feed)."""
-        self.rank(rank).replica = state
-
     # --------------------------------------------------------------- export
     def as_dict(self) -> dict:
         return {

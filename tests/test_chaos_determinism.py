@@ -27,6 +27,7 @@ import pytest
 import repro.upcxx as upcxx
 from repro.sim.errors import DeadlockError, RankDeadError, RankFailure
 from repro.sim.faults import FaultPlan
+from repro.util import Metrics, Telemetry
 from tests import golden
 from tests.golden import mixed_body as _mixed_body
 
@@ -61,6 +62,50 @@ def test_zero_rate_plan_identical_to_disabled():
         return golden.fingerprint(golden.chaos_mixed(faults))
 
     assert fp(None) == fp(FaultPlan(seed=9)) == fp("seed=9")
+
+
+def test_zero_rate_plan_same_nic_counters():
+    """Reliable mode adds acks (``rel.acks``), nothing else: every
+    telemetry window's NIC block — bytes of get replies included — reads
+    the same with faults off and under a zero-rate plan."""
+
+    def nic_windows(faults):
+        tel = Telemetry(window_s=5e-6)
+        upcxx.run_spmd(_mixed_body, 4, seed=5, faults=faults, telemetry=tel)
+        return {r: [w["nic"] for w in rt.windows] for r, rt in tel.ranks.items()}
+
+    off = nic_windows(None)
+    assert len(off) == 4 and all(len(ws) > 2 for ws in off.values())
+    assert nic_windows("seed=9") == off
+
+
+@pytest.mark.parametrize("faults", [None, "seed=3,drop=0.2,dup=0.1"])
+def test_metrics_agree_with_endpoint_counters(faults):
+    """``Metrics``' NIC bytes and reliability block are the conduit
+    endpoint's own counters, fault-free and under a lossy plan."""
+    endpoints = {}
+
+    def body():
+        rt = upcxx.runtime_here()
+        endpoints[rt.rank] = rt.conduit.endpoints[rt.rank]
+        return _mixed_body()
+
+    metrics = Metrics()
+    upcxx.run_spmd(body, 4, seed=5, faults=faults, metrics=metrics)
+    assert [rm.rank for rm in metrics.ranks] == [0, 1, 2, 3]
+    for rm in metrics.ranks:
+        ep = endpoints[rm.rank]
+        d = rm.as_dict()
+        assert d["nic"]["bytes"] == ep.bytes_out
+        assert d["reliability"] == {
+            "retransmits": ep.n_retx,
+            "frames_dropped": ep.n_dropped,
+            "frames_duplicated": ep.n_dup,
+            "acks": ep.n_acks,
+        }
+    if faults is not None:
+        # the plan bit: the comparison covers nonzero reliability counters
+        assert sum(ep.n_retx for ep in endpoints.values()) > 0
 
 
 def test_frame_counters_reproduce_golden():

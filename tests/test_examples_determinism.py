@@ -81,18 +81,26 @@ class TestDeterminism:
     def test_metrics_and_trace_export_byte_identical(self):
         """Two same-seed aggregating-DHT runs must serialize to the exact
         same metrics JSON and Perfetto trace JSON."""
-        from repro.bench.dht_bench import dht_aggregating_rate
+        from repro.apps.dht import AggregatingCounter
         from repro.util.metrics import Metrics
         from repro.util.trace import TraceBuffer
         from repro.util.trace_export import dumps_chrome_trace, dumps_metrics
 
+        def body():
+            agg = AggregatingCounter(batch_size=16)
+            rng = upcxx.runtime_here().rng.spawn("dht-agg")
+            upcxx.barrier()
+            for _ in range(48):
+                agg.add(rng.key64() % (1 << 12), 1)
+            agg.sync()
+            upcxx.barrier()
+            return upcxx.sim_now()
+
         def run():
             metrics = Metrics()
             trace = TraceBuffer()
-            rate = dht_aggregating_rate(
-                n_procs=4, updates_per_rank=48, seed=3, metrics=metrics, trace=trace
-            )
-            return rate, dumps_metrics(metrics), dumps_chrome_trace(trace, metrics)
+            times = upcxx.run_spmd(body, 4, seed=3, metrics=metrics, trace=trace)
+            return times, dumps_metrics(metrics), dumps_chrome_trace(trace, metrics)
 
         r1, m1, t1 = run()
         r2, m2, t2 = run()

@@ -1,15 +1,13 @@
 """Failure-injection tests: errors raised deep inside the stack must
-surface cleanly (with rank attribution), never hang or corrupt the run,
-plus the new MPI-3 accumulate operations.
+surface cleanly (with rank attribution), never hang or corrupt the run.
 
 ``TestErrorPropagation`` pins the error verdict: exception type,
 failing-rank attribution, and the original cause's type and message."""
 
-import numpy as np
 import pytest
 
 import repro.upcxx as upcxx
-from repro.mpisim import Win, comm_world, run_mpi
+from repro.mpisim import comm_world, run_mpi
 from repro.sim.errors import DeadlockError, RankFailure
 
 
@@ -90,87 +88,3 @@ class TestErrorPropagation:
             upcxx.run_spmd(body, 2)
         assert ei.value.rank == 1
         assert isinstance(ei.value.__cause__, SegmentAllocationError)
-
-
-class TestMpiAccumulate:
-    def test_accumulate_sums_elementwise(self):
-        def body():
-            comm = comm_world()
-            win = Win.allocate(comm, 8 * 8)
-            win.local_view(np.float64)[:] = 1.0
-            comm.barrier()
-            if comm.rank == 0:
-                win.lock(1)
-                win.accumulate(np.arange(8.0), target=1, op="+")
-                win.accumulate(np.arange(8.0), target=1, op="+")
-                win.unlock(1)
-            comm.barrier()
-            return win.local_view(np.float64).copy()
-
-        res = run_mpi(body, 2)
-        assert np.allclose(res[1], 1.0 + 2 * np.arange(8.0))
-
-    def test_accumulate_max(self):
-        def body():
-            comm = comm_world()
-            win = Win.allocate(comm, 8 * 4)
-            win.local_view(np.float64)[:] = 5.0
-            comm.barrier()
-            if comm.rank == 0:
-                win.lock(1)
-                win.accumulate(np.array([1.0, 9.0, 5.0, 7.0]), target=1, op="max")
-                win.unlock(1)
-            comm.barrier()
-            return win.local_view(np.float64).copy()
-
-        res = run_mpi(body, 2)
-        assert np.allclose(res[1], [5.0, 9.0, 5.0, 7.0])
-
-    def test_accumulate_from_many_ranks_no_lost_updates(self):
-        """Concurrent accumulates are applied atomically elementwise."""
-
-        def body():
-            comm = comm_world()
-            win = Win.allocate(comm, 8)
-            win.local_view(np.int64)[:] = 0
-            comm.barrier()
-            win.lock(0)
-            for _ in range(5):
-                win.accumulate(np.array([1]), target=0, op="+", dtype=np.int64)
-            win.unlock(0)
-            comm.barrier()
-            return int(win.local_view(np.int64)[0])
-
-        res = run_mpi(body, 4)
-        assert res[0] == 20
-
-    def test_fetch_and_op_tickets(self):
-        def body():
-            comm = comm_world()
-            win = Win.allocate(comm, 8)
-            win.local_view(np.int64)[:] = 0
-            comm.barrier()
-            win.lock(0)
-            r = win.fetch_and_op(1, target=0, op="fetch_add", dtype=np.int64)
-            win.flush(0)
-            win.unlock(0)
-            ticket = int(r.as_array(np.int64)[0])
-            comm.barrier()
-            total = comm.allreduce(1, "+")
-            tickets = comm.allgather(ticket)
-            comm.barrier()
-            return (sorted(tickets), total)
-
-        res = run_mpi(body, 4)
-        assert res[0][0] == [0, 1, 2, 3]  # unique, gap-free tickets
-
-    def test_unsupported_op_rejected(self):
-        def body():
-            comm = comm_world()
-            win = Win.allocate(comm, 8)
-            comm.barrier()
-            with pytest.raises(ValueError):
-                win.accumulate(np.array([1.0]), target=0, op="xor")
-            comm.barrier()
-
-        run_mpi(body, 2)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.gasnet.conduit import Conduit
+from repro.gasnet.handle import Transfer
 from repro.gasnet.machine import Machine
 from repro.gasnet.network import AriesNetwork, PATH_BTE, PATH_FMA
 from repro.sim.coop import Scheduler, current_scheduler
@@ -18,6 +19,13 @@ def _wait(sched, handle, rank):
     while not handle.done:
         sched.block("wait handle")
     return handle
+
+
+def _amo(conduit, dst, off, op, operands):
+    """One NIC atomic from rank 0 on the int64 at ``off`` in ``dst``'s segment."""
+    dt = np.dtype(np.int64)
+    x = Transfer(conduit, 0, "amo", dst, off, dt.itemsize, (op, dt, operands), PATH_FMA)
+    return conduit.atomic(x, conduit.sched.now())
 
 
 def test_put_transfers_bytes_and_completes_after_rtt():
@@ -170,13 +178,13 @@ def test_amo_fetch_add_no_target_cpu():
         else:
             s.sleep(1e-6)
             off = s.rank_env(0)["off"]
-            h1 = conduit.amo(0, 1, off, "fetch_add", np.int64, (5,))
+            h1 = _amo(conduit, 1, off, "fetch_add", (5,))
             _wait(s, h1, 0)
-            h2 = conduit.amo(0, 1, off, "fetch_add", np.int64, (7,))
+            h2 = _amo(conduit, 1, off, "fetch_add", (7,))
             _wait(s, h2, 0)
             return (h1.data, h2.data)
 
-    res = Scheduler.run(sched, body) if False else sched.run(body)
+    res = sched.run(body)
     assert res[0] == (100, 105)
     assert res[1] == 112
 
@@ -196,9 +204,9 @@ def test_amo_cas():
             return int(seg.view(off, np.int64, 1)[0])
         s.sleep(1e-6)
         off = s.rank_env(0)["off"]
-        h = conduit.amo(0, 1, off, "cas", np.int64, (10, 77))
+        h = _amo(conduit, 1, off, "cas", (10, 77))
         _wait(s, h, 0)
-        h2 = conduit.amo(0, 1, off, "cas", np.int64, (10, 99))  # stale expected
+        h2 = _amo(conduit, 1, off, "cas", (10, 99))  # stale expected
         _wait(s, h2, 0)
         return (h.data, h2.data)
 

@@ -261,28 +261,6 @@ class TestObservedRun:
         upcxx.run_spmd(body, 1, metrics=Metrics(enabled=False))
 
 
-class TestHarnessObservation:
-    def test_observation_saves_both_files(self, tmp_path, monkeypatch):
-        from repro.bench.harness import Observation, metrics_enabled
-
-        monkeypatch.setenv("REPRO_METRICS", "1")
-        assert metrics_enabled()
-        obs = Observation.maybe("unit")
-        assert obs is not None
-        upcxx.run_spmd(_agg_dht_body, 2, ppn=1, metrics=obs.metrics, trace=obs.trace)
-        mpath, tpath = obs.save(results_dir=str(tmp_path))
-        with open(mpath) as fh:
-            assert json.load(fh)["n_ranks"] == 2
-        with open(tpath) as fh:
-            assert json.load(fh)["traceEvents"]
-
-    def test_observation_off_by_default(self, monkeypatch):
-        from repro.bench.harness import Observation
-
-        monkeypatch.delenv("REPRO_METRICS", raising=False)
-        assert Observation.maybe("unit") is None
-
-
 class TestCompQPromotion:
     """Regression: completions staged by the network while user progress is
     draining a busy compQ must be promoted each loop iteration, not only

@@ -200,36 +200,20 @@ class TestRma:
         res = run_mpi(body, 2)
         assert res[1][8:12] == b"DATA"
 
-    def test_get_after_flush(self):
-        def body():
-            comm = comm_world()
-            win = Win.allocate(comm, 32)
-            win.local_view(np.int64)[:] = comm.rank + 100
-            comm.barrier()
-            if comm.rank == 0:
-                win.lock(1)
-                res = win.get(target=1, offset=0, nbytes=8)
-                win.unlock(1)
-                assert res.as_array(np.int64)[0] == 101
-            comm.barrier()
-
-        run_mpi(body, 2)
-
     def test_many_puts_one_flush(self):
         def body():
             comm = comm_world()
             win = Win.allocate(comm, 4096)
             comm.barrier()
             if comm.rank == 0:
-                win.lock_all()
+                win.lock(1)
                 for i in range(16):
                     win.put(np.full(4, i, dtype=np.int64), target=1, offset=32 * i)
-                win.unlock_all()
+                win.unlock(1)
             comm.barrier()
             if comm.rank == 1:
-                v = win.local_view(np.int64)
-                assert v[4 * 15 * 1] == 0 or True  # layout checked below
-                assert np.all(win.local_view(np.int64, 4) == 0)
+                v = win.local_view(np.int64, 64)
+                assert np.array_equal(v, np.repeat(np.arange(16), 4))
             comm.barrier()
 
         run_mpi(body, 2)
@@ -244,21 +228,6 @@ class TestRma:
             comm.barrier()
 
         run_mpi(body, 2)
-
-    def test_get_before_flush_rejected(self):
-        def body():
-            comm = comm_world()
-            win = Win.allocate(comm, 16)
-            comm.barrier()
-            if comm.rank == 0:
-                res = win.get(target=1, offset=0, nbytes=8)
-                with pytest.raises(RuntimeError):
-                    res.as_array()
-                win.flush(1)
-            comm.barrier()
-
-        run_mpi(body, 2)
-
 
 class TestCosts:
     def test_pipeline_eff_dips_at_8k(self):

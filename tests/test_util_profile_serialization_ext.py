@@ -1,49 +1,8 @@
-"""Tests for the profiling module and the custom-serialization registry."""
-
-import numpy as np
-import pytest
+"""Tests for the custom-serialization registry."""
 
 import repro.upcxx as upcxx
 from repro.upcxx import serialization as ser
 from repro.upcxx.serialization import register_serialization, serializable_fields
-from repro.util.profile import RankProfile, RunProfile, profile_spmd
-
-
-class TestProfile:
-    def test_profile_spmd_counts_operations(self):
-        def body():
-            me = upcxx.rank_me()
-            g = upcxx.new_array(np.float64, 4)
-            ptrs = [upcxx.broadcast(g, root=r).wait() for r in range(upcxx.rank_n())]
-            upcxx.barrier()
-            upcxx.rput(np.ones(4), ptrs[(me + 1) % upcxx.rank_n()]).wait()
-            upcxx.rpc((me + 1) % upcxx.rank_n(), lambda: None).wait()
-            upcxx.barrier()
-
-        prof = profile_spmd(body, 4)
-        t = prof.totals()
-        assert t["rputs"] == 4
-        assert t["rpcs_sent"] >= 4  # explicit rpcs plus collective traffic
-        assert t["rpcs_executed"] == t["rpcs_sent"]
-        assert prof.imbalance() >= 1.0
-        report = prof.report()
-        assert "rputs: 4" in report
-        assert "bytes on the wire" in report
-
-    def test_rank_profile_delta(self):
-        a = RankProfile(rank=0, rputs=2, rpcs_sent=5, sim_time=1.0)
-        b = RankProfile(rank=0, rputs=7, rpcs_sent=6, sim_time=3.0)
-        d = b.delta(a)
-        assert d.rputs == 5 and d.rpcs_sent == 1 and d.sim_time == 2.0
-
-    def test_delta_rank_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            RankProfile(rank=0).delta(RankProfile(rank=1))
-
-    def test_empty_profile_report(self):
-        prof = RunProfile()
-        assert prof.imbalance() == 1.0
-        assert "ranks: 0" in prof.report()
 
 
 @serializable_fields("key", "weight")
