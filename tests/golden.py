@@ -1,14 +1,15 @@
 """Golden determinism fingerprints: the frozen reference the simulator is held to.
 
 The simulator's contract is that a program plus its seeds fixes the run:
-results, trace, spans and the scheduler's event counts.  The committed
+results, trace, spans, metrics and the scheduler's event counts.  The committed
 ``tests/golden/fingerprints.json`` is the reference for that
 (docs/simulator.md §1).
 
 This module holds the canonical programs of the determinism, chaos and
 telemetry suites (name -> ``fn() -> Run``), reduces a run to its
 fingerprint (``results`` sha256, canonical ``trace`` digest, ``spans``
-fingerprint, ``events_posted``/``events_fired``, ``switches``) and
+fingerprint, ``metrics`` export digest, ``events_posted``/``events_fired``,
+``switches``) and
 compares fingerprints with the committed file::
 
     PYTHONPATH=src python -m tests.golden --check [program ...]
@@ -34,6 +35,7 @@ import numpy as np
 import repro.upcxx as upcxx
 from repro.sim.coop import Scheduler, current_scheduler
 from repro.sim.errors import RankDeadError
+from repro.util.metrics import Metrics
 from repro.util.spans import SpanBuffer
 from repro.util.telemetry import Telemetry, dumps_blackbox
 from repro.util.trace import TraceBuffer
@@ -48,6 +50,7 @@ class Run(NamedTuple):
     trace: Optional[TraceBuffer] = None
     spans: Optional[SpanBuffer] = None
     stats: Optional[dict] = None
+    metrics: Optional[Metrics] = None
 
 
 # ------------------------------------------------------------- fingerprints
@@ -86,6 +89,8 @@ def fingerprint(run: Run) -> dict:
         fp["trace"] = trace_digest(run.trace)
     if run.spans is not None:
         fp["spans"] = run.spans.fingerprint()
+    if run.metrics is not None:
+        fp["metrics"] = digest(run.metrics.as_dict())
     if run.stats is not None:
         for key in ("events_posted", "events_fired", "switches"):
             fp[key] = run.stats[key]
@@ -142,9 +147,10 @@ def reproduces(name: str) -> Run:
 # ------------------------------------------------------------------ programs
 def _spmd(body, ranks: int, **kw) -> Run:
     """A UPC++ program with every passive observer on."""
-    trace, spans, stats = TraceBuffer(), SpanBuffer(), {}
-    results = upcxx.run_spmd(body, ranks, trace=trace, spans=spans, sched_stats=stats, **kw)
-    return Run(list(results), trace, spans, stats)
+    trace, spans, stats, metrics = TraceBuffer(), SpanBuffer(), {}, Metrics()
+    results = upcxx.run_spmd(body, ranks, trace=trace, spans=spans, sched_stats=stats,
+                             metrics=metrics, **kw)
+    return Run(list(results), trace, spans, stats, metrics)
 
 
 def fig3a_series() -> Run:

@@ -56,10 +56,16 @@ def test_chaos_seed13_reproduces_golden():
 
 
 def test_zero_rate_plan_identical_to_disabled():
-    """An armed plan with all rates zero is simulation-invisible."""
+    """An armed plan with all rates zero is simulation-invisible: the same
+    fingerprint, ``Metrics`` export included but for the acks the reliable
+    channel counts."""
 
     def fp(faults):
-        return golden.fingerprint(golden.chaos_mixed(faults))
+        run = golden.chaos_mixed(faults)
+        exported = run.metrics.as_dict()
+        for rm in exported["ranks"]:
+            rm["reliability"].pop("acks")
+        return {**golden.fingerprint(run), "metrics": golden.digest(exported)}
 
     assert fp(None) == fp(FaultPlan(seed=9)) == fp("seed=9")
 
