@@ -78,8 +78,8 @@ class _Endpoint:
         self.n_ams = 0
         self.n_amos = 0
         self.bytes_out = 0
-        # reliability-layer counters (all attributed to the initiating
-        # endpoint, even for ack frames flowing the other way)
+        # reliability-layer counters: a frame's retransmits, drops, dups and
+        # acks count on the endpoint that sent it (a get reply's on the target)
         self.n_retx = 0
         self.n_dropped = 0
         self.n_dup = 0
@@ -215,80 +215,21 @@ class Conduit:
         return done
 
     # ------------------------------------------------------------ wire timing
-    def _inject(
-        self,
-        src: int,
-        dst: int,
-        nbytes: int,
-        path: str,
-        start: float,
-        occ_scale: float = 1.0,
-        span: Optional[tuple] = None,
-        kind: str = "op",
-    ):
-        """Schedule one wire transfer; returns (injection_done, arrival).
-
-        ``occ_scale`` multiplies the injection occupancy; client layers use
-        values > 1 to model software pipelines that under-drive the NIC
-        (e.g. Cray MPICH's mid-size RMA path in the paper's Fig. 3b).
-        ``span``, when given, records the backpressure/occupancy/wire
-        phases of this transfer under that correlation id.
-        """
-        if occ_scale <= 0:
-            raise ValueError(f"occ_scale must be positive, got {occ_scale}")
-        ep = self.endpoints[src]
-        node = self._node
-        same = node[src] == node[dst]
-        nic_free = ep.nic_free_at
-        begin = start if start > nic_free else nic_free
-        key = (nbytes, path, same)
-        occ = self._occ_cache.get(key)
-        if occ is None:
-            occ = self._occ_cache[key] = self.network.occupancy(nbytes, path, same)
-        occ *= occ_scale
-        done = begin + occ
-        ep.nic_free_at = done
-        ep.bytes_out += nbytes
-        arrival = done + (self._lat_shm if same else self._lat_net)
-        if self.metrics is not None:
-            # wire time = occupancy; backpressure = time spent queued behind
-            # earlier injections on this NIC before the wire was free
-            self.metrics.rank(src).nic_injected(nbytes, occ, begin - start)
-        sp = self.spans
-        if sp is not None and span is not None:
-            sp.record(start, begin, src, span, "nic_wait", kind, nbytes)
-            sp.record(begin, done, src, span, "nic_occ", kind, nbytes)
-            sp.record(done, arrival, src, span, "wire", kind, nbytes)
-        return done, arrival
-
-    # ------------------------------------------------- reliable delivery
-    # With a FaultPlan bound, every conduit op becomes a *reliable channel*
-    # transfer: per-(sender,receiver) sequence numbers, receipt acks, and
-    # timeout + exponential-backoff retransmission, with in-order commit at
-    # the receiver.  Because every fault decision is a pure hash of
-    # (plan seed, channel, seq, attempt) — see repro.sim.faults — the whole
-    # retransmit ladder is computable at send time: the sender charges each
-    # attempt to its NIC (occupancy, backpressure, metrics, retry spans)
-    # and then posts exactly ONE commit event and one completion, exactly
-    # mirroring the fault-free event structure.  That is what keeps a
-    # zero-fault plan bit-identical to ``faults=None``.
-    def _rel_ladder(
-        self,
-        snd: int,
-        rcv: int,
-        nbytes: int,
-        path: str,
-        start: float,
-        occ_scale: float,
-        span,
-        kind: str,
-        ack_lat: float,
-        phases: tuple,
-    ):
-        """Run one reliable-channel transfer analytically.
-
-        Charges every transmission attempt to ``snd``'s NIC and returns
-        ``(done0, commit_at, ack_recv)``:
+    # Every frame crosses the wire here.  With a FaultPlan bound, a frame
+    # travels a *reliable channel*: per-(sender,receiver) sequence numbers,
+    # receipt acks, and timeout + exponential-backoff retransmission, with
+    # in-order commit at the receiver.  Because every fault decision is a
+    # pure hash of (plan seed, channel, seq, attempt) — see repro.sim.faults
+    # — the whole retransmit ladder is computable at send time: the sender
+    # charges each attempt to its NIC (occupancy, backpressure, metrics,
+    # retry spans) and the caller posts exactly ONE commit event and one
+    # completion, the fault-free event structure.  Fault-free, the ladder
+    # stops after its first attempt, which always lands; a zero-rate plan
+    # runs that same attempt, so it is simulation-invisible by construction.
+    def _transmit(self, snd, rcv, nbytes, path, start, occ_scale, span, kind,
+                  phases=("nic_wait", "nic_occ", "wire"), ack_bytes=None):
+        """Time one ``snd`` -> ``rcv`` frame injected at ``start`` and
+        return ``(done0, commit_at, ack_recv)``:
 
         - ``done0``     — injection-done time of the *first* attempt
           (source-buffer-reusable point, e.g. AM source completion);
@@ -296,14 +237,18 @@ class Conduit:
           (``None`` if the receiver crashed before any attempt landed);
         - ``ack_recv``  — when the sender observes the commit acknowledged
           (``None`` if no ack ever survived, e.g. receiver died mid-ladder).
+
+        ``occ_scale`` multiplies the injection occupancy; client layers use
+        values > 1 to model software pipelines that under-drive the NIC
+        (e.g. Cray MPICH's mid-size RMA path in the paper's Fig. 3b).
+        ``span``, when given, records the first attempt's backpressure,
+        occupancy and wire phases under ``phases``, each retransmit as
+        ``retry``, and — for acknowledged ops, which pass ``ack_bytes`` —
+        the ack as ``ack_wire``.  Frames count on ``snd``'s endpoint.
         """
-        plan = self._faults
+        if occ_scale <= 0:
+            raise ValueError(f"occ_scale must be positive, got {occ_scale}")
         ep = self.endpoints[snd]
-        chan = self._rel_chan.get((snd, rcv))
-        if chan is None:
-            chan = self._rel_chan[(snd, rcv)] = [0, 0.0]
-        seq = chan[0]
-        chan[0] = seq + 1
         node = self._node
         same = node[snd] == node[rcv]
         key = (nbytes, path, same)
@@ -312,30 +257,34 @@ class Conduit:
             occ = self._occ_cache[key] = self.network.occupancy(nbytes, path, same)
         occ *= occ_scale
         lat = self._lat_shm if same else self._lat_net
-        rto = plan.rto_for(lat, ack_lat)
-        cutoff = plan.crash_cutoff(rcv)
         mrank = self.metrics.rank(snd) if self.metrics is not None else None
         sp = self.spans if span is not None else None
-        inf = float("inf")
-        acked_at = inf
-        first_arrival = None
-        done0 = done = start
-        n_drop = n_dup = n_ack = 0
-        max_retx = plan.max_retx
+        plan = self._faults
+        if plan is not None:
+            chan = self._rel_chan.get((snd, rcv))
+            if chan is None:
+                chan = self._rel_chan[(snd, rcv)] = [0, 0.0]
+            seq = chan[0]
+            chan[0] = seq + 1
+            rto = plan.rto_for(lat, lat)
+            cutoff = plan.crash_cutoff(rcv)
+            max_retx = plan.max_retx
+            acked_at = inf = float("inf")
+            first_arrival = None
+            n_drop = n_dup = n_ack = 0
         t = start
         i = 0
         while True:
-            if i > 0:
-                # exponential backoff from the previous injection's end
-                t = done + rto * (2.0 ** (i - 1))
-                if acked_at <= t or i > max_retx:
-                    break
-            begin = t if t > ep.nic_free_at else ep.nic_free_at
-            begin = plan.stall_until(snd, begin)
+            nic_free = ep.nic_free_at
+            begin = t if t > nic_free else nic_free
+            if plan is not None:
+                begin = plan.stall_until(snd, begin)
             done = begin + occ
             ep.nic_free_at = done
             ep.bytes_out += nbytes
             if mrank is not None:
+                # wire time = occupancy; backpressure = time spent queued
+                # behind earlier injections on this NIC before it was free
                 mrank.nic_injected(nbytes, occ, begin - t)
             if sp is not None:
                 if i == 0:
@@ -344,6 +293,14 @@ class Conduit:
                     sp.record(done, done + lat, snd, span, phases[2], kind, nbytes)
                 else:
                     sp.record(t, done, snd, span, "retry", kind, nbytes)
+            if plan is None:
+                # the first attempt lands: remote commit is instantaneous
+                # and the ack rides one latency back
+                commit_at = done + lat
+                ack_recv = commit_at + lat
+                if ack_bytes is not None and sp is not None:
+                    sp.record(commit_at, ack_recv, snd, span, "ack_wire", kind, ack_bytes)
+                return done, commit_at, ack_recv
             if i == 0:
                 done0 = done
             if plan.drops_frame(snd, rcv, seq, i):
@@ -359,58 +316,35 @@ class Conduit:
                         n_drop += 1
                     else:
                         n_ack += 1
-                        ack_at = arrival + ack_lat + plan.ack_jitter_of(snd, rcv, seq, i)
+                        ack_at = arrival + lat + plan.ack_jitter_of(snd, rcv, seq, i)
                         if ack_at < acked_at:
                             acked_at = ack_at
             i += 1
-        if first_arrival is None:
-            commit_at = None
-        else:
+            # exponential backoff from this injection's end
+            t = done + rto * (2.0 ** (i - 1))
+            if acked_at <= t or i > max_retx:
+                break
+        commit_at = ack_recv = None
+        if first_arrival is not None:
             # in-order commit: a late first delivery (jitter/retransmit)
             # cannot overtake an earlier frame already committed on this
-            # channel; fault-free arrivals are already nondecreasing, so
-            # the clamp is a no-op then
+            # channel
             last = chan[1]
             commit_at = first_arrival if first_arrival > last else last
             chan[1] = commit_at
-        if commit_at is not None and acked_at < inf:
-            ack_recv = commit_at + ack_lat
-            if acked_at > ack_recv:
-                ack_recv = acked_at
-        else:
-            ack_recv = None
+            if acked_at < inf:
+                ack_recv = commit_at + lat
+                if acked_at > ack_recv:
+                    ack_recv = acked_at
         ep.n_retx += i - 1
         ep.n_dropped += n_drop
         ep.n_dup += n_dup
         ep.n_acks += n_ack
         if mrank is not None:
             mrank.rel_update(i - 1, n_drop, n_dup, n_ack)
+        if ack_bytes is not None and sp is not None and ack_recv is not None:
+            sp.record(ack_recv - lat, ack_recv, snd, span, "ack_wire", kind, ack_bytes)
         return done0, commit_at, ack_recv
-
-    def _send(self, src, dst, nbytes, path, now, occ_scale, span, kind, ack_bytes=None):
-        """Time one ``src`` -> ``dst`` transfer injected at ``now``: one NIC
-        injection, or under a fault plan the reliable channel's whole
-        ladder.  Every operation's forward leg comes through here, so each
-        is written once for both modes.  Returns what :meth:`_rel_ladder`
-        does: ``(inj_done, commit_at, ack_at)`` — source buffer reusable,
-        frame landed at ``dst`` (None: it crashed first), commit seen
-        acknowledged at ``src`` (None: no ack survives).  Acknowledged ops
-        pass ``ack_bytes`` to have the ack's ``ack_wire`` span recorded."""
-        node = self._node
-        lat = self._lat_shm if node[src] == node[dst] else self._lat_net
-        if self._faults is None:
-            inj_done, commit_at = self._inject(src, dst, nbytes, path, now, occ_scale, span, kind)
-            # remote commit is instantaneous; the ack rides one latency back
-            ack_from, ack_at = commit_at, commit_at + lat
-        else:
-            inj_done, commit_at, ack_at = self._rel_ladder(
-                src, dst, nbytes, path, now, occ_scale, span,
-                kind, lat, ("nic_wait", "nic_occ", "wire"),
-            )
-            ack_from = None if ack_at is None else ack_at - lat
-        if ack_bytes is not None and span is not None and self.spans is not None and ack_at is not None:
-            self.spans.record(ack_from, ack_at, src, span, "ack_wire", kind, ack_bytes)
-        return inj_done, commit_at, ack_at
 
     # ------------------------------------------------------------- put / get
     def put_nb(
@@ -445,7 +379,8 @@ class Conduit:
         channel's retransmit ladder — and post the commit event."""
         src, dst, nbytes, span = x.src, x.dst, x.nbytes, x.sid
         self.endpoints[src].n_puts += 1
-        _, commit_at, ack_at = self._send(src, dst, nbytes, x.path, now, x.occ_scale, span, "put", nbytes)
+        _, commit_at, ack_at = self._transmit(src, dst, nbytes, x.path, now, x.occ_scale, span, "put",
+                                              ack_bytes=nbytes)
         if commit_at is None:
             # receiver crashed before any attempt landed; the op can never
             # complete — crash detection (RankDeadError) unblocks the caller
@@ -482,7 +417,7 @@ class Conduit:
         a fault plan); the target half is :meth:`_get_reply`."""
         src, dst, span = x.src, x.dst, x.sid
         self.endpoints[src].n_gets += 1
-        _, req_at, _ = self._send(src, dst, self.network.header_bytes, PATH_FMA, now, 1.0, span, "get")
+        _, req_at, _ = self._transmit(src, dst, self.network.header_bytes, PATH_FMA, now, 1.0, span, "get")
         if req_at is None:
             return x
         x.phase = GET_SERVICE
@@ -496,34 +431,12 @@ class Conduit:
         (default: ``dst``'s host segment) and streams the reply.  Returns
         ``(back, data)``: when the reply lands at ``src`` (None if no
         attempt ever does) and the bytes read."""
-        dst_ep = self.endpoints[dst]
-        data = (dst_ep.segment if seg is None else seg).read(dst_off, nbytes)
-        node = self._node
-        same = node[src] == node[dst]
-        lat = self._lat_shm if same else self._lat_net
-        if self._faults is not None:
-            _, back, _ = self._rel_ladder(
-                dst, src, nbytes, path, t_req, occ_scale, span, "get", lat,
-                ("remote_nic_wait", "remote_occ", "wire_back"),
-            )
-            return back, data
-        begin = max(t_req, dst_ep.nic_free_at)
-        key = (nbytes, path, same)
-        occ = self._occ_cache.get(key)
-        if occ is None:
-            occ = self._occ_cache[key] = self.network.occupancy(nbytes, path, same)
-        occ *= occ_scale
-        dst_ep.nic_free_at = begin + occ
-        dst_ep.bytes_out += nbytes
-        back = begin + occ + lat
-        if self.metrics is not None:
-            # the reply stream occupies the *destination* NIC
-            self.metrics.rank(dst).nic_injected(nbytes, occ, begin - t_req)
-        sp = self.spans
-        if sp is not None and span is not None:
-            sp.record(t_req, begin, dst, span, "remote_nic_wait", "get", nbytes)
-            sp.record(begin, begin + occ, dst, span, "remote_occ", "get", nbytes)
-            sp.record(begin + occ, back, dst, span, "wire_back", "get", nbytes)
+        data = (self.endpoints[dst].segment if seg is None else seg).read(dst_off, nbytes)
+        # the reply is a frame of its own, from the *destination* NIC
+        _, back, _ = self._transmit(
+            dst, src, nbytes, path, t_req, occ_scale, span, "get",
+            ("remote_nic_wait", "remote_occ", "wire_back"),
+        )
         return back, data
 
     # -------------------------------------------------------------------- AM
@@ -553,7 +466,7 @@ class Conduit:
         arrival and ``x.injected`` at injection end."""
         src, dst = x.src, x.dst
         self.endpoints[src].n_ams += 1
-        inj_done, arrival, _ = self._send(src, dst, x.nbytes, path, now, 1.0, x.sid, "am")
+        inj_done, arrival, _ = self._transmit(src, dst, x.nbytes, path, now, 1.0, x.sid, "am")
         x.conduit = self
         sched = self.sched
         if arrival is not None:  # else the receiver crashed before any attempt landed
@@ -572,7 +485,7 @@ class Conduit:
         self.endpoints[src].n_amos += 1
         # the request carries a header beside its one element
         wire = nbytes + self.network.header_bytes
-        _, arrival, ack_at = self._send(src, dst, wire, x.path, now, x.occ_scale, x.sid, x.kind, nbytes)
+        _, arrival, ack_at = self._transmit(src, dst, wire, x.path, now, x.occ_scale, x.sid, x.kind, ack_bytes=nbytes)
         if arrival is None:
             return x
         x.phase = ATOMIC_APPLY
