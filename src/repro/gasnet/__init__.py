@@ -13,8 +13,8 @@ contract over the deterministic DES in :mod:`repro.sim`:
 - :mod:`repro.gasnet.segment` — the shared segment and its allocator;
 - :mod:`repro.gasnet.handle` — completion handles;
 - :mod:`repro.gasnet.am` — the active-message record and per-rank inboxes;
-- :mod:`repro.gasnet.conduit` — ties it together: ``put_nb``/``get_nb``/
-  ``am_send``/``amo`` plus per-rank polling.
+- :mod:`repro.gasnet.conduit` — ties it together: ``put``/``get``/``am``/
+  ``atomic`` over one wire path, plus per-rank segments and inboxes.
 
 The conduit models *hardware* time only (NIC occupancy, wire latency,
 remote commit).  Software CPU overheads are charged by the client layers

@@ -180,7 +180,7 @@ class RankMetrics:
         self.nic_bytes = 0
         self.nic_occupancy = 0.0
         self.nic_backpressure = 0.0
-        # -- reliability layer (fault injection; attributed to initiator) ----
+        # -- reliability layer (fault injection; counted on the frame's sender)
         self.rel_retransmits = 0
         self.rel_dropped = 0
         self.rel_duplicated = 0
@@ -258,7 +258,7 @@ class RankMetrics:
         self.nic_backpressure += backpressure
 
     def rel_update(self, retransmits: int, dropped: int, duplicated: int, acks: int) -> None:
-        """One reliable-channel ladder finished for an op this rank sent."""
+        """One reliable-channel ladder finished for a frame this rank sent."""
         self.rel_retransmits += retransmits
         self.rel_dropped += dropped
         self.rel_duplicated += duplicated

@@ -12,17 +12,23 @@ import repro.upcxx as upcxx
 EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
 
 
-@pytest.mark.parametrize(
-    "script,expect",
-    [
-        ("quickstart.py", "quickstart finished."),
-        ("dht_demo.py", "dht_demo finished."),
-        ("extend_add_demo.py", "correctness vs dense serial reference: OK"),
-        ("stencil_halo.py", "stencil_halo finished."),
-        ("kmer_count.py", "kmer_count finished."),
-        ("observability_demo.py", "observability_demo finished."),
-    ],
-)
+#: every shipped example and the line it prints on success
+EXAMPLE_RUNS = [
+    ("quickstart.py", "quickstart finished."),
+    ("dht_demo.py", "dht_demo finished."),
+    ("extend_add_demo.py", "correctness vs dense serial reference: OK"),
+    ("stencil_halo.py", "stencil_halo finished."),
+    ("kmer_count.py", "kmer_count finished."),
+    ("observability_demo.py", "observability_demo finished."),
+    ("gpu_pipeline.py", "gpu_pipeline finished."),
+]
+
+
+def test_every_example_is_run():
+    assert sorted(s for s, _ in EXAMPLE_RUNS) == sorted(p.name for p in EXAMPLES.glob("*.py"))
+
+
+@pytest.mark.parametrize("script,expect", EXAMPLE_RUNS)
 def test_example_runs(script, expect):
     proc = subprocess.run(
         [sys.executable, str(EXAMPLES / script)],

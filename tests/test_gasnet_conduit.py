@@ -8,6 +8,7 @@ from repro.gasnet.handle import Transfer
 from repro.gasnet.machine import Machine
 from repro.gasnet.network import AriesNetwork, PATH_BTE, PATH_FMA
 from repro.sim.coop import Scheduler, current_scheduler
+from repro.sim.faults import FaultPlan
 
 
 def _mkconduit(sched, n, ppn=1):
@@ -286,6 +287,27 @@ def test_every_put_and_get_takes_the_one_tail(program, monkeypatch):
     golden.reproduces(program)
     faulty = program.startswith("chaos")
     assert seen == {(name, faulty) for name in ("put", "get", "_get_reply")}
+
+
+@pytest.mark.parametrize("occ_scale", [0.0, -1.0])
+@pytest.mark.parametrize("faults", [None, "seed=9"])
+def test_nonpositive_occ_scale_rejected(faults, occ_scale):
+    """A zero or negative occupancy scale would stop or run back the NIC
+    clock: a transfer rejects it before it touches the NIC, fault-free and
+    over the reliable channel alike."""
+    sched = Scheduler(2)
+    plan = None if faults is None else FaultPlan.parse(faults)
+    conduit = Conduit(sched, Machine.for_ranks(2, 1), AriesNetwork(), segment_size=1 << 20, faults=plan)
+
+    def body(r):
+        if r == 0:
+            off = conduit.segment(1).allocate(8)
+            with pytest.raises(ValueError, match="occ_scale must be positive"):
+                conduit.put_nb(0, 1, off, bytes(8), occ_scale=occ_scale)
+
+    sched.run(body)
+    ep = conduit.endpoints[0]
+    assert (ep.nic_free_at, ep.bytes_out) == (0.0, 0)
 
 
 def test_machine_too_small_rejected():
