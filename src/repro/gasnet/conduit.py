@@ -485,7 +485,8 @@ class Conduit:
         self.endpoints[src].n_amos += 1
         # the request carries a header beside its one element
         wire = nbytes + self.network.header_bytes
-        _, arrival, ack_at = self._transmit(src, dst, wire, x.path, now, x.occ_scale, x.sid, x.kind, ack_bytes=nbytes)
+        _, arrival, ack_at = self._transmit(src, dst, wire, x.path, now, x.occ_scale, x.sid, x.kind,
+                                            ack_bytes=nbytes)
         if arrival is None:
             return x
         x.phase = ATOMIC_APPLY

@@ -9,8 +9,7 @@ This module holds the canonical programs of the determinism, chaos and
 telemetry suites (name -> ``fn() -> Run``), reduces a run to its
 fingerprint (``results`` sha256, canonical ``trace`` digest, ``spans``
 fingerprint, ``metrics`` export digest, ``events_posted``/``events_fired``,
-``switches``) and
-compares fingerprints with the committed file::
+``switches``) and compares fingerprints with the committed file::
 
     PYTHONPATH=src python -m tests.golden --check [program ...]
     PYTHONPATH=src python -m tests.golden --write [program ...]
