@@ -289,9 +289,9 @@ class KvService:
             "acks_forgiven": s["acks_forgiven"],
             "updates_dropped": s["updates_dropped"],
         }
-        tel = self._rt.telemetry  # this rank's RankTelemetry sink
+        tel = self._rt.world.telemetry
         if tel is not None:
-            tel.replica = {
+            tel.rank(self._rt.rank).replica = {
                 "factor": self._repl.replication,
                 "shard_size": self._store.local_size(),
                 "deaths_seen": self._repl.deaths_seen,

@@ -50,7 +50,10 @@ class _Endpoint:
         "n_gets",
         "n_ams",
         "n_amos",
+        "n_inj",
         "bytes_out",
+        "nic_busy_s",
+        "nic_wait_s",
         "n_retx",
         "n_dropped",
         "n_dup",
@@ -77,7 +80,12 @@ class _Endpoint:
         self.n_gets = 0
         self.n_ams = 0
         self.n_amos = 0
+        # NIC ledger: frames injected (retransmits included), their bytes,
+        # the NIC's occupancy and the time frames queued behind it
+        self.n_inj = 0
         self.bytes_out = 0
+        self.nic_busy_s = 0.0
+        self.nic_wait_s = 0.0
         # reliability-layer counters: a frame's retransmits, drops, dups and
         # acks count on the endpoint that sent it (a get reply's on the target)
         self.n_retx = 0
@@ -124,7 +132,6 @@ class Conduit:
         machine: Machine,
         network: NetworkModel,
         segment_size: int = 32 * 1024 * 1024,
-        metrics=None,
         spans=None,
         faults=None,
     ):
@@ -135,12 +142,10 @@ class Conduit:
         self.sched = sched
         self.machine = machine
         self.network = network
-        #: optional repro.util.metrics.Metrics for NIC injection accounting
-        self.metrics = metrics if metrics is not None and metrics.enabled else None
         #: optional repro.util.spans.SpanBuffer for causal span tracing;
         #: ops that carry a ``span`` correlation id record their NIC and
         #: wire phases here (passive: no clock reads, no event posts)
-        self.spans = spans if spans is not None and spans.enabled else None
+        self.spans = spans
         #: optional repro.sim.faults.FaultPlan; when set, every op routes
         #: through the reliable-delivery layer (seq/ack/retransmit)
         self._faults = faults
@@ -158,12 +163,11 @@ class Conduit:
         # installed by the UPC++ World so the conduit can hand
         # remote_cx::as_rpc work to the *target's* runtime
         self._remote_cx_deliver: Optional[Callable] = None
-        sched.register_conduit(self)
 
     def close(self) -> None:
         """The job is over: give up every segment and unhook from the
-        scheduler and the client layer, so nothing here keeps the job (or
-        is kept by it) once the caller lets go.
+        client layer, so nothing here keeps the job (or is kept by it) once
+        the caller lets go.
 
         Segments are dereferenced, never closed: memory goes back by
         reference counting, and a segment whose view a rank returned from
@@ -174,7 +178,6 @@ class Conduit:
             # an unpolled message points back at this conduit
             ep.inbox._queue.clear()
         self._remote_cx_deliver = None
-        self.sched._conduits.remove(self)
 
     # -------------------------------------------------------------- accessors
     def segment(self, rank: int) -> Segment:
@@ -221,8 +224,8 @@ class Conduit:
     # in-order commit at the receiver.  Because every fault decision is a
     # pure hash of (plan seed, channel, seq, attempt) — see repro.sim.faults
     # — the whole retransmit ladder is computable at send time: the sender
-    # charges each attempt to its NIC (occupancy, backpressure, metrics,
-    # retry spans) and the caller posts exactly ONE commit event and one
+    # charges each attempt to its NIC (occupancy, backpressure, the
+    # endpoint's NIC ledger, retry spans) and the caller posts exactly ONE commit event and one
     # completion, the fault-free event structure.  Fault-free, the ladder
     # stops after its first attempt, which always lands; a zero-rate plan
     # runs that same attempt, so it is simulation-invisible by construction.
@@ -257,7 +260,6 @@ class Conduit:
             occ = self._occ_cache[key] = self.network.occupancy(nbytes, path, same)
         occ *= occ_scale
         lat = self._lat_shm if same else self._lat_net
-        mrank = self.metrics.rank(snd) if self.metrics is not None else None
         sp = self.spans if span is not None else None
         plan = self._faults
         if plan is not None:
@@ -281,11 +283,10 @@ class Conduit:
                 begin = plan.stall_until(snd, begin)
             done = begin + occ
             ep.nic_free_at = done
+            ep.n_inj += 1
             ep.bytes_out += nbytes
-            if mrank is not None:
-                # wire time = occupancy; backpressure = time spent queued
-                # behind earlier injections on this NIC before it was free
-                mrank.nic_injected(nbytes, occ, begin - t)
+            ep.nic_busy_s += occ
+            ep.nic_wait_s += begin - t
             if sp is not None:
                 if i == 0:
                     sp.record(t, begin, snd, span, phases[0], kind, nbytes)
@@ -340,8 +341,6 @@ class Conduit:
         ep.n_dropped += n_drop
         ep.n_dup += n_dup
         ep.n_acks += n_ack
-        if mrank is not None:
-            mrank.rel_update(i - 1, n_drop, n_dup, n_ack)
         if ack_bytes is not None and sp is not None and ack_recv is not None:
             sp.record(ack_recv - lat, ack_recv, snd, span, "ack_wire", kind, ack_bytes)
         return done0, commit_at, ack_recv

@@ -277,13 +277,12 @@ class Scheduler:
         self._survivable = False
         self._dead_listeners: list = []
         self._detected_dead: dict = {}
-        self._conduits: list = []
         self._n_done = 0
         self._running = False
         self._aborted = False
-        self.trace = trace if trace is not None else TraceBuffer(enabled=False)
+        #: block/resume records go here; None when no trace was passed
+        self.trace = trace
         self.max_time = max_time
-        self.env: dict = {}  # upper layers stash per-job singletons here
         self.switches = 0
         #: the fiber currently holding the baton (None outside run())
         self._current: Optional[_Fiber] = None
@@ -402,10 +401,10 @@ class Scheduler:
         me.state = _BLOCKED
         me.block_reason = reason
         trace = self.trace
-        if trace.enabled:
+        if trace is not None:
             trace.record(me.clock, me.rid, "block", reason)
         self._switch_out(me)
-        if trace.enabled:
+        if trace is not None:
             trace.record(me.clock, me.rid, "resume", reason)
 
     # -------------------------------------------------------- network context
@@ -476,11 +475,6 @@ class Scheduler:
         ]
         lines.append(f"pending events: {len(self._events)}; switches: {self.switches}")
         return "\n".join(lines)
-
-    def register_conduit(self, conduit) -> None:
-        """Conduits register here so ``stats()`` can fold in their
-        reliability-layer frame counters."""
-        self._conduits.append(conduit)
 
     # ------------------------------------------------- survivable crashes
     def on_rank_dead(self, fn: Callable[[int, BaseException, float], None]) -> None:
@@ -806,24 +800,12 @@ class Scheduler:
     def stats(self) -> dict:
         """Machine-readable run counters (benchmarks / postmortems)."""
         ev = self._events.stats
-        out = {
+        return {
             "n_ranks": self.n_ranks,
             "switches": self.switches,
             "events_posted": ev["posted"],
             "events_fired": ev["fired"],
         }
-        if self._conduits:
-            for key in (
-                "frames_retransmitted",
-                "frames_dropped",
-                "frames_duplicated",
-                "acks",
-                "agg_batches",
-                "agg_updates",
-                "agg_credit_stall_s",
-            ):
-                out[key] = sum(c.stats()[key] for c in self._conduits)
-        return out
 
 
 def run_spmd(

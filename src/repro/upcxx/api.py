@@ -9,7 +9,7 @@ conduit, and one :class:`~repro.upcxx.runtime.Runtime` per rank, then runs
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional
 
 from repro.gasnet.cpumodel import CpuModel, platform_cpu
 from repro.gasnet.machine import Machine
@@ -18,7 +18,6 @@ from repro.sim.coop import Scheduler, current_scheduler
 from repro.sim.errors import RankDeadError, RankFailure
 from repro.sim.faults import FaultPlan
 from repro.upcxx.costs import DEFAULT_COSTS, UpcxxCosts
-from repro.upcxx.errors import NotInSpmdError
 from repro.upcxx.runtime import Runtime, World, current_runtime
 
 #: default processes-per-node, matching the paper's configurations
@@ -64,10 +63,12 @@ def run_spmd(
     :class:`~repro.sim.errors.RankDeadError`/:class:`~repro.sim.errors.RankFailure`
     a post-mortem ``blackbox`` bundle is assembled (and written to
     ``telemetry.blackbox_path`` when configured) before the error
-    propagates.  All default to off and cost nothing when absent.
+    propagates.  All default to off; an absent observer costs the progress
+    engine one test of an empty sink tuple per boundary.
 
-    Pass a dict as ``sched_stats`` to receive the scheduler's run counters
-    (switches, events fired — see :meth:`Scheduler.stats`) after the run.
+    Pass a dict as ``sched_stats`` to receive the run counters after the
+    run: :meth:`Scheduler.stats` (switches, events fired) and
+    :meth:`Conduit.stats` (frames, acks, aggregation batches).
 
     ``faults`` enables chaos injection: a :class:`repro.sim.faults.FaultPlan`,
     a spec string (``"seed=1,drop=0.05,crash=2@1e-3"``), or a kwargs dict.
@@ -82,6 +83,11 @@ def run_spmd(
     network = network if network is not None else AriesNetwork()
     cpu = cpu if cpu is not None else platform_cpu(platform)
     sched = Scheduler(ranks, trace=trace, max_time=max_time)
+    if telemetry is not None and faults is not None and faults.crashes and not faults.survivable:
+        # freeze rings/windows at the first crash time so the post-mortem
+        # bundle shows the job at the moment of death.  Survivable plans
+        # keep recording: the post-crash windows are the story there.
+        telemetry.freeze_at = min(faults.crashes.values())
     world = World(
         sched, machine, network, cpu, costs, segment_size, seed,
         metrics=metrics, spans=spans, faults=faults, telemetry=telemetry,
@@ -93,10 +99,7 @@ def run_spmd(
         sched.rank_env()["upcxx_rt"] = rt
         try:
             result = fn()
-            # close the final (partial) rollup window at the rank's own
-            # completion time — only on the success path, where the clock
-            # read is deterministic (abort unwinding is not)
-            rt._telemetry_finalize()
+            rt.finish()
             return result
         finally:
             sched.set_client(None)
@@ -104,27 +107,21 @@ def run_spmd(
 
     try:
         results = sched.run(bootstrap)
-        tel = world.telemetry
-        if (
-            tel is not None
-            and faults is not None
-            and faults.survivable
-            and faults.crashes
-        ):
+        if telemetry is not None and faults is not None and faults.survivable and faults.crashes:
             # the run outlived its crashes (replication/failover): emit
             # the same post-mortem bundle with a "Survived" verdict so
             # chaos tooling has the replica-state tables either way
-            tel.emit_blackbox(None, faults)
+            telemetry.emit_blackbox(None, faults)
         return results
     except (RankDeadError, RankFailure) as err:
-        tel = world.telemetry
-        if tel is not None:
+        if telemetry is not None:
             # post-mortem flight-recorder bundle
-            tel.emit_blackbox(err, faults)
+            telemetry.emit_blackbox(err, faults)
         raise
     finally:
         if sched_stats is not None:
             sched_stats.update(sched.stats())
+            sched_stats.update(world.conduit.stats())
         world.close()
 
 

@@ -20,6 +20,11 @@ active messages from the conduit inbox into compQ.  User progress
 (``progress()``/``wait()``) additionally *executes* compQ: fulfilling
 promises (which runs ``.then`` callbacks inline) and dispatching RPC
 bodies.
+
+Observers see this engine through the rank's sinks (:mod:`repro.util.sink`),
+one per observer passed to ``run_spmd``: each boundary tests the tuple of
+the sink methods that watch it once, so with no observer the engine pays
+one test per boundary and nothing else.
 """
 
 from __future__ import annotations
@@ -31,12 +36,13 @@ from repro.gasnet.conduit import Conduit
 from repro.gasnet.cpumodel import CpuModel
 from repro.gasnet.machine import Machine
 from repro.gasnet.network import NetworkModel
-from repro.sim.coop import Scheduler, current_client, current_scheduler
+from repro.sim.coop import Scheduler, current_client
 from repro.sim.errors import RankCrashed
 from repro.sim.rng import RankRandom
 from repro.upcxx.costs import DEFAULT_COSTS, UpcxxCosts
 from repro.upcxx.errors import NotInSpmdError
 from repro.upcxx.future import Future
+from repro.util.sink import Hooks
 
 
 class CompQItem:
@@ -45,8 +51,8 @@ class CompQItem:
     ``nbytes``/``t_active``/``t_staged`` are optional observability tags:
     payload size, the time the operation became *active* (handed to the
     conduit), and the time its completion was staged for promotion.  They
-    feed the op-lifecycle dwell histograms when metrics are enabled and
-    cost nothing otherwise.  ``sid``/``t_polled`` are the causal-span
+    feed the op-lifecycle dwell histograms when metrics are on and cost
+    nothing otherwise.  ``sid``/``t_polled`` are the causal-span
     analogues: the operation's span correlation id and the time an
     inbox-delivered item was polled (the compQ span starts there rather
     than at wire arrival, so the inbox and compQ phases tile instead of
@@ -109,34 +115,19 @@ class World:
         self.cpu = cpu
         self.costs = costs
         self.seed = seed
-        #: optional repro.util.metrics.Metrics collecting op-lifecycle data
-        self.metrics = metrics if metrics is not None and metrics.enabled else None
-        #: optional repro.util.spans.SpanBuffer collecting causal spans
-        self.spans = spans if spans is not None and spans.enabled else None
-        #: optional repro.util.telemetry.Telemetry (windowed rollups +
-        #: flight recorder); same gating discipline as metrics/spans
-        self.telemetry = telemetry if telemetry is not None and telemetry.enabled else None
-        if (
-            self.telemetry is not None
-            and faults is not None
-            and faults.crashes
-            and not faults.survivable
-        ):
-            # freeze rings/windows at the first crash time so the
-            # post-mortem bundle shows the job at the moment of death.
-            # Survivable plans keep recording: the post-crash windows are
-            # the story there.
-            self.telemetry.freeze_at = min(faults.crashes.values())
+        #: the job's observers (None when absent); each rank gets a sink
+        #: from every one present, the scheduler's trace included
+        self.metrics = metrics
+        self.spans = spans
+        self.telemetry = telemetry
+        self.observers = tuple(o for o in (metrics, telemetry, sched.trace, spans) if o is not None)
         if faults is not None and faults.survivable:
             # return results instead of re-raising the recorded death at
             # end of run
             sched._survivable = True
         #: optional repro.sim.faults.FaultPlan (chaos injection)
         self.faults = faults
-        self.conduit = Conduit(
-            sched, machine, network, segment_size, metrics=self.metrics,
-            spans=self.spans, faults=faults,
-        )
+        self.conduit = Conduit(sched, machine, network, segment_size, spans=spans, faults=faults)
         self.conduit._remote_cx_deliver = self._deliver_remote_cx
         self.n_ranks = sched.n_ranks
         self.runtimes: List[Optional["Runtime"]] = [None] * self.n_ranks
@@ -144,8 +135,12 @@ class World:
         self.team_uid_seq = 1  # 0 is reserved for world
 
     def close(self) -> None:
-        """The job is over: close the conduit and every rank's runtime, so
-        that reference counting alone frees the job at ``run_spmd`` return."""
+        """The job is over: fold the endpoints' NIC and reliability ledgers
+        into the metrics, then close the conduit and every rank's runtime,
+        so that reference counting alone frees the job at ``run_spmd``
+        return."""
+        if self.metrics is not None:
+            self.metrics.read_endpoints(self.conduit.endpoints)
         self.conduit.close()
         for rt in self.runtimes:
             if rt is not None:
@@ -188,20 +183,19 @@ class Runtime:
         self.costs = world.costs
         self.conduit = world.conduit
         self.rng = RankRandom(world.seed, rank, salt="upcxx")
-        #: per-rank metrics sink (None when observability is off)
-        self.metrics = world.metrics.rank(rank) if world.metrics is not None else None
-        #: causal span buffer (None when span tracing is off)
+        #: this rank's observer sinks, one per observer; empty when none
+        self._sinks = tuple(o.rank(rank) for o in world.observers)
+        #: per progress-engine boundary, the sink methods that watch it
+        self._on = Hooks(self._sinks)
+        #: causal span buffer (None when span tracing is off); the op
+        #: layers record their own phases here
         self.spans = world.spans
-        #: per-rank telemetry sink (None when telemetry is off); the
-        #: endpoint reference feeds NIC/reliability/agg counters into
-        #: rollup snapshots without touching the conduit hot path
-        self.telemetry = world.telemetry.rank(rank) if world.telemetry is not None else None
+        #: this rank's conduit endpoint (counters the service layers bump
+        #: and telemetry snapshots)
         self._ep = world.conduit.endpoints[rank]
         #: per-rank span-id counter; sids are (rank, seq), minted in rank
         #: context in program order
         self._span_seq = 0
-        #: scheduler trace buffer (records only when the buffer is enabled)
-        self._trace = world.sched.trace
         #: this rank's AM inbox (cached; hot-path polled every progress)
         self._inbox = world.conduit.inbox(rank)
 
@@ -327,35 +321,13 @@ class Runtime:
 
             sched.post_at(t_detect, detect)
 
-    # ----------------------------------------------------------- telemetry
-    def _pending_snapshot(self) -> dict:
-        """JSON-safe snapshot of this rank's in-flight operation state.
-
-        Feeds the blackbox pending-op table: queue depths plus a bounded
-        sample of operation descriptions (rank-local state read in program
-        order).
-        """
-        from repro.util.telemetry import _PENDING_DETAIL
-
-        return {
-            "defQ": len(self.defQ),
-            "actQ": len(self.actQ),
-            "actQ_ops": [str(v) for v in list(self.actQ.values())[:_PENDING_DETAIL]],
-            "compQ": len(self.compQ),
-            "compQ_kinds": [it.kind for it in list(self.compQ)[:_PENDING_DETAIL]],
-            "staged": len(self._gasnet_done),
-            "replies": len(self.reply_table),
-        }
-
-    def _telemetry_finalize(self) -> None:
-        """Close the final (partial) rollup window at normal completion."""
-        tel = self.telemetry
-        if tel is not None:
-            tel.finalize(
-                self.sched.now(),
-                (len(self.defQ), len(self.actQ), len(self.compQ), len(self._gasnet_done)),
-                self._ep,
-            )
+    def finish(self) -> None:
+        """The body returned: sinks close their books (never on abort: its clock reads vary)."""
+        on = self._on.finish
+        if on:
+            now = self.sched.now()
+            for f in on:
+                f(self, now)
 
     # --------------------------------------------------------------- charges
     def charge_sw(self, base_seconds: float) -> None:
@@ -398,11 +370,11 @@ class Runtime:
     def defer(self, op) -> None:
         """Put an operation record in the deferred state (defQ).
 
-        ``op.kind``/``op.nbytes`` tag it for the metrics layer (op counts,
-        byte totals, deferred-dwell histograms); internal progress calls
-        ``op.inject()``.
+        ``op.kind``/``op.nbytes``/``op.t_enq`` tag it for the sinks (op
+        counts, byte totals, deferred-dwell histograms); internal progress
+        calls ``op.inject()``.
         """
-        op.t_enq = self.sched.now() if self.metrics is not None else 0.0
+        op.t_enq = self.sched.now() if self._on.inject else 0.0
         self.defQ.append(op)
 
     def gasnet_completed(self, item: CompQItem, t_complete: Optional[float] = None) -> None:
@@ -428,38 +400,28 @@ class Runtime:
         Drains defQ into the conduit, promotes conduit completions into
         compQ, and moves due inbox AMs into compQ.  Does NOT execute compQ.
         """
-        tel = self.telemetry
         if self._crash_at is not None:
-            if tel is not None:
-                # capture the dying rank's in-flight state at its last
-                # deterministic point (queue contents as of the previous
-                # suspension)
-                tel.record_death(
-                    self._crash_at, self._pending_snapshot(),
-                    (len(self.defQ), len(self.actQ), len(self.compQ), len(self._gasnet_done)),
-                    self._ep,
-                )
+            # the dying rank's in-flight state at its last deterministic
+            # point (queue contents as of the previous suspension)
+            for f in self._on.death:
+                f(self, self._crash_at)
             raise RankCrashed(f"rank {self.rank} crashed at t={self._crash_at!r}")
         # ensure due network events have been delivered at our clock
         sched = self.sched
         sched.checkpoint()
-        m = self.metrics
-        if m is not None:
-            m.sample_queues(
-                sched.now(), len(self.defQ), len(self.actQ), len(self.compQ), len(self._gasnet_done)
-            )
-        if tel is not None:
-            tel.tick(
-                sched.now(), len(self.defQ), len(self.actQ), len(self.compQ),
-                len(self._gasnet_done), self._ep,
-            )
+        on = self._on.enter
+        if on:
+            now = sched.now()
+            for f in on:
+                f(self, now)
         defQ = self.defQ
+        on = self._on.inject
         while defQ:
             op = defQ.popleft()
-            if m is not None:
-                m.op_injected(op.kind, op.nbytes, sched.now() - op.t_enq)
-            if tel is not None:
-                tel.op(op.kind, op.nbytes)
+            if on:
+                now = sched.now()
+                for f in on:
+                    f(self, op, now)
             op.inject()
         compQ = self.compQ
         staged = self._gasnet_done
@@ -473,86 +435,45 @@ class Runtime:
         queue = inbox._queue
         if queue:
             now = sched.now()
-            trace = self._trace
-            sp = self.spans
+            on = self._on.poll
             while queue and queue[0].arrival <= now:
                 inbox.n_polled += 1
                 msg = queue.popleft()
                 msg.trt = self
-                msg.t_staged = arrival = msg.arrival
-                if m is not None:
-                    m.am_polled(msg.tag, now - arrival)
-                if tel is not None:
-                    tel.am(now, msg.tag)
-                if trace.enabled:
-                    trace.record(now, self.rank, "am", msg.tag)
-                if sp is not None and msg.sid is not None:
-                    # inbox dwell: wire arrival -> this poll; the compQ
-                    # span then starts here so the two phases tile
-                    msg.t_polled = now
-                    sp.record(arrival, now, self.rank, msg.sid, "inbox", msg.kind, msg.nbytes)
+                msg.t_staged = msg.arrival
+                for f in on:
+                    f(self, msg, now)
                 compQ.append(msg)
-        if m is not None:
-            m.sample_queues(
-                sched.now(), len(defQ), len(self.actQ), len(compQ), len(staged)
-            )
+        on = self._on.leave
+        if on:
+            now = sched.now()
+            for f in on:
+                f(self, now)
 
     def progress(self) -> None:
         """User-level progress: also executes compQ to completion."""
         self.n_progress_calls += 1
-        m = self.metrics
         sched = self.sched
-        if m is not None:
-            m.user_progress(sched.now())
+        on = self._on.progress_begin
+        if on:
+            now = sched.now()
+            for f in on:
+                f(self, now)
         sched.charge(self._c_progress_poll)
         self.internal_progress()
         compQ = self.compQ
         staged = self._gasnet_done
-        trace = self._trace
-        sp = self.spans
-        tel = self.telemetry
-        if m is None and sp is None and tel is None and not trace.enabled:
-            # Observability off: the execute loop carries zero per-item
-            # instrumentation — charge, run, release (the "zero-cost when
-            # off" discipline; one sentinel check for the whole drain).
-            charge = sched.charge
-            while compQ:
-                item = compQ.popleft()
+        charge = sched.charge
+        observed = self._on.execute or self._on.retire
+        while compQ:
+            item = compQ.popleft()
+            if observed:
+                self._execute_observed(item)
+            else:
                 cost = item.cost
                 if cost > 0:
                     charge(cost)
                 item.fn()
-                item.release()
-                # completions staged in network context while this item
-                # executed must not wait for compQ to drain (see below)
-                while staged:
-                    compQ.append(staged.popleft())
-                if not compQ:
-                    self.internal_progress()
-            return
-        while compQ:
-            item = compQ.popleft()
-            cost = item.cost
-            sid = item.sid if sp is not None else None
-            t_exec = sched.now() if sid is not None else 0.0
-            if cost > 0:
-                sched.charge(cost)
-            if m is not None:
-                m.op_executed(item, sched.now())
-            if trace.enabled:
-                trace.record(sched.now(), self.rank, "exec", item.kind)
-            if tel is not None:
-                tel.exec_note(item.kind)
-            item.fn()
-            if sid is not None:
-                # compQ dwell (attentiveness) then execution software; the
-                # exec span absorbs the item's CPU charge and its body
-                t_q = item.t_polled
-                if t_q is None:
-                    t_q = item.t_staged
-                if t_q is not None:
-                    sp.record(t_q, t_exec, self.rank, sid, "compq", item.kind, item.nbytes)
-                sp.record(t_exec, sched.now(), self.rank, sid, "exec_sw", item.kind, item.nbytes)
             item.release()
             # completions staged in network context while this item executed
             # (acks that arrived during its CPU charge or nested injections)
@@ -563,8 +484,26 @@ class Runtime:
             if not compQ:
                 # executing items may have injected ops / received arrivals
                 self.internal_progress()
-        if m is not None:
-            m.user_progress_done(sched.now())
+        on = self._on.progress_end
+        if on:
+            now = sched.now()
+            for f in on:
+                f(self, now)
+
+    def _execute_observed(self, item) -> None:
+        """Execute one compQ item between the sinks' ``execute`` (its CPU
+        charge applied) and ``retire`` (its body returned) boundaries."""
+        sched = self.sched
+        t_exec = sched.now()
+        if item.cost > 0:
+            sched.charge(item.cost)
+        now = sched.now()
+        for f in self._on.execute:
+            f(self, item, now)
+        item.fn()
+        now = sched.now()
+        for f in self._on.retire:
+            f(self, item, t_exec, now)
 
     def wait_on(self, fut: Future) -> None:
         """Spin around user progress until ``fut`` is ready (paper: wait)."""

@@ -6,21 +6,22 @@ measurement substrate that makes that behavior visible:
 
 - :class:`Metrics` — one per job, handed to ``upcxx.run_spmd(metrics=...)``;
   holds one :class:`RankMetrics` per rank.
-- :class:`RankMetrics` — queue-depth time series (defQ/actQ/compQ plus the
-  network-context staging area), per-op-kind dwell-time histograms for each
-  state transition of Fig. 2 (deferred→active→complete→fulfilled),
+- :class:`RankMetrics` — one rank's sink (:mod:`repro.util.sink`):
+  queue-depth time series (defQ/actQ/compQ plus the network-context
+  staging area), per-op-kind dwell-time histograms for each state
+  transition of Fig. 2 (deferred→active→complete→fulfilled),
   attentiveness tracking (sim-time gap between consecutive user
-  ``progress()`` calls), per-kind operation/byte totals, AM inbox dwell,
-  and NIC injection accounting.
+  ``progress()`` calls), per-kind operation/byte totals and AM inbox
+  dwell.  Its NIC and reliability blocks are the conduit endpoint's own
+  counters, read once when the job closes (:meth:`Metrics.read_endpoints`).
 - :class:`DwellHistogram` — log2-bucketed duration histogram (nanosecond
   resolution) with exact n/total/min/max, cheap to update and
   deterministic to export.
 
 Everything here is passive data collection: no clock reads, no scheduler
-interaction — callers pass explicit simulated times, so recording is safe
-from both rank and network context.  When no ``Metrics`` is installed the
-instrumented layers skip every hook behind a single ``is not None`` check,
-keeping the disabled cost at noise level.
+interaction — callers pass explicit simulated times.  When no ``Metrics``
+is passed there is no sink: the progress engine pays one test of its
+(empty) sink tuple per boundary.
 
 All exports (:meth:`Metrics.as_dict`) are pure functions of the recorded
 events, so two same-seed runs serialize to byte-identical JSON — pinned by
@@ -30,6 +31,8 @@ events, so two same-seed runs serialize to byte-identical JSON — pinned by
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
+
+from repro.util.sink import Sink
 
 #: queue names, in the order they appear in a combined depth sample
 QUEUE_NAMES = ("defQ", "actQ", "compQ", "staged")
@@ -148,7 +151,7 @@ class DwellHistogram:
         }
 
 
-class RankMetrics:
+class RankMetrics(Sink):
     """All observability state of one rank.  Created via :meth:`Metrics.rank`."""
 
     #: combined queue-depth samples kept before deterministic decimation
@@ -175,16 +178,61 @@ class RankMetrics:
         self.max_gap_at = 0.0
         # -- AM inbox dwell (arrival -> poll), per tag -----------------------
         self.inbox_dwell: Dict[str, DwellHistogram] = {}
-        # -- NIC injection accounting (filled by the conduit) ----------------
+        # -- NIC and reliability ledgers: the endpoint's counters, read when
+        #    the job closes (a frame counts on its sender) ------------------
         self.nic_injections = 0
         self.nic_bytes = 0
         self.nic_occupancy = 0.0
         self.nic_backpressure = 0.0
-        # -- reliability layer (fault injection; counted on the frame's sender)
         self.rel_retransmits = 0
         self.rel_dropped = 0
         self.rel_duplicated = 0
         self.rel_acks = 0
+
+    # ------------------------------------------------------ sink boundaries
+    def enter(self, rt, now: float) -> None:
+        self.sample_queues(now, len(rt.defQ), len(rt.actQ), len(rt.compQ), len(rt._gasnet_done))
+
+    leave = enter
+
+    def inject(self, rt, op, now: float) -> None:
+        """An operation left defQ and was handed to the conduit."""
+        kind = op.kind
+        self.op_counts[kind] = self.op_counts.get(kind, 0) + 1
+        self.op_bytes[kind] = self.op_bytes.get(kind, 0) + op.nbytes
+        self.dwell_hist(kind, "deferred_to_active").add(now - op.t_enq)
+
+    def poll(self, rt, msg, now: float) -> None:
+        """An AM was polled from the inbox: its arrival -> poll dwell."""
+        h = self.inbox_dwell.get(msg.tag)
+        if h is None:
+            h = self.inbox_dwell[msg.tag] = DwellHistogram()
+        h.add(now - msg.arrival)
+
+    def execute(self, rt, item, now: float) -> None:
+        """A compQ item runs during user progress."""
+        kind = item.kind
+        self.executed[kind] = self.executed.get(kind, 0) + 1
+        t_staged = item.t_staged
+        if t_staged is not None:
+            if item.t_active is not None:
+                self.dwell_hist(kind, "active_to_complete").add(t_staged - item.t_active)
+            self.dwell_hist(kind, "complete_to_fulfilled").add(now - t_staged)
+
+    def progress_begin(self, rt, now: float) -> None:
+        """A user-level ``progress()`` call began."""
+        self.n_user_progress += 1
+        if self._last_progress is not None:
+            gap = now - self._last_progress
+            self.progress_gap.add(gap)
+            if gap > self.max_gap:
+                self.max_gap = gap
+                self.max_gap_at = now
+        self._last_progress = now
+
+    def progress_end(self, rt, now: float) -> None:
+        """The same ``progress()`` call finished draining compQ."""
+        self._last_progress = now
 
     # ------------------------------------------------------------- recording
     def sample_queues(self, t: float, defq: int, actq: int, compq: int, staged: int) -> None:
@@ -211,58 +259,6 @@ class RankMetrics:
         if h is None:
             h = self.dwell[(kind, transition)] = DwellHistogram()
         return h
-
-    def op_injected(self, kind: str, nbytes: int, deferred_dwell: float) -> None:
-        """An operation left defQ and was handed to the conduit."""
-        self.op_counts[kind] = self.op_counts.get(kind, 0) + 1
-        self.op_bytes[kind] = self.op_bytes.get(kind, 0) + nbytes
-        self.dwell_hist(kind, "deferred_to_active").add(deferred_dwell)
-
-    def op_executed(self, item, now: float) -> None:
-        """A compQ item ran during user progress (rank context, time ``now``)."""
-        kind = item.kind
-        self.executed[kind] = self.executed.get(kind, 0) + 1
-        t_staged = item.t_staged
-        if t_staged is not None:
-            if item.t_active is not None:
-                self.dwell_hist(kind, "active_to_complete").add(t_staged - item.t_active)
-            self.dwell_hist(kind, "complete_to_fulfilled").add(now - t_staged)
-
-    def user_progress(self, now: float) -> None:
-        """A user-level ``progress()`` call began at simulated time ``now``."""
-        self.n_user_progress += 1
-        if self._last_progress is not None:
-            gap = now - self._last_progress
-            self.progress_gap.add(gap)
-            if gap > self.max_gap:
-                self.max_gap = gap
-                self.max_gap_at = now
-        self._last_progress = now
-
-    def user_progress_done(self, now: float) -> None:
-        """The same ``progress()`` call finished draining compQ at ``now``."""
-        self._last_progress = now
-
-    def am_polled(self, tag: str, dwell: float) -> None:
-        """An AM was polled from the inbox ``dwell`` seconds after arrival."""
-        h = self.inbox_dwell.get(tag)
-        if h is None:
-            h = self.inbox_dwell[tag] = DwellHistogram()
-        h.add(dwell)
-
-    def nic_injected(self, nbytes: int, occupancy: float, backpressure: float) -> None:
-        """The conduit injected one message from this rank's NIC."""
-        self.nic_injections += 1
-        self.nic_bytes += nbytes
-        self.nic_occupancy += occupancy
-        self.nic_backpressure += backpressure
-
-    def rel_update(self, retransmits: int, dropped: int, duplicated: int, acks: int) -> None:
-        """One reliable-channel ladder finished for a frame this rank sent."""
-        self.rel_retransmits += retransmits
-        self.rel_dropped += dropped
-        self.rel_duplicated += duplicated
-        self.rel_acks += acks
 
     # --------------------------------------------------------------- export
     def queue_series(self) -> Dict[str, List[List[float]]]:
@@ -322,14 +318,9 @@ class RankMetrics:
 
 
 class Metrics:
-    """Job-wide op-lifecycle metrics; pass to ``upcxx.run_spmd(metrics=...)``.
+    """Job-wide op-lifecycle metrics; pass to ``upcxx.run_spmd(metrics=...)``."""
 
-    ``enabled=False`` turns every hook into a no-op (the instrumented
-    layers see ``None`` and skip recording entirely).
-    """
-
-    def __init__(self, enabled: bool = True):
-        self.enabled = enabled
+    def __init__(self):
         self._ranks: Dict[int, RankMetrics] = {}
 
     def rank(self, rank: int) -> RankMetrics:
@@ -338,17 +329,30 @@ class Metrics:
             rm = self._ranks[rank] = RankMetrics(rank)
         return rm
 
+    def read_endpoints(self, endpoints) -> None:
+        """Copy each endpoint's NIC and reliability counters into its rank's
+        export when the job closes (a rank that only sent frames gets one)."""
+        for ep in endpoints:
+            if not ep.n_inj and ep.rank not in self._ranks:
+                continue
+            rm = self.rank(ep.rank)
+            rm.nic_injections = ep.n_inj
+            rm.nic_bytes = ep.bytes_out
+            rm.nic_occupancy = ep.nic_busy_s
+            rm.nic_backpressure = ep.nic_wait_s
+            rm.rel_retransmits = ep.n_retx
+            rm.rel_dropped = ep.n_dropped
+            rm.rel_duplicated = ep.n_dup
+            rm.rel_acks = ep.n_acks
+
     @property
     def ranks(self) -> List[RankMetrics]:
         return [self._ranks[r] for r in sorted(self._ranks)]
 
-    def max_attentiveness_gap(self) -> float:
-        """The worst progress gap observed on any rank (seconds)."""
-        return max((rm.max_gap for rm in self._ranks.values()), default=0.0)
-
     def as_dict(self) -> dict:
         return {
             "n_ranks": len(self._ranks),
-            "max_attentiveness_gap_s": self.max_attentiveness_gap(),
+            # the worst progress gap observed on any rank
+            "max_attentiveness_gap_s": max((rm.max_gap for rm in self._ranks.values()), default=0.0),
             "ranks": [rm.as_dict() for rm in self.ranks],
         }

@@ -15,8 +15,10 @@ Design rules (shared with :class:`repro.util.metrics.Metrics`):
 - **Passive.**  Recording never reads a clock, posts an event, or
   charges CPU time; all times arrive as explicit arguments.  Enabling
   spans therefore cannot perturb a single simulated timestamp.
-- **Off by default.**  When no buffer is installed the instrumented
-  layers skip every hook behind one ``is not None`` check.
+- **Off means absent.**  When no buffer is passed the op layers skip
+  every hook behind one ``rt.spans is not None`` check, and the progress
+  engine's phases (``inbox``, ``compq``, ``exec_sw``) come from the
+  buffer as each rank's sink (:mod:`repro.util.sink`).
 - **Deterministic.**  Correlation ids are ``(initiator_rank, seq)``
   with a per-rank counter, records are plain tuples, and the canonical
   order (stable sort by ``(t0, t1, rank, sid, phase)``) depends only on
@@ -46,6 +48,8 @@ from __future__ import annotations
 
 import hashlib
 from typing import Iterator, List, Optional, Tuple
+
+from repro.util.sink import Sink
 
 #: every phase the instrumented layers emit, with the attribution
 #: category the critical-path report folds it into
@@ -99,17 +103,42 @@ def _canon_key(r: SpanRecord):
     return (r[0], r[1], r[2], r[3], r[4])
 
 
-class SpanBuffer:
+class SpanBuffer(Sink):
     """Append-only buffer of causal span records.
 
     Pass one to ``upcxx.run_spmd(spans=...)``; render with
     ``python -m repro.tools.report`` or export to Perfetto via
     :func:`repro.util.trace_export.chrome_trace_span_events`.
+
+    The buffer is also every rank's progress-engine sink, for each
+    operation carrying a sid: ``inbox`` (wire arrival -> poll), then
+    ``compq`` (staged or polled -> execution start: the attentiveness gap)
+    and ``exec_sw`` (execution, its CPU charge and body included).
     """
 
-    def __init__(self, enabled: bool = True):
-        self.enabled = enabled
+    def __init__(self):
         self._records: List[SpanRecord] = []
+
+    def rank(self, r: int) -> "SpanBuffer":
+        """Rank ``r``'s sink: the buffer itself (it reads the rank off the runtime)."""
+        return self
+
+    def poll(self, rt, msg, now: float) -> None:
+        sid = msg.sid
+        if sid is not None:
+            # the compQ span then starts here, so the two phases tile
+            msg.t_polled = now
+            self.record(msg.arrival, now, rt.rank, sid, "inbox", msg.kind, msg.nbytes)
+
+    def retire(self, rt, item, t_exec: float, now: float) -> None:
+        sid = item.sid
+        if sid is not None:
+            t_q = item.t_polled
+            if t_q is None:
+                t_q = item.t_staged
+            if t_q is not None:
+                self.record(t_q, t_exec, rt.rank, sid, "compq", item.kind, item.nbytes)
+            self.record(t_exec, now, rt.rank, sid, "exec_sw", item.kind, item.nbytes)
 
     # ------------------------------------------------------------ recording
     def record(
@@ -131,9 +160,6 @@ class SpanBuffer:
 
     def __iter__(self) -> Iterator[SpanRecord]:
         return iter(self._records)
-
-    def clear(self) -> None:
-        self._records.clear()
 
     # ------------------------------------------------------- canonical view
     def canonical_records(self) -> List[SpanRecord]:

@@ -14,10 +14,11 @@ for three properties:
    perturbs the schedule, so the rollup stream is a pure function of
    (program, seed).
 
-2. **Near-zero cost, exactly zero when off.**  The runtime keeps a single
-   per-rank reference (``None`` when telemetry is absent); every hook is
-   one ``is not None`` check.  When on, a tick is three float compares
-   and the flight recorder is a bounded ``deque.append``.
+2. **Near-zero cost, exactly zero when off.**  A :class:`RankTelemetry`
+   is one rank's sink (:mod:`repro.util.sink`); with no telemetry there
+   is no sink, and the progress engine pays one test of its (empty) sink
+   tuple per boundary.  When on, a tick is three float compares and the
+   flight recorder is a bounded ``deque.append``.
 
 3. **Crash-safe.**  Under a fault plan with rank crashes the recorder
    *freezes* at the first crash time: entries stamped after the cutoff
@@ -41,20 +42,22 @@ import json
 from collections import deque
 from typing import Dict, List, Optional
 
+from repro.util.sink import Sink
+
 #: schema tag embedded in every blackbox bundle
 BLACKBOX_SCHEMA = "repro-blackbox/1"
 
 #: default rollup cadence (simulated seconds); ~the paper's RPC-scale
 DEFAULT_WINDOW_S = 20e-6
 
-#: default flight-recorder depth (events kept per rank)
-DEFAULT_RING = 64
+#: flight-recorder depth (events kept per rank)
+RING = 64
 
 #: cap on per-queue detail captured in a pending-op snapshot
 _PENDING_DETAIL = 16
 
 
-class RankTelemetry:
+class RankTelemetry(Sink):
     """One rank's telemetry: cumulative counters, windows, flight ring.
 
     All mutation happens in rank context in program order, so the state is
@@ -63,11 +66,11 @@ class RankTelemetry:
     """
 
     def __init__(self, rank: int, window_s: float = DEFAULT_WINDOW_S,
-                 ring: int = DEFAULT_RING, freeze_at: Optional[float] = None):
+                 freeze_at: Optional[float] = None):
         self.rank = rank
         self.window_s = window_s
         #: flight recorder: (t, kind, detail) tuples, oldest evicted first
-        self.ring: deque = deque(maxlen=ring)
+        self.ring: deque = deque(maxlen=RING)
         #: closed rollup windows (list of dicts, see _close)
         self.windows: List[dict] = []
         #: freeze cutoff (first crash time of the fault plan, if any) —
@@ -91,13 +94,12 @@ class RankTelemetry:
         self._last_t: Optional[float] = None
         self._win_gap = 0.0
 
-    # ------------------------------------------------------------- recording
-    def tick(self, t: float, ndef: int, nact: int, ncomp: int, nstaged: int,
-             ep) -> None:
+    # ------------------------------------------------------ sink boundaries
+    def enter(self, rt, t: float) -> None:
         """One library entry at simulated time ``t`` (rank context).
 
         Updates the attentiveness gap and closes rollup windows whose edge
-        has passed.  ``ep`` is this rank's conduit endpoint (NIC counters).
+        has passed.
         """
         freeze = self.freeze_at
         if freeze is not None and t > freeze:
@@ -111,11 +113,12 @@ class RankTelemetry:
         self._last_t = t
         if t >= self._next_edge:
             w = int(t / self.window_s)
-            self._close(t, w, False, (ndef, nact, ncomp, nstaged), ep)
+            self._close(t, w, False, rt)
             self._next_edge = (w + 1) * self.window_s
 
-    def op(self, kind: str, nbytes: int) -> None:
-        """An operation left the deferred state (rank context)."""
+    def inject(self, rt, op, now: float) -> None:
+        """An operation left the deferred state (stamped at the last tick)."""
+        kind, nbytes = op.kind, op.nbytes
         ops = self.ops
         ops[kind] = ops.get(kind, 0) + 1
         if nbytes:
@@ -125,17 +128,46 @@ class RankTelemetry:
         if t is not None:
             self.note(t, "inject", kind)
 
-    def am(self, t: float, tag: str) -> None:
-        """An active message was polled from the inbox (rank context)."""
+    def poll(self, rt, msg, now: float) -> None:
+        """An active message was polled from the inbox."""
         self.ams += 1
-        self.note(t, "am", tag)
+        self.note(now, "am", msg.tag)
 
-    def exec_note(self, kind: str) -> None:
-        """A compQ item was executed by user progress (rank context)."""
+    def execute(self, rt, item, now: float) -> None:
+        """A compQ item runs in user progress (stamped at the last tick)."""
         self.executed += 1
         t = self._last_t
         if t is not None:
-            self.note(t, "exec", kind)
+            self.note(t, "exec", item.kind)
+
+    def death(self, rt, t_die: float) -> None:
+        """This rank observed its own fail-stop crash: capture its
+        in-flight state as of the previous suspension (queue depths plus a
+        bounded sample of operation descriptions)."""
+        if self.died_at is not None:
+            return
+        freeze = self.freeze_at
+        if freeze is not None and t_die > freeze:
+            # a second, later crash, past the moment the bundle describes
+            return
+        self.died_at = t_die
+        self.pending = {
+            "defQ": len(rt.defQ),
+            "actQ": len(rt.actQ),
+            "actQ_ops": [str(v) for v in list(rt.actQ.values())[:_PENDING_DETAIL]],
+            "compQ": len(rt.compQ),
+            "compQ_kinds": [it.kind for it in list(rt.compQ)[:_PENDING_DETAIL]],
+            "staged": len(rt._gasnet_done),
+            "replies": len(rt.reply_table),
+        }
+        self.note(t_die, "crash", f"rank {self.rank} fail-stop")
+        self._close(t_die, int(t_die / self.window_s), True, rt)
+
+    def finish(self, rt, now: float) -> None:
+        """Close the final (partial) window at normal completion."""
+        self._close(now, int(now / self.window_s), True, rt)
+
+    # ------------------------------------------------------------- recording
 
     def note(self, t: float, kind: str, detail: str) -> None:
         """Append a flight-recorder entry (bounded; freeze-gated)."""
@@ -144,30 +176,15 @@ class RankTelemetry:
             return
         self.ring.append((t, kind, detail))
 
-    def record_death(self, t_die: float, pending: dict, queues, ep) -> None:
-        """This rank observed its own fail-stop crash (rank context)."""
-        if self.died_at is not None:
-            return
-        freeze = self.freeze_at
-        if freeze is not None and t_die > freeze:
-            # a second, later crash, past the moment the bundle describes
-            return
-        self.died_at = t_die
-        self.pending = pending
-        self.note(t_die, "crash", f"rank {self.rank} fail-stop")
-        self._close(t_die, int(t_die / self.window_s), True, queues, ep)
-
-    def finalize(self, t: float, queues, ep) -> None:
-        """Close the final (partial) window at normal completion."""
-        self._close(t, int(t / self.window_s), True, queues, ep)
-
-    def _close(self, t: float, w: int, final: bool, queues, ep) -> None:
-        """Snapshot cumulative counters into a closed rollup window."""
+    def _close(self, t: float, w: int, final: bool, rt) -> None:
+        """Snapshot cumulative counters, the runtime's queue depths and its
+        endpoint's NIC/reliability/agg/kv counters into a closed window."""
+        ep = rt._ep
         win = {
             "w": w,
             "t": t,
             "final": final,
-            "queues": [queues[0], queues[1], queues[2], queues[3]],
+            "queues": [len(rt.defQ), len(rt.actQ), len(rt.compQ), len(rt._gasnet_done)],
             "ops": dict(self.ops),
             "bytes": dict(self.bytes),
             "executed": self.executed,
@@ -212,7 +229,7 @@ class RankTelemetry:
             "died_at": self.died_at,
             "pending": self.pending,
             "replica": self.replica,
-            "ring": [[t, kind, detail] for (t, kind, detail) in self.ring],
+            "ring": self.tail(),
             "windows": list(self.windows),
             "totals": {
                 "ops": dict(self.ops),
@@ -225,10 +242,8 @@ class RankTelemetry:
 
     def tail(self, cutoff: Optional[float] = None) -> List[list]:
         """Flight-recorder tail, truncated at ``cutoff`` when given."""
-        if cutoff is None:
-            return [[t, kind, detail] for (t, kind, detail) in self.ring]
         return [[t, kind, detail] for (t, kind, detail) in self.ring
-                if t <= cutoff]
+                if cutoff is None or t <= cutoff]
 
     def last_window(self, cutoff: Optional[float] = None) -> Optional[dict]:
         """The most recent closed window at-or-before ``cutoff``."""
@@ -241,9 +256,8 @@ class RankTelemetry:
 class Telemetry:
     """Job-level telemetry sink: one :class:`RankTelemetry` per rank.
 
-    Mirrors the gating discipline of :class:`repro.util.Metrics`: pass an
-    instance to ``run_spmd(telemetry=...)``; ``enabled=False`` (or passing
-    ``None``) makes every runtime hook a single ``is None`` check.
+    Pass an instance to ``run_spmd(telemetry=...)``; :meth:`rank` hands
+    each rank its sink.
 
     ``blackbox_path``: when a run ends in ``RankDeadError``/``RankFailure``
     the post-mortem bundle is stored as :attr:`blackbox` and — when a path
@@ -251,13 +265,11 @@ class Telemetry:
     the same seed).
     """
 
-    def __init__(self, enabled: bool = True, window_s: float = DEFAULT_WINDOW_S,
-                 ring: int = DEFAULT_RING, blackbox_path: Optional[str] = None):
-        self.enabled = enabled
+    def __init__(self, window_s: float = DEFAULT_WINDOW_S,
+                 blackbox_path: Optional[str] = None):
         self.window_s = window_s
-        self.ring = ring
         self.blackbox_path = blackbox_path
-        #: first crash time of the active fault plan (set by the runtime);
+        #: first crash time of the active fault plan (set by ``run_spmd``);
         #: freezes rings/windows so a crash bundle shows the moment of death
         self.freeze_at: Optional[float] = None
         #: last post-mortem bundle built (dict), if any
@@ -269,8 +281,7 @@ class Telemetry:
         """The per-rank sink for rank ``r`` (created on first use)."""
         rt = self._ranks.get(r)
         if rt is None:
-            rt = self._ranks[r] = RankTelemetry(
-                r, self.window_s, self.ring, freeze_at=self.freeze_at)
+            rt = self._ranks[r] = RankTelemetry(r, self.window_s, freeze_at=self.freeze_at)
         return rt
 
     @property

@@ -1,16 +1,21 @@
 """Bounded event tracing for debugging simulated runs.
 
-The simulator can record a ring buffer of (time, rank, kind, detail) events.
-Tracing is off by default (zero overhead beyond a predicate check) and is
-mainly used by tests asserting determinism: two runs with the same seed must
-produce byte-identical traces.
+The simulator can record (time, rank, kind, detail) events: the scheduler
+its blocks and resumes, each rank's progress engine (the buffer is its
+sink) its polled active messages and executed compQ items.
+Tracing is off unless a buffer is passed (``Scheduler.trace`` is ``None``
+otherwise) and is mainly used by tests asserting determinism: two runs
+with the same seed must produce the same :meth:`TraceBuffer.digest`.
 """
 
 from __future__ import annotations
 
+import hashlib
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterator, Optional
+
+from repro.util.sink import Sink
 
 
 @dataclass(frozen=True)
@@ -26,20 +31,31 @@ class TraceEvent:
         return f"[{self.time * 1e6:12.3f}us r{self.rank:<4d}] {self.kind}: {self.detail}"
 
 
-class TraceBuffer:
-    """A bounded in-memory trace.
+class TraceBuffer(Sink):
+    """An in-memory trace.  ``CAPACITY`` ``None`` keeps every event; a
+    subclass may bound it to keep only the most recent ones.
 
-    ``capacity=None`` keeps everything (tests); a finite capacity keeps the
-    most recent events (debugging long runs).
+    The buffer is also every rank's progress-engine sink: ``am`` per polled
+    active message (its tag), ``exec`` per executed compQ item (its kind).
     """
 
-    def __init__(self, capacity: Optional[int] = None, enabled: bool = True):
-        self.enabled = enabled
-        self._events: deque = deque(maxlen=capacity)
+    CAPACITY: Optional[int] = None
+
+    def __init__(self):
+        self._events: deque = deque(maxlen=self.CAPACITY)
+
+    def rank(self, r: int) -> "TraceBuffer":
+        """Rank ``r``'s sink: the buffer itself (it reads the rank off the runtime)."""
+        return self
+
+    def poll(self, rt, msg, now: float) -> None:
+        self.record(now, rt.rank, "am", msg.tag)
+
+    def execute(self, rt, item, now: float) -> None:
+        self.record(now, rt.rank, "exec", item.kind)
 
     def record(self, time: float, rank: int, kind: str, detail: str = "") -> None:
-        if self.enabled:
-            self._events.append(TraceEvent(time, rank, kind, detail))
+        self._events.append(TraceEvent(time, rank, kind, detail))
 
     def __len__(self) -> int:
         return len(self._events)
@@ -50,13 +66,6 @@ class TraceBuffer:
     def clear(self) -> None:
         self._events.clear()
 
-    def fingerprint(self) -> int:
-        """Order-sensitive hash of the whole trace (determinism checks)."""
-        acc = 0
-        for ev in self._events:
-            acc = hash((acc, round(ev.time, 12), ev.rank, ev.kind, ev.detail))
-        return acc
-
     def canonical_events(self) -> list:
         """Events stably sorted by ``(time, rank)``.
 
@@ -65,16 +74,17 @@ class TraceBuffer:
         scheduler's internal dispatch order, which is not part of the
         simulated result.  The canonical order — stable sort by (time,
         rank), preserving each rank's own subsequence — depends only on
-        what each rank did, and is what the golden trace digest hashes.
+        what each rank did, and is what :meth:`digest` hashes.
         """
         return sorted(self._events, key=lambda ev: (ev.time, ev.rank))
 
-    def canonical_fingerprint(self) -> int:
-        """Order-sensitive hash of the canonical trace."""
-        acc = 0
+    def digest(self) -> str:
+        """sha256 (hex) of the canonical events: the same in every process,
+        whatever ``PYTHONHASHSEED`` says (determinism checks, golden file)."""
+        h = hashlib.sha256()
         for ev in self.canonical_events():
-            acc = hash((acc, round(ev.time, 12), ev.rank, ev.kind, ev.detail))
-        return acc
+            h.update(repr((round(ev.time, 12), ev.rank, ev.kind, ev.detail)).encode())
+        return h.hexdigest()
 
     def dump(self, limit: Optional[int] = None) -> str:
         events = list(self._events)

@@ -38,28 +38,10 @@ _US = 1e6
 
 def _meta_events(ranks: Sequence[int]) -> List[dict]:
     """process_name / thread_name metadata for every lane in use."""
-    events: List[dict] = []
-    if ranks:
-        events.append(
-            {
-                "ph": "M",
-                "name": "process_name",
-                "pid": 0,
-                "tid": 0,
-                "args": {"name": "simulation"},
-            }
-        )
-    for r in ranks:
-        events.append(
-            {
-                "ph": "M",
-                "name": "thread_name",
-                "pid": 0,
-                "tid": r,
-                "args": {"name": f"rank {r}"},
-            }
-        )
-    return events
+    events = [{"ph": "M", "name": "process_name", "pid": 0, "tid": 0,
+               "args": {"name": "simulation"}}] if ranks else []
+    return events + [{"ph": "M", "name": "thread_name", "pid": 0, "tid": r,
+                      "args": {"name": f"rank {r}"}} for r in ranks]
 
 
 def chrome_trace_events(
@@ -236,17 +218,10 @@ def chrome_trace(
     if telemetry is not None:
         # counter tracks interleave with the span/instant lanes; re-sort so
         # the merged stream keeps the canonical deterministic order
-        events.extend(chrome_trace_telemetry_events(telemetry))
-        seen = set()
-        deduped = []
-        for e in events:
-            if e["ph"] == "M":
-                key = (e["name"], e["pid"], e["tid"])
-                if key in seen:
-                    continue
-                seen.add(key)
-            deduped.append(e)
-        events = deduped
+        # (lane metadata both sides emit is kept once)
+        lanes = {(e["name"], e["tid"]) for e in events if e["ph"] == "M"}
+        events += [e for e in chrome_trace_telemetry_events(telemetry)
+                   if e["ph"] != "M" or (e["name"], e["tid"]) not in lanes]
         events.sort(key=lambda e: (e.get("ts", -1.0), e["pid"], e["tid"], e["ph"], e["name"]))
     return {
         "displayTimeUnit": "ms",

@@ -73,19 +73,10 @@ def digest(obj) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def trace_digest(trace: TraceBuffer) -> str:
-    """Content hash of the canonical trace: what ``canonical_fingerprint()``
-    hashes, without the interpreter's per-process string hash seed."""
-    h = hashlib.sha256()
-    for ev in trace.canonical_events():
-        h.update(repr((round(ev.time, 12), ev.rank, ev.kind, ev.detail)).encode())
-    return h.hexdigest()
-
-
 def fingerprint(run: Run) -> dict:
     fp = {"results": digest(run.results)}
     if run.trace is not None:
-        fp["trace"] = trace_digest(run.trace)
+        fp["trace"] = run.trace.digest()
     if run.spans is not None:
         fp["spans"] = run.spans.fingerprint()
     if run.metrics is not None:

@@ -123,8 +123,4 @@ def test_spans_off_by_default_leaves_times_unchanged():
 
         return upcxx.run_spmd(body, 2, platform="haswell", ppn=1, spans=spans)
 
-    base = run(None)
-    traced = run(SpanBuffer())
-    disabled = run(SpanBuffer(enabled=False))
-    assert traced == base
-    assert disabled == base
+    assert run(SpanBuffer()) == run(None)

@@ -129,6 +129,6 @@ class TestDeterminism:
 
             sched = Scheduler(8, trace=trace)
             sched.run(body)
-            return trace.fingerprint()
+            return trace.digest()
 
         assert run() == run()

@@ -89,7 +89,7 @@ def test_one_process_with_a_lane_per_rank():
 
 
 def test_merged_trace_dedups_metadata_and_sorts():
-    trace = TraceBuffer(enabled=True)
+    trace = TraceBuffer()
     tel = Telemetry()
     upcxx.run_spmd(_body, N_RANKS, ppn=2, seed=9, trace=trace, telemetry=tel)
     doc = chrome_trace(trace, telemetry=tel)
@@ -110,7 +110,7 @@ def test_merged_trace_dedups_metadata_and_sorts():
 def test_export_is_deterministic_and_json_clean():
     texts = []
     for _ in range(2):
-        trace = TraceBuffer(enabled=True)
+        trace = TraceBuffer()
         tel = Telemetry()
         upcxx.run_spmd(_body, N_RANKS, ppn=2, seed=9, trace=trace, telemetry=tel)
         texts.append(dumps_chrome_trace(trace, telemetry=tel))

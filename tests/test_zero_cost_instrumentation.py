@@ -9,9 +9,8 @@ gate again:
 
 - with spans/metrics/faults all disabled, a DHT workload mints **zero**
   span sids and records **zero** spans;
-- a constructed-but-``enabled=False`` SpanBuffer is indistinguishable
-  from no buffer at all (the runtime nulls it once at startup — the
-  single cached enabled-check the op layers rely on);
+- with every observer absent, each rank's sink tuple is empty and no sink
+  boundary runs at all (off means absent: there is no disabled observer);
 - the run stays inside a fixed event and RMA-record-allocation budget and
   constructs no CompQItem at all (every op is its own record, and the
   rput/rget free lists must keep absorbing per-op churn);
@@ -30,9 +29,11 @@ import pytest
 import repro.upcxx as upcxx
 from repro.upcxx.rma import RmaOp
 from repro.upcxx.runtime import CompQItem, Runtime
-from repro.util.metrics import DwellHistogram
+from repro.util.metrics import DwellHistogram, RankMetrics
+from repro.util.sink import BOUNDARIES, Sink
 from repro.util.spans import SpanBuffer
 from repro.util.telemetry import RankTelemetry, Telemetry
+from repro.util.trace import TraceBuffer
 
 #: DHT smoke geometry: small enough for CI, big enough to cross every
 #: op-lifecycle stage (rpc + reply + rput chains, barriers, progress)
@@ -121,15 +122,42 @@ def test_no_span_work_when_observers_off(monkeypatch):
     )
 
 
-def test_disabled_span_buffer_is_free(monkeypatch):
-    """A constructed SpanBuffer with enabled=False must cost exactly what
-    no buffer costs: the runtime nulls it once at startup, so no op-layer
-    code ever sees it (the single cached enabled-check)."""
-    spans = SpanBuffer(enabled=False)
-    sids, records, _allocs, _stats = _run_counted(monkeypatch, spans=spans)
-    assert sids == 0, f"{sids} sids minted for a disabled SpanBuffer"
-    assert records == 0
-    assert len(spans) == 0
+def test_absent_observers_leave_no_sink(monkeypatch):
+    """Off means absent: with no metrics, telemetry, trace or spans every
+    rank's sink tuple is empty, and no sink boundary runs on the DHT body
+    (each one raises if it is ever called)."""
+
+    def boom(self, *a, **k):
+        raise AssertionError(f"{type(self).__name__} boundary ran with observers absent")
+
+    for cls in (Sink, RankMetrics, RankTelemetry, TraceBuffer, SpanBuffer):
+        for name in BOUNDARIES:
+            if name in vars(cls):
+                monkeypatch.setattr(cls, name, boom)
+    sinks = []
+
+    def body():
+        sinks.append(upcxx.runtime_here()._sinks)
+        return _dht_body()
+
+    upcxx.run_spmd(body, N_RANKS, ppn=8, seed=7)
+    assert sinks == [()] * N_RANKS
+
+
+def test_every_boundary_is_reached(monkeypatch):
+    """Control arm: a sink watching every boundary sees each of them at
+    least once on the DHT body (death is absent: no rank dies), so the
+    test above is meaningful."""
+    seen = set()
+
+    class Watcher(Sink):
+        pass
+
+    for name in BOUNDARIES:
+        setattr(Watcher, name, lambda self, *a, _n=name: seen.add(_n))
+    monkeypatch.setattr(TraceBuffer, "rank", lambda self, r: Watcher())
+    upcxx.run_spmd(_dht_body, N_RANKS, ppn=8, seed=7, trace=TraceBuffer())
+    assert seen == set(BOUNDARIES) - {"death"}
 
 
 def test_enabled_spans_still_record(monkeypatch):
@@ -299,7 +327,7 @@ def _run_telemetry_counted(monkeypatch, **spmd_kwargs):
     """Run the DHT body counting telemetry samples and ring appends."""
     counts = {"ticks": 0, "notes": 0}
 
-    orig_tick = RankTelemetry.tick
+    orig_tick = RankTelemetry.enter
 
     def counting_tick(self, *a, **k):
         counts["ticks"] += 1
@@ -311,7 +339,7 @@ def _run_telemetry_counted(monkeypatch, **spmd_kwargs):
         counts["notes"] += 1
         return orig_note(self, *a, **k)
 
-    monkeypatch.setattr(RankTelemetry, "tick", counting_tick)
+    monkeypatch.setattr(RankTelemetry, "enter", counting_tick)
     monkeypatch.setattr(RankTelemetry, "note", counting_note)
     upcxx.run_spmd(_dht_body, N_RANKS, ppn=8, seed=7, **spmd_kwargs)
     return counts["ticks"], counts["notes"]
@@ -323,16 +351,6 @@ def test_no_telemetry_work_when_off(monkeypatch):
     ticks, notes = _run_telemetry_counted(monkeypatch)
     assert ticks == 0, f"{ticks} telemetry ticks with telemetry disabled"
     assert notes == 0, f"{notes} ring appends with telemetry disabled"
-
-
-def test_disabled_telemetry_sink_is_free(monkeypatch):
-    """A constructed Telemetry with enabled=False is indistinguishable
-    from no sink (the runtime nulls it once at startup)."""
-    tel = Telemetry(enabled=False)
-    ticks, notes = _run_telemetry_counted(monkeypatch, telemetry=tel)
-    assert ticks == 0
-    assert notes == 0
-    assert tel.ranks == {}
 
 
 def test_enabled_telemetry_still_records(monkeypatch):
