@@ -224,8 +224,8 @@ class Conduit:
     # in-order commit at the receiver.  Because every fault decision is a
     # pure hash of (plan seed, channel, seq, attempt) — see repro.sim.faults
     # — the whole retransmit ladder is computable at send time: the sender
-    # charges each attempt to its NIC (occupancy, backpressure, the
-    # endpoint's NIC ledger, retry spans) and the caller posts exactly ONE commit event and one
+    # charges each attempt to its NIC (occupancy, backpressure, NIC ledger,
+    # retry spans) and the caller posts exactly ONE commit event and one
     # completion, the fault-free event structure.  Fault-free, the ladder
     # stops after its first attempt, which always lands; a zero-rate plan
     # runs that same attempt, so it is simulation-invisible by construction.

@@ -189,6 +189,32 @@ class RankMetrics(Sink):
         self.rel_duplicated = 0
         self.rel_acks = 0
 
+    # ------------------------------------------------------------- recording
+    def sample_queues(self, t: float, defq: int, actq: int, compq: int, staged: int) -> None:
+        """Record one combined queue-depth sample (rank context).
+
+        Consecutive identical depth vectors are deduplicated; when the
+        series hits :data:`MAX_QUEUE_SAMPLES` it is decimated by keeping
+        every other sample and the sampling stride doubles — deterministic,
+        bounded memory for arbitrarily long runs.
+        """
+        self._sample_seq += 1
+        if self._sample_seq % self._sample_stride:
+            return
+        samples = self.queue_samples
+        if samples and samples[-1][1:] == (defq, actq, compq, staged):
+            return
+        samples.append((t, defq, actq, compq, staged))
+        if len(samples) >= self.MAX_QUEUE_SAMPLES:
+            del samples[1::2]
+            self._sample_stride *= 2
+
+    def dwell_hist(self, kind: str, transition: str) -> DwellHistogram:
+        h = self.dwell.get((kind, transition))
+        if h is None:
+            h = self.dwell[(kind, transition)] = DwellHistogram()
+        return h
+
     # ------------------------------------------------------ sink boundaries
     def enter(self, rt, now: float) -> None:
         self.sample_queues(now, len(rt.defQ), len(rt.actQ), len(rt.compQ), len(rt._gasnet_done))
@@ -233,32 +259,6 @@ class RankMetrics(Sink):
     def progress_end(self, rt, now: float) -> None:
         """The same ``progress()`` call finished draining compQ."""
         self._last_progress = now
-
-    # ------------------------------------------------------------- recording
-    def sample_queues(self, t: float, defq: int, actq: int, compq: int, staged: int) -> None:
-        """Record one combined queue-depth sample (rank context).
-
-        Consecutive identical depth vectors are deduplicated; when the
-        series hits :data:`MAX_QUEUE_SAMPLES` it is decimated by keeping
-        every other sample and the sampling stride doubles — deterministic,
-        bounded memory for arbitrarily long runs.
-        """
-        self._sample_seq += 1
-        if self._sample_seq % self._sample_stride:
-            return
-        samples = self.queue_samples
-        if samples and samples[-1][1:] == (defq, actq, compq, staged):
-            return
-        samples.append((t, defq, actq, compq, staged))
-        if len(samples) >= self.MAX_QUEUE_SAMPLES:
-            del samples[1::2]
-            self._sample_stride *= 2
-
-    def dwell_hist(self, kind: str, transition: str) -> DwellHistogram:
-        h = self.dwell.get((kind, transition))
-        if h is None:
-            h = self.dwell[(kind, transition)] = DwellHistogram()
-        return h
 
     # --------------------------------------------------------------- export
     def queue_series(self) -> Dict[str, List[List[float]]]:
