@@ -99,7 +99,7 @@ def _mixed_body():
 #: overhead ceilings, each a margin above the median-of-pairs overhead
 #: measured when it was set: 7–14 % for spans, 5–16 % for an armed
 #: zero-rate fault plan, 9–15 % for telemetry (twelve runs each, 2 cpus,
-#: pinned); a doubled observer cost reads 25–65 % and fails
+#: pinned); an observer made several times costlier reads 28–66 % and fails
 SPANS_CEILING = 0.20
 RELIABILITY_CEILING = 0.20
 TELEMETRY_CEILING = 0.20
