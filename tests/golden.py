@@ -420,18 +420,32 @@ telemetry_blackbox = partial(crash_blackbox, body=ring_body, ppn=2)
 ci_barrier_body = partial(crash_body, 200)
 
 
-def survived_blackbox() -> Run:
-    """The survivable analogue: the run completes and ``run_spmd`` emits a
-    blackbox with a "Survived" verdict and per-rank replica-state tables."""
+def _kv_survived():
+    """KV tiny at replication 2 through a survivable crash of rank 3, with
+    telemetry on: (per-rank results, the Telemetry)."""
     from repro.apps.kvservice import default_config
     from repro.bench.kv_bench import run_kv
 
     cfg = default_config("tiny")
     cfg["replication"] = 2
     tel = Telemetry()
-    run_kv(cfg, faults="seed=7,crash=3@3.5e-4,survive=1", telemetry=tel)
+    results, _ = run_kv(cfg, faults="seed=7,crash=3@3.5e-4,survive=1", telemetry=tel)
     assert tel.blackbox["verdict"]["type"] == "Survived", tel.blackbox["verdict"]
-    return Run(dumps_blackbox(tel.blackbox))
+    return results, tel
+
+
+def survived_blackbox() -> Run:
+    """The survivable analogue: the run completes and ``run_spmd`` emits a
+    blackbox with a "Survived" verdict and per-rank replica-state tables."""
+    return Run(dumps_blackbox(_kv_survived()[1].blackbox))
+
+
+def kv_telemetry_windows() -> Run:
+    """The same run, every telemetry window pinned (the blackbox keeps only
+    each rank's last): the service layers' ``agg``/``kv`` counters
+    included."""
+    results, tel = _kv_survived()
+    return Run((results, tel.dumps()))
 
 
 def fault_report(spec) -> Run:
@@ -591,6 +605,7 @@ PROGRAMS: Dict[str, Callable[[], Run]] = {
     "ci_jitter_heavy": partial(fault_report, "seed=2,jitter=2e-6,dup=0.05"),
     "ci_rank_crash_blackbox": partial(crash_blackbox, body=ci_barrier_body),
     "ci_survived_blackbox": survived_blackbox,
+    "kv_telemetry_windows": kv_telemetry_windows,
 }
 for _seed in CHAOS_SEEDS:
     for _plan in CHAOS_PLANS:

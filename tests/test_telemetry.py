@@ -34,6 +34,14 @@ def test_rollups_reproduce_golden():
     assert len(golden.reproduces("telemetry_rollups").results[0]) == N_RANKS
 
 
+def test_kv_windows_reproduce_golden():
+    """Every window of a replicated KV run through a survivable crash, the
+    service layers' counters included, not just the blackbox's last one."""
+    results, windows = golden.reproduces("kv_telemetry_windows").results
+    assert [r for r, rec in enumerate(results) if rec is None] == [3]  # the crashed rank
+    assert len(json.loads(windows)["ranks"]) == len(results)
+
+
 def test_window_structure_and_monotonicity():
     tel = Telemetry()
     _run(tel)
