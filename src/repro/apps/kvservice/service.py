@@ -152,7 +152,7 @@ class KvService:
         )
         if backlog >= limit:
             self.requests_shed += 1
-            self._rt._ep.kv_shed += 1
+            self._rt.kv_shed += 1
             raise Overloaded(
                 f"kv backlog {backlog} at admission limit {limit}"
             )

@@ -37,7 +37,8 @@ from repro.sim.coop import Scheduler
 
 
 class _Endpoint:
-    """Per-rank conduit state."""
+    """Per-rank conduit state: segments, AM inbox, and the NIC and
+    reliability ledger (the only counters the wire layer keeps)."""
 
     __slots__ = (
         "rank",
@@ -58,13 +59,6 @@ class _Endpoint:
         "n_dropped",
         "n_dup",
         "n_acks",
-        "agg_batches",
-        "agg_updates",
-        "agg_credit_stall_s",
-        "agg_cache_hits",
-        "kv_shed",
-        "kv_failover_reads",
-        "kv_rereplicated",
     )
 
     def __init__(self, rank: int, segment_size: int):
@@ -92,19 +86,6 @@ class _Endpoint:
         self.n_dropped = 0
         self.n_dup = 0
         self.n_acks = 0
-        # aggregation-layer injection accounting (repro.upcxx.aggregator):
-        # batches/updates this endpoint coalesced onto the wire, and the
-        # simulated time it stalled waiting for per-peer credits
-        self.agg_batches = 0
-        self.agg_updates = 0
-        self.agg_credit_stall_s = 0.0
-        self.agg_cache_hits = 0
-        # service/replication-layer counters (repro.upcxx.replication and
-        # the KV service): admission-control sheds, reads retargeted to a
-        # surviving replica, and keys re-shipped to restore the factor
-        self.kv_shed = 0
-        self.kv_failover_reads = 0
-        self.kv_rereplicated = 0
 
 
 #: atomic ops supported by the simulated NIC: name -> the element's new
@@ -507,7 +488,7 @@ class Conduit:
 
     # ------------------------------------------------------------------ misc
     def stats(self) -> dict:
-        """Aggregate counters across endpoints."""
+        """The endpoints' frame and reliability counters, summed."""
         return {
             "puts": sum(e.n_puts for e in self.endpoints),
             "gets": sum(e.n_gets for e in self.endpoints),
@@ -518,10 +499,4 @@ class Conduit:
             "frames_dropped": sum(e.n_dropped for e in self.endpoints),
             "frames_duplicated": sum(e.n_dup for e in self.endpoints),
             "acks": sum(e.n_acks for e in self.endpoints),
-            "agg_batches": sum(e.agg_batches for e in self.endpoints),
-            "agg_updates": sum(e.agg_updates for e in self.endpoints),
-            "agg_credit_stall_s": sum(e.agg_credit_stall_s for e in self.endpoints),
-            "kv_shed": sum(e.kv_shed for e in self.endpoints),
-            "kv_failover_reads": sum(e.kv_failover_reads for e in self.endpoints),
-            "kv_rereplicated": sum(e.kv_rereplicated for e in self.endpoints),
         }

@@ -41,9 +41,10 @@ aggregators:
   batches per peer are in flight; the target acks each applied batch and
   the ack returns the credit.  An exhausted peer stalls the sender in
   simulated time (recorded as a ``credit_wait`` span — the report's
-  ``backpressure`` bucket — and charged to the conduit's endpoint
-  accounting), which is exactly the NIC-friendly backpressure the
-  "MPI Progress For All" line of work argues for.
+  ``backpressure`` bucket — and added to the runtime's
+  ``agg_credit_stall_s``, which telemetry snapshots), which is exactly
+  the NIC-friendly backpressure the "MPI Progress For All" line of work
+  argues for.
 - **Counting quiescence** — :meth:`quiesce` replaces the repeated
   all-reduce polling loop of the old ``AggregatingCounter.sync`` with
   counting-based termination detection: one all-reduce of the per-
@@ -475,11 +476,8 @@ class AggStore:
             dt = rt.now() - t0
             if dt > 0.0:
                 self.credit_stall_s += dt
-                rt.conduit.endpoints[rt.rank].agg_credit_stall_s += dt
-                sp = rt.spans
-                if sp is not None:
-                    sp.record(t0, rt.now(), rt.rank, rt.next_span_sid(),
-                              "credit_wait", "agg", len(bk))
+                rt.agg_credit_stall_s += dt
+                rt.span(t0, "credit_wait", "agg", len(bk))
             if t in self._dead_peers:
                 # the peer died while we stalled on its credits: the
                 # exclusion restored them, but the buffer is undeliverable
@@ -515,9 +513,8 @@ class AggStore:
         self.updates_sent += n_raw
         if self._wants_ack:
             self._inflight_to[t] += 1
-        ep = rt.conduit.endpoints[rt.rank]
-        ep.agg_batches += 1
-        ep.agg_updates += n_raw
+        rt.agg_batches += 1
+        rt.agg_updates += n_raw
         src = self._my_trank if self._wants_ack else -1
         cb = self._on_batch_flushed
         if cb is not None:
@@ -617,9 +614,9 @@ class AggStore:
         v = cache.get(key, _MISS)
         if v is not _MISS:
             self.cache_hits += 1
-            # endpoint-level mirror: telemetry rollups snapshot the
-            # conduit endpoint, which outlives any one AggStore
-            self._rt._ep.agg_cache_hits += 1
+            # rank-level mirror: telemetry rollups snapshot the runtime,
+            # which outlives any one AggStore
+            self._rt.agg_cache_hits += 1
             self._charge_probe("cache_hit")
             cache.move_to_end(key)
             return make_future(default if v is _ABSENT else v)
@@ -643,9 +640,7 @@ class AggStore:
         rt = self._rt
         t0 = rt.now()
         rt.charge_sw(rt.cpu.map_lookup)
-        sp = rt.spans
-        if sp is not None:
-            sp.record(t0, rt.now(), rt.rank, rt.next_span_sid(), phase, "agg", 0)
+        rt.span(t0, phase, "agg")
 
     def _fill_landed(self, fills: dict, key, fill: Future) -> None:
         """The holder's reply is home: retire its shared-fill entry (unless

@@ -14,10 +14,11 @@ from typing import Callable, List, Optional
 from repro.gasnet.cpumodel import CpuModel, platform_cpu
 from repro.gasnet.machine import Machine
 from repro.gasnet.network import AriesNetwork, NetworkModel
-from repro.sim.coop import Scheduler, current_scheduler
-from repro.sim.errors import RankDeadError, RankFailure
+from repro.sim.coop import Scheduler
+from repro.sim.errors import RankDeadError, RankFailure, SimError
 from repro.sim.faults import FaultPlan
 from repro.upcxx.costs import DEFAULT_COSTS, UpcxxCosts
+from repro.upcxx.errors import NotInSpmdError
 from repro.upcxx.runtime import Runtime, World, current_runtime
 
 #: default processes-per-node, matching the paper's configurations
@@ -68,7 +69,7 @@ def run_spmd(
 
     Pass a dict as ``sched_stats`` to receive the run counters after the
     run: :meth:`Scheduler.stats` (switches, events fired) and
-    :meth:`Conduit.stats` (frames, acks, aggregation batches).
+    :meth:`Conduit.stats` (frames, bytes, retransmits, acks).
 
     ``faults`` enables chaos injection: a :class:`repro.sim.faults.FaultPlan`,
     a spec string (``"seed=1,drop=0.05,crash=2@1e-3"``), or a kwargs dict.
@@ -96,14 +97,12 @@ def run_spmd(
     def bootstrap(rank: int):
         rt = Runtime(world, rank)
         sched.set_client(rt)
-        sched.rank_env()["upcxx_rt"] = rt
         try:
             result = fn()
             rt.finish()
             return result
         finally:
             sched.set_client(None)
-            sched.rank_env().pop("upcxx_rt", None)
 
     try:
         results = sched.run(bootstrap)
@@ -154,10 +153,10 @@ def sim_now() -> float:
 def in_spmd() -> bool:
     """Whether the caller is inside a UPC++ SPMD region."""
     try:
-        current_scheduler().rank_env()["upcxx_rt"]
-        return True
-    except Exception:
+        current_runtime()
+    except (NotInSpmdError, SimError):
         return False
+    return True
 
 
 def runtime_here() -> Runtime:

@@ -304,15 +304,12 @@ class ReplicatedStore:
         for ctx in [c for c in self._reads.values() if c["dest"] == dead]:
             if not ctx["done"]:
                 self.failover_reads += 1
-                rt._ep.kv_failover_reads += 1
+                rt.kv_failover_reads += 1
                 self._issue(ctx)
         if self._on_death_cb is not None:
             self._on_death_cb(dead, t_detect)
         self._rereplicate(dead, dead_before, t_detect)
-        sp = rt.spans
-        if sp is not None:
-            sp.record(t0, rt.now(), rt.rank, rt.next_span_sid(),
-                      "death_exclude", "repl", 0)
+        rt.span(t0, "death_exclude", "repl")
 
     def _rereplicate(self, dead: int, dead_before: set, t_detect: float) -> None:
         """Stage 1: ship each co-owned key slice to its recruit ranks.
@@ -347,7 +344,7 @@ class ReplicatedStore:
         for rec in sorted(ship):
             ks, vs = ship[rec]
             self.rereplicated_keys += len(ks)
-            rt._ep.kv_rereplicated += len(ks)
+            rt.kv_rereplicated += len(ks)
             self._pending_ships += 1
             t0 = rt.now()
             fut = rpc(
@@ -359,10 +356,7 @@ class ReplicatedStore:
     def _ship_done(self, t0: float, n: int, t_detect: float) -> None:
         rt = self._rt
         self._pending_ships -= 1
-        sp = rt.spans
-        if sp is not None:
-            sp.record(t0, rt.now(), rt.rank, rt.next_span_sid(),
-                      "rereplicate", "repl", n)
+        rt.span(t0, "rereplicate", "repl", n)
         if self._pending_ships == 0:
             self.recovery_s = max(self.recovery_s, rt.now() - t_detect)
             self.factor_restored = True
@@ -410,10 +404,8 @@ class ReplicatedStore:
                 AggStore._pack(ks), AggStore._pack(vs),
             ).then(_acked)
         rt.wait_quiet(lambda: pending[0] == 0, "repl::anti-entropy")
-        sp = rt.spans
-        if sp is not None and ship:
-            sp.record(t0, rt.now(), rt.rank, rt.next_span_sid(),
-                      "anti_entropy", "repl", sum(len(ks) for ks, _ in ship.values()))
+        if ship:
+            rt.span(t0, "anti_entropy", "repl", sum(len(ks) for ks, _ in ship.values()))
         barrier(team=self.store.quiesce_team)
 
     # ------------------------------------------------------------- queries

@@ -75,6 +75,8 @@ class RmaOp(Transfer):
     #: free-list bound per runtime (a flood's in-flight depth can be far
     #: deeper; the excess is simply garbage)
     POOL_MAX = 256
+    #: an RMA-class operation is never a child of another (cf. an rpc reply)
+    parent = None
 
     def __init__(self, rt):
         Transfer.__init__(self, rt.conduit, rt.rank)
@@ -84,15 +86,11 @@ class RmaOp(Transfer):
         self.t_polled = None
 
     def _activate(self) -> float:
-        """defQ -> actQ: enter actQ and close the ``inject_sw`` span; returns now."""
+        """defQ -> actQ: enter actQ; returns now."""
         rt = self.rt
         self.opid = rt.next_op_id()
         rt.actQ[self.opid] = self
         self.t_active = now = rt.sched.now()
-        sid = self.sid
-        if sid is not None:
-            # API call + injection charge + defQ dwell, up to NIC handoff
-            rt.spans.record(self.t_api, now, self.src, sid, "inject_sw", self.kind, self.nbytes)
         return now
 
     def inject(self) -> None:

@@ -188,12 +188,6 @@ class RpcOp(AMMessage):
         self.opid = opid = rt.next_op_id()
         rt.actQ[opid] = self
         self.t_active = now = rt.sched.now()
-        sid = self.sid
-        if sid is not None:
-            # API call + injection charge + defQ dwell, up to NIC handoff
-            rt.spans.record(
-                self.t_api, now, self.src, sid, "inject_sw", self.kind, self.nbytes, self.parent
-            )
         rt.conduit.am(self, now)
 
     def injected(self) -> None:

@@ -187,11 +187,11 @@ class Runtime:
         self._sinks = tuple(o.rank(rank) for o in world.observers)
         #: per progress-engine boundary, the sink methods that watch it
         self._on = Hooks(self._sinks)
-        #: causal span buffer (None when span tracing is off); the op
-        #: layers record their own phases here
+        #: causal span buffer (None when span tracing is off): the API
+        #: calls mint sids when it is on, and :meth:`span` records into it
         self.spans = world.spans
-        #: this rank's conduit endpoint (counters the service layers bump
-        #: and telemetry snapshots)
+        #: this rank's conduit endpoint (the NIC and reliability ledger
+        #: telemetry snapshots)
         self._ep = world.conduit.endpoints[rank]
         #: per-rank span-id counter; sids are (rank, seq), minted in rank
         #: context in program order
@@ -248,6 +248,16 @@ class Runtime:
         self.n_rpcs_sent = 0
         self.n_rpcs_executed = 0
         self.n_progress_calls = 0
+        # service-layer counters, snapshotted by telemetry: the aggregator's
+        # batches, updates, credit-stall seconds and cache hits; the KV
+        # service's sheds; replication's failover reads and re-shipped keys
+        self.agg_batches = 0
+        self.agg_updates = 0
+        self.agg_credit_stall_s = 0.0
+        self.agg_cache_hits = 0
+        self.kv_shed = 0
+        self.kv_failover_reads = 0
+        self.kv_rereplicated = 0
 
         #: simulated time at which this rank dies (fault injection); None
         #: while alive.  Checked on every call into the library.
@@ -366,6 +376,13 @@ class Runtime:
         """Mint the next span correlation id (only called when spans on)."""
         self._span_seq += 1
         return (self.rank, self._span_seq)
+
+    def span(self, t0: float, phase: str, kind: str, nbytes: int = 0) -> None:
+        """Record a service-layer phase ``[t0, now]`` under a fresh sid when
+        span tracing is on; nothing otherwise."""
+        spans = self.spans
+        if spans is not None:
+            spans.record(t0, self.sched.now(), self.rank, self.next_span_sid(), phase, kind, nbytes)
 
     def defer(self, op) -> None:
         """Put an operation record in the deferred state (defQ).
@@ -550,8 +567,8 @@ class Runtime:
 def current_runtime() -> Runtime:
     """The calling rank's runtime (inside a UPC++ SPMD region).
 
-    Reads the scheduler's per-rank client slot (O(1)); ``rank_env()`` is
-    kept in sync by the bootstrap for external introspection.
+    Reads the scheduler's per-rank client slot (O(1)), which the
+    bootstrap sets for the length of the body.
     """
     rt = current_client()
     if rt is None or not isinstance(rt, Runtime):

@@ -15,10 +15,13 @@ Design rules (shared with :class:`repro.util.metrics.Metrics`):
 - **Passive.**  Recording never reads a clock, posts an event, or
   charges CPU time; all times arrive as explicit arguments.  Enabling
   spans therefore cannot perturb a single simulated timestamp.
-- **Off means absent.**  When no buffer is passed the op layers skip
-  every hook behind one ``rt.spans is not None`` check, and the progress
-  engine's phases (``inbox``, ``compq``, ``exec_sw``) come from the
-  buffer as each rank's sink (:mod:`repro.util.sink`).
+- **Off means absent.**  Only the runtime talks to the buffer.  The
+  progress engine's phases (``inject_sw``, ``inbox``, ``compq``,
+  ``exec_sw``) come from it as each rank's sink (:mod:`repro.util.sink`);
+  the service layers' phases go through ``Runtime.span``; the API calls
+  mint sids.  With no buffer each of these is one ``None`` check (the
+  sink tuple's emptiness, for the progress engine).  The conduit records
+  its own NIC and wire phases for a traced frame.
 - **Deterministic.**  Correlation ids are ``(initiator_rank, seq)``
   with a per-rank counter, records are plain tuples, and the canonical
   order (stable sort by ``(t0, t1, rank, sid, phase)``) depends only on
@@ -111,9 +114,10 @@ class SpanBuffer(Sink):
     :func:`repro.util.trace_export.chrome_trace_span_events`.
 
     The buffer is also every rank's progress-engine sink, for each
-    operation carrying a sid: ``inbox`` (wire arrival -> poll), then
-    ``compq`` (staged or polled -> execution start: the attentiveness gap)
-    and ``exec_sw`` (execution, its CPU charge and body included).
+    operation carrying a sid: ``inject_sw`` (API call -> leaving defQ),
+    ``inbox`` (wire arrival -> poll), then ``compq`` (staged or polled ->
+    execution start: the attentiveness gap) and ``exec_sw`` (execution,
+    its CPU charge and body included).
     """
 
     def __init__(self):
@@ -122,6 +126,12 @@ class SpanBuffer(Sink):
     def rank(self, r: int) -> "SpanBuffer":
         """Rank ``r``'s sink: the buffer itself (it reads the rank off the runtime)."""
         return self
+
+    def inject(self, rt, op, now: float) -> None:
+        sid = op.sid
+        if sid is not None:
+            # API call + injection charge + defQ dwell, up to NIC handoff
+            self.record(op.t_api, now, rt.rank, sid, "inject_sw", op.kind, op.nbytes, op.parent)
 
     def poll(self, rt, msg, now: float) -> None:
         sid = msg.sid

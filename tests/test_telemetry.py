@@ -19,7 +19,7 @@ import pytest
 
 import repro.upcxx as upcxx
 from repro.tools import health
-from repro.util.telemetry import BLACKBOX_SCHEMA, Telemetry
+from repro.util.telemetry import BLACKBOX_SCHEMA, RankTelemetry, Telemetry
 from tests import golden
 
 N_RANKS = 4
@@ -63,9 +63,29 @@ def test_window_structure_and_monotonicity():
         assert set(last["rel"]) == {"retx", "dropped", "dup", "acks"}
         assert set(last["agg"]) == {"batches", "updates", "credit_stall_s",
                                     "cache_hits"}
+        assert set(last["kv"]) == {"shed", "failover_reads", "rereplicated"}
         assert last["max_gap_s"] >= 0.0
         # the flight recorder rode along
         assert len(rt.ring) > 0
+
+
+def test_an_entry_at_an_exact_edge_closes_its_window_once():
+    """Entries at 26.5w, 27w, 27w and 27.2w close windows 26 and 27, and
+    finishing at 27w closes 27 again as the final one.  ``int(27 * w / w)``
+    is 26 in floating point: numbered that way, the edge's window was 26
+    again, the edge stayed armed, and each later entry at that instant
+    closed one more window (26, 26, 26, 27)."""
+    w = 20e-6
+    assert int(27 * w / w) == 26
+
+    def body():
+        rt, sink = upcxx.runtime_here(), RankTelemetry(0, w)
+        for t in (26.5 * w, 27 * w, 27 * w, 27.2 * w):
+            sink.enter(rt, t)
+        sink.finish(rt, 27 * w)
+        return [(win["w"], win["final"]) for win in sink.windows]
+
+    assert upcxx.run_spmd(body, 1) == [[(26, False), (27, False), (27, True)]]
 
 
 def test_rollups_respect_window_cadence():
@@ -76,6 +96,47 @@ def test_rollups_respect_window_cadence():
     n_narrow = sum(len(rt.windows) for rt in tel.ranks.values())
     n_wide = sum(len(rt.windows) for rt in wide.ranks.values())
     assert n_narrow > n_wide  # finer cadence -> more windows
+
+
+#: one credit per peer, two-entry batches and an admission limit at twice
+#: the base rate, replicated: senders stall on credits and requests are
+#: shed even fault-free (the default tiny point reads 0 for both)
+BUSY_KV = {"replication": 2, "credits": 1, "batch_size": 2, "admission_limit": 24,
+           "rate": 4e5}
+#: window section and key -> the matching field of a rank's KV record
+SERVICE_COUNTERS = {
+    ("agg", "batches"): "batches_sent",
+    ("agg", "updates"): "updates_sent",
+    ("agg", "credit_stall_s"): "credit_stall_s",
+    ("agg", "cache_hits"): "cache_hits",
+    ("kv", "shed"): "requests_shed",
+    ("kv", "failover_reads"): "failover_reads",
+    ("kv", "rereplicated"): "rereplicated_keys",
+}
+
+
+@pytest.mark.parametrize("faults", [None, "seed=7,crash=3@3.5e-4,survive=1"],
+                         ids=["fault-free", "crash"])
+def test_window_counters_equal_the_stores_totals(faults):
+    """A surviving rank's last window carries exactly what its own store
+    and service counted.  The crashed rank is left out: its pre-crash
+    counts are in telemetry, but it returns no record."""
+    from repro.apps.kvservice import default_config
+    from repro.bench.kv_bench import run_kv
+
+    tel = Telemetry()
+    results, _ = run_kv(dict(default_config("tiny"), **BUSY_KV), faults=faults, telemetry=tel)
+    survivors = {r: rec for r, rec in enumerate(results) if rec is not None}
+    assert len(survivors) == len(results) - (faults is not None)
+    for r, rec in survivors.items():
+        last = tel.ranks[r].windows[-1]
+        assert {f: last[sec][k] for (sec, k), f in SERVICE_COUNTERS.items()} == \
+            {f: rec[f] for f in SERVICE_COUNTERS.values()}, f"rank {r}"
+    # control: the configuration moves the counters the comparison is about
+    totals = {f: sum(rec[f] for rec in survivors.values()) for f in SERVICE_COUNTERS.values()}
+    moved = {f for f, v in totals.items() if v}
+    recovery = {"failover_reads", "rereplicated_keys"}
+    assert moved == (set(totals) if faults else set(totals) - recovery), totals
 
 
 # ------------------------------------------------------------------ blackbox

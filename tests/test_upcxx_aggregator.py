@@ -3,7 +3,7 @@
 Covers the AggStore surface the apps build on: pluggable combines,
 counting quiescence, dwell-deadline flushing, credit flow control (and
 its backpressure accounting), the hot-key read cache with its sharer-list
-invalidation, and the stats/conduit counter plumbing.
+invalidation, and the stats/runtime counter plumbing.
 """
 
 import pytest
@@ -198,15 +198,16 @@ class TestDwellAndCredits:
             upcxx.barrier()
             if upcxx.rank_me() == 0:
                 stats.update(store.stats())
-                stats["conduit"] = upcxx.runtime_here().conduit.stats()
+                rt = upcxx.runtime_here()
+                stats["rt"] = (rt.agg_credit_stall_s, rt.agg_batches)
 
         upcxx.run_spmd(body, 2, ppn=1)
         assert stats["credit_stalls"] > 0
         assert stats["credit_stall_s"] > 0.0
         assert stats["acks_received"] == stats["batches_sent"]
-        # backpressure reaches the conduit's endpoint accounting too
-        assert stats["conduit"]["agg_credit_stall_s"] > 0.0
-        assert stats["conduit"]["agg_batches"] >= stats["batches_sent"]
+        # the rank's counters, which telemetry snapshots, hold the same
+        # totals (the store is the rank's only one)
+        assert stats["rt"] == (stats["credit_stall_s"], stats["batches_sent"])
 
     def test_no_credits_means_no_stalls(self):
         stats = {}

@@ -300,6 +300,16 @@ class TestSegmentPressure:
         assert peak <= 2 * 8 * 1024  # no leak growth
 
 
+def test_in_spmd_is_true_exactly_inside_a_upcxx_body():
+    """``in_spmd`` reads the scheduler's client slot, as ``current_runtime``
+    does: false outside any simulation and inside an MPI-model one."""
+    from repro.mpisim import run_mpi
+
+    assert not upcxx.in_spmd()
+    assert upcxx.run_spmd(upcxx.in_spmd, 2) == [True, True]
+    assert run_mpi(upcxx.in_spmd, 2) == [False, False]
+
+
 @pytest.mark.usefixtures("no_cycle_collector")
 class TestTeardown:
     """A returned ``run_spmd`` holds nothing: with the cycle collector off,

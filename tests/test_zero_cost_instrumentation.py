@@ -8,7 +8,8 @@ repaired contract so the next bookkeeping PR cannot silently regress the
 gate again:
 
 - with spans/metrics/faults all disabled, a DHT workload mints **zero**
-  span sids and records **zero** spans;
+  span sids and records **zero** spans, and so does a KV workload that
+  reaches every aggregator and replication span site;
 - with every observer absent, each rank's sink tuple is empty and no sink
   boundary runs at all (off means absent: there is no disabled observer);
 - the run stays inside a fixed event and RMA-record-allocation budget and
@@ -65,10 +66,28 @@ def _dht_body():
     return upcxx.sim_now()
 
 
-def _run_counted(monkeypatch, **spmd_kwargs):
-    """Run the DHT body counting span-sid mints, span records, CompQItem
-    constructions and fresh RmaOp constructions; returns (sids, records, allocs,
-    stats), with the RmaOp count under ``stats["rmaop_allocs"]``."""
+def _kv_body():
+    """KV tiny at replication 2 with one credit per peer, two-entry batches
+    and the hot-key cache: senders stall on credits, reads hit the cache,
+    and (under ``KV_CRASH``) a death is excluded, re-replicated and
+    anti-entropy synced."""
+    from repro.apps.kvservice import default_config, kv_rank_body
+
+    cfg = dict(default_config("tiny"), replication=2, credits=1, batch_size=2, rate=4e5)
+    return kv_rank_body(cfg)
+
+
+KV_CRASH = "seed=7,crash=3@3.5e-4,survive=1"
+#: the span phases only the service layers record
+SERVICE_PHASES = {"credit_wait", "cache_hit", "fill_share", "death_exclude", "rereplicate",
+                  "anti_entropy"}
+
+
+def _run_counted(monkeypatch, body=_dht_body, ppn=8, **spmd_kwargs):
+    """Run ``body`` (default: the DHT body) on 8 ranks counting span-sid
+    mints, span records, CompQItem constructions and fresh RmaOp
+    constructions; returns (sids, records, allocs, stats), with the RmaOp
+    count under ``stats["rmaop_allocs"]``."""
     counts = {"sids": 0, "records": 0, "allocs": 0, "ops": 0}
 
     orig_sid = Runtime.next_span_sid
@@ -100,7 +119,7 @@ def _run_counted(monkeypatch, **spmd_kwargs):
     monkeypatch.setattr(SpanBuffer, "record", counting_record)
     monkeypatch.setattr(CompQItem, "__init__", counting_init)
     stats: dict = {}
-    upcxx.run_spmd(_dht_body, N_RANKS, ppn=8, seed=7, sched_stats=stats, **spmd_kwargs)
+    upcxx.run_spmd(body, N_RANKS, ppn=ppn, seed=7, sched_stats=stats, **spmd_kwargs)
     stats["rmaop_allocs"] = counts["ops"]
     return counts["sids"], counts["records"], counts["allocs"], stats
 
@@ -120,6 +139,25 @@ def test_no_span_work_when_observers_off(monkeypatch):
         f"{stats['rmaop_allocs']} fresh RmaOp constructions (budget "
         f"{RMAOP_ALLOC_BUDGET}): fulfilled records are not being reused"
     )
+
+
+def test_no_span_work_on_the_service_path_when_spans_off(monkeypatch):
+    """The same counters over a KV body that reaches every aggregator and
+    replication span site (credit stalls, cache hits, a survivable crash):
+    zero sids and zero records with spans off."""
+    sids, records, _allocs, _stats = _run_counted(monkeypatch, _kv_body, ppn=4, faults=KV_CRASH)
+    assert (sids, records) == (0, 0)
+
+
+def test_service_spans_still_record(monkeypatch):
+    """Control arm for the KV body: with spans on, the counters see its
+    traffic and the buffer holds every service-layer phase."""
+    spans = SpanBuffer()
+    sids, records, _allocs, _stats = _run_counted(
+        monkeypatch, _kv_body, ppn=4, faults=KV_CRASH, spans=spans
+    )
+    assert sids > 0 and records == len(spans) > 0
+    assert {r[4] for r in spans} >= SERVICE_PHASES
 
 
 def test_absent_observers_leave_no_sink(monkeypatch):
