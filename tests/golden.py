@@ -584,6 +584,33 @@ def _api_program(body, faults=None) -> Run:
     return _spmd(body, 4, ppn=2, faults=faults)
 
 
+def eadd_variants() -> Run:
+    """The three Fig. 8 extend-add variants on one 8-rank plan (two nodes).
+    Each rank returns its sweep time and a sha256 of its owned front values
+    after the sweep; the UPC++ variant runs with every observer on (the
+    MPI runner has none)."""
+    from repro.apps.sparse.extend_add import build_eadd_plan, mpi_eadd_run, upcxx_eadd_run
+    from repro.mpisim import run_mpi
+
+    plan = build_eadd_plan(8, 8, 6, n_procs=8, leaf_size=12, block=8)
+
+    def swept(sweep):
+        instances = {}
+        elapsed = sweep(collect=instances)
+        (mine,) = instances.values()
+        h = hashlib.sha256()
+        for nid in sorted(mine):
+            h.update(mine[nid].dense().tobytes())
+        return (elapsed, h.hexdigest())
+
+    run = _spmd(lambda: swept(partial(upcxx_eadd_run, plan)), 8, platform="haswell", ppn=4)
+    results = {"upcxx": run.results}
+    for variant in ("alltoallv", "p2p"):
+        sweep = partial(mpi_eadd_run, plan, variant)
+        results[variant] = run_mpi(lambda: swept(sweep), 8, platform="haswell", ppn=4)
+    return run._replace(results=results)
+
+
 PROGRAMS: Dict[str, Callable[[], Run]] = {
     "fig3a_series": fig3a_series,
     "dht_totals": dht_totals,
@@ -606,6 +633,7 @@ PROGRAMS: Dict[str, Callable[[], Run]] = {
     "ci_rank_crash_blackbox": partial(crash_blackbox, body=ci_barrier_body),
     "ci_survived_blackbox": survived_blackbox,
     "kv_telemetry_windows": kv_telemetry_windows,
+    "eadd_variants": eadd_variants,
 }
 for _seed in CHAOS_SEEDS:
     for _plan in CHAOS_PLANS:

@@ -14,6 +14,7 @@ from repro.apps.sparse.extend_add import (
     _build_instances,
 )
 from repro.mpisim import run_mpi
+from tests import golden
 
 
 @pytest.fixture(scope="module")
@@ -136,3 +137,13 @@ class TestCrossVariantConsistency:
 
         assert upcxx.run_spmd(upcxx_body, 1)[0] > 0
         assert run_mpi(mpi_body, 1)[0] > 0
+
+
+def test_eadd_variants_reproduce_golden():
+    """Per-rank sweep times and owned front values of all three variants
+    on an 8-rank, two-node plan are pinned (``tests.golden``)."""
+    results = golden.reproduces("eadd_variants").results
+    assert sorted(results) == ["alltoallv", "p2p", "upcxx"]
+    # the variants land the same values, in different simulated times
+    assert len({tuple(h for _t, h in per_rank) for per_rank in results.values()}) == 1
+    assert len({tuple(t for t, _h in per_rank) for per_rank in results.values()}) == 3
