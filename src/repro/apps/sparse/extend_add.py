@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 import repro.upcxx as upcxx
-from repro.apps.sparse.frontal import FrontInstance
+from repro.apps.sparse.frontal import FrontInstance, positions
 from repro.apps.sparse.matrices import laplacian_3d
 from repro.apps.sparse.ordering import nested_dissection_3d
 from repro.apps.sparse.propmap import proportional_mapping
@@ -98,7 +98,6 @@ def build_eadd_plan(
             child = fronts[cid]
             for s in teams[cid]:
                 inst = FrontInstance(child, teams[cid], s, block)
-                inst.fill(0.0)
                 counts = inst.f22_nnz_for(parent, teams[pid], block)
                 total_entries += sum(counts.values())
                 for dest_world, n in counts.items():
@@ -125,7 +124,6 @@ def _build_instances(plan: EaddPlan, me: int) -> Dict[int, FrontInstance]:
     instances: Dict[int, FrontInstance] = {}
     for nid in plan.my_front_ids(me):
         inst = FrontInstance(plan.fronts[nid], plan.teams[nid], me, plan.block)
-        inst.fill(0.0)  # materialize all owned blocks
         if not plan.fronts[nid].children:
             inst.fill(1.0, f22_only=True)
         instances[nid] = inst
@@ -329,11 +327,10 @@ def serial_eadd_reference(plan: EaddPlan) -> Dict[int, np.ndarray]:
             dense[nid][nc:, nc:] = 1.0
     for pid in plan.parents:
         parent = plan.fronts[pid]
-        lookup = {int(g): k for k, g in enumerate(parent.row_indices)}
         for cid in parent.children:
             child = plan.fronts[cid]
             nc = child.n_cols
             src = dense[cid][nc:, nc:]
-            pos = np.array([lookup[int(g)] for g in child.border], dtype=np.int64)
+            pos = positions(parent.row_indices, child.border)
             dense[pid][np.ix_(pos, pos)] += src
     return dense

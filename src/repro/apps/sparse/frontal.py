@@ -3,12 +3,13 @@
 Each front is distributed over its team in a 2-D block-cyclic manner with a
 fixed block size (paper §IV-D: "frontal matrices are then distributed in a
 2D block-cyclic manner with a fixed block size among processes of each
-group").  A rank stores only its owned blocks, so per-rank memory is
+group").  A rank stores its share as one local 2-D array, as ScaLAPACK and
+STRUMPACK do: the owned rows by the owned columns, so per-rank memory is
 front_size²/P — the scalable layout extend-add must route into.
 
-All index math is vectorized: packing produces, per destination rank,
-numpy arrays of (parent-local row, parent-local col, value) triples; the
-wire carries the values as a zero-copy view plus the two index arrays.
+All index math is whole-array numpy: packing produces, per destination
+rank, numpy arrays of (parent-local row, parent-local col, value) triples;
+the wire carries the values as a zero-copy view plus the two index arrays.
 """
 
 from __future__ import annotations
@@ -60,8 +61,38 @@ class BlockCyclic:
         return mine
 
 
+def positions(rows: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """The index in ``rows`` (distinct global ids, any order) of each of
+    ``ids``; ``KeyError`` names the first id ``rows`` lacks."""
+    order = np.argsort(rows)
+    out = order[np.searchsorted(rows, ids, sorter=order).clip(max=len(rows) - 1)]
+    missing = rows[out] != ids
+    if missing.any():
+        raise KeyError(int(ids[missing][0]))
+    return out
+
+
+def _route(owned: np.ndarray, nc: int, pos: np.ndarray, block: int, nprocs: int):
+    """The F22 part of one owned axis, stably sorted by the parent process
+    coordinate it routes to: local indices, parent positions, and a
+    (coordinate, slice) per coordinate that receives any."""
+    lo = int(np.searchsorted(owned, nc))
+    ppos = pos[owned[lo:]]
+    dest = (ppos // block) % nprocs
+    order = np.argsort(dest, kind="stable")
+    cut = [0] + np.cumsum(np.bincount(dest, minlength=nprocs)).tolist()
+    spans = [(d, slice(cut[d], cut[d + 1])) for d in range(nprocs) if cut[d + 1] > cut[d]]
+    return lo + order, ppos[order], spans
+
+
 class FrontInstance:
-    """One rank's share of one distributed frontal matrix."""
+    """One rank's share of one distributed frontal matrix.
+
+    ``local`` holds the owned rows (global indices ``grow``, ascending) by
+    the owned columns (``gcol``); ``blocks`` maps each owned block
+    (bi, bj), in :meth:`BlockCyclic.my_blocks` order, to its view of
+    ``local``.
+    """
 
     def __init__(
         self,
@@ -77,11 +108,21 @@ class FrontInstance:
         self.my_team_idx: Optional[int] = (
             self.team.index(my_world_rank) if my_world_rank in team else None
         )
-        #: owned storage: (bi, bj) -> dense block array
+        g, n = self.grid, self.n
+        prow, pcol = (-1, -1) if self.my_team_idx is None else divmod(self.my_team_idx, g.pc)
+        blk_of = np.arange(n) // block
+        self.grow = np.flatnonzero(blk_of % g.pr == prow)
+        self.gcol = np.flatnonzero(blk_of % g.pc == pcol)
+        #: inverse maps: global index -> local row / col, -1 where not owned
+        self.lrow = np.full(n, -1, dtype=np.int64)
+        self.lrow[self.grow] = np.arange(len(self.grow))
+        self.lcol = np.full(n, -1, dtype=np.int64)
+        self.lcol[self.gcol] = np.arange(len(self.gcol))
+        self.local = np.zeros((len(self.grow), len(self.gcol)))
         self.blocks: Dict[Tuple[int, int], np.ndarray] = {}
-        # mapping: child-front-local index -> global vertex, and the
-        # inverse lookup used by packing (built lazily per parent)
-        self._row_indices = sym.row_indices
+        for bi, bj in g.my_blocks(self.my_team_idx, n) if prow >= 0 else ():
+            r, c = bi // g.pr * block, bj // g.pc * block
+            self.blocks[(bi, bj)] = self.local[r : r + block, c : c + block]
         self._parent_pos_cache: Dict[int, np.ndarray] = {}
 
     # ------------------------------------------------------------- geometry
@@ -89,45 +130,19 @@ class FrontInstance:
     def n(self) -> int:
         return self.sym.front_size
 
-    def participating(self) -> bool:
-        return self.my_team_idx is not None
-
-    def _block_shape(self, bi: int, bj: int) -> Tuple[int, int]:
-        nb = self.grid.block
-        return (
-            min(nb, self.n - bi * nb),
-            min(nb, self.n - bj * nb),
-        )
-
-    def _get_block(self, bi: int, bj: int) -> np.ndarray:
-        blk = self.blocks.get((bi, bj))
-        if blk is None:
-            blk = np.zeros(self._block_shape(bi, bj))
-            self.blocks[(bi, bj)] = blk
-        return blk
-
     # ------------------------------------------------------------------ fill
     def fill(self, value: float = 1.0, f22_only: bool = False) -> None:
-        """Materialize owned blocks, set to ``value``.
+        """Set every owned element to ``value``.
 
         With ``f22_only`` only elements in the contribution-block region
         (rows and cols >= n_cols) are set; others are zero.
         """
-        if not self.participating():
+        if not f22_only:
+            self.local[:] = value
             return
         nc = self.sym.n_cols
-        nb = self.grid.block
-        for bi, bj in self.grid.my_blocks(self.my_team_idx, self.n):
-            blk = self._get_block(bi, bj)
-            if not f22_only:
-                blk[:] = value
-                continue
-            i0, j0 = bi * nb, bj * nb
-            ii = np.arange(i0, i0 + blk.shape[0])
-            jj = np.arange(j0, j0 + blk.shape[1])
-            mask = (ii[:, None] >= nc) & (jj[None, :] >= nc)
-            blk[:] = 0.0
-            blk[mask] = value
+        self.local[:] = 0.0
+        self.local[np.searchsorted(self.grow, nc) :, np.searchsorted(self.gcol, nc) :] = value
 
     # ------------------------------------------------------------- packing
     def parent_positions(self, parent: FrontSymbolic) -> np.ndarray:
@@ -136,13 +151,24 @@ class FrontInstance:
         cached = self._parent_pos_cache.get(parent.node_id)
         if cached is not None:
             return cached
-        parent_rows = parent.row_indices
-        lookup = {int(g): k for k, g in enumerate(parent_rows)}
         out = np.full(self.n, -1, dtype=np.int64)
-        for k in range(self.sym.n_cols, self.n):
-            out[k] = lookup[int(self._row_indices[k])]
+        out[self.sym.n_cols :] = positions(parent.row_indices, self.sym.border)
         self._parent_pos_cache[parent.node_id] = out
         return out
+
+    def _bins(self, parent: FrontSymbolic, parent_team: List[int], parent_block: int):
+        """My F22 rows and cols, each routed by :func:`_route`, and one
+        (world rank, row slice, col slice) of them per receiving parent
+        rank, in ascending parent-team order."""
+        pos = self.parent_positions(parent)
+        pgrid = BlockCyclic(len(parent_team), parent_block)
+        nc = self.sym.n_cols
+        rows = _route(self.grow, nc, pos, parent_block, pgrid.pr)
+        cols = _route(self.gcol, nc, pos, parent_block, pgrid.pc)
+        bins = [
+            (parent_team[dr * pgrid.pc + dc], rs, cs) for dr, rs in rows[2] for dc, cs in cols[2]
+        ]
+        return rows, cols, bins
 
     def pack_for_parent(
         self,
@@ -152,81 +178,46 @@ class FrontInstance:
     ) -> Dict[int, Tuple[np.ndarray, np.ndarray, np.ndarray]]:
         """Bin my F22 entries by destination parent rank.
 
-        Returns {world_rank: (parent_i, parent_j, values)} — the paper's
-        ``pack`` utility that "bins outgoing entries into sbuf".
+        Returns {world_rank: (parent_i, parent_j, values)} in ascending
+        parent-team order — the paper's ``pack`` utility that "bins outgoing
+        entries into sbuf".  The values are a fresh gather, never a view of
+        ``local``.
         """
-        if not self.participating():
-            return {}
-        nc = self.sym.n_cols
-        pos = self.parent_positions(parent)
-        pgrid = BlockCyclic(len(parent_team), parent_block)
-        nb = self.grid.block
-
-        pis: List[np.ndarray] = []
-        pjs: List[np.ndarray] = []
-        vals: List[np.ndarray] = []
-        for (bi, bj), blk in self.blocks.items():
-            i0, j0 = bi * nb, bj * nb
-            i1, j1 = i0 + blk.shape[0], j0 + blk.shape[1]
-            if i1 <= nc or j1 <= nc:
-                continue  # block entirely outside F22
-            ia, ja = max(i0, nc), max(j0, nc)
-            sub = blk[ia - i0 : i1 - i0, ja - j0 : j1 - j0]
-            pi = pos[ia:i1]
-            pj = pos[ja:j1]
-            pim, pjm = np.meshgrid(pi, pj, indexing="ij")
-            pis.append(pim.ravel())
-            pjs.append(pjm.ravel())
-            vals.append(np.ascontiguousarray(sub).ravel())
-        if not pis:
-            return {}
-        pi = np.concatenate(pis)
-        pj = np.concatenate(pjs)
-        v = np.concatenate(vals)
-        dest_team_idx = pgrid.owner_vec(pi, pj)
-
-        out: Dict[int, Tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-        order = np.argsort(dest_team_idx, kind="stable")
-        pi, pj, v, d = pi[order], pj[order], v[order], dest_team_idx[order]
-        cuts = np.flatnonzero(np.diff(d)) + 1
-        for lo, hi in zip(np.r_[0, cuts], np.r_[cuts, len(d)]):
-            world = parent_team[int(d[lo])]
-            out[world] = (pi[lo:hi].copy(), pj[lo:hi].copy(), v[lo:hi].copy())
-        return out
+        (lr, pr, _), (lc, pc, _), bins = self._bins(parent, parent_team, parent_block)
+        sub = self.local[np.ix_(lr, lc)]
+        return {
+            world: (
+                np.repeat(pr[rs], cs.stop - cs.start),
+                np.tile(pc[cs], rs.stop - rs.start),
+                sub[rs, cs].ravel(),
+            )
+            for world, rs, cs in bins
+        }
 
     # ---------------------------------------------------------- accumulate
     def accumulate(self, pi: np.ndarray, pj: np.ndarray, values: np.ndarray) -> None:
-        """Scatter-add received contributions into my owned blocks."""
-        if len(pi) == 0:
-            return
-        nb = self.grid.block
-        bi = pi // nb
-        bj = pj // nb
-        order = np.lexsort((bj, bi))
-        pi, pj, values, bi, bj = pi[order], pj[order], values[order], bi[order], bj[order]
-        key = bi * (1 << 32) + bj
-        cuts = np.flatnonzero(np.diff(key)) + 1
-        for lo, hi in zip(np.r_[0, cuts], np.r_[cuts, len(key)]):
-            blk = self._get_block(int(bi[lo]), int(bj[lo]))
-            np.add.at(
-                blk,
-                (pi[lo:hi] - bi[lo] * nb, pj[lo:hi] - bj[lo] * nb),
-                values[lo:hi],
-            )
+        """Scatter-add received contributions into my local array.  Each
+        element receives its contributions in input order; one outside my
+        owned blocks raises ``ValueError``."""
+        li, lj = self.lrow[pi], self.lcol[pj]
+        if (li < 0).any() or (lj < 0).any():
+            raise ValueError(f"contribution outside rank {self.my_world_rank}'s blocks")
+        # a view of a received frame can be unaligned, and np.add.at then
+        # takes a ~30x slower per-element path: copy it aligned first
+        values = np.require(values, requirements="A")
+        np.add.at(self.local.reshape(-1), li * self.local.shape[1] + lj, values)
 
     # ------------------------------------------------------------- queries
     def dense(self) -> np.ndarray:
         """Assemble my owned entries into a full (n x n) array (tests)."""
         out = np.zeros((self.n, self.n))
-        nb = self.grid.block
-        for (bi, bj), blk in self.blocks.items():
-            out[bi * nb : bi * nb + blk.shape[0], bj * nb : bj * nb + blk.shape[1]] = blk
+        out[np.ix_(self.grow, self.gcol)] = self.local
         return out
 
     def f22_nnz_for(
         self, parent: FrontSymbolic, parent_team: List[int], parent_block: int = 24
     ) -> Dict[int, int]:
-        """Per-destination entry counts (used to precompute expected RPC
-        counts without packing values)."""
-        packed = self.pack_for_parent(parent, parent_team, parent_block)
-        return {w: len(v) for w, (_pi, _pj, v) in packed.items()}
+        """Per-destination entry counts of :meth:`pack_for_parent`, from the
+        row and column split sizes alone."""
+        _rows, _cols, bins = self._bins(parent, parent_team, parent_block)
+        return {world: (rs.stop - rs.start) * (cs.stop - cs.start) for world, rs, cs in bins}

@@ -113,7 +113,6 @@ class _Front2D:
         self.sym, self.pad = _padded_symbolic(self.sym_real, plan.block)
         self.team = plan.teams[nid]
         self.inst = FrontInstance(self.sym, self.team, me, plan.block)
-        self.inst.fill(0.0)
         self.grid = self.inst.grid
         nb = plan.block
         assert self.sym.n_cols % nb == 0 or self.sym.front_size == self.sym.n_cols
@@ -197,7 +196,6 @@ class _State2D:
                 child_sym, _ = _padded_symbolic(plan.fronts[cid], plan.block)
                 for s in plan.teams[cid]:
                     inst = FrontInstance(child_sym, plan.teams[cid], s, plan.block)
-                    inst.fill(0.0)
                     counts = inst.f22_nnz_for(fr.sym, plan.teams[nid], plan.block)
                     if counts.get(me, 0) > 0:
                         expected += 1
@@ -312,7 +310,7 @@ def _factor_front_2d(plan: Cholesky2DPlan, fr: _Front2D, state_dobj) -> None:
 
         # ---- POTRF + L_kk distribution --------------------------------
         if me == diag_owner:
-            dblk = fr.inst._get_block(k, k)
+            dblk = fr.inst.blocks[(k, k)]
             lkk = np.linalg.cholesky(dblk)
             dblk[:, :] = np.tril(lkk) + np.tril(lkk, -1).T  # keep symmetric
             fr.lkk[k] = lkk
@@ -330,7 +328,7 @@ def _factor_front_2d(plan: Cholesky2DPlan, fr: _Front2D, state_dobj) -> None:
 
         # ---- TRSM my panel blocks and distribute them -------------------
         for bi in fr.my_col_panel_blocks(k):
-            blk = fr.inst._get_block(bi, k)
+            blk = fr.inst.blocks[(bi, k)]
             blk[:, :] = solve_triangular(lkk, blk.T, lower=True).T
             piece = blk.copy()
             fr.col_panels[(k, bi)] = piece
@@ -341,7 +339,7 @@ def _factor_front_2d(plan: Cholesky2DPlan, fr: _Front2D, state_dobj) -> None:
                     upcxx.make_view(piece.ravel()),
                 )
         for bj in fr.my_row_panel_blocks(k):
-            blk = fr.inst._get_block(k, bj)
+            blk = fr.inst.blocks[(k, bj)]
             blk[:, :] = solve_triangular(lkk, blk, lower=True)
             piece = blk.copy()
             fr.row_panels[(k, bj)] = piece
@@ -357,7 +355,7 @@ def _factor_front_2d(plan: Cholesky2DPlan, fr: _Front2D, state_dobj) -> None:
         for (bi, bj) in fr.my_trailing_blocks(k):
             li = fr.col_panels[(k, bi)]  # block-bi rows x nb
             rj = fr.row_panels[(k, bj)]  # nb x block-bj cols
-            fr.inst._get_block(bi, bj)[:, :] -= li @ rj
+            fr.inst.blocks[(bi, bj)][:, :] -= li @ rj
         for key in [key for key in fr.col_panels if key[0] == k]:
             del fr.col_panels[key]
         for key in [key for key in fr.row_panels if key[0] == k]:
