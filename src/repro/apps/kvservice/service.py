@@ -305,7 +305,7 @@ def _sleep_until(rt, t: float, before_park=None) -> None:
     """Simulated-time sleep: park the rank until the clock reaches ``t``."""
     sched = rt.sched
     rank = rt.rank
-    sched.post_at(t, lambda: sched.wake(rank, t))
+    sched.post_at(t, lambda: sched.wake(rank, t), rank)
     rt.wait_quiet(lambda: rt.now() >= t, "kv::pace", before_park)
 
 

@@ -270,19 +270,16 @@ class Conduit:
             ep.nic_wait_s += begin - t
             if sp is not None:
                 if i == 0:
-                    sp.record(t, begin, snd, span, phases[0], kind, nbytes)
-                    sp.record(begin, done, snd, span, phases[1], kind, nbytes)
-                    sp.record(done, done + lat, snd, span, phases[2], kind, nbytes)
+                    # fault-free, the ack's span goes with the frame's
+                    sp.frame(t, begin, done, lat, snd, span, phases, kind, nbytes,
+                             ack_bytes if plan is None else None)
                 else:
                     sp.record(t, done, snd, span, "retry", kind, nbytes)
             if plan is None:
                 # the first attempt lands: remote commit is instantaneous
                 # and the ack rides one latency back
                 commit_at = done + lat
-                ack_recv = commit_at + lat
-                if ack_bytes is not None and sp is not None:
-                    sp.record(commit_at, ack_recv, snd, span, "ack_wire", kind, ack_bytes)
-                return done, commit_at, ack_recv
+                return done, commit_at, commit_at + lat
             if i == 0:
                 done0 = done
             if plan.drops_frame(snd, rcv, seq, i):
@@ -368,7 +365,7 @@ class Conduit:
         x.phase = PUT_COMMIT
         x.t_commit = commit_at
         x.t_ack = ack_at
-        self.sched.post_at(commit_at, x)
+        self.sched.post_at(commit_at, x, dst if x.LOOKAHEAD else None)
         return x
 
     def get_nb(
@@ -402,7 +399,7 @@ class Conduit:
             return x
         x.phase = GET_SERVICE
         x.t_commit = req_at
-        self.sched.post_at(req_at, x)
+        self.sched.post_at(req_at, x, dst if x.LOOKAHEAD else None)
         return x
 
     def _get_reply(self, src, dst, dst_off, nbytes, path, occ_scale, span, t_req, seg=None):
@@ -451,8 +448,8 @@ class Conduit:
         sched = self.sched
         if arrival is not None:  # else the receiver crashed before any attempt landed
             x.arrival = arrival
-            sched.post_at(arrival, x)
-        sched.post_at(inj_done, x.injected)
+            sched.post_at(arrival, x, dst)
+        sched.post_at(inj_done, x.injected, src)
         return x
 
     # ---------------------------------------------------------------- atomics
@@ -471,7 +468,7 @@ class Conduit:
             return x
         x.phase = ATOMIC_APPLY
         x.t_ack = ack_at
-        self.sched.post_at(arrival, x)
+        self.sched.post_at(arrival, x, dst if x.LOOKAHEAD else None)
         return x
 
     @staticmethod

@@ -94,7 +94,14 @@ class Transfer(Handle):
     state on the same object (``repro.upcxx.rma``); the fields here are
     filled in by whoever creates it and read by ``Conduit.put``/``get``/
     ``atomic``.
+
+    Each event names the rank whose state it touches (``dst`` for the
+    first, ``src`` for ``COMPLETE``), so the scheduler may fire it ahead
+    of its strict frontier (:mod:`repro.sim.coop`); a subclass whose
+    events touch a third rank sets ``LOOKAHEAD`` False and names none.
     """
+
+    LOOKAHEAD = True
 
     __slots__ = (
         "conduit", "kind", "src", "dst", "dst_off", "nbytes", "payload", "path",
@@ -166,4 +173,4 @@ class Transfer(Handle):
         t_ack = self.t_ack
         if t_ack is not None:
             self.phase = COMPLETE
-            conduit.sched.post_at(t_ack, self)
+            conduit.sched.post_at(t_ack, self, self.src if self.LOOKAHEAD else None)

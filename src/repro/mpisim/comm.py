@@ -244,13 +244,13 @@ def run_mpi(
     max_time: float = 1e6,
 ) -> List[object]:
     """Run ``fn`` as an MPI program on ``ranks`` simulated processes."""
-    from repro.upcxx.api import default_ppn
+    from repro.upcxx.api import _lookahead, default_ppn
 
     ppn = ppn if ppn is not None else default_ppn(platform)
     machine = Machine.for_ranks(ranks, ppn, name=platform)
     network = network if network is not None else AriesNetwork()
     cpu = cpu if cpu is not None else platform_cpu(platform)
-    sched = Scheduler(ranks, max_time=max_time)
+    sched = Scheduler(ranks, max_time=max_time, lookahead=_lookahead(network))
     world = MpiWorld(sched, machine, network, cpu, costs, segment_size)
 
     def bootstrap(rank: int):

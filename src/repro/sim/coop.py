@@ -2,21 +2,37 @@
 
 Every simulated process (*rank*) executes its user function in ordinary
 blocking style.  A conservative scheduler enforces the invariant that
-**exactly one entity runs at any instant**, and that it is always the
-entity with the globally minimal simulated timestamp:
+**exactly one entity runs at any instant**, and that it is never ahead of
+the globally minimal simulated timestamp by the job's *lookahead* ``L``
+or more.  With ``L = 0`` (a bare :class:`Scheduler`) the running entity
+is always the globally earliest:
 
 - a *rank* with the smallest local clock among ready ranks, or
 - a pending *network event* (conduit delivery, completion) that is due no
   later than any ready rank.
 
+``L > 0`` rests on one premise: no rank affects another sooner than ``L``
+after its own clock.  In the UPC++ and MPI layers a rank reaches another
+only through a conduit frame, which lands at least one one-way latency
+after its sender's clock, so ``run_spmd``/``run_mpi`` pass the shorter
+one-way latency of their network.  A rank then keeps the baton while it
+is less than ``L`` ahead of every ready rank: nothing those ranks have
+still to do can reach it sooner.  It fires a due event itself only if
+the event names it, or a rank that is not ready behind the event, as
+the one whose state it touches; every other event waits for the strict
+gate.  Every simulated result is the same at any legal ``L``; only the
+number of baton hand-offs drops.
+
 Rank code interacts with the scheduler through four primitives:
 
 ``charge(dt)``
     advance my simulated clock by ``dt`` seconds of CPU work, yielding the
-    baton if someone else is now earlier;
-``post(delay, fn)`` / ``post_at(t, fn)``
+    baton if someone else could now reach me (is earlier by ``L`` or
+    less) or an event I may not fire is due;
+``post(delay, fn, target)`` / ``post_at(t, fn, target)``
     schedule a network-context callback (runs inside the dispatch loop,
-    must not block or call user code);
+    must not block or call user code) that touches rank ``target``'s
+    state, or any rank's if ``target`` is None;
 ``block(reason)``
     go to sleep until some event calls ``wake`` for me (spurious wake-ups
     are allowed — callers re-check their predicate);
@@ -32,7 +48,9 @@ among events due at the same instant, so the fire order is a pure
 function of causality rather than of the order in which the host
 happened to run things.  Ranks are resumed in deterministic (clock,
 rank) order, so an entire simulation is a pure function of its inputs
-and seed.
+and seed.  Only Python objects shared between ranks outside the library
+can tell ``L`` apart: they see host order, which may differ from
+simulated order by less than ``L``.
 
 There is one scheduler, :class:`Scheduler` (its invariants are on the
 class), and it runs in one process: rank bodies run as cooperative
@@ -220,7 +238,7 @@ def _consume_pending_wakes(sched: Scheduler, me) -> bool:
         return True
     t = pending.pop(0)
     rid = me.rid
-    sched.post_at(t, lambda: sched.wake(rid, t))
+    sched.post_at(t, lambda: sched.wake(rid, t), rid)
     return False
 
 
@@ -243,17 +261,36 @@ class Scheduler:
 
     - exactly one entity — the current fiber or a dispatching context —
       executes scheduler code at any instant, so no state needs locking;
-    - ``_horizon`` is always ≤ the earliest instant at which a pending
-      event is due or a ready rank could run (and ≤ ``max_time``), so
-      ``charge()``/``checkpoint()`` may return immediately while the
-      running rank's clock stays strictly below it (the fast path: the
-      charging rank remains globally earliest and nothing is due).
+    - the running rank's clock is below the earliest READY clock plus
+      the lookahead ``L`` (``lookahead``; 0 is the strict schedule, in
+      which the running rank is globally earliest), and every event due
+      at or before that clock has fired.  ``L`` is legal only if no rank
+      can affect another sooner than ``L`` after its own clock: every
+      cross-rank effect is an event posted at least ``L`` ahead, so
+      nothing a READY rank has still to do can reach a rank that is
+      less than ``L`` ahead of it;
+    - every event names, when it is posted, the rank whose state it
+      touches (``target``; None: it may touch any).  Ahead of the
+      earliest READY rank, the running rank fires a due event itself
+      only if it names the running rank or a rank that is not READY
+      behind the event; anything else waits for the strict gate;
+    - ``_horizon`` is always ≤ the earliest pending event, the earliest
+      READY clock plus ``L``, and ``max_time``, so ``charge()``/
+      ``checkpoint()`` may return immediately while the running rank's
+      clock stays strictly below it (the fast path: nothing is due and
+      no READY rank could reach it).
     """
 
-    def __init__(self, n_ranks: int, trace: Optional[TraceBuffer] = None, max_time: float = 1e6):
+    def __init__(self, n_ranks: int, trace: Optional[TraceBuffer] = None, max_time: float = 1e6,
+                 lookahead: float = 0.0):
         if n_ranks < 1:
             raise ValueError(f"need at least 1 rank, got {n_ranks}")
+        if not 0.0 <= lookahead < _INF:
+            raise ValueError(f"lookahead must be finite and non-negative, got {lookahead!r}")
         self.n_ranks = n_ranks
+        #: L: no rank can affect another sooner than this after its own
+        #: clock (class docstring); 0 is the strict schedule
+        self._lookahead = lookahead
         # causal-stamp state (see post_at): the stamp of the event
         # currently firing, its running child index, and per-rank post seqs
         self._firing_lane: Optional[tuple] = None
@@ -313,9 +350,15 @@ class Scheduler:
         me = self._current
         if me is None:
             raise SimError("not inside a rank of this scheduler")
-        me.clock = clock = me.clock + dt
+        clock = me.clock + dt
         if clock < self._horizon:
-            return  # fast path: still globally earliest, nothing due
+            me.clock = clock
+            return  # fast path: nothing due, no READY rank can reach me
+        if self._lookahead and not clock <= self.max_time and self._failure is None:
+            # report the overrun from where the strict schedule would: an
+            # earlier rank may fail first (_sync_strict)
+            self._sync_strict(me)
+        me.clock = clock
         if self._failure is not None:
             raise SimAbort()
         if not clock <= self.max_time:  # a NaN clock fails every comparison
@@ -340,22 +383,24 @@ class Scheduler:
             raise SimAbort()
         self._checkpoint_slow(me)
 
-    def post(self, delay: float, fn: Callable[[], None]) -> None:
+    def post(self, delay: float, fn: Callable[[], None], target: Optional[int] = None) -> None:
         """Schedule a network-context callback ``delay`` seconds from now."""
         if delay < 0:
             raise ValueError(f"negative delay: {delay}")
         me = self._current
         if me is None:
             raise SimError("not inside a rank of this scheduler")
-        self.post_at(me.clock + delay, fn)
+        self.post_at(me.clock + delay, fn, target)
 
-    def post_at(self, t: float, fn: Callable[[], None]) -> None:
+    def post_at(self, t: float, fn: Callable[[], None], target: Optional[int] = None) -> None:
         """Schedule a network-context callback at absolute time ``t``.
 
         Callable from network context (events posting follow-on events).
         The heap key is ``(t, causal stamp)``; the stamp (module docstring)
         is minted here, inline, because every conduit operation comes
-        through here twice.
+        through here twice.  ``target`` is the rank whose state ``fn``
+        touches, None if it may touch any (class docstring): an event
+        that names a rank may fire ahead of the strict frontier.
         """
         if t != t or t < 0 or t == _INF:  # NaN, negative, or inf
             raise ValueError(f"invalid event time: {t!r}")
@@ -372,7 +417,7 @@ class Scheduler:
             rid = me.rid
             seq = self._post_seq[rid] = self._post_seq[rid] + 1
             stamp = (me.clock, rid, seq)
-        heapq.heappush(self._eheap, (t, stamp, fn))
+        heapq.heappush(self._eheap, (t, stamp, fn, target))
         self._events._count_posted += 1
         if t < self._horizon:
             self._horizon = t
@@ -384,8 +429,14 @@ class Scheduler:
         them or when (crash detection): the synthetic stamp
         ``(0.0, rank, 0)`` is one no real post can mint (per-rank seqs
         start at 1), so its place among same-instant events is fixed.
+        Such an event names no rank: it fires only under the strict gate.
         """
-        self._events.push_keyed(t, stamp, fn)
+        if t != t or t < 0 or t == _INF:
+            raise ValueError(f"invalid event time: {t!r}")
+        if not callable(fn):
+            raise TypeError(f"event callback must be callable, got {type(fn).__name__}")
+        heapq.heappush(self._eheap, (t, stamp, fn, None))
+        self._events._count_posted += 1
         if t < self._horizon:
             self._horizon = t
 
@@ -447,7 +498,7 @@ class Scheduler:
         """Block for ``dt`` seconds of simulated time (pure delay)."""
         me = self._me()
         deadline = me.clock + dt
-        self.post(dt, lambda: self.wake(me.rid, deadline))
+        self.post(dt, lambda: self.wake(me.rid, deadline), me.rid)
         while me.clock < deadline:
             self.block(f"sleep until {deadline}")
         self.checkpoint()
@@ -496,8 +547,9 @@ class Scheduler:
         clock = ctl.clock
         heapq.heappush(self._ready, (clock, ctl.rid, ctl.ready_stamp))
         self._ready_version += 1
-        if clock < self._horizon:
-            self._horizon = clock
+        reach = clock + self._lookahead
+        if reach < self._horizon:
+            self._horizon = reach
 
     def _peek_ready(self):
         """Return (clock, ctl) of the earliest ready rank, or None.
@@ -541,11 +593,86 @@ class Scheduler:
             if self._top_version == self._ready_version
             else self._peek_ready()
         )
-        if top is not None and top[0] < h:
-            h = top[0]
+        if top is not None:
+            reach = top[0] + self._lookahead
+            if reach < h:
+                h = reach
         self._horizon = h
 
     def _checkpoint_slow(self, me: _Fiber) -> None:
+        if not (self._lookahead and self._run_ahead(me)):
+            self._checkpoint_strict(me)
+
+    def _run_ahead(self, me: _Fiber) -> bool:
+        """The lookahead slow path: fire, in heap order, every event due
+        at or before my clock, and keep the baton.  True if I keep it (the
+        horizon is retargeted); False as soon as I am ``L`` or more ahead
+        of the earliest READY rank, or a due event later than that rank
+        names none, or names a rank other than me that is READY behind it
+        — the strict gate decides from there (the events fired so far
+        were legal in either schedule, and it picks up the heap where
+        this left it)."""
+        clock = me.clock
+        la = self._lookahead
+        eheap = self._eheap
+        ranks = self._ranks
+        rid = me.rid
+        version = self._ready_version
+        top = (
+            self._top_cache if self._top_version == version else self._peek_ready()
+        )
+        gate = top[0] if top is not None else _INF
+        if not clock < gate + la:
+            return False
+        n_fired = 0
+        try:
+            while eheap:
+                entry = eheap[0]
+                et = entry[0]
+                if et > clock:
+                    break
+                if et > gate:
+                    # ahead of the strict frontier: only an event that
+                    # touches me, or a rank no READY rank is still behind
+                    target = entry[3]
+                    if target is None:
+                        return False
+                    if target != rid:
+                        ctl = ranks[target]
+                        if ctl.state == _READY and ctl.clock < et:
+                            return False
+                heapq.heappop(eheap)
+                n_fired += 1
+                self._firing_lane = entry[1]
+                self._fire_child = 0
+                entry[2]()
+                self._firing_lane = None
+                if self._ready_version != version:
+                    version = self._ready_version
+                    top = self._peek_ready()
+                    gate = top[0] if top is not None else _INF
+                    if not clock < gate + la:
+                        return False
+        finally:
+            self._firing_lane = None
+            if n_fired:
+                self._events.account_fired(n_fired)
+        self._retarget()
+        return True
+
+    def _sync_strict(self, me: _Fiber) -> None:
+        """Let every entity the strict schedule runs before me at my clock
+        run first: after this, nobody READY is earlier and every event due
+        by my clock has fired, as at ``L = 0``.  A rank about to fail
+        calls this before recording its failure, so an earlier rank's
+        failure, which the strict schedule would have met first, wins.
+        Returns quietly if that happened (the run is aborting)."""
+        try:
+            self._checkpoint_strict(me)
+        except SimAbort:
+            pass
+
+    def _checkpoint_strict(self, me: _Fiber) -> None:
         # Deliver due events — but only those that are *globally* minimal:
         # an event must never fire while a READY rank with an earlier clock
         # has not yet executed up to the event's timestamp (it could still
@@ -699,6 +826,8 @@ class Scheduler:
         except RankCrashed:
             pass  # fault-injected death: the rank just stops (fail-stop)
         except BaseException as exc:  # noqa: BLE001 - report any rank failure
+            if self._failure is None and self._lookahead and ctl.state == _RUNNING:
+                self._sync_strict(ctl)
             if self._failure is None:
                 self._failure = _rank_failure(ctl.rid, exc)
             self._abort_all()

@@ -3,7 +3,10 @@
 Events are ``(time, seq, callback)`` triples kept in a binary heap.  ``seq``
 is a monotonically increasing insertion counter, so two events scheduled for
 the same instant always fire in the order they were posted — the property
-that makes whole-simulation runs reproducible.
+that makes whole-simulation runs reproducible.  The scheduler
+(:mod:`repro.sim.coop`) keeps its own entries in the same heap list —
+``(time, causal stamp, callback, target)`` — and uses this class for the
+list and its counters only.
 
 Event callbacks are *network context*: they run with the scheduler lock held
 and must be cheap and non-blocking (deliver a message to an inbox, fulfill a
@@ -37,21 +40,6 @@ class EventQueue:
             raise TypeError(f"event callback must be callable, got {type(fn).__name__}")
         heapq.heappush(self._heap, (time, self._seq, fn))
         self._seq += 1
-        self._count_posted += 1
-
-    def push_keyed(self, time: float, key, fn: Callable[[], None]) -> None:
-        """Schedule ``fn`` at ``time`` with an explicit tie-break ``key``.
-
-        ``key`` is a causal stamp (see :mod:`repro.sim.coop`) that orders
-        same-instant events by who caused them, not by when the host
-        happened to push them.  ``key`` must be orderable against every
-        other key pushed into this queue.
-        """
-        if time != time or time < 0 or time == _INF:  # NaN, negative, or inf
-            raise ValueError(f"invalid event time: {time!r}")
-        if not callable(fn):
-            raise TypeError(f"event callback must be callable, got {type(fn).__name__}")
-        heapq.heappush(self._heap, (time, key, fn))
         self._count_posted += 1
 
     def peek_time(self) -> Optional[float]:

@@ -29,6 +29,14 @@ def default_ppn(platform: str) -> int:
     return DEFAULT_PPN.get(platform.lower(), 32)
 
 
+def _lookahead(network: NetworkModel) -> float:
+    """The scheduler's lookahead ``L`` for a job on ``network``: a rank
+    reaches another only through a conduit frame, and no frame lands
+    sooner than the shorter one-way latency after its sender's clock
+    (:mod:`repro.sim.coop`)."""
+    return min(network.latency_oneway_shm, network.latency_oneway)
+
+
 def run_spmd(
     fn: Callable[[], object],
     ranks: int,
@@ -83,7 +91,7 @@ def run_spmd(
     machine = Machine.for_ranks(ranks, ppn, name=platform)
     network = network if network is not None else AriesNetwork()
     cpu = cpu if cpu is not None else platform_cpu(platform)
-    sched = Scheduler(ranks, trace=trace, max_time=max_time)
+    sched = Scheduler(ranks, trace=trace, max_time=max_time, lookahead=_lookahead(network))
     if telemetry is not None and faults is not None and faults.crashes and not faults.survivable:
         # freeze rings/windows at the first crash time so the post-mortem
         # bundle shows the job at the moment of death.  Survivable plans

@@ -106,6 +106,10 @@ class CopyOp(RmaOp):
 
     __slots__ = ("source", "target")
     POOL_MAX = 0
+    #: a get leg's completion stages the bytes over the source rank's
+    #: PCIe link, a third rank's state: every event of a copy waits for
+    #: the strict gate
+    LOOKAHEAD = False
 
     def inject(self) -> None:
         """defQ -> actQ (internal progress): start the get leg, or go

@@ -511,16 +511,19 @@ class Runtime:
         """Execute one compQ item between the sinks' ``execute`` (its CPU
         charge applied) and ``retire`` (its body returned) boundaries."""
         sched = self.sched
+        on = self._on
         t_exec = sched.now()
         if item.cost > 0:
             sched.charge(item.cost)
-        now = sched.now()
-        for f in self._on.execute:
-            f(self, item, now)
+        if on.execute:
+            now = sched.now()
+            for f in on.execute:
+                f(self, item, now)
         item.fn()
-        now = sched.now()
-        for f in self._on.retire:
-            f(self, item, t_exec, now)
+        if on.retire:
+            now = sched.now()
+            for f in on.retire:
+                f(self, item, t_exec, now)
 
     def wait_on(self, fut: Future) -> None:
         """Spin around user progress until ``fut`` is ready (paper: wait)."""

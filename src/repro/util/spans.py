@@ -122,6 +122,8 @@ class SpanBuffer(Sink):
 
     def __init__(self):
         self._records: List[SpanRecord] = []
+        #: one entry per frame first attempt, expanded when read (frame())
+        self._frames: list = []
 
     def rank(self, r: int) -> "SpanBuffer":
         """Rank ``r``'s sink: the buffer itself (it reads the rank off the runtime)."""
@@ -165,16 +167,51 @@ class SpanBuffer(Sink):
         """Record one phase (any context; times are explicit arguments)."""
         self._records.append((t0, t1, rank, sid, phase, kind, nbytes, parent))
 
+    def frame(
+        self,
+        t: float,
+        begin: float,
+        done: float,
+        lat: float,
+        rank: int,
+        sid: tuple,
+        phases: Tuple[str, str, str],
+        kind: str,
+        nbytes: int,
+        ack_bytes: Optional[int] = None,
+    ) -> None:
+        """Record a frame's first attempt, handed to the NIC at ``t``: its
+        three phases ``[t, begin]`` (queueing), ``[begin, done]``
+        (occupancy) and ``[done, done + lat]`` (the wire), named by
+        ``phases``, and with ``ack_bytes`` the fault-free ack's
+        ``ack_wire`` one latency back.  The conduit calls this once per
+        frame; the entry is kept whole and becomes those three or four
+        records when the buffer is read."""
+        self._frames.append((t, begin, done, lat, rank, sid, phases, kind, nbytes, ack_bytes))
+
+    def _all(self) -> List[SpanRecord]:
+        """Every record, the frames' expanded after the rest."""
+        out = list(self._records)
+        append = out.append
+        for t, begin, done, lat, rank, sid, phases, kind, nbytes, ack_bytes in self._frames:
+            arrival = done + lat
+            append((t, begin, rank, sid, phases[0], kind, nbytes, None))
+            append((begin, done, rank, sid, phases[1], kind, nbytes, None))
+            append((done, arrival, rank, sid, phases[2], kind, nbytes, None))
+            if ack_bytes is not None:
+                append((arrival, arrival + lat, rank, sid, "ack_wire", kind, ack_bytes, None))
+        return out
+
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self._records) + sum(3 if f[9] is None else 4 for f in self._frames)
 
     def __iter__(self) -> Iterator[SpanRecord]:
-        return iter(self._records)
+        return iter(self._all())
 
     # ------------------------------------------------------- canonical view
     def canonical_records(self) -> List[SpanRecord]:
         """Records stably sorted by ``(t0, t1, rank, sid, phase)``."""
-        return sorted(self._records, key=_canon_key)
+        return sorted(self._all(), key=_canon_key)
 
     def fingerprint(self) -> str:
         """Content hash of the canonical stream (hex digest).

@@ -86,10 +86,10 @@ class RankTelemetry(Sink):
         self.ring: deque = deque(maxlen=RING)
         #: closed rollup windows (list of dicts, see _close)
         self.windows: List[dict] = []
-        #: freeze cutoff (first crash time of the fault plan, if any) —
-        #: nothing stamped after it is admitted, so crash-run state
-        #: reflects the job exactly as of the moment of death
-        self.freeze_at = freeze_at
+        #: freeze cutoff (first crash time of the fault plan, +inf when
+        #: there is none) — nothing stamped after it is admitted, so
+        #: crash-run state reflects the job exactly as of the moment of death
+        self._admit_until = float("inf") if freeze_at is None else freeze_at
         # cumulative counters (since t=0)
         self.ops: Dict[str, int] = {}
         self.bytes: Dict[str, int] = {}
@@ -114,8 +114,7 @@ class RankTelemetry(Sink):
         Updates the attentiveness gap and closes rollup windows whose edge
         has passed.
         """
-        freeze = self.freeze_at
-        if freeze is not None and t > freeze:
+        if t > self._admit_until:
             return
         self.ticks += 1
         last = self._last_t
@@ -129,6 +128,10 @@ class RankTelemetry(Sink):
             self._close(t, w, False, rt)
             self._next_edge = (w + 1) * self.window_s
 
+    # The three per-operation boundaries append to the ring themselves
+    # (see note): the last tick was admitted, so its stamp needs no
+    # freeze check.
+
     def inject(self, rt, op, now: float) -> None:
         """An operation left the deferred state (stamped at the last tick)."""
         kind, nbytes = op.kind, op.nbytes
@@ -139,19 +142,20 @@ class RankTelemetry(Sink):
             b[kind] = b.get(kind, 0) + nbytes
         t = self._last_t
         if t is not None:
-            self.note(t, "inject", kind)
+            self.ring.append((t, "inject", kind))
 
     def poll(self, rt, msg, now: float) -> None:
         """An active message was polled from the inbox."""
         self.ams += 1
-        self.note(now, "am", msg.tag)
+        if now <= self._admit_until:
+            self.ring.append((now, "am", msg.tag))
 
     def execute(self, rt, item, now: float) -> None:
         """A compQ item runs in user progress (stamped at the last tick)."""
         self.executed += 1
         t = self._last_t
         if t is not None:
-            self.note(t, "exec", item.kind)
+            self.ring.append((t, "exec", item.kind))
 
     def death(self, rt, t_die: float) -> None:
         """This rank observed its own fail-stop crash: capture its
@@ -159,8 +163,7 @@ class RankTelemetry(Sink):
         bounded sample of operation descriptions)."""
         if self.died_at is not None:
             return
-        freeze = self.freeze_at
-        if freeze is not None and t_die > freeze:
+        if t_die > self._admit_until:
             # a second, later crash, past the moment the bundle describes
             return
         self.died_at = t_die
@@ -184,10 +187,8 @@ class RankTelemetry(Sink):
 
     def note(self, t: float, kind: str, detail: str) -> None:
         """Append a flight-recorder entry (bounded; freeze-gated)."""
-        freeze = self.freeze_at
-        if freeze is not None and t > freeze:
-            return
-        self.ring.append((t, kind, detail))
+        if t <= self._admit_until:
+            self.ring.append((t, kind, detail))
 
     def _close(self, t: float, w: int, final: bool, rt) -> None:
         """Snapshot cumulative counters, the runtime's queue depths and

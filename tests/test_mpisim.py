@@ -5,7 +5,9 @@ import weakref
 import numpy as np
 import pytest
 
+from repro.gasnet.cpumodel import platform_cpu
 from repro.mpisim import run_mpi, comm_world, Win
+from repro.sim.coop import current_scheduler
 from repro.sim.errors import RankFailure
 from repro.mpisim.profile import DEFAULT_MPI_COSTS
 
@@ -65,6 +67,29 @@ class TestP2P:
 
         res = run_mpi(body, 3)
         assert res[0] == [10, 20]
+
+    @staticmethod
+    def _matched_at(k: int) -> float:
+        """Rank 1's clock when a message completes its exact receive, posted
+        behind ``k`` wildcard receives the message does not match."""
+
+        def body():
+            comm = comm_world()
+            sched = current_scheduler()
+            if comm.rank == 0:
+                sched.charge(20e-6)  # rank 1 has posted everything by then
+                comm.send("x", dest=1, tag=1)
+                return None
+            for _ in range(k):
+                comm.irecv(tag=99)  # any source, never matched
+            comm.irecv(source=0, tag=1).wait()
+            return sched.now()
+
+        return run_mpi(body, 2)[1]
+
+    def test_matching_scans_every_wildcard_receive_ahead(self):
+        scan = platform_cpu("haswell").t(DEFAULT_MPI_COSTS.unexpected_scan)
+        assert self._matched_at(8) - self._matched_at(1) == pytest.approx(7 * scan, rel=1e-9)
 
     def test_unexpected_messages_buffer(self):
         """Messages arriving before the recv is posted are not lost."""

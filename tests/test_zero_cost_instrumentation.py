@@ -23,6 +23,8 @@ gate again:
 """
 
 import gc
+import inspect
+from collections import deque
 
 import numpy as np
 import pytest
@@ -85,9 +87,10 @@ SERVICE_PHASES = {"credit_wait", "cache_hit", "fill_share", "death_exclude", "re
 
 def _run_counted(monkeypatch, body=_dht_body, ppn=8, **spmd_kwargs):
     """Run ``body`` (default: the DHT body) on 8 ranks counting span-sid
-    mints, span records, CompQItem constructions and fresh RmaOp
-    constructions; returns (sids, records, allocs, stats), with the RmaOp
-    count under ``stats["rmaop_allocs"]``."""
+    mints, span records (``SpanBuffer.record`` calls plus the three or
+    four records of each ``SpanBuffer.frame``), CompQItem constructions
+    and fresh RmaOp constructions; returns (sids, records, allocs, stats),
+    with the RmaOp count under ``stats["rmaop_allocs"]``."""
     counts = {"sids": 0, "records": 0, "allocs": 0, "ops": 0}
 
     orig_sid = Runtime.next_span_sid
@@ -101,6 +104,15 @@ def _run_counted(monkeypatch, body=_dht_body, ppn=8, **spmd_kwargs):
     def counting_record(self, *a, **k):
         counts["records"] += 1
         return orig_record(self, *a, **k)
+
+    orig_frame = SpanBuffer.frame
+    frame_args = inspect.signature(orig_frame)
+
+    def counting_frame(self, *a, **k):
+        # a frame is three records, four with its fault-free ack
+        ack = frame_args.bind(self, *a, **k).arguments.get("ack_bytes")
+        counts["records"] += 3 if ack is None else 4
+        return orig_frame(self, *a, **k)
 
     orig_item_init = CompQItem.__init__
 
@@ -117,6 +129,7 @@ def _run_counted(monkeypatch, body=_dht_body, ppn=8, **spmd_kwargs):
     monkeypatch.setattr(RmaOp, "__init__", counting_op_init)
     monkeypatch.setattr(Runtime, "next_span_sid", counting_sid)
     monkeypatch.setattr(SpanBuffer, "record", counting_record)
+    monkeypatch.setattr(SpanBuffer, "frame", counting_frame)
     monkeypatch.setattr(CompQItem, "__init__", counting_init)
     stats: dict = {}
     upcxx.run_spmd(body, N_RANKS, ppn=ppn, seed=7, sched_stats=stats, **spmd_kwargs)
@@ -371,14 +384,21 @@ def _run_telemetry_counted(monkeypatch, **spmd_kwargs):
         counts["ticks"] += 1
         return orig_tick(self, *a, **k)
 
-    orig_note = RankTelemetry.note
+    class CountingRing(deque):
+        """A flight-recorder ring that counts its appends."""
 
-    def counting_note(self, *a, **k):
-        counts["notes"] += 1
-        return orig_note(self, *a, **k)
+        def append(self, entry):
+            counts["notes"] += 1
+            deque.append(self, entry)
+
+    orig_init = RankTelemetry.__init__
+
+    def counting_init(self, *a, **k):
+        orig_init(self, *a, **k)
+        self.ring = CountingRing(self.ring, maxlen=self.ring.maxlen)
 
     monkeypatch.setattr(RankTelemetry, "enter", counting_tick)
-    monkeypatch.setattr(RankTelemetry, "note", counting_note)
+    monkeypatch.setattr(RankTelemetry, "__init__", counting_init)
     upcxx.run_spmd(_dht_body, N_RANKS, ppn=8, seed=7, **spmd_kwargs)
     return counts["ticks"], counts["notes"]
 
