@@ -10,6 +10,8 @@ number of baton hand-offs differs, and a failing run reports the failure
 the strict schedule meets first.
 """
 
+import weakref
+
 import pytest
 
 import repro.upcxx as upcxx
@@ -103,6 +105,28 @@ def test_a_rank_overrunning_max_time_ahead_of_a_failing_rank_does_not_fail_the_r
     got = _verdict(body, max_time=1.5e-6)
     assert got == strict(lambda: _verdict(body, max_time=1.5e-6))
     assert got[:2] == ("RankFailure", 0)
+
+
+@pytest.mark.usefixtures("no_cycle_collector")
+def test_a_rank_that_loses_the_race_to_fail_leaves_nothing_behind():
+    """Rank 1 raises ahead of rank 0 and, syncing, is aborted by rank 0's
+    earlier failure: the job is still freed by reference counting."""
+    refs = []
+
+    def body():
+        rt = upcxx.runtime_here()
+        refs.extend(weakref.ref(o) for o in (rt, rt.world, rt.conduit.segment(rt.rank)))
+        me = upcxx.rank_me()
+        upcxx.compute(1e-6 + (L / 3 if me else 0.0))
+        raise ValueError(f"rank {me}")
+
+    rank = None
+    try:
+        upcxx.run_spmd(body, 2, ppn=1)
+    except RankFailure as err:
+        rank = err.rank
+    assert rank == 0
+    assert len(refs) == 6 and all(r() is None for r in refs)
 
 
 def test_a_failure_keeps_its_cause():
