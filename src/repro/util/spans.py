@@ -129,28 +129,34 @@ class SpanBuffer(Sink):
         """Rank ``r``'s sink: the buffer itself (it reads the rank off the runtime)."""
         return self
 
+    # The sink boundaries append their records themselves, a call fewer
+    # per record than going through record().
+
     def inject(self, rt, op, now: float) -> None:
         sid = op.sid
         if sid is not None:
             # API call + injection charge + defQ dwell, up to NIC handoff
-            self.record(op.t_api, now, rt.rank, sid, "inject_sw", op.kind, op.nbytes, op.parent)
+            self._records.append(
+                (op.t_api, now, rt.rank, sid, "inject_sw", op.kind, op.nbytes, op.parent)
+            )
 
     def poll(self, rt, msg, now: float) -> None:
         sid = msg.sid
         if sid is not None:
             # the compQ span then starts here, so the two phases tile
             msg.t_polled = now
-            self.record(msg.arrival, now, rt.rank, sid, "inbox", msg.kind, msg.nbytes)
+            self._records.append((msg.arrival, now, rt.rank, sid, "inbox", msg.kind, msg.nbytes, None))
 
     def retire(self, rt, item, t_exec: float, now: float) -> None:
         sid = item.sid
         if sid is not None:
+            records = self._records
             t_q = item.t_polled
             if t_q is None:
                 t_q = item.t_staged
             if t_q is not None:
-                self.record(t_q, t_exec, rt.rank, sid, "compq", item.kind, item.nbytes)
-            self.record(t_exec, now, rt.rank, sid, "exec_sw", item.kind, item.nbytes)
+                records.append((t_q, t_exec, rt.rank, sid, "compq", item.kind, item.nbytes, None))
+            records.append((t_exec, now, rt.rank, sid, "exec_sw", item.kind, item.nbytes, None))
 
     # ------------------------------------------------------------ recording
     def record(

@@ -87,10 +87,11 @@ SERVICE_PHASES = {"credit_wait", "cache_hit", "fill_share", "death_exclude", "re
 
 def _run_counted(monkeypatch, body=_dht_body, ppn=8, **spmd_kwargs):
     """Run ``body`` (default: the DHT body) on 8 ranks counting span-sid
-    mints, span records (``SpanBuffer.record`` calls plus the three or
-    four records of each ``SpanBuffer.frame``), CompQItem constructions
-    and fresh RmaOp constructions; returns (sids, records, allocs, stats),
-    with the RmaOp count under ``stats["rmaop_allocs"]``."""
+    mints, span records (every append to a ``SpanBuffer``'s record list,
+    plus the three or four records of each ``SpanBuffer.frame``),
+    CompQItem constructions and fresh RmaOp constructions; returns (sids,
+    records, allocs, stats), with the RmaOp count under
+    ``stats["rmaop_allocs"]``."""
     counts = {"sids": 0, "records": 0, "allocs": 0, "ops": 0}
 
     orig_sid = Runtime.next_span_sid
@@ -99,11 +100,18 @@ def _run_counted(monkeypatch, body=_dht_body, ppn=8, **spmd_kwargs):
         counts["sids"] += 1
         return orig_sid(self)
 
-    orig_record = SpanBuffer.record
+    class CountingRecords(list):
+        """A span buffer's record list that counts its appends."""
 
-    def counting_record(self, *a, **k):
-        counts["records"] += 1
-        return orig_record(self, *a, **k)
+        def append(self, record):
+            counts["records"] += 1
+            list.append(self, record)
+
+    orig_buffer_init = SpanBuffer.__init__
+
+    def counting_buffer_init(self):
+        orig_buffer_init(self)
+        self._records = CountingRecords()
 
     orig_frame = SpanBuffer.frame
     frame_args = inspect.signature(orig_frame)
@@ -128,8 +136,11 @@ def _run_counted(monkeypatch, body=_dht_body, ppn=8, **spmd_kwargs):
 
     monkeypatch.setattr(RmaOp, "__init__", counting_op_init)
     monkeypatch.setattr(Runtime, "next_span_sid", counting_sid)
-    monkeypatch.setattr(SpanBuffer, "record", counting_record)
+    monkeypatch.setattr(SpanBuffer, "__init__", counting_buffer_init)
     monkeypatch.setattr(SpanBuffer, "frame", counting_frame)
+    spans = spmd_kwargs.get("spans")
+    if spans is not None:  # built before the patch
+        spans._records = CountingRecords(spans._records)
     monkeypatch.setattr(CompQItem, "__init__", counting_init)
     stats: dict = {}
     upcxx.run_spmd(body, N_RANKS, ppn=ppn, seed=7, sched_stats=stats, **spmd_kwargs)
