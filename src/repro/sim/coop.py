@@ -354,7 +354,7 @@ class Scheduler:
         if clock < self._horizon:
             me.clock = clock
             return  # fast path: nothing due, no READY rank can reach me
-        if self._lookahead and not clock <= self.max_time and self._failure is None:
+        if self._lookahead and clock > self.max_time and self._failure is None:
             # report the overrun from where the strict schedule would: an
             # earlier rank may fail first (_sync_strict)
             self._sync_strict(me)
@@ -369,7 +369,7 @@ class Scheduler:
         self._checkpoint_slow(me)
 
     def checkpoint(self) -> None:
-        """Deliver due events and yield if another entity is earlier.
+        """Deliver due events and yield if another entity could reach me.
 
         Library code calls this at every synchronization-relevant point
         that does not itself charge time.
