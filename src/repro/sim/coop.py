@@ -600,31 +600,46 @@ class Scheduler:
         self._horizon = h
 
     def _checkpoint_slow(self, me: _Fiber) -> None:
-        if not (self._lookahead and self._run_ahead(me)):
-            self._checkpoint_strict(me)
+        self._drain(me, self._lookahead)
 
-    def _run_ahead(self, me: _Fiber) -> bool:
-        """The lookahead slow path: fire, in heap order, every event due
-        at or before my clock, and keep the baton.  True if I keep it (the
-        horizon is retargeted); False as soon as I am ``L`` or more ahead
-        of the earliest READY rank, or a due event later than that rank
-        names none, or names a rank other than me that is READY behind it
-        — the strict gate decides from there (the events fired so far
-        were legal in either schedule, and it picks up the heap where
-        this left it)."""
+    def _sync_strict(self, me: _Fiber) -> None:
+        """Let every entity the strict schedule runs before me at my clock
+        run first: after this, nobody READY is earlier and every event due
+        by my clock has fired, as at ``L = 0``.  A rank about to fail
+        calls this before recording its failure, so an earlier rank's
+        failure, which the strict schedule would have met first, wins.
+        Returns quietly if that happened (the run is aborting)."""
+        try:
+            self._drain(me, 0.0)
+        except SimAbort:
+            pass
+
+    def _drain(self, me: _Fiber, la: float) -> None:
+        # Deliver due events, then keep the baton or yield it.  An event
+        # no later than the earliest READY clock (the strict gate) always
+        # fires.  One later than it fires only while I am less than ``la``
+        # ahead of that rank and the event names me, or a rank that is not
+        # READY behind it (class docstring); any other stops the drain.
+        # Blocked ranks do not gate firing: they cannot act until an
+        # event wakes them.  At ``la = 0`` this is the strict schedule: an
+        # event never fires while a READY rank with an earlier clock has
+        # not yet executed up to its timestamp (it could still create
+        # causally-prior effects).
+        #
+        # The drain is batched: the event heap is walked directly, the
+        # fired-event counter is flushed once, and the ready-heap gate is
+        # re-read only when a fired event made a rank runnable.
         clock = me.clock
-        la = self._lookahead
         eheap = self._eheap
         ranks = self._ranks
         rid = me.rid
+        n_fired = 0
+        stopped = False
         version = self._ready_version
         top = (
             self._top_cache if self._top_version == version else self._peek_ready()
         )
         gate = top[0] if top is not None else _INF
-        if not clock < gate + la:
-            return False
-        n_fired = 0
         try:
             while eheap:
                 entry = eheap[0]
@@ -632,15 +647,15 @@ class Scheduler:
                 if et > clock:
                     break
                 if et > gate:
-                    # ahead of the strict frontier: only an event that
-                    # touches me, or a rank no READY rank is still behind
+                    # ahead of the strict frontier
                     target = entry[3]
-                    if target is None:
-                        return False
-                    if target != rid:
-                        ctl = ranks[target]
-                        if ctl.state == _READY and ctl.clock < et:
-                            return False
+                    if not clock < gate + la or target is None or (
+                        target != rid
+                        and ranks[target].state == _READY
+                        and ranks[target].clock < et
+                    ):
+                        stopped = True
+                        break
                 heapq.heappop(eheap)
                 n_fired += 1
                 self._firing_lane = entry[1]
@@ -651,83 +666,24 @@ class Scheduler:
                     version = self._ready_version
                     top = self._peek_ready()
                     gate = top[0] if top is not None else _INF
-                    if not clock < gate + la:
-                        return False
         finally:
             self._firing_lane = None
             if n_fired:
                 self._events.account_fired(n_fired)
-        self._retarget()
-        return True
-
-    def _sync_strict(self, me: _Fiber) -> None:
-        """Let every entity the strict schedule runs before me at my clock
-        run first: after this, nobody READY is earlier and every event due
-        by my clock has fired, as at ``L = 0``.  A rank about to fail
-        calls this before recording its failure, so an earlier rank's
-        failure, which the strict schedule would have met first, wins.
-        Returns quietly if that happened (the run is aborting)."""
-        try:
-            self._checkpoint_strict(me)
-        except SimAbort:
-            pass
-
-    def _checkpoint_strict(self, me: _Fiber) -> None:
-        # Deliver due events — but only those that are *globally* minimal:
-        # an event must never fire while a READY rank with an earlier clock
-        # has not yet executed up to the event's timestamp (it could still
-        # create causally-prior effects).  Blocked ranks do not gate firing:
-        # they cannot act until an event wakes them.
-        #
-        # The drain is batched: the event heap is walked directly, the
-        # fired-event counter is flushed once, and the ready-heap gate is
-        # re-read only when a fired event made a rank runnable.
-        clock = me.clock
-        eheap = self._eheap
-        n_fired = 0
-        version = self._ready_version
-        top = (
-            self._top_cache if self._top_version == version else self._peek_ready()
-        )
-        gate = top[0] if top is not None else None
-        try:
-            while eheap:
-                et = eheap[0][0]
-                if et > clock:
-                    break
-                if gate is not None and et > gate:
-                    break  # an earlier rank must run first
-                entry = heapq.heappop(eheap)
-                n_fired += 1
-                self._firing_lane = entry[1]
-                self._fire_child = 0
-                entry[2]()
-                self._firing_lane = None
-                if self._ready_version != version:
-                    version = self._ready_version
-                    top = self._peek_ready()
-                    gate = top[0] if top is not None else None
-        finally:
-            self._firing_lane = None
-            if n_fired:
-                self._events.account_fired(n_fired)
-        top = (
-            self._top_cache
-            if self._top_version == self._ready_version
-            else self._peek_ready()
-        )
-        if top is not None and top[0] < clock:
-            # Someone is earlier: yield to them directly.  ``top`` is the
+        if clock <= gate or (clock < gate + la and not stopped):  # gate: +inf if none READY
+            self._retarget()
+        else:
+            # Someone could reach me, or an event I may not fire is due:
+            # yield to the earliest READY rank directly.  ``top`` is the
             # heap's validated head and the drain stopped at the first event
-            # later than it, so it is what _dispatch would select: swap me
-            # in for it.  No failure branch: a failure fired by the drain
-            # ran _abort_all, which leaves no rank READY, so top is None.
+            # it may not fire, which is later than ``top``, so it is what
+            # _dispatch would select: swap me in for it.  No failure branch:
+            # a failure fired by the drain ran _abort_all, which leaves no
+            # rank READY, so top is None.
             me.state = _READY
             me.ready_stamp += 1
             heapq.heapreplace(self._ready, (clock, me.rid, me.ready_stamp))
             self._switch_out(me, top[1])
-        else:
-            self._retarget()
 
     def _switch_out(self, me: _Fiber, nxt: Optional[_Fiber] = None) -> None:
         """Resume ``nxt`` (else what _dispatch selects); park until resumed.
