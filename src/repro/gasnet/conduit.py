@@ -270,16 +270,19 @@ class Conduit:
             ep.nic_wait_s += begin - t
             if sp is not None:
                 if i == 0:
-                    # fault-free, the ack's span goes with the frame's
-                    sp.frame(t, begin, done, lat, snd, span, phases, kind, nbytes,
-                             ack_bytes if plan is None else None)
+                    sp.record(t, begin, snd, span, phases[0], kind, nbytes)
+                    sp.record(begin, done, snd, span, phases[1], kind, nbytes)
+                    sp.record(done, done + lat, snd, span, phases[2], kind, nbytes)
                 else:
                     sp.record(t, done, snd, span, "retry", kind, nbytes)
             if plan is None:
                 # the first attempt lands: remote commit is instantaneous
                 # and the ack rides one latency back
                 commit_at = done + lat
-                return done, commit_at, commit_at + lat
+                ack_recv = commit_at + lat
+                if ack_bytes is not None and sp is not None:
+                    sp.record(commit_at, ack_recv, snd, span, "ack_wire", kind, ack_bytes)
+                return done, commit_at, ack_recv
             if i == 0:
                 done0 = done
             if plan.drops_frame(snd, rcv, seq, i):

@@ -122,41 +122,33 @@ class SpanBuffer(Sink):
 
     def __init__(self):
         self._records: List[SpanRecord] = []
-        #: one entry per frame first attempt, expanded when read (frame())
-        self._frames: list = []
 
     def rank(self, r: int) -> "SpanBuffer":
         """Rank ``r``'s sink: the buffer itself (it reads the rank off the runtime)."""
         return self
 
-    # The sink boundaries append their records themselves, a call fewer
-    # per record than going through record().
-
     def inject(self, rt, op, now: float) -> None:
         sid = op.sid
         if sid is not None:
             # API call + injection charge + defQ dwell, up to NIC handoff
-            self._records.append(
-                (op.t_api, now, rt.rank, sid, "inject_sw", op.kind, op.nbytes, op.parent)
-            )
+            self.record(op.t_api, now, rt.rank, sid, "inject_sw", op.kind, op.nbytes, op.parent)
 
     def poll(self, rt, msg, now: float) -> None:
         sid = msg.sid
         if sid is not None:
             # the compQ span then starts here, so the two phases tile
             msg.t_polled = now
-            self._records.append((msg.arrival, now, rt.rank, sid, "inbox", msg.kind, msg.nbytes, None))
+            self.record(msg.arrival, now, rt.rank, sid, "inbox", msg.kind, msg.nbytes)
 
     def retire(self, rt, item, t_exec: float, now: float) -> None:
         sid = item.sid
         if sid is not None:
-            records = self._records
             t_q = item.t_polled
             if t_q is None:
                 t_q = item.t_staged
             if t_q is not None:
-                records.append((t_q, t_exec, rt.rank, sid, "compq", item.kind, item.nbytes, None))
-            records.append((t_exec, now, rt.rank, sid, "exec_sw", item.kind, item.nbytes, None))
+                self.record(t_q, t_exec, rt.rank, sid, "compq", item.kind, item.nbytes)
+            self.record(t_exec, now, rt.rank, sid, "exec_sw", item.kind, item.nbytes)
 
     # ------------------------------------------------------------ recording
     def record(
@@ -173,51 +165,16 @@ class SpanBuffer(Sink):
         """Record one phase (any context; times are explicit arguments)."""
         self._records.append((t0, t1, rank, sid, phase, kind, nbytes, parent))
 
-    def frame(
-        self,
-        t: float,
-        begin: float,
-        done: float,
-        lat: float,
-        rank: int,
-        sid: tuple,
-        phases: Tuple[str, str, str],
-        kind: str,
-        nbytes: int,
-        ack_bytes: Optional[int] = None,
-    ) -> None:
-        """Record a frame's first attempt, handed to the NIC at ``t``: its
-        three phases ``[t, begin]`` (queueing), ``[begin, done]``
-        (occupancy) and ``[done, done + lat]`` (the wire), named by
-        ``phases``, and with ``ack_bytes`` the fault-free ack's
-        ``ack_wire`` one latency back.  The conduit calls this once per
-        frame; the entry is kept whole and becomes those three or four
-        records when the buffer is read."""
-        self._frames.append((t, begin, done, lat, rank, sid, phases, kind, nbytes, ack_bytes))
-
-    def _all(self) -> List[SpanRecord]:
-        """Every record, the frames' expanded after the rest."""
-        out = list(self._records)
-        append = out.append
-        for t, begin, done, lat, rank, sid, phases, kind, nbytes, ack_bytes in self._frames:
-            arrival = done + lat
-            append((t, begin, rank, sid, phases[0], kind, nbytes, None))
-            append((begin, done, rank, sid, phases[1], kind, nbytes, None))
-            append((done, arrival, rank, sid, phases[2], kind, nbytes, None))
-            if ack_bytes is not None:
-                append((arrival, arrival + lat, rank, sid, "ack_wire", kind, ack_bytes, None))
-        return out
-
     def __len__(self) -> int:
-        return len(self._records) + sum(3 if f[9] is None else 4 for f in self._frames)
+        return len(self._records)
 
     def __iter__(self) -> Iterator[SpanRecord]:
-        return iter(self._all())
+        return iter(self._records)
 
     # ------------------------------------------------------- canonical view
     def canonical_records(self) -> List[SpanRecord]:
         """Records stably sorted by ``(t0, t1, rank, sid, phase)``."""
-        return sorted(self._all(), key=_canon_key)
+        return sorted(self._records, key=_canon_key)
 
     def fingerprint(self) -> str:
         """Content hash of the canonical stream (hex digest).

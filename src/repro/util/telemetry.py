@@ -128,10 +128,6 @@ class RankTelemetry(Sink):
             self._close(t, w, False, rt)
             self._next_edge = (w + 1) * self.window_s
 
-    # The three per-operation boundaries append to the ring themselves
-    # (see note): the last tick was admitted, so its stamp needs no
-    # freeze check.
-
     def inject(self, rt, op, now: float) -> None:
         """An operation left the deferred state (stamped at the last tick)."""
         kind, nbytes = op.kind, op.nbytes
@@ -142,20 +138,19 @@ class RankTelemetry(Sink):
             b[kind] = b.get(kind, 0) + nbytes
         t = self._last_t
         if t is not None:
-            self.ring.append((t, "inject", kind))
+            self.note(t, "inject", kind)
 
     def poll(self, rt, msg, now: float) -> None:
         """An active message was polled from the inbox."""
         self.ams += 1
-        if now <= self._admit_until:
-            self.ring.append((now, "am", msg.tag))
+        self.note(now, "am", msg.tag)
 
     def execute(self, rt, item, now: float) -> None:
         """A compQ item runs in user progress (stamped at the last tick)."""
         self.executed += 1
         t = self._last_t
         if t is not None:
-            self.ring.append((t, "exec", item.kind))
+            self.note(t, "exec", item.kind)
 
     def death(self, rt, t_die: float) -> None:
         """This rank observed its own fail-stop crash: capture its
@@ -187,8 +182,9 @@ class RankTelemetry(Sink):
 
     def note(self, t: float, kind: str, detail: str) -> None:
         """Append a flight-recorder entry (bounded; freeze-gated)."""
-        if t <= self._admit_until:
-            self.ring.append((t, kind, detail))
+        if t > self._admit_until:
+            return
+        self.ring.append((t, kind, detail))
 
     def _close(self, t: float, w: int, final: bool, rt) -> None:
         """Snapshot cumulative counters, the runtime's queue depths and

@@ -23,8 +23,6 @@ gate again:
 """
 
 import gc
-import inspect
-from collections import deque
 
 import numpy as np
 import pytest
@@ -87,11 +85,9 @@ SERVICE_PHASES = {"credit_wait", "cache_hit", "fill_share", "death_exclude", "re
 
 def _run_counted(monkeypatch, body=_dht_body, ppn=8, **spmd_kwargs):
     """Run ``body`` (default: the DHT body) on 8 ranks counting span-sid
-    mints, span records (every append to a ``SpanBuffer``'s record list,
-    plus the three or four records of each ``SpanBuffer.frame``),
-    CompQItem constructions and fresh RmaOp constructions; returns (sids,
-    records, allocs, stats), with the RmaOp count under
-    ``stats["rmaop_allocs"]``."""
+    mints, span records, CompQItem constructions and fresh RmaOp
+    constructions; returns (sids, records, allocs, stats), with the RmaOp
+    count under ``stats["rmaop_allocs"]``."""
     counts = {"sids": 0, "records": 0, "allocs": 0, "ops": 0}
 
     orig_sid = Runtime.next_span_sid
@@ -100,27 +96,11 @@ def _run_counted(monkeypatch, body=_dht_body, ppn=8, **spmd_kwargs):
         counts["sids"] += 1
         return orig_sid(self)
 
-    class CountingRecords(list):
-        """A span buffer's record list that counts its appends."""
+    orig_record = SpanBuffer.record
 
-        def append(self, record):
-            counts["records"] += 1
-            list.append(self, record)
-
-    orig_buffer_init = SpanBuffer.__init__
-
-    def counting_buffer_init(self):
-        orig_buffer_init(self)
-        self._records = CountingRecords()
-
-    orig_frame = SpanBuffer.frame
-    frame_args = inspect.signature(orig_frame)
-
-    def counting_frame(self, *a, **k):
-        # a frame is three records, four with its fault-free ack
-        ack = frame_args.bind(self, *a, **k).arguments.get("ack_bytes")
-        counts["records"] += 3 if ack is None else 4
-        return orig_frame(self, *a, **k)
+    def counting_record(self, *a, **k):
+        counts["records"] += 1
+        return orig_record(self, *a, **k)
 
     orig_item_init = CompQItem.__init__
 
@@ -136,11 +116,7 @@ def _run_counted(monkeypatch, body=_dht_body, ppn=8, **spmd_kwargs):
 
     monkeypatch.setattr(RmaOp, "__init__", counting_op_init)
     monkeypatch.setattr(Runtime, "next_span_sid", counting_sid)
-    monkeypatch.setattr(SpanBuffer, "__init__", counting_buffer_init)
-    monkeypatch.setattr(SpanBuffer, "frame", counting_frame)
-    spans = spmd_kwargs.get("spans")
-    if spans is not None:  # built before the patch
-        spans._records = CountingRecords(spans._records)
+    monkeypatch.setattr(SpanBuffer, "record", counting_record)
     monkeypatch.setattr(CompQItem, "__init__", counting_init)
     stats: dict = {}
     upcxx.run_spmd(body, N_RANKS, ppn=ppn, seed=7, sched_stats=stats, **spmd_kwargs)
@@ -395,21 +371,14 @@ def _run_telemetry_counted(monkeypatch, **spmd_kwargs):
         counts["ticks"] += 1
         return orig_tick(self, *a, **k)
 
-    class CountingRing(deque):
-        """A flight-recorder ring that counts its appends."""
+    orig_note = RankTelemetry.note
 
-        def append(self, entry):
-            counts["notes"] += 1
-            deque.append(self, entry)
-
-    orig_init = RankTelemetry.__init__
-
-    def counting_init(self, *a, **k):
-        orig_init(self, *a, **k)
-        self.ring = CountingRing(self.ring, maxlen=self.ring.maxlen)
+    def counting_note(self, *a, **k):
+        counts["notes"] += 1
+        return orig_note(self, *a, **k)
 
     monkeypatch.setattr(RankTelemetry, "enter", counting_tick)
-    monkeypatch.setattr(RankTelemetry, "__init__", counting_init)
+    monkeypatch.setattr(RankTelemetry, "note", counting_note)
     upcxx.run_spmd(_dht_body, N_RANKS, ppn=8, seed=7, **spmd_kwargs)
     return counts["ticks"], counts["notes"]
 
