@@ -16,7 +16,7 @@ from repro.gasnet.conduit import Conduit
 from repro.gasnet.cpumodel import CpuModel, platform_cpu
 from repro.gasnet.machine import Machine
 from repro.gasnet.network import AriesNetwork, NetworkModel
-from repro.sim.coop import Scheduler, current_scheduler
+from repro.sim.coop import Scheduler, current_client
 from repro.mpisim.profile import DEFAULT_MPI_COSTS, MpiCosts
 from repro.mpisim.request import Request
 
@@ -224,10 +224,9 @@ class Communicator:
 
 
 def comm_world() -> Communicator:
-    """This rank's COMM_WORLD (inside run_mpi)."""
-    sched = current_scheduler()
-    comm = sched.rank_env().get("mpi_comm_world")
-    if comm is None:
+    """This rank's COMM_WORLD (inside run_mpi): the scheduler's client slot."""
+    comm = current_client()
+    if not isinstance(comm, Communicator):
         raise RuntimeError("MPI is not initialized on this rank (use run_mpi)")
     return comm
 
@@ -255,11 +254,11 @@ def run_mpi(
 
     def bootstrap(rank: int):
         rt = MpiRuntime(world, rank)
-        sched.rank_env()["mpi_comm_world"] = Communicator(rt, list(range(ranks)))
+        sched.set_client(Communicator(rt, list(range(ranks))))
         try:
             return fn()
         finally:
-            sched.rank_env().pop("mpi_comm_world", None)
+            sched.set_client(None)
 
     try:
         return sched.run(bootstrap)

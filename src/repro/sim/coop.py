@@ -30,9 +30,10 @@ Rank code interacts with the scheduler through four primitives:
     baton if someone else could now reach me (is earlier by ``L`` or
     less) or an event I may not fire is due;
 ``post(delay, fn, target)`` / ``post_at(t, fn, target)``
-    schedule a network-context callback (runs inside the dispatch loop,
-    must not block or call user code) that touches rank ``target``'s
-    state, or any rank's if ``target`` is None;
+    schedule a network-context callback (runs inside the event walk,
+    must not block or call user code; an exception it raises fails the
+    run) that touches rank ``target``'s state, or any rank's if
+    ``target`` is None;
 ``block(reason)``
     go to sleep until some event calls ``wake`` for me (spurious wake-ups
     are allowed — callers re-check their predicate);
@@ -54,16 +55,17 @@ simulated order by less than ``L``.
 
 There is one scheduler, :class:`Scheduler` (its invariants are on the
 class), and it runs in one process: rank bodies run as cooperative
-fibers resumed by a dispatch loop, and a fiber switch hands the baton
-directly to the next runnable entity through one raw lock release.
-Because pure CPython cannot switch C stacks, each fiber's suspended call
-stack is carried by a parked OS thread; the dispatch structure, not
-thread elimination, is what makes switching cheap.  A yield swaps
-itself into the ready heap in place of the earlier rank and resumes it
-directly; a block goes through the dispatch loop; both end in one
-``_resume`` and one park.  A hand-off costs one host context switch
-only if the woken carrier waits until its waker has parked and dropped
-the GIL.  Linux lets an ordinary woken thread preempt its waker (which
+fibers, and a fiber switch hands the baton directly to the next
+runnable entity through one raw lock release.  Because pure CPython
+cannot switch C stacks, each fiber's suspended call stack is carried by
+a parked OS thread; the dispatch structure, not thread elimination, is
+what makes switching cheap.  Events fire in one walk, ``_fire``, which
+both the running rank's drain and the dispatch of a blocked or finished
+rank call.  A yield then swaps itself into the ready heap in place of
+the earlier rank and resumes it directly; a dispatch pops the heap;
+both end in one ``_resume`` and one park.  A hand-off costs one host
+context switch only if the woken carrier waits until its waker has
+parked and dropped the GIL.  Linux lets an ordinary woken thread preempt its waker (which
 then finds the GIL held and sleeps again), so every carrier makes itself
 ``SCHED_BATCH``, whose wakeups never preempt; the caller's thread keeps
 its policy.  One baton means a second core only adds cross-CPU wake
@@ -192,8 +194,6 @@ class _Fiber:
         "thread",
         "result",
         "block_reason",
-        "ready_stamp",
-        "env",
         "pending_wake",
         "client",
     )
@@ -206,12 +206,11 @@ class _Fiber:
         self.thread = None  # the carrier, once started
         self.result = None
         self.block_reason = ""
-        self.ready_stamp = 0
-        self.env: dict = {}
         #: wake timestamps received while not blocked (sticky wakes);
         #: consumed by block() in timestamp order to prevent lost wakeups
         self.pending_wake: list = []
-        #: client-layer runtime attached via Scheduler.set_client
+        #: client-layer object (a upcxx Runtime, an mpisim Communicator)
+        #: attached via Scheduler.set_client
         self.client = None
 
 
@@ -251,6 +250,16 @@ def _rank_failure(rid: int, exc: BaseException) -> RankFailure:
     return failure
 
 
+def _event_failure(entry: tuple, exc: BaseException) -> SimError:
+    """Wrap the exception of the event ``entry`` (built here, as above).
+    No rank is to blame: an event may fire in any rank's context."""
+    t, _stamp, _fn, target = entry
+    where = "any rank" if target is None else f"rank {target}"
+    failure = SimError(f"event at t={t!r} (target: {where}) raised {type(exc).__name__}: {exc}")
+    failure.__cause__ = exc
+    return failure
+
+
 # ======================================================================
 # The scheduler
 # ======================================================================
@@ -269,6 +278,9 @@ class Scheduler:
       cross-rank effect is an event posted at least ``L`` ahead, so
       nothing a READY rank has still to do can reach a rank that is
       less than ``L`` ahead of it;
+    - the ready heap holds exactly one ``(clock, rid)`` entry per READY
+      rank (a READY rank's clock does not move): ``wake``, ``run`` and
+      a yielding rank push, every switch pops, and an abort empties it;
     - every event names, when it is posted, the rank whose state it
       touches (``target``; None: it may touch any).  Ahead of the
       earliest READY rank, the running rank fires a due event itself
@@ -299,13 +311,7 @@ class Scheduler:
         self._events = EventQueue()
         self._eheap = self._events._heap  # direct alias for batched drains
         self._ranks: List[_Fiber] = [_Fiber(r) for r in range(n_ranks)]
-        self._ready: list = []  # heap of (clock, rid, stamp)
-        # bumped on every mutation that can change the validated heap top
-        # (push; a switch's pop or swap, in _resume) — both the drain-loop
-        # gate and the memoized _peek_ready result key off it
-        self._ready_version = 0
-        self._top_cache = None  # memoized (clock, ctl) for _ready_version
-        self._top_version = -1
+        self._ready: list = []  # heap of (clock, rid), one per READY rank
         self._failure: Optional[BaseException] = None
         #: rank -> RankDeadError, filled by fault-injection crash events
         self._dead_ranks: dict = {}
@@ -366,7 +372,7 @@ class Scheduler:
                 raise ValueError(f"invalid charge: {dt}")
             self._fail(SimError(f"simulated time exceeded max_time={self.max_time}"))
             raise SimAbort()
-        self._checkpoint_slow(me)
+        self._drain(me, self._lookahead)
 
     def checkpoint(self) -> None:
         """Deliver due events and yield if another entity could reach me.
@@ -381,7 +387,7 @@ class Scheduler:
             return
         if self._failure is not None:
             raise SimAbort()
-        self._checkpoint_slow(me)
+        self._drain(me, self._lookahead)
 
     def post(self, delay: float, fn: Callable[[], None], target: Optional[int] = None) -> None:
         """Schedule a network-context callback ``delay`` seconds from now."""
@@ -462,7 +468,7 @@ class Scheduler:
     def wake(self, rid: int, at_time: float) -> None:
         """Make rank ``rid`` runnable with clock >= ``at_time``.
 
-        Network-context only (events run inside the dispatch loop, which
+        Network-context only (events run inside the event walk, which
         holds the baton); also safe from rank context.
         """
         ctl = self._ranks[rid]
@@ -503,17 +509,13 @@ class Scheduler:
             self.block(f"sleep until {deadline}")
         self.checkpoint()
 
-    def rank_env(self, rid: Optional[int] = None) -> dict:
-        """Per-rank scratch dict for upper layers."""
-        if rid is None:
-            return self._me().env
-        return self._ranks[rid].env
-
     def set_client(self, obj) -> None:
         """Attach a client-layer runtime object to the calling rank.
 
         Retrieved in O(1) by :func:`current_client` — the fast path for
-        per-operation runtime lookups (e.g. ``upcxx.current_runtime``).
+        per-operation runtime lookups (``upcxx.current_runtime``,
+        ``mpisim.comm_world``).  One slot per rank: each library checks
+        the type of what it finds there.
         """
         self._me().client = obj
 
@@ -543,38 +545,11 @@ class Scheduler:
 
     # ------------------------------------------------------------- internals
     def _push_ready(self, ctl: _Fiber) -> None:
-        ctl.ready_stamp += 1
         clock = ctl.clock
-        heapq.heappush(self._ready, (clock, ctl.rid, ctl.ready_stamp))
-        self._ready_version += 1
+        heapq.heappush(self._ready, (clock, ctl.rid))
         reach = clock + self._lookahead
         if reach < self._horizon:
             self._horizon = reach
-
-    def _peek_ready(self):
-        """Return (clock, ctl) of the earliest ready rank, or None.
-
-        Memoized on ``_ready_version``: a validated top stays the top
-        until a push or a switch's pop or swap (a READY rank's clock and
-        stamp are frozen while it is READY), so repeated peeks between
-        heap mutations are one version compare instead of a heap walk.
-        """
-        if self._top_version == self._ready_version:
-            return self._top_cache
-        ready = self._ready
-        ranks = self._ranks
-        top = None
-        while ready:
-            clock, rid, stamp = ready[0]
-            ctl = ranks[rid]
-            if ctl.state != _READY or stamp != ctl.ready_stamp or clock != ctl.clock:
-                heapq.heappop(ready)  # stale entry
-                continue
-            top = (clock, ctl)
-            break
-        self._top_cache = top
-        self._top_version = self._ready_version
-        return top
 
     def _retarget(self) -> None:
         """Recompute the fast-path horizon after a dispatch decision."""
@@ -588,19 +563,12 @@ class Scheduler:
             et = eheap[0][0]
             if et < h:
                 h = et
-        top = (
-            self._top_cache
-            if self._top_version == self._ready_version
-            else self._peek_ready()
-        )
-        if top is not None:
-            reach = top[0] + self._lookahead
+        ready = self._ready
+        if ready:
+            reach = ready[0][0] + self._lookahead
             if reach < h:
                 h = reach
         self._horizon = h
-
-    def _checkpoint_slow(self, me: _Fiber) -> None:
-        self._drain(me, self._lookahead)
 
     def _sync_strict(self, me: _Fiber) -> None:
         """Let every entity the strict schedule runs before me at my clock
@@ -614,32 +582,30 @@ class Scheduler:
         except SimAbort:
             pass
 
-    def _drain(self, me: _Fiber, la: float) -> None:
-        # Deliver due events, then keep the baton or yield it.  An event
-        # no later than the earliest READY clock (the strict gate) always
-        # fires.  One later than it fires only while I am less than ``la``
-        # ahead of that rank and the event names me, or a rank that is not
-        # READY behind it (class docstring); any other stops the drain.
-        # Blocked ranks do not gate firing: they cannot act until an
-        # event wakes them.  At ``la = 0`` this is the strict schedule: an
-        # event never fires while a READY rank with an earlier clock has
-        # not yet executed up to its timestamp (it could still create
-        # causally-prior effects).
-        #
-        # The drain is batched: the event heap is walked directly, the
-        # fired-event counter is flushed once, and the ready-heap gate is
-        # re-read only when a fired event made a rank runnable.
-        clock = me.clock
+    def _fire(self, clock: float, rid: int, la: float):
+        """Fire, in heap order, every due event rank ``rid`` at ``clock``
+        may fire.  Returns ``(gate, stopped)``: the earliest READY clock
+        (+inf if none), and whether the walk stopped at an event it may
+        not fire or after one that failed the run.
+
+        An event no later than the gate (the strict frontier) always
+        fires.  One later than it fires only while ``clock`` is less than
+        ``la`` ahead of the gate and the event names ``rid``, or a rank
+        that is not READY behind it (class docstring).  Blocked ranks do
+        not gate firing: they cannot act until an event wakes them.  At
+        ``la = 0`` an event never fires while a READY rank with an
+        earlier clock could still create causally-prior effects; the
+        dispatch's ``clock = +inf`` fires everything up to the gate, ties
+        included.  The gate is re-read after every fired event (it may
+        have woken a rank) and the fired-event counter is flushed once.
+        An event that raises fails the run with a :class:`SimError`
+        naming it, whoever's context it fired in.
+        """
         eheap = self._eheap
+        ready = self._ready
         ranks = self._ranks
-        rid = me.rid
+        gate = ready[0][0] if ready else _INF
         n_fired = 0
-        stopped = False
-        version = self._ready_version
-        top = (
-            self._top_cache if self._top_version == version else self._peek_ready()
-        )
-        gate = top[0] if top is not None else _INF
         try:
             while eheap:
                 entry = eheap[0]
@@ -654,36 +620,44 @@ class Scheduler:
                         and ranks[target].state == _READY
                         and ranks[target].clock < et
                     ):
-                        stopped = True
-                        break
+                        return gate, True
                 heapq.heappop(eheap)
                 n_fired += 1
                 self._firing_lane = entry[1]
                 self._fire_child = 0
                 entry[2]()
                 self._firing_lane = None
-                if self._ready_version != version:
-                    version = self._ready_version
-                    top = self._peek_ready()
-                    gate = top[0] if top is not None else _INF
+                gate = ready[0][0] if ready else _INF
+                if self._failure is not None:
+                    return gate, True  # _abort_all emptied the heap: +inf
+            return gate, False
+        except Exception as exc:  # noqa: BLE001 - a broken event fails the run
+            self._fail(_event_failure(entry, exc))
+            return _INF, True
         finally:
             self._firing_lane = None
             if n_fired:
                 self._events.account_fired(n_fired)
-        if clock <= gate or (clock < gate + la and not stopped):  # gate: +inf if none READY
+
+    def _drain(self, me: _Fiber, la: float) -> None:
+        # Deliver due events, then keep the baton or yield it: keep it if
+        # no READY rank is earlier, or if I am less than ``la`` ahead and
+        # the walk fired everything due.  A walk that failed the run left
+        # no rank READY (gate +inf), so I keep the baton and my next call
+        # into the scheduler observes the abort.
+        clock = me.clock
+        gate, stopped = self._fire(clock, me.rid, la)
+        if clock <= gate or (clock < gate + la and not stopped):
             self._retarget()
         else:
             # Someone could reach me, or an event I may not fire is due:
-            # yield to the earliest READY rank directly.  ``top`` is the
-            # heap's validated head and the drain stopped at the first event
-            # it may not fire, which is later than ``top``, so it is what
-            # _dispatch would select: swap me in for it.  No failure branch:
-            # a failure fired by the drain ran _abort_all, which leaves no
-            # rank READY, so top is None.
+            # yield to the earliest READY rank directly.  The walk stopped
+            # at the first event it may not fire, which is later than the
+            # heap's head, so that head is what _dispatch would select:
+            # swap me in for it.
             me.state = _READY
-            me.ready_stamp += 1
-            heapq.heapreplace(self._ready, (clock, me.rid, me.ready_stamp))
-            self._switch_out(me, top[1])
+            nxt = heapq.heapreplace(self._ready, (clock, me.rid))[1]
+            self._switch_out(me, self._ranks[nxt])
 
     def _switch_out(self, me: _Fiber, nxt: Optional[_Fiber] = None) -> None:
         """Resume ``nxt`` (else what _dispatch selects); park until resumed.
@@ -704,7 +678,6 @@ class Scheduler:
     def _resume(self, ctl: _Fiber) -> None:
         """Make ``ctl``, just taken off the ready heap, the running fiber
         and hand it the baton — every switch of the run comes through here."""
-        self._ready_version += 1
         ctl.state = _RUNNING
         self.switches += 1
         self._current = ctl
@@ -717,48 +690,20 @@ class Scheduler:
     def _dispatch(self) -> None:
         """Select and start the next entity.  Caller must not be RUNNING.
 
-        Fires due events inline (batched), then either resumes the
-        earliest ready fiber, releases the main thread (job finished), or
-        declares deadlock.  The fired-event counter is flushed before any
-        baton release so no other fiber can race the accounting.
+        Fires every event due no later than the earliest READY clock, then
+        resumes that rank, releases the main thread (job finished), or
+        declares deadlock.  ``_fire`` flushes the fired-event counter
+        before a rank is resumed, so no other fiber races the accounting.
         """
-        eheap = self._eheap
-        n_fired = 0
-        while True:
-            if self._failure is not None:
-                if n_fired:
-                    self._events.account_fired(n_fired)
-                self._abort_all()
-                return
-            top = (
-                self._top_cache
-                if self._top_version == self._ready_version
-                else self._peek_ready()
-            )
-            if top is not None and (not eheap or top[0] < eheap[0][0]):
-                heapq.heappop(self._ready)
-                if n_fired:
-                    self._events.account_fired(n_fired)
-                self._resume(top[1])
-                return
-            if eheap:
-                # Event is due first (ties go to events so deliveries at
-                # time t are visible to a rank resuming at time t).
-                entry = heapq.heappop(eheap)
-                n_fired += 1
-                self._firing_lane = entry[1]
-                self._fire_child = 0
-                entry[2]()
-                self._firing_lane = None
-                continue
-            # No ready ranks, no events.
-            if n_fired:
-                self._events.account_fired(n_fired)
-                n_fired = 0
-            if self._n_done == self.n_ranks:
-                self._current = None
-                self._release_main()
-                return
+        self._fire(_INF, -1, 0.0)
+        if self._failure is not None:
+            self._abort_all()
+        elif self._ready:
+            self._resume(self._ranks[heapq.heappop(self._ready)[1]])
+        elif self._n_done == self.n_ranks:
+            self._current = None
+            self._release_main()
+        else:
             blocked = [
                 f"  rank {c.rid} (clock {c.clock:.9f}s): {c.block_reason or '<no reason>'}"
                 for c in self._ranks
@@ -770,7 +715,6 @@ class Scheduler:
                     + "\n".join(blocked)
                 )
             )
-            return
 
     _start_fiber = _start_carrier  # called lazily, at a fiber's first dispatch
 
@@ -806,10 +750,10 @@ class Scheduler:
             return
         self._aborted = True
         # break the charge()/checkpoint() fast path: a rank resumed mid-
-        # checkpoint must not keep running below a stale horizon, and the
-        # memoized ready-top must not outlive the state flips below
+        # checkpoint must not keep running below a stale horizon; no rank
+        # stays READY, so the ready heap goes too
         self._horizon = -1.0
-        self._ready_version += 1
+        del self._ready[:]
         self._current = None
         for ctl in self._ranks:
             if ctl.state in (_BLOCKED, _READY):
@@ -865,7 +809,7 @@ class Scheduler:
         """End of ``run()``: let go of everything that points back at the job.
 
         What is left in a spent scheduler — the rank function, undelivered
-        events, death listeners, the per-rank env and client slots, the
+        events, death listeners, the per-rank client slots, the
         failure about to be raised (whose traceback holds this very frame
         chain) — belongs to the layers above, which hold the scheduler in
         turn.  Dropping it here leaves no cycle through the scheduler, so
@@ -879,7 +823,6 @@ class Scheduler:
         self._dead_listeners = []
         del self._events._heap[:]
         for ctl in self._ranks:
-            ctl.env = {}
             ctl.client = None
 
     def stats(self) -> dict:

@@ -55,17 +55,19 @@ def test_get_returns_remote_bytes():
     sched = Scheduler(2)
     conduit = _mkconduit(sched, 2)
 
+    shared = {}  # out-of-band rendezvous for the test
+
     def body(r):
         s = current_scheduler()
         seg = conduit.segment(1)
         if r == 1:
             off = seg.allocate(8)
             seg.write(off, b"DATADATA")
-            s.rank_env(0)["off"] = off  # out-of-band rendezvous for the test
+            shared["off"] = off
             s.sleep(1e-3)  # stay alive; one-sided get needs no target action
         else:
             s.sleep(1e-6)  # let rank 1 publish
-            off = s.rank_env(0)["off"]
+            off = shared["off"]
             h = conduit.get_nb(0, 1, off, 8)
             _wait(s, h, 0)
             assert h.data == b"DATADATA"
@@ -167,18 +169,20 @@ def test_amo_fetch_add_no_target_cpu():
     sched = Scheduler(2)
     conduit = _mkconduit(sched, 2)
 
+    shared = {}
+
     def body(r):
         s = current_scheduler()
         seg = conduit.segment(1)
         if r == 1:
             off = seg.allocate(8)
             seg.view(off, np.int64, 1)[0] = 100
-            s.rank_env(0)["off"] = off
+            shared["off"] = off
             s.sleep(1e-3)  # "computing": never polls, atomics land anyway
             return int(seg.view(off, np.int64, 1)[0])
         else:
             s.sleep(1e-6)
-            off = s.rank_env(0)["off"]
+            off = shared["off"]
             h1 = _amo(conduit, 1, off, "fetch_add", (5,))
             _wait(s, h1, 0)
             h2 = _amo(conduit, 1, off, "fetch_add", (7,))
@@ -194,17 +198,19 @@ def test_amo_cas():
     sched = Scheduler(2)
     conduit = _mkconduit(sched, 2)
 
+    shared = {}
+
     def body(r):
         s = current_scheduler()
         seg = conduit.segment(1)
         if r == 1:
             off = seg.allocate(8)
             seg.view(off, np.int64, 1)[0] = 10
-            s.rank_env(0)["off"] = off
+            shared["off"] = off
             s.sleep(1e-3)
             return int(seg.view(off, np.int64, 1)[0])
         s.sleep(1e-6)
-        off = s.rank_env(0)["off"]
+        off = shared["off"]
         h = _amo(conduit, 1, off, "cas", (10, 77))
         _wait(s, h, 0)
         h2 = _amo(conduit, 1, off, "cas", (10, 99))  # stale expected

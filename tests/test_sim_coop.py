@@ -77,24 +77,23 @@ def test_sleep_blocks_for_simulated_time():
 
 def test_event_delivery_and_wake():
     """A simple message queue built directly on the scheduler primitives."""
+    inbox = []  # rank 1's
 
     def body(r):
         s = current_scheduler()
-        env = s.rank_env()
-        env.setdefault("inbox", [])
         if r == 0:
             # send a message to rank 1 arriving at t=2us
             def deliver():
-                s.rank_env(1)["inbox"].append("hello")
+                inbox.append("hello")
                 s.wake(1, 2e-6)
 
             s.post(2e-6, deliver)
             return None
         else:
-            while not env["inbox"]:
+            while not inbox:
                 s.block("awaiting message")
             assert s.now() >= 2e-6
-            return env["inbox"][0]
+            return inbox[0]
 
     assert run_spmd(body, 2) == [None, "hello"]
 
@@ -152,6 +151,107 @@ def test_max_time_guard():
 
     with pytest.raises(SimError, match="max_time"):
         Scheduler(1, max_time=10.0).run(body)
+
+
+def _run_joined(sched, body, timeout=10.0):
+    """``sched.run(body)`` on a thread joined with a timeout, so that a
+    hang fails the test instead of stalling the session.  Returns what
+    ``run()`` raised."""
+    import threading
+
+    raised = []
+
+    def main():
+        try:
+            sched.run(body)
+        except BaseException as exc:  # noqa: BLE001 - handed to the test
+            raised.append(exc)
+
+    thread = threading.Thread(target=main, daemon=True)
+    thread.start()
+    thread.join(timeout)
+    assert not thread.is_alive(), "run() hung"
+    assert len(raised) == 1, "run() returned"
+    return raised[0]
+
+
+def _boom():
+    raise ValueError("boom")
+
+
+def _fired_by_a_finished_rank(r):
+    """Rank 1 blocks for good; rank 0 posts, then returns, and its exit
+    dispatch meets the event."""
+    s = current_scheduler()
+    if r == 1:
+        s.block("forever")
+    s.charge(1e-9)  # rank 1 blocks first
+    s.post(1e-6, _boom, 0)
+
+
+def _fired_by_the_posting_rank(r):
+    """Rank 1 is ahead at 10 us; rank 0's own charge fires its event."""
+    s = current_scheduler()
+    if r == 1:
+        s.charge(10e-6)
+        return
+    s.charge(1e-9)
+    s.post(1e-6, _boom, 0)
+    s.charge(2e-6)
+
+
+def _fired_by_another_rank(r):
+    """Rank 0 posts and blocks; rank 1's charge fires the event."""
+    s = current_scheduler()
+    if r == 0:
+        s.post(1e-6, _boom, 0)
+        s.block("forever")
+    s.charge(2e-6)
+
+
+@pytest.mark.parametrize(
+    "body,t",
+    [
+        (_fired_by_a_finished_rank, 1e-9 + 1e-6),
+        (_fired_by_the_posting_rank, 1e-9 + 1e-6),
+        (_fired_by_another_rank, 1e-6),
+    ],
+    ids=["finished-rank-dispatch", "posting-rank-charge", "other-rank-charge"],
+)
+def test_an_event_that_raises_fails_the_run_naming_the_event(body, t):
+    """Whoever's context an event fires in, its exception fails the run as
+    a SimError naming the event, never as that rank's RankFailure, and
+    ``run()`` returns."""
+    err = _run_joined(Scheduler(2), body)
+    assert type(err) is SimError
+    assert str(err) == f"event at t={t!r} (target: rank 0) raised ValueError: boom"
+    assert isinstance(err.__cause__, ValueError)
+
+
+@pytest.mark.parametrize("path", ["drain", "dispatch"])
+def test_a_failure_stops_the_event_walk(path):
+    """A crash-detection-style event fails the run and three more events
+    are due at the same instant: none fires, whether a charging rank's
+    drain meets them or a block's dispatch does."""
+    fired = []
+
+    def body(r):
+        s = current_scheduler()
+        if r == 1:
+            s.block("forever")
+        s.charge(1e-9)  # rank 1 blocks first
+        t = s.now() + 1e-6
+        s.post_at(t, lambda: s._fail(RankDeadError(1, "rank 1 detected dead")))
+        for i in range(3):
+            s.post_at(t, lambda i=i: fired.append(i))
+        if path == "drain":
+            s.charge(2e-6)
+        else:
+            s.block("after posting")
+
+    err = _run_joined(Scheduler(2), body)
+    assert isinstance(err, RankDeadError)
+    assert fired == []
 
 
 def test_determinism_same_seedless_program():

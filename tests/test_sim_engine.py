@@ -80,7 +80,7 @@ def test_account_fired_matches_pop_accounting():
     for i in range(4):
         q.push(float(i), lambda: None)
     q.pop()
-    q.account_fired(2)  # batched drain bookkeeping (see coop._checkpoint_slow)
+    q.account_fired(2)  # batched drain bookkeeping (see coop.Scheduler._fire)
     assert q.stats["fired"] == 3
 
 

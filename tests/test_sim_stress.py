@@ -6,13 +6,16 @@ kernel; these tests pin its behavior, plus interleaving-heavy workloads
 that historically exposed ordering bugs.
 """
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.sim.coop import Scheduler, current_scheduler, run_spmd
+from repro.sim.coop import _READY, Scheduler, current_scheduler, run_spmd
 from repro.sim.errors import DeadlockError
+from tests import golden
 
 #: charges are multiples of a dyadic tick, so clock sums are exact and
 #: equal clocks are real ties
@@ -58,16 +61,15 @@ class TestStickyWakes:
         """An event for rank 1 fires (via rank 0's drain) at a timestamp
         beyond rank 1's clock while rank 1 is READY; rank 1 must still be
         woken when it blocks."""
+        inbox = []  # rank 1's
 
         def body(r):
             s = current_scheduler()
-            env = s.rank_env()
-            env.setdefault("inbox", [])
             if r == 0:
                 # schedule a delivery to rank 1 at t=5us, then run far past
                 # it so the event fires during OUR drain
                 def deliver():
-                    s.rank_env(1).setdefault("inbox", []).append("msg")
+                    inbox.append("msg")
                     s.wake(1, 5e-6)
 
                 s.post(5e-6, deliver)
@@ -75,10 +77,10 @@ class TestStickyWakes:
                 return None
             # rank 1 stays at a tiny clock, then blocks
             s.charge(1e-6)
-            while not env["inbox"]:
+            while not inbox:
                 s.block("waiting")
             assert s.now() >= 5e-6
-            return env["inbox"][0]
+            return inbox[0]
 
         assert run_spmd(body, 2) == [None, "msg"]
 
@@ -86,17 +88,16 @@ class TestStickyWakes:
         """Several future-timestamped deliveries while READY: every one
         must eventually be seen (regression: the sticky wake used to keep
         only the earliest)."""
+        inbox = []  # rank 1's
 
         def body(r):
             s = current_scheduler()
-            env = s.rank_env()
-            env.setdefault("inbox", [])
             if r == 0:
                 for k in range(1, 4):
                     t = k * 5e-6
 
                     def deliver(t=t):
-                        s.rank_env(1).setdefault("inbox", []).append(t)
+                        inbox.append(t)
                         s.wake(1, t)
 
                     s.post(t, deliver)
@@ -105,8 +106,8 @@ class TestStickyWakes:
             s.charge(1e-6)
             got = []
             while len(got) < 3:
-                while env["inbox"]:
-                    m = env["inbox"].pop(0)
+                while inbox:
+                    m = inbox.pop(0)
                     assert s.now() >= m  # never observed before its time
                     got.append(m)
                 if len(got) < 3:
@@ -119,43 +120,82 @@ class TestStickyWakes:
     def test_spurious_past_wake_is_harmless(self):
         """A wake whose condition was already consumed just causes one
         extra predicate check."""
+        bumps = [0]  # rank 1's
 
         def body(r):
             s = current_scheduler()
-            env = s.rank_env()
-            env.setdefault("n", 0)
             if r == 0:
                 def bump():
-                    env1 = s.rank_env(1)
-                    env1["n"] = env1.get("n", 0) + 1
+                    bumps[0] += 1
                     s.wake(1, 2e-6)
                     s.wake(1, 2e-6)  # duplicate wake, same instant
 
                 s.post(2e-6, bump)
                 s.charge(20e-6)
                 return None
-            while env["n"] == 0:
+            while bumps[0] == 0:
                 s.block("bump")
-            return env["n"]
+            return bumps[0]
 
         assert run_spmd(body, 2)[1] == 1
 
 
+def _watch_ready_heap(m):
+    """Patch ``Scheduler._resume`` through the MonkeyPatch ``m`` to check,
+    at every switch, that the ready heap is exact: besides the rank being
+    resumed (just taken off it), it holds one ``(clock, rid)`` entry per
+    READY rank, at that rank's clock.  Returns the switch count and the
+    violations found.  A violation fails the run instead of switching (a
+    switch may run on a carrier thread, where a raise would hang it)."""
+    seen = {"switches": 0, "violations": []}
+    resume = Scheduler._resume
+
+    def checked(sched, ctl):
+        seen["switches"] += 1
+        want = Counter((c.clock, c.rid) for c in sched._ranks if c.state == _READY and c is not ctl)
+        if ctl.state == _READY and Counter(sched._ready) == want:
+            resume(sched, ctl)
+            return
+        seen["violations"].append((ctl.rid, sorted(sched._ready), sorted(want)))
+        sched._fail(AssertionError(f"ready heap not exact at switch {seen['switches']}"))
+
+    m.setattr(Scheduler, "_resume", checked)
+    return seen
+
+
+@pytest.fixture(scope="class")
+def exact_ready_heap():
+    with pytest.MonkeyPatch.context() as m:
+        seen = _watch_ready_heap(m)
+        yield
+    assert seen["switches"] > 0
+    assert seen["violations"] == []
+
+
+@pytest.mark.parametrize("name", ["dht_totals", "kv_service"])
+def test_the_ready_heap_is_exact_in_golden_programs(name, monkeypatch):
+    """The same check at the job's lookahead, on a DHT and a KV service."""
+    seen = _watch_ready_heap(monkeypatch)
+    golden.PROGRAMS[name]()
+    assert seen["switches"] > 0
+    assert seen["violations"] == []
+
+
+@pytest.mark.usefixtures("exact_ready_heap")
 class TestInterleavingStress:
     def test_ring_relay_many_rounds(self):
         """A token circles a ring 20 times; total hops must be exact."""
+        n = 8
+        tokens = [[] for _ in range(n)]  # per-rank mailboxes
 
         def body(r):
             s = current_scheduler()
-            n = 8
-            env = s.rank_env()
-            env.setdefault("tokens", [])
             hops = 0
             rounds = 20
 
             def send_to(dst, value):
                 def deliver(t=None):
-                    s.rank_env(dst)["tokens"].append(value)
+                    tokens[dst].append(value)
                     s.wake(dst, s2_time[0])
 
                 s2_time = [s.now() + 1e-6]
@@ -165,15 +205,15 @@ class TestInterleavingStress:
                 send_to(1, 0)
             expected = rounds if r == 0 else rounds
             while hops < expected:
-                while not env["tokens"]:
+                while not tokens[r]:
                     s.block("token")
-                v = env["tokens"].pop(0)
+                v = tokens[r].pop(0)
                 hops += 1
                 if not (r == 0 and hops == rounds):
                     send_to((r + 1) % n, v + 1)
             return hops
 
-        res = run_spmd(body, 8)
+        res = run_spmd(body, n)
         assert all(h == 20 for h in res)
 
     def test_uneven_charges_keep_global_order(self):
