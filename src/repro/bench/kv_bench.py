@@ -8,7 +8,8 @@ host-independent and safe to hard-gate):
   once with destination batching (batch >= 64) and once as per-op RPC
   (batch 1 through the same code path), reporting the simulated
   updates/s ratio, which must stay at or above
-  :data:`AGGREGATION_GATE_SPEEDUP` (a tier-1 test holds it there).
+  :data:`AGGREGATION_GATE_SPEEDUP` (a tier-1 test and CI's ``kv-smoke``
+  hold it there: the standalone ablation run exits 1 below it).
 - :func:`offered_load_sweep` — the saturation-knee procedure
   (docs/kvservice.md): walk offered load up a multiplier ladder at a
   fixed service configuration, recording achieved throughput and
@@ -19,7 +20,7 @@ host-independent and safe to hard-gate):
 
 Standalone usage::
 
-    PYTHONPATH=src python -m repro.bench.kv_bench --scale tiny
+    PYTHONPATH=src python -m repro.bench.kv_bench --scale tiny          # exit 1 below the gate
     PYTHONPATH=src python -m repro.bench.kv_bench --scale tiny --sweep
 """
 
@@ -44,7 +45,7 @@ KNEE_EFFICIENCY = 0.9
 
 #: the ``kv_aggregation_vs_rpc`` gate: destination batching must keep at
 #: least this simulated write-throughput win over per-op RPC in
-#: :func:`aggregation_ablation` (10.3x measured at tiny scale)
+#: :func:`aggregation_ablation` (11.1x measured at tiny scale)
 AGGREGATION_GATE_SPEEDUP = 4.0
 
 #: write-latency drain wait is part of serving time; seed is fixed so the
@@ -333,6 +334,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                     "(feeds the CI chaos-smoke availability gate)")
     ap.add_argument("--out", default=None, help="write JSON here")
     args = ap.parse_args(argv)
+    gate_failed = False
     if args.crash_point is not None:
         doc = measure_crash_point(args.scale, args.crash_point)
         print(
@@ -363,6 +365,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             f"-> {doc['speedup']}x",
             flush=True,
         )
+        gate_failed = doc["speedup"] < AGGREGATION_GATE_SPEEDUP
     text = json.dumps(doc, indent=2, sort_keys=True)
     if args.out:
         with open(args.out, "w") as fh:
@@ -370,6 +373,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"[kv] wrote {args.out}")
     else:
         print(text)
+    if gate_failed:
+        print(f"[kv] FAIL kv_aggregation_vs_rpc: {doc['speedup']}x is below the "
+              f"{AGGREGATION_GATE_SPEEDUP}x gate", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -16,17 +16,22 @@ aggregators:
   with a per-store combine function (``"+"``, ``"replace"``, ``"min"``,
   ``"max"`` or any callable).  The combine is registered locally at
   construction, so it never crosses the wire.
-- **Source combining** — with ``combine_at_source=True`` a buffer's
-  same-key entries are folded with the store's own combine when the
-  batch is *sealed* (one hash pass in ``_flush_dest``, charged
-  ``cpu.map_lookup`` per raw entry at the sender, nothing for a
-  one-entry batch), so duplicates meet at the sender instead of at the
-  rank that owns a hot key — the "combine" half of the HipMer motif.
-  Buffering, the flush triggers and the per-batch ack are untouched;
-  the folded count leaves the quiescence ledger again
-  (``updates_combined``).  Worth it on skewed keys (the KV service
-  folds 61 % of a saturated Zipf(1.1) stream), a pure cost on uniform
-  ones, hence opt-in.
+- **Source combining** — with ``combine_at_source=True`` duplicates
+  meet at the sender instead of at the rank that owns a hot key — the
+  "combine" half of the HipMer motif — in two places, both with the
+  store's own combine.  An update whose key equals its buffer's last
+  key folds into that entry (a *run*): uncharged, because it is one
+  comparison in place of the append it saves, and appending is
+  uncharged too.  The batch's other same-key entries fold when it is
+  *sealed* (one hash pass in ``_flush_dest``, charged ``cpu.map_lookup``
+  per buffered entry at the sender, nothing for a one-entry batch).  A
+  buffer holds ``batch_size`` *entries*, so a run also fills batches
+  with more updates.  The flush triggers and the per-batch ack are
+  untouched; folded updates stay out of the quiescence ledger (a run
+  never enters it, a seal fold leaves it again) and count in
+  ``updates_combined``.  Worth it on skewed keys (the KV service folds
+  64 % of a saturated Zipf(1.1) stream), a pure cost on uniform ones,
+  hence opt-in.
 - **Adaptive flush** — buffers also flush on *simulated-time* dwell
   (``max_dwell``): a partial batch does not strand in its buffer past
   the deadline.  ``poll()`` is the pacing hook apps call from their
@@ -50,7 +55,11 @@ aggregators:
   counting-based termination detection: one all-reduce of the per-
   destination *sent* counts, then each rank waits locally until its
   *applied* count reaches what the world owes it.  One collective per
-  round instead of an unbounded polling loop.
+  round instead of an unbounded polling loop.  Every call checks two
+  conservation laws and raises :class:`UpcxxError` naming the rank and
+  the counts: with no peer excluded, a rank applied exactly what it is
+  owed (the ledger), and after the ack drain every peer's credits are
+  home.
 - **Hot-key read cache** — with ``cache_capacity > 0``, :meth:`read`
   serves repeated keys from a local LRU, kept coherent the way a
   directory protocol does it.  A read-through *registers* the reader in
@@ -94,6 +103,7 @@ import numpy as np
 
 from repro.upcxx.collectives import barrier, reduce_all
 from repro.upcxx.dist_object import DistObject
+from repro.upcxx.errors import UpcxxError
 from repro.upcxx.future import Future, make_future
 from repro.upcxx.rpc import rpc, rpc_ff
 from repro.upcxx.runtime import current_runtime
@@ -256,7 +266,8 @@ class AggStore:
         ``(old, new) -> merged`` applied at the owner.  Must be uniform
         across ranks.
     batch_size:
-        updates buffered per destination before a flush (>= 1).
+        entries buffered per destination before a flush (>= 1); without
+        ``combine_at_source`` every update is an entry.
     team:
         the participating team (default: world).
     max_dwell:
@@ -272,11 +283,13 @@ class AggStore:
         across ranks (it decides whether :meth:`quiesce` runs its
         invalidation round).
     combine_at_source:
-        fold same-key entries of a batch at the sender when it is sealed.
-        Requires an *associative* combine — the owner then sees
-        ``combine(old, combine(a, b))`` where it used to see
-        ``combine(combine(old, a), b)``.  The four named combines are; a
-        callable is taken at the caller's word.
+        fold an update into its buffer's last entry when the key repeats
+        (uncharged, like the append it replaces), and the remaining
+        same-key entries of a batch when it is sealed (one
+        ``map_lookup`` per entry).  Requires an *associative* combine —
+        the owner then sees ``combine(old, combine(a, b))`` where it used
+        to see ``combine(combine(old, a), b)``.  The four named combines
+        are; a callable is taken at the caller's word.
     route:
         key -> team-rank mapping (default :func:`default_route`).
     on_batch_flushed / on_batch_acked:
@@ -335,6 +348,8 @@ class AggStore:
         self._buf_keys: List[list] = [[] for _ in range(n)]
         self._buf_vals: List[list] = [[] for _ in range(n)]
         self._t_first: List[Optional[float]] = [None] * n
+        #: updates folded into a buffer's last entry (source combining)
+        self._run_folds: List[int] = [0] * n
         self._inval_buf: List[list] = [[] for _ in range(n)]
         self._t_first_inval: List[Optional[float]] = [None] * n
         # -- quiescence accounting ------------------------------------------
@@ -363,7 +378,8 @@ class AggStore:
         self.acks_forgiven = 0
         #: late acks from a dead peer, dropped (the batch was forgiven)
         self.acks_ignored = 0
-        #: buffered updates dropped because their destination died
+        #: application updates dropped because their destination died
+        #: (a buffered run counts every update folded into it)
         self.updates_dropped = 0
         #: cache entries purged wholesale at a death (coherence reset)
         self.cache_purges = 0
@@ -394,17 +410,26 @@ class AggStore:
         """Buffer one update for an explicit destination (the replication
         layer's fan-out entry point; :meth:`update` is the routed case).
         Updates addressed to a detected-dead peer are dropped — the caller
-        owns a surviving copy or accounts the loss."""
+        owns a surviving copy or accounts the loss.  Uncharged: buffering
+        is a list append, and under ``combine_at_source`` a repeat of the
+        buffer's last key folds into that entry instead."""
         if t in self._dead_peers:
             self.updates_dropped += 1
             return
-        bk = self._buf_keys[t]
-        bk.append(key)
-        self._buf_vals[t].append(value)
-        self._sent_updates[t] += 1
         if self._cache is not None:
             # local write-invalidate: our own cached copy is stale now
             self._cache.pop(key, None)
+        bk = self._buf_keys[t]
+        if self.combine_at_source and bk and bk[-1] == key:
+            # a run: fold into the last entry, which the owner will apply
+            # once — so the fold never enters ``_sent_updates``
+            bv = self._buf_vals[t]
+            bv[-1] = self.state["combine"](bv[-1], value)
+            self._run_folds[t] += 1
+            return
+        bk.append(key)
+        self._buf_vals[t].append(value)
+        self._sent_updates[t] += 1
         if len(bk) >= self.batch_size:
             self._flush_dest(t)
         elif self.max_dwell is not None and self._t_first[t] is None:
@@ -452,9 +477,10 @@ class AggStore:
         bk = self._buf_keys[t]
         if bk:
             self._sent_updates[t] -= len(bk)
-            self.updates_dropped += len(bk)
+            self.updates_dropped += len(bk) + self._run_folds[t]
             self._buf_keys[t] = []
             self._buf_vals[t] = []
+            self._run_folds[t] = 0
         self._t_first[t] = None
 
     def _flush_dest(self, t: int) -> None:
@@ -489,8 +515,11 @@ class AggStore:
         self._buf_keys[t] = []
         self._buf_vals[t] = []
         self._t_first[t] = None
-        n_raw = len(bk)
-        if self.combine_at_source and n_raw > 1:
+        runs = self._run_folds[t]
+        self._run_folds[t] = 0
+        self.updates_combined += runs
+        n_updates = len(bk) + runs
+        if self.combine_at_source and len(bk) > 1:
             bk, bv = self._fold(t, bk, bv)
         fills = self._fills[t]
         if fills:
@@ -510,19 +539,19 @@ class AggStore:
         self._batch_seq += 1
         seq = self._batch_seq
         self.batches_sent += 1
-        self.updates_sent += n_raw
+        self.updates_sent += n_updates
         if self._wants_ack:
             self._inflight_to[t] += 1
         rt.agg_batches += 1
-        rt.agg_updates += n_raw
+        rt.agg_updates += n_updates
         src = self._my_trank if self._wants_ack else -1
         cb = self._on_batch_flushed
         if cb is not None:
-            cb(t, seq, n_raw)
+            cb(t, seq, n_updates)
         rpc_ff(self.team[t], _agg_apply, self._dobj, src, seq, keys, vals, invals)
 
     def _fold(self, t: int, bk: list, bv: list):
-        """Seal-time combining: fold same-key entries of one batch with the
+        """The seal pass: fold same-key entries of one batch with the
         store's combine in one hash pass, first-occurrence order kept.
         The folded entries leave ``_sent_updates`` again — the owner will
         never apply them — so counting quiescence still closes."""
@@ -710,7 +739,10 @@ class AggStore:
         expectation, and a barrier seals the round.  With caching on, a
         second round settles the invalidations those applies generated,
         and a final local wait drains outstanding acks so credits and
-        latency callbacks are all home before returning.
+        latency callbacks are all home before returning.  Raises
+        :class:`UpcxxError` when the ledger (no peer excluded: applied ==
+        owed) or the credit law (credits back at their initial count)
+        does not hold.
         """
         rt = self._rt
         me = self._my_trank
@@ -724,6 +756,14 @@ class AggStore:
         # the alive-team expectation, so applied may legitimately overshoot
         rt.wait_quiet(lambda: self.state["applied_updates"] >= owed, "agg::quiesce")
         barrier(team=team)
+        applied = self.state["applied_updates"]
+        if team is self.team and applied != owed:
+            # the ledger: with every peer alive, each counted send is
+            # applied exactly once
+            raise UpcxxError(
+                f"AggStore.quiesce: rank {me} applied {applied} updates, "
+                f"the world owes it {owed}"
+            )
         if self.cache_capacity > 0:
             # all data batches are applied everywhere, so every
             # invalidation that will ever be generated is now queued
@@ -742,6 +782,15 @@ class AggStore:
                 "agg::quiesce-ack",
             )
             barrier(team=team)
+        if self._credits is not None:
+            # the credit law: every batch's ack returned exactly one credit
+            init = self._credits_init
+            off = [(p, c) for p, c in enumerate(self._credits) if c != init]
+            if off:
+                raise UpcxxError(
+                    f"AggStore.quiesce: rank {me} credits not home after the "
+                    f"ack drain: {off} init {init}"
+                )
 
     # ------------------------------------------------------------- queries
     def local_items(self) -> dict:

@@ -8,6 +8,8 @@ Covers the pieces the chaos suites exercise only end-to-end:
   present on exactly ``f`` ranks after quiesce, with equal values;
 - read failover under a shared fill — reads coalesced onto one
   read-through whose primary then dies all complete on the replica;
+- dead-peer accounting — a run folded into a buffer toward a peer that
+  dies is dropped whole, every one of its updates counted once;
 - admission control — a backlog limit sheds load as the typed
   :class:`Overloaded` rejection, counted in the service record and never
   silently folded into availability.
@@ -154,6 +156,49 @@ def test_reads_sharing_a_fill_to_a_dying_primary_all_fail_over(spec, dead, t_die
         assert (in_flight["cache_misses"], in_flight["reads_coalesced"]) == (1, 2)
         assert (s["cache_misses"], s["reads_coalesced"]) == (2, 4)
         assert s["failover_reads"] == 3
+
+
+# ------------------------------------- a dead peer's buffer and its runs
+@pytest.mark.parametrize(
+    "spec,dead", zip(golden.REPLICATED_CRASH_SPECS, (3, 1))
+)
+def test_a_run_buffered_for_a_dying_peer_is_dropped_whole(spec, dead):
+    """Every rank folds a run of one key into its buffer toward a peer
+    that then dies.  The exclusion drops the buffer with the run's
+    application updates, so each update addressed to the store is
+    counted exactly once — shipped or dropped — and quiescence closes
+    over the survivors."""
+    from repro.upcxx.replication import ReplicatedStore
+
+    def body():
+        rt = upcxx.runtime_here()
+        store = ReplicatedStore("+", batch_size=64, replication=2, credits=4,
+                                combine_at_source=True)
+        agg = store.store
+        hot = next(k for k in range(256) if store.map.primary(k) == dead)
+        cold = next(k for k in range(256) if dead not in store.owners(k))
+        upcxx.barrier()
+        addressed = 0
+        for key in (hot,) * 5 + (cold,):
+            addressed += len(store.owners(key))
+            store.update(key, 1)
+        held = list(agg._buf_keys[dead])
+        while not store.deaths_seen:
+            rt.compute(1e-6)
+            upcxx.progress()
+        dropped = agg.updates_dropped
+        agg.quiesce()
+        return held, dropped, addressed, agg.stats()
+
+    res = upcxx.run_spmd(body, 4, seed=9, faults=spec)
+    assert res[dead] is None
+    survivors = [r for r in res if r is not None]
+    assert len(survivors) == 3
+    for held, dropped, addressed, s in survivors:
+        assert len(held) == 1  # five updates, one buffered entry
+        assert dropped == 5
+        assert s["updates_sent"] + s["updates_dropped"] == addressed
+        assert s["updates_combined"] == 4  # the other owner's run shipped
 
 
 # ------------------------------------------------------- admission control

@@ -6,9 +6,12 @@ its backpressure accounting), the hot-key read cache with its sharer-list
 invalidation, and the stats/runtime counter plumbing.
 """
 
+import re
+
 import pytest
 
 import repro.upcxx as upcxx
+from repro.sim.errors import RankFailure
 from repro.upcxx.aggregator import (
     COMBINES,
     AggStore,
@@ -346,6 +349,57 @@ class TestFlushReady:
         assert (sum(s["updates_combined"] for s, _ in res) > 0) == combine_at_source
 
 
+class TestConservationLaws:
+    """``quiesce()`` checks both of its laws on every run."""
+
+    @staticmethod
+    def _skewed_run(**kw):
+        def body():
+            me = upcxx.rank_me()
+            store = AggStore("+", batch_size=8, **kw)
+            rng = upcxx.runtime_here().rng.spawn("laws").py
+            upcxx.barrier()
+            for i in range(200):
+                store.update(rng.randrange(6), me * 1000 + i)
+            store.quiesce()
+            upcxx.barrier()
+            return store.stats()
+
+        return upcxx.run_spmd(body, 4, seed=5)
+
+    def test_the_ledger_names_a_seal_pass_that_unsends_twice(self, monkeypatch):
+        fold = AggStore._fold
+
+        def unsends_twice(self, t, bk, bv):
+            before = self.updates_combined
+            out = fold(self, t, bk, bv)
+            self._sent_updates[t] -= self.updates_combined - before
+            return out
+
+        assert self._skewed_run(combine_at_source=True)  # the laws hold
+        monkeypatch.setattr(AggStore, "_fold", unsends_twice)
+        with pytest.raises(RankFailure) as ei:
+            self._skewed_run(combine_at_source=True)
+        assert isinstance(ei.value.__cause__, upcxx.UpcxxError)
+        assert re.search(r"rank \d+ applied \d+ updates, the world owes it -?\d+",
+                         str(ei.value.__cause__))
+
+    def test_the_credit_law_names_an_ack_that_returns_two_credits(self, monkeypatch):
+        on_ack = AggStore._on_ack
+
+        def returns_two(self, dest_trank, seq):
+            on_ack(self, dest_trank, seq)
+            self._credits[dest_trank] += 1
+
+        assert self._skewed_run(credits=2)  # the laws hold
+        monkeypatch.setattr(AggStore, "_on_ack", returns_two)
+        with pytest.raises(RankFailure) as ei:
+            self._skewed_run(credits=2)
+        assert isinstance(ei.value.__cause__, upcxx.UpcxxError)
+        assert re.search(r"rank \d+ credits not home after the ack drain: "
+                         r"\[\(\d+, \d+\).*\] init 2", str(ei.value.__cause__))
+
+
 class TestHotKeyCache:
     def test_hit_after_fill_and_invalidation_on_update(self):
         out = {}
@@ -615,7 +669,7 @@ class TestSharedFills:
 
 
 class TestSourceCombining:
-    """Seal-time combining must be invisible in the owners' shards."""
+    """Source combining must be invisible in the owners' shards."""
 
     def test_off_by_default_and_free_for_a_one_entry_batch(self):
         def body():
@@ -637,33 +691,50 @@ class TestSourceCombining:
         assert times[0] == pytest.approx(times[1], rel=1e-9)
         assert combined == 0
 
-    def test_duplicates_fold_and_the_sender_pays_one_probe_per_raw_entry(self):
+    @pytest.mark.parametrize("combine", ["+", "replace", "min", "max"])
+    def test_run_folds_and_seal_probes(self, combine):
+        # k0 k0 k0 | k1 | k0 k0 | k2: four entries, seven updates; the
+        # runs fold as they arrive (free), the second k0 entry at the seal
+        stream = [(0, 5), (0, 3), (0, 8), (1, 2), (0, 9), (0, 1), (2, 4)]
+
         def body():
             rt = upcxx.runtime_here()
-            store = AggStore("+", batch_size=8, combine_at_source=True)
-            key, other = [k for k in range(64) if store.dest_of(k) == 1][:2]
+            store = AggStore(combine, batch_size=4, combine_at_source=True)
+            keys = [k for k in range(64) if store.dest_of(k) == 1][:3]
             upcxx.barrier()
-            seal = None
+            seen = None
             if upcxx.rank_me() == 0:
                 hook = []
                 store._on_batch_flushed = lambda t, seq, n: hook.append((n, rt.now()))
-                for i in range(7):
-                    store.update(key, i)
                 t0 = rt.now()
-                store.update(other, 100)  # 8th entry: seals the batch
+                buffered = []
+                for i, v in stream[:-1]:
+                    store.update(keys[i], v)
+                    buffered.append(len(store._buf_keys[1]))
+                unsealed = (rt.now() - t0, store.batches_sent)
+                t0 = rt.now()
+                i, v = stream[-1]
+                store.update(keys[i], v)  # the 4th entry seals the batch
                 (n, t_sealed), = hook
-                seal = (n, t_sealed - t0, rt.cpu.t(rt.cpu.map_lookup * 8))
+                seen = (buffered, unsealed, n, t_sealed - t0,
+                        rt.cpu.t(rt.cpu.map_lookup * 4))
             store.quiesce()
             upcxx.barrier()
-            return seal, store.stats(), store.local_items()
+            return seen, store.stats(), keys, store.local_items()
 
-        (seal, s0, _), (_, s1, owned) = upcxx.run_spmd(body, 2)
-        n_hook, t_seal, t_probes = seal
-        assert n_hook == 8  # the hook still sees application updates
-        assert t_seal == pytest.approx(t_probes)
-        assert (s0["updates_sent"], s0["updates_combined"]) == (8, 6)
-        assert s1["applied_updates"] == 2
-        assert sorted(owned.values()) == [21, 100]
+        (seen, s0, keys, _), (_, s1, _, owned) = upcxx.run_spmd(body, 2)
+        buffered, unsealed, n_hook, t_seal, t_probes = seen
+        assert buffered == [1, 1, 1, 2, 3, 3]  # a run is one buffered entry
+        assert unsealed == (0.0, 0)  # buffering and run folds are uncharged
+        assert n_hook == 7  # the hook still sees application updates
+        assert t_seal == pytest.approx(t_probes)  # one probe per entry
+        assert (s0["updates_sent"], s0["updates_combined"]) == (7, 4)
+        assert s1["applied_updates"] == s0["updates_sent"] - s0["updates_combined"] == 3
+        expected = {}
+        for i, v in stream:
+            old = expected.get(keys[i])
+            expected[keys[i]] = v if old is None else COMBINES[combine](old, v)
+        assert owned == expected
 
     @pytest.mark.parametrize("max_dwell", [None, 2e-6])
     @pytest.mark.parametrize("credits", [None, 2])
