@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Observability demo: rollups, flight recorder, Perfetto counters, health.
+"""Observability demo: rollups, blackbox post-mortem, Perfetto counters, health.
 
 Part 1 runs a small DHT workload with every observability surface armed —
 metrics, scheduler trace, causal spans, and the telemetry subsystem's
@@ -8,11 +8,11 @@ windowed rollups — then exports one Perfetto trace whose counter tracks
 plot the rollup windows over simulated time, and asks
 ``repro.tools.health`` for a verdict on the run.
 
-Part 2 injects a rank crash into an RPC ring and shows the flight
-recorder: the bounded per-rank event rings are frozen at the crash
-cutoff and dumped as a ``blackbox.json`` post-mortem bundle — the dead
-rank's last actions, every survivor's tail, and the dead rank's pending
-operation table.
+Part 2 injects a rank crash into an RPC ring with telemetry and a
+scheduler trace on: the rollups are frozen at the crash cutoff and dumped
+as a ``blackbox.json`` post-mortem bundle — the dead rank's last actions
+and every survivor's tail (each rank's last trace events up to the
+cutoff), and the dead rank's pending operation table.
 
 Both parts are deterministic: same seed, same output.
 
@@ -56,9 +56,10 @@ def healthy_run():
     # windowed rollups: one cumulative snapshot per rank per window edge
     n_windows = sum(len(rt.windows) for rt in tel.ranks.values())
     r0 = tel.ranks[0].windows[-1]
+    nic = r0["nic"]
     print(f"  rollups: {n_windows} windows across {len(tel.ranks)} ranks")
-    print(f"  rank 0 final window: {sum(r0['ops'].values())} ops injected, "
-          f"{r0['executed']} completions executed, {r0['ams']} AM polls, "
+    print(f"  rank 0 final window: {nic['puts'] + nic['gets'] + nic['ams'] + nic['amos']} "
+          f"NIC injections, {nic['bytes_out']} bytes out, {r0['ams']} AM polls, "
           f"max progress gap {r0['max_gap_s'] * 1e6:.2f} us")
 
     # Perfetto export: spans/instants plus the telemetry counter tracks
@@ -81,7 +82,7 @@ def healthy_run():
     print(f"  health verdict: {worst}")
 
 
-# --------------------------------------------------- part 2: flight recorder
+# ------------------------------------------------- part 2: blackbox bundle
 def ring_body():
     me, n = upcxx.rank_me(), upcxx.rank_n()
     acc = 0
@@ -92,10 +93,12 @@ def ring_body():
 
 
 def crash_run():
+    # the trace is where the bundle's per-rank tails are cut from
     tel = Telemetry(blackbox_path=BLACKBOX_PATH)
     try:
         upcxx.run_spmd(ring_body, 4, platform="haswell", ppn=2, seed=5,
-                       faults="seed=3,crash=1@3e-4", telemetry=tel)
+                       faults="seed=3,crash=1@3e-4", telemetry=tel,
+                       trace=TraceBuffer())
         raise AssertionError("crash plan did not fire")
     except (RankDeadError, RankFailure) as err:
         print(f"part 2: caught {type(err).__name__}: {err}")
@@ -106,7 +109,7 @@ def crash_run():
           f"cutoff t={bb['cutoff_s'] * 1e6:.1f} us")
     dead = bb["ranks"][str(v["rank"])]
     t_last, kind_last, detail_last = dead["tail"][-1]
-    print(f"  dead rank: {len(dead['tail'])} ring events; last was "
+    print(f"  dead rank: {len(dead['tail'])} trace events; last was "
           f"'{kind_last}:{detail_last}' at {t_last * 1e6:.2f} us")
     pend = dead["pending"]
     if pend is not None:

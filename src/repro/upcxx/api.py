@@ -67,13 +67,16 @@ def run_spmd(
     :func:`repro.util.export_chrome_trace` — and/or ``spans`` (a
     :class:`repro.util.SpanBuffer`) to capture per-operation causal spans
     for the ``repro.tools.report`` critical-path analysis.  Pass
-    ``telemetry`` (a :class:`repro.util.Telemetry`) for windowed counter
-    rollups plus an always-on flight recorder — when the run ends in
+    ``telemetry`` (a :class:`repro.util.Telemetry`, fresh: one that
+    already holds ranks raises ``ValueError``) for windowed counter
+    rollups — when the run ends in
     :class:`~repro.sim.errors.RankDeadError`/:class:`~repro.sim.errors.RankFailure`
     a post-mortem ``blackbox`` bundle is assembled (and written to
     ``telemetry.blackbox_path`` when configured) before the error
-    propagates.  All default to off; an absent observer costs the progress
-    engine one test of an empty sink tuple per boundary.
+    propagates; each rank's ``tail`` of last actions in it is cut from
+    ``trace``, and is ``None`` when no trace was passed.  All default to
+    off; an absent observer costs the progress engine one test of an
+    empty sink tuple per boundary.
 
     Pass a dict as ``sched_stats`` to receive the run counters after the
     run: :meth:`Scheduler.stats` (switches, events fired) and
@@ -86,6 +89,9 @@ def run_spmd(
     so UPC++-level semantics stay exactly-once; crashed ranks fail-stop and
     survivors observe :class:`repro.sim.errors.RankDeadError`.
     """
+    if telemetry is not None and telemetry.ranks:
+        raise ValueError("run_spmd needs a fresh Telemetry: this one already holds "
+                         f"ranks {sorted(telemetry.ranks)} of an earlier run")
     faults = FaultPlan.resolve(faults)
     ppn = ppn if ppn is not None else default_ppn(platform)
     machine = Machine.for_ranks(ranks, ppn, name=platform)
@@ -93,7 +99,7 @@ def run_spmd(
     cpu = cpu if cpu is not None else platform_cpu(platform)
     sched = Scheduler(ranks, trace=trace, max_time=max_time, lookahead=_lookahead(network))
     if telemetry is not None and faults is not None and faults.crashes and not faults.survivable:
-        # freeze rings/windows at the first crash time so the post-mortem
+        # freeze the windows at the first crash time so the post-mortem
         # bundle shows the job at the moment of death.  Survivable plans
         # keep recording: the post-crash windows are the story there.
         telemetry.freeze_at = min(faults.crashes.values())
@@ -118,12 +124,12 @@ def run_spmd(
             # the run outlived its crashes (replication/failover): emit
             # the same post-mortem bundle with a "Survived" verdict so
             # chaos tooling has the replica-state tables either way
-            telemetry.emit_blackbox(None, faults)
+            telemetry.emit_blackbox(None, faults, trace)
         return results
     except (RankDeadError, RankFailure) as err:
         if telemetry is not None:
-            # post-mortem flight-recorder bundle
-            telemetry.emit_blackbox(err, faults)
+            # post-mortem bundle, its tails cut from the trace
+            telemetry.emit_blackbox(err, faults, trace)
         raise
     finally:
         if sched_stats is not None:

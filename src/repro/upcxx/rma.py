@@ -56,10 +56,10 @@ class RmaOp(Transfer):
       what :class:`~repro.upcxx.runtime.CompQItem` offers user progress),
 
     and user progress hands it back to its runtime's free list once
-    :meth:`fn` has run.  Metrics, spans, telemetry and the flight recorder
-    read every stamp they need (``t_api``, ``t_enq``, ``t_active``,
-    ``t_staged``, ``sid``) from these fields.  Nobody outside the runtime
-    ever holds the record, which is what makes recycling it safe.
+    :meth:`fn` has run.  Metrics and spans read every stamp they need
+    (``t_api``, ``t_enq``, ``t_active``, ``t_staged``, ``sid``) from
+    these fields.  Nobody outside the runtime ever holds the record,
+    which is what makes recycling it safe.
 
     An atomic, a VIS operation and a ``copy`` are subclasses
     (``repro.upcxx.atomics``, ``vis``, ``device``) that replace

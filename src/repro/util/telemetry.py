@@ -1,11 +1,10 @@
-"""Windowed telemetry rollups + per-rank flight recorder + blackbox bundles.
+"""Windowed telemetry rollups + blackbox post-mortem bundles.
 
 This is the continuous-visibility layer the span/metrics machinery is not:
 spans capture *everything* (full per-op lifecycle, heavyweight), metrics
 capture *distributions* (dwell histograms), while telemetry captures
-**cheap periodic counter snapshots** plus a **bounded ring of recent
-events** — the GASNet-EX performance-counter philosophy.  It is designed
-for three properties:
+**cheap periodic counter snapshots** — the GASNet-EX performance-counter
+philosophy.  It is designed for three properties:
 
 1. **Deterministic.**  Snapshots are taken in rank context at fixed
    *simulated-time* window edges (the first library call at-or-after each
@@ -14,23 +13,28 @@ for three properties:
    perturbs the schedule, so the rollup stream is a pure function of
    (program, seed).
 
-2. **Near-zero cost, exactly zero when off.**  A :class:`RankTelemetry`
-   is one rank's sink (:mod:`repro.util.sink`); with no telemetry there
+2. **Costs per window, not per op; exactly zero when off.**  A
+   :class:`RankTelemetry` is one rank's sink (:mod:`repro.util.sink`)
+   watching only library entry, death and finish; with no telemetry there
    is no sink, and the progress engine pays one test of its (empty) sink
-   tuple per boundary.  When on, a tick is three float compares and the
-   flight recorder is a bounded ``deque.append``.
+   tuple per boundary.  When on, an entry is three float compares, and a
+   window close reads counters the runtime and its endpoint keep anyway.
+   Injections, AM polls and completions call no telemetry code.
 
-3. **Crash-safe.**  Under a fault plan with rank crashes the recorder
-   *freezes* at the first crash time: entries stamped after the cutoff
-   are not admitted, so the bundle reflects the job as of the moment of
-   death, and the ring's contents — and therefore the ``blackbox.json``
-   post-mortem bundle — are bit-identical for the same seed.
+3. **Crash-safe.**  Under a fault plan with rank crashes the windows
+   *freeze* at the first crash time: nothing stamped after the cutoff is
+   admitted, so the ``blackbox.json`` post-mortem bundle reflects the job
+   as of the moment of death, bit-identical for the same seed.  Each
+   rank's ``tail`` of last actions is cut from the job's
+   :class:`~repro.util.trace.TraceBuffer` when ``run_spmd`` was given one
+   (``trace=``), and is ``null`` otherwise.
 
 Usage::
 
     tel = Telemetry(window_s=20e-6)
     try:
-        upcxx.run_spmd(body, 8, telemetry=tel, faults="seed=3,crash=1@3e-4")
+        upcxx.run_spmd(body, 8, telemetry=tel, trace=TraceBuffer(),
+                       faults="seed=3,crash=1@3e-4")
     except RankDeadError:
         bundle = tel.blackbox          # dict; also written to
                                        # tel.blackbox_path when set
@@ -50,7 +54,7 @@ BLACKBOX_SCHEMA = "repro-blackbox/1"
 #: default rollup cadence (simulated seconds); ~the paper's RPC-scale
 DEFAULT_WINDOW_S = 20e-6
 
-#: flight-recorder depth (events kept per rank)
+#: blackbox tail depth (trace events kept per rank)
 RING = 64
 
 #: cap on per-queue detail captured in a pending-op snapshot
@@ -71,7 +75,7 @@ def window_index(t: float, window_s: float) -> int:
 
 
 class RankTelemetry(Sink):
-    """One rank's telemetry: cumulative counters, windows, flight ring.
+    """One rank's telemetry: rollup windows and its death record.
 
     All mutation happens in rank context in program order, so the state is
     a pure function of (program, seed).  Times arrive as
@@ -82,19 +86,13 @@ class RankTelemetry(Sink):
                  freeze_at: Optional[float] = None):
         self.rank = rank
         self.window_s = window_s
-        #: flight recorder: (t, kind, detail) tuples, oldest evicted first
-        self.ring: deque = deque(maxlen=RING)
         #: closed rollup windows (list of dicts, see _close)
         self.windows: List[dict] = []
         #: freeze cutoff (first crash time of the fault plan, +inf when
         #: there is none) — nothing stamped after it is admitted, so
         #: crash-run state reflects the job exactly as of the moment of death
         self._admit_until = float("inf") if freeze_at is None else freeze_at
-        # cumulative counters (since t=0)
-        self.ops: Dict[str, int] = {}
-        self.bytes: Dict[str, int] = {}
-        self.executed = 0
-        self.ams = 0
+        #: library entries admitted (since t=0)
         self.ticks = 0
         # crash post-mortem state
         self.died_at: Optional[float] = None
@@ -128,30 +126,6 @@ class RankTelemetry(Sink):
             self._close(t, w, False, rt)
             self._next_edge = (w + 1) * self.window_s
 
-    def inject(self, rt, op, now: float) -> None:
-        """An operation left the deferred state (stamped at the last tick)."""
-        kind, nbytes = op.kind, op.nbytes
-        ops = self.ops
-        ops[kind] = ops.get(kind, 0) + 1
-        if nbytes:
-            b = self.bytes
-            b[kind] = b.get(kind, 0) + nbytes
-        t = self._last_t
-        if t is not None:
-            self.note(t, "inject", kind)
-
-    def poll(self, rt, msg, now: float) -> None:
-        """An active message was polled from the inbox."""
-        self.ams += 1
-        self.note(now, "am", msg.tag)
-
-    def execute(self, rt, item, now: float) -> None:
-        """A compQ item runs in user progress (stamped at the last tick)."""
-        self.executed += 1
-        t = self._last_t
-        if t is not None:
-            self.note(t, "exec", item.kind)
-
     def death(self, rt, t_die: float) -> None:
         """This rank observed its own fail-stop crash: capture its
         in-flight state as of the previous suspension (queue depths plus a
@@ -171,7 +145,6 @@ class RankTelemetry(Sink):
             "staged": len(rt._gasnet_done),
             "replies": len(rt.reply_table),
         }
-        self.note(t_die, "crash", f"rank {self.rank} fail-stop")
         self._close(t_die, window_index(t_die, self.window_s), True, rt)
 
     def finish(self, rt, now: float) -> None:
@@ -179,27 +152,18 @@ class RankTelemetry(Sink):
         self._close(now, window_index(now, self.window_s), True, rt)
 
     # ------------------------------------------------------------- recording
-
-    def note(self, t: float, kind: str, detail: str) -> None:
-        """Append a flight-recorder entry (bounded; freeze-gated)."""
-        if t > self._admit_until:
-            return
-        self.ring.append((t, kind, detail))
-
     def _close(self, t: float, w: int, final: bool, rt) -> None:
-        """Snapshot cumulative counters, the runtime's queue depths and
-        agg/kv counters, and its endpoint's NIC/reliability ledger into a
-        closed window."""
+        """Snapshot the runtime's queue depths, AM polls and agg/kv
+        counters, and its endpoint's NIC/reliability ledger, into a closed
+        window.  Every counter is one the runtime keeps with or without
+        telemetry."""
         ep = rt._ep
         win = {
             "w": w,
             "t": t,
             "final": final,
             "queues": [len(rt.defQ), len(rt.actQ), len(rt.compQ), len(rt._gasnet_done)],
-            "ops": dict(self.ops),
-            "bytes": dict(self.bytes),
-            "executed": self.executed,
-            "ams": self.ams,
+            "ams": rt._inbox.n_polled,
             "ticks": self.ticks,
             "max_gap_s": self._win_gap,
             "nic": {
@@ -240,21 +204,9 @@ class RankTelemetry(Sink):
             "died_at": self.died_at,
             "pending": self.pending,
             "replica": self.replica,
-            "ring": self.tail(),
             "windows": list(self.windows),
-            "totals": {
-                "ops": dict(self.ops),
-                "bytes": dict(self.bytes),
-                "executed": self.executed,
-                "ams": self.ams,
-                "ticks": self.ticks,
-            },
+            "ticks": self.ticks,
         }
-
-    def tail(self, cutoff: Optional[float] = None) -> List[list]:
-        """Flight-recorder tail, truncated at ``cutoff`` when given."""
-        return [[t, kind, detail] for (t, kind, detail) in self.ring
-                if cutoff is None or t <= cutoff]
 
     def last_window(self, cutoff: Optional[float] = None) -> Optional[dict]:
         """The most recent closed window at-or-before ``cutoff``."""
@@ -281,7 +233,7 @@ class Telemetry:
         self.window_s = window_s
         self.blackbox_path = blackbox_path
         #: first crash time of the active fault plan (set by ``run_spmd``);
-        #: freezes rings/windows so a crash bundle shows the moment of death
+        #: freezes the windows so a crash bundle shows the moment of death
         self.freeze_at: Optional[float] = None
         #: last post-mortem bundle built (dict), if any
         self.blackbox: Optional[dict] = None
@@ -311,12 +263,17 @@ class Telemetry:
         return json.dumps(self.as_dict(), sort_keys=True, separators=(",", ":"))
 
     # ------------------------------------------------------------- blackbox
-    def build_blackbox(self, err, faults=None) -> dict:
+    def build_blackbox(self, err, faults=None, trace=None) -> dict:
         """Assemble the post-mortem bundle for a failed (or survived) run.
 
         For *fatal* crash plans the bundle is truncated at the first crash
         time, the moment of death it describes.  Non-crash failures
         (``RankFailure``) carry no cutoff.
+
+        Each rank's ``tail`` is its last :data:`RING` events of the job's
+        ``trace`` (a :class:`~repro.util.trace.TraceBuffer`: AM polls,
+        completion executions, scheduler blocks and resumes) at or before
+        the cutoff.  Without a trace every ``tail`` is ``None``.
 
         ``err=None`` records a *survived* crash run (survivable plan +
         replication): no cutoff is applied — execution past the crash is
@@ -329,12 +286,18 @@ class Telemetry:
         cutoff: Optional[float] = None
         if crashes and not (survivable and err is None):
             cutoff = min(crashes.values())
+        tails = None
+        if trace is not None:
+            tails = {r: deque(maxlen=RING) for r in self._ranks}
+            for ev in trace:
+                if ev.rank in tails and (cutoff is None or ev.time <= cutoff):
+                    tails[ev.rank].append([ev.time, ev.kind, ev.detail])
         ranks = {}
         for r, rt in sorted(self._ranks.items()):
             ranks[str(r)] = {
                 "dead": rt.died_at is not None,
                 "died_at": rt.died_at,
-                "tail": rt.tail(cutoff),
+                "tail": None if tails is None else list(tails[r]),
                 "last_window": rt.last_window(cutoff),
                 "pending": rt.pending,
                 "replica": rt.replica,
@@ -365,9 +328,9 @@ class Telemetry:
             "ranks": ranks,
         }
 
-    def emit_blackbox(self, err, faults=None) -> dict:
+    def emit_blackbox(self, err, faults=None, trace=None) -> dict:
         """Build, stash, and (if configured) write the blackbox bundle."""
-        bundle = self.build_blackbox(err, faults)
+        bundle = self.build_blackbox(err, faults, trace)
         self.blackbox = bundle
         if self.blackbox_path:
             with open(self.blackbox_path, "w") as f:

@@ -153,9 +153,9 @@ def chrome_trace_telemetry_events(telemetry) -> List[dict]:
     One sample per closed window on the owning rank's lane; cumulative
     snapshots are differenced into per-window activity so the tracks plot
     *rates*, while queue depths, NIC backlog and the attentiveness gap are
-    instantaneous.  Five tracks per rank: ``tel.ops`` (injections/execs/
-    AM polls), ``tel.queues`` (defQ/actQ/compQ/staged), ``tel.nic``
-    (bytes + backlog + retransmits), ``tel.agg`` (batches/updates/stall/
+    instantaneous.  Five tracks per rank: ``tel.ops`` (NIC injections of
+    every op class, AM polls), ``tel.queues`` (defQ/actQ/compQ/staged),
+    ``tel.nic`` (bytes + backlog + retransmits), ``tel.agg`` (batches/updates/stall/
     cache hits) and ``tel.attentiveness`` (max progress gap).  Pure
     function of the telemetry state.
     """
@@ -163,20 +163,20 @@ def chrome_trace_telemetry_events(telemetry) -> List[dict]:
     ranks_map = telemetry.ranks
     events.extend(_meta_events(sorted(ranks_map)))
     for rank, rt in sorted(ranks_map.items()):
-        prev_ops = prev_exec = prev_ams = 0
+        prev_ops = prev_ams = 0
         prev_bytes = prev_retx = 0
         prev_batches = prev_updates = prev_hits = 0
         prev_stall = 0.0
         for win in rt.windows:
             ts = win["t"] * _US
-            n_ops = sum(win["ops"].values())
-            n_bytes = win["nic"]["bytes_out"]
+            nic = win["nic"]
+            n_ops = nic["puts"] + nic["gets"] + nic["ams"] + nic["amos"]
+            n_bytes = nic["bytes_out"]
             n_retx = win["rel"]["retx"]
             agg = win["agg"]
             base = {"pid": 0, "tid": rank, "ph": "C", "ts": ts}
             events.append(dict(base, name=f"rank {rank} tel.ops", cat="telemetry", args={
                 "injected": n_ops - prev_ops,
-                "executed": win["executed"] - prev_exec,
                 "am_polls": win["ams"] - prev_ams,
             }))
             events.append(dict(base, name=f"rank {rank} tel.queues", cat="telemetry", args={
@@ -187,7 +187,7 @@ def chrome_trace_telemetry_events(telemetry) -> List[dict]:
             }))
             events.append(dict(base, name=f"rank {rank} tel.nic", cat="telemetry", args={
                 "bytes_out": n_bytes - prev_bytes,
-                "backlog_us": win["nic"]["backlog_s"] * _US,
+                "backlog_us": nic["backlog_s"] * _US,
                 "retransmits": n_retx - prev_retx,
             }))
             events.append(dict(base, name=f"rank {rank} tel.agg", cat="telemetry", args={
@@ -200,7 +200,7 @@ def chrome_trace_telemetry_events(telemetry) -> List[dict]:
                                cat="telemetry", args={
                 "max_gap_us": win["max_gap_s"] * _US,
             }))
-            prev_ops, prev_exec, prev_ams = n_ops, win["executed"], win["ams"]
+            prev_ops, prev_ams = n_ops, win["ams"]
             prev_bytes, prev_retx = n_bytes, n_retx
             prev_batches, prev_updates = agg["batches"], agg["updates"]
             prev_hits, prev_stall = agg["cache_hits"], agg["credit_stall_s"]

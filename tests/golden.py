@@ -409,10 +409,11 @@ def telemetry_rollups() -> Run:
 
 
 def crash_blackbox(body, spec=TEL_CRASH_SPEC, path=None, **kw) -> Run:
-    """A fail-stop crash with the flight recorder on: results are the typed
-    verdict and the post-mortem bundle text (also written to ``path``)."""
+    """A fail-stop crash with telemetry and a trace on: results are the
+    typed verdict and the post-mortem bundle text (also written to
+    ``path``), its tails cut from the trace."""
     tel = Telemetry(blackbox_path=path)
-    verdict = crash_verdict(body, spec, tel, **kw).results
+    verdict = crash_verdict(body, spec, tel, trace=TraceBuffer(), **kw).results
     return Run(verdict + (dumps_blackbox(tel.blackbox),))
 
 
@@ -422,14 +423,16 @@ ci_barrier_body = partial(crash_body, 200)
 
 def _kv_survived():
     """KV tiny at replication 2 through a survivable crash of rank 3, with
-    telemetry on: (per-rank results, the Telemetry)."""
-    from repro.apps.kvservice import default_config
-    from repro.bench.kv_bench import run_kv
+    telemetry and a trace on: (per-rank results, the Telemetry)."""
+    from repro.apps.kvservice import default_config, kv_rank_body
+    from repro.bench.kv_bench import KV_SEED
 
     cfg = default_config("tiny")
     cfg["replication"] = 2
     tel = Telemetry()
-    results, _ = run_kv(cfg, faults="seed=7,crash=3@3.5e-4,survive=1", telemetry=tel)
+    results = upcxx.run_spmd(lambda: kv_rank_body(cfg), cfg["ranks"], platform="haswell",
+                             ppn=cfg["ppn"], seed=KV_SEED, telemetry=tel, trace=TraceBuffer(),
+                             faults="seed=7,crash=3@3.5e-4,survive=1")
     assert tel.blackbox["verdict"]["type"] == "Survived", tel.blackbox["verdict"]
     return results, tel
 

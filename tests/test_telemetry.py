@@ -1,11 +1,12 @@
-"""Telemetry rollups, the flight recorder, and the health-gate CLI.
+"""Telemetry rollups, the blackbox post-mortem, and the health-gate CLI.
 
 Covers the observability tentpole's three acceptance properties:
 
 - windowed rollups equal the golden digest (``tests/golden.py`` — the
   same bar simulated results are held to);
 - a rank crash produces a **blackbox** post-mortem bundle equal to the
-  golden digest, frozen at the crash cutoff;
+  golden digest, frozen at the crash cutoff, its per-rank tails cut from
+  the job's trace;
 - ``repro.tools.health`` flags an above-knee (saturated) KV run and
   passes a below-knee one — and every rule it applies can be seen to
   FAIL (or WARN, from a real run: ``credit-stall-fraction``,
@@ -18,8 +19,10 @@ import json
 import pytest
 
 import repro.upcxx as upcxx
+from repro.sim.errors import RankDeadError
 from repro.tools import health
-from repro.util.telemetry import BLACKBOX_SCHEMA, RankTelemetry, Telemetry
+from repro.util.telemetry import BLACKBOX_SCHEMA, RING, RankTelemetry, Telemetry
+from repro.util.trace import TraceBuffer
 from tests import golden
 
 N_RANKS = 4
@@ -52,12 +55,12 @@ def test_window_structure_and_monotonicity():
         # cumulative counters never decrease; window times strictly grow
         for a, b in zip(wins, wins[1:]):
             assert b["t"] > a["t"]
-            assert b["executed"] >= a["executed"]
             assert b["ams"] >= a["ams"]
-            assert sum(b["ops"].values()) >= sum(a["ops"].values())
+            for key in ("puts", "gets", "ams", "amos", "bytes_out"):
+                assert b["nic"][key] >= a["nic"][key], key
         last = wins[-1]
         assert last["final"] is True
-        assert last["executed"] > 0
+        assert last["ams"] > 0
         assert set(last["nic"]) == {"puts", "gets", "ams", "amos",
                                     "bytes_out", "backlog_s"}
         assert set(last["rel"]) == {"retx", "dropped", "dup", "acks"}
@@ -65,8 +68,24 @@ def test_window_structure_and_monotonicity():
                                     "cache_hits"}
         assert set(last["kv"]) == {"shed", "failover_reads", "rereplicated"}
         assert last["max_gap_s"] >= 0.0
-        # the flight recorder rode along
-        assert len(rt.ring) > 0
+        # windows only: no per-op ring or per-kind counters ride along
+        assert not {"ring", "ops", "bytes", "executed"} & (set(last) | set(rt.as_dict()))
+
+
+def test_a_used_telemetry_is_refused():
+    """A Telemetry that already holds ranks keeps their freeze cutoff,
+    window edges and windows, so a fault-free run on one that saw a crash
+    would record one window per rank instead of dozens: ``run_spmd``
+    refuses it, and a fresh one records in full."""
+    tel = Telemetry()
+    with pytest.raises(RankDeadError):
+        upcxx.run_spmd(golden.ring_body, N_RANKS, ppn=2, seed=5, telemetry=tel,
+                       faults=golden.TEL_CRASH_SPEC)
+    with pytest.raises(ValueError, match="fresh Telemetry"):
+        _run(tel)
+    fresh = Telemetry()
+    _run(fresh)
+    assert all(len(rt.windows) > 1 for rt in fresh.ranks.values())
 
 
 def test_an_entry_at_an_exact_edge_closes_its_window_once():
@@ -159,16 +178,39 @@ def test_blackbox_contents():
     dead = ranks["1"]
     assert dead["dead"] is True
     assert dead["died_at"] == pytest.approx(3e-4)
-    # every ring entry respects the freeze cutoff
-    for rec in ranks.values():
+    # died_at and pending carry the death; the tail is the trace's
+    assert dead["pending"] is not None
+    # every rank's tail is its last RING trace events up to the cutoff
+    for r, rec in ranks.items():
+        assert len(rec["tail"]) == RING, f"rank {r} shipped a short tail"
+        assert {kind for _t, kind, _detail in rec["tail"]} <= {"am", "exec", "block", "resume"}
         for t, _kind, _detail in rec["tail"]:
-            assert t <= bb["cutoff_s"] + 1e-12
-    # the dead rank's last ring entry is its own death
-    assert dead["tail"][-1][1] == "crash"
+            assert t <= bb["cutoff_s"]
     survivors = [r for r, rec in ranks.items() if not rec["dead"]]
     assert sorted(survivors) == ["0", "2", "3"]
-    for r in survivors:
-        assert ranks[r]["tail"], f"survivor {r} shipped no tail"
+
+
+def test_blackbox_tail_is_the_traces_last_events_per_rank():
+    """The tail is cut from the job's TraceBuffer: a rank's last events at
+    or before the cutoff, in its own order.  With no trace it is null."""
+    trace, tel = TraceBuffer(), Telemetry()
+    with pytest.raises(RankDeadError):
+        upcxx.run_spmd(golden.ring_body, N_RANKS, ppn=2, seed=5, telemetry=tel,
+                       trace=trace, faults=golden.TEL_CRASH_SPEC)
+    cutoff = tel.blackbox["cutoff_s"]
+    for r, rec in tel.blackbox["ranks"].items():
+        mine = [[e.time, e.kind, e.detail] for e in trace if e.rank == int(r) and e.time <= cutoff]
+        assert len(mine) > RING
+        assert rec["tail"] == mine[-RING:], f"rank {r}"
+
+    bare = Telemetry()
+    with pytest.raises(RankDeadError):
+        upcxx.run_spmd(golden.ring_body, N_RANKS, ppn=2, seed=5, telemetry=bare,
+                       faults=golden.TEL_CRASH_SPEC)
+    assert [rec["tail"] for rec in bare.blackbox["ranks"].values()] == [None] * N_RANKS
+    # the rest of the bundle does not depend on the trace
+    for r, rec in tel.blackbox["ranks"].items():
+        assert dict(rec, tail=None) == bare.blackbox["ranks"][r]
 
 
 def test_blackbox_written_to_path(tmp_path):

@@ -12,6 +12,8 @@ gate again:
   reaches every aggregator and replication span site;
 - with every observer absent, each rank's sink tuple is empty and no sink
   boundary runs at all (off means absent: there is no disabled observer);
+- with only telemetry on, no per-operation boundary is hooked: telemetry
+  makes 0 calls per AM, injection or completion;
 - the run stays inside a fixed event and RMA-record-allocation budget and
   constructs no CompQItem at all (every op is its own record, and the
   rput/rget free lists must keep absorbing per-op churn);
@@ -30,7 +32,7 @@ import pytest
 import repro.upcxx as upcxx
 from repro.upcxx.rma import RmaOp
 from repro.upcxx.runtime import CompQItem, Runtime
-from repro.util.metrics import DwellHistogram, RankMetrics
+from repro.util.metrics import DwellHistogram, Metrics, RankMetrics
 from repro.util.sink import BOUNDARIES, Sink
 from repro.util.spans import SpanBuffer
 from repro.util.telemetry import RankTelemetry, Telemetry
@@ -361,43 +363,73 @@ def test_operations_build_no_helper_objects(monkeypatch, traffic):
 
 
 # ------------------------------------------------------- telemetry zero-cost
+#: the boundaries the progress engine meets once per operation or message
+PER_OP = ("inject", "poll", "execute")
+
+
 def _run_telemetry_counted(monkeypatch, **spmd_kwargs):
-    """Run the DHT body counting telemetry samples and ring appends."""
-    counts = {"ticks": 0, "notes": 0}
+    """Run the DHT body counting calls into each telemetry boundary, the
+    AMs polled, and the ``t_enq`` stamps ``defer`` wrote; each rank also
+    reports its per-op hook tuples."""
+    calls, stamps, ams, hooks = {}, [], [], []
+    for name in BOUNDARIES:
+        if name in vars(RankTelemetry):
+            def counting(self, *a, _name=name, _orig=getattr(RankTelemetry, name)):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _orig(self, *a)
 
-    orig_tick = RankTelemetry.enter
+            monkeypatch.setattr(RankTelemetry, name, counting)
+    orig_defer = Runtime.defer
 
-    def counting_tick(self, *a, **k):
-        counts["ticks"] += 1
-        return orig_tick(self, *a, **k)
+    def stamping_defer(self, op):
+        orig_defer(self, op)
+        stamps.append(op.t_enq)
 
-    orig_note = RankTelemetry.note
+    monkeypatch.setattr(Runtime, "defer", stamping_defer)
 
-    def counting_note(self, *a, **k):
-        counts["notes"] += 1
-        return orig_note(self, *a, **k)
+    def body():
+        rt = upcxx.runtime_here()
+        hooks.append(tuple(getattr(rt._on, b) for b in PER_OP))
+        out = _dht_body()
+        ams.append(rt._inbox.n_polled)
+        return out
 
-    monkeypatch.setattr(RankTelemetry, "enter", counting_tick)
-    monkeypatch.setattr(RankTelemetry, "note", counting_note)
-    upcxx.run_spmd(_dht_body, N_RANKS, ppn=8, seed=7, **spmd_kwargs)
-    return counts["ticks"], counts["notes"]
+    upcxx.run_spmd(body, N_RANKS, ppn=8, seed=7, **spmd_kwargs)
+    return calls, stamps, sum(ams), hooks
 
 
 def test_no_telemetry_work_when_off(monkeypatch):
-    """No sink installed: zero window samples, zero flight-recorder
-    appends — the telemetry surface must be a single is-None check."""
-    ticks, notes = _run_telemetry_counted(monkeypatch)
-    assert ticks == 0, f"{ticks} telemetry ticks with telemetry disabled"
-    assert notes == 0, f"{notes} ring appends with telemetry disabled"
+    """No sink installed: zero calls into any telemetry boundary — the
+    telemetry surface must be a single is-None check."""
+    calls, _stamps, ams, _hooks = _run_telemetry_counted(monkeypatch)
+    assert ams > 0
+    assert calls == {}, f"telemetry boundaries ran with telemetry disabled: {calls}"
+
+
+def test_telemetry_costs_nothing_per_operation(monkeypatch):
+    """With only telemetry on, the per-op hooks are empty: telemetry makes
+    0 calls per AM (and per injection or completion), and ``defer`` stamps
+    no ``t_enq`` because nothing watches injection.  It is called at
+    library entry (window edges) and once per rank at finish."""
+    calls, stamps, ams, hooks = _run_telemetry_counted(monkeypatch, telemetry=Telemetry())
+    assert hooks == [((), (), ())] * N_RANKS
+    assert ams > 0
+    per_op = sum(calls.get(b, 0) for b in PER_OP)
+    assert per_op / ams == 0
+    assert set(calls) == {"enter", "finish"} and calls["finish"] == N_RANKS, calls
+    assert stamps and set(stamps) == {0.0}
 
 
 def test_enabled_telemetry_still_records(monkeypatch):
-    """Control arm: the counters do observe real telemetry traffic."""
+    """Control arm: the counters see real telemetry traffic, and the stamp
+    counter sees ``t_enq`` once an observer watches injection."""
     tel = Telemetry()
-    ticks, notes = _run_telemetry_counted(monkeypatch, telemetry=tel)
-    assert ticks > 0
-    assert notes > 0
+    calls, _stamps, _ams, _hooks = _run_telemetry_counted(monkeypatch, telemetry=tel)
+    assert calls["enter"] > 0
     assert all(rt.windows for rt in tel.ranks.values())
+    _calls, stamps, _ams, hooks = _run_telemetry_counted(monkeypatch, metrics=Metrics())
+    assert all(inject for inject, _poll, _execute in hooks)
+    assert any(t > 0.0 for t in stamps)
 
 
 def test_budgets_hold_with_telemetry_off(monkeypatch):
