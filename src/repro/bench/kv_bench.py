@@ -61,7 +61,7 @@ CRASH_T_S = 3.5e-4
 CRASH_FACTORS = (1, 2, 3)
 
 
-def run_kv(cfg: dict, seed: int = KV_SEED, spans=None, faults=None, telemetry=None) -> Tuple[list, dict]:
+def run_kv(cfg: dict, seed: int = KV_SEED, faults=None, telemetry=None) -> Tuple[list, dict]:
     """One kvservice run; returns (per-rank records, sched stats)."""
     stats: dict = {}
     results = upcxx.run_spmd(
@@ -72,7 +72,6 @@ def run_kv(cfg: dict, seed: int = KV_SEED, spans=None, faults=None, telemetry=No
         seed=seed,
         sched_stats=stats,
         telemetry=telemetry,
-        spans=spans,
         faults=faults,
     )
     return list(results), stats

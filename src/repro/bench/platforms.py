@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.gasnet.cpumodel import CpuModel, platform_cpu
-
 
 @dataclass(frozen=True)
 class PlatformSpec:
@@ -20,10 +18,6 @@ class PlatformSpec:
     name: str
     ppn_dht: int  # processes/node for the DHT runs
     ppn_eadd: int  # processes/node for the extend-add runs
-
-    @property
-    def cpu(self) -> CpuModel:
-        return platform_cpu(self.name)
 
 
 PLATFORMS = {

@@ -11,7 +11,7 @@ contract over the deterministic DES in :mod:`repro.sim`:
 - :mod:`repro.gasnet.cpumodel` — per-platform software cost model
   (Haswell vs. KNL serial-speed ratio, per-byte copy/serialize costs);
 - :mod:`repro.gasnet.segment` — the shared segment and its allocator;
-- :mod:`repro.gasnet.handle` — completion handles;
+- :mod:`repro.gasnet.handle` — the completion handle of a put, get or atomic;
 - :mod:`repro.gasnet.am` — the active-message record and per-rank inboxes;
 - :mod:`repro.gasnet.conduit` — ties it together: ``put``/``get``/``am``/
   ``atomic`` over one wire path, plus per-rank segments and inboxes.
@@ -26,7 +26,6 @@ from repro.gasnet.machine import Machine
 from repro.gasnet.network import NetworkModel, AriesNetwork, PATH_FMA, PATH_BTE
 from repro.gasnet.cpumodel import CpuModel, HASWELL, KNL
 from repro.gasnet.segment import Segment, SegmentAllocationError
-from repro.gasnet.handle import Handle
 from repro.gasnet.am import AMMessage, AMInbox
 from repro.gasnet.conduit import Conduit
 
@@ -41,7 +40,6 @@ __all__ = [
     "KNL",
     "Segment",
     "SegmentAllocationError",
-    "Handle",
     "AMMessage",
     "AMInbox",
     "Conduit",

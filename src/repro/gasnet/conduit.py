@@ -4,10 +4,13 @@ The conduit owns per-rank *endpoints* (shared segment + AM inbox + NIC
 injection state) and implements the four hardware services the paper's
 runtime consumes:
 
-- ``put_nb``   — one-sided RMA put with NIC offload; the handle completes
-  when the remote commit has been acknowledged (GASNet "remote completion",
-  which is what a blocking ``upcxx::rput(...).wait()`` observes).
-- ``get_nb``   — one-sided RMA get; the handle carries the fetched bytes.
+- ``put``      — one-sided RMA put with NIC offload; its
+  :class:`~repro.gasnet.handle.Transfer` completes when the remote commit
+  has been acknowledged (GASNet "remote completion", which is what a
+  blocking ``upcxx::rput(...).wait()`` observes).  ``put_nb`` builds the
+  record from plain arguments.
+- ``get``      — one-sided RMA get; the transfer carries the fetched bytes
+  (``get_nb``: from plain arguments).
 - ``am``       — active message; the :class:`~repro.gasnet.am.AMMessage`
   record lands in the destination inbox at wire arrival (waking the
   destination if it is blocked) and is *executed* only when the
@@ -29,7 +32,7 @@ from __future__ import annotations
 from typing import Any, Callable, Optional
 
 from repro.gasnet.am import AMInbox, AMMessage
-from repro.gasnet.handle import ATOMIC_APPLY, GET_SERVICE, PUT_COMMIT, Handle, Transfer
+from repro.gasnet.handle import ATOMIC_APPLY, GET_SERVICE, PUT_COMMIT, Transfer
 from repro.gasnet.machine import Machine
 from repro.gasnet.network import NetworkModel, PATH_FMA
 from repro.gasnet.segment import Segment
@@ -335,21 +338,15 @@ class Conduit:
         data,
         path: str = PATH_FMA,
         occ_scale: float = 1.0,
-        remote_rpc: Optional[tuple] = None,
-        span: Optional[tuple] = None,
-    ) -> Handle:
+    ) -> Transfer:
         """One-sided put of ``data`` into ``dst``'s segment at ``dst_off``.
 
-        Rank context (must be called by rank ``src``).  The returned handle
-        completes at ack time (remote commit acknowledged).
-        ``remote_rpc``, if given, is a ``(fn, args, t_active)`` triple run
-        at the target the instant the bytes land (UPC++
-        ``remote_cx::as_rpc`` piggybacking).  ``span`` is the client's span
-        correlation id.
+        Rank context (must be called by rank ``src``).  The returned
+        transfer completes at ack time (remote commit acknowledged).
         """
         data = bytes(data)
         return self.put(
-            Transfer(self, src, "put", dst, dst_off, len(data), data, path, occ_scale, remote_rpc, span),
+            Transfer(self, src, "put", dst, dst_off, len(data), data, path, occ_scale),
             self.sched.now(),
         )
 
@@ -371,24 +368,14 @@ class Conduit:
         self.sched.post_at(commit_at, x, dst if x.LOOKAHEAD else None)
         return x
 
-    def get_nb(
-        self,
-        src: int,
-        dst: int,
-        dst_off: int,
-        nbytes: int,
-        path: str = PATH_FMA,
-        occ_scale: float = 1.0,
-        span: Optional[tuple] = None,
-    ) -> Handle:
+    def get_nb(self, src: int, dst: int, dst_off: int, nbytes: int) -> Transfer:
         """One-sided get of ``nbytes`` from ``dst``'s segment at ``dst_off``.
 
-        The handle completes when the data lands back at ``src``; the bytes
-        are available as ``handle.data``.
+        The transfer completes when the data lands back at ``src``; the
+        bytes are available as ``transfer.data``.
         """
         return self.get(
-            Transfer(self, src, "get", dst, dst_off, nbytes, None, path, occ_scale, None, span),
-            self.sched.now(),
+            Transfer(self, src, "get", dst, dst_off, nbytes, None, PATH_FMA), self.sched.now()
         )
 
     def get(self, x: Transfer, now: float) -> Transfer:
@@ -428,17 +415,14 @@ class Conduit:
         payload: Any,
         nbytes: int,
         path: str = PATH_FMA,
-        span: Optional[tuple] = None,
     ) -> AMMessage:
         """Send a bare active message from rank ``src`` (rank context).
 
         The destination is woken at arrival so a rank blocked in ``wait()``
         (user-level progress) can process the message; a rank that is busy
-        computing will only see it at its next progress call.  ``span`` is
-        the message's ``sid``: the target's progress engine reads it to
-        correlate inbox dwell and dispatch.
+        computing will only see it at its next progress call.
         """
-        return self.am(AMMessage(src, dst, tag, payload, nbytes, 0.0, span), self.sched.now(), path)
+        return self.am(AMMessage(src, dst, tag, payload, nbytes), self.sched.now(), path)
 
     def am(self, x: AMMessage, now: float, path: str = PATH_FMA) -> AMMessage:
         """Inject the active message ``x`` at rank clock ``now``: charge the

@@ -1,19 +1,16 @@
-"""Completion handles for conduit operations.
+"""The completion handle of a conduit put, get or remote atomic.
 
-A :class:`Handle` is GASNet's notification object: the conduit marks it
-complete (in network context) at the simulated instant the operation's
-completion condition is met, and runs any attached callbacks.  Client
-layers attach callbacks that move runtime bookkeeping forward (e.g. the
-UPC++ runtime promotes the operation's promise from *actQ* to *compQ*) and
-wake the owning rank if it is blocked in ``wait()``.
+A :class:`Transfer` is GASNet's notification object and, at the same
+time, everything the conduit keeps about the operation while it is in
+flight: the one object is what the caller holds and what both of the
+operation's events call.  The conduit marks it complete (in network
+context) at the simulated instant the operation's completion condition
+is met, and runs any attached callbacks.  Client layers attach callbacks
+that move runtime bookkeeping forward (e.g. ``mpisim``'s window counts a
+put down) and wake the owning rank if it is blocked in ``wait()``.
 
 Callbacks run with the scheduler lock held — they must be cheap,
 non-blocking, and must not execute user code.
-
-A :class:`Transfer` is the handle of a put, get or remote atomic and, at
-the same time, everything the conduit keeps about that operation while it
-is in flight: the one object is what the caller holds and what both of
-the operation's events call.
 """
 
 from __future__ import annotations
@@ -21,58 +18,11 @@ from __future__ import annotations
 from typing import Callable, List, Optional
 
 
-class Handle:
-    """One in-flight conduit operation's completion state.
-
-    ``op`` is a diagnostic label; hot paths pass a cheap tuple like
-    ``("am", src, dst, tag, nbytes)`` rather than a formatted string.  The
-    callback list is allocated lazily — most handles get exactly zero or
-    one callback.
-    """
-
-    __slots__ = ("op", "done", "time_done", "_callbacks", "data")
-
-    def __init__(self, op: object = "op"):
-        self.op = op
-        self.done = False
-        self.time_done: Optional[float] = None
-        self._callbacks: Optional[List[Callable[["Handle"], None]]] = None
-        #: payload slot (e.g. bytes fetched by a get)
-        self.data = None
-
-    def on_complete(self, fn: Callable[["Handle"], None]) -> None:
-        """Attach a network-context callback; fires immediately if done."""
-        if self.done:
-            fn(self)
-        elif self._callbacks is None:
-            self._callbacks = [fn]
-        else:
-            self._callbacks.append(fn)
-
-    def complete(self, time: float, data=None) -> None:
-        """Mark complete at simulated ``time`` (network context only)."""
-        if self.done:
-            raise RuntimeError(f"handle {self.op!r} completed twice")
-        self.done = True
-        self.time_done = time
-        if data is not None:
-            self.data = data
-        callbacks = self._callbacks
-        if callbacks is not None:
-            self._callbacks = None
-            for fn in callbacks:
-                fn(self)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        state = f"done@{self.time_done}" if self.done else "pending"
-        return f"<Handle {self.op} {state}>"
-
-
 #: what a :class:`Transfer`'s next event does
 PUT_COMMIT, GET_SERVICE, COMPLETE, ATOMIC_APPLY = range(4)
 
 
-class Transfer(Handle):
+class Transfer:
     """One put, get or remote atomic, from injection to completion.
 
     The conduit posts the record *itself* as the callable of the
@@ -104,15 +54,18 @@ class Transfer(Handle):
     LOOKAHEAD = True
 
     __slots__ = (
-        "conduit", "kind", "src", "dst", "dst_off", "nbytes", "payload", "path",
-        "occ_scale", "remote_rpc", "sid", "seg", "phase", "t_commit", "t_ack",
+        "done", "time_done", "_callbacks", "data", "conduit", "kind", "src", "dst",
+        "dst_off", "nbytes", "payload", "path", "occ_scale", "remote_rpc", "sid", "seg",
+        "phase", "t_commit", "t_ack",
     )
 
     def __init__(self, conduit, src, kind=None, dst=None, dst_off=None, nbytes=0,
                  payload=None, path=None, occ_scale=1.0, remote_rpc=None, sid=None):
         self.done = False
-        self.time_done = None
-        self._callbacks = None
+        self.time_done: Optional[float] = None
+        #: allocated lazily: most records get zero or one callback
+        self._callbacks: Optional[List[Callable[["Transfer"], None]]] = None
+        #: the bytes a get fetched, or an atomic's prior value
         self.data = None
         self.conduit = conduit
         self.kind = kind
@@ -136,6 +89,33 @@ class Transfer(Handle):
     def op(self) -> tuple:
         """The diagnostic label, built only when somebody asks."""
         return (self.kind, self.src, self.dst, self.nbytes)
+
+    def on_complete(self, fn: Callable[["Transfer"], None]) -> None:
+        """Attach a network-context callback; fires immediately if done."""
+        if self.done:
+            fn(self)
+        elif self._callbacks is None:
+            self._callbacks = [fn]
+        else:
+            self._callbacks.append(fn)
+
+    def complete(self, time: float, data=None) -> None:
+        """Mark complete at simulated ``time`` (network context only)."""
+        if self.done:
+            raise RuntimeError(f"transfer {self.op!r} completed twice")
+        self.done = True
+        self.time_done = time
+        if data is not None:
+            self.data = data
+        callbacks = self._callbacks
+        if callbacks is not None:
+            self._callbacks = None
+            for fn in callbacks:
+                fn(self)
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        state = f"done@{self.time_done}" if self.done else "pending"
+        return f"<Transfer {self.op} {state}>"
 
     def __call__(self) -> None:
         """The event body (network context)."""

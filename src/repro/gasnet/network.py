@@ -76,15 +76,6 @@ class NetworkModel:
         """One-way propagation latency."""
         return self.latency_oneway_shm if same_node else self.latency_oneway
 
-    def best_path(self, nbytes: int, threshold: int) -> str:
-        """Pick FMA below ``threshold`` bytes, BTE at/above it.
-
-        The threshold is a *software* decision — GASNet-EX and Cray MPICH
-        choose differently, which is one source of the paper's Fig. 3b gap —
-        so it is a parameter, not a constant of the hardware.
-        """
-        return PATH_FMA if nbytes < threshold else PATH_BTE
-
 
 @dataclass(frozen=True)
 class AriesNetwork(NetworkModel):

@@ -2,7 +2,6 @@
 
 - ``barrier``   — dissemination, ⌈log₂ P⌉ rounds;
 - ``bcast``     — binomial tree;
-- ``allreduce`` — binomial reduce to root 0 + binomial bcast;
 - ``allgather`` — ring, P-1 steps;
 - ``alltoallv`` — pairwise exchange, P-1 steps of sendrecv.  Every pair
   exchanges a message **even when empty** — the collective cost that the
@@ -18,14 +17,6 @@ from typing import Sequence
 
 #: base of the reserved collective tag space
 _COLL_TAG = 1 << 20
-
-_OPS = {
-    "+": lambda a, b: a + b,
-    "*": lambda a, b: a * b,
-    "min": min,
-    "max": max,
-}
-
 
 def _epoch(comm) -> int:
     e = getattr(comm, "_coll_epoch", 0)
@@ -93,37 +84,6 @@ def bcast(comm, obj, root: int = 0):
         reqs.append(comm.isend(obj, child, tag=_tag(e)))
     rt.wait_all(reqs)
     return obj
-
-
-def _reduce_to_root(comm, value, opf, root: int, e: int):
-    rt = comm.rt
-    n = comm.size
-    me = comm.rank
-    v = (me - root) % n
-    children = _bcast_children(v, n)
-    acc = value
-    # children report in ascending virtual rank for deterministic combines
-    for child_v in sorted(children):
-        child = (child_v + root) % n
-        contrib = comm.recv(child, tag=_tag(e, 1))
-        acc = opf(acc, contrib)
-    if v != 0:
-        parent = (_bcast_parent(v) + root) % n
-        comm.send(acc, parent, tag=_tag(e, 1))
-        return None
-    return acc
-
-
-def allreduce(comm, value, op: str = "+"):
-    """Reduce to rank 0, then broadcast the result."""
-    rt = comm.rt
-    rt.charge_sw(rt.costs.coll_sw)
-    opf = _OPS[op] if not callable(op) else op
-    if comm.size == 1:
-        return value
-    e = _epoch(comm)
-    acc = _reduce_to_root(comm, value, opf, 0, e)
-    return bcast(comm, acc, root=0)
 
 
 def allgather(comm, value) -> list:

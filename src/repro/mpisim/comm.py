@@ -150,9 +150,6 @@ class Communicator:
     def size(self) -> int:
         return self.Get_size()
 
-    def world_rank(self, comm_rank: int) -> int:
-        return self.members[comm_rank]
-
     def sub(self, comm_ranks: Sequence[int]) -> "Communicator":
         """Communicator over a subset (all members call identically)."""
         return Communicator(self.rt, [self.members[i] for i in comm_ranks])
@@ -178,21 +175,6 @@ class Communicator:
     def send(self, obj, dest: int, tag: int = 0) -> None:
         self.isend(obj, dest, tag).wait()
 
-    def iprobe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG):
-        """Nonblocking probe; returns (flag, comm_source, tag, nbytes).
-
-        Makes progress before probing (like real MPI implementations,
-        which poll the network inside Iprobe).
-        """
-        from repro.mpisim import p2p
-
-        self.rt.progress()
-        src_world = self.members[source] if source != ANY_SOURCE else ANY_SOURCE
-        flag, src, t, nbytes = p2p.iprobe(self.rt, src_world, tag)
-        if not flag:
-            return False, None, None, 0
-        return True, self.members.index(src), t, nbytes
-
     def recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG):
         return self.irecv(source, tag).wait()
 
@@ -206,11 +188,6 @@ class Communicator:
         from repro.mpisim import collectives
 
         return collectives.bcast(self, obj, root)
-
-    def allreduce(self, value, op: str = "+"):
-        from repro.mpisim import collectives
-
-        return collectives.allreduce(self, value, op)
 
     def allgather(self, value) -> list:
         from repro.mpisim import collectives

@@ -127,24 +127,6 @@ def irecv(rt, src_world: int, tag: int) -> Request:
     return req
 
 
-def iprobe(rt, src_world: int, tag: int):
-    """Nonblocking probe (``MPI_Iprobe``): report whether a matching message
-    has arrived without receiving it.  Returns (flag, src, tag, nbytes)."""
-    rt.charge_sw(rt.costs.recv_match)
-    probe = Request(rt, "probe", src=src_world, tag=tag)
-    wildcard = src_world == -1 or tag == -1
-    scanned = 0
-    for msg in rt.unexpected:
-        scanned += 1
-        if _match(probe, msg["src"], msg["tag"]):
-            rt.charge_sw(rt.costs.unexpected_scan * (scanned if wildcard else 1))
-            nbytes = len(msg["raw"]) if msg["kind"] == "eager" else msg["nbytes"]
-            return True, msg["src"], msg["tag"], nbytes
-    if scanned:
-        rt.charge_sw(rt.costs.unexpected_scan * (scanned if wildcard else 1))
-    return False, None, None, 0
-
-
 # ------------------------------------------------------------------ matching
 def _deliver(rt, req: Request, msg: dict) -> None:
     """Complete a matched receive (or kick off the rendezvous data phase)."""

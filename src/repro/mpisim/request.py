@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Any, List, Optional
+from typing import Any, Optional
 
 
 class Request:
@@ -31,23 +31,10 @@ class Request:
         self.done = True
         self.value = value
 
-    def test(self) -> bool:
-        """Nonblocking completion check (makes progress)."""
-        if not self.done:
-            self.rt.progress()
-        return self.done
-
     def wait(self):
         """Block until complete; returns the received object (recv reqs)."""
         self.rt.wait_all([self])
         return self.value
-
-    @staticmethod
-    def waitall(requests: List["Request"]):
-        """Wait on many requests; returns their values in order."""
-        if requests:
-            requests[0].rt.wait_all(requests)
-        return [r.value for r in requests]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         state = "done" if self.done else "pending"

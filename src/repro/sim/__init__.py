@@ -19,7 +19,7 @@ measured quantity.
 
 from repro.sim.errors import SimError, DeadlockError, RankFailure, SimAbort
 from repro.sim.engine import EventQueue
-from repro.sim.coop import Scheduler, current_scheduler, current_rank, run_spmd
+from repro.sim.coop import Scheduler, current_scheduler
 from repro.sim.rng import RankRandom
 
 __all__ = [
@@ -30,7 +30,5 @@ __all__ = [
     "EventQueue",
     "Scheduler",
     "current_scheduler",
-    "current_rank",
-    "run_spmd",
     "RankRandom",
 ]

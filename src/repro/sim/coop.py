@@ -81,7 +81,7 @@ import heapq
 import os
 import threading
 import _thread
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional
 
 from repro.sim.engine import EventQueue, _INF
 from repro.sim.errors import DeadlockError, RankCrashed, RankFailure, SimAbort, SimError
@@ -93,8 +93,6 @@ _READY = 1
 _RUNNING = 2
 _BLOCKED = 3
 _DONE = 4
-
-_STATE_NAMES = {_NEW: "NEW", _READY: "READY", _RUNNING: "RUNNING", _BLOCKED: "BLOCKED", _DONE: "DONE"}
 
 
 # ======================================================================
@@ -122,7 +120,7 @@ def _carry(sched: "Scheduler", ctl: "_Fiber") -> None:
         os.sched_setscheduler(0, os.SCHED_BATCH, os.sched_param(0))
     except (AttributeError, OSError):
         pass  # not Linux, or not permitted: a hand-off is only slower
-    _tls.ctx = (sched, ctl.rid, ctl)
+    _tls.ctx = (sched, ctl)
     try:
         sched._fiber_main(ctl)
     finally:
@@ -154,14 +152,6 @@ def current_scheduler() -> "Scheduler":
     return ctx[0]
 
 
-def current_rank() -> int:
-    """The rank id of the calling rank context."""
-    ctx = getattr(_tls, "ctx", None)
-    if ctx is None:
-        raise SimError("no active simulation on this thread")
-    return ctx[1]
-
-
 def current_client():
     """The client-layer object attached via :meth:`Scheduler.set_client`.
 
@@ -172,7 +162,7 @@ def current_client():
     ctx = getattr(_tls, "ctx", None)
     if ctx is None:
         raise SimError("no active simulation on this thread")
-    return ctx[2].client
+    return ctx[1].client
 
 
 # ======================================================================
@@ -519,16 +509,6 @@ class Scheduler:
         """
         self._me().client = obj
 
-    def snapshot(self) -> str:
-        """Human-readable state of all ranks (for error messages/tests)."""
-        lines = [
-            f"rank {c.rid}: {_STATE_NAMES[c.state]} clock={c.clock:.9f}"
-            + (f" [{c.block_reason}]" if c.state == _BLOCKED else "")
-            for c in self._ranks
-        ]
-        lines.append(f"pending events: {len(self._events)}; switches: {self.switches}")
-        return "\n".join(lines)
-
     # ------------------------------------------------- survivable crashes
     def on_rank_dead(self, fn: Callable[[int, BaseException, float], None]) -> None:
         """Register a death listener for *survivable* fault plans.
@@ -834,13 +814,3 @@ class Scheduler:
             "events_posted": ev["posted"],
             "events_fired": ev["fired"],
         }
-
-
-def run_spmd(
-    fn: Callable[[int], object],
-    n_ranks: int,
-    trace: Optional[TraceBuffer] = None,
-    max_time: float = 1e6,
-) -> Sequence[object]:
-    """Convenience wrapper: build a scheduler and run ``fn`` on every rank."""
-    return Scheduler(n_ranks, trace=trace, max_time=max_time).run(fn)

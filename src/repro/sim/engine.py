@@ -16,7 +16,7 @@ handle, wake a rank).  They must never invoke user code directly.
 from __future__ import annotations
 
 import heapq
-from typing import Callable, Optional
+from typing import Callable
 
 _INF = float("inf")
 
@@ -42,12 +42,6 @@ class EventQueue:
         self._seq += 1
         self._count_posted += 1
 
-    def peek_time(self) -> Optional[float]:
-        """Timestamp of the earliest pending event, or ``None`` if empty."""
-        if not self._heap:
-            return None
-        return self._heap[0][0]
-
     def pop(self):
         """Remove and return ``(time, fn)`` for the earliest event."""
         time, _seq, fn = heapq.heappop(self._heap)
@@ -62,12 +56,6 @@ class EventQueue:
         through this method so :attr:`stats` stays accurate.
         """
         self._count_fired += n
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    def __bool__(self) -> bool:
-        return bool(self._heap)
 
     @property
     def stats(self) -> dict:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Optional
 
 import numpy as np
 
@@ -51,12 +50,3 @@ class RankRandom:
     def key64(self) -> int:
         """A uniform 64-bit key (the paper's DHT uses random 8-byte keys)."""
         return self.py.getrandbits(64)
-
-    def bytes(self, n: int) -> bytes:
-        """``n`` deterministic pseudorandom bytes."""
-        return self.np.integers(0, 256, size=n, dtype=np.uint8).tobytes()
-
-
-def make_rank_rng(global_seed: Optional[int], rank: int, salt: str = "") -> RankRandom:
-    """Factory used by the runtime; ``None`` seed means seed 0."""
-    return RankRandom(0 if global_seed is None else global_seed, rank, salt)

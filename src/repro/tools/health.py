@@ -1,6 +1,6 @@
-"""Health-gate CLI: declarative rules over KV runs / telemetry rollups.
+"""Health-gate CLI: rules over KV runs / telemetry rollups.
 
-``python -m repro.tools.health`` evaluates a rule set against any mix of:
+``python -m repro.tools.health`` evaluates its rules against any mix of:
 
 - ``--kv DOC.json``            — a ``repro.bench.kv_bench`` document:
   one ``summarize_point`` dict (utilization + p50..p999 sojourn latency,
@@ -11,24 +11,19 @@
   at every non-saturated point (WARN: writes are waiting out the timer)
   and ``kv-shard-skew`` prints the owner-side load imbalance (INFO);
 - ``--telemetry TEL.json``     — a ``repro.util.Telemetry.as_dict`` dump
-  (windowed rollups: attentiveness gap, retransmits, credit stalls);
-- ``--rules RULES.json``       — extra declarative rules (see below).
+  (windowed rollups: attentiveness gap, retransmits, credit stalls).
 
-Every rule prints one verdict line and the process exits non-zero when
-any FAIL-severity rule is violated.  With ``--strict``, WARN-severity
-violations fail too, and so does a run in which no rule applied at all
-(an empty or renamed artifact must not read as healthy) — which is how
-CI turns a green-looking run into a hard gate.
+Every rule prints one verdict line, whose detail states the relation
+that holds (``<=`` when a ceiling is met, ``>`` when it is not), and the
+process exits non-zero when any FAIL-severity rule is violated.  With
+``--strict``, WARN-severity violations fail too, and so does a run in
+which no rule applied at all (an empty or renamed artifact must not read
+as healthy) — which is how CI turns a green-looking run into a hard gate.
 
-Declarative rule format (``--rules``)::
-
-    [{"name": "kv-p99", "doc": "kv", "path": "p99_s",
-      "op": "<=", "value": 200e-6, "severity": "fail"}]
-
-``doc`` names the input the rule applies to (``kv`` / ``telemetry``);
-``path`` is a dotted lookup into that JSON document.  A missing document
-or path yields SKIP and a value that cannot be compared yields FAIL,
-never a crash — a health check must say what is wrong with its input.
+Every field is read with its dotted path into the document: a missing
+document or path yields SKIP and a value that cannot be compared yields
+FAIL naming the path, never a crash — a health check must say what is
+wrong with its input.
 """
 
 from __future__ import annotations
@@ -50,14 +45,10 @@ DEFAULT_MAX_STALL_FRAC = 0.5         # agg credit stall share of served time
 WRITE_DWELL_PASS = 0.5
 WRITE_DWELL_WARN = 1.0
 
-_OPS = {
-    "<=": lambda a, b: a <= b,
-    ">=": lambda a, b: a >= b,
-    "<": lambda a, b: a < b,
-    ">": lambda a, b: a > b,
-    "==": lambda a, b: a == b,
-    "!=": lambda a, b: a != b,
-}
+#: what ``retransmit-rate`` and ``credit-stall-fraction`` read off each
+#: rank's last telemetry window
+_RETX_FIELDS = ("rel.retx", "nic.puts", "nic.gets", "nic.ams", "nic.amos")
+_STALL_FIELDS = ("agg.credit_stall_s", "t")
 
 
 class Verdict:
@@ -78,28 +69,6 @@ class Verdict:
     def line(self) -> str:
         return f"[{self.status:4s}] {self.name}: {self.detail}"
 
-    def as_dict(self) -> dict:
-        return {"name": self.name, "status": self.status,
-                "detail": self.detail, "severity": self.severity}
-
-
-def _lookup(doc: Any, path: str) -> Any:
-    """Dotted-path lookup (`a.b.0.c`); returns None when absent."""
-    cur = doc
-    for part in path.split("."):
-        if isinstance(cur, dict):
-            if part not in cur:
-                return None
-            cur = cur[part]
-        elif isinstance(cur, list):
-            try:
-                cur = cur[int(part)]
-            except (ValueError, IndexError):
-                return None
-        else:
-            return None
-    return cur
-
 
 class _Incomparable(Exception):
     """A document value that a rule must compare is not a number."""
@@ -111,36 +80,19 @@ class _Incomparable(Exception):
 
 
 def _num(doc: dict, key: str, path: Optional[str] = None):
-    """``doc[key]`` if it is a number, None if absent; anything else
-    raises :class:`_Incomparable` naming ``path`` (default: ``key``)."""
-    value = doc.get(key)
+    """The number at the dotted ``key`` (``rel.retx``) under ``doc``, None
+    if absent; anything else raises :class:`_Incomparable` naming ``path``
+    (default: ``key``)."""
+    value = doc
+    for part in key.split("."):
+        if value is None:
+            return None
+        if not isinstance(value, dict):
+            raise _Incomparable(path or key, value)
+        value = value.get(part)
     if value is None or (isinstance(value, (int, float)) and not isinstance(value, bool)):
         return value
     raise _Incomparable(path or key, value)
-
-
-def eval_rule(rule: dict, docs: Dict[str, Optional[dict]]) -> Verdict:
-    """Evaluate one declarative rule against the loaded documents."""
-    name = rule.get("name", rule.get("path", "rule"))
-    severity = rule.get("severity", "fail")
-    doc = docs.get(rule.get("doc", "kv"))
-    if doc is None:
-        return Verdict(name, "SKIP", f"no {rule.get('doc', 'kv')} document loaded", severity)
-    value = _lookup(doc, rule["path"])
-    if value is None:
-        return Verdict(name, "SKIP", f"path {rule['path']!r} not present", severity)
-    op = rule.get("op", "<=")
-    fn = _OPS.get(op)
-    if fn is None:
-        return Verdict(name, "FAIL", f"unknown op {op!r}", severity)
-    target = rule["value"]
-    try:
-        ok = bool(fn(value, target))
-    except TypeError:
-        return Verdict(name, "FAIL",
-                       f"{rule['path']} = {value!r} cannot be compared with {target!r}", severity)
-    status = "PASS" if ok else ("WARN" if severity == "warn" else "FAIL")
-    return Verdict(name, status, f"{rule['path']} = {value!r} {op} {target!r}", severity)
 
 
 # -------------------------------------------------------- built-in checks
@@ -193,7 +145,7 @@ def _check_kv_point(kv: dict, min_util: float, p99_slo: Optional[float],
         else:
             ok = util >= min_util
             detail = (f"achieved {kv.get('achieved_rps')}/{kv.get('offered_rps')} req/s, "
-                      f"utilization {util} >= {min_util}")
+                      f"utilization {util} {'>=' if ok else '<'} {min_util}")
             if not ok:
                 detail += " — service is saturated (offered load above the knee)"
             out.append(Verdict("kv-utilization", "PASS" if ok else "FAIL", detail))
@@ -207,7 +159,7 @@ def _check_kv_point(kv: dict, min_util: float, p99_slo: Optional[float],
         ok = v <= slo
         out.append(Verdict(
             f"kv-{pct[:-2]}", "PASS" if ok else "FAIL",
-            f"{pct} = {v * 1e6:.1f}us <= SLO {slo * 1e6:.1f}us",
+            f"{pct} = {v * 1e6:.1f}us {'<=' if ok else '>'} SLO {slo * 1e6:.1f}us",
         ))
     return out
 
@@ -225,7 +177,8 @@ def _check_kv_availability(kv: dict, min_avail: float,
     ok = avail >= min_avail
     out.append(Verdict(
         "kv-availability", "PASS" if ok else "FAIL",
-        f"{served}/{issued} accepted requests served = {avail:.4f} >= {min_avail}",
+        f"{served}/{issued} accepted requests served = {avail:.4f} "
+        f"{'>=' if ok else '<'} {min_avail}",
     ))
     shed = _num(kv, "shed_fraction")
     if shed:
@@ -256,9 +209,10 @@ def _check_kv_availability(kv: dict, min_avail: float,
             f"({kv.get('failover_reads')} failover reads)", "info",
         ))
     else:
+        ok = rec <= max_recovery_s
         out.append(Verdict(
-            "kv-recovery", "PASS" if rec <= max_recovery_s else "FAIL",
-            f"recovery {rec * 1e6:.0f}us <= {max_recovery_s * 1e6:.0f}us",
+            "kv-recovery", "PASS" if ok else "FAIL",
+            f"recovery {rec * 1e6:.0f}us {'<=' if ok else '>'} {max_recovery_s * 1e6:.0f}us",
         ))
     return out
 
@@ -354,52 +308,67 @@ def _check_kv_write_dwell(kv: dict, min_util: float) -> List[Verdict]:
 
 def _check_telemetry(tel: dict, max_gap: float, max_retx_rate: float,
                      max_stall_frac: float) -> List[Verdict]:
-    ranks = tel.get("ranks", {})
+    ranks = tel.get("ranks")
     if not ranks:
         return [Verdict("telemetry", "SKIP", "no per-rank telemetry present")]
     worst_gap = 0.0
-    retx = nic_ops = 0
-    stall = 0.0
-    t_end = 0.0
-    for rt in ranks.values():
-        wins = rt.get("windows", [])
-        for w in wins:
-            if w.get("max_gap_s", 0.0) > worst_gap:
-                worst_gap = w["max_gap_s"]
-        if wins:
-            last = wins[-1]
-            retx += last["rel"]["retx"]
-            nic = last["nic"]
-            nic_ops += nic["puts"] + nic["gets"] + nic["ams"] + nic["amos"]
-            stall += last["agg"]["credit_stall_s"]
-            if last["t"] > t_end:
-                t_end = last["t"]
+    totals = dict.fromkeys(_RETX_FIELDS + _STALL_FIELDS, 0)
+    absent = {}  # field -> the first dotted path it was missing at
+    for r, rank in ranks.items():
+        wins = rank.get("windows") or []
+        for i, w in enumerate(wins):
+            gap = _num(w, "max_gap_s", f"ranks.{r}.windows.{i}.max_gap_s")
+            if gap is not None and gap > worst_gap:
+                worst_gap = gap
+        if not wins:
+            continue
+        at = f"ranks.{r}.windows.{len(wins) - 1}."
+        for key in totals:
+            v = _num(wins[-1], key, at + key)
+            if v is None:
+                absent.setdefault(key, at + key)
+            elif key == "t":
+                totals["t"] = max(totals["t"], v)
+            else:
+                totals[key] += v
+    ok = worst_gap <= max_gap
     out = [Verdict(
-        "attentiveness-gap",
-        "PASS" if worst_gap <= max_gap else "WARN",
-        f"max progress gap {worst_gap * 1e6:.1f}us <= {max_gap * 1e6:.1f}us",
+        "attentiveness-gap", "PASS" if ok else "WARN",
+        f"max progress gap {worst_gap * 1e6:.1f}us {'<=' if ok else '>'} "
+        f"{max_gap * 1e6:.1f}us",
         "warn",
     )]
-    rate = (retx / nic_ops) if nic_ops else 0.0
-    out.append(Verdict(
-        "retransmit-rate",
-        "PASS" if rate <= max_retx_rate else "WARN",
-        f"{retx} retransmits / {nic_ops} NIC ops = {rate:.4f} <= {max_retx_rate}",
-        "warn",
-    ))
-    n = len(ranks)
-    frac = (stall / (n * t_end)) if t_end > 0 else 0.0
-    out.append(Verdict(
-        "credit-stall-fraction",
-        "PASS" if frac <= max_stall_frac else "WARN",
-        f"agg credit stall {frac:.3f} of rank-time <= {max_stall_frac}",
-        "warn",
-    ))
+    missing = [absent[k] for k in _RETX_FIELDS if k in absent]
+    if missing:
+        out.append(Verdict("retransmit-rate", "SKIP", f"{missing[0]} not present", "warn"))
+    else:
+        retx = totals["rel.retx"]
+        nic_ops = sum(totals[f"nic.{k}"] for k in ("puts", "gets", "ams", "amos"))
+        rate = (retx / nic_ops) if nic_ops else 0.0
+        ok = rate <= max_retx_rate
+        out.append(Verdict(
+            "retransmit-rate", "PASS" if ok else "WARN",
+            f"{retx} retransmits / {nic_ops} NIC ops = {rate:.4f} "
+            f"{'<=' if ok else '>'} {max_retx_rate}",
+            "warn",
+        ))
+    missing = [absent[k] for k in _STALL_FIELDS if k in absent]
+    if missing:
+        out.append(Verdict("credit-stall-fraction", "SKIP", f"{missing[0]} not present", "warn"))
+    else:
+        t_end = totals["t"]
+        frac = (totals["agg.credit_stall_s"] / (len(ranks) * t_end)) if t_end > 0 else 0.0
+        ok = frac <= max_stall_frac
+        out.append(Verdict(
+            "credit-stall-fraction", "PASS" if ok else "WARN",
+            f"agg credit stall {frac:.3f} of rank-time {'<=' if ok else '>'} {max_stall_frac}",
+            "warn",
+        ))
     return out
 
 
 # ---------------------------------------------------------------- evaluate
-def evaluate(docs: Dict[str, Optional[dict]], rules: Sequence[dict] = (),
+def evaluate(docs: Dict[str, Optional[dict]],
              min_utilization: float = DEFAULT_MIN_UTILIZATION,
              p99_slo: Optional[float] = None,
              p999_slo: Optional[float] = None,
@@ -409,7 +378,7 @@ def evaluate(docs: Dict[str, Optional[dict]], rules: Sequence[dict] = (),
              max_retx_rate: float = DEFAULT_MAX_RETX_RATE,
              max_stall_frac: float = DEFAULT_MAX_STALL_FRAC,
              ) -> List[Verdict]:
-    """Run the built-in checks plus any declarative rules."""
+    """Run every check whose document is loaded."""
     verdicts: List[Verdict] = []
 
     def apply(check, *args) -> None:
@@ -432,8 +401,6 @@ def evaluate(docs: Dict[str, Optional[dict]], rules: Sequence[dict] = (),
     tel = docs.get("telemetry")
     if tel is not None:
         apply(_check_telemetry, tel, max_gap_s, max_retx_rate, max_stall_frac)
-    for rule in rules:
-        verdicts.append(eval_rule(rule, docs))
     return verdicts
 
 
@@ -450,7 +417,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                     help="kv_bench JSON: one point (--point/--crash-point) "
                     "or a capacity curve (--sweep)")
     ap.add_argument("--telemetry", default=None, help="Telemetry.as_dict JSON dump")
-    ap.add_argument("--rules", default=None, help="extra declarative rules (JSON list)")
     ap.add_argument("--min-utilization", type=float, default=DEFAULT_MIN_UTILIZATION)
     ap.add_argument("--p99-slo", type=float, default=None,
                     help="p99 sojourn SLO in seconds (kv doc)")
@@ -471,7 +437,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     ap.add_argument("--strict", action="store_true",
                     help="WARN-severity violations also fail the run, and "
                     "so does a run in which no rule applied")
-    ap.add_argument("--out", default=None, help="write the verdict list as JSON here")
     args = ap.parse_args(argv)
 
     docs = {
@@ -480,10 +445,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     }
     if all(d is None for d in docs.values()):
         ap.error("nothing to check: pass at least one of --kv/--telemetry")
-    rules = _load(args.rules) or []
 
     verdicts = evaluate(
-        docs, rules,
+        docs,
         min_utilization=args.min_utilization,
         p99_slo=args.p99_slo,
         p999_slo=args.p999_slo,
@@ -507,11 +471,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     bad = n_fail + (n_warn if args.strict else 0)
     print(f"[health] {n_pass} pass, {n_warn} warn, {n_info} info, {n_fail} fail"
           + (" (strict: warnings fail)" if args.strict else ""))
-    if args.out:
-        with open(args.out, "w") as fh:
-            json.dump({"verdicts": [v.as_dict() for v in verdicts],
-                       "healthy": bad == 0}, fh, indent=2, sort_keys=True)
-            fh.write("\n")
     return 1 if bad else 0
 
 

@@ -290,8 +290,6 @@ class AggStore:
         the owner then sees ``combine(old, combine(a, b))`` where it used
         to see ``combine(combine(old, a), b)``.  The four named combines
         are; a callable is taken at the caller's word.
-    route:
-        key -> team-rank mapping (default :func:`default_route`).
     on_batch_flushed / on_batch_acked:
         measurement hooks: ``(dest_trank, seq, n_updates)`` at flush
         time and ``(dest_trank, seq, t_now)`` when the ack returns
@@ -308,7 +306,6 @@ class AggStore:
         credits: Optional[int] = None,
         cache_capacity: int = 0,
         combine_at_source: bool = False,
-        route: Callable[[int, int], int] = default_route,
         on_batch_flushed: Optional[Callable[[int, int, int], None]] = None,
         on_batch_acked: Optional[Callable[[int, int, float], None]] = None,
     ):
@@ -323,7 +320,6 @@ class AggStore:
         self.max_dwell = max_dwell
         self.cache_capacity = cache_capacity
         self.combine_at_source = combine_at_source
-        self._route = route
         self._on_batch_flushed = on_batch_flushed
         self._on_batch_acked = on_batch_acked
         combine_fn = COMBINES[combine] if isinstance(combine, str) else combine
@@ -400,7 +396,7 @@ class AggStore:
     # ----------------------------------------------------------- update side
     def dest_of(self, key) -> int:
         """Team rank owning ``key``."""
-        return self._route(key, self._n)
+        return default_route(key, self._n)
 
     def update(self, key, value) -> None:
         """Buffer one update; flushes the destination's buffer when full."""

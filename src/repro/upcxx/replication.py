@@ -6,7 +6,7 @@ adds the missing availability layer on top of :class:`AggStore` and the
 survivable heartbeat machinery (``Scheduler.on_rank_dead``):
 
 - :class:`ReplicaMap` — deterministic primary-replica placement.  A
-  key's *home* is its routed owner (:func:`default_route` by default);
+  key's *home* is its routed owner (:func:`default_route`);
   its owner set is the first ``factor`` alive ranks walking the ring
   from the home.  Because a death only ever shifts later candidates
   earlier, every *surviving* original owner stays in the owner set —
@@ -112,25 +112,24 @@ class ReplicaMap:
     without communication.
     """
 
-    def __init__(self, n_ranks: int, factor: int, route: Callable = default_route):
+    def __init__(self, n_ranks: int, factor: int):
         if factor < 1:
             raise ValueError(f"replication factor must be >= 1, got {factor}")
         self.n = n_ranks
         self.factor = min(factor, n_ranks)
-        self._route = route
         #: team ranks detected dead (shared view, updated at detection)
         self.dead: Set[int] = set()
 
     def home(self, key) -> int:
         """The key's routed home rank (ignores deaths)."""
-        return self._route(key, self.n)
+        return default_route(key, self.n)
 
     def owners(self, key, dead: Optional[Iterable[int]] = None) -> List[int]:
         """Ring-ordered owner set of ``key`` against a dead set
         (default: the current one).  May be shorter than ``factor``
         when fewer ranks survive."""
         excluded = self.dead if dead is None else set(dead)
-        home = self._route(key, self.n)
+        home = default_route(key, self.n)
         out: List[int] = []
         for i in range(self.n):
             r = (home + i) % self.n
@@ -174,7 +173,6 @@ class ReplicatedStore:
         credits: Optional[int] = None,
         cache_capacity: int = 0,
         combine_at_source: bool = False,
-        route: Callable = default_route,
         on_batch_flushed: Optional[Callable] = None,
         on_batch_acked: Optional[Callable] = None,
         on_death: Optional[Callable[[int, float], None]] = None,
@@ -189,13 +187,12 @@ class ReplicatedStore:
             credits=credits,
             cache_capacity=cache_capacity,
             combine_at_source=combine_at_source,
-            route=route,
             on_batch_flushed=on_batch_flushed,
             on_batch_acked=on_batch_acked,
         )
         self.team = self.store.team
         self._my = self.store._my_trank
-        self.map = ReplicaMap(self.team.rank_n(), replication, route)
+        self.map = ReplicaMap(self.team.rank_n(), replication)
         self.replication = self.map.factor
         self._on_death_cb = on_death
         # -- outstanding reads (insertion-ordered: failover re-issues scan
@@ -229,9 +226,6 @@ class ReplicatedStore:
 
     def poll(self) -> None:
         self.store.poll()
-
-    def flush(self) -> None:
-        self.store.flush()
 
     # -------------------------------------------------------------- reads
     def read(self, key, default=None, cb: Optional[Callable] = None) -> None:

@@ -13,11 +13,8 @@ from repro.util.units import (
     MS,
     NS,
     fmt_bytes,
-    fmt_time,
-    fmt_rate,
-    parse_size,
 )
-from repro.util.stats import Summary, summarize, geomean, speedup
+from repro.util.stats import Summary, summarize
 from repro.util.records import BenchSeries, BenchTable, format_table
 from repro.util.trace import TraceBuffer, TraceEvent
 from repro.util.metrics import DwellHistogram, Metrics, RankMetrics
@@ -40,13 +37,8 @@ __all__ = [
     "MS",
     "NS",
     "fmt_bytes",
-    "fmt_time",
-    "fmt_rate",
-    "parse_size",
     "Summary",
     "summarize",
-    "geomean",
-    "speedup",
     "BenchSeries",
     "BenchTable",
     "format_table",

@@ -82,10 +82,10 @@ class DwellHistogram:
         then clamps into the exact observed ``[min, max]`` range.  Returns
         0.0 for an empty histogram.
         """
-        if self.n == 0:
-            return 0.0
         if not 0 <= q <= 100:
             raise ValueError(f"percentile must be in [0, 100], got {q}")
+        if self.n == 0:
+            return 0.0
         target = self.n * (q / 100.0)
         seen = 0
         value = self.maximum

@@ -9,7 +9,7 @@ output can be pasted directly into EXPERIMENTS.md.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 
 @dataclass
@@ -59,10 +59,6 @@ class BenchTable:
             if s.label == label:
                 return s
         raise KeyError(f"no series labeled {label!r} in table {self.title!r}")
-
-    def ratio(self, numerator: str, denominator: str, x) -> float:
-        """y(numerator)/y(denominator) at sweep point ``x``."""
-        return self.get(numerator).y_at(x) / self.get(denominator).y_at(x)
 
     def render(self, x_fmt: Callable = str, y_fmt: Callable = str) -> str:
         return format_table(self, x_fmt=x_fmt, y_fmt=y_fmt)
@@ -114,11 +110,3 @@ def format_table(
     ]
     lines.extend(fmt_row(r) for r in rows)
     return "\n".join(lines)
-
-
-def series_from_mapping(label: str, points: Mapping) -> BenchSeries:
-    """Build a series from an ``{x: y}`` mapping (sorted by x)."""
-    s = BenchSeries(label=label)
-    for x in sorted(points):
-        s.add(x, points[x])
-    return s

@@ -190,20 +190,3 @@ class SpanBuffer(Sink):
                 ).encode()
             )
         return h.hexdigest()
-
-    # --------------------------------------------------------------- export
-    def as_dicts(self) -> List[dict]:
-        """Canonical records as JSON-ready dicts."""
-        return [
-            {
-                "t0": r[0],
-                "t1": r[1],
-                "rank": r[2],
-                "sid": list(r[3]),
-                "phase": r[4],
-                "kind": r[5],
-                "nbytes": r[6],
-                "parent": None if r[7] is None else list(r[7]),
-            }
-            for r in self.canonical_records()
-        ]

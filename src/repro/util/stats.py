@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 
 @dataclass(frozen=True)
@@ -28,11 +28,6 @@ class Summary:
     p95: float = 0.0
     p99: float = 0.0
     p999: float = 0.0
-
-    @property
-    def best(self) -> float:
-        """Alias for ``minimum`` (paper convention: best == lowest time)."""
-        return self.minimum
 
 
 def _percentile_sorted(xs: Sequence[float], q: float) -> float:
@@ -90,28 +85,3 @@ def summarize(samples: Sequence[float]) -> Summary:
         p99=_percentile_sorted(xs, 99),
         p999=_percentile_sorted(xs, 99.9),
     )
-
-
-def geomean(samples: Iterable[float]) -> float:
-    """Geometric mean of strictly positive samples."""
-    logs = []
-    for x in samples:
-        x = float(x)
-        if not math.isfinite(x):
-            raise ValueError(f"geomean requires finite samples, got {x!r}")
-        if x <= 0:
-            raise ValueError(f"geomean requires positive samples, got {x}")
-        logs.append(math.log(x))
-    if not logs:
-        raise ValueError("geomean() requires at least one sample")
-    return math.exp(sum(logs) / len(logs))
-
-
-def speedup(baseline: float, contender: float) -> float:
-    """Speedup of ``contender`` relative to ``baseline`` for time-like metrics.
-
-    Returns >1 when the contender is faster (lower time).
-    """
-    if contender <= 0:
-        raise ValueError(f"contender time must be positive, got {contender}")
-    return baseline / contender

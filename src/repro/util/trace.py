@@ -27,9 +27,6 @@ class TraceEvent:
     kind: str
     detail: str
 
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return f"[{self.time * 1e6:12.3f}us r{self.rank:<4d}] {self.kind}: {self.detail}"
-
 
 class TraceBuffer(Sink):
     """An in-memory trace.  ``CAPACITY`` ``None`` keeps every event; a
@@ -63,9 +60,6 @@ class TraceBuffer(Sink):
     def __iter__(self) -> Iterator[TraceEvent]:
         return iter(self._events)
 
-    def clear(self) -> None:
-        self._events.clear()
-
     def canonical_events(self) -> list:
         """Events stably sorted by ``(time, rank)``.
 
@@ -85,9 +79,3 @@ class TraceBuffer(Sink):
         for ev in self.canonical_events():
             h.update(repr((round(ev.time, 12), ev.rank, ev.kind, ev.detail)).encode())
         return h.hexdigest()
-
-    def dump(self, limit: Optional[int] = None) -> str:
-        events = list(self._events)
-        if limit is not None:
-            events = events[-limit:]
-        return "\n".join(str(e) for e in events)

@@ -25,21 +25,6 @@ _SIZE_SUFFIXES = [
     (KiB, "KiB"),
 ]
 
-_SIZE_PARSE = {
-    "": 1,
-    "b": 1,
-    "k": KiB,
-    "kb": KiB,
-    "kib": KiB,
-    "m": MiB,
-    "mb": MiB,
-    "mib": MiB,
-    "g": GiB,
-    "gb": GiB,
-    "gib": GiB,
-}
-
-
 def fmt_bytes(n: int) -> str:
     """Format a byte count compactly: ``8`` -> ``"8B"``, ``8192`` -> ``"8KiB"``.
 
@@ -54,43 +39,3 @@ def fmt_bytes(n: int) -> str:
                 return f"{n // unit}{suffix}"
             return f"{n / unit:.2f}{suffix}"
     return f"{n}B"
-
-
-def parse_size(text: str) -> int:
-    """Parse ``"8K"``, ``"4MiB"``, ``"512"`` ... into a byte count."""
-    s = text.strip().lower()
-    idx = len(s)
-    while idx > 0 and not s[idx - 1].isdigit():
-        idx -= 1
-    num, suffix = s[:idx], s[idx:].strip()
-    if not num:
-        raise ValueError(f"cannot parse size {text!r}")
-    if suffix not in _SIZE_PARSE:
-        raise ValueError(f"unknown size suffix {suffix!r} in {text!r}")
-    return int(num) * _SIZE_PARSE[suffix]
-
-
-def fmt_time(t: float) -> str:
-    """Format a duration in the most natural SI unit (``1.50us``, ``2.3ms``)."""
-    if t < 0:
-        return "-" + fmt_time(-t)
-    if t == 0:
-        return "0s"
-    if t < 1e-6:
-        return f"{t / NS:.1f}ns"
-    if t < 1e-3:
-        return f"{t / US:.2f}us"
-    if t < 1.0:
-        return f"{t / MS:.2f}ms"
-    return f"{t:.3f}s"
-
-
-def fmt_rate(bytes_per_sec: float) -> str:
-    """Format a bandwidth (``"9.34GiB/s"``)."""
-    if bytes_per_sec >= GiB:
-        return f"{bytes_per_sec / GiB:.2f}GiB/s"
-    if bytes_per_sec >= MiB:
-        return f"{bytes_per_sec / MiB:.2f}MiB/s"
-    if bytes_per_sec >= KiB:
-        return f"{bytes_per_sec / KiB:.2f}KiB/s"
-    return f"{bytes_per_sec:.1f}B/s"

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import repro.upcxx as upcxx
-from repro.sim.coop import Scheduler, current_scheduler, run_spmd
+from repro.sim.coop import Scheduler, current_scheduler
 from tests import golden
 
 
@@ -69,7 +69,7 @@ def test_pending_wakes_drain_in_timestamp_order():
         resumes.append(s.now())
         return resumes
 
-    out = run_spmd(body, 2)
+    out = Scheduler(2).run(body)
     assert out[1] == [10e-6, 30e-6]
 
 
@@ -87,7 +87,7 @@ def test_spurious_past_wake_returns_immediately():
             assert s.now() == 10e-6  # unchanged: spurious return
         return s.now()
 
-    assert run_spmd(body, 2)[1] == 10e-6
+    assert Scheduler(2).run(body)[1] == 10e-6
 
 
 def test_backend_keyword_is_a_type_error():
@@ -97,8 +97,6 @@ def test_backend_keyword_is_a_type_error():
 
     with pytest.raises(TypeError):
         Scheduler(2, backend="sharded")
-    with pytest.raises(TypeError):
-        run_spmd(lambda r: r, 2, backend="coroutines")
     with pytest.raises(TypeError):
         upcxx.run_spmd(lambda: None, 2, backend="sharded")
     with pytest.raises(TypeError):

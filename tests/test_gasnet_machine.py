@@ -87,11 +87,6 @@ class TestNetwork:
         net = AriesNetwork()
         assert net.occupancy(8, PATH_FMA, False) < net.occupancy(8, PATH_BTE, False)
 
-    def test_best_path_threshold(self):
-        net = AriesNetwork()
-        assert net.best_path(100, threshold=4096) == PATH_FMA
-        assert net.best_path(4096, threshold=4096) == PATH_BTE
-
     def test_negative_size_rejected(self):
         with pytest.raises(ValueError):
             AriesNetwork().occupancy(-1, PATH_FMA, False)

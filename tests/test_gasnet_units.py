@@ -1,16 +1,16 @@
-"""Unit tests for the small gasnet pieces: handles, AM inboxes, and the
-network device-path helpers."""
+"""Unit tests for the small gasnet pieces: the transfer's completion
+handle, AM inboxes, and the network device-path helpers."""
 
 import pytest
 
 from repro.gasnet.am import AMInbox, AMMessage
-from repro.gasnet.handle import Handle
+from repro.gasnet.handle import Transfer
 from repro.gasnet.network import AriesNetwork
 
 
 class TestHandle:
     def test_callbacks_fire_on_complete(self):
-        h = Handle("op")
+        h = Transfer(None, 0, "put")
         log = []
         h.on_complete(lambda hh: log.append(hh.time_done))
         assert not h.done
@@ -19,20 +19,20 @@ class TestHandle:
         assert log == [2.5]
 
     def test_late_callback_fires_immediately(self):
-        h = Handle()
+        h = Transfer(None, 0)
         h.complete(1.0)
         log = []
         h.on_complete(lambda hh: log.append("now"))
         assert log == ["now"]
 
     def test_double_complete_rejected(self):
-        h = Handle()
+        h = Transfer(None, 0)
         h.complete(1.0)
         with pytest.raises(RuntimeError):
             h.complete(2.0)
 
     def test_multiple_callbacks_in_order(self):
-        h = Handle()
+        h = Transfer(None, 0)
         log = []
         for i in range(3):
             h.on_complete(lambda _h, i=i: log.append(i))
@@ -91,11 +91,12 @@ class TestBenchHelpers:
 
     def test_platform_presets(self):
         from repro.bench.platforms import PLATFORMS
+        from repro.gasnet.cpumodel import platform_cpu
 
         assert PLATFORMS["haswell"].ppn_dht == 32
         assert PLATFORMS["knl"].ppn_dht == 68
         assert PLATFORMS["knl"].ppn_eadd == 64
-        assert PLATFORMS["knl"].cpu.serial_factor > 1
+        assert platform_cpu(PLATFORMS["knl"].name).serial_factor > 1
 
     def test_dht_efficiency_helper(self):
         from repro.bench.dht_bench import efficiency

@@ -116,6 +116,8 @@ class TestDwellHistogramTail:
         h.add(1e-6)
         with pytest.raises(ValueError):
             h.percentile(100.1)
+        with pytest.raises(ValueError):
+            DwellHistogram().percentile(-1)  # empty: still out of range
 
     def test_merge_matches_combined_stream(self):
         a, b, both = DwellHistogram(), DwellHistogram(), DwellHistogram()

@@ -4,7 +4,7 @@ management, sub-communicators, and mixed-protocol traffic."""
 import numpy as np
 import pytest
 
-from repro.mpisim import Request, Win, comm_world, run_mpi
+from repro.mpisim import Win, comm_world, run_mpi
 from repro.mpisim.profile import DEFAULT_MPI_COSTS
 
 
@@ -65,13 +65,13 @@ class TestIssend:
 
 
 class TestRequests:
-    def test_waitall_static_helper(self):
+    def test_wait_all_returns_values_in_request_order(self):
         def body():
             comm = comm_world()
             if comm.rank == 0:
                 reqs = [comm.irecv(source=1, tag=i) for i in range(4)]
-                vals = Request.waitall(reqs)
-                assert vals == [0, 10, 20, 30]
+                comm.rt.wait_all(reqs)
+                assert [r.value for r in reqs] == [0, 10, 20, 30]
             else:
                 for i in range(4):
                     comm.send(i * 10, dest=0, tag=i)
@@ -79,13 +79,13 @@ class TestRequests:
 
         run_mpi(body, 2)
 
-    def test_test_polls_progress(self):
+    def test_progress_polls_complete_a_pending_receive(self):
         def body():
             comm = comm_world()
             if comm.rank == 0:
                 req = comm.irecv(source=1, tag=0)
-                while not req.test():
-                    pass  # test() makes progress internally
+                while not req.done:
+                    comm.rt.progress()  # each poll may land the message
                 assert req.value == "done"
             else:
                 comm.rt.sched.sleep(10e-6)
@@ -104,7 +104,7 @@ class TestSubCommunicators:
             odds = comm.sub([1, 3])
             mine = evens if me % 2 == 0 else odds
             if me in (0, 2) or me in (1, 3):
-                total = mine.allreduce(me, "+")
+                total = sum(mine.allgather(me))
             comm.barrier()
             return total
 
@@ -206,50 +206,6 @@ class TestWinValidation:
             comm.barrier()
             with pytest.raises(ValueError):
                 win.put(b"x", target=5)
-            comm.barrier()
-
-        run_mpi(body, 2)
-
-
-class TestIprobe:
-    def test_iprobe_sees_unexpected_message(self):
-        def body():
-            comm = comm_world()
-            if comm.rank == 0:
-                comm.send("payload", dest=1, tag=3)
-                comm.barrier()
-                return None
-            comm.rt.sched.sleep(20e-6)  # let it arrive unexpectedly
-            flag, src, tag, nbytes = comm.iprobe()
-            assert flag and src == 0 and tag == 3 and nbytes > 0
-            # probing does not consume: the recv still matches
-            assert comm.recv(source=0, tag=3) == "payload"
-            comm.barrier()
-
-        run_mpi(body, 2)
-
-    def test_iprobe_false_when_nothing_pending(self):
-        def body():
-            comm = comm_world()
-            flag, *_ = comm.iprobe()
-            assert not flag
-            comm.barrier()
-
-        run_mpi(body, 2)
-
-    def test_iprobe_selective_tag(self):
-        def body():
-            comm = comm_world()
-            if comm.rank == 0:
-                comm.send("a", dest=1, tag=1)
-                comm.barrier()
-                return None
-            comm.rt.sched.sleep(20e-6)
-            flag, *_ = comm.iprobe(tag=2)
-            assert not flag  # wrong tag must not match
-            flag2, src, tag, _ = comm.iprobe(tag=1)
-            assert flag2 and tag == 1
-            comm.recv(source=0, tag=1)
             comm.barrier()
 
         run_mpi(body, 2)

@@ -10,26 +10,25 @@ import resource
 
 import pytest
 
-from repro.sim.coop import Scheduler, current_rank, current_scheduler, run_spmd
+from repro.sim.coop import Scheduler, current_scheduler
 from repro.sim.errors import DeadlockError, RankDeadError, RankFailure, SimError
 from repro.util.trace import TraceBuffer
 
 
 def test_single_rank_runs_and_returns():
-    assert run_spmd(lambda r: r + 100, 1) == [100]
+    assert Scheduler(1).run(lambda r: r + 100) == [100]
 
 
 def test_all_ranks_run():
-    assert run_spmd(lambda r: r * r, 8) == [r * r for r in range(8)]
+    assert Scheduler(8).run(lambda r: r * r) == [r * r for r in range(8)]
 
 
-def test_current_rank_and_scheduler_visible():
+def test_current_scheduler_visible():
     def body(r):
-        assert current_rank() == r
         assert current_scheduler() is not None
         return current_scheduler().now()
 
-    assert run_spmd(body, 4) == [0.0] * 4
+    assert Scheduler(4).run(body) == [0.0] * 4
 
 
 def test_charge_advances_clock():
@@ -39,7 +38,7 @@ def test_charge_advances_clock():
         s.charge(2e-6)
         return round(s.now() * 1e9)
 
-    assert run_spmd(body, 2) == [3000, 3000]
+    assert Scheduler(2).run(body) == [3000, 3000]
 
 
 def test_charge_rejects_negative():
@@ -47,7 +46,7 @@ def test_charge_rejects_negative():
         current_scheduler().charge(-1.0)
 
     with pytest.raises(RankFailure):
-        run_spmd(body, 1)
+        Scheduler(1).run(body)
 
 
 def test_time_ordered_interleaving():
@@ -62,7 +61,7 @@ def test_time_ordered_interleaving():
             s.charge(step)
             log.append((round(s.now() * 1e9), r))
 
-    run_spmd(body, 2)
+    Scheduler(2).run(body)
     assert log == sorted(log)
 
 
@@ -72,7 +71,7 @@ def test_sleep_blocks_for_simulated_time():
         s.sleep(5e-6 * (r + 1))
         return round(s.now() * 1e6)
 
-    assert run_spmd(body, 3) == [5, 10, 15]
+    assert Scheduler(3).run(body) == [5, 10, 15]
 
 
 def test_event_delivery_and_wake():
@@ -95,7 +94,7 @@ def test_event_delivery_and_wake():
             assert s.now() >= 2e-6
             return inbox[0]
 
-    assert run_spmd(body, 2) == [None, "hello"]
+    assert Scheduler(2).run(body) == [None, "hello"]
 
 
 def _deadlock(r):
@@ -132,13 +131,13 @@ def _fail_on_two(r):
 
 def test_deadlock_detected():
     with pytest.raises(DeadlockError) as ei:
-        run_spmd(_deadlock, 2)
+        Scheduler(2).run(_deadlock)
     assert "forever" in str(ei.value)
 
 
 def test_rank_exception_propagates_with_rank_id():
     with pytest.raises(RankFailure) as ei:
-        run_spmd(_fail_on_two, 4)
+        Scheduler(4).run(_fail_on_two)
     assert ei.value.rank == 2
     assert isinstance(ei.value.__cause__, ValueError)
 
@@ -267,8 +266,8 @@ def test_determinism_same_seedless_program():
         return body
 
     log1, log2 = [], []
-    run_spmd(make_body(log1), 4)
-    run_spmd(make_body(log2), 4)
+    Scheduler(4).run(make_body(log1))
+    Scheduler(4).run(make_body(log2))
     assert log1 == log2
 
 
@@ -278,7 +277,7 @@ def test_trace_buffer_records_blocks():
     def body(r):
         current_scheduler().sleep(1e-6)
 
-    run_spmd(body, 2, trace=trace)
+    Scheduler(2, trace=trace).run(body)
     kinds = {ev.kind for ev in trace}
     assert "block" in kinds and "resume" in kinds
 
@@ -292,7 +291,7 @@ def test_post_at_absolute_time():
             s.block("wait for absolute event")
         return round(s.now() * 1e6)
 
-    assert run_spmd(body, 1) == [7]
+    assert Scheduler(1).run(body) == [7]
 
 
 def test_run_not_reentrant():
@@ -311,7 +310,7 @@ def test_many_ranks_smoke():
         s.charge(1e-6)
         return r
 
-    assert run_spmd(body, 128) == list(range(128))
+    assert Scheduler(128).run(body) == list(range(128))
 
 
 def test_ties_resolved_by_rank_order():
@@ -323,7 +322,7 @@ def test_ties_resolved_by_rank_order():
         s.sleep(1e-6)  # everyone wakes at the same simulated time
         log.append(r)
 
-    run_spmd(body, 6)
+    Scheduler(6).run(body)
     assert log == sorted(log)
 
 
@@ -335,7 +334,7 @@ def test_charge_rejects_nan():
         current_scheduler().charge(float("nan"))
 
     with pytest.raises(RankFailure) as ei:
-        run_spmd(body, 1)
+        Scheduler(1).run(body)
     assert isinstance(ei.value.__cause__, ValueError)
     assert "invalid charge: nan" in str(ei.value.__cause__)
 
@@ -398,10 +397,10 @@ def test_without_sched_batch_only_host_time_changes(monkeypatch, fallback):
 @pytest.mark.parametrize(
     "job,outcome",
     [
-        (lambda: run_spmd(lambda r: current_scheduler().sleep(1e-6), 4), None),
-        (lambda: run_spmd(_fail_on_two, 4), RankFailure),
-        (lambda: run_spmd(_deadlock, 4), DeadlockError),
-        (lambda: run_spmd(lambda r: current_scheduler().charge(2.0), 4, max_time=1.0), SimError),
+        (lambda: Scheduler(4).run(lambda r: current_scheduler().sleep(1e-6)), None),
+        (lambda: Scheduler(4).run(_fail_on_two), RankFailure),
+        (lambda: Scheduler(4).run(_deadlock), DeadlockError),
+        (lambda: Scheduler(4, max_time=1.0).run(lambda r: current_scheduler().charge(2.0)), SimError),
         (lambda: _upcxx_crash("seed=1,crash=1@5e-5"), RankDeadError),
         (lambda: _upcxx_crash("seed=1,crash=1@5e-5,survive=1"), None),
         (_crash_detected_inside_a_yield, RankDeadError),

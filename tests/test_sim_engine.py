@@ -8,9 +8,7 @@ from repro.sim.engine import EventQueue
 
 def test_empty_queue():
     q = EventQueue()
-    assert q.peek_time() is None
-    assert len(q) == 0
-    assert not q
+    assert q.stats == {"posted": 0, "fired": 0, "pending": 0}
 
 
 def test_fifo_within_same_time():
@@ -18,7 +16,7 @@ def test_fifo_within_same_time():
     order = []
     for i in range(10):
         q.push(1.0, lambda i=i: order.append(i))
-    while q:
+    while q.stats["pending"]:
         _, fn = q.pop()
         fn()
     assert order == list(range(10))
@@ -31,22 +29,12 @@ def test_time_ordering():
     q.push(1.0, lambda: fired.append(1))
     q.push(2.0, lambda: fired.append(2))
     times = []
-    while q:
+    while q.stats["pending"]:
         t, fn = q.pop()
         times.append(t)
         fn()
     assert fired == [1, 2, 3]
     assert times == [1.0, 2.0, 3.0]
-
-
-def test_peek_matches_pop():
-    q = EventQueue()
-    q.push(5.0, lambda: None)
-    q.push(2.0, lambda: None)
-    assert q.peek_time() == 2.0
-    t, _ = q.pop()
-    assert t == 2.0
-    assert q.peek_time() == 5.0
 
 
 def test_rejects_negative_and_nan_times():
@@ -61,7 +49,7 @@ def test_rejects_infinite_time():
     q = EventQueue()
     with pytest.raises(ValueError):
         q.push(float("inf"), lambda: None)
-    assert len(q) == 0
+    assert q.stats["pending"] == 0
 
 
 def test_rejects_non_callable_fn():
@@ -70,7 +58,7 @@ def test_rejects_non_callable_fn():
         q.push(1.0, None)
     with pytest.raises(TypeError):
         q.push(1.0, "not-a-function")
-    assert len(q) == 0
+    assert q.stats["pending"] == 0
     # rejected pushes must not count as posted
     assert q.stats["posted"] == 0
 
@@ -99,7 +87,7 @@ def test_pop_order_is_nondecreasing(times):
     for t in times:
         q.push(t, lambda: None)
     popped = []
-    while q:
+    while q.stats["pending"]:
         t, _ = q.pop()
         popped.append(t)
     assert popped == sorted(popped)
@@ -112,7 +100,7 @@ def test_stable_for_equal_times(pairs):
     log = []
     for t, tag in pairs:
         q.push(float(t), lambda t=t, tag=tag: log.append((t, tag)))
-    while q:
+    while q.stats["pending"]:
         _, fn = q.pop()
         fn()
     # stable sort of the input by time must equal the firing log

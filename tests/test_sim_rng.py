@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.sim.rng import RankRandom, make_rank_rng
+from repro.sim.rng import RankRandom
 
 
 class TestRankRandom:
@@ -11,7 +11,6 @@ class TestRankRandom:
         a = RankRandom(0, 3)
         b = RankRandom(0, 3)
         assert [a.key64() for _ in range(5)] == [b.key64() for _ in range(5)]
-        assert a.bytes(16) == b.bytes(16)
 
     def test_rank_independence(self):
         a = RankRandom(0, 0)
@@ -38,20 +37,11 @@ class TestRankRandom:
         # spawning is itself deterministic
         assert RankRandom(0, 0).spawn("phase2").key64() == RankRandom(0, 0).spawn("phase2").key64()
 
-    def test_bytes_length_and_determinism(self):
-        r = RankRandom(7, 7)
-        buf = r.bytes(100)
-        assert len(buf) == 100
-        assert buf == RankRandom(7, 7).bytes(100)
-
     def test_numpy_generator_available(self):
         r = RankRandom(0, 0)
         arr = r.np.standard_normal(10)
         assert arr.shape == (10,)
         assert np.array_equal(arr, RankRandom(0, 0).np.standard_normal(10))
-
-    def test_factory_none_seed(self):
-        assert make_rank_rng(None, 2).seed == make_rank_rng(0, 2).seed
 
     def test_keys_roughly_uniform(self):
         r = RankRandom(0, 0)

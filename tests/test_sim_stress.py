@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.sim.coop import _READY, Scheduler, current_scheduler, run_spmd
+from repro.sim.coop import _READY, Scheduler, current_scheduler
 from repro.sim.errors import DeadlockError
 from tests import golden
 
@@ -82,7 +82,7 @@ class TestStickyWakes:
             assert s.now() >= 5e-6
             return inbox[0]
 
-        assert run_spmd(body, 2) == [None, "msg"]
+        assert Scheduler(2).run(body) == [None, "msg"]
 
     def test_multiple_future_wakes_all_delivered(self):
         """Several future-timestamped deliveries while READY: every one
@@ -114,7 +114,7 @@ class TestStickyWakes:
                     s.block("more")
             return got
 
-        res = run_spmd(body, 2)
+        res = Scheduler(2).run(body)
         assert res[1] == [k * 5e-6 for k in (1, 2, 3)]
 
     def test_spurious_past_wake_is_harmless(self):
@@ -137,7 +137,7 @@ class TestStickyWakes:
                 s.block("bump")
             return bumps[0]
 
-        assert run_spmd(body, 2)[1] == 1
+        assert Scheduler(2).run(body)[1] == 1
 
 
 def _watch_ready_heap(m):
@@ -213,7 +213,7 @@ class TestInterleavingStress:
                     send_to((r + 1) % n, v + 1)
             return hops
 
-        res = run_spmd(body, n)
+        res = Scheduler(n).run(body)
         assert all(h == 20 for h in res)
 
     def test_uneven_charges_keep_global_order(self):
@@ -228,7 +228,7 @@ class TestInterleavingStress:
                 s.charge(step)
                 observed.append((s.now(), r))
 
-        run_spmd(body, 4)
+        Scheduler(4).run(body)
         times = [t for t, _ in observed]
         assert times == sorted(times)
 
@@ -243,7 +243,7 @@ class TestInterleavingStress:
                 s.charge(k * _TICK)
                 log.append((r, i))
 
-        run_spmd(body, len(steps))
+        Scheduler(len(steps)).run(body)
         assert log == _i2_order(steps)
 
     def test_many_ranks_sleep_storm(self):
@@ -255,27 +255,17 @@ class TestInterleavingStress:
                 s.sleep(((r * 7 + i * 3) % 11 + 1) * 1e-6)
             return round(s.now() * 1e9)
 
-        res = run_spmd(body, 64)
+        res = Scheduler(64).run(body)
         assert len(res) == 64 and all(t > 0 for t in res)
 
 
 class TestDiagnostics:
-    def test_snapshot_lists_states(self):
-        sched = Scheduler(2)
-
-        def body(r):
-            current_scheduler().charge(1e-6)
-
-        sched.run(body)
-        snap = sched.snapshot()
-        assert "rank 0" in snap and "DONE" in snap
-
     def test_deadlock_message_includes_reasons(self):
         def body(r):
             current_scheduler().block(f"custom-reason-{r}")
 
         with pytest.raises(DeadlockError) as ei:
-            run_spmd(body, 3)
+            Scheduler(3).run(body)
         msg = str(ei.value)
         for r in range(3):
             assert f"custom-reason-{r}" in msg

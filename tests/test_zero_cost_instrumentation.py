@@ -314,15 +314,15 @@ def test_operations_build_no_helper_objects(monkeypatch, traffic):
     """Every operation is one record: after a warm-up, N rpc round trips
     plus N rpc_ff (each request and reply one pooled ``RpcOp``, the fresh
     ones within the free-list bound), or N pairs of atomics, VIS
-    operations or copies, construct no ``Handle`` and no ``CompQItem``.
-    Only rank 0's traffic runs while counting: the target waits in
-    ``wait_quiet``, which allocates neither."""
-    from repro.gasnet.handle import Handle
+    operations or copies, construct no ``CompQItem`` (the operation's
+    ``Transfer`` record is its own completion handle).  Only rank 0's
+    traffic runs while counting: the target waits in ``wait_quiet``,
+    which allocates none."""
     from repro.upcxx.rpc import RpcOp
 
     counting = [False]
     counts = {}
-    for cls in (Handle, CompQItem, RpcOp):
+    for cls in (CompQItem, RpcOp):
         counts[cls.__name__] = 0
 
         def counted(self, *a, _orig=cls.__init__, _name=cls.__name__, **k):
@@ -358,7 +358,7 @@ def test_operations_build_no_helper_objects(monkeypatch, traffic):
 
     upcxx.run_spmd(body, 2, ppn=1)
     fresh = counts.pop("RpcOp")
-    assert counts == {"Handle": 0, "CompQItem": 0}, counts
+    assert counts == {"CompQItem": 0}, counts
     assert fresh <= RpcOp.POOL_MAX, f"{fresh} fresh rpc records"
 
 
