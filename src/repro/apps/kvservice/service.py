@@ -260,6 +260,7 @@ class KvService:
             "cache_hits": s["cache_hits"],
             "cache_misses": s["cache_misses"],
             "reads_coalesced": s["reads_coalesced"],
+            "read_batches": s["read_batches"],
             "cache_invalidations": s["cache_invalidations"],
             # owner side of the cache protocol: invals_sent <= sharers_registered
             "invals_sent": s["invals_sent"],

@@ -123,6 +123,11 @@ def summarize_point(cfg: dict, results: Sequence[dict]) -> dict:
         "cache_hits": sum(r["cache_hits"] for r in results),
         "cache_misses": sum(r["cache_misses"] for r in results),
         "reads_coalesced": sum(r["reads_coalesced"] for r in results),
+        # misses per read-through message: above 1 once reads batch
+        "reads_per_batch": round(
+            _ratio(sum(r["cache_misses"] for r in results),
+                   sum(r["read_batches"] for r in results)), 4
+        ),
         "updates_sent": sum(r["updates_sent"] for r in results),
         "updates_combined": sum(r["updates_combined"] for r in results),
         "shard_load_skew": round(

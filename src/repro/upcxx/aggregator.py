@@ -31,7 +31,9 @@ aggregators:
   never enters it, a seal fold leaves it again) and count in
   ``updates_combined``.  Worth it on skewed keys (the KV service folds
   64 % of a saturated Zipf(1.1) stream), a pure cost on uniform ones,
-  hence opt-in.
+  hence opt-in: with it on, ``AggregatingCounter``'s uniform keys leave
+  the seal pass nothing to fold, and the ``results/ablation_aggregation``
+  sweep reads 29.22 -> 20.51 M updates/s at batch 64 (-30 %).
 - **Adaptive flush** — buffers also flush on *simulated-time* dwell
   (``max_dwell``): a partial batch does not strand in its buffer past
   the deadline.  ``poll()`` is the pacing hook apps call from their
@@ -85,6 +87,23 @@ aggregators:
   sharers_registered`` — invalidation traffic is bounded by the copies
   that exist, not by the ranks that ever read the key.  A silent LRU
   eviction costs at most one spurious invalidation (DESIGN.md §4.6).
+- **Read aggregation** — read-throughs batch per holder, self-clocked
+  like Nagle's rule and with no knob of their own.  A miss whose holder
+  has no read message in flight ships at once as the one-key
+  ``_agg_read``, so below the knee a read costs what it always did.
+  Misses issued while one is in flight wait in a per-holder buffer and
+  ship as one ``_agg_read_batch`` (a single key as ``_agg_read``) when
+  that reply lands, when the caller parks (:meth:`AggStore.flush_ready`),
+  at :meth:`AggStore.flush`, or at ``batch_size`` keys; the holder's
+  partial write batch goes just ahead when it has a credit, so the reply
+  clocks the writes too.  The owner
+  pays one dispatch, a ``map_lookup`` per key and one reply, and
+  registers the reader per key exactly as a single read does.  Shared
+  fills and their seal-time retirement are unchanged: a buffered miss
+  owns a fill like a shipped one.  On the saturated KV service a read
+  message carries 10.8 misses on average, so the hot owner pays its
+  dispatch and reply once per batch (``read_batches`` counts the
+  messages; a lone miss is a batch of one).
 
 Everything is deterministic: buffers are plain per-destination lists
 filled in program order, flush order is ascending destination rank, and
@@ -228,9 +247,21 @@ def _agg_invalidate(dobj: DistObject, keys) -> None:
     _apply_invals(rt, state, state["store"], keys)
 
 
+def _serve_read(state: dict, key, reader: int):
+    """Owner side of one read-through: a caching ``reader`` joins the key's
+    sharer list (good for one invalidation, see ``_agg_apply``); returns
+    the stored value or ``_MISS``."""
+    state["reads_served"] += 1
+    if reader >= 0:
+        ws = state["watchers"].setdefault(key, [])
+        if reader not in ws:
+            ws.append(reader)
+            state["sharers_registered"] += 1
+    return state["data"].get(key, _MISS)
+
+
 def _agg_read(dobj: DistObject, key, reader: int) -> Future:
-    """RPC body at the owner: read-through; a caching ``reader`` joins the
-    key's sharer list (good for one invalidation, see ``_agg_apply``).
+    """RPC body at the owner: one read-through.
 
     The owner reports absence instead of guessing the reader's default:
     the reply is empty for a missing key and ``(v,)`` otherwise, so a
@@ -238,15 +269,27 @@ def _agg_read(dobj: DistObject, key, reader: int) -> Future:
     """
     rt = current_runtime()
     rt.charge_sw(rt.cpu.map_lookup)
-    state = dobj.value
-    state["reads_served"] += 1
-    if reader >= 0:
-        ws = state["watchers"].setdefault(key, [])
-        if reader not in ws:
-            ws.append(reader)
-            state["sharers_registered"] += 1
-    v = state["data"].get(key, _MISS)
+    v = _serve_read(dobj.value, key, reader)
     return make_future() if v is _MISS else make_future(v)
+
+
+def _agg_read_batch(dobj: DistObject, keys, reader: int) -> Future:
+    """RPC body at the owner: a batch of read-throughs from one reader —
+    one dispatch, one reply, a ``map_lookup`` per key.  The reply is the
+    values in key order (``0`` standing in for a missing key) and the
+    indices of the missing keys."""
+    rt = current_runtime()
+    klist = _as_list(keys)
+    rt.charge_sw(rt.cpu.map_lookup * len(klist))
+    state = dobj.value
+    vals, absent = [], []
+    for i, k in enumerate(klist):
+        v = _serve_read(state, k, reader)
+        if v is _MISS:
+            absent.append(i)
+            v = 0
+        vals.append(v)
+    return make_future(AggStore._pack(vals), tuple(absent))
 
 
 def _or_default(reply: Future, default) -> Future:
@@ -279,7 +322,8 @@ class AggStore:
         sender stalls in simulated time when a peer's credits run out.
     cache_capacity:
         >0 enables the hot-key read cache (LRU of that many keys), its
-        sharer-list invalidation and shared fills.  Must be uniform
+        sharer-list invalidation, shared fills and per-holder read
+        batches.  Must be uniform
         across ranks (it decides whether :meth:`quiesce` runs its
         invalidation round).
     combine_at_source:
@@ -392,6 +436,13 @@ class AggStore:
         #: (an MSHR)
         self._fills: List[dict] = [{} for _ in range(n)]
         self.reads_coalesced = 0
+        #: read messages in flight per holder, and the misses buffered
+        #: behind them (keys and their fills, in issue order)
+        self._reads_inflight: List[int] = [0] * n
+        self._read_keys: List[list] = [[] for _ in range(n)]
+        self._read_fills: List[list] = [[] for _ in range(n)]
+        #: read-through messages sent (a lone miss is a batch of one)
+        self.read_batches = 0
 
     # ----------------------------------------------------------- update side
     def dest_of(self, key) -> int:
@@ -449,9 +500,11 @@ class AggStore:
                 self._flush_invals_dest(t)
 
     def flush(self) -> None:
-        """Push out every partially-filled data buffer (invals piggyback)."""
+        """Push out every partially-filled data buffer (invals piggyback)
+        and every buffered read batch."""
         for t in range(self._n):
             self._flush_dest(t)
+            self._ship_reads(t)
 
     def flush_ready(self) -> None:
         """Ship every partial *data* buffer whose peer can take it now.
@@ -461,12 +514,14 @@ class AggStore:
         latency.  Never stalls — a peer at zero credits keeps its buffer
         until the ack (or the dwell deadline) — and leaves the
         invalidation buffers to their own dwell (a data batch still
-        carries the ones queued for its destination).
+        carries the ones queued for its destination).  Buffered reads
+        ship too: they hold no credit.
         """
         credits = self._credits
         for t in range(self._n):
             if self._buf_keys[t] and (credits is None or credits[t] > 0):
                 self._flush_dest(t)
+            self._ship_reads(t)
 
     def _drop_dead_buffer(self, t: int) -> None:
         """Discard the (undeliverable) buffer for a detected-dead peer."""
@@ -652,13 +707,65 @@ class AggStore:
             # holder: wait on its reply instead of sending a second RPC
             self.reads_coalesced += 1
             self._charge_probe("fill_share")
+            return _or_default(fill, default)
+        self.cache_misses += 1
+        fill = fills[key] = Future(self._rt)
+        fill._on_ready(lambda: self._fill_landed(fills, key, fill))
+        if not self._reads_inflight[t]:
+            self._send_reads(t, [key], [fill])
         else:
-            self.cache_misses += 1
-            fill = fills[key] = rpc(
-                self.team[t], _agg_read, self._dobj, key, self._my_trank
-            )
-            fill._on_ready(lambda: self._fill_landed(fills, key, fill))
+            # a read message to this holder is in flight: ride the next
+            # batch, which ships when its reply lands (or earlier, full or
+            # at a park)
+            rk = self._read_keys[t]
+            rk.append(key)
+            self._read_fills[t].append(fill)
+            if len(rk) >= self.batch_size:
+                self._ship_reads(t)
         return _or_default(fill, default)
+
+    def _ship_reads(self, t: int) -> None:
+        """Send holder ``t``'s buffered misses as one read batch, preceded
+        by its partial write batch when a credit allows (the read reply
+        then clocks the writes too; never stalls)."""
+        keys = self._read_keys[t]
+        if not keys:
+            return
+        fills = self._read_fills[t]
+        self._read_keys[t] = []
+        self._read_fills[t] = []
+        credits = self._credits
+        if self._buf_keys[t] and (credits is None or credits[t] > 0):
+            self._flush_dest(t)
+        self._send_reads(t, keys, fills)
+
+    def _send_reads(self, t: int, keys: list, fills: list) -> None:
+        """One read message to holder ``t``: the one-key ``_agg_read`` for
+        a single miss, ``_agg_read_batch`` for more."""
+        me = self._my_trank
+        if len(keys) == 1:
+            reply = rpc(self.team[t], _agg_read, self._dobj, keys[0], me)
+        else:
+            reply = rpc(self.team[t], _agg_read_batch, self._dobj, self._pack(keys), me)
+        self._reads_inflight[t] += 1
+        self.read_batches += 1
+        self._rt.agg_read_batches += 1
+        reply._on_ready(lambda: self._reads_landed(t, fills, reply))
+
+    def _reads_landed(self, t: int, fills: list, reply: Future) -> None:
+        """A read message's reply is home: complete its fills, then ship
+        what queued behind it."""
+        if t not in self._dead_peers:  # an exclusion already zeroed the count
+            self._reads_inflight[t] -= 1
+        if len(fills) == 1:
+            fills[0]._fulfill(reply._values)
+        else:
+            vals, absent = reply._values
+            vals = _as_list(vals)
+            absent = set(absent)
+            for i, fill in enumerate(fills):
+                fill._fulfill(() if i in absent else (vals[i],))
+        self._ship_reads(t)
 
     def _charge_probe(self, phase: str) -> None:
         """One local hash probe that answered a read without an RPC."""
@@ -704,6 +811,9 @@ class AggStore:
             self._credits[trank] = self._credits_init
         # drop buffered traffic addressed to the dead peer
         self._drop_dead_buffer(trank)
+        self._read_keys[trank] = []
+        self._read_fills[trank] = []
+        self._reads_inflight[trank] = 0
         inv = self._inval_buf[trank]
         if inv:
             self._sent_invals[trank] -= len(inv)
@@ -813,6 +923,7 @@ class AggStore:
             "cache_hits": self.cache_hits,
             "cache_misses": self.cache_misses,
             "reads_coalesced": self.reads_coalesced,
+            "read_batches": self.read_batches,
             "cache_invalidations": self.cache_invalidations,
             "acks_forgiven": self.acks_forgiven,
             "acks_ignored": self.acks_ignored,

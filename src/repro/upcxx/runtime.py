@@ -249,12 +249,14 @@ class Runtime:
         self.n_rpcs_executed = 0
         self.n_progress_calls = 0
         # service-layer counters, snapshotted by telemetry: the aggregator's
-        # batches, updates, credit-stall seconds and cache hits; the KV
-        # service's sheds; replication's failover reads and re-shipped keys
+        # batches, updates, credit-stall seconds, cache hits and read
+        # batches; the KV service's sheds; replication's failover reads and
+        # re-shipped keys
         self.agg_batches = 0
         self.agg_updates = 0
         self.agg_credit_stall_s = 0.0
         self.agg_cache_hits = 0
+        self.agg_read_batches = 0
         self.kv_shed = 0
         self.kv_failover_reads = 0
         self.kv_rereplicated = 0

@@ -185,6 +185,7 @@ class RankTelemetry(Sink):
                 "updates": rt.agg_updates,
                 "credit_stall_s": rt.agg_credit_stall_s,
                 "cache_hits": rt.agg_cache_hits,
+                "read_batches": rt.agg_read_batches,
             },
             "kv": {
                 "shed": rt.kv_shed,

@@ -175,9 +175,9 @@ class TestKvService:
 
     def test_a_saturated_front_end_never_parks(self, monkeypatch):
         """``rate=1e9``: the next arrival is always already due, so the
-        pacing sleep — the park flush's only call site — is never entered
-        and the run is the one the service made before it could park
-        (digest of the per-rank records taken at the parent commit)."""
+        pacing sleep — the park flush's only call site — is never entered.
+        The digest of the per-rank records pins that saturated run; it
+        was re-pinned when read-throughs started to batch per holder."""
         import hashlib
         import json
 
@@ -187,7 +187,7 @@ class TestKvService:
         res, _ = run_kv(dict(default_config("tiny"), rate=1e9, read_fraction=0.1), seed=7)
         assert parks == []
         digest = hashlib.sha256(json.dumps(res, sort_keys=True).encode()).hexdigest()
-        assert digest.startswith("1ca49af762b71884")
+        assert digest.startswith("658e6bfa31b34a88")
         # ... and the wrapper does count: the same service below the knee parks
         run_kv(_tiny_cfg(), seed=7)
         assert parks

@@ -172,3 +172,50 @@ def test_service_caches_match_primaries_after_a_crash(service_snapshots, park_lo
     last = max(t for r, t, _ in park_log["parks"] if r == dead)
     assert t_crash - 5e-6 < last <= t_crash
     assert park_log["orphaned"]
+
+
+@pytest.mark.parametrize(
+    "spec,dead,t_die", zip(golden.REPLICATED_CRASH_SPECS, (3, 1), (2e-4, 1e-4))
+)
+def test_reads_buffered_behind_a_batch_to_a_dying_primary_fail_over(spec, dead, t_die):
+    """Every survivor misses on five keys the doomed rank is primary for:
+    the first read is on the wire when it dies and the other four wait
+    behind it.  The exclusion drops that buffer and its in-flight count,
+    failover re-issues all five against the new primary, and the drain
+    closes with every read answered with the written value and both laws
+    holding.  (The drain waits for the detection: a collective begun on
+    a team with the corpse in it is outside what recovery promises.)"""
+    def body():
+        rt = upcxx.runtime_here()
+        me = upcxx.rank_me()
+        svc = KvService(batch_size=8, credits=4, max_dwell=5e-6, cache_capacity=8,
+                        replication=2)
+        repl, store = svc._repl, svc._store
+        keys = [k for k in range(512) if repl.map.primary(k) == dead][:5]
+        upcxx.barrier()
+        if me == 0:
+            for k in keys:
+                svc.put(k, 1000 + k, rt.now())
+        store.quiesce()
+        rt.compute(t_die - 1e-7 - rt.now())  # the lone read is on the wire at t_die
+        for k in keys:
+            svc.get(k, rt.now())
+        buffered = len(store._read_keys[dead])
+        # the drain's collectives start on the alive team
+        rt.wait_quiet(lambda: repl.deaths_seen > 0, "test::detect")
+        svc.drain()
+        return (buffered, svc.reads_done, repl.reads_outstanding(), svc._read_sum,
+                sum(1000 + k for k in keys), repl.failover_reads,
+                store.read_batches, _snapshot(store, repl.map.primary))
+
+    res = upcxx.run_spmd(body, 4, seed=9, faults=spec)
+    assert res[dead] is None
+    survivors = [r for r in res if r is not None]
+    assert len(survivors) == 3
+    for buffered, done, outstanding, read_sum, want_sum, failovers, batches, _ in survivors:
+        assert (buffered, done, outstanding, failovers) == (4, 5, 0, 5)
+        assert read_sum == want_sum
+        # one lone read to the corpse, then a lone read and a batch to the
+        # new primary: the dropped buffer never ships
+        assert batches == 3
+    assert _violations([r and r[-1] for r in res]) == []

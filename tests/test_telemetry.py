@@ -65,7 +65,7 @@ def test_window_structure_and_monotonicity():
                                     "bytes_out", "backlog_s"}
         assert set(last["rel"]) == {"retx", "dropped", "dup", "acks"}
         assert set(last["agg"]) == {"batches", "updates", "credit_stall_s",
-                                    "cache_hits"}
+                                    "cache_hits", "read_batches"}
         assert set(last["kv"]) == {"shed", "failover_reads", "rereplicated"}
         assert last["max_gap_s"] >= 0.0
         # windows only: no per-op ring or per-kind counters ride along
@@ -128,6 +128,7 @@ SERVICE_COUNTERS = {
     ("agg", "updates"): "updates_sent",
     ("agg", "credit_stall_s"): "credit_stall_s",
     ("agg", "cache_hits"): "cache_hits",
+    ("agg", "read_batches"): "read_batches",
     ("kv", "shed"): "requests_shed",
     ("kv", "failover_reads"): "failover_reads",
     ("kv", "rereplicated"): "rereplicated_keys",

@@ -13,6 +13,7 @@ import pytest
 import repro.upcxx as upcxx
 from repro.sim.errors import RankFailure
 from repro.upcxx.aggregator import (
+    _ABSENT,
     COMBINES,
     AggStore,
     combine_add,
@@ -136,7 +137,8 @@ class TestAggStoreCore:
             "invals_sent", "sharers_registered", "acks_received",
             "applied_updates", "applied_batches", "applied_invals", "reads_served",
             "credit_stalls", "credit_stall_s",
-            "cache_hits", "cache_misses", "reads_coalesced", "cache_invalidations",
+            "cache_hits", "cache_misses", "reads_coalesced", "read_batches",
+            "cache_invalidations",
             "acks_forgiven", "acks_ignored", "updates_dropped", "cache_purges",
         }
         for s in res:
@@ -666,6 +668,182 @@ class TestSharedFills:
         assert PHASES["fill_share"] == "cache"
         shares = [r for r in spans if r[4] == "fill_share"]
         assert len(shares) == 2 and all(r[1] > r[0] and r[2] == 0 for r in shares)
+
+
+class TestReadBatching:
+    """Misses to a holder with a read message in flight ride one batch."""
+
+    @staticmethod
+    def _keys_of(store, holder, n):
+        return [k for k in range(256) if store.dest_of(k) == holder][:n]
+
+    def test_a_lone_miss_is_the_one_key_message(self):
+        # the same read as a raw one-key ``_agg_read``: one AM each way,
+        # byte for byte
+        from repro.upcxx.aggregator import _agg_read
+
+        rts = {}
+
+        def body():
+            me = upcxx.rank_me()
+            rts[me] = upcxx.runtime_here()
+            store = AggStore("replace", batch_size=4, cache_capacity=8)
+            key = self._keys_of(store, 1, 1)[0]
+            upcxx.barrier()
+            if me == 1:
+                store.update(key, 111)
+            store.quiesce()
+            got = None
+            if me == 0:
+                eps = (rts[0]._ep, rts[1]._ep)
+                costs = []
+                for read in (lambda: upcxx.rpc(1, _agg_read, store._dobj, key, 0),
+                             lambda: store.read(key)):
+                    before = [(ep.n_ams, ep.bytes_out) for ep in eps]
+                    value = read().wait()
+                    costs.append([(ep.n_ams - a, ep.bytes_out - b)
+                                  for ep, (a, b) in zip(eps, before)])
+                got = (value, costs, store.stats()["read_batches"])
+            store.quiesce()
+            upcxx.barrier()
+            return got
+
+        value, (raw, lone), batches = upcxx.run_spmd(body, 2)[0]
+        assert value == 111 and batches == 1
+        assert lone == raw and [n for n, _ in lone] == [1, 1]
+
+    def test_misses_behind_an_in_flight_read_cost_one_more_message(self, monkeypatch):
+        # five misses, the first ships alone and the other four wait for
+        # its reply: two requests, two replies; the owner's batch body is
+        # charged one ``map_lookup`` per key and nothing else
+        from repro.upcxx import aggregator
+
+        served = []
+        batch_body = aggregator._agg_read_batch
+
+        def spy(dobj, keys, reader):
+            rt = upcxx.runtime_here()
+            t0 = rt.now()
+            out = batch_body(dobj, keys, reader)
+            n = len(aggregator._as_list(keys))
+            served.append((n, rt.now() - t0, rt.cpu.t(rt.cpu.map_lookup * n)))
+            return out
+
+        monkeypatch.setattr(aggregator, "_agg_read_batch", spy)
+        rts = {}
+
+        def body():
+            me = upcxx.rank_me()
+            rt = rts[me] = upcxx.runtime_here()
+            store = AggStore("replace", batch_size=64, cache_capacity=8)
+            keys = self._keys_of(store, 1, 5)
+            upcxx.barrier()
+            if me == 1:
+                for k in keys[:4]:  # the last key stays absent
+                    store.update(k, 100 + k)
+            store.quiesce()
+            got = None
+            if me == 0:
+                owner = rts[1]
+                before = (rt.n_rpcs_sent, owner.n_rpcs_executed, owner._ep.n_ams)
+                futs = [store.read(k, default=-1) for k in keys]
+                buffered = len(store._read_keys[1])
+                values = [f.wait() for f in futs]
+                after = (rt.n_rpcs_sent, owner.n_rpcs_executed, owner._ep.n_ams)
+                got = (keys, values, buffered, [b - a for a, b in zip(before, after)],
+                       store.stats())
+            store.quiesce()
+            upcxx.barrier()
+            return got, store.stats()["reads_served"]
+
+        (got, _), (_, served_by_owner) = upcxx.run_spmd(body, 2)
+        keys, values, buffered, (requests, dispatched, replies), s = got
+        assert values == [100 + k for k in keys[:4]] + [-1]
+        assert buffered == 4
+        assert requests == dispatched == replies == 2
+        assert (s["cache_misses"], s["read_batches"]) == (5, 2)
+        assert served_by_owner == 5
+        [(n, charged, lookups)] = served
+        assert n == 4 and charged == pytest.approx(lookups, rel=1e-12)
+
+    def test_a_full_read_buffer_ships_without_waiting(self):
+        def body():
+            store = AggStore("replace", batch_size=2, cache_capacity=8)
+            keys = self._keys_of(store, 1, 3)
+            upcxx.barrier()
+            got = None
+            if upcxx.rank_me() == 0:
+                futs = [store.read(k, default=0) for k in keys]
+                got = (store.stats()["read_batches"], len(store._read_keys[1]),
+                       [f.wait() for f in futs])
+            store.quiesce()
+            upcxx.barrier()
+            return got
+
+        assert upcxx.run_spmd(body, 2)[0] == (2, 0, [0, 0, 0])
+
+    @pytest.mark.parametrize("ship", ["flush", "flush_ready"])
+    def test_a_park_or_flush_ships_the_read_buffer(self, ship):
+        def body():
+            store = AggStore("replace", batch_size=64, cache_capacity=8)
+            keys = self._keys_of(store, 1, 3)
+            upcxx.barrier()
+            got = None
+            if upcxx.rank_me() == 0:
+                futs = [store.read(k, default=0) for k in keys]
+                getattr(store, ship)()
+                got = (store.stats()["read_batches"], [f.wait() for f in futs])
+            store.quiesce()
+            upcxx.barrier()
+            return got
+
+        assert upcxx.run_spmd(body, 2)[0] == (2, [0, 0, 0])
+
+    def test_a_batched_fill_racing_a_write_of_its_key_ends_coherent(self):
+        # rank 0 batches a read of ``key`` behind an in-flight read while
+        # rank 2's write of ``key`` reaches the owner; over the delays the
+        # write lands both before and after the batch.  Whichever value
+        # the fill carries, after quiescence rank 0 caches the owner's
+        # value and is in its sharer list, or caches nothing
+        def run(delay):
+            def body():
+                me = upcxx.rank_me()
+                rt = upcxx.runtime_here()
+                store = AggStore("replace", batch_size=4, cache_capacity=8)
+                first, key = self._keys_of(store, 1, 2)
+                upcxx.barrier()
+                if me == 1:
+                    store.update(key, 111)
+                store.quiesce()
+                got = None
+                if me == 0:
+                    store.read(first)
+                    fill = store.read(key)
+                    assert len(store._read_keys[1]) == 1
+                    got = fill.wait()
+                elif me == 2:
+                    rt.compute(delay)
+                    store.update(key, 222)
+                    store.flush()
+                store.quiesce()
+                snap = (dict(store._cache), store.local_items(),
+                        {k: list(w) for k, w in store.state["watchers"].items()})
+                upcxx.barrier()
+                return got, snap
+
+            res = upcxx.run_spmd(body, 3, seed=5)
+            got, (cache, _, _) = res[0]
+            _, (_, data, watchers) = res[1]
+            return got, cache, data, watchers
+
+        seen = set()
+        for delay in (0.0, 1e-6, 2e-6, 3e-6, 4e-6, 6e-6, 8e-6):
+            got, cache, data, watchers = run(delay)
+            seen.add(got)
+            for k, v in cache.items():
+                assert data.get(k, _ABSENT) == v, (delay, k)
+                assert 0 in watchers.get(k, ()), (delay, k)
+        assert seen == {111, 222}
 
 
 class TestSourceCombining:
