@@ -8,7 +8,6 @@ costs amortize until payload serialization becomes the bottleneck.
 """
 
 import repro.upcxx as upcxx
-from repro.apps.dht import AggregatingCounter
 from repro.bench.harness import save_table
 from repro.util.records import BenchTable
 
@@ -21,13 +20,13 @@ def _throughput(batch: int) -> float:
     out = {}
 
     def body():
-        counter = AggregatingCounter(batch_size=batch)
+        store = upcxx.AggStore("+", batch_size=batch)
         upcxx.barrier()
         rng = upcxx.runtime_here().rng.spawn("agg-bench")
         t0 = upcxx.sim_now()
         for _ in range(UPDATES_PER_RANK):
-            counter.add(rng.key64() % 4096)
-        counter.sync()
+            store.update(rng.key64() % 4096, 1)
+        store.quiesce()
         upcxx.barrier()
         out["t"] = upcxx.sim_now() - t0
 

@@ -18,6 +18,5 @@ Plus :mod:`~repro.apps.dht.graph`: the paper's distributed-graph example
 from repro.apps.dht.rpc_only import DhtRpcOnly
 from repro.apps.dht.rma_lz import DhtRmaLz, SerialMap
 from repro.apps.dht.graph import DistGraph, Vertex
-from repro.apps.dht.aggregating import AggregatingCounter
 
-__all__ = ["DhtRpcOnly", "DhtRmaLz", "SerialMap", "DistGraph", "Vertex", "AggregatingCounter"]
+__all__ = ["DhtRpcOnly", "DhtRmaLz", "SerialMap", "DistGraph", "Vertex"]

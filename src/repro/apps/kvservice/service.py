@@ -66,6 +66,24 @@ SCALES: Dict[str, dict] = {
 }
 
 
+#: the :meth:`ReplicatedStore.stats` counters a per-rank record carries.
+#: ``updates_sent`` counts application updates shipped (the wire carried
+#: ``updates_sent - updates_combined`` entries); ``invals_sent <=
+#: sharers_registered`` is the owner side of the cache protocol;
+#: ``applied_updates`` and ``reads_served`` are what the rank did as a
+#: shard owner (its load, not its traffic)
+_RECORD_STATS = (
+    "batches_sent", "updates_sent", "updates_combined",
+    "credit_stalls", "credit_stall_s",
+    "cache_hits", "cache_misses", "reads_coalesced", "read_batches",
+    "cache_invalidations", "invals_sent", "sharers_registered",
+    "applied_updates", "reads_served",
+    "replication", "deaths_seen", "failover_reads", "rereplicated_keys",
+    "synced_keys", "recovery_s", "factor_restored",
+    "acks_forgiven", "updates_dropped",
+)
+
+
 class Overloaded(RuntimeError):
     """Typed admission-control rejection: the service is past its
     configured backlog limit; the client should back off and retry."""
@@ -241,33 +259,16 @@ class KvService:
     # ---------------------------------------------------------------- export
     def result(self) -> dict:
         """Deterministic per-rank record (bit-identical for the same seed)."""
-        s = self._store.stats()
+        s = self._repl.stats()
         issued = self.reads_issued + self.writes_issued
         served = self.reads_done + self.writes_done
         accepted_total = issued + self.requests_shed
-        out = {
+        out = {k: s[k] for k in _RECORD_STATS}
+        out.update({
             "reads": self.reads_done,
             "writes": self.writes_done,
             "read_sum": self._read_sum,
             "shard_size": self._store.local_size(),
-            "batches_sent": s["batches_sent"],
-            # application updates shipped; the wire carried
-            # updates_sent - updates_combined entries
-            "updates_sent": s["updates_sent"],
-            "updates_combined": s["updates_combined"],
-            "credit_stalls": s["credit_stalls"],
-            "credit_stall_s": s["credit_stall_s"],
-            "cache_hits": s["cache_hits"],
-            "cache_misses": s["cache_misses"],
-            "reads_coalesced": s["reads_coalesced"],
-            "read_batches": s["read_batches"],
-            "cache_invalidations": s["cache_invalidations"],
-            # owner side of the cache protocol: invals_sent <= sharers_registered
-            "invals_sent": s["invals_sent"],
-            "sharers_registered": s["sharers_registered"],
-            # what this rank did as a shard owner (its load, not its traffic)
-            "applied_updates": s["applied_updates"],
-            "reads_served": s["reads_served"],
             "read_lat": self.read_lat.as_dict(),
             "write_lat": self.write_lat.as_dict(),
             # -- availability / admission ----------------------------------
@@ -279,25 +280,13 @@ class KvService:
             ),
             "writes_lost": self.writes_lost,
             "availability": (served / issued) if issued else 1.0,
-            # -- replication / recovery ------------------------------------
-            "replication": self._repl.replication,
-            "deaths_seen": self._repl.deaths_seen,
-            "failover_reads": self._repl.failover_reads,
-            "rereplicated_keys": self._repl.rereplicated_keys,
-            "synced_keys": self._repl.synced_keys,
-            "recovery_s": self._repl.recovery_s,
-            "factor_restored": self._repl.factor_restored,
-            "acks_forgiven": s["acks_forgiven"],
-            "updates_dropped": s["updates_dropped"],
-        }
+        })
         tel = self._rt.world.telemetry
         if tel is not None:
             tel.rank(self._rt.rank).replica = {
-                "factor": self._repl.replication,
-                "shard_size": self._store.local_size(),
-                "deaths_seen": self._repl.deaths_seen,
-                "factor_restored": self._repl.factor_restored,
-                "recovery_s": self._repl.recovery_s,
+                "factor": out["replication"],
+                **{k: out[k] for k in ("shard_size", "deaths_seen",
+                                       "factor_restored", "recovery_s")},
             }
         return out
 

@@ -84,6 +84,16 @@ def _merge_latencies(results: Sequence[dict], field: str) -> DwellHistogram:
     return h
 
 
+#: per-rank record counters a sweep point sums over the surviving ranks
+_POINT_SUMS = (
+    "cache_hits", "cache_misses", "reads_coalesced",
+    "updates_sent", "updates_combined", "invals_sent", "sharers_registered",
+    "credit_stalls", "batches_sent",
+    "requests_issued", "requests_served", "requests_shed", "writes_lost",
+    "failover_reads", "rereplicated_keys", "synced_keys",
+)
+
+
 def summarize_point(cfg: dict, results: Sequence[dict]) -> dict:
     """Fold per-rank records into one sweep point (JSON-ready).
 
@@ -93,17 +103,18 @@ def summarize_point(cfg: dict, results: Sequence[dict]) -> dict:
     requests that were served).
     """
     results = [r for r in results if r is not None]
+    sums = {k: sum(r[k] for r in results) for k in _POINT_SUMS}
     total = sum(r["reads"] + r["writes"] for r in results)
     t_serve = max(r["t_serve_s"] for r in results)
     read_lat = _merge_latencies(results, "read_lat")
     write_lat = _merge_latencies(results, "write_lat")
     lat = DwellHistogram().merge(read_lat).merge(write_lat)
-    batches = sum(r["batches_sent"] for r in results)
     offered = cfg["ranks"] * cfg["rate"]
     achieved = total / t_serve if t_serve > 0 else 0.0
     # what each rank did as a shard owner: the hot shard paces a skewed run
     shard_load = [r["applied_updates"] + r["reads_served"] for r in results]
     return {
+        **sums,
         "offered_rps": offered,
         "achieved_rps": round(achieved, 1),
         "utilization": round(achieved / offered, 4) if offered else 0.0,
@@ -120,43 +131,21 @@ def summarize_point(cfg: dict, results: Sequence[dict]) -> dict:
         "write_p50_s": write_lat.percentile(50),
         "write_p99_s": write_lat.percentile(99),
         "max_dwell_s": cfg.get("max_dwell") if cfg.get("aggregate", True) else None,
-        "cache_hits": sum(r["cache_hits"] for r in results),
-        "cache_misses": sum(r["cache_misses"] for r in results),
-        "reads_coalesced": sum(r["reads_coalesced"] for r in results),
         # misses per read-through message: above 1 once reads batch
         "reads_per_batch": round(
-            _ratio(sum(r["cache_misses"] for r in results),
-                   sum(r["read_batches"] for r in results)), 4
+            _ratio(sums["cache_misses"], sum(r["read_batches"] for r in results)), 4
         ),
-        "updates_sent": sum(r["updates_sent"] for r in results),
-        "updates_combined": sum(r["updates_combined"] for r in results),
         "shard_load_skew": round(
             _ratio(max(shard_load), sum(shard_load) / len(shard_load), empty=1.0), 4
         ),
-        "invals_sent": sum(r["invals_sent"] for r in results),
-        "sharers_registered": sum(r["sharers_registered"] for r in results),
-        "credit_stalls": sum(r["credit_stalls"] for r in results),
-        "batches_sent": batches,
-        "updates_per_batch": round(
-            _ratio(sum(r["updates_sent"] for r in results), batches), 4
-        ),
+        "updates_per_batch": round(_ratio(sums["updates_sent"], sums["batches_sent"]), 4),
         # -- availability / robustness (zero-valued on calm runs) ----------
-        "requests_issued": sum(r["requests_issued"] for r in results),
-        "requests_served": sum(r["requests_served"] for r in results),
-        "requests_shed": sum(r["requests_shed"] for r in results),
         "shed_fraction": _ratio(
-            sum(r["requests_shed"] for r in results),
-            sum(r["requests_issued"] + r["requests_shed"] for r in results),
+            sums["requests_shed"], sums["requests_issued"] + sums["requests_shed"]
         ),
-        "writes_lost": sum(r["writes_lost"] for r in results),
         "availability": _ratio(
-            sum(r["requests_served"] for r in results),
-            sum(r["requests_issued"] for r in results),
-            empty=1.0,
+            sums["requests_served"], sums["requests_issued"], empty=1.0
         ),
-        "failover_reads": sum(r["failover_reads"] for r in results),
-        "rereplicated_keys": sum(r["rereplicated_keys"] for r in results),
-        "synced_keys": sum(r["synced_keys"] for r in results),
         "recovery_s": max(r["recovery_s"] for r in results),
         "factor_restored": all(r["factor_restored"] for r in results),
     }

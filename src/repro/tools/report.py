@@ -259,15 +259,12 @@ def _kv_latency_summary(records: Sequence[dict]) -> dict:
     is deterministic and order-free) and reports p50/p95/p99/p999 per
     class and combined.
     """
+    from repro.bench.kv_bench import _merge_latencies
     from repro.util.metrics import DwellHistogram
 
-    read, write = DwellHistogram(), DwellHistogram()
-    for rec in records:
-        read.merge(DwellHistogram.from_dict(rec["read_lat"]))
-        write.merge(DwellHistogram.from_dict(rec["write_lat"]))
-    combined = DwellHistogram()
-    combined.merge(read)
-    combined.merge(write)
+    read = _merge_latencies(records, "read_lat")
+    write = _merge_latencies(records, "write_lat")
+    combined = DwellHistogram().merge(read).merge(write)
 
     def pcts(h: DwellHistogram) -> dict:
         return {

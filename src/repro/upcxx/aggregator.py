@@ -4,9 +4,8 @@ The paper's biggest application-level win is *update aggregation*:
 instead of paying one network round trip per DHT update, updates are
 buffered per destination rank and shipped as one RPC per full buffer,
 converting a latency-bound loop into an injection-rate-bound stream
-(Fig. 9's 5.6 -> 25.5 M updates/s).  Until now that motif lived as a
-one-off app (``repro.apps.dht.aggregating``); :class:`AggStore` promotes
-it to a reusable runtime layer, in the style of the Conveyors/HipMer
+(Fig. 9's 5.6 -> 25.5 M updates/s).  :class:`AggStore` is that motif
+as a reusable runtime layer, in the style of the Conveyors/HipMer
 aggregators:
 
 - **Destination batching** — ``update(key, value)`` buffers locally by
@@ -31,7 +30,7 @@ aggregators:
   never enters it, a seal fold leaves it again) and count in
   ``updates_combined``.  Worth it on skewed keys (the KV service folds
   64 % of a saturated Zipf(1.1) stream), a pure cost on uniform ones,
-  hence opt-in: with it on, ``AggregatingCounter``'s uniform keys leave
+  hence opt-in: with it on, the aggregation ablation's uniform keys leave
   the seal pass nothing to fold, and the ``results/ablation_aggregation``
   sweep reads 29.22 -> 20.51 M updates/s at batch 64 (-30 %).
 - **Adaptive flush** — buffers also flush on *simulated-time* dwell
@@ -52,12 +51,11 @@ aggregators:
   ``agg_credit_stall_s``, which telemetry snapshots), which is exactly
   the NIC-friendly backpressure the "MPI Progress For All" line of work
   argues for.
-- **Counting quiescence** — :meth:`quiesce` replaces the repeated
-  all-reduce polling loop of the old ``AggregatingCounter.sync`` with
-  counting-based termination detection: one all-reduce of the per-
-  destination *sent* counts, then each rank waits locally until its
-  *applied* count reaches what the world owes it.  One collective per
-  round instead of an unbounded polling loop.  Every call checks two
+- **Counting quiescence** — :meth:`quiesce` is counting-based
+  termination detection: one all-reduce of the per-destination *sent*
+  counts, then each rank waits locally until its *applied* count
+  reaches what the world owes it.  One collective per round instead of
+  an unbounded polling loop.  Every call checks two
   conservation laws and raises :class:`UpcxxError` naming the rank and
   the counts: with no peer excluded, a rank applied exactly what it is
   owed (the ledger), and after the ack drain every peer's credits are
@@ -814,11 +812,7 @@ class AggStore:
         self._read_keys[trank] = []
         self._read_fills[trank] = []
         self._reads_inflight[trank] = 0
-        inv = self._inval_buf[trank]
-        if inv:
-            self._sent_invals[trank] -= len(inv)
-            self._inval_buf[trank] = []
-        self._t_first_inval[trank] = None
+        self._flush_invals_dest(trank)
         # stop owing the dead peer coherence traffic
         for ws in self.state["watchers"].values():
             if trank in ws:
@@ -854,14 +848,7 @@ class AggStore:
         me = self._my_trank
         team = self.quiesce_team
         self.flush()
-        expected = reduce_all(
-            self._sent_updates.copy(), lambda a, b: a + b, team=team
-        ).wait()
-        owed = int(expected[me])
-        # ``>=``: a since-dead sender's pre-crash deliveries are not in
-        # the alive-team expectation, so applied may legitimately overshoot
-        rt.wait_quiet(lambda: self.state["applied_updates"] >= owed, "agg::quiesce")
-        barrier(team=team)
+        owed = self._settle(self._sent_updates, "applied_updates", "agg::quiesce")
         applied = self.state["applied_updates"]
         if team is self.team and applied != owed:
             # the ledger: with every peer alive, each counted send is
@@ -874,14 +861,7 @@ class AggStore:
             # all data batches are applied everywhere, so every
             # invalidation that will ever be generated is now queued
             self.flush_invals()
-            expected_inv = reduce_all(
-                self._sent_invals.copy(), lambda a, b: a + b, team=team
-            ).wait()
-            owed_inv = int(expected_inv[me])
-            rt.wait_quiet(
-                lambda: self.state["applied_invals"] >= owed_inv, "agg::quiesce-inv"
-            )
-            barrier(team=team)
+            self._settle(self._sent_invals, "applied_invals", "agg::quiesce-inv")
         if self._wants_ack:
             rt.wait_quiet(
                 lambda: self.acks_received + self.acks_forgiven >= self.batches_sent,
@@ -897,6 +877,21 @@ class AggStore:
                     f"AggStore.quiesce: rank {me} credits not home after the "
                     f"ack drain: {off} init {init}"
                 )
+
+    def _settle(self, sent, applied: str, reason: str) -> int:
+        """One counting round: all-reduce the per-destination ``sent``
+        counts, wait until ``state[applied]`` reaches what this rank is
+        owed, and seal with a barrier.  Returns the amount owed.
+
+        ``>=``: a since-dead sender's pre-crash deliveries are not in the
+        alive-team expectation, so applied may legitimately overshoot.
+        """
+        team = self.quiesce_team
+        expected = reduce_all(sent.copy(), lambda a, b: a + b, team=team).wait()
+        owed = int(expected[self._my_trank])
+        self._rt.wait_quiet(lambda: self.state[applied] >= owed, reason)
+        barrier(team=team)
+        return owed
 
     # ------------------------------------------------------------- queries
     def local_items(self) -> dict:

@@ -145,15 +145,40 @@ def _bcast_promise(rt, team_uid: int, epoch: int) -> Promise:
     return p
 
 
-def _bcast_forward(rt, team: Team, epoch: int, root: int, value) -> None:
+def _tree_forward(team: Team, epoch: int, root: int, recv: Callable, payload, split: bool) -> None:
+    """Send ``payload`` by ``recv`` to this rank's children in the binomial
+    tree rooted at ``root``.  With ``split`` the payload is keyed by
+    virtual rank and child ``c`` gets only its subtree ``[c, 2c - vrank)``."""
     from repro.upcxx.rpc import rpc_ff
 
     n = team.rank_n()
-    me = team.rank_me()
-    vrank = (me - root) % n
-    for child_v in _bcast_children(vrank, n):
-        child_world = team[(child_v + root) % n]
-        rpc_ff(child_world, _bcast_recv, team.uid, epoch, root, value)
+    vrank = (team.rank_me() - root) % n
+    for c in _bcast_children(vrank, n):
+        if split:
+            sub = {v: payload[v] for v in range(c, min(2 * c - vrank, n)) if v in payload}
+        else:
+            sub = payload
+        rpc_ff(team[(c + root) % n], recv, team.uid, epoch, root, sub)
+
+
+def _tree_start(rt, team: Team, uid, root: int, recv: Callable, mine, payload, split: bool) -> Future:
+    """The caller's side of broadcast and scatter: take the next epoch;
+    the root keeps ``mine`` and sends ``payload`` down the tree, every
+    other rank gets a future of the share ``recv`` delivers."""
+    st = rt.coll_state.setdefault(("bcast", uid), {"epoch": 0, "promises": {}})
+    epoch = st["epoch"]
+    st["epoch"] += 1
+    p = _bcast_promise(rt, uid, epoch)
+    if team.rank_me() == root:
+        p.fulfill_result(mine)
+        st["promises"].pop(epoch, None)
+        _tree_forward(team, epoch, root, recv, payload, split)
+        return p.get_future()
+    fut = p.get_future()
+    # cleanup once the local caller has its value (the handler must not
+    # remove the promise — the payload can outrun this call)
+    fut._on_ready(lambda: st["promises"].pop(epoch, None))
+    return fut
 
 
 def _bcast_recv(team_uid: int, epoch: int, root: int, value) -> None:
@@ -167,7 +192,7 @@ def _bcast_recv(team_uid: int, epoch: int, root: int, value) -> None:
 
     def go(team: Team):
         _bcast_promise(rt, team_uid, epoch).fulfill_result(value)
-        _bcast_forward(rt, team, epoch, root, value)
+        _tree_forward(team, epoch, root, _bcast_recv, value, False)
 
     _with_team(rt, team_uid, go)
 
@@ -180,23 +205,9 @@ def broadcast(value, root: int = 0, team: Optional[Team] = None) -> Future:
     """
     rt = current_runtime()
     team = _team_of(rt, team)
-    st = rt.coll_state.setdefault(("bcast", team.uid), {"epoch": 0, "promises": {}})
-    epoch = st["epoch"]
-    st["epoch"] += 1
     if team.rank_n() == 1:
         return make_future(value)
-    if team.rank_me() == root:
-        p = _bcast_promise(rt, team.uid, epoch)
-        p.fulfill_result(value)
-        st["promises"].pop(epoch, None)
-        _bcast_forward(rt, team, epoch, root, value)
-        return p.get_future()
-    p = _bcast_promise(rt, team.uid, epoch)
-    fut = p.get_future()
-    # cleanup once the local caller has its value (the handler must not
-    # remove the promise — the payload can outrun this call)
-    fut._on_ready(lambda: st["promises"].pop(epoch, None))
-    return fut
+    return _tree_start(rt, team, team.uid, root, _bcast_recv, value, value, False)
 
 
 # ---------------------------------------------------------------- reductions
@@ -324,36 +335,15 @@ def allgather(value, team: Optional[Team] = None) -> Future:
     return f.then(lambda lst: broadcast(lst, 0, team))
 
 
-def _scatter_subtree(team: Team, epoch: int, root: int, chunk: dict) -> None:
-    """Forward scatter payloads down the binomial tree, splitting the
-    value dictionary by child subtree at each hop."""
-    from repro.upcxx.rpc import rpc_ff
-
-    n = team.rank_n()
-    me = team.rank_me()
-    vrank = (me - root) % n
-    # children of vrank get the vrank-ranges [child, child + mask)
-    mask = 1
-    while mask < n and not (vrank & mask):
-        mask <<= 1
-    mask >>= 1
-    while mask > 0:
-        child_v = vrank + mask
-        if child_v < n:
-            sub = {v: chunk[v] for v in range(child_v, min(child_v + mask, n)) if v in chunk}
-            child_world = team[(child_v + root) % n]
-            rpc_ff(child_world, _scatter_recv, team.uid, epoch, root, sub)
-        mask >>= 1
-
-
 def _scatter_recv(team_uid: int, epoch: int, root: int, chunk: dict) -> None:
+    """RPC body: this rank's subtree of a scatter arrived; keep its own
+    value and forward the rest."""
     rt = current_runtime()
 
     def go(team: Team):
         me_v = (team.rank_me() - root) % team.rank_n()
-        p = _bcast_promise(rt, ("scatter", team_uid), epoch)
-        p.fulfill_result(chunk[me_v])
-        _scatter_subtree(team, epoch, root, chunk)
+        _bcast_promise(rt, ("scatter", team_uid), epoch).fulfill_result(chunk[me_v])
+        _tree_forward(team, epoch, root, _scatter_recv, chunk, True)
 
     _with_team(rt, team_uid, go)
 
@@ -365,23 +355,14 @@ def scatter(values, root: int = 0, team: Optional[Team] = None) -> Future:
     """
     rt = current_runtime()
     team = _team_of(rt, team)
-    st = rt.coll_state.setdefault(("bcast", ("scatter", team.uid)), {"epoch": 0, "promises": {}})
-    epoch = st["epoch"]
-    st["epoch"] += 1
     n = team.rank_n()
     if n == 1:
         return make_future(values[0])
+    mine = chunk = None
     if team.rank_me() == root:
         if len(values) != n:
             raise ValueError(f"scatter needs {n} values, got {len(values)}")
         # index values by virtual rank so subtree splits are contiguous
         chunk = {(i - root) % n: values[i] for i in range(n)}
-        p = _bcast_promise(rt, ("scatter", team.uid), epoch)
-        p.fulfill_result(chunk[0])
-        st["promises"].pop(epoch, None)
-        _scatter_subtree(team, epoch, root, chunk)
-        return p.get_future()
-    p = _bcast_promise(rt, ("scatter", team.uid), epoch)
-    fut = p.get_future()
-    fut._on_ready(lambda: st["promises"].pop(epoch, None))
-    return fut
+        mine = chunk[0]
+    return _tree_start(rt, team, ("scatter", team.uid), root, _scatter_recv, mine, chunk, True)

@@ -53,7 +53,7 @@ downstream effect carries a deterministic causal stamp.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, List, Optional, Set, Union
+from typing import Callable, Dict, Iterable, List, Optional, Set
 
 from repro.upcxx.aggregator import AggStore, _as_list, default_route
 from repro.upcxx.collectives import barrier
@@ -63,6 +63,21 @@ from repro.upcxx.runtime import CompQItem, current_runtime
 
 
 # ------------------------------------------------------------- rpc bodies
+def _repl_write(dobj: DistObject, keys, vals, overwrite: bool) -> int:
+    """Write shipped keys into a recruit's shard; returns the count written."""
+    rt = current_runtime()
+    klist = _as_list(keys)
+    vlist = _as_list(vals)
+    rt.charge_sw(rt.cpu.map_insert * len(klist))
+    data = dobj.value["data"]
+    written = 0
+    for k, v in zip(klist, vlist):
+        if overwrite or k not in data:
+            data[k] = v
+            written += 1
+    return written
+
+
 def _repl_install(dobj: DistObject, keys, vals) -> int:
     """RPC body at a recruit: install shipped keys *if absent*.
 
@@ -71,18 +86,7 @@ def _repl_install(dobj: DistObject, keys, vals) -> int:
     install-if-absent never clobbers it.  The drain-time
     :func:`_repl_sync` sweep makes the value exact either way.
     """
-    rt = current_runtime()
-    state = dobj.value
-    klist = _as_list(keys)
-    vlist = _as_list(vals)
-    rt.charge_sw(rt.cpu.map_insert * len(klist))
-    data = state["data"]
-    installed = 0
-    for k, v in zip(klist, vlist):
-        if k not in data:
-            data[k] = v
-            installed += 1
-    return installed
+    return _repl_write(dobj, keys, vals, False)
 
 
 def _repl_sync(dobj: DistObject, keys, vals) -> int:
@@ -91,15 +95,7 @@ def _repl_sync(dobj: DistObject, keys, vals) -> int:
     Runs after global quiescence, so the shipped values are the exact
     combine over every surviving writer's updates.
     """
-    rt = current_runtime()
-    state = dobj.value
-    klist = _as_list(keys)
-    vlist = _as_list(vals)
-    rt.charge_sw(rt.cpu.map_insert * len(klist))
-    data = state["data"]
-    for k, v in zip(klist, vlist):
-        data[k] = v
-    return len(klist)
+    return _repl_write(dobj, keys, vals, True)
 
 
 # ------------------------------------------------------------ placement
@@ -156,40 +152,23 @@ class ReplicatedStore:
     """A replication veneer over one :class:`AggStore`.
 
     Constructor is collective (it builds the underlying store's
-    DistObject).  All :class:`AggStore` keyword knobs pass through;
-    ``replication`` sets the target copy count and ``on_death`` is the
-    service hook ``(dead_team_rank, t_detect)`` run in rank context
-    after read failover but before re-replication ships.
+    DistObject).  ``replication`` sets the target copy count and
+    ``on_death`` is the service hook ``(dead_team_rank, t_detect)`` run
+    in rank context after read failover but before re-replication ships;
+    every other argument goes to the :class:`AggStore`, which callers
+    reach as ``.store`` for pacing, flushing and queries.
     """
 
     def __init__(
         self,
-        combine: Union[str, Callable] = "+",
-        batch_size: int = 64,
-        *,
+        *store_args,
         replication: int = 1,
-        team=None,
-        max_dwell: Optional[float] = None,
-        credits: Optional[int] = None,
-        cache_capacity: int = 0,
-        combine_at_source: bool = False,
-        on_batch_flushed: Optional[Callable] = None,
-        on_batch_acked: Optional[Callable] = None,
         on_death: Optional[Callable[[int, float], None]] = None,
+        **store_kw,
     ):
         rt = current_runtime()
         self._rt = rt
-        self.store = AggStore(
-            combine,
-            batch_size,
-            team=team,
-            max_dwell=max_dwell,
-            credits=credits,
-            cache_capacity=cache_capacity,
-            combine_at_source=combine_at_source,
-            on_batch_flushed=on_batch_flushed,
-            on_batch_acked=on_batch_acked,
-        )
+        self.store = AggStore(*store_args, **store_kw)
         self.team = self.store.team
         self._my = self.store._my_trank
         self.map = ReplicaMap(self.team.rank_n(), replication)
@@ -208,8 +187,9 @@ class ReplicatedStore:
         #: ships were all acked (0.0 when it had nothing to ship)
         self.recovery_s = 0.0
         self.factor_restored = True
-        self._pending_ships = 0
-        self._t_detect: Optional[float] = None
+        #: unacked stage-1 ships per recruit; a recruit's death forgives
+        #: its count, since that ack will never come
+        self._pending_ships: Dict[int, int] = {}
         # the listener fires only under survivable fault plans; it stages
         # rank-context work, never touching state from network context
         rt.sched.on_rank_dead(self._on_dead_listener)
@@ -223,9 +203,6 @@ class ReplicatedStore:
         """Fan one update out to every owner (batched per destination)."""
         for o in self.map.owners(key):
             self.store.update_to(o, key, value)
-
-    def poll(self) -> None:
-        self.store.poll()
 
     # -------------------------------------------------------------- reads
     def read(self, key, default=None, cb: Optional[Callable] = None) -> None:
@@ -288,12 +265,14 @@ class ReplicatedStore:
         rt = self._rt
         t0 = rt.now()
         self.deaths_seen += 1
-        self._t_detect = t_detect
         dead_before = set(self.map.dead)
         self.map.mark_dead(dead)
         alive_world = [self.team[r] for r in self.map.alive()]
         alive_team = self.team.create_subteam(alive_world)
         self.store.exclude_dead(dead, alive_team)
+        # a ship to a recruit that died before acking is forgiven; its
+        # keys go to the next recruit in the re-replication below
+        self._pending_ships.pop(dead, None)
         # retarget outstanding reads aimed at the dead rank
         for ctx in [c for c in self._reads.values() if c["dest"] == dead]:
             if not ctx["done"]:
@@ -302,56 +281,69 @@ class ReplicatedStore:
                 self._issue(ctx)
         if self._on_death_cb is not None:
             self._on_death_cb(dead, t_detect)
-        self._rereplicate(dead, dead_before, t_detect)
+        self._rereplicate(dead_before, t_detect)
         rt.span(t0, "death_exclude", "repl")
 
-    def _rereplicate(self, dead: int, dead_before: set, t_detect: float) -> None:
-        """Stage 1: ship each co-owned key slice to its recruit ranks.
+    def _ship_plan(self, dead_before) -> dict:
+        """The recovery scan: ``recruit -> (keys, values)`` this rank ships.
 
-        The first surviving owner in ring order ships (every rank
-        computes the same election without communication).  Ships are
-        acked RPCs; when the last ack lands, ``recovery_s`` records the
-        detection-to-restored interval.
+        A key's owner set against ``dead_before`` lost a member; its first
+        surviving member in ring order ships (every rank computes the same
+        election without communication) to the current owners that were
+        not in that set.  Charged one ``map_lookup`` per scanned key: the
+        scan is real work and must show up on the simulated clock.
         """
         rt = self._rt
         data = self.store.state["data"]
-        me = self._my
+        dead = self.map.dead
         ship: dict = {}
         for k, v in data.items():
             old = self.map.owners(k, dead=dead_before)
-            if dead not in old:
+            survivors = [r for r in old if r not in dead]
+            if not survivors or survivors[0] != self._my:
                 continue
-            survivors = [r for r in old if r not in self.map.dead]
-            if not survivors or survivors[0] != me:
-                continue
-            recruits = [r for r in self.map.owners(k) if r not in old]
-            for rec in recruits:
-                ks, vs = ship.setdefault(rec, ([], []))
-                ks.append(k)
-                vs.append(v)
-        # one lookup-ish charge per scanned key: the recovery scan is
-        # real work and must show up on the simulated clock
+            for rec in self.map.owners(k):
+                if rec not in old:
+                    ks, vs = ship.setdefault(rec, ([], []))
+                    ks.append(k)
+                    vs.append(v)
         rt.charge_sw(rt.cpu.map_lookup * max(1, len(data)))
+        return ship
+
+    def _rereplicate(self, dead_before: set, t_detect: float) -> None:
+        """Stage 1: ship each co-owned key slice to its recruit ranks.
+
+        Ships are acked RPCs; when the last ack lands, ``recovery_s``
+        records the detection-to-restored interval.
+        """
+        rt = self._rt
+        ship = self._ship_plan(dead_before)
         if not ship:
             return
         self.factor_restored = False
+        pending = self._pending_ships
         for rec in sorted(ship):
             ks, vs = ship[rec]
             self.rereplicated_keys += len(ks)
             rt.kv_rereplicated += len(ks)
-            self._pending_ships += 1
+            pending[rec] = pending.get(rec, 0) + 1
             t0 = rt.now()
             fut = rpc(
                 self.team[rec], _repl_install, self.store._dobj,
                 AggStore._pack(ks), AggStore._pack(vs),
             )
-            fut.then(lambda _v, t0=t0, n=len(ks): self._ship_done(t0, n, t_detect))
+            fut.then(lambda _v, t0=t0, rec=rec, n=len(ks): self._ship_done(t0, rec, n, t_detect))
 
-    def _ship_done(self, t0: float, n: int, t_detect: float) -> None:
+    def _ship_done(self, t0: float, rec: int, n: int, t_detect: float) -> None:
         rt = self._rt
-        self._pending_ships -= 1
         rt.span(t0, "rereplicate", "repl", n)
-        if self._pending_ships == 0:
+        pending = self._pending_ships
+        if rec not in pending:  # a late ack from a recruit already forgiven
+            return
+        pending[rec] -= 1
+        if not pending[rec]:
+            del pending[rec]
+        if not pending:
             self.recovery_s = max(self.recovery_s, rt.now() - t_detect)
             self.factor_restored = True
 
@@ -369,20 +361,7 @@ class ReplicatedStore:
         if not self.map.dead:
             return
         t0 = rt.now()
-        data = self.store.state["data"]
-        me = self._my
-        ship: dict = {}
-        for k, v in data.items():
-            original = self.map.owners(k, dead=frozenset())
-            survivors = [r for r in original if r not in self.map.dead]
-            if not survivors or survivors[0] != me:
-                continue
-            recruits = [r for r in self.map.owners(k) if r not in original]
-            for rec in recruits:
-                ks, vs = ship.setdefault(rec, ([], []))
-                ks.append(k)
-                vs.append(v)
-        rt.charge_sw(rt.cpu.map_lookup * max(1, len(data)))
+        ship = self._ship_plan(frozenset())
         pending = [0]
 
         def _acked(_v, pending=pending):
@@ -403,9 +382,6 @@ class ReplicatedStore:
         barrier(team=self.store.quiesce_team)
 
     # ------------------------------------------------------------- queries
-    def local_items(self) -> dict:
-        return self.store.local_items()
-
     def stats(self) -> dict:
         out = self.store.stats()
         out.update(

@@ -87,18 +87,17 @@ class TestDeterminism:
     def test_metrics_and_trace_export_byte_identical(self):
         """Two same-seed aggregating-DHT runs must serialize to the exact
         same metrics JSON and Perfetto trace JSON."""
-        from repro.apps.dht import AggregatingCounter
         from repro.util.metrics import Metrics
         from repro.util.trace import TraceBuffer
         from repro.util.trace_export import dumps_chrome_trace, dumps_metrics
 
         def body():
-            agg = AggregatingCounter(batch_size=16)
+            agg = upcxx.AggStore("+", batch_size=16)
             rng = upcxx.runtime_here().rng.spawn("dht-agg")
             upcxx.barrier()
             for _ in range(48):
-                agg.add(rng.key64() % (1 << 12), 1)
-            agg.sync()
+                agg.update(rng.key64() % (1 << 12), 1)
+            agg.quiesce()
             upcxx.barrier()
             return upcxx.sim_now()
 

@@ -246,7 +246,7 @@ def _run_repl_simulated(ops, crash_rank, spec, replication=2):
                 continue
             store.update(key, delta)
             if i % 7 == 3:
-                store.poll()
+                store.store.poll()
         # park past the detection horizon so the drain collectives start
         # on the final alive membership everywhere (same idiom as the KV
         # service body)

@@ -188,14 +188,12 @@ class TestQueueSampling:
 
 
 def _agg_dht_body(updates_per_rank=48, batch_size=8, key_space=256):
-    from repro.apps.dht import AggregatingCounter
-
-    agg = AggregatingCounter(batch_size=batch_size)
+    agg = upcxx.AggStore("+", batch_size=batch_size)
     rng = upcxx.runtime_here().rng.spawn("metrics-test")
     upcxx.barrier()
     for _ in range(updates_per_rank):
-        agg.add(rng.key64() % key_space, 1)
-    agg.sync()
+        agg.update(rng.key64() % key_space, 1)
+    agg.quiesce()
     upcxx.barrier()
     return upcxx.sim_now()
 

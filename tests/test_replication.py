@@ -84,7 +84,7 @@ def test_every_key_lands_on_exactly_factor_ranks(factor):
             store.update((me * 5 + i) % 24, me + i + 1)
         store.store.quiesce()
         upcxx.barrier()
-        return dict(store.local_items())
+        return store.store.local_items()
 
     shards = upcxx.run_spmd(body, 4)
     seen: dict = {}
@@ -199,6 +199,61 @@ def test_a_run_buffered_for_a_dying_peer_is_dropped_whole(spec, dead):
         assert dropped == 5
         assert s["updates_sent"] + s["updates_dropped"] == addressed
         assert s["updates_combined"] == 4  # the other owner's run shipped
+
+
+# ------------------------------------------------ two deaths at factor 3
+def _kv_rf3(spec, monkeypatch):
+    """The tiny KV service at replication 3 through ``spec``: the config
+    and per-rank records (``None`` for a dead rank), each carrying the
+    rank's shard after the drain."""
+    from repro.apps.kvservice import KvService, default_config
+    from repro.bench.kv_bench import run_kv
+
+    result = KvService.result
+    monkeypatch.setattr(
+        KvService, "result", lambda self: dict(result(self), shard=self._store.local_items())
+    )
+    cfg = dict(default_config("tiny"), replication=3)
+    return cfg, run_kv(cfg, faults=spec)[0]
+
+
+def test_a_recruit_that_dies_before_acking_is_forgiven(monkeypatch):
+    """Rank 3 dies and rank 1 ships a key to recruit 4, which dies before
+    it acks.  The second death forgives that ship, and rank 1's re-ship
+    to the next recruit restores the factor once it is acked."""
+    from repro.bench.kv_bench import summarize_point
+
+    cfg, res = _kv_rf3("seed=7,crash=3@2e-4+4@2.5e-4,survive=1", monkeypatch)
+    assert [r is None for r in res] == [False] * 3 + [True] * 2 + [False] * 3
+    assert all(r["factor_restored"] for r in res if r is not None)
+    assert res[1]["rereplicated_keys"] == 2
+    assert res[1]["recovery_s"] > 0.0
+    assert summarize_point(cfg, res)["factor_restored"]
+
+
+def test_the_second_death_ships_from_the_first_death_owner_sets(monkeypatch):
+    """Rank 5 dies after rank 3: stage-1 re-replication plans against the
+    owner sets that already exclude rank 3, and the drain syncs against
+    the original ones.  Pinned per (key, surviving owner) after the drain."""
+    from repro.bench.kv_bench import summarize_point
+
+    cfg, res = _kv_rf3("seed=7,crash=3@2e-4+5@4e-4,survive=1", monkeypatch)
+    point = summarize_point(cfg, res)
+    assert {k: point[k] for k in ("rereplicated_keys", "synced_keys",
+                                  "failover_reads", "availability")} == {
+        "rereplicated_keys": 26, "synced_keys": 58, "failover_reads": 40,
+        "availability": 1.0,
+    }
+    m = ReplicaMap(cfg["ranks"], 3)
+    m.mark_dead(3)
+    m.mark_dead(5)
+    keys = set().union(*(r["shard"] for r in res if r is not None))
+    held = sorted((k, o, res[o]["shard"].get(k)) for k in keys for o in m.owners(k))
+    assert len(keys) == 77
+    assert all(v is not None for _k, _o, v in held)
+    assert golden.digest(held) == (
+        "c463822bb7b11afe65610feb5437bab0a06c738c96044a46ec878afb9a032bec"
+    )
 
 
 # ------------------------------------------------------- admission control

@@ -146,6 +146,83 @@ class TestAggStoreCore:
         assert sum(s["applied_updates"] for s in res) == 2
 
 
+
+class TestAdditiveCounting:
+    """The HipMer k-mer counting shape: an additive store, batched per
+    destination, read back after counting quiescence."""
+
+    def test_counts_exact_after_quiesce(self):
+        def body():
+            store = AggStore("+", batch_size=8)
+            upcxx.barrier()
+            # every rank increments the same 20 keys 3 times
+            for _ in range(3):
+                for k in range(20):
+                    store.update(k, 1)
+            store.quiesce()
+            vals = [store.read(k, default=0).wait() for k in range(20)]
+            upcxx.barrier()
+            return vals
+
+        res = upcxx.run_spmd(body, 4)
+        for vals in res:
+            assert vals == [3 * 4] * 20
+
+    def test_deltas_accumulate(self):
+        def body():
+            store = AggStore("+", batch_size=4)
+            upcxx.barrier()
+            store.update(7, upcxx.rank_me() + 1)
+            store.quiesce()
+            v = store.read(7, default=0).wait()
+            upcxx.barrier()
+            return v
+
+        res = upcxx.run_spmd(body, 3)
+        assert res[0] == 1 + 2 + 3
+
+    def test_batching_reduces_messages(self):
+        def run(batch):
+            stats = {}
+
+            def body():
+                store = AggStore("+", batch_size=batch)
+                upcxx.barrier()
+                rng = upcxx.runtime_here().rng.spawn("agg")
+                for _ in range(128):
+                    store.update(rng.key64() % 512, 1)
+                store.quiesce()
+                upcxx.barrier()
+                if upcxx.rank_me() == 0:
+                    stats["sent"] = store.batches_sent
+
+            upcxx.run_spmd(body, 4)
+            return stats["sent"]
+
+        assert run(64) < run(1) / 10
+
+    def test_batching_improves_simulated_time(self):
+        def run(batch):
+            out = {}
+
+            def body():
+                store = AggStore("+", batch_size=batch)
+                upcxx.barrier()
+                rng = upcxx.runtime_here().rng.spawn("agg-t")
+                t0 = upcxx.sim_now()
+                for _ in range(256):
+                    store.update(rng.key64() % 1024, 1)
+                store.quiesce()
+                upcxx.barrier()
+                out["t"] = upcxx.sim_now() - t0
+
+            upcxx.run_spmd(body, 4, ppn=1)
+            return out["t"]
+
+        # aggregation amortizes per-message software costs
+        assert run(64) < run(1) * 0.5
+
+
 def _sim_sleep(dt):
     """Park the calling rank for ``dt`` simulated seconds."""
     rt = upcxx.runtime_here()
