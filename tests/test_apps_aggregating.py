@@ -1,115 +1,46 @@
-"""Tests for the aggregating DHT counter (HipMer-style batching)."""
+"""Tests for the aggregating counter the apps count with (HipMer-style batching).
 
-import numpy as np
+The counter is an additive :class:`~repro.upcxx.aggregator.AggStore`:
+``update(k, delta)`` adds, ``quiesce()`` is the sync that flushes every
+partial buffer, and ``read(k, default=0)`` is the count.
+"""
+
 import pytest
 
 import repro.upcxx as upcxx
-from repro.apps.dht import AggregatingCounter
+from repro.upcxx.aggregator import AggStore
 
 
 class TestAggregatingCounter:
-    def test_counts_exact_after_sync(self):
-        def body():
-            me = upcxx.rank_me()
-            counter = AggregatingCounter(batch_size=8)
-            upcxx.barrier()
-            # every rank increments the same 20 keys 3 times
-            for _ in range(3):
-                for k in range(20):
-                    counter.add(k)
-            counter.sync()
-            vals = [counter.count(k).wait() for k in range(20)]
-            upcxx.barrier()
-            return vals
-
-        res = upcxx.run_spmd(body, 4)
-        expected = 3 * 4
-        for vals in res:
-            assert vals == [expected] * 20
-
-    def test_deltas_accumulate(self):
-        def body():
-            counter = AggregatingCounter(batch_size=4)
-            upcxx.barrier()
-            counter.add(7, delta=upcxx.rank_me() + 1)
-            counter.sync()
-            v = counter.count(7).wait()
-            upcxx.barrier()
-            return v
-
-        res = upcxx.run_spmd(body, 3)
-        assert res[0] == 1 + 2 + 3
-
     def test_partial_buffers_flushed_by_sync(self):
         def body():
-            counter = AggregatingCounter(batch_size=1000)  # never auto-flushes
+            counter = AggStore("+", batch_size=1000)  # never auto-flushes
             upcxx.barrier()
-            counter.add(42, delta=5)
-            counter.sync()
-            v = counter.count(42).wait()
+            counter.update(42, 5)
+            counter.quiesce()
+            v = counter.read(42, default=0).wait()
             upcxx.barrier()
             return v
 
         res = upcxx.run_spmd(body, 2)
         assert res[0] == 10
 
-    def test_batching_reduces_messages(self):
-        def run(batch):
-            stats = {}
-
-            def body():
-                counter = AggregatingCounter(batch_size=batch)
-                upcxx.barrier()
-                rng = upcxx.runtime_here().rng.spawn("agg")
-                for _ in range(128):
-                    counter.add(rng.key64() % 512)
-                counter.sync()
-                upcxx.barrier()
-                if upcxx.rank_me() == 0:
-                    stats["sent"] = counter.batches_sent
-
-            upcxx.run_spmd(body, 4)
-            return stats["sent"]
-
-        assert run(64) < run(1) / 10
-
-    def test_batching_improves_simulated_time(self):
-        def run(batch):
-            out = {}
-
-            def body():
-                counter = AggregatingCounter(batch_size=batch)
-                upcxx.barrier()
-                rng = upcxx.runtime_here().rng.spawn("agg-t")
-                t0 = upcxx.sim_now()
-                for _ in range(256):
-                    counter.add(rng.key64() % 1024)
-                counter.sync()
-                upcxx.barrier()
-                out["t"] = upcxx.sim_now() - t0
-
-            upcxx.run_spmd(body, 4, ppn=1)
-            return out["t"]
-
-        # aggregation amortizes per-message software costs
-        assert run(64) < run(1) * 0.5
-
     def test_invalid_batch_size(self):
         def body():
             with pytest.raises(ValueError):
-                AggregatingCounter(batch_size=0)
+                AggStore("+", batch_size=0)
 
         upcxx.run_spmd(body, 1)
 
     def test_total_mass_conserved(self):
         def body():
-            counter = AggregatingCounter(batch_size=16)
+            counter = AggStore("+", batch_size=16)
             upcxx.barrier()
             rng = upcxx.runtime_here().rng.spawn("mass")
             n_adds = 100
             for _ in range(n_adds):
-                counter.add(rng.key64() % 64)
-            counter.sync()
+                counter.update(rng.key64() % 64, 1)
+            counter.quiesce()
             local = sum(counter.local_items().values())
             total = upcxx.reduce_all(local, "+").wait()
             upcxx.barrier()
