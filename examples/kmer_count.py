@@ -53,7 +53,7 @@ def _count_batch(dmap: upcxx.DistObject, batch: dict) -> None:
 def main():
     me = upcxx.rank_me()
     n = upcxx.rank_n()
-    from repro.apps.dht.rpc_only import hash_target
+    from repro.upcxx.aggregator import default_route
 
     shard: dict = {}
     dmap = upcxx.DistObject(shard)
@@ -67,7 +67,7 @@ def main():
         read = _synthetic_read(rng, READ_LEN)
         for i in range(len(read) - K + 1):
             packed = _pack_kmer(read[i : i + K])
-            outgoing[hash_target(packed, n)][packed] += 1
+            outgoing[default_route(packed, n)][packed] += 1
             total_kmers += 1
 
     # ---- one aggregated rpc_ff per destination (HipMer-style batching) --

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 import repro.upcxx as upcxx
-from repro.apps.dht.rpc_only import hash_target
+from repro.upcxx.aggregator import default_route
 from repro.upcxx.future import Future
 
 
@@ -61,7 +61,7 @@ class DistGraph:
         self._dobj = upcxx.DistObject(self.local, team=self.team)
 
     def owner_of(self, vid: int) -> int:
-        return self.team[hash_target(vid, self.team.rank_n())]
+        return self.team[default_route(vid, self.team.rank_n())]
 
     def insert_vertex(self, vid: int, **properties) -> Future:
         return upcxx.rpc(self.owner_of(vid), _insert_vertex, self._dobj, vid, properties)

@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 import repro.upcxx as upcxx
-from repro.apps.dht.rpc_only import hash_target
+from repro.upcxx.aggregator import default_route
 from repro.upcxx.future import Future
 from repro.upcxx.global_ptr import GlobalPtr
 
@@ -61,7 +61,7 @@ class DhtRmaLz:
         self._dobj = upcxx.DistObject(self.local_map, team=self.team)
 
     def target_of(self, key: int) -> int:
-        return self.team[hash_target(key, self.team.rank_n())]
+        return self.team[default_route(key, self.team.rank_n())]
 
     def insert(self, key: int, val: bytes) -> Future:
         """The paper's insert: RPC for the landing zone, then rput."""

@@ -11,16 +11,8 @@ from __future__ import annotations
 from typing import Optional
 
 import repro.upcxx as upcxx
+from repro.upcxx.aggregator import default_route
 from repro.upcxx.future import Future
-
-
-def hash_target(key: int, n_ranks: int) -> int:
-    """Deterministic key -> owner mapping (splitmix64 finalizer)."""
-    z = (key + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
-    z = z ^ (z >> 31)
-    return z % n_ranks
 
 
 def _local_insert(dmap: upcxx.DistObject, key: int, val: bytes) -> None:
@@ -49,7 +41,7 @@ class DhtRpcOnly:
 
     def target_of(self, key: int) -> int:
         """World rank owning ``key``."""
-        return self.team[hash_target(key, self.team.rank_n())]
+        return self.team[default_route(key, self.team.rank_n())]
 
     def insert(self, key: int, val: bytes) -> Future:
         """Asynchronous insert; the future completes when the target has

@@ -6,7 +6,3 @@ with the lines of the paper's figure.  The pytest-benchmark entries in
 ``benchmarks/`` call these, assert the paper's qualitative claims, and
 write the rendered tables under ``results/``.
 """
-
-from repro.bench.platforms import PLATFORMS, PlatformSpec
-
-__all__ = ["PLATFORMS", "PlatformSpec"]

@@ -15,7 +15,6 @@ from typing import Dict, List, Sequence
 
 import repro.upcxx as upcxx
 from repro.apps.dht import DhtRmaLz, SerialMap
-from repro.bench.platforms import PLATFORMS
 from repro.util.records import BenchTable
 from repro.util.units import KiB, MiB
 
@@ -41,7 +40,6 @@ def dht_insert_rate(
 ) -> float:
     """Aggregate insert throughput (bytes/second) for one configuration."""
     n_inserts = max(1, volume_per_rank // value_size)
-    ppn = PLATFORMS[platform].ppn_dht
 
     if n_procs == 1:
         # serial baseline: local map only, no UPC++ calls
@@ -54,7 +52,7 @@ def dht_insert_rate(
                 m.insert(rng.key64(), payload)
             return upcxx.sim_now() - t0
 
-        elapsed = upcxx.run_spmd(serial_body, 1, platform=platform, ppn=ppn, seed=seed)[0]
+        elapsed = upcxx.run_spmd(serial_body, 1, platform=platform, seed=seed)[0]
         return n_inserts * value_size / elapsed
 
     def body():
@@ -73,7 +71,6 @@ def dht_insert_rate(
             body,
             n_procs,
             platform=platform,
-            ppn=ppn,
             seed=seed,
             segment_size=max(4 * MiB, 4 * n_inserts * value_size),
         )

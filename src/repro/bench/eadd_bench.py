@@ -18,7 +18,7 @@ from typing import Dict, Sequence
 
 import repro.upcxx as upcxx
 from repro.apps.sparse.extend_add import EaddPlan, build_eadd_plan, mpi_eadd_run, upcxx_eadd_run
-from repro.bench.platforms import PLATFORMS
+from repro.gasnet.cpumodel import platform_cpu
 from repro.mpisim import run_mpi
 from repro.util.records import BenchTable
 
@@ -44,7 +44,7 @@ def eadd_times(
     """Elapsed simulated seconds of one sweep for each variant."""
     if plan is None:
         plan = build_eadd_plan(*grid, n_procs=n_procs, leaf_size=leaf)
-    ppn = PLATFORMS[platform].ppn_eadd
+    ppn = platform_cpu(platform).ppn_eadd
 
     def upcxx_body():
         return upcxx_eadd_run(plan)

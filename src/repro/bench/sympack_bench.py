@@ -16,7 +16,7 @@ from typing import Dict, Sequence
 import repro.upcxx as upcxx
 from repro.apps.sparse.extend_add import build_eadd_plan
 from repro.apps.sparse.sympack import sympack_run
-from repro.bench.platforms import PLATFORMS
+from repro.gasnet.cpumodel import platform_cpu
 from repro.util.records import BenchTable
 
 #: default process counts (paper: 4 ... 1024)
@@ -35,7 +35,7 @@ def sympack_times(
 ) -> Dict[str, float]:
     """Elapsed simulated seconds of one factorization sweep per backend."""
     plan = build_eadd_plan(*grid, n_procs=n_procs, leaf_size=leaf)
-    ppn = PLATFORMS[platform].ppn_eadd
+    ppn = platform_cpu(platform).ppn_eadd
 
     t_v1 = max(
         upcxx.run_spmd(lambda: sympack_run(plan, "v1"), n_procs, platform=platform, ppn=ppn)

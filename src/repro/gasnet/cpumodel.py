@@ -1,12 +1,14 @@
-"""Per-platform CPU cost model.
+"""Per-platform CPU cost model and node widths: the platform table.
 
-The paper evaluates on two Cori partitions whose *relative* serial speed is
-what matters for our shapes:
+The paper evaluates on two Cori partitions (§IV-A) whose *relative* serial
+speed is what matters for our shapes:
 
-- **Haswell**: 2.3 GHz Xeon E5-2698v3 — the reference (factor 1.0).
+- **Haswell**: 2.3 GHz Xeon E5-2698v3 — the reference (factor 1.0),
+  32 ranks/node (2x16 cores).
 - **KNL**: 1.4 GHz Xeon Phi 7250 — much slower serial core.  Software
   overheads (runtime bookkeeping, serialization, hash-table work) scale by
-  ``serial_factor``; wire times do not.
+  ``serial_factor``; wire times do not.  The DHT runs use all 68 cores of
+  a node, extend-add uses 64.
 
 All costs below are software-path costs *charged by client layers* through
 this model, so UPC++ and MPI can have distinct profiles over identical
@@ -43,6 +45,10 @@ class CpuModel:
     #: accumulation into a distributed front is cache-unfriendly and runs
     #: far below streaming rate on both platforms
     scatter_rate: float = 0.45e9
+    #: processes per node of the DHT runs, and of any job that names none
+    ppn_dht: int = 32
+    #: processes per node of the extend-add runs
+    ppn_eadd: int = 32
 
     def t(self, base_seconds: float) -> float:
         """Scale a Haswell-calibrated software cost to this platform."""
@@ -78,12 +84,17 @@ KNL = CpuModel(
     copy_bw=3.2 * GiB,
     flop_rate=1.1e9,
     scatter_rate=0.17e9,
+    ppn_dht=68,
+    ppn_eadd=64,
 )
+
+#: every platform by name
+PLATFORMS = {m.name: m for m in (HASWELL, KNL)}
 
 
 def platform_cpu(name: str) -> CpuModel:
     """Look up a platform CPU model by name."""
     try:
-        return {"haswell": HASWELL, "knl": KNL}[name.lower()]
+        return PLATFORMS[name.lower()]
     except KeyError:
         raise ValueError(f"unknown platform {name!r}; expected 'haswell' or 'knl'") from None

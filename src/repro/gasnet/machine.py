@@ -1,13 +1,20 @@
-"""Machine topology: how ranks map onto nodes.
+"""Machine topology, and the one job both client layers run on.
 
 Cori-style placement: ranks are laid out in contiguous blocks of
 ``procs_per_node`` (rank r lives on node r // ppn), matching the default
-SLURM block distribution used in the paper's runs.
+SLURM block distribution used in the paper's runs.  :func:`build_job`
+assembles the identical machine under ``run_spmd`` and ``run_mpi``, so
+the two stacks differ only in what their client layers charge.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
+
+from repro.gasnet.cpumodel import platform_cpu
+from repro.gasnet.network import AriesNetwork, NetworkModel
+from repro.sim.coop import Scheduler
 
 
 @dataclass(frozen=True)
@@ -59,3 +66,23 @@ class Machine:
             raise ValueError(f"procs_per_node must be >= 1, got {procs_per_node}")
         n_nodes = -(-n_ranks // procs_per_node)  # ceil division
         return cls(n_nodes=n_nodes, procs_per_node=procs_per_node, name=name)
+
+
+def lookahead(network: NetworkModel) -> float:
+    """The scheduler's lookahead ``L`` for a job on ``network``: a rank
+    reaches another only through a conduit frame, and no frame lands
+    sooner than the shorter one-way latency after its sender's clock
+    (:mod:`repro.sim.coop`)."""
+    return min(network.latency_oneway_shm, network.latency_oneway)
+
+
+def build_job(ranks: int, platform: str, ppn: Optional[int], max_time: float, trace=None):
+    """``(machine, network, cpu, sched)`` of a ``ranks``-process job on
+    ``platform``: nodes ``ppn`` wide (default: the platform's DHT width),
+    the Aries network, the platform's CPU model and a scheduler at
+    lookahead :func:`lookahead`."""
+    cpu = platform_cpu(platform)
+    machine = Machine.for_ranks(ranks, ppn if ppn is not None else cpu.ppn_dht, name=platform)
+    network = AriesNetwork()
+    sched = Scheduler(ranks, trace=trace, max_time=max_time, lookahead=lookahead(network))
+    return machine, network, cpu, sched

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from typing import Sequence
 
+from repro.upcxx.collectives import bcast_children
+
 #: base of the reserved collective tag space
 _COLL_TAG = 1 << 20
 
@@ -48,23 +50,6 @@ def barrier(comm) -> None:
         rt.wait_all([sreq, rreq])
 
 
-def _bcast_children(vrank: int, n: int) -> list:
-    mask = 1
-    while mask < n and not (vrank & mask):
-        mask <<= 1
-    mask >>= 1
-    out = []
-    while mask > 0:
-        if vrank + mask < n:
-            out.append(vrank + mask)
-        mask >>= 1
-    return out
-
-
-def _bcast_parent(vrank: int) -> int:
-    return vrank & (vrank - 1)
-
-
 def bcast(comm, obj, root: int = 0):
     """Binomial-tree broadcast; returns the object on every rank."""
     rt = comm.rt
@@ -76,10 +61,10 @@ def bcast(comm, obj, root: int = 0):
     e = _epoch(comm)
     v = (me - root) % n
     if v != 0:
-        parent = (_bcast_parent(v) + root) % n
+        parent = ((v & (v - 1)) + root) % n
         obj = comm.recv(parent, tag=_tag(e))
     reqs = []
-    for child_v in _bcast_children(v, n):
+    for child_v in bcast_children(v, n):
         child = (child_v + root) % n
         reqs.append(comm.isend(obj, child, tag=_tag(e)))
     rt.wait_all(reqs)

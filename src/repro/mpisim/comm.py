@@ -13,9 +13,9 @@ from __future__ import annotations
 from typing import Callable, List, Optional, Sequence
 
 from repro.gasnet.conduit import Conduit
-from repro.gasnet.cpumodel import CpuModel, platform_cpu
-from repro.gasnet.machine import Machine
-from repro.gasnet.network import AriesNetwork, NetworkModel
+from repro.gasnet.cpumodel import CpuModel
+from repro.gasnet.machine import Machine, build_job
+from repro.gasnet.network import NetworkModel
 from repro.sim.coop import Scheduler, current_client
 from repro.mpisim.profile import DEFAULT_MPI_COSTS, MpiCosts
 from repro.mpisim.request import Request
@@ -76,10 +76,6 @@ class MpiRuntime:
         #: sender-side rendezvous state: token -> dict
         self.rndv_pending: dict = {}
         self._token_seq = 0
-        # counters
-        self.n_sends = 0
-        self.n_recvs = 0
-        self.n_unexpected = 0
         world.runtimes[rank] = self
 
     # --------------------------------------------------------------- charges
@@ -110,13 +106,7 @@ class MpiRuntime:
 
     def wait_all(self, requests: Sequence[Request]) -> None:
         """Progress until every request is complete."""
-        while True:
-            if all(r.done for r in requests):
-                return
-            self.progress()
-            if all(r.done for r in requests):
-                return
-            self.sched.block("MPI_Waitall")
+        self.wait_until(lambda: all(r.done for r in requests), "MPI_Waitall")
 
     def wait_until(self, pred: Callable[[], bool], reason: str = "MPI wait") -> None:
         """Progress until an arbitrary predicate holds (used by flush)."""
@@ -213,20 +203,12 @@ def run_mpi(
     ranks: int,
     platform: str = "haswell",
     ppn: Optional[int] = None,
-    network: Optional[NetworkModel] = None,
-    cpu: Optional[CpuModel] = None,
     costs: MpiCosts = DEFAULT_MPI_COSTS,
     segment_size: int = 32 * 1024 * 1024,
     max_time: float = 1e6,
 ) -> List[object]:
     """Run ``fn`` as an MPI program on ``ranks`` simulated processes."""
-    from repro.upcxx.api import _lookahead, default_ppn
-
-    ppn = ppn if ppn is not None else default_ppn(platform)
-    machine = Machine.for_ranks(ranks, ppn, name=platform)
-    network = network if network is not None else AriesNetwork()
-    cpu = cpu if cpu is not None else platform_cpu(platform)
-    sched = Scheduler(ranks, max_time=max_time, lookahead=_lookahead(network))
+    machine, network, cpu, sched = build_job(ranks, platform, ppn, max_time)
     world = MpiWorld(sched, machine, network, cpu, costs, segment_size)
 
     def bootstrap(rank: int):

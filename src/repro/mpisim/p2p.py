@@ -33,7 +33,6 @@ def _path(rt, nbytes: int) -> str:
 # ------------------------------------------------------------------- sending
 def isend(rt, obj, dest_world: int, tag: int) -> Request:
     """Nonblocking send to a world rank."""
-    rt.n_sends += 1
     raw = serialization.pack(obj)
     nbytes = len(raw)
     req = Request(rt, "isend", src=dest_world, tag=tag)
@@ -82,7 +81,6 @@ def issend(rt, obj, dest_world: int, tag: int) -> Request:
     if nbytes >= rt.costs.rndv_threshold:
         # rendezvous is already synchronous (completion at CTS)
         return isend(rt, obj, dest_world, tag)
-    rt.n_sends += 1
     req = Request(rt, "issend", src=dest_world, tag=tag)
     req.nbytes = nbytes
     rt.charge_sw(rt.costs.send_inject)
@@ -108,7 +106,6 @@ def irecv(rt, src_world: int, tag: int) -> Request:
     while wildcard receives must scan the unexpected queue linearly — the
     well-known pathology of wildcard-heavy point-to-point codes at scale.
     """
-    rt.n_recvs += 1
     req = Request(rt, "irecv", src=src_world, tag=tag)
     rt.charge_sw(rt.costs.recv_match)
     wildcard = src_world == -1 or tag == -1
@@ -197,7 +194,6 @@ def _on_eager(rt, am) -> None:
         "sync_token": am.payload.get("sync_token"),
     }
     if req is None:
-        rt.n_unexpected += 1
         rt.unexpected.append(msg)
         return
     _deliver(rt, req, msg)
@@ -214,7 +210,6 @@ def _on_rts(rt, am) -> None:
         "nbytes": p["nbytes"],
     }
     if req is None:
-        rt.n_unexpected += 1
         rt.unexpected.append(msg)
         return
     _deliver(rt, req, msg)

@@ -292,7 +292,7 @@ class Scheduler:
         self.n_ranks = n_ranks
         #: L: no rank can affect another sooner than this after its own
         #: clock (class docstring); 0 is the strict schedule
-        self._lookahead = lookahead
+        self.lookahead = lookahead
         # causal-stamp state (see post_at): the stamp of the event
         # currently firing, its running child index, and per-rank post seqs
         self._firing_lane: Optional[tuple] = None
@@ -350,7 +350,7 @@ class Scheduler:
         if clock < self._horizon:
             me.clock = clock
             return  # fast path: nothing due, no READY rank can reach me
-        if self._lookahead and clock > self.max_time and self._failure is None:
+        if self.lookahead and clock > self.max_time and self._failure is None:
             # report the overrun from where the strict schedule would: an
             # earlier rank may fail first (_sync_strict)
             self._sync_strict(me)
@@ -362,7 +362,7 @@ class Scheduler:
                 raise ValueError(f"invalid charge: {dt}")
             self._fail(SimError(f"simulated time exceeded max_time={self.max_time}"))
             raise SimAbort()
-        self._drain(me, self._lookahead)
+        self._drain(me, self.lookahead)
 
     def checkpoint(self) -> None:
         """Deliver due events and yield if another entity could reach me.
@@ -377,7 +377,7 @@ class Scheduler:
             return
         if self._failure is not None:
             raise SimAbort()
-        self._drain(me, self._lookahead)
+        self._drain(me, self.lookahead)
 
     def post(self, delay: float, fn: Callable[[], None], target: Optional[int] = None) -> None:
         """Schedule a network-context callback ``delay`` seconds from now."""
@@ -527,7 +527,7 @@ class Scheduler:
     def _push_ready(self, ctl: _Fiber) -> None:
         clock = ctl.clock
         heapq.heappush(self._ready, (clock, ctl.rid))
-        reach = clock + self._lookahead
+        reach = clock + self.lookahead
         if reach < self._horizon:
             self._horizon = reach
 
@@ -545,7 +545,7 @@ class Scheduler:
                 h = et
         ready = self._ready
         if ready:
-            reach = ready[0][0] + self._lookahead
+            reach = ready[0][0] + self.lookahead
             if reach < h:
                 h = reach
         self._horizon = h
@@ -706,7 +706,7 @@ class Scheduler:
         except RankCrashed:
             pass  # fault-injected death: the rank just stops (fail-stop)
         except BaseException as exc:  # noqa: BLE001 - report any rank failure
-            if self._failure is None and self._lookahead and ctl.state == _RUNNING:
+            if self._failure is None and self.lookahead and ctl.state == _RUNNING:
                 self._sync_strict(ctl)
             if self._failure is None:
                 self._failure = _rank_failure(ctl.rid, exc)

@@ -23,10 +23,9 @@ asks, in which order, or how many times.  That is what lets the conduit
 compute a whole retransmit ladder analytically at send time and still
 reproduce the golden fingerprints.
 
-Plans can be given programmatically (``run_spmd(faults=FaultPlan(...))``),
-as a spec string (``run_spmd(faults="seed=1,drop=0.2,crash=1@3e-4")`` or
-the ``REPRO_FAULTS`` environment variable), or as a dict of the same
-fields.
+Plans can be given programmatically (``run_spmd(faults=FaultPlan(...))``)
+or as a spec string (``run_spmd(faults="seed=1,drop=0.2,crash=1@3e-4")`` or
+the ``REPRO_FAULTS`` environment variable).
 """
 
 from __future__ import annotations
@@ -40,10 +39,6 @@ from typing import Dict, List, Optional, Union
 from repro.sim.rng import RankRandom
 
 FAULTS_ENV = "REPRO_FAULTS"
-
-#: environment default for the heartbeat detection timeout (seconds);
-#: applies when the plan spec/dict does not set ``detect`` itself
-HEARTBEAT_ENV = "REPRO_HEARTBEAT_TIMEOUT"
 
 #: number of pre-sampled stall windows per rank (lazily materialized);
 #: enough to cover any realistic run — beyond the last window the NIC is
@@ -79,9 +74,7 @@ class FaultPlan:
         Mapping of rank id → simulated crash time.
     detect_timeout:
         Heartbeat timeout: survivors raise ``RankDeadError`` at
-        ``crash_time + detect_timeout``.  The ``REPRO_HEARTBEAT_TIMEOUT``
-        environment variable supplies the default for specs/dicts that do
-        not set ``detect`` themselves.
+        ``crash_time + detect_timeout``.
     survivable:
         When True, a detected crash does **not** unwind the run: the
         scheduler records the death, fires registered death listeners
@@ -271,15 +264,15 @@ class FaultPlan:
                 kw["max_retx"] = int(value)
             else:
                 raise ValueError(f"unknown fault spec key {key!r}")
-        return FaultPlan(**_apply_heartbeat_env(kw))
+        return FaultPlan(**kw)
 
     @staticmethod
-    def resolve(value: Union[None, str, dict, "FaultPlan"]) -> Optional["FaultPlan"]:
+    def resolve(value: Union[None, str, "FaultPlan"]) -> Optional["FaultPlan"]:
         """Coerce the ``run_spmd(faults=...)`` argument to a plan.
 
         ``None`` falls back to the ``REPRO_FAULTS`` environment variable
-        (itself optional), a string is parsed as a spec, a dict becomes
-        keyword arguments, and a plan passes through unchanged.
+        (itself optional), a string is parsed as a spec, and a plan passes
+        through unchanged.
         """
         if value is None:
             env = os.environ.get(FAULTS_ENV, "").strip()
@@ -290,20 +283,7 @@ class FaultPlan:
             return value
         if isinstance(value, str):
             return FaultPlan.parse(value)
-        if isinstance(value, dict):
-            return FaultPlan(**_apply_heartbeat_env(dict(value)))
         raise TypeError(f"cannot interpret faults={value!r} as a FaultPlan")
 
 
-def _apply_heartbeat_env(kw: dict) -> dict:
-    """Fill ``detect_timeout`` from ``REPRO_HEARTBEAT_TIMEOUT`` when the
-    spec/dict did not set it explicitly (explicit always wins; plans built
-    programmatically as ``FaultPlan(...)`` are never rewritten)."""
-    if "detect_timeout" not in kw:
-        env = os.environ.get(HEARTBEAT_ENV, "").strip()
-        if env:
-            kw["detect_timeout"] = float(env)
-    return kw
-
-
-__all__ = ["FaultPlan", "FAULTS_ENV", "HEARTBEAT_ENV"]
+__all__ = ["FaultPlan", "FAULTS_ENV"]

@@ -15,10 +15,10 @@
 
 Every rule prints one verdict line, whose detail states the relation
 that holds (``<=`` when a ceiling is met, ``>`` when it is not), and the
-process exits non-zero when any FAIL-severity rule is violated.  With
-``--strict``, WARN-severity violations fail too, and so does a run in
-which no rule applied at all (an empty or renamed artifact must not read
-as healthy) — which is how CI turns a green-looking run into a hard gate.
+process exits non-zero when any verdict is FAIL.  With ``--strict``, a
+WARN verdict fails too, and so does a run in which no rule applied at
+all (an empty or renamed artifact must not read as healthy) — which is
+how CI turns a green-looking run into a hard gate.
 
 Every field is read with its dotted path into the document: a missing
 document or path yields SKIP and a value that cannot be compared yields
@@ -60,11 +60,10 @@ class Verdict:
     (input or report section absent).
     """
 
-    def __init__(self, name: str, status: str, detail: str, severity: str = "fail"):
+    def __init__(self, name: str, status: str, detail: str):
         self.name = name
         self.status = status
         self.detail = detail
-        self.severity = severity
 
     def line(self) -> str:
         return f"[{self.status:4s}] {self.name}: {self.detail}"
@@ -140,7 +139,6 @@ def _check_kv_point(kv: dict, min_util: float, p99_slo: Optional[float],
                 "kv-utilization", "INFO",
                 f"crash point: utilization {util} is informational "
                 "(serving time includes detection + recovery + drain)",
-                "info",
             ))
         else:
             ok = util >= min_util
@@ -185,7 +183,7 @@ def _check_kv_availability(kv: dict, min_avail: float,
         out.append(Verdict(
             "kv-shed", "INFO",
             f"admission control shed {kv.get('requests_shed')} requests "
-            f"(fraction {shed:.4f})", "info",
+            f"(fraction {shed:.4f})",
         ))
     if kv.get("crash_rank") is None:
         return out
@@ -206,7 +204,7 @@ def _check_kv_availability(kv: dict, min_avail: float,
         out.append(Verdict(
             "kv-recovery", "INFO",
             f"detection-to-restored recovery {rec * 1e6:.0f}us "
-            f"({kv.get('failover_reads')} failover reads)", "info",
+            f"({kv.get('failover_reads')} failover reads)",
         ))
     else:
         ok = rec <= max_recovery_s
@@ -255,12 +253,12 @@ def _check_kv_shard_skew(kv: dict) -> List[Verdict]:
     skews = [(_num(p, "shard_load_skew", prefix + "shard_load_skew"), prefix)
              for prefix, p in _kv_points(kv)]
     if not skews or any(skew is None for skew, _ in skews):
-        return [Verdict("kv-shard-skew", "SKIP", "shard_load_skew not present", "info")]
+        return [Verdict("kv-shard-skew", "SKIP", "shard_load_skew not present")]
     skew, prefix = max(skews)
     return [Verdict(
         "kv-shard-skew", "INFO",
         f"{prefix}shard_load_skew = {skew} (busiest shard's applied updates "
-        "+ served reads, over the mean rank's)", "info",
+        "+ served reads, over the mean rank's)",
     )]
 
 
@@ -280,7 +278,7 @@ def _check_kv_write_dwell(kv: dict, min_util: float) -> List[Verdict]:
         dwell = _num(p, "max_dwell_s", prefix + "max_dwell_s")
         if p50 is None or not dwell:
             return [Verdict("kv-write-dwell", "SKIP",
-                            f"{prefix}write_p50_s/max_dwell_s not present", "warn")]
+                            f"{prefix}write_p50_s/max_dwell_s not present")]
         if is_curve:
             mult = _num(p, "multiplier", prefix + "multiplier")
             idle = mult is not None and (knee_mult is None or mult < knee_mult)
@@ -291,7 +289,7 @@ def _check_kv_write_dwell(kv: dict, min_util: float) -> List[Verdict]:
                      _num(p, "read_p50_s", prefix + "read_p50_s"))
     if worst is None:
         return [Verdict("kv-write-dwell", "SKIP",
-                        "no point below saturation (utilization floor / knee)", "warn")]
+                        "no point below saturation (utilization floor / knee)")]
     ratio, prefix, p50, dwell, read_p50 = worst
     detail = (f"{prefix}write_p50_s = {p50 * 1e6:.1f}us = {ratio:.2f}x "
               f"max_dwell {dwell * 1e6:.1f}us")
@@ -300,10 +298,10 @@ def _check_kv_write_dwell(kv: dict, min_util: float) -> List[Verdict]:
         detail += f" (read p50 {read_p50 * 1e6:.1f}us)"
     if ratio >= WRITE_DWELL_WARN:
         return [Verdict("kv-write-dwell", "WARN",
-                        detail + " — writes are waiting out the timer", "warn")]
+                        detail + " — writes are waiting out the timer")]
     if ratio < WRITE_DWELL_PASS:
-        return [Verdict("kv-write-dwell", "PASS", detail + f" < {WRITE_DWELL_PASS}x", "warn")]
-    return [Verdict("kv-write-dwell", "INFO", detail, "info")]
+        return [Verdict("kv-write-dwell", "PASS", detail + f" < {WRITE_DWELL_PASS}x")]
+    return [Verdict("kv-write-dwell", "INFO", detail)]
 
 
 def _check_telemetry(tel: dict, max_gap: float, max_retx_rate: float,
@@ -336,11 +334,10 @@ def _check_telemetry(tel: dict, max_gap: float, max_retx_rate: float,
         "attentiveness-gap", "PASS" if ok else "WARN",
         f"max progress gap {worst_gap * 1e6:.1f}us {'<=' if ok else '>'} "
         f"{max_gap * 1e6:.1f}us",
-        "warn",
     )]
     missing = [absent[k] for k in _RETX_FIELDS if k in absent]
     if missing:
-        out.append(Verdict("retransmit-rate", "SKIP", f"{missing[0]} not present", "warn"))
+        out.append(Verdict("retransmit-rate", "SKIP", f"{missing[0]} not present"))
     else:
         retx = totals["rel.retx"]
         nic_ops = sum(totals[f"nic.{k}"] for k in ("puts", "gets", "ams", "amos"))
@@ -350,11 +347,10 @@ def _check_telemetry(tel: dict, max_gap: float, max_retx_rate: float,
             "retransmit-rate", "PASS" if ok else "WARN",
             f"{retx} retransmits / {nic_ops} NIC ops = {rate:.4f} "
             f"{'<=' if ok else '>'} {max_retx_rate}",
-            "warn",
         ))
     missing = [absent[k] for k in _STALL_FIELDS if k in absent]
     if missing:
-        out.append(Verdict("credit-stall-fraction", "SKIP", f"{missing[0]} not present", "warn"))
+        out.append(Verdict("credit-stall-fraction", "SKIP", f"{missing[0]} not present"))
     else:
         t_end = totals["t"]
         frac = (totals["agg.credit_stall_s"] / (len(ranks) * t_end)) if t_end > 0 else 0.0
@@ -362,7 +358,6 @@ def _check_telemetry(tel: dict, max_gap: float, max_retx_rate: float,
         out.append(Verdict(
             "credit-stall-fraction", "PASS" if ok else "WARN",
             f"agg credit stall {frac:.3f} of rank-time {'<=' if ok else '>'} {max_stall_frac}",
-            "warn",
         ))
     return out
 
@@ -435,7 +430,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     ap.add_argument("--max-retx-rate", type=float, default=DEFAULT_MAX_RETX_RATE)
     ap.add_argument("--max-stall-frac", type=float, default=DEFAULT_MAX_STALL_FRAC)
     ap.add_argument("--strict", action="store_true",
-                    help="WARN-severity violations also fail the run, and "
+                    help="WARN verdicts also fail the run, and "
                     "so does a run in which no rule applied")
     args = ap.parse_args(argv)
 

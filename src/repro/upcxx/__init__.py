@@ -29,7 +29,6 @@ from repro.upcxx.aggregator import AggStore
 from repro.upcxx.replication import ReplicaMap, ReplicatedStore
 from repro.upcxx.api import (
     compute,
-    default_ppn,
     in_spmd,
     progress,
     rank_me,
@@ -88,7 +87,6 @@ __all__ = [
     "sim_now",
     "in_spmd",
     "runtime_here",
-    "default_ppn",
     # asynchrony
     "Future",
     "Promise",

@@ -9,7 +9,7 @@ as a reusable runtime layer, in the style of the Conveyors/HipMer
 aggregators:
 
 - **Destination batching** — ``update(key, value)`` buffers locally by
-  owner rank (``hash_target`` by default); a full buffer flushes as one
+  owner rank (``default_route`` by default); a full buffer flushes as one
   ``rpc_ff`` carrying parallel key/value arrays.
 - **Pluggable combine** — the target merges each update into its shard
   with a per-store combine function (``"+"``, ``"replace"``, ``"min"``,

@@ -11,39 +11,18 @@ from __future__ import annotations
 
 from typing import Callable, List, Optional
 
-from repro.gasnet.cpumodel import CpuModel, platform_cpu
-from repro.gasnet.machine import Machine
-from repro.gasnet.network import AriesNetwork, NetworkModel
-from repro.sim.coop import Scheduler
+from repro.gasnet.machine import build_job
 from repro.sim.errors import RankDeadError, RankFailure, SimError
 from repro.sim.faults import FaultPlan
 from repro.upcxx.costs import DEFAULT_COSTS, UpcxxCosts
 from repro.upcxx.errors import NotInSpmdError
 from repro.upcxx.runtime import Runtime, World, current_runtime
 
-#: default processes-per-node, matching the paper's configurations
-DEFAULT_PPN = {"haswell": 32, "knl": 68}
-
-
-def default_ppn(platform: str) -> int:
-    return DEFAULT_PPN.get(platform.lower(), 32)
-
-
-def _lookahead(network: NetworkModel) -> float:
-    """The scheduler's lookahead ``L`` for a job on ``network``: a rank
-    reaches another only through a conduit frame, and no frame lands
-    sooner than the shorter one-way latency after its sender's clock
-    (:mod:`repro.sim.coop`)."""
-    return min(network.latency_oneway_shm, network.latency_oneway)
-
-
 def run_spmd(
     fn: Callable[[], object],
     ranks: int,
     platform: str = "haswell",
     ppn: Optional[int] = None,
-    network: Optional[NetworkModel] = None,
-    cpu: Optional[CpuModel] = None,
     costs: UpcxxCosts = DEFAULT_COSTS,
     segment_size: int = 32 * 1024 * 1024,
     seed: int = 0,
@@ -82,8 +61,8 @@ def run_spmd(
     run: :meth:`Scheduler.stats` (switches, events fired) and
     :meth:`Conduit.stats` (frames, bytes, retransmits, acks).
 
-    ``faults`` enables chaos injection: a :class:`repro.sim.faults.FaultPlan`,
-    a spec string (``"seed=1,drop=0.05,crash=2@1e-3"``), or a kwargs dict.
+    ``faults`` enables chaos injection: a :class:`repro.sim.faults.FaultPlan`
+    or a spec string (``"seed=1,drop=0.05,crash=2@1e-3"``).
     Defaults to ``$REPRO_FAULTS`` (off when unset).  With a plan active the
     conduit runs in reliable-delivery mode — acks, timeouts, retransmits —
     so UPC++-level semantics stay exactly-once; crashed ranks fail-stop and
@@ -93,11 +72,7 @@ def run_spmd(
         raise ValueError("run_spmd needs a fresh Telemetry: this one already holds "
                          f"ranks {sorted(telemetry.ranks)} of an earlier run")
     faults = FaultPlan.resolve(faults)
-    ppn = ppn if ppn is not None else default_ppn(platform)
-    machine = Machine.for_ranks(ranks, ppn, name=platform)
-    network = network if network is not None else AriesNetwork()
-    cpu = cpu if cpu is not None else platform_cpu(platform)
-    sched = Scheduler(ranks, trace=trace, max_time=max_time, lookahead=_lookahead(network))
+    machine, network, cpu, sched = build_job(ranks, platform, ppn, max_time, trace)
     if telemetry is not None and faults is not None and faults.crashes and not faults.survivable:
         # freeze the windows at the first crash time so the post-mortem
         # bundle shows the job at the moment of death.  Survivable plans

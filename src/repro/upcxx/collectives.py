@@ -122,8 +122,10 @@ def barrier(team: Optional[Team] = None) -> None:
 
 
 # ---------------------------------------------------------------- broadcast
-def _bcast_children(vrank: int, n: int) -> list:
-    """Children of ``vrank`` in the binomial broadcast tree of size ``n``."""
+def bcast_children(vrank: int, n: int) -> list:
+    """Children of ``vrank`` in the binomial broadcast tree of size ``n``
+    rooted at virtual rank 0; a child ``c``'s parent is ``c & (c - 1)``.
+    MPI's ``bcast`` (:mod:`repro.mpisim.collectives`) walks the same tree."""
     mask = 1
     while mask < n and not (vrank & mask):
         mask <<= 1
@@ -153,7 +155,7 @@ def _tree_forward(team: Team, epoch: int, root: int, recv: Callable, payload, sp
 
     n = team.rank_n()
     vrank = (team.rank_me() - root) % n
-    for c in _bcast_children(vrank, n):
+    for c in bcast_children(vrank, n):
         if split:
             sub = {v: payload[v] for v in range(c, min(2 * c - vrank, n)) if v in payload}
         else:
@@ -286,7 +288,7 @@ def reduce_one(value, op: Union[str, Callable] = "+", root: int = 0, team: Optio
     entry["have_own"] = True
     entry["own"] = value
     entry["op"] = opf
-    entry["expected"] = len(_bcast_children(vrank, n))
+    entry["expected"] = len(bcast_children(vrank, n))
     entry["root"] = root
     entry["team"] = team
     fut = entry["promise"].get_future()

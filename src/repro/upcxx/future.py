@@ -117,8 +117,7 @@ class Future:
 
     def wait(self):
         """Block until ready (spin loop around user progress); return result."""
-        rt = self._runtime()
-        rt.wait_on(self)
+        self._runtime().wait_quiet(self.ready, "upcxx::wait")
         return self.result()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -216,7 +216,6 @@ def rget(
         raise GlobalPtrError(f"rget of {n} elements outside span of {src.count}")
     op = rt._op_pool.pop() if rt._op_pool else RmaOp(rt)
     fut = _issue(rt, op, "rget", src, n * src.itemsize, cx, rt._c_rma_inject)
-    rt.n_rgets += 1
     # a user-supplied promise may track many operations, so it is fulfilled
     # anonymously (no value); only the default as_future carries the data
     op.dtype = None if cx is not None and cx.kind == "promise" else src.dtype

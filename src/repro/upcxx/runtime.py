@@ -41,7 +41,6 @@ from repro.sim.errors import RankCrashed
 from repro.sim.rng import RankRandom
 from repro.upcxx.costs import DEFAULT_COSTS, UpcxxCosts
 from repro.upcxx.errors import NotInSpmdError
-from repro.upcxx.future import Future
 from repro.util.sink import Hooks
 
 
@@ -131,8 +130,6 @@ class World:
         self.conduit._remote_cx_deliver = self._deliver_remote_cx
         self.n_ranks = sched.n_ranks
         self.runtimes: List[Optional["Runtime"]] = [None] * self.n_ranks
-        #: next team uid (uids are assigned collectively & deterministically)
-        self.team_uid_seq = 1  # 0 is reserved for world
 
     def close(self) -> None:
         """The job is over: fold the endpoints' NIC and reliability ledgers
@@ -244,7 +241,6 @@ class Runtime:
 
         # counters
         self.n_rputs = 0
-        self.n_rgets = 0
         self.n_rpcs_sent = 0
         self.n_rpcs_executed = 0
         self.n_progress_calls = 0
@@ -527,21 +523,14 @@ class Runtime:
             for f in on.retire:
                 f(self, item, t_exec, now)
 
-    def wait_on(self, fut: Future) -> None:
-        """Spin around user progress until ``fut`` is ready (paper: wait)."""
-        while not fut.ready():
-            self.progress()
-            if fut.ready():
-                break
-            self.sched.block("upcxx::wait")
-
     def wait_quiet(
         self,
         pred: Callable[[], bool],
         reason: str = "upcxx::quiesce",
         before_park: Optional[Callable[[], None]] = None,
     ) -> None:
-        """Progress until an arbitrary predicate holds (library-internal).
+        """Progress until ``pred`` holds: ``Future.wait``'s spin around
+        user progress, and the library's internal waits.
 
         ``before_park`` runs when ``progress()`` has served the inbox, the
         predicate is still false and the rank is about to sleep — the one

@@ -22,12 +22,11 @@ class Summary:
     maximum: float
     median: float
     stdev: float
-    # tail percentiles (linear interpolation between order statistics);
-    # defaulted so older call sites constructing Summary directly still work
-    p50: float = 0.0
-    p95: float = 0.0
-    p99: float = 0.0
-    p999: float = 0.0
+    # tail percentiles (linear interpolation between order statistics)
+    p50: float
+    p95: float
+    p99: float
+    p999: float
 
 
 def _percentile_sorted(xs: Sequence[float], q: float) -> float:

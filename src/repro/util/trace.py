@@ -11,9 +11,8 @@ with the same seed must produce the same :meth:`TraceBuffer.digest`.
 from __future__ import annotations
 
 import hashlib
-from collections import deque
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator
 
 from repro.util.sink import Sink
 
@@ -29,17 +28,14 @@ class TraceEvent:
 
 
 class TraceBuffer(Sink):
-    """An in-memory trace.  ``CAPACITY`` ``None`` keeps every event; a
-    subclass may bound it to keep only the most recent ones.
+    """An in-memory trace of every recorded event.
 
     The buffer is also every rank's progress-engine sink: ``am`` per polled
     active message (its tag), ``exec`` per executed compQ item (its kind).
     """
 
-    CAPACITY: Optional[int] = None
-
     def __init__(self):
-        self._events: deque = deque(maxlen=self.CAPACITY)
+        self._events: list = []
 
     def rank(self, r: int) -> "TraceBuffer":
         """Rank ``r``'s sink: the buffer itself (it reads the rank off the runtime)."""

@@ -5,7 +5,7 @@ import pytest
 
 import repro.upcxx as upcxx
 from repro.apps.dht import DhtRmaLz, DhtRpcOnly, DistGraph, SerialMap
-from repro.apps.dht.rpc_only import hash_target
+from repro.upcxx.aggregator import default_route as hash_target
 
 
 class TestHashTarget:

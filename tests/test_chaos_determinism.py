@@ -70,6 +70,11 @@ def test_zero_rate_plan_identical_to_disabled():
     assert fp(None) == fp(FaultPlan(seed=9)) == fp("seed=9")
 
 
+def test_a_plan_is_a_spec_string_or_a_faultplan_not_a_dict():
+    with pytest.raises(TypeError):
+        FaultPlan.resolve({"seed": 9})
+
+
 def test_zero_rate_plan_same_nic_counters():
     """Reliable mode adds acks (``rel.acks``), nothing else: every
     telemetry window's NIC block — bytes of get replies included — reads

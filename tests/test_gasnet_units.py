@@ -90,8 +90,7 @@ class TestBenchHelpers:
         assert improvement(1.0, 1.0) == 0.0
 
     def test_platform_presets(self):
-        from repro.bench.platforms import PLATFORMS
-        from repro.gasnet.cpumodel import platform_cpu
+        from repro.gasnet.cpumodel import PLATFORMS, platform_cpu
 
         assert PLATFORMS["haswell"].ppn_dht == 32
         assert PLATFORMS["knl"].ppn_dht == 68

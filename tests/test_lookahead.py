@@ -1,7 +1,7 @@
 """The lookahead scheduler against the strict one.
 
 ``run_spmd`` and ``run_mpi`` give their scheduler a lookahead ``L``, the
-shorter one-way latency of the job's network (``repro.upcxx.api._lookahead``):
+shorter one-way latency of the job's network (``repro.gasnet.machine.lookahead``):
 a running rank keeps the baton while it is less than ``L`` ahead of every
 READY rank.  ``L = 0`` is the strict schedule, reached here by patching
 that helper.  The relaxation is exact: every golden program leaves the
@@ -14,8 +14,8 @@ import weakref
 
 import pytest
 
+import repro.gasnet.machine
 import repro.upcxx as upcxx
-import repro.upcxx.api
 from repro.gasnet.network import AriesNetwork
 from repro.sim.coop import _READY, Scheduler, current_scheduler
 from repro.sim.errors import RankFailure, SimError
@@ -32,7 +32,7 @@ def strict(monkeypatch):
 
     def call(fn):
         with monkeypatch.context() as m:
-            m.setattr(repro.upcxx.api, "_lookahead", lambda network: 0.0)
+            m.setattr(repro.gasnet.machine, "lookahead", lambda network: 0.0)
             return fn()
 
     return call
@@ -40,7 +40,7 @@ def strict(monkeypatch):
 
 def test_run_spmd_takes_the_shorter_one_way_latency():
     net = AriesNetwork()
-    assert repro.upcxx.api._lookahead(net) == min(net.latency_oneway, net.latency_oneway_shm) == L
+    assert repro.gasnet.machine.lookahead(net) == min(net.latency_oneway, net.latency_oneway_shm) == L
 
 
 # ------------------------------------------------------ differential oracle
@@ -138,7 +138,7 @@ def test_a_failure_keeps_its_cause():
 
 # ----------------------------------------------- the gate, on a bare scheduler
 def test_a_bare_scheduler_is_strict():
-    assert Scheduler(2)._lookahead == 0.0
+    assert Scheduler(2).lookahead == 0.0
     with pytest.raises(ValueError):
         Scheduler(2, lookahead=-1e-9)
 

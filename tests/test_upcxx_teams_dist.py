@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import repro.upcxx as upcxx
+from repro.upcxx.collectives import bcast_children
 
 
 class TestTeams:
@@ -115,6 +117,20 @@ class TestCollectives:
             return float(v.sum())
 
         assert upcxx.run_spmd(body, 4) == [120.0] * 4
+
+    @given(st.integers(1, 64))
+    def test_the_broadcast_tree_reaches_every_rank_once(self, n):
+        # the one binomial tree of UPC++ broadcast/reduce and MPI bcast
+        for root in range(n):
+            reached = [root]
+            frontier = [0]
+            while frontier:
+                v = frontier.pop()
+                for c in bcast_children(v, n):
+                    assert c & (c - 1) == v
+                    reached.append((c + root) % n)
+                    frontier.append(c)
+            assert sorted(reached) == list(range(n))
 
     def test_reduce_one_sum(self):
         def body():

@@ -111,16 +111,6 @@ class TestRecords:
         assert len(widths) == 1
 
 class TestTrace:
-    def test_capacity_bounds(self):
-        class Bounded(TraceBuffer):
-            CAPACITY = 3
-
-        tb = Bounded()
-        for i in range(10):
-            tb.record(float(i), 0, "k", str(i))
-        assert len(tb) == 3
-        assert [e.detail for e in tb] == ["7", "8", "9"]
-
     def test_fingerprint_order_sensitive(self):
         """One rank's own order at one instant is part of the digest."""
         t1, t2 = TraceBuffer(), TraceBuffer()
