@@ -515,11 +515,15 @@ class AggStore:
         carries the ones queued for its destination).  Buffered reads
         ship too: they hold no credit.
         """
-        credits = self._credits
         for t in range(self._n):
-            if self._buf_keys[t] and (credits is None or credits[t] > 0):
-                self._flush_dest(t)
+            self._flush_if_credit(t)
             self._ship_reads(t)
+
+    def _flush_if_credit(self, t: int) -> None:
+        """Ship ``t``'s partial data buffer if a credit is free (never stalls)."""
+        credits = self._credits
+        if self._buf_keys[t] and (credits is None or credits[t] > 0):
+            self._flush_dest(t)
 
     def _drop_dead_buffer(self, t: int) -> None:
         """Discard the (undeliverable) buffer for a detected-dead peer."""
@@ -559,6 +563,10 @@ class AggStore:
                 self._drop_dead_buffer(t)
                 return
             bk = self._buf_keys[t]
+            if not bk:
+                # a read reply landing during the stall shipped the buffer
+                # ahead of its read batch (``_ship_reads``)
+                return
         # snapshot *after* any stall: updates buffered meanwhile ride along
         bv = self._buf_vals[t]
         self._buf_keys[t] = []
@@ -732,9 +740,7 @@ class AggStore:
         fills = self._read_fills[t]
         self._read_keys[t] = []
         self._read_fills[t] = []
-        credits = self._credits
-        if self._buf_keys[t] and (credits is None or credits[t] > 0):
-            self._flush_dest(t)
+        self._flush_if_credit(t)
         self._send_reads(t, keys, fills)
 
     def _send_reads(self, t: int, keys: list, fills: list) -> None:

@@ -308,6 +308,46 @@ class TestDwellAndCredits:
         assert stats["credit_stalls"] == 0
         assert stats["acks_received"] == 0  # unacked fire-and-forget mode
 
+    def test_a_stall_whose_buffer_a_read_reply_shipped_sends_no_empty_batch(
+        self, monkeypatch
+    ):
+        # rank 0 stalls on its one credit; in the same progress() the ack
+        # returns it and the reply of an in-flight read ships the next read
+        # batch, its partial write batch (the stalled one) ahead of it.  The
+        # stalled flush then finds its buffer empty and must send nothing.
+        from repro.upcxx import aggregator
+
+        sizes = []
+        apply = aggregator._agg_apply
+
+        def spy(dobj, src, seq, keys, vals, invals):
+            sizes.append(len(aggregator._as_list(keys)))
+            return apply(dobj, src, seq, keys, vals, invals)
+
+        monkeypatch.setattr(aggregator, "_agg_apply", spy)
+
+        def body():
+            store = AggStore("+", batch_size=2, credits=1, cache_capacity=8)
+            keys = [k for k in range(256) if store.dest_of(k) == 1][:6]
+            upcxx.barrier()
+            if upcxx.rank_me() == 0:
+                store.update(keys[0], 1)
+                store.update(keys[1], 1)  # full: ships with the only credit
+                store.read(keys[4])  # a read in flight to rank 1 ...
+                store.read(keys[5])  # ... and one buffered behind it
+                store.update(keys[2], 1)
+                upcxx.compute(1e-3)  # the ack and the read reply both land
+                store.update(keys[3], 1)  # full, no credit: stalls
+            store.quiesce()
+            upcxx.barrier()
+            return store.stats()
+
+        s0, s1 = upcxx.run_spmd(body, 2, ppn=1)
+        assert s0["credit_stalls"] == 1
+        assert sizes == [2, 2]
+        assert s0["batches_sent"] == s1["applied_batches"] == 2
+        assert s1["applied_updates"] == 4
+
 
 class TestFlushReady:
     """The work-conserving flush a parking caller makes."""
