@@ -18,6 +18,7 @@ from repro.upcxx.costs import DEFAULT_COSTS, UpcxxCosts
 from repro.upcxx.errors import NotInSpmdError
 from repro.upcxx.runtime import Runtime, World, current_runtime
 
+
 def run_spmd(
     fn: Callable[[], object],
     ranks: int,
