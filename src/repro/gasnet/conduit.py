@@ -37,6 +37,7 @@ from repro.gasnet.machine import Machine
 from repro.gasnet.network import NetworkModel, PATH_FMA
 from repro.gasnet.segment import Segment
 from repro.sim.coop import Scheduler
+from repro.sim.faults import MAX_RETX
 
 
 class _Endpoint:
@@ -254,7 +255,6 @@ class Conduit:
             chan[0] = seq + 1
             rto = plan.rto_for(lat, lat)
             cutoff = plan.crash_cutoff(rcv)
-            max_retx = plan.max_retx
             acked_at = inf = float("inf")
             first_arrival = None
             n_drop = n_dup = n_ack = 0
@@ -307,7 +307,7 @@ class Conduit:
             i += 1
             # exponential backoff from this injection's end
             t = done + rto * (2.0 ** (i - 1))
-            if acked_at <= t or i > max_retx:
+            if acked_at <= t or i > MAX_RETX:
                 break
         commit_at = ack_recv = None
         if first_arrival is not None:

@@ -31,6 +31,7 @@ the ``REPRO_FAULTS`` environment variable).
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -47,10 +48,20 @@ _STALL_WINDOWS = 64
 
 _TWO64 = float(2**64)
 
+#: retransmit attempts after which a frame *and* its ack are forced
+#: through, bounding every ladder (no-hang guarantee)
+MAX_RETX = 10
+
 
 @dataclass(frozen=True)
 class FaultPlan:
     """A seeded, immutable description of injected faults.
+
+    Every value is checked at construction (spec strings come from
+    outside input): ``drop`` and ``dup`` lie in [0, 1]; ``jitter``,
+    ``stall_rate``, ``stall_s``, ``detect_timeout`` and every crash time
+    are finite and >= 0, and every crash rank is >= 0.  A bad value
+    raises :class:`ValueError` naming its field.
 
     Parameters
     ----------
@@ -82,13 +93,6 @@ class FaultPlan:
         executing — the mode the replication/failover layer
         (:mod:`repro.upcxx.replication`) builds on.  Default False
         (fail-stop, the paper's semantics).
-    rto:
-        Base retransmission timeout; ``None`` derives a safe default from
-        the channel's latency so that a zero-fault plan never spuriously
-        retransmits (keeping it bit-identical to ``faults=None``).
-    max_retx:
-        Retransmit attempts after which the frame *and* its ack are
-        forced through, bounding every ladder (no-hang guarantee).
     """
 
     seed: int = 0
@@ -100,8 +104,20 @@ class FaultPlan:
     crash: Dict[int, float] = field(default_factory=dict)
     detect_timeout: float = 2e-5
     survivable: bool = False
-    rto: Optional[float] = None
-    max_retx: int = 10
+
+    def __post_init__(self) -> None:
+        for name in ("drop", "dup"):
+            p = getattr(self, name)
+            if not 0.0 <= p <= 1.0:
+                raise ValueError(f"fault plan {name}={p!r}: must be a probability in [0, 1]")
+        for name in ("jitter", "stall_rate", "stall_s", "detect_timeout"):
+            v = getattr(self, name)
+            if not (v >= 0.0 and math.isfinite(v)):
+                raise ValueError(f"fault plan {name}={v!r}: must be finite and >= 0")
+        for rank, t in self.crash.items():
+            if rank < 0 or not (t >= 0.0 and math.isfinite(t)):
+                raise ValueError(f"fault plan crash={rank}@{t!r}: the rank must be >= 0 "
+                                 "and the time finite and >= 0")
 
     # ------------------------------------------------------------------
     # stateless fault decisions
@@ -117,16 +133,16 @@ class FaultPlan:
     def drops_frame(self, src: int, dst: int, seq: int, attempt: int) -> bool:
         """Is this payload-frame transmission attempt lost?
 
-        Forced ``False`` once ``attempt`` reaches :attr:`max_retx` so the
+        Forced ``False`` once ``attempt`` reaches :data:`MAX_RETX` so the
         retransmit ladder always terminates.
         """
-        if self.drop <= 0.0 or attempt >= self.max_retx:
+        if self.drop <= 0.0 or attempt >= MAX_RETX:
             return False
         return self._u("drop", src, dst, seq, attempt) < self.drop
 
     def drops_ack(self, src: int, dst: int, seq: int, attempt: int) -> bool:
         """Is the ack for this delivered attempt lost on the way back?"""
-        if self.drop <= 0.0 or attempt >= self.max_retx:
+        if self.drop <= 0.0 or attempt >= MAX_RETX:
             return False
         return self._u("ackdrop", src, dst, seq, attempt) < self.drop
 
@@ -213,8 +229,6 @@ class FaultPlan:
         latencies.  The default covers a full round trip plus the worst
         jitter on both legs with 2x margin, so a fault-free frame is
         always acked before its first retransmit would fire."""
-        if self.rto is not None:
-            return self.rto
         return 2.0 * (lat + ack_lat + 2.0 * self.jitter)
 
     # ------------------------------------------------------------------
@@ -224,7 +238,7 @@ class FaultPlan:
     def parse(spec: str) -> "FaultPlan":
         """Parse a comma-separated spec string.
 
-        ``"seed=1,drop=0.25,dup=0.1,jitter=2e-6,stall=5000:1e-5,crash=1@3e-4+2@5e-4,detect=2e-5,rto=1e-5,max_retx=8"``
+        ``"seed=1,drop=0.25,dup=0.1,jitter=2e-6,stall=5000:1e-5,crash=1@3e-4+2@5e-4,detect=2e-5,survive=1"``
         """
         kw: dict = {}
         for item in spec.split(","):
@@ -258,10 +272,6 @@ class FaultPlan:
                 kw["detect_timeout"] = float(value)
             elif key == "survive":
                 kw["survivable"] = bool(int(value))
-            elif key == "rto":
-                kw["rto"] = float(value)
-            elif key == "max_retx":
-                kw["max_retx"] = int(value)
             else:
                 raise ValueError(f"unknown fault spec key {key!r}")
         return FaultPlan(**kw)
@@ -286,4 +296,4 @@ class FaultPlan:
         raise TypeError(f"cannot interpret faults={value!r} as a FaultPlan")
 
 
-__all__ = ["FaultPlan", "FAULTS_ENV"]
+__all__ = ["FaultPlan", "FAULTS_ENV", "MAX_RETX"]

@@ -98,6 +98,8 @@ def _num(doc: dict, key: str, path: Optional[str] = None):
 def _check_kv_capacity(sweep: dict, min_util: float) -> List[Verdict]:
     """Below-knee points of a ``kv_bench --sweep`` curve must hold the
     knee efficiency."""
+    if not sweep["curve"]:
+        return [Verdict("kv-capacity", "SKIP", "curve holds no point")]
     knee = sweep.get("knee")
     knee_mult = _num(knee, "multiplier") if isinstance(knee, dict) else None
     bad = []
@@ -229,6 +231,8 @@ def _check_kv_coherence(kv: dict) -> List[Verdict]:
     every point of a sweep curve: a registration entitles a reader to one
     invalidation, so owners cannot have sent more than were registered."""
     points = _kv_points(kv)
+    if not points:
+        return [Verdict("kv-coherence", "SKIP", "curve holds no point")]
     bad = []
     for prefix, p in points:
         sent = _num(p, "invals_sent", prefix + "invals_sent")
@@ -309,6 +313,8 @@ def _check_telemetry(tel: dict, max_gap: float, max_retx_rate: float,
     ranks = tel.get("ranks")
     if not ranks:
         return [Verdict("telemetry", "SKIP", "no per-rank telemetry present")]
+    if not any(rank.get("windows") for rank in ranks.values()):
+        return [Verdict("telemetry", "SKIP", "no rank holds a telemetry window")]
     worst_gap = 0.0
     totals = dict.fromkeys(_RETX_FIELDS + _STALL_FIELDS, 0)
     absent = {}  # field -> the first dotted path it was missing at

@@ -46,10 +46,9 @@ _OP_TABLE = {
 class AmoOp(RmaOp):
     """One remote atomic: an :class:`~repro.upcxx.rma.RmaOp` that
     ``Conduit.atomic`` applies at the target NIC, leaving the prior value
-    in ``data``.  Not pooled: no workload is atomic-bound."""
+    in ``data``."""
 
     __slots__ = ()
-    POOL_MAX = 0
 
     def inject(self) -> None:
         """defQ -> actQ (internal progress): hand the atomic to the conduit."""
@@ -80,14 +79,10 @@ class AtomicDomain:
             raise UpcxxError(f"atomic_domain dtype {self.dtype} != pointer dtype {gptr.dtype}")
         rt = self.rt
         conduit_op, fetches = _OP_TABLE[op]
-        x = AmoOp(rt)
-        fut = _issue(rt, x, "amo", gptr, self.dtype.itemsize, cx, rt._c_atomic_inject, f"atomic {op}")
-        x.payload = (conduit_op, self.dtype, operands)
         # a non-fetching op, or one a promise tracks, completes without a value
-        x.dtype = self.dtype if fetches and (cx is None or cx.kind != "promise") else None
-        rt.defer(x)
-        rt.internal_progress()
-        return fut
+        dtype = self.dtype if fetches and (cx is None or cx.kind != "promise") else None
+        return _issue(rt, AmoOp, "amo", gptr, self.dtype.itemsize, cx, rt._c_atomic_inject,
+                      (conduit_op, self.dtype, operands), dtype, what=f"atomic {op}")
 
     # ------------------------------------------------------------- operations
     def load(self, gptr: GlobalPtr, cx=None) -> Future:

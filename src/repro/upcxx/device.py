@@ -29,7 +29,6 @@ from typing import Optional, Union
 import numpy as np
 
 from repro.gasnet.handle import ATOMIC_APPLY, PUT_COMMIT, Transfer
-from repro.gasnet.network import PATH_BTE, PATH_FMA
 from repro.upcxx.completion import Completion, resolve
 from repro.upcxx.errors import GlobalPtrError, UpcxxError
 from repro.upcxx.future import Future
@@ -102,14 +101,19 @@ class CopyOp(RmaOp):
     memory adds a PCIe staging hop on its owner's link where it is touched:
     at the source once its bytes are in hand (after a get leg's reply
     lands), at the target before they land.  A local target is written by
-    the record's own ``PUT_COMMIT`` event.  Not pooled."""
+    the record's own ``PUT_COMMIT`` event."""
 
     __slots__ = ("source", "target")
-    POOL_MAX = 0
     #: a get leg's completion stages the bytes over the source rank's
     #: PCIe link, a third rank's state: every event of a copy waits for
     #: the strict gate
     LOOKAHEAD = False
+
+    def __init__(self, rt, source, target, nbytes, promise, payload):
+        # a copy completes without a value
+        RmaOp.__init__(self, rt, "copy", None, None, nbytes, promise, payload=payload)
+        self.source = source
+        self.target = target
 
     def inject(self) -> None:
         """defQ -> actQ (internal progress): start the get leg, or go
@@ -196,20 +200,13 @@ def copy(
     )
     if src_is_local_host and dst.rank == me and dst.kind == "host":
         rt.charge_copy(nbytes)  # plain local memcpy
-    op = CopyOp(rt)
-    op.promise, fut = resolve(cx, rt)
-    op.kind = "copy"
-    op.nbytes = nbytes
-    op.path = PATH_FMA if nbytes < rt.costs.bte_threshold else PATH_BTE
-    op.dtype = None  # a copy completes without a value
-    op.target = dst
+    promise, fut = resolve(cx, rt)
     if not isinstance(src, GlobalPtr):
-        op.source = None
-        op.payload = np.ascontiguousarray(src).tobytes()[:nbytes]
+        source, payload = None, np.ascontiguousarray(src).tobytes()[:nbytes]
+    elif src.rank == me:  # a local source is read at the call, like an array
+        source, payload = src, rt.conduit.segment_of(me, src.kind).read(src.offset, nbytes)
     else:
-        op.source = src
-        if src.rank == me:  # a local source is read at the call, like an array
-            op.payload = rt.conduit.segment_of(me, src.kind).read(src.offset, nbytes)
-    rt.defer(op)
+        source, payload = src, None
+    rt.defer(CopyOp(rt, source, dst, nbytes, promise, payload))
     rt.internal_progress()
     return fut

@@ -6,7 +6,8 @@ enqueues the operation on defQ, and internal progress hands it to the
 conduit (actQ).  When the conduit acknowledges remote completion, the next
 internal progress promotes the operation to compQ, and user progress
 fulfills its promise — running any chained ``.then`` callbacks.  One
-pooled :class:`RmaOp` record is the operation in every one of those states.
+:class:`RmaOp` record, built at the call and dropped once user progress has
+run it, is the operation in every one of those states.
 
 ``rput`` optionally supports remote completion (``remote_cx.as_rpc``): the
 callback runs at the *target* after the bytes land, without a separate
@@ -55,35 +56,48 @@ class RmaOp(Transfer):
       ``t_active``/``t_staged``/``sid``/``t_polled`` and :meth:`fn` are
       what :class:`~repro.upcxx.runtime.CompQItem` offers user progress),
 
-    and user progress hands it back to its runtime's free list once
-    :meth:`fn` has run.  Metrics and spans read every stamp they need
-    (``t_api``, ``t_enq``, ``t_active``, ``t_staged``, ``sid``) from
-    these fields.  Nobody outside the runtime ever holds the record,
-    which is what makes recycling it safe.
+    and user progress drops it once :meth:`fn` has run.  Metrics and spans
+    read every stamp they need (``t_api``, ``t_enq``, ``t_active``,
+    ``t_staged``, ``sid``) from these fields.
 
     An atomic, a VIS operation and a ``copy`` are subclasses
     (``repro.upcxx.atomics``, ``vis``, ``device``) that replace
-    :meth:`inject`, and :meth:`value` where their future carries one; they
-    set ``POOL_MAX`` to 0, so they are not recycled.
+    :meth:`inject`, and :meth:`value` where their future carries one.
     """
 
     __slots__ = (
         "rt", "promise", "opid", "dtype", "scalar",
-        "cost", "t_api", "t_enq", "t_active", "t_staged", "t_polled",
+        "cost", "t_api", "t_enq", "t_active", "t_staged",
     )
 
-    #: free-list bound per runtime (a flood's in-flight depth can be far
-    #: deeper; the excess is simply garbage)
-    POOL_MAX = 256
     #: an RMA-class operation is never a child of another (cf. an rpc reply)
     parent = None
+    #: an RMA completion never passes through the inbox
+    t_polled = None
 
-    def __init__(self, rt):
-        Transfer.__init__(self, rt.conduit, rt.rank)
+    def __init__(self, rt, kind, dst, dst_off, nbytes, promise, sid=None, t_api=0.0,
+                 payload=None, dtype=None, scalar=False, remote_rpc=None):
+        # one frame sets every slot the conduit and the runtime read before
+        # injection (Transfer.__init__ is not called: this is the hot path)
         self.rt = rt
+        self.conduit = rt.conduit
+        self.src = rt.rank
+        self.kind = kind
+        self.dst = dst
+        self.dst_off = dst_off
+        self.nbytes = nbytes
+        self.path = PATH_FMA if nbytes < rt.costs.bte_threshold else PATH_BTE
+        self.promise = promise
+        self.sid = sid
+        self.t_api = t_api
+        self.payload = payload
+        self.dtype = dtype
+        self.scalar = scalar
+        self.remote_rpc = remote_rpc
         self.cost = rt._c_completion
-        #: an RMA completion never passes through the inbox
-        self.t_polled = None
+        self.occ_scale = 1.0
+        self.done = False
+        self.time_done = self._callbacks = self.data = self.seg = None
 
     def _activate(self) -> float:
         """defQ -> actQ: enter actQ; returns now."""
@@ -131,26 +145,18 @@ class RmaOp(Transfer):
         arr = np.frombuffer(self.data, dtype=self.dtype)
         return arr[0].item() if self.scalar else arr.copy()
 
-    def release(self) -> None:
-        """Executed: drop what the operation referenced and rejoin the pool."""
-        self.done = False
-        self.promise = self.data = self.remote_rpc = None
-        pool = self.rt._op_pool
-        if len(pool) < self.POOL_MAX:
-            pool.append(self)
-
     def __str__(self) -> str:
         return str((self.kind, self.nbytes, self.dst))
 
 
-def _issue(rt, op, kind: str, gptr: GlobalPtr, nbytes: int, cx: Optional[Completion],
-           charge: float, what: Optional[str] = None):
-    """The part of an injection call ``rput``, ``rget`` and an atomic
-    share: check the pointer (``what`` names the operation in the error,
-    default ``kind``), open the span, charge the software injection cost
-    ``charge``, resolve the completion and fill in the record ``op``.
-    Returns the future; the caller adds what is specific to it and calls
-    ``rt.defer``."""
+def _issue(rt, cls, kind: str, gptr: GlobalPtr, nbytes: int, cx: Optional[Completion],
+           charge: float, payload=None, dtype=None, scalar: bool = False,
+           remote_rpc=None, what: Optional[str] = None):
+    """The injection call ``rput``, ``rget`` and an atomic share: check the
+    pointer (``what`` names the operation in the error, default ``kind``),
+    open the span, charge the software injection cost ``charge``, resolve
+    the completion, build the ``cls`` record with the rest of the
+    arguments, defer it and run internal progress.  Returns the future."""
     check_host_target(gptr, rt.world.n_ranks, what or kind)
     sid = None
     t_api = 0.0
@@ -159,14 +165,9 @@ def _issue(rt, op, kind: str, gptr: GlobalPtr, nbytes: int, cx: Optional[Complet
         t_api = rt.now()
     rt.sched.charge(charge)
     promise, fut = resolve(cx, rt)
-    op.kind = kind
-    op.dst = gptr.rank
-    op.dst_off = gptr.offset
-    op.nbytes = nbytes
-    op.path = PATH_FMA if nbytes < rt.costs.bte_threshold else PATH_BTE
-    op.promise = promise
-    op.sid = sid
-    op.t_api = t_api
+    rt.defer(cls(rt, kind, gptr.rank, gptr.offset, nbytes, promise, sid, t_api,
+                 payload, dtype, scalar, remote_rpc))
+    rt.internal_progress()
     return fut
 
 
@@ -186,15 +187,10 @@ def rput(
     nbytes = len(data)
     if nbytes > dest.nbytes:
         raise GlobalPtrError(f"rput of {nbytes}B exceeds destination span of {dest.nbytes}B")
-    op = rt._op_pool.pop() if rt._op_pool else RmaOp(rt)
-    fut = _issue(rt, op, "rput", dest, nbytes, cx, rt._c_rma_inject)
+    # a put completes without a value
+    fut = _issue(rt, RmaOp, "rput", dest, nbytes, cx, rt._c_rma_inject, data, None, False,
+                 None if cx is None else cx.remote_rpc)
     rt.n_rputs += 1
-    op.payload = data
-    op.dtype = None  # a put completes without a value
-    if cx is not None:
-        op.remote_rpc = cx.remote_rpc
-    rt.defer(op)
-    rt.internal_progress()
     return fut
 
 
@@ -214,15 +210,11 @@ def rget(
     # n == 0 is legal (a zero-length get completes as a no-op transfer)
     if n < 0 or n > src.count:
         raise GlobalPtrError(f"rget of {n} elements outside span of {src.count}")
-    op = rt._op_pool.pop() if rt._op_pool else RmaOp(rt)
-    fut = _issue(rt, op, "rget", src, n * src.itemsize, cx, rt._c_rma_inject)
     # a user-supplied promise may track many operations, so it is fulfilled
     # anonymously (no value); only the default as_future carries the data
-    op.dtype = None if cx is not None and cx.kind == "promise" else src.dtype
-    op.scalar = n == 1
-    rt.defer(op)
-    rt.internal_progress()
-    return fut
+    dtype = None if cx is not None and cx.kind == "promise" else src.dtype
+    return _issue(rt, RmaOp, "rget", src, n * src.itemsize, cx, rt._c_rma_inject, None, dtype,
+                  n == 1)
 
 
 def rput_then_rpc(src, dest: GlobalPtr, fn, *args) -> None:

@@ -5,9 +5,9 @@ Progression matches the paper's Fig. 2: the injection is staged on the
 initiator's defQ, handed to GASNet as an AM (actQ), and lands in the
 *target's* compQ where it waits for the target's **user-level progress**
 to execute.  A returning RPC sends its value back the same way, fulfilling
-the initiator's future during the initiator's user progress.  One pooled
-:class:`RpcOp` record is the request (or the reply) in every one of those
-states.
+the initiator's future during the initiator's user progress.  One
+:class:`RpcOp` record, built at the call and dropped once user progress has
+run it, is the request (or the reply) in every one of those states.
 
 Argument handling:
 
@@ -166,8 +166,8 @@ class RpcOp(AMMessage):
     function; a reply's ``payload`` is the packed return values and its
     ``body`` None.  ``token`` routes the reply (None: ``rpc_ff``).  ``rt``
     sends the record and ``trt``, set by the drain that polls it, runs it.
-    A record is acquired by one rank and released by another, so its free
-    list is process-wide, like ``CompQItem``'s.
+    ``sid``/``t_api`` open its ``inject_sw`` span; ``parent`` links a
+    reply to its request.
     """
 
     __slots__ = (
@@ -175,12 +175,25 @@ class RpcOp(AMMessage):
         "cost", "t_api", "t_enq", "t_active", "t_staged", "t_polled",
     )
 
-    #: free list of executed records (bounded; a burst's excess is garbage)
-    _pool: list = []
-    POOL_MAX = 256
-
-    def __init__(self) -> None:
-        """Empty: :func:`_ship` fills in every field."""
+    def __init__(self, rt, dst, tag, kind, payload, nbytes, cost, body, fns, token, sid,
+                 t_api, parent) -> None:
+        # one frame, as RmaOp's: AMMessage.__init__ is not called, and the
+        # conduit sets ``conduit``/``arrival`` when it injects the message
+        self.rt = rt
+        self.src = rt.rank
+        self.dst = dst
+        self.tag = tag
+        self.kind = kind
+        self.payload = payload
+        self.nbytes = nbytes
+        self.cost = cost
+        self.body = body
+        self.fns = fns
+        self.token = token
+        self.sid = sid
+        self.t_api = t_api
+        self.parent = parent
+        self.t_polled = None
 
     def inject(self) -> None:
         """defQ -> actQ (internal progress): hand the message to the conduit."""
@@ -196,50 +209,16 @@ class RpcOp(AMMessage):
 
     def fn(self) -> None:
         """The compQ body (the target's user progress)."""
-        body = self.body
-        if body is not None:
-            _execute_rpc_body(self.trt, body, self.fns, self.payload, self.token, self.src, self.sid)
+        if self.body is not None:
+            _execute_rpc_body(self)
             return
         promise = self.trt.reply_table.pop(self.token, None)
         if promise is None:
             raise UpcxxError(f"orphan rpc reply token {self.token}")
         promise.fulfill_result(*serialization.unpack(self.payload))
 
-    def release(self) -> None:
-        """Executed: drop what the message referenced and rejoin the pool."""
-        self.rt = self.trt = self.conduit = self.body = self.fns = None
-        self.payload = self.token = None
-        pool = self._pool
-        if len(pool) < self.POOL_MAX:
-            pool.append(self)
-
     def __str__(self) -> str:
         return str((self.tag, self.dst, self.nbytes))
-
-
-def _ship(rt, dst, tag, kind, payload, nbytes, cost, body, fns, token, sid, t_api, parent) -> None:
-    """Fill a record, stage it on defQ and run internal progress (Fig. 2
-    left side).  ``sid``/``t_api`` open its ``inject_sw`` span; ``parent``
-    links a reply to its request."""
-    pool = RpcOp._pool
-    op = pool.pop() if pool else RpcOp()
-    op.rt = rt
-    op.src = rt.rank
-    op.dst = dst
-    op.tag = tag
-    op.kind = kind
-    op.payload = payload
-    op.nbytes = nbytes
-    op.cost = cost
-    op.body = body
-    op.fns = fns
-    op.token = token
-    op.sid = sid
-    op.t_api = t_api
-    op.parent = parent
-    op.t_polled = None
-    rt.defer(op)
-    rt.internal_progress()
 
 
 def _request(target: int, fn: Callable, args: tuple, want_reply: bool) -> Optional[Promise]:
@@ -268,8 +247,10 @@ def _request(target: int, fn: Callable, args: tuple, want_reply: bool) -> Option
     # every runtime of a job has the same cpu model, so the target's
     # dispatch charge can be priced here
     cost = rt._c_rpc_dispatch + rt.copy_time(nraw - view_bytes)
-    _ship(rt, target, "upcxx.rpc", "rpc", raw, nraw + _ENVELOPE_BYTES, cost,
-          fn, fns, token, sid, t_api, None)
+    # stage on defQ and run internal progress (Fig. 2 left side)
+    rt.defer(RpcOp(rt, target, "upcxx.rpc", "rpc", raw, nraw + _ENVELOPE_BYTES, cost,
+                   fn, fns, token, sid, t_api, None))
+    rt.internal_progress()
     return promise
 
 
@@ -284,30 +265,25 @@ def rpc_ff(target: int, fn: Callable, *args) -> None:
 
 
 # --------------------------------------------------------------- dispatchers
-def _execute_rpc_body(rt: Runtime, fn, fns, raw: bytes, token, reply_to: int,
-                      req_sid: Optional[tuple]) -> None:
-    """Run an incoming RPC (rank context, inside user progress)."""
-    args = serialization.unpack(raw)
+def _execute_rpc_body(op: RpcOp) -> None:
+    """Run an incoming RPC request (rank context, inside user progress)."""
+    rt = op.trt
     try:
-        resolved = _resolve_args_in(rt, args, fns)
+        resolved = _resolve_args_in(rt, serialization.unpack(op.payload), op.fns)
     except _UnresolvedDistObject as ex:
-        # Defer until the local representative is constructed.  The item
-        # keeps the fields, not the record: that is recycled once fn() returns.
-        item = CompQItem(
-            0.0, lambda: _execute_rpc_body(rt, fn, fns, raw, token, reply_to, req_sid),
-            "rpc-deferred",
-        )
-        rt.dist_waiters.setdefault(ex.key, []).append(item)
+        # defer until the local representative is constructed
+        rt.dist_waiters.setdefault(ex.key, []).append(CompQItem(0.0, op.fn, "rpc-deferred"))
         return
 
     rt.n_rpcs_executed += 1
-    result = fn(*resolved)
+    result = op.body(*resolved)
+    token = op.token
     if token is None:
         return
     if isinstance(result, Future):
-        result._on_ready(lambda: _reply(rt, reply_to, token, result._values, req_sid))
+        result._on_ready(lambda: _reply(rt, op.src, token, result._values, op.sid))
     else:
-        _reply(rt, reply_to, token, () if result is None else (result,), req_sid)
+        _reply(rt, op.src, token, () if result is None else (result,), op.sid)
 
 
 def _reply(rt: Runtime, reply_to: int, token, values: tuple, req_sid: Optional[tuple]) -> None:
@@ -322,5 +298,6 @@ def _reply(rt: Runtime, reply_to: int, token, values: tuple, req_sid: Optional[t
     nraw = len(raw)
     rt.sched.charge(rt._c_rpc_reply_inject)
     rt.charge_copy(nraw)
-    _ship(rt, reply_to, "upcxx.rpc_reply", "rpc_reply", raw, nraw + _ENVELOPE_BYTES,
-          rt._c_completion + rt.copy_time(nraw), None, None, token, sid, t_api, req_sid)
+    rt.defer(RpcOp(rt, reply_to, "upcxx.rpc_reply", "rpc_reply", raw, nraw + _ENVELOPE_BYTES,
+                   rt._c_completion + rt.copy_time(nraw), None, None, token, sid, t_api, req_sid))
+    rt.internal_progress()

@@ -57,8 +57,8 @@ class CompQItem:
     than at wire arrival, so the inbox and compQ phases tile instead of
     overlapping).
 
-    compQ holds anything with these attributes and ``fn()``/``release()``:
-    every RMA-class operation (``rput``/``rget``, an atomic, a VIS
+    compQ holds anything with these attributes and ``fn()``: every
+    RMA-class operation (``rput``/``rget``, an atomic, a VIS
     operation, a ``copy``) and every RPC request or reply is staged as its
     own operation record (:class:`repro.upcxx.rma.RmaOp` and its
     subclasses, :class:`repro.upcxx.rpc.RpcOp`), not wrapped in one.  An
@@ -86,9 +86,6 @@ class CompQItem:
         self.t_staged = t_staged
         self.sid = sid
         self.t_polled: Optional[float] = None
-
-    def release(self) -> None:
-        """Executed: an item is not recycled (records are, by their owners)."""
 
 
 class World:
@@ -219,8 +216,6 @@ class Runtime:
         #: network-context staging area: conduit-completed ops waiting for
         #: the next internal progress to be promoted into compQ
         self._gasnet_done: deque = deque()
-        #: fulfilled rput/rget records awaiting reuse (repro.upcxx.rma)
-        self._op_pool: list = []
 
         self._op_seq = 0
         #: outstanding RPC replies: token -> callable(result)
@@ -275,7 +270,6 @@ class Runtime:
         for held in (
             self.teams, self.dist_objects, self.dist_waiters, self.coll_state,
             self.reply_table, self.actQ, self.defQ, self.compQ, self._gasnet_done,
-            self._op_pool,
         ):
             held.clear()
         self.__dict__.pop("_master_persona", None)
@@ -489,7 +483,6 @@ class Runtime:
                 if cost > 0:
                     charge(cost)
                 item.fn()
-            item.release()
             # completions staged in network context while this item executed
             # (acks that arrived during its CPU charge or nested injections)
             # must not wait for compQ to drain: promote them immediately so

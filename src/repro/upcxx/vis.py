@@ -21,7 +21,6 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.gasnet.handle import Transfer
-from repro.gasnet.network import PATH_BTE, PATH_FMA
 from repro.upcxx.completion import Completion, resolve
 from repro.upcxx.errors import GlobalPtrError, UpcxxError
 from repro.upcxx.future import Future
@@ -37,10 +36,14 @@ class VisOp(RmaOp):
     put or get each.  The last fragment to complete stages the operation,
     whose ``data`` then holds each fragment's bytes (None for a put's);
     ``dtype`` is each fragment's element type when the future carries
-    them.  Not pooled."""
+    them."""
 
     __slots__ = ("frags", "left")
-    POOL_MAX = 0
+
+    def __init__(self, rt, kind, frags, promise, dtype):
+        nbytes = sum(g.nbytes if raw is None else len(raw) for g, raw in frags)
+        RmaOp.__init__(self, rt, kind, frags[0][0].rank, None, nbytes, promise, dtype=dtype)
+        self.frags = frags
 
     def inject(self) -> None:
         """defQ -> actQ (internal progress): hand every fragment to the conduit."""
@@ -96,17 +99,11 @@ def _vis(kind: str, frags: List[Tuple[GlobalPtr, Optional[bytes]]], cx: Optional
             raise GlobalPtrError(f"fragment of {len(raw)}B exceeds span {gptr.nbytes}B")
 
     rt.charge_sw(rt.costs.rma_inject + rt.costs.vis_per_fragment * len(frags))
-    op = VisOp(rt)
-    op.promise, fut = resolve(cx, rt)
-    op.kind = kind
-    op.dst = rank
-    op.frags = frags
-    op.nbytes = total = sum(g.nbytes if raw is None else len(raw) for g, raw in frags)
-    op.path = PATH_FMA if total < rt.costs.bte_threshold else PATH_BTE
+    promise, fut = resolve(cx, rt)
     # a put, or a get a promise tracks, completes without a value
     fetched = kind == "rget_irregular" and (cx is None or cx.kind != "promise")
-    op.dtype = tuple(g.dtype for g, _ in frags) if fetched else None
-    rt.defer(op)
+    dtype = tuple(g.dtype for g, _ in frags) if fetched else None
+    rt.defer(VisOp(rt, kind, frags, promise, dtype))
     rt.internal_progress()
     return fut
 

@@ -75,6 +75,43 @@ def test_a_plan_is_a_spec_string_or_a_faultplan_not_a_dict():
         FaultPlan.resolve({"seed": 9})
 
 
+@pytest.mark.parametrize("spec, field", [
+    ("drop=1.5", "drop"),
+    ("drop=-0.5", "drop"),
+    ("dup=1.01", "dup"),
+    ("seed=1,jitter=-4e-6", "jitter"),
+    ("jitter=inf", "jitter"),
+    ("stall=-5000:1e-5", "stall_rate"),
+    ("stall=5000:-1e-5", "stall_s"),
+    ("detect=nan", "detect_timeout"),
+    ("crash=-1@1e-4", "crash"),
+    ("crash=1@-1e-4", "crash"),
+    ("crash=1@inf", "crash"),
+])
+def test_out_of_range_plan_values_are_rejected(monkeypatch, spec, field):
+    """A spec is outside input: a value out of range raises a ValueError
+    naming its field, from the spec string, from ``run_spmd(faults=...)``
+    and from ``$REPRO_FAULTS`` alike (a negative jitter once made every
+    frame retransmit ten times, and ``drop=1.5`` dropped every attempt)."""
+    from repro.sim.faults import FAULTS_ENV
+
+    with pytest.raises(ValueError, match=field):
+        FaultPlan.parse(spec)
+    with pytest.raises(ValueError, match=field):
+        upcxx.run_spmd(_mixed_body, 2, faults=spec)
+    monkeypatch.setenv(FAULTS_ENV, spec)
+    with pytest.raises(ValueError, match=field):
+        upcxx.run_spmd(_mixed_body, 2)
+
+
+@pytest.mark.parametrize("spec", ["rto=1e-5", "max_retx=8"])
+def test_the_retransmit_policy_is_not_a_spec_key(spec):
+    """The timeout is derived from the channel (``rto_for``) and the
+    ladder bound is ``MAX_RETX``: neither is a plan knob."""
+    with pytest.raises(ValueError, match="unknown fault spec key"):
+        FaultPlan.parse(spec)
+
+
 def test_zero_rate_plan_same_nic_counters():
     """Reliable mode adds acks (``rel.acks``), nothing else: every
     telemetry window's NIC block — bytes of get replies included — reads

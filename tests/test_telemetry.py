@@ -319,6 +319,34 @@ def test_health_strict_fails_when_no_rule_applied(tmp_path, capsys):
     assert "[FAIL] no-rule-applied" in capsys.readouterr().out
 
 
+def test_health_strict_fails_on_a_sweep_without_points(tmp_path, capsys):
+    """A sweep curve with no point is an empty artifact: no kv rule
+    passes on it, so ``--strict`` fails."""
+    doc = tmp_path / "KV_empty.json"
+    doc.write_text(json.dumps({"curve": []}))
+    assert health.main(["--kv", str(doc), "--strict"]) == 1
+    out = capsys.readouterr().out
+    assert "[SKIP] kv-capacity: curve holds no point" in out
+    assert "[SKIP] kv-coherence: curve holds no point" in out
+    assert "[PASS]" not in out and "[FAIL] no-rule-applied" in out
+
+
+def test_health_strict_fails_on_telemetry_without_windows(tmp_path, capsys):
+    """A telemetry dump whose ranks hold no window is an empty artifact:
+    no rule reads it, so ``--strict`` fails."""
+    tel = Telemetry()
+    _run(tel)
+    doc = json.loads(tel.dumps())
+    for rank in doc["ranks"].values():
+        rank["windows"] = []
+    path = tmp_path / "tel.json"
+    path.write_text(json.dumps(doc))
+    assert health.main(["--telemetry", str(path), "--strict"]) == 1
+    out = capsys.readouterr().out
+    assert "[SKIP] telemetry: no rank holds a telemetry window" in out
+    assert "[PASS]" not in out and "[FAIL] no-rule-applied" in out
+
+
 def test_health_incomparable_value_is_a_fail_naming_the_path(tmp_path, capsys):
     doc = tmp_path / "point.json"
     doc.write_text(json.dumps({"utilization": "high"}))

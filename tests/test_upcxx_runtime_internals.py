@@ -64,7 +64,7 @@ class TestQueues:
     def test_one_record_from_defq_to_fulfilment(self):
         """The rput's record is the actQ entry, then the staged/compQ item;
         completing it a second time raises; user progress fulfils it and
-        hands it to the runtime's free list, where the next rput finds it."""
+        takes it off actQ."""
         from repro.upcxx.rma import RmaOp
 
         def body():
@@ -73,7 +73,6 @@ class TestQueues:
             upcxx.barrier()
             rt = upcxx.runtime_here()
             if me == 0:
-                del rt._op_pool[:]  # the exchange above left a record or two
                 p = upcxx.Promise()
                 upcxx.rput(np.ones(8), ptrs[1], cx=upcxx.operation_cx.as_promise(p))
                 (op,) = rt.actQ.values()
@@ -84,19 +83,14 @@ class TestQueues:
                 assert op in rt.compQ and op.done and op.t_staged == op.time_done
                 with pytest.raises(RuntimeError, match="completed twice"):
                     op.complete(rt.now())
-                assert rt._op_pool == []
                 upcxx.progress()
-                assert rt._op_pool == [op] and not rt.actQ
-                # parked clean: nothing of the finished operation is kept alive
-                assert (op.promise, op.payload, op.data, op.remote_rpc, op.done) == (
-                    None, None, None, None, False)
+                assert not rt.actQ
                 fut = upcxx.rget(ptrs[1])
-                assert rt.actQ[op.opid] is op and rt._op_pool == []  # reused
                 assert np.array_equal(fut.wait(), np.ones(8))
-                # a bare conduit handle is not an RmaOp and never joins the pool
+                # a bare conduit handle is not an RmaOp
                 h = rt.conduit.put_nb(0, 1, ptrs[1].offset, bytes(8))
                 upcxx.rput(np.zeros(8), ptrs[1]).wait()
-                assert h.done and h is not op and rt._op_pool == [op]
+                assert h.done and h is not op
                 p.finalize().wait()
             upcxx.barrier()
 
@@ -318,29 +312,14 @@ class TestTeardown:
 
     @staticmethod
     def _nothing_parked_points_into_the_job():
-        """No put/get record outlives the job (each runtime's free list went
-        with it; records still in flight sat on queues the teardown empties),
-        and what is parked on the process-wide free lists holds no runtime,
-        promise, segment, conduit, scheduler, payload or closure (every
-        slot of the record's whole class hierarchy is read)."""
-        from repro.gasnet.conduit import Conduit
+        """No put/get record and no rpc message outlives the job: records
+        still in flight sat on queues the teardown empties, and a finished
+        one went with the compQ entry that ran it."""
+        from repro.gasnet.am import AMMessage
         from repro.gasnet.handle import Transfer
-        from repro.gasnet.segment import Segment
-        from repro.sim.coop import Scheduler
-        from repro.upcxx.rpc import RpcOp
-        from repro.upcxx.runtime import Runtime
 
         assert not [o for o in gc.get_objects() if isinstance(o, Transfer)]
-        job_owned = (
-            Runtime, Conduit, Scheduler, upcxx.Promise, upcxx.Future, Segment,
-            bytes, bytearray, memoryview,
-        )
-        assert RpcOp._pool, "the job parked no rpc record"
-        for item in RpcOp._pool:
-            for cls in type(item).__mro__:
-                for slot in cls.__dict__.get("__slots__", ()):
-                    value = getattr(item, slot, None)
-                    assert not isinstance(value, job_owned) and not callable(value), (item, slot)
+        assert not [o for o in gc.get_objects() if isinstance(o, AMMessage)]
 
     @staticmethod
     def _job(refs, after=lambda: None):

@@ -14,9 +14,9 @@ gate again:
   boundary runs at all (off means absent: there is no disabled observer);
 - with only telemetry on, no per-operation boundary is hooked: telemetry
   makes 0 calls per AM, injection or completion;
-- the run stays inside a fixed event and RMA-record-allocation budget and
-  constructs no CompQItem at all (every op is its own record, and the
-  rput/rget free lists must keep absorbing per-op churn);
+- the run stays inside a fixed event budget, builds exactly one RMA
+  record per rput and constructs no CompQItem at all (every op is its own
+  record);
 - an ``rput`` in flight is one record plus its heap entry — counted in
   GC-tracked objects, not timed;
 - :meth:`DwellHistogram.percentile` boundary behavior (empty, single
@@ -50,9 +50,9 @@ N_INSERTS = 4
 #: and rput are each their own compQ record, and a barrier builds none)
 EVENT_BUDGET = 450
 COMPQ_ALLOC_BUDGET = 0
-#: fresh rput/rget records in the same run (measured: 8, one per rank —
-#: after its first rput each rank reuses the record); a per-op leak is 32+
-RMAOP_ALLOC_BUDGET = 24
+#: rput/rget records in the same run: exactly one per insert's rput
+#: (8 ranks x 4 inserts; the DHT body issues no rget)
+RMAOP_ALLOCS = N_RANKS * N_INSERTS
 
 
 def _dht_body():
@@ -87,7 +87,7 @@ SERVICE_PHASES = {"credit_wait", "cache_hit", "fill_share", "death_exclude", "re
 
 def _run_counted(monkeypatch, body=_dht_body, ppn=8, **spmd_kwargs):
     """Run ``body`` (default: the DHT body) on 8 ranks counting span-sid
-    mints, span records, CompQItem constructions and fresh RmaOp
+    mints, span records, CompQItem constructions and RmaOp
     constructions; returns (sids, records, allocs, stats), with the RmaOp
     count under ``stats["rmaop_allocs"]``."""
     counts = {"sids": 0, "records": 0, "allocs": 0, "ops": 0}
@@ -127,8 +127,8 @@ def _run_counted(monkeypatch, body=_dht_body, ppn=8, **spmd_kwargs):
 
 
 def test_no_span_work_when_observers_off(monkeypatch):
-    """spans/metrics/faults all off: zero sids, zero records, bounded
-    event and allocation budgets."""
+    """spans/metrics/faults all off: zero sids, zero records, a bounded
+    event budget and exact allocation counts."""
     sids, records, allocs, stats = _run_counted(monkeypatch)
     assert sids == 0, f"{sids} span sids minted with spans disabled"
     assert records == 0, f"{records} span records with spans disabled"
@@ -137,9 +137,8 @@ def test_no_span_work_when_observers_off(monkeypatch):
         f"{allocs} CompQItem constructions (budget {COMPQ_ALLOC_BUDGET}): "
         "an operation on the DHT path is wrapped in a compQ item again"
     )
-    assert 0 < stats["rmaop_allocs"] <= RMAOP_ALLOC_BUDGET, (
-        f"{stats['rmaop_allocs']} fresh RmaOp constructions (budget "
-        f"{RMAOP_ALLOC_BUDGET}): fulfilled records are not being reused"
+    assert stats["rmaop_allocs"] == RMAOP_ALLOCS, (
+        f"{stats['rmaop_allocs']} RmaOp constructions for {RMAOP_ALLOCS} rputs"
     )
 
 
@@ -266,10 +265,10 @@ def test_rput_in_flight_is_one_record(size):
     )
     assert active == 0
     if size == 8:
-        # what is left is the free list; (the 64 KiB case parks ~2 n tuples
-        # in the interpreter's tuple free list, which the count cannot see
-        # being released)
-        assert after_drain <= RmaOp.POOL_MAX + 16, after_drain
+        # every record is gone once fulfilled; (the 64 KiB case parks ~2 n
+        # tuples in the interpreter's tuple free list, which the count
+        # cannot see being released)
+        assert after_drain <= 16, after_drain
 
 
 #: operations of each kind counted after the warm-up
@@ -312,12 +311,11 @@ def _copy_traffic(n, env):
 )
 def test_operations_build_no_helper_objects(monkeypatch, traffic):
     """Every operation is one record: after a warm-up, N rpc round trips
-    plus N rpc_ff (each request and reply one pooled ``RpcOp``, the fresh
-    ones within the free-list bound), or N pairs of atomics, VIS
-    operations or copies, construct no ``CompQItem`` (the operation's
-    ``Transfer`` record is its own completion handle).  Only rank 0's
-    traffic runs while counting: the target waits in ``wait_quiet``,
-    which allocates none."""
+    plus N rpc_ff (each request and reply exactly one ``RpcOp``), or N
+    pairs of atomics, VIS operations or copies, construct no ``CompQItem``
+    (the operation's ``Transfer`` record is its own completion handle).
+    Only rank 0's traffic runs while counting: the target waits in
+    ``wait_quiet``, which allocates none."""
     from repro.upcxx.rpc import RpcOp
 
     counting = [False]
@@ -357,9 +355,9 @@ def test_operations_build_no_helper_objects(monkeypatch, traffic):
         upcxx.barrier()
 
     upcxx.run_spmd(body, 2, ppn=1)
-    fresh = counts.pop("RpcOp")
-    assert counts == {"CompQItem": 0}, counts
-    assert fresh <= RpcOp.POOL_MAX, f"{fresh} fresh rpc records"
+    # N requests + N replies + N rpc_ff + the closing round trip's two
+    rpc_ops = 3 * OPS_COUNTED + 2 if traffic is _rpc_traffic else 0
+    assert counts == {"CompQItem": 0, "RpcOp": rpc_ops}, counts
 
 
 # ------------------------------------------------------- telemetry zero-cost
