@@ -281,13 +281,11 @@ class KvService:
             "writes_lost": self.writes_lost,
             "availability": (served / issued) if issued else 1.0,
         })
-        tel = self._rt.world.telemetry
-        if tel is not None:
-            tel.rank(self._rt.rank).replica = {
-                "factor": out["replication"],
-                **{k: out[k] for k in ("shard_size", "deaths_seen",
-                                       "factor_restored", "recovery_s")},
-            }
+        # the replication-layer state table telemetry copies at finish
+        self._rt.kv_replica = {
+            "factor": out["replication"],
+            **{k: out[k] for k in ("shard_size", "deaths_seen", "factor_restored", "recovery_s")},
+        }
         return out
 
 

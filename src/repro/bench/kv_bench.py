@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import List, Optional, Sequence, Tuple
 
@@ -327,6 +328,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                     "(feeds the CI chaos-smoke availability gate)")
     ap.add_argument("--out", default=None, help="write JSON here")
     args = ap.parse_args(argv)
+    # rejected here, with exit 2: a bad multiplier dies inside a rank body,
+    # and a factor past the rank count is clamped to it, so the document
+    # would name a factor that never ran
+    if args.point is not None and not (math.isfinite(args.point) and args.point > 0):
+        ap.error(f"--point must be a finite multiplier > 0, got {args.point!r}")
+    ranks = default_config(args.scale)["ranks"]
+    if args.crash_point is not None and not 1 <= args.crash_point <= ranks:
+        ap.error(f"--crash-point must lie in [1, {ranks}] (the ranks of --scale "
+                 f"{args.scale}), got {args.crash_point}")
     gate_failed = False
     if args.crash_point is not None:
         doc = measure_crash_point(args.scale, args.crash_point)

@@ -25,7 +25,7 @@ class AMMessage:
     state on the same object (``repro.upcxx.rpc``).
     """
 
-    __slots__ = ("src", "dst", "tag", "payload", "nbytes", "arrival", "sid", "conduit")
+    __slots__ = ("src", "dst", "tag", "payload", "nbytes", "arrival", "wire", "conduit")
 
     def __init__(
         self,
@@ -35,7 +35,6 @@ class AMMessage:
         payload: Any,
         nbytes: int,
         arrival: float = 0.0,
-        sid: Optional[tuple] = None,
     ):
         self.src = src
         self.dst = dst
@@ -47,8 +46,9 @@ class AMMessage:
         self.nbytes = nbytes
         #: simulated arrival time at the destination NIC
         self.arrival = arrival
-        #: the client's span correlation id (None: not traced)
-        self.sid = sid
+        #: None, or a list the conduit appends the frame's junction times
+        #: to (``Conduit._transmit``)
+        self.wire = None
 
     def __call__(self) -> None:
         """The arrival event (network context): land in the inbox, wake ``dst``."""

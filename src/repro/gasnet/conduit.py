@@ -29,7 +29,7 @@ because that is precisely where the two stacks differ in the paper.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional
+from typing import Any
 
 from repro.gasnet.am import AMInbox, AMMessage
 from repro.gasnet.handle import ATOMIC_APPLY, GET_SERVICE, PUT_COMMIT, Transfer
@@ -117,7 +117,6 @@ class Conduit:
         machine: Machine,
         network: NetworkModel,
         segment_size: int = 32 * 1024 * 1024,
-        spans=None,
         faults=None,
     ):
         if machine.n_ranks < sched.n_ranks:
@@ -127,10 +126,6 @@ class Conduit:
         self.sched = sched
         self.machine = machine
         self.network = network
-        #: optional repro.util.spans.SpanBuffer for causal span tracing;
-        #: ops that carry a ``span`` correlation id record their NIC and
-        #: wire phases here (passive: no clock reads, no event posts)
-        self.spans = spans
         #: optional repro.sim.faults.FaultPlan; when set, every op routes
         #: through the reliable-delivery layer (seq/ack/retransmit)
         self._faults = faults
@@ -145,14 +140,11 @@ class Conduit:
         self._lat_net = network.latency_oneway
         self._lat_shm = network.latency_oneway_shm
         self._occ_cache: dict = {}
-        # installed by the UPC++ World so the conduit can hand
-        # remote_cx::as_rpc work to the *target's* runtime
-        self._remote_cx_deliver: Optional[Callable] = None
 
     def close(self) -> None:
-        """The job is over: give up every segment and unhook from the
-        client layer, so nothing here keeps the job (or is kept by it) once
-        the caller lets go.
+        """The job is over: give up every segment and every unpolled
+        message, so nothing here keeps the job (or is kept by it) once the
+        caller lets go.
 
         Segments are dereferenced, never closed: memory goes back by
         reference counting, and a segment whose view a rank returned from
@@ -162,7 +154,6 @@ class Conduit:
             ep.segment = ep.device_segment = None
             # an unpolled message points back at this conduit
             ep.inbox._queue.clear()
-        self._remote_cx_deliver = None
 
     # -------------------------------------------------------------- accessors
     def segment(self, rank: int) -> Segment:
@@ -209,13 +200,12 @@ class Conduit:
     # in-order commit at the receiver.  Because every fault decision is a
     # pure hash of (plan seed, channel, seq, attempt) — see repro.sim.faults
     # — the whole retransmit ladder is computable at send time: the sender
-    # charges each attempt to its NIC (occupancy, backpressure, NIC ledger,
-    # retry spans) and the caller posts exactly ONE commit event and one
+    # charges each attempt to its NIC (occupancy, backpressure, NIC ledger)
+    # and the caller posts exactly ONE commit event and one
     # completion, the fault-free event structure.  Fault-free, the ladder
     # stops after its first attempt, which always lands; a zero-rate plan
     # runs that same attempt, so it is simulation-invisible by construction.
-    def _transmit(self, snd, rcv, nbytes, path, start, occ_scale, span, kind,
-                  phases=("nic_wait", "nic_occ", "wire"), ack_bytes=None):
+    def _transmit(self, snd, rcv, nbytes, path, start, occ_scale, wire=None):
         """Time one ``snd`` -> ``rcv`` frame injected at ``start`` and
         return ``(done0, commit_at, ack_recv)``:
 
@@ -229,10 +219,12 @@ class Conduit:
         ``occ_scale`` multiplies the injection occupancy; client layers use
         values > 1 to model software pipelines that under-drive the NIC
         (e.g. Cray MPICH's mid-size RMA path in the paper's Fig. 3b).
-        ``span``, when given, records the first attempt's backpressure,
-        occupancy and wire phases under ``phases``, each retransmit as
-        ``retry``, and — for acknowledged ops, which pass ``ack_bytes`` —
-        the ack as ``ack_wire``.  Frames count on ``snd``'s endpoint.
+        ``wire``, a list when the frame's operation asks for it, gets the
+        frame's junctions appended as ``[snd, nbytes, start, begin, done,
+        done + lat, ack_sent, ack_recv, *retransmits]``: the first attempt's
+        NIC queueing, injection and propagation; the ack's leg (``None``
+        twice if no ack survived); and each re-sent frame's ``(backoff
+        fire, injection done)``.  Frames count on ``snd``'s endpoint.
         """
         if occ_scale <= 0:
             raise ValueError(f"occ_scale must be positive, got {occ_scale}")
@@ -245,7 +237,6 @@ class Conduit:
             occ = self._occ_cache[key] = self.network.occupancy(nbytes, path, same)
         occ *= occ_scale
         lat = self._lat_shm if same else self._lat_net
-        sp = self.spans if span is not None else None
         plan = self._faults
         if plan is not None:
             chan = self._rel_chan.get((snd, rcv))
@@ -271,23 +262,20 @@ class Conduit:
             ep.bytes_out += nbytes
             ep.nic_busy_s += occ
             ep.nic_wait_s += begin - t
-            if sp is not None:
-                if i == 0:
-                    sp.record(t, begin, snd, span, phases[0], kind, nbytes)
-                    sp.record(begin, done, snd, span, phases[1], kind, nbytes)
-                    sp.record(done, done + lat, snd, span, phases[2], kind, nbytes)
-                else:
-                    sp.record(t, done, snd, span, "retry", kind, nbytes)
             if plan is None:
                 # the first attempt lands: remote commit is instantaneous
                 # and the ack rides one latency back
                 commit_at = done + lat
                 ack_recv = commit_at + lat
-                if ack_bytes is not None and sp is not None:
-                    sp.record(commit_at, ack_recv, snd, span, "ack_wire", kind, ack_bytes)
+                if wire is not None:
+                    wire.append((snd, nbytes, t, begin, done, commit_at, commit_at, ack_recv))
                 return done, commit_at, ack_recv
             if i == 0:
                 done0 = done
+                if wire is not None:
+                    stamp = [snd, nbytes, t, begin, done, done + lat, None, None]
+            elif wire is not None:
+                stamp += (t, done)
             if plan.drops_frame(snd, rcv, seq, i):
                 n_drop += 1
             else:
@@ -325,8 +313,11 @@ class Conduit:
         ep.n_dropped += n_drop
         ep.n_dup += n_dup
         ep.n_acks += n_ack
-        if ack_bytes is not None and sp is not None and ack_recv is not None:
-            sp.record(ack_recv - lat, ack_recv, snd, span, "ack_wire", kind, ack_bytes)
+        if wire is not None:
+            if ack_recv is not None:
+                stamp[6] = ack_recv - lat
+                stamp[7] = ack_recv
+            wire.append(stamp)
         return done0, commit_at, ack_recv
 
     # ------------------------------------------------------------- put / get
@@ -354,10 +345,9 @@ class Conduit:
         """Inject the put ``x`` describes at rank clock ``now`` (rank
         context): charge the NIC — or, under a fault plan, run the reliable
         channel's retransmit ladder — and post the commit event."""
-        src, dst, nbytes, span = x.src, x.dst, x.nbytes, x.sid
+        src, dst = x.src, x.dst
         self.endpoints[src].n_puts += 1
-        _, commit_at, ack_at = self._transmit(src, dst, nbytes, x.path, now, x.occ_scale, span, "put",
-                                              ack_bytes=nbytes)
+        _, commit_at, ack_at = self._transmit(src, dst, x.nbytes, x.path, now, x.occ_scale, x.wire)
         if commit_at is None:
             # receiver crashed before any attempt landed; the op can never
             # complete — crash detection (RankDeadError) unblocks the caller
@@ -382,9 +372,10 @@ class Conduit:
         """Inject the get ``x`` describes at rank clock ``now``: the request
         is a small control message (over the forward channel's ladder under
         a fault plan); the target half is :meth:`_get_reply`."""
-        src, dst, span = x.src, x.dst, x.sid
+        src, dst = x.src, x.dst
         self.endpoints[src].n_gets += 1
-        _, req_at, _ = self._transmit(src, dst, self.network.header_bytes, PATH_FMA, now, 1.0, span, "get")
+        _, req_at, _ = self._transmit(src, dst, self.network.header_bytes, PATH_FMA, now, 1.0,
+                                      x.wire)
         if req_at is None:
             return x
         x.phase = GET_SERVICE
@@ -392,18 +383,16 @@ class Conduit:
         self.sched.post_at(req_at, x, dst if x.LOOKAHEAD else None)
         return x
 
-    def _get_reply(self, src, dst, dst_off, nbytes, path, occ_scale, span, t_req, seg=None):
+    def _get_reply(self, src, dst, dst_off, nbytes, path, occ_scale, t_req, seg=None, wire=None):
         """Target half of a get, at request-commit time ``t_req`` (network
         context, ``dst``'s process): the destination NIC reads ``seg``
-        (default: ``dst``'s host segment) and streams the reply.  Returns
+        (default: ``dst``'s host segment) and streams the reply, whose
+        junctions go to ``wire`` after the request's.  Returns
         ``(back, data)``: when the reply lands at ``src`` (None if no
         attempt ever does) and the bytes read."""
         data = (self.endpoints[dst].segment if seg is None else seg).read(dst_off, nbytes)
         # the reply is a frame of its own, from the *destination* NIC
-        _, back, _ = self._transmit(
-            dst, src, nbytes, path, t_req, occ_scale, span, "get",
-            ("remote_nic_wait", "remote_occ", "wire_back"),
-        )
+        _, back, _ = self._transmit(dst, src, nbytes, path, t_req, occ_scale, wire)
         return back, data
 
     # -------------------------------------------------------------------- AM
@@ -430,7 +419,7 @@ class Conduit:
         arrival and ``x.injected`` at injection end."""
         src, dst = x.src, x.dst
         self.endpoints[src].n_ams += 1
-        inj_done, arrival, _ = self._transmit(src, dst, x.nbytes, path, now, 1.0, x.sid, "am")
+        inj_done, arrival, _ = self._transmit(src, dst, x.nbytes, path, now, 1.0, x.wire)
         x.conduit = self
         sched = self.sched
         if arrival is not None:  # else the receiver crashed before any attempt landed
@@ -445,12 +434,11 @@ class Conduit:
         operands)``, ``op`` one of ``_AMO_OPS``) at rank clock ``now``: the
         target NIC applies it at arrival (``ATOMIC_APPLY``) and the ack,
         carrying the prior value, rides one latency back."""
-        src, dst, nbytes = x.src, x.dst, x.nbytes
+        src, dst = x.src, x.dst
         self.endpoints[src].n_amos += 1
         # the request carries a header beside its one element
-        wire = nbytes + self.network.header_bytes
-        _, arrival, ack_at = self._transmit(src, dst, wire, x.path, now, x.occ_scale, x.sid, x.kind,
-                                            ack_bytes=nbytes)
+        _, arrival, ack_at = self._transmit(src, dst, x.nbytes + self.network.header_bytes, x.path,
+                                            now, x.occ_scale, x.wire)
         if arrival is None:
             return x
         x.phase = ATOMIC_APPLY

@@ -29,13 +29,13 @@ class Transfer:
     operation's two events, and ``phase`` says which one is due:
 
     - a put's first event (``PUT_COMMIT`` at ``t_commit``) writes the
-      payload into the target segment, delivers a piggybacked
-      ``remote_cx`` and posts the second (``COMPLETE`` at ``t_ack``) as
-      its child; a get's first event (``GET_SERVICE``) has the target NIC
-      read memory and stream the reply, and an atomic's
-      (``ATOMIC_APPLY``) has it apply ``payload = (op, dtype, operands)``
-      and keep the prior value in ``data``; both then post the second the
-      same way;
+      payload into the target segment, runs a piggybacked ``remote_rpc``
+      (:meth:`remote_cx` of the client's subclass) and posts the second
+      (``COMPLETE`` at ``t_ack``) as its child; a get's first event
+      (``GET_SERVICE``) has the target NIC read memory and stream the
+      reply, and an atomic's (``ATOMIC_APPLY``) has it apply ``payload =
+      (op, dtype, operands)`` and keep the prior value in ``data``; both
+      then post the second the same way;
     - ``COMPLETE`` calls :meth:`complete`.
 
     Two events per operation, the second the child of the first, is part
@@ -52,15 +52,18 @@ class Transfer:
     """
 
     LOOKAHEAD = True
+    #: client work run at the target when a put's bytes land: a subclass
+    #: that sets it has ``remote_cx()`` run it (None: nothing to run)
+    remote_rpc = None
 
     __slots__ = (
         "done", "time_done", "_callbacks", "data", "conduit", "kind", "src", "dst",
-        "dst_off", "nbytes", "payload", "path", "occ_scale", "remote_rpc", "sid", "seg",
+        "dst_off", "nbytes", "payload", "path", "occ_scale", "wire", "seg",
         "phase", "t_commit", "t_ack",
     )
 
     def __init__(self, conduit, src, kind=None, dst=None, dst_off=None, nbytes=0,
-                 payload=None, path=None, occ_scale=1.0, remote_rpc=None, sid=None):
+                 payload=None, path=None, occ_scale=1.0):
         self.done = False
         self.time_done: Optional[float] = None
         #: allocated lazily: most records get zero or one callback
@@ -77,10 +80,9 @@ class Transfer:
         self.payload = payload
         self.path = path
         self.occ_scale = occ_scale
-        #: ``(fn, args, t_active)`` run at the target when a put's bytes land
-        self.remote_rpc = remote_rpc
-        #: the client's span correlation id (None: not traced)
-        self.sid = sid
+        #: None, or a list the conduit appends each of the operation's
+        #: frames' junction times to (``Conduit._transmit``)
+        self.wire = None
         #: the memory at ``dst`` a put writes or a get reads (None: its
         #: host segment)
         self.seg = None
@@ -130,18 +132,14 @@ class Transfer:
                 seg = conduit.endpoints[self.dst].segment
             seg.write(self.dst_off, self.payload)
             self.payload = None
-            rrpc = self.remote_rpc
-            if rrpc is not None:
-                fn, args, t_active = rrpc
-                conduit._remote_cx_deliver(
-                    self.dst, fn, args, self.nbytes, t_active, self.t_commit, self.sid
-                )
+            if self.remote_rpc is not None:
+                self.remote_cx()
         elif phase == GET_SERVICE:
             # the target NIC reads memory and streams the reply: no target
             # CPU is involved (true RDMA read)
             self.t_ack, self.data = conduit._get_reply(
                 self.src, self.dst, self.dst_off, self.nbytes, self.path,
-                self.occ_scale, self.sid, self.t_commit, self.seg,
+                self.occ_scale, self.t_commit, self.seg, self.wire,
             )
         else:
             # the target NIC applies the atomic, with no target CPU either

@@ -51,9 +51,9 @@ class UpcxxCosts:
     #: dist_object registry lookup/registration
     dist_object_lookup: float = 0.08 * US
 
-    #: GASNet path selection: FMA below this many bytes, BTE at/above.
-    #: (GASNet-EX tunes this low; Cray MPICH's RMA path does not — one
-    #: source of the paper's Fig. 3b bandwidth gap.)
+    #: GASNet path selection: FMA below this many bytes, BTE at/above.  MPI
+    #: switches at the same 4096, so the switch plays no part in the model's
+    #: Fig. 3b gap: that is ``MpiCosts``'s fitted dip (``rma_occ_scale``).
     bte_threshold: int = 4096
 
 

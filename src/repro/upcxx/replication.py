@@ -47,7 +47,7 @@ the default, counted by the service as lost writes).
 
 All recovery work happens in rank context: the death listener runs in
 network context and only *stages* the handler onto the runtime's
-completion queue (the ``_deliver_remote_cx`` pattern), so every
+completion queue (as ``RmaOp.remote_cx`` does), so every
 downstream effect carries a deterministic causal stamp.
 """
 

@@ -27,7 +27,7 @@ from repro.upcxx.completion import Completion, resolve
 from repro.upcxx.errors import GlobalPtrError
 from repro.upcxx.future import Future
 from repro.upcxx.global_ptr import GlobalPtr, check_host_target
-from repro.upcxx.runtime import current_runtime
+from repro.upcxx.runtime import CompQItem, current_runtime
 
 
 def _as_bytes(src, dest: GlobalPtr) -> bytes:
@@ -58,7 +58,8 @@ class RmaOp(Transfer):
 
     and user progress drops it once :meth:`fn` has run.  Metrics and spans
     read every stamp they need (``t_api``, ``t_enq``, ``t_active``,
-    ``t_staged``, ``sid``) from these fields.
+    ``t_staged``, ``sid``, the conduit's ``wire`` junctions) from these
+    fields.
 
     An atomic, a VIS operation and a ``copy`` are subclasses
     (``repro.upcxx.atomics``, ``vis``, ``device``) that replace
@@ -66,8 +67,8 @@ class RmaOp(Transfer):
     """
 
     __slots__ = (
-        "rt", "promise", "opid", "dtype", "scalar",
-        "cost", "t_api", "t_enq", "t_active", "t_staged",
+        "rt", "promise", "opid", "dtype", "scalar", "remote_rpc",
+        "cost", "sid", "t_api", "t_enq", "t_active", "t_staged",
     )
 
     #: an RMA-class operation is never a child of another (cf. an rpc reply)
@@ -97,7 +98,7 @@ class RmaOp(Transfer):
         self.cost = rt._c_completion
         self.occ_scale = 1.0
         self.done = False
-        self.time_done = self._callbacks = self.data = self.seg = None
+        self.time_done = self._callbacks = self.data = self.seg = self.wire = None
 
     def _activate(self) -> float:
         """defQ -> actQ: enter actQ; returns now."""
@@ -113,12 +114,23 @@ class RmaOp(Transfer):
         if self.kind == "rget":
             self.conduit.get(self, now)
             return
-        # remote_cx work crosses the wire as (fn, args, t_active) data — the
-        # conduit hands it to the target's runtime via the World's deliverer
+        # remote_cx work crosses the wire as (fn, args, t_active) data
         rrpc = self.remote_rpc
         if rrpc is not None:
             self.remote_rpc = (rrpc[0], rrpc[1], now)
         self.conduit.put(self, now)
+
+    def remote_cx(self) -> None:
+        """Network context at the target, the bytes written: stage the
+        ``remote_cx::as_rpc`` on the target's compQ and wake it, as if it
+        had been received there.  It keeps the put's sid, so its spans
+        thread onto the put."""
+        fn, args, t_active = self.remote_rpc
+        dst, t = self.dst, self.t_commit
+        target = self.rt.world.runtimes[dst]
+        target.gasnet_completed(CompQItem(target._c_rpc_dispatch, lambda: fn(*args),
+                                          "remote_cx_rpc", self.nbytes, t_active, sid=self.sid), t)
+        self.rt.sched.wake(dst, t)
 
     def complete(self, time: float, data=None) -> None:
         """Network context at the initiator: stage for promotion to compQ."""
@@ -158,11 +170,9 @@ def _issue(rt, cls, kind: str, gptr: GlobalPtr, nbytes: int, cx: Optional[Comple
     the completion, build the ``cls`` record with the rest of the
     arguments, defer it and run internal progress.  Returns the future."""
     check_host_target(gptr, rt.world.n_ranks, what or kind)
-    sid = None
-    t_api = 0.0
+    sid = t_api = None
     if rt.spans is not None:
-        sid = rt.next_span_sid()
-        t_api = rt.now()
+        sid, t_api = rt.next_span_sid(), rt.now()
     rt.sched.charge(charge)
     promise, fut = resolve(cx, rt)
     rt.defer(cls(rt, kind, gptr.rank, gptr.offset, nbytes, promise, sid, t_api,

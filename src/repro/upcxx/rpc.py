@@ -171,7 +171,7 @@ class RpcOp(AMMessage):
     """
 
     __slots__ = (
-        "rt", "trt", "kind", "body", "fns", "token", "parent", "opid",
+        "rt", "trt", "kind", "body", "fns", "token", "sid", "parent", "opid",
         "cost", "t_api", "t_enq", "t_active", "t_staged", "t_polled",
     )
 
@@ -193,7 +193,7 @@ class RpcOp(AMMessage):
         self.sid = sid
         self.t_api = t_api
         self.parent = parent
-        self.t_polled = None
+        self.t_polled = self.wire = None
 
     def inject(self) -> None:
         """defQ -> actQ (internal progress): hand the message to the conduit."""
@@ -228,11 +228,9 @@ def _request(target: int, fn: Callable, args: tuple, want_reply: bool) -> Option
         name = "rpc" if want_reply else "rpc_ff"
         raise UpcxxError(f"{name} target {target} out of range [0, {rt.world.n_ranks})")
     rt.n_rpcs_sent += 1
-    sid = None
-    t_api = 0.0
+    sid = t_api = None
     if rt.spans is not None:
-        sid = rt.next_span_sid()
-        t_api = rt.now()
+        sid, t_api = rt.next_span_sid(), rt.now()
     wire_args, fns, view_bytes = _translate_args_out(args)
     raw = serialization.pack(wire_args)
     nraw = len(raw)
@@ -290,11 +288,9 @@ def _reply(rt: Runtime, reply_to: int, token, values: tuple, req_sid: Optional[t
     """Send an RPC's return values back to its initiator."""
     raw = serialization.pack(values)
     # the reply is a child operation, causally linked to the request
-    sid = None
-    t_api = 0.0
+    sid = t_api = None
     if rt.spans is not None:
-        sid = rt.next_span_sid()
-        t_api = rt.now()
+        sid, t_api = rt.next_span_sid(), rt.now()
     nraw = len(raw)
     rt.sched.charge(rt._c_rpc_reply_inject)
     rt.charge_copy(nraw)

@@ -123,8 +123,7 @@ class World:
             sched._survivable = True
         #: optional repro.sim.faults.FaultPlan (chaos injection)
         self.faults = faults
-        self.conduit = Conduit(sched, machine, network, segment_size, spans=spans, faults=faults)
-        self.conduit._remote_cx_deliver = self._deliver_remote_cx
+        self.conduit = Conduit(sched, machine, network, segment_size, faults=faults)
         self.n_ranks = sched.n_ranks
         self.runtimes: List[Optional["Runtime"]] = [None] * self.n_ranks
 
@@ -140,30 +139,6 @@ class World:
             if rt is not None:
                 rt.close()
         self.runtimes = []
-
-    def _deliver_remote_cx(
-        self, dst_rank: int, fn, args, nbytes: int, t_active: float, arrival: float,
-        sid: Optional[tuple] = None,
-    ) -> None:
-        """Hand a remote_cx::as_rpc to ``dst_rank``'s runtime (network
-        context, at the process that owns ``dst_rank``).
-
-        Called by the conduit when a put's bytes land; the RPC is staged on
-        the target's compQ and the target woken, exactly as if the target
-        had received it locally.  ``sid`` threads the initiating put's
-        span correlation id through to the target-side execution spans.
-        """
-        target_rt = self.runtimes[dst_rank]
-        item = CompQItem(
-            target_rt._c_rpc_dispatch,
-            lambda: fn(*args),
-            "remote_cx_rpc",
-            nbytes=nbytes,
-            t_active=t_active,
-            sid=sid,
-        )
-        target_rt.gasnet_completed(item, arrival)
-        self.sched.wake(dst_rank, arrival)
 
 
 class Runtime:
@@ -241,8 +216,8 @@ class Runtime:
         self.n_progress_calls = 0
         # service-layer counters, snapshotted by telemetry: the aggregator's
         # batches, updates, credit-stall seconds, cache hits and read
-        # batches; the KV service's sheds; replication's failover reads and
-        # re-shipped keys
+        # batches; the KV service's sheds; replication's failover reads,
+        # re-shipped keys and state table
         self.agg_batches = 0
         self.agg_updates = 0
         self.agg_credit_stall_s = 0.0
@@ -251,6 +226,8 @@ class Runtime:
         self.kv_shed = 0
         self.kv_failover_reads = 0
         self.kv_rereplicated = 0
+        #: the KV service's replica state table (telemetry copies it at finish)
+        self.kv_replica: Optional[dict] = None
 
         #: simulated time at which this rank dies (fault injection); None
         #: while alive.  Checked on every call into the library.

@@ -16,12 +16,17 @@ Design rules (shared with :class:`repro.util.metrics.Metrics`):
   charges CPU time; all times arrive as explicit arguments.  Enabling
   spans therefore cannot perturb a single simulated timestamp.
 - **Off means absent.**  Only the runtime talks to the buffer.  The
-  progress engine's phases (``inject_sw``, ``inbox``, ``compq``,
-  ``exec_sw``) come from it as each rank's sink (:mod:`repro.util.sink`);
+  progress engine reaches it as each rank's sink (:mod:`repro.util.sink`);
   the service layers' phases go through ``Runtime.span``; the API calls
   mint sids.  With no buffer each of these is one ``None`` check (the
-  sink tuple's emptiness, for the progress engine).  The conduit records
-  its own NIC and wire phases for a traced frame.
+  sink tuple's emptiness, for the progress engine).
+- **Rows, expanded on read.**  Only this module knows the phase layout.
+  A traced operation appends a row at injection (``inject_sw``, plus its
+  ``wire`` list, which the conduit fills with each frame's junctions, an
+  ``rget``'s reply leg later at the target), at the inbox poll and at
+  retirement (``compq``, ``exec_sw``); one whose rank dies keeps the rows
+  appended so far.  Readers (``canonical_records``, ``fingerprint``,
+  iteration, ``len``) get the expanded records.
 - **Deterministic.**  Correlation ids are ``(initiator_rank, seq)``
   with a per-rank counter, records are plain tuples, and the canonical
   order (stable sort by ``(t0, t1, rank, sid, phase)``) depends only on
@@ -98,6 +103,41 @@ PHASES = {
 
 SpanRecord = Tuple[float, float, int, tuple, str, str, int, Optional[tuple]]
 
+#: layout tags of the rows that expand to more than one record (any other
+#: row is itself one record)
+_SENT, _RETIRED = "sent", "retired"
+#: per frame of an operation, its first attempt's phases (the second: an rget's reply)
+_LEGS = (("nic_wait", "nic_occ", "wire"), ("remote_nic_wait", "remote_occ", "wire_back"))
+#: operation kind -> the kind of its frames (an atomic's frames carry its own)
+_FRAME_KIND = {"rput": "put", "rget": "get", "rpc": "am", "rpc_reply": "am"}
+#: frame kinds whose ack is no phase: an AM's is never awaited, a get's is its reply
+_UNACKED = ("am", "get")
+
+
+def _expand(row) -> Iterator[SpanRecord]:
+    """The records of one row, in the order the phases happened."""
+    layout = row[4]
+    if layout == _SENT:
+        t0, t1, rank, sid, _, kind, nbytes, parent, wire = row
+        yield (t0, t1, rank, sid, "inject_sw", kind, nbytes, parent)
+        fkind = _FRAME_KIND.get(kind, kind)
+        for phases, (snd, fbytes, t, begin, done, arrive, ack0, ack1, *retx) in zip(_LEGS, wire):
+            yield (t, begin, snd, sid, phases[0], fkind, fbytes, None)
+            yield (begin, done, snd, sid, phases[1], fkind, fbytes, None)
+            yield (done, arrive, snd, sid, phases[2], fkind, fbytes, None)
+            for i in range(0, len(retx), 2):
+                yield (retx[i], retx[i + 1], snd, sid, "retry", fkind, fbytes, None)
+            if ack1 is not None and fkind not in _UNACKED:
+                yield (ack0, ack1, snd, sid, "ack_wire", fkind, nbytes, None)
+    elif layout == _RETIRED:
+        t_q, t_exec, rank, sid, _, kind, nbytes, t_done = row
+        if t_q is not None:
+            yield (t_q, t_exec, rank, sid, "compq", kind, nbytes, None)
+        yield (t_exec, t_done, rank, sid, "exec_sw", kind, nbytes, None)
+    else:
+        yield row
+
+
 #: canonical sort key — independent of cross-rank interleaving for the
 #: same reason as TraceBuffer: a rank's own records are appended in its
 #: execution order, and the key is unique per record (one op never
@@ -107,21 +147,16 @@ def _canon_key(r: SpanRecord):
 
 
 class SpanBuffer(Sink):
-    """Append-only buffer of causal span records.
+    """Append-only buffer of causal span rows, read as span records, and
+    every rank's progress-engine sink (``inject``, ``poll``, ``retire``).
 
     Pass one to ``upcxx.run_spmd(spans=...)``; render with
     ``python -m repro.tools.report`` or export to Perfetto via
     :func:`repro.util.trace_export.chrome_trace_span_events`.
-
-    The buffer is also every rank's progress-engine sink, for each
-    operation carrying a sid: ``inject_sw`` (API call -> leaving defQ),
-    ``inbox`` (wire arrival -> poll), then ``compq`` (staged or polled ->
-    execution start: the attentiveness gap) and ``exec_sw`` (execution,
-    its CPU charge and body included).
     """
 
     def __init__(self):
-        self._records: List[SpanRecord] = []
+        self._rows: list = []
 
     def rank(self, r: int) -> "SpanBuffer":
         """Rank ``r``'s sink: the buffer itself (it reads the rank off the runtime)."""
@@ -130,15 +165,17 @@ class SpanBuffer(Sink):
     def inject(self, rt, op, now: float) -> None:
         sid = op.sid
         if sid is not None:
-            # API call + injection charge + defQ dwell, up to NIC handoff
-            self.record(op.t_api, now, rt.rank, sid, "inject_sw", op.kind, op.nbytes, op.parent)
+            # the conduit appends the frames' junctions to the op's list
+            op.wire = wire = []
+            self._rows.append((op.t_api, now, rt.rank, sid, _SENT, op.kind, op.nbytes, op.parent,
+                               wire))
 
     def poll(self, rt, msg, now: float) -> None:
         sid = msg.sid
         if sid is not None:
             # the compQ span then starts here, so the two phases tile
             msg.t_polled = now
-            self.record(msg.arrival, now, rt.rank, sid, "inbox", msg.kind, msg.nbytes)
+            self._rows.append((msg.arrival, now, rt.rank, sid, "inbox", msg.kind, msg.nbytes, None))
 
     def retire(self, rt, item, t_exec: float, now: float) -> None:
         sid = item.sid
@@ -146,35 +183,24 @@ class SpanBuffer(Sink):
             t_q = item.t_polled
             if t_q is None:
                 t_q = item.t_staged
-            if t_q is not None:
-                self.record(t_q, t_exec, rt.rank, sid, "compq", item.kind, item.nbytes)
-            self.record(t_exec, now, rt.rank, sid, "exec_sw", item.kind, item.nbytes)
+            self._rows.append((t_q, t_exec, rt.rank, sid, _RETIRED, item.kind, item.nbytes, now))
 
     # ------------------------------------------------------------ recording
-    def record(
-        self,
-        t0: float,
-        t1: float,
-        rank: int,
-        sid: tuple,
-        phase: str,
-        kind: str,
-        nbytes: int = 0,
-        parent: Optional[tuple] = None,
-    ) -> None:
+    def record(self, t0, t1, rank, sid, phase, kind, nbytes=0, parent=None) -> None:
         """Record one phase (any context; times are explicit arguments)."""
-        self._records.append((t0, t1, rank, sid, phase, kind, nbytes, parent))
+        self._rows.append((t0, t1, rank, sid, phase, kind, nbytes, parent))
 
     def __len__(self) -> int:
-        return len(self._records)
+        return sum(1 for _ in self)
 
     def __iter__(self) -> Iterator[SpanRecord]:
-        return iter(self._records)
+        for row in self._rows:
+            yield from _expand(row)
 
     # ------------------------------------------------------- canonical view
     def canonical_records(self) -> List[SpanRecord]:
         """Records stably sorted by ``(t0, t1, rank, sid, phase)``."""
-        return sorted(self._records, key=_canon_key)
+        return sorted(self, key=_canon_key)
 
     def fingerprint(self) -> str:
         """Content hash of the canonical stream (hex digest).
@@ -184,9 +210,5 @@ class SpanBuffer(Sink):
         """
         h = hashlib.blake2b(digest_size=16)
         for r in self.canonical_records():
-            h.update(
-                repr(
-                    (round(r[0], 12), round(r[1], 12), r[2], r[3], r[4], r[5], r[6], r[7])
-                ).encode()
-            )
+            h.update(repr((round(r[0], 12), round(r[1], 12), *r[2:])).encode())
         return h.hexdigest()

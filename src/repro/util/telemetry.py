@@ -97,8 +97,9 @@ class RankTelemetry(Sink):
         # crash post-mortem state
         self.died_at: Optional[float] = None
         self.pending: Optional[dict] = None
-        #: replication-layer state table (set by the KV service at drain:
-        #: factor, shard size, deaths seen, restored flag, recovery time)
+        #: replication-layer state table (``Runtime.kv_replica``, copied at
+        #: finish: factor, shard size, deaths seen, restored flag, recovery
+        #: time)
         self.replica: Optional[dict] = None
         # window bookkeeping
         self._next_edge = window_s
@@ -148,8 +149,10 @@ class RankTelemetry(Sink):
         self._close(t_die, window_index(t_die, self.window_s), True, rt)
 
     def finish(self, rt, now: float) -> None:
-        """Close the final (partial) window at normal completion."""
+        """Close the final (partial) window at normal completion and copy
+        the KV service's replication-layer state table."""
         self._close(now, window_index(now, self.window_s), True, rt)
+        self.replica = rt.kv_replica
 
     # ------------------------------------------------------------- recording
     def _close(self, t: float, w: int, final: bool, rt) -> None:

@@ -239,3 +239,25 @@ class TestKvBench:
         assert health.DEFAULT_MIN_AVAILABILITY == 0.99
         for rule in ("kv-availability", "kv-writes-lost", "kv-factor-restored"):
             assert status[rule] == "PASS", (rule, status)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--crash-point", "9"],
+    ["--crash-point", "0"],
+    ["--point", "0"],
+    ["--point", "-1"],
+    ["--point", "nan"],
+    ["--point", "inf"],
+])
+def test_kv_bench_rejects_out_of_range_values(argv, capsys):
+    """A factor past the scale's 8 ranks (which ``ReplicaMap`` would clamp,
+    so the document names a factor that never ran) and a multiplier that
+    is not a finite positive number exit 2 with a message at argument
+    parsing, before any rank runs."""
+    from repro.bench.kv_bench import main
+
+    with pytest.raises(SystemExit) as exc:
+        main(["--scale", "tiny", *argv])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert argv[0] in err and "must" in err

@@ -7,6 +7,7 @@ the ``repro.tools.report`` CLI, and the Perfetto export lanes.
 """
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -39,11 +40,72 @@ class TestSpanBuffer:
         a.record(0.0, 1.0, 0, (0, 1), "wire", "put", 8)
         b.record(0.0, 1.0, 0, (0, 1), "wire", "put", 9)  # nbytes differs
         assert a.fingerprint() != b.fingerprint()
-        assert a.fingerprint() == len(a.fingerprint()) * "0" or True  # hex str
-        assert isinstance(a.fingerprint(), str)
+        assert re.fullmatch(r"[0-9a-f]{32}", a.fingerprint())
 
     def test_every_emitted_phase_is_categorized(self):
         assert set(PHASES.values()) <= set(CATEGORIES)
+
+
+# ------------------------------------------------ rows, expanded on read
+def _rpc_trips(n):
+    """Rank 0 runs ``n`` blocking RPC round trips to rank 1."""
+    def body():
+        if upcxx.rank_me() == 0:
+            for i in range(n):
+                upcxx.rpc(1, lambda x: x, i).wait()
+        upcxx.barrier()
+
+    spans = SpanBuffer()
+    upcxx.run_spmd(body, 2, spans=spans)
+    return spans
+
+
+def _phases(spans, sid):
+    return [r[4] for r in spans if r[3] == sid]
+
+
+class TestSpanRows:
+    def test_an_rpc_round_trip_appends_six_rows(self):
+        """A traced message appends three rows (injection with its frame,
+        inbox poll, retirement), so a round trip appends at most six; read
+        back they are the fourteen records of its request and reply."""
+        one, four = _rpc_trips(1), _rpc_trips(4)
+        assert (len(four._rows) - len(one._rows)) / 3 <= 6
+        assert (len(four) - len(one)) / 3 == 14
+        req = (0, 1)  # rank 0's first sid: the barrier comes after
+        rep = next(r[3] for r in one if r[7] == req)
+        assert _phases(one, req) == ["inject_sw", "nic_wait", "nic_occ", "wire", "inbox",
+                                     "compq", "exec_sw"]
+        assert _phases(one, rep) == _phases(one, req)
+
+    def test_an_operation_whose_rank_dies_keeps_its_phases(self):
+        """Rank 1 polls rank 0's request, then dies before its user
+        progress runs it; rank 0's rget reply leaves rank 1 and rank 0
+        dies before retiring it.  Each keeps every phase recorded until
+        the death: no compq or exec_sw, the rest all there."""
+        def body():
+            me = upcxx.rank_me()
+            g = upcxx.new_array(np.float64, 4)
+            ptr = upcxx.broadcast(g, root=1).wait()
+            if me == 0:
+                upcxx.rpc_ff(1, lambda: None)
+                upcxx.rget(ptr)
+                upcxx.compute(100e-6)
+            else:
+                upcxx.compute(20e-6)
+                upcxx.rpc_ff(0, lambda: None)  # internal progress polls the request
+                upcxx.compute(100e-6)
+            upcxx.progress()  # both have died by now
+
+        spans = SpanBuffer()
+        upcxx.run_spmd(body, 2, spans=spans, faults="seed=1,crash=0@60e-6+1@50e-6,survive=1")
+        # rank 0's last request (the broadcast sends some before it)
+        request = max(r[3] for r in spans if r[5] == "rpc" and r[3][0] == 0)
+        rget = next(r[3] for r in spans if r[5] == "rget")
+        assert _phases(spans, request) == ["inject_sw", "nic_wait", "nic_occ", "wire", "inbox"]
+        assert _phases(spans, rget) == ["inject_sw", "nic_wait", "nic_occ", "wire",
+                                        "remote_nic_wait", "remote_occ", "wire_back"]
+        assert {r[2] for r in spans if r[3] == rget and r[4] == "wire_back"} == {1}
 
 
 # ----------------------------------------------------- critical-path walk

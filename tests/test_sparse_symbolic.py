@@ -75,13 +75,21 @@ class TestNestedDissection:
         # the root separator of a cube is a full plane: 8x8 vertices
         assert len(root.vertices) == 64
 
-    def test_leaf_size_respected(self):
-        root, _ = nested_dissection_3d(8, 8, 8, leaf_size=10)
+    @staticmethod
+    def _leaves_within(leaf_size):
+        root, _ = nested_dissection_3d(8, 8, 8, leaf_size=leaf_size)
         for node in root.postorder():
             if not node.children:
-                assert len(node.vertices) <= 10 or True  # small boxes stop early
+                # a 2x2x2 box stops early: it is a leaf of 8 whatever the size
+                assert len(node.vertices) <= max(leaf_size, 8)
         # at least a two-level tree
         assert root.children
+
+    def test_leaf_size_respected(self):
+        self._leaves_within(10)
+
+    def test_leaf_size_respected_below_a_box(self):
+        self._leaves_within(4)
 
 
 class TestElimTree:

@@ -8,8 +8,8 @@ repaired contract so the next bookkeeping PR cannot silently regress the
 gate again:
 
 - with spans/metrics/faults all disabled, a DHT workload mints **zero**
-  span sids and records **zero** spans, and so does a KV workload that
-  reaches every aggregator and replication span site;
+  span sids and appends **zero** span rows, and so does a KV workload
+  that reaches every aggregator and replication span site;
 - with every observer absent, each rank's sink tuple is empty and no sink
   boundary runs at all (off means absent: there is no disabled observer);
 - with only telemetry on, no per-operation boundary is hooked: telemetry
@@ -87,10 +87,11 @@ SERVICE_PHASES = {"credit_wait", "cache_hit", "fill_share", "death_exclude", "re
 
 def _run_counted(monkeypatch, body=_dht_body, ppn=8, **spmd_kwargs):
     """Run ``body`` (default: the DHT body) on 8 ranks counting span-sid
-    mints, span records, CompQItem constructions and RmaOp
-    constructions; returns (sids, records, allocs, stats), with the RmaOp
-    count under ``stats["rmaop_allocs"]``."""
-    counts = {"sids": 0, "records": 0, "allocs": 0, "ops": 0}
+    mints, span rows appended (the sinks' and ``record``'s one append
+    path), CompQItem constructions and RmaOp constructions; returns
+    (sids, rows, allocs, stats), with the RmaOp count under
+    ``stats["rmaop_allocs"]``."""
+    counts = {"sids": 0, "rows": 0, "allocs": 0, "ops": 0}
 
     orig_sid = Runtime.next_span_sid
 
@@ -98,11 +99,16 @@ def _run_counted(monkeypatch, body=_dht_body, ppn=8, **spmd_kwargs):
         counts["sids"] += 1
         return orig_sid(self)
 
-    orig_record = SpanBuffer.record
+    class CountedRows(list):
+        def append(self, row):
+            counts["rows"] += 1
+            list.append(self, row)
 
-    def counting_record(self, *a, **k):
-        counts["records"] += 1
-        return orig_record(self, *a, **k)
+    orig_buffer_init = SpanBuffer.__init__
+
+    def counting_buffer_init(self):
+        orig_buffer_init(self)
+        self._rows = CountedRows()
 
     orig_item_init = CompQItem.__init__
 
@@ -118,20 +124,23 @@ def _run_counted(monkeypatch, body=_dht_body, ppn=8, **spmd_kwargs):
 
     monkeypatch.setattr(RmaOp, "__init__", counting_op_init)
     monkeypatch.setattr(Runtime, "next_span_sid", counting_sid)
-    monkeypatch.setattr(SpanBuffer, "record", counting_record)
+    monkeypatch.setattr(SpanBuffer, "__init__", counting_buffer_init)
     monkeypatch.setattr(CompQItem, "__init__", counting_init)
+    spans = spmd_kwargs.get("spans")
+    if spans is not None:  # a buffer the caller built before the patch
+        spans._rows = CountedRows()
     stats: dict = {}
     upcxx.run_spmd(body, N_RANKS, ppn=ppn, seed=7, sched_stats=stats, **spmd_kwargs)
     stats["rmaop_allocs"] = counts["ops"]
-    return counts["sids"], counts["records"], counts["allocs"], stats
+    return counts["sids"], counts["rows"], counts["allocs"], stats
 
 
 def test_no_span_work_when_observers_off(monkeypatch):
-    """spans/metrics/faults all off: zero sids, zero records, a bounded
+    """spans/metrics/faults all off: zero sids, zero rows, a bounded
     event budget and exact allocation counts."""
-    sids, records, allocs, stats = _run_counted(monkeypatch)
+    sids, rows, allocs, stats = _run_counted(monkeypatch)
     assert sids == 0, f"{sids} span sids minted with spans disabled"
-    assert records == 0, f"{records} span records with spans disabled"
+    assert rows == 0, f"{rows} span rows with spans disabled"
     assert stats["events_fired"] <= EVENT_BUDGET, stats
     assert allocs <= COMPQ_ALLOC_BUDGET, (
         f"{allocs} CompQItem constructions (budget {COMPQ_ALLOC_BUDGET}): "
@@ -145,19 +154,20 @@ def test_no_span_work_when_observers_off(monkeypatch):
 def test_no_span_work_on_the_service_path_when_spans_off(monkeypatch):
     """The same counters over a KV body that reaches every aggregator and
     replication span site (credit stalls, cache hits, a survivable crash):
-    zero sids and zero records with spans off."""
-    sids, records, _allocs, _stats = _run_counted(monkeypatch, _kv_body, ppn=4, faults=KV_CRASH)
-    assert (sids, records) == (0, 0)
+    zero sids and zero rows with spans off."""
+    sids, rows, _allocs, _stats = _run_counted(monkeypatch, _kv_body, ppn=4, faults=KV_CRASH)
+    assert (sids, rows) == (0, 0)
 
 
 def test_service_spans_still_record(monkeypatch):
     """Control arm for the KV body: with spans on, the counters see its
-    traffic and the buffer holds every service-layer phase."""
+    traffic and the buffer holds every service-layer phase (its RPCs'
+    rows expand to more records than there are rows)."""
     spans = SpanBuffer()
-    sids, records, _allocs, _stats = _run_counted(
+    sids, rows, _allocs, _stats = _run_counted(
         monkeypatch, _kv_body, ppn=4, faults=KV_CRASH, spans=spans
     )
-    assert sids > 0 and records == len(spans) > 0
+    assert sids > 0 and 0 < rows < len(spans)
     assert {r[4] for r in spans} >= SERVICE_PHASES
 
 
@@ -203,9 +213,9 @@ def test_enabled_spans_still_record(monkeypatch):
     """Control arm: the counters above do observe real span traffic, so
     the zero assertions are meaningful."""
     spans = SpanBuffer()
-    sids, records, _allocs, _stats = _run_counted(monkeypatch, spans=spans)
+    sids, rows, _allocs, _stats = _run_counted(monkeypatch, spans=spans)
     assert sids > 0
-    assert records > 0
+    assert rows > 0
     assert len(spans) > 0
 
 
@@ -433,8 +443,8 @@ def test_enabled_telemetry_still_records(monkeypatch):
 def test_budgets_hold_with_telemetry_off(monkeypatch):
     """The original event/alloc budgets are unchanged by the telemetry
     subsystem existing: off means off."""
-    sids, records, allocs, stats = _run_counted(monkeypatch)
-    assert sids == 0 and records == 0
+    sids, rows, allocs, stats = _run_counted(monkeypatch)
+    assert sids == 0 and rows == 0
     assert stats["events_fired"] <= EVENT_BUDGET, stats
     assert allocs <= COMPQ_ALLOC_BUDGET
 
