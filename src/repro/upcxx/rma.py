@@ -76,7 +76,7 @@ class RmaOp(Transfer):
     #: an RMA completion never passes through the inbox
     t_polled = None
 
-    def __init__(self, rt, kind, dst, dst_off, nbytes, promise, sid=None, t_api=0.0,
+    def __init__(self, rt, kind, dst, dst_off, nbytes, promise, sid=None, t_api=None,
                  payload=None, dtype=None, scalar=False, remote_rpc=None):
         # one frame sets every slot the conduit and the runtime read before
         # injection (Transfer.__init__ is not called: this is the hot path)

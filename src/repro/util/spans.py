@@ -108,10 +108,12 @@ SpanRecord = Tuple[float, float, int, tuple, str, str, int, Optional[tuple]]
 _SENT, _RETIRED = "sent", "retired"
 #: per frame of an operation, its first attempt's phases (the second: an rget's reply)
 _LEGS = (("nic_wait", "nic_occ", "wire"), ("remote_nic_wait", "remote_occ", "wire_back"))
-#: operation kind -> the kind of its frames (an atomic's frames carry its own)
-_FRAME_KIND = {"rput": "put", "rget": "get", "rpc": "am", "rpc_reply": "am"}
-#: frame kinds whose ack is no phase: an AM's is never awaited, a get's is its reply
-_UNACKED = ("am", "get")
+#: every operation kind that mints a sid -> the kind its frames carry and
+#: whether their ack is a phase (an AM's ack is never awaited, a get's is
+#: its reply).  A new traced kind must be added here: reading its rows
+#: raises ``KeyError`` until it is.
+_FRAMES = {"rput": ("put", True), "amo": ("amo", True), "rget": ("get", False),
+           "rpc": ("am", False), "rpc_reply": ("am", False)}
 
 
 def _expand(row) -> Iterator[SpanRecord]:
@@ -120,14 +122,14 @@ def _expand(row) -> Iterator[SpanRecord]:
     if layout == _SENT:
         t0, t1, rank, sid, _, kind, nbytes, parent, wire = row
         yield (t0, t1, rank, sid, "inject_sw", kind, nbytes, parent)
-        fkind = _FRAME_KIND.get(kind, kind)
+        fkind, acked = _FRAMES[kind]
         for phases, (snd, fbytes, t, begin, done, arrive, ack0, ack1, *retx) in zip(_LEGS, wire):
             yield (t, begin, snd, sid, phases[0], fkind, fbytes, None)
             yield (begin, done, snd, sid, phases[1], fkind, fbytes, None)
             yield (done, arrive, snd, sid, phases[2], fkind, fbytes, None)
             for i in range(0, len(retx), 2):
                 yield (retx[i], retx[i + 1], snd, sid, "retry", fkind, fbytes, None)
-            if ack1 is not None and fkind not in _UNACKED:
+            if acked and ack1 is not None:
                 yield (ack0, ack1, snd, sid, "ack_wire", fkind, nbytes, None)
     elif layout == _RETIRED:
         t_q, t_exec, rank, sid, _, kind, nbytes, t_done = row

@@ -107,6 +107,37 @@ class TestSpanRows:
                                         "remote_nic_wait", "remote_occ", "wire_back"]
         assert {r[2] for r in spans if r[3] == rget and r[4] == "wire_back"} == {1}
 
+    def test_frames_carry_their_kind_and_only_awaited_acks(self):
+        """Each traced kind's frames carry the frame kind, and only a put's
+        and an atomic's ack is a phase; a row of an unlisted kind does not
+        read back as some default layout."""
+        def body():
+            g = upcxx.new_array(np.int64, 4)
+            ptr = upcxx.broadcast(g, root=1).wait()
+            if upcxx.rank_me() == 0:
+                ad = upcxx.AtomicDomain({"fetch_add"}, np.int64)
+                upcxx.rput(np.int64(1), ptr).wait()
+                upcxx.rget(ptr).wait()
+                ad.fetch_add(ptr, 1).wait()
+                upcxx.rpc(1, lambda: None).wait()
+            upcxx.barrier()
+
+        spans = SpanBuffer()
+        upcxx.run_spmd(body, 2, spans=spans)
+        by_op = {}
+        sids = {r[3]: r[5] for r in spans if r[4] == "inject_sw" and r[3][0] == 0}
+        for r in spans:
+            if r[3] in sids and r[4] in ("nic_occ", "ack_wire"):
+                by_op.setdefault(sids[r[3]], set()).add((r[4], r[5]))
+        assert by_op["rput"] == {("nic_occ", "put"), ("ack_wire", "put")}
+        assert by_op["amo"] == {("nic_occ", "amo"), ("ack_wire", "amo")}
+        assert by_op["rget"] == {("nic_occ", "get")}
+        assert by_op["rpc"] == {("nic_occ", "am")}
+        row = next(r for r in spans._rows if r[5] == "rput")
+        spans._rows.append(row[:5] + ("new_op",) + row[6:])
+        with pytest.raises(KeyError):
+            list(spans)
+
 
 # ----------------------------------------------------- critical-path walk
 class TestCriticalPath:

@@ -161,13 +161,14 @@ def test_no_span_work_on_the_service_path_when_spans_off(monkeypatch):
 
 def test_service_spans_still_record(monkeypatch):
     """Control arm for the KV body: with spans on, the counters see its
-    traffic and the buffer holds every service-layer phase (its RPCs'
-    rows expand to more records than there are rows)."""
+    traffic, the row counter sees every row the buffer holds, and the
+    buffer holds every service-layer phase (its RPCs' rows expand to more
+    records than there are rows)."""
     spans = SpanBuffer()
     sids, rows, _allocs, _stats = _run_counted(
         monkeypatch, _kv_body, ppn=4, faults=KV_CRASH, spans=spans
     )
-    assert sids > 0 and 0 < rows < len(spans)
+    assert sids > 0 and rows == len(spans._rows) > 0 and rows < len(spans)
     assert {r[4] for r in spans} >= SERVICE_PHASES
 
 
