@@ -141,6 +141,7 @@ class KvService:
             on_death=self._on_death,
         )
         self._store = self._repl.store
+        self._owners = self._repl.map.owners
         self.admission_limit = admission_limit
         n = self._store.team.rank_n()
         #: per-destination write records awaiting their batch's flush; a
@@ -178,9 +179,10 @@ class KvService:
     def put(self, key: int, value: int, t_arrival: float) -> None:
         """Issue one write (open loop; completes at the first covering
         batch ack on any owner).  Raises :class:`Overloaded` when shed."""
-        self._admit()
+        if self.admission_limit is not None:
+            self._admit()
         self.writes_issued += 1
-        owners = self._repl.owners(key)
+        owners = self._owners(key)
         rec = {"live": len(owners), "t": t_arrival, "done": False}
         # record before any update: the first update_to may flush its
         # destination's batch inline
@@ -327,9 +329,10 @@ def kv_rank_body(cfg: dict) -> dict:
     )
     upcxx.barrier()
     t_start = upcxx.sim_now()
+    now = rt.sched.now
     for dt, op, key, val in tm.requests():
         t_arr = t_start + dt
-        if rt.now() < t_arr:
+        if now() < t_arr:
             _sleep_until(rt, t_arr, svc.park)
         try:
             if op == "get":

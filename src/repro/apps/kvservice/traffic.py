@@ -26,6 +26,7 @@ per-rank request streams are reproducible bit for bit.
 from __future__ import annotations
 
 from bisect import bisect_left
+from math import log
 from typing import Iterator, List, Tuple
 
 #: one request: (arrival offset seconds, "get" | "put", key, value)
@@ -87,12 +88,13 @@ class TrafficModel:
         burst_left = 0
         for _ in range(self.n_requests):
             r = self.rate * (self.burst_mult if burst_left > 0 else 1.0)
-            t += rng.expovariate(r)
+            # ``rng.expovariate(r)``'s own expression, without the call
+            t += -log(1.0 - rng.random()) / r
             if burst_left > 0:
                 burst_left -= 1
             elif self.burst_prob > 0.0 and rng.random() < self.burst_prob:
                 burst_left = self.burst_len
-            key = self.draw_key()
+            key = bisect_left(self._cdf, rng.random())  # draw_key(), inline
             if rng.random() < self.read_fraction:
                 yield (t, "get", key, 0)
             else:

@@ -36,9 +36,9 @@ aggregators:
 - **Adaptive flush** — buffers also flush on *simulated-time* dwell
   (``max_dwell``): a partial batch does not strand in its buffer past
   the deadline.  ``poll()`` is the pacing hook apps call from their
-  request loop.  The dwell is for a sender that is busy; one about to
-  sleep has nothing left to coalesce with and calls
-  :meth:`AggStore.flush_ready` (from ``Runtime.wait_quiet``'s
+  request loop (one comparison while nothing is due).  The dwell is for
+  a sender that is busy; one about to sleep has nothing left to coalesce
+  with and calls :meth:`AggStore.flush_ready` (from ``Runtime.wait_quiet``'s
   ``before_park`` hook — the KV front end's pacing sleep does), which
   ships every partial data buffer whose peer has a credit and never
   stalls, so aggregation costs latency only where there is throughput
@@ -113,6 +113,7 @@ golden file (``tests/test_chaos_determinism.py``).
 from __future__ import annotations
 
 import hashlib
+import math
 from collections import OrderedDict
 from typing import Callable, List, Optional, Union
 
@@ -390,9 +391,12 @@ class AggStore:
         self._run_folds: List[int] = [0] * n
         self._inval_buf: List[list] = [[] for _ in range(n)]
         self._t_first_inval: List[Optional[float]] = [None] * n
+        #: <= every armed dwell stamp; a flush may leave it stale-low
+        self._oldest_armed = math.inf
+        self._held: set = set()  # destinations that may hold writes or reads
         # -- quiescence accounting ------------------------------------------
-        self._sent_updates = np.zeros(n, dtype=np.int64)
-        self._sent_invals = np.zeros(n, dtype=np.int64)
+        self._sent_updates: List[int] = [0] * n
+        self._sent_invals: List[int] = [0] * n
         self.batches_sent = 0
         #: application updates shipped, folded ones included; the wire
         #: carried ``updates_sent - updates_combined`` entries
@@ -472,23 +476,30 @@ class AggStore:
             bv[-1] = self.state["combine"](bv[-1], value)
             self._run_folds[t] += 1
             return
+        if not bk:
+            self._held.add(t)
         bk.append(key)
         self._buf_vals[t].append(value)
         self._sent_updates[t] += 1
         if len(bk) >= self.batch_size:
             self._flush_dest(t)
         elif self.max_dwell is not None and self._t_first[t] is None:
-            self._t_first[t] = self._rt.now()
+            self._t_first[t] = now = self._rt.now()
+            self._oldest_armed = min(self._oldest_armed, now)
 
     def poll(self) -> None:
         """Flush any buffer whose oldest entry exceeded ``max_dwell``.
 
         The pacing hook: request loops call this between operations so a
         partial batch cannot strand past its dwell deadline at low load.
+        One comparison when nothing is due; else a walk on live state (a
+        credit stall runs user progress, which can arm any stamp).
         """
         if self.max_dwell is None:
             return
-        deadline = self._rt.now() - self.max_dwell
+        deadline = self._rt.sched.now() - self.max_dwell
+        if self._oldest_armed > deadline:
+            return
         for t in range(self._n):
             tf = self._t_first[t]
             if tf is not None and tf <= deadline:
@@ -496,6 +507,8 @@ class AggStore:
             ti = self._t_first_inval[t]
             if ti is not None and ti <= deadline and self._t_first[t] is None:
                 self._flush_invals_dest(t)
+        armed = [x for x in self._t_first + self._t_first_inval if x is not None]
+        self._oldest_armed = min(armed, default=math.inf)
 
     def flush(self) -> None:
         """Push out every partially-filled data buffer (invals piggyback)
@@ -513,11 +526,15 @@ class AggStore:
         until the ack (or the dwell deadline) — and leaves the
         invalidation buffers to their own dwell (a data batch still
         carries the ones queued for its destination).  Buffered reads
-        ship too: they hold no credit.
+        ship too: they hold no credit.  Visits only ``_held`` (shipping runs
+        no user progress, so no buffer fills during the walk).
         """
-        for t in range(self._n):
+        held, self._held = self._held, set()
+        for t in sorted(held):
             self._flush_if_credit(t)
             self._ship_reads(t)
+            if self._buf_keys[t]:  # no credit: it waits for the ack
+                self._held.add(t)
 
     def _flush_if_credit(self, t: int) -> None:
         """Ship ``t``'s partial data buffer if a credit is free (never stalls)."""
@@ -663,7 +680,8 @@ class AggStore:
         if len(buf) >= self.batch_size:
             self._flush_invals_dest(watcher_trank)
         elif self.max_dwell is not None and self._t_first_inval[watcher_trank] is None:
-            self._t_first_inval[watcher_trank] = self._rt.now()
+            self._t_first_inval[watcher_trank] = now = self._rt.now()
+            self._oldest_armed = min(self._oldest_armed, now)
 
     def _flush_invals_dest(self, t: int) -> None:
         buf = self._inval_buf[t]
@@ -724,6 +742,8 @@ class AggStore:
             # batch, which ships when its reply lands (or earlier, full or
             # at a park)
             rk = self._read_keys[t]
+            if not rk:
+                self._held.add(t)
             rk.append(key)
             self._read_fills[t].append(fill)
             if len(rk) >= self.batch_size:
@@ -893,7 +913,8 @@ class AggStore:
         alive-team expectation, so applied may legitimately overshoot.
         """
         team = self.quiesce_team
-        expected = reduce_all(sent.copy(), lambda a, b: a + b, team=team).wait()
+        counts = np.array(sent, dtype=np.int64)
+        expected = reduce_all(counts, lambda a, b: a + b, team=team).wait()
         owed = int(expected[self._my_trank])
         self._rt.wait_quiet(lambda: self.state[applied] >= owed, reason)
         barrier(team=team)
@@ -912,7 +933,7 @@ class AggStore:
             "batches_sent": self.batches_sent,
             "updates_sent": self.updates_sent,
             "updates_combined": self.updates_combined,
-            "invals_sent": int(self._sent_invals.sum()),
+            "invals_sent": sum(self._sent_invals),
             "sharers_registered": self.state["sharers_registered"],
             "acks_received": self.acks_received,
             "applied_updates": self.state["applied_updates"],

@@ -105,7 +105,8 @@ class ReplicaMap:
     ``owners(key)`` is the first ``factor`` *alive* ranks walking the
     ring from the key's routed home.  Pure rank-local arithmetic over
     the shared dead set — every rank computes identical owner sets
-    without communication.
+    without communication.  An int key's home is routed once and
+    memoized: the route ignores deaths, so the memo never goes stale.
     """
 
     def __init__(self, n_ranks: int, factor: int):
@@ -115,17 +116,27 @@ class ReplicaMap:
         self.factor = min(factor, n_ranks)
         #: team ranks detected dead (shared view, updated at detection)
         self.dead: Set[int] = set()
+        self._homes: Dict[int, int] = {}
 
     def home(self, key) -> int:
         """The key's routed home rank (ignores deaths)."""
-        return default_route(key, self.n)
+        if type(key) is not int:  # 1.0 == 1, but the two route apart
+            return default_route(key, self.n)
+        home = self._homes.get(key)
+        if home is None:
+            home = self._homes[key] = default_route(key, self.n)
+        return home
 
     def owners(self, key, dead: Optional[Iterable[int]] = None) -> List[int]:
         """Ring-ordered owner set of ``key`` against a dead set
         (default: the current one).  May be shorter than ``factor``
         when fewer ranks survive."""
+        home = self._homes.get(key) if type(key) is int else None
+        if home is None:
+            home = self.home(key)
+        if dead is None and self.factor == 1 and not self.dead:
+            return [home]
         excluded = self.dead if dead is None else set(dead)
-        home = default_route(key, self.n)
         out: List[int] = []
         for i in range(self.n):
             r = (home + i) % self.n

@@ -61,6 +61,21 @@ def test_surviving_original_owners_stay_owners_after_death():
             assert new[-1] not in old
 
 
+
+def test_factor_one_owner_fails_over_after_mark_dead():
+    """Factor 1 answers ``[home]`` while nobody is dead; a death moves a
+    dead home's keys to the next alive rank, as the same list form."""
+    m = ReplicaMap(N, factor=1)
+    before = {k: m.owners(k) for k in range(300)}
+    assert before == {k: [m.home(k)] for k in range(300)}
+    m.mark_dead(3)
+    m.mark_dead(4)
+    for k, old in before.items():
+        expect = [5] if old[0] in (3, 4) else old
+        assert m.owners(k) == expect and type(m.owners(k)) is list
+        assert m.primary(k) == expect[0]
+
+
 def test_dead_override_matches_marked_state():
     m = ReplicaMap(N, factor=2)
     with_arg = {k: m.owners(k, dead={5}) for k in range(100)}

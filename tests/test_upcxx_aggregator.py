@@ -349,6 +349,113 @@ class TestDwellAndCredits:
         assert s1["applied_updates"] == 4
 
 
+class _Spy(list):
+    """A per-destination list that records which indices were read."""
+
+    def __init__(self, items, seen):
+        super().__init__(items)
+        self.seen = seen
+
+    def __getitem__(self, i):
+        self.seen.append(i)
+        return super().__getitem__(i)
+
+
+class TestPollCostsNothingUntilDue:
+    """``poll()`` keeps the oldest armed dwell stamp: with nothing due it
+    reads no destination, and a due walk still covers every one."""
+
+    def test_nothing_due_visits_no_destination(self):
+        def body():
+            rt = upcxx.runtime_here()
+            store = AggStore("+", batch_size=64, max_dwell=5e-6)
+            seen = []
+            store._t_first = _Spy(store._t_first, seen)
+            store._t_first_inval = _Spy(store._t_first_inval, seen)
+            upcxx.barrier()
+            visits = None
+            if upcxx.rank_me() == 0:
+                k = next(k for k in range(64) if store.dest_of(k) == 3)
+                store.poll()  # nothing armed
+                store.update(k, 1)
+                del seen[:]
+                store.poll()  # armed, not due
+                idle = list(seen)
+                rt.sched.sleep(10e-6)
+                store.poll()  # due: one walk over all four destinations
+                visits = (idle, sorted(set(seen)), store.batches_sent)
+            store.quiesce()
+            upcxx.barrier()
+            return visits
+
+        visits = upcxx.run_spmd(body, 4)[0]
+        assert visits == ([], [0, 1, 2, 3], 1)
+
+    def test_a_deadline_on_the_highest_team_rank_flushes(self):
+        def body():
+            n = upcxx.rank_n()
+            store = AggStore("+", batch_size=64, max_dwell=5e-6)
+            upcxx.barrier()
+            sent = None
+            if upcxx.rank_me() == 0:
+                k = next(k for k in range(256) if store.dest_of(k) == n - 1)
+                store.update(k, 7)
+                store.poll()
+                before = store.batches_sent
+                upcxx.runtime_here().sched.sleep(10e-6)
+                store.poll()
+                sent = (before, store.batches_sent, store._t_first[n - 1])
+            store.quiesce()
+            upcxx.barrier()
+            return sent, store.local_items()
+
+        res = upcxx.run_spmd(body, 5)
+        assert res[0][0] == (0, 1, None)
+        assert list(res[-1][1].values()) == [7]
+
+    def test_an_invalidation_armed_in_a_credit_stall_flushes_at_the_next_due_poll(self):
+        """Rank 0's due batch to rank 2 stalls on its only credit; in that
+        stall rank 1's write of a key rank 1 caches lands at rank 0 and
+        arms an invalidation owed to rank 1, an index the walk had passed."""
+
+        def body():
+            me = upcxx.rank_me()
+            rt = upcxx.runtime_here()
+            store = AggStore("replace", batch_size=64, credits=1, max_dwell=5e-6,
+                             cache_capacity=8)
+            hot = next(k for k in range(64) if store.dest_of(k) == 0)
+            k2 = next(k for k in range(64) if store.dest_of(k) == 2)
+            upcxx.barrier()
+            if me == 1:
+                store.read(hot, default=0).wait()  # rank 1 joins hot's sharers
+            upcxx.barrier()
+            log = None
+            if me == 0:
+                store.update(k2, 1)
+                store.flush_ready()  # takes rank 2's only credit
+                store.update(k2, 2)
+                rt.sched.sleep(10e-6)  # no progress: rank 1's batch waits
+                store.poll()  # due at rank 2: stalls until rank 2 acks
+                armed = (list(store._inval_buf[1]), store._t_first_inval[1] is not None)
+                rt.sched.sleep(10e-6)
+                store.poll()
+                log = (store.credit_stalls, armed, list(store._inval_buf[1]))
+            elif me == 1:
+                store.update(hot, 5)
+                store.flush()
+            else:
+                rt.sched.sleep(30e-6)  # sits on rank 0's batch unacked
+            store.quiesce()
+            upcxx.barrier()
+            return log, store.stats()["applied_invals"]
+
+        res = upcxx.run_spmd(body, 3, ppn=1)
+        log = res[0][0]
+        hot = log[1][0][0]
+        assert log == (1, ([hot], True), [])
+        assert res[1][1] == 1
+
+
 class TestFlushReady:
     """The work-conserving flush a parking caller makes."""
 
@@ -456,7 +563,7 @@ class TestFlushReady:
                     store.poll()
             store.quiesce()
             upcxx.barrier()
-            return store.stats(), store._sent_updates.tolist()
+            return store.stats(), list(store._sent_updates)
 
         res = upcxx.run_spmd(body, 4, seed=5)
         for r, (s, _) in enumerate(res):
