@@ -8,10 +8,12 @@ time — the classic structure the paper's §IV-D background cites [15].
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
 import numpy as np
-import scipy.sparse as sp
+
+if TYPE_CHECKING:  # SciPy loads where a matrix is converted
+    import scipy.sparse as sp
 
 
 def elimination_tree(a: sp.spmatrix, perm: Optional[Sequence[int]] = None) -> np.ndarray:
@@ -19,6 +21,7 @@ def elimination_tree(a: sp.spmatrix, perm: Optional[Sequence[int]] = None) -> np
 
     Liu's algorithm with virtual ancestors (path compression).
     """
+    import scipy.sparse as sp
     a = sp.csc_matrix(a)
     n = a.shape[0]
     if a.shape[0] != a.shape[1]:

@@ -11,8 +11,12 @@ deep and irregular enough to exercise proportional mapping).
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
-import scipy.sparse as sp
+
+if TYPE_CHECKING:  # SciPy loads where a matrix is built
+    import scipy.sparse as sp
 
 
 def laplacian_3d(nx: int, ny: int = 0, nz: int = 0) -> sp.csr_matrix:
@@ -21,6 +25,7 @@ def laplacian_3d(nx: int, ny: int = 0, nz: int = 0) -> sp.csr_matrix:
     Vertex id = x + nx*(y + ny*z) — the ordering assumed by
     :func:`repro.apps.sparse.ordering.nested_dissection_3d`.
     """
+    import scipy.sparse as sp
     ny = ny or nx
     nz = nz or nx
     if min(nx, ny, nz) < 1:
@@ -61,6 +66,7 @@ def proxy_flan(scale: int = 14) -> tuple:
 
 def random_spd(n: int, density: float = 0.01, seed: int = 0) -> sp.csr_matrix:
     """A random SPD matrix (for property tests of the generic elimtree)."""
+    import scipy.sparse as sp
     rng = np.random.default_rng(seed)
     a = sp.random(n, n, density=density, random_state=rng, format="csr")
     a = a + a.T

@@ -33,16 +33,18 @@ ancestors' owners) and root→leaves for Lᵀ·x = y.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 import numpy as np
-import scipy.sparse as sp
 
 import repro.upcxx as upcxx
 from repro.apps.sparse.ordering import nested_dissection_3d
 from repro.apps.sparse.propmap import proportional_mapping
 from repro.apps.sparse.symbolic import FrontSymbolic, symbolic_from_dissection
 from repro.upcxx.future import Promise
+
+if TYPE_CHECKING:  # SciPy loads where a matrix is built
+    import scipy.sparse as sp
 
 
 @dataclass
@@ -67,6 +69,7 @@ class CholeskyPlan:
 
 def build_cholesky_plan(nx: int, ny: int, nz: int, n_procs: int, leaf_size: int = 32) -> CholeskyPlan:
     """Symbolic phase: dissect, analyze, and map front owners."""
+    import scipy.sparse as sp
     from repro.apps.sparse.matrices import laplacian_3d
 
     a = laplacian_3d(nx, ny, nz)

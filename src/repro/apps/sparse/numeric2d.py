@@ -41,7 +41,6 @@ import math
 from typing import Dict, List, Tuple
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 import repro.upcxx as upcxx
 from repro.apps.sparse.frontal import FrontInstance
@@ -298,6 +297,7 @@ def _assemble_a_blocks(plan: Cholesky2DPlan, fr: _Front2D) -> None:
 # ------------------------------------------------------------- the kernel
 def _factor_front_2d(plan: Cholesky2DPlan, fr: _Front2D, state_dobj) -> None:
     """Run my part of one front's right-looking factorization."""
+    from scipy.linalg import solve_triangular
     rt = upcxx.current_runtime()
     me = fr.me
     nid = fr.nid

@@ -17,12 +17,14 @@ Computed bottom-up over the separator tree in one pass.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.apps.sparse.ordering import DissectionNode
+
+if TYPE_CHECKING:  # SciPy loads where a matrix is converted
+    import scipy.sparse as sp
 
 
 @dataclass
@@ -73,6 +75,7 @@ def symbolic_from_dissection(
     ``elim_pos[v]`` = elimination position of vertex v; derived from the
     tree's postorder if not given.  Returns {node_id: FrontSymbolic}.
     """
+    import scipy.sparse as sp
     a = sp.csr_matrix(a)
     n = a.shape[0]
     nodes = root.postorder()

@@ -185,6 +185,7 @@ class _Fiber:
         "result",
         "block_reason",
         "pending_wake",
+        "woken",
         "client",
     )
 
@@ -199,6 +200,9 @@ class _Fiber:
         #: wake timestamps received while not blocked (sticky wakes);
         #: consumed by block() in timestamp order to prevent lost wakeups
         self.pending_wake: list = []
+        #: a wake at or before the clock came while RUNNING (its own event
+        #: walk): the next block() returns at once, as for a listed one
+        self.woken = False
         #: client-layer object (a upcxx Runtime, an mpisim Communicator)
         #: attached via Scheduler.set_client
         self.client = None
@@ -222,7 +226,8 @@ def _consume_pending_wakes(sched: Scheduler, me) -> bool:
     if len(pending) > 1:
         pending.sort()
     clock = me.clock
-    if pending[0] <= clock:
+    if me.woken or pending[0] <= clock:  # woken: a past wake never listed
+        me.woken = False
         me.pending_wake = [t for t in pending if t > clock]
         return True
     t = pending.pop(0)
@@ -443,7 +448,7 @@ class Scheduler:
             raise SimError("not inside a rank of this scheduler")
         if self._failure is not None:
             raise SimAbort()
-        if me.pending_wake and _consume_pending_wakes(self, me):
+        if (me.woken or me.pending_wake) and _consume_pending_wakes(self, me):
             return
         me.state = _BLOCKED
         me.block_reason = reason
@@ -468,6 +473,9 @@ class Scheduler:
                 ctl.clock = at_time
             ctl.state = _READY
             self._push_ready(ctl)
+        elif state == _RUNNING and at_time <= ctl.clock:
+            # already due: only makes the next block() return at once
+            ctl.woken = True
         elif state == _READY or state == _RUNNING:
             # Sticky wake: the rank is runnable at an earlier clock and may
             # block before ``at_time``; its next block() turns it into a timer.

@@ -294,6 +294,30 @@ def test_post_at_absolute_time():
     assert Scheduler(1).run(body) == [7]
 
 
+def test_a_self_fired_wake_returns_the_next_block_at_once():
+    """A wake the running rank fires in its own event walk, at or before
+    its clock, is a flag: the next block() returns without sleeping and
+    drops the listed wakes its clock has passed, and a wake for a later
+    time still turns the block after it into a timer."""
+
+    def body(r):
+        s = current_scheduler()
+        s.post_at(1e-6, lambda: s.wake(0, 1e-6))  # due as it fires: the flag
+        s.post_at(2e-6, lambda: s.wake(0, 6e-6))  # listed, passed by the block
+        s.post_at(3e-6, lambda: s.wake(0, 20e-6))  # listed, a timer later
+        s.charge(5e-6)  # all three fire while running
+        me = s._current
+        flagged = (me.woken, sorted(me.pending_wake))
+        s.charge(5e-6)
+        t_block = s.now()
+        s.block("due wake")
+        first = (s.now() == t_block, me.woken, list(me.pending_wake))
+        s.block("later wake")
+        return flagged, first, s.now()
+
+    assert Scheduler(1).run(body) == [((True, [6e-6, 20e-6]), (True, False, [20e-6]), 20e-6)]
+
+
 def test_run_not_reentrant():
     sched = Scheduler(1)
     sched.run(lambda r: None)
