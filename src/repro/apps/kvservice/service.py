@@ -151,6 +151,10 @@ class KvService:
         self._pending_w: List[list] = [[] for _ in range(n)]
         #: flushed-batch seq -> (dest, records) awaiting the ack
         self._inflight: Dict[int, tuple] = {}
+        #: an open record (its issue number) -> arrival time / live count;
+        #: ints and floats, so an open write adds no object the GC walks
+        self._w_t: Dict[int, float] = {}
+        self._w_live: Dict[int, int] = {}
         self.read_lat = DwellHistogram()
         self.write_lat = DwellHistogram()
         self.reads_issued = 0
@@ -179,11 +183,12 @@ class KvService:
     def put(self, key: int, value: int, t_arrival: float) -> None:
         """Issue one write (open loop; completes at the first covering
         batch ack on any owner).  Raises :class:`Overloaded` when shed."""
-        if self.admission_limit is not None:
-            self._admit()
-        self.writes_issued += 1
+        self._admit()
+        rec = self.writes_issued
+        self.writes_issued = rec + 1
         owners = self._owners(key)
-        rec = {"live": len(owners), "t": t_arrival, "done": False}
+        self._w_t[rec] = t_arrival
+        self._w_live[rec] = len(owners)
         # record before any update: the first update_to may flush its
         # destination's batch inline
         for o in owners:
@@ -220,9 +225,9 @@ class KvService:
     def _batch_acked(self, dest: int, seq: int, t_now: float) -> None:
         _dest, recs = self._inflight.pop(seq, (dest, ()))
         for rec in recs:
-            if not rec["done"]:
-                rec["done"] = True
-                self.write_lat.add(t_now - rec["t"])
+            if rec in self._w_t:
+                self.write_lat.add(t_now - self._w_t.pop(rec))
+                del self._w_live[rec]
                 self.writes_done += 1
 
     def _read_done(self, value, t_arrival: float) -> None:
@@ -241,10 +246,11 @@ class KvService:
         for seq in [s for s, (d, _r) in self._inflight.items() if d == dead]:
             recs.extend(self._inflight.pop(seq)[1])
         for rec in recs:
-            rec["live"] -= 1
-            if rec["live"] <= 0 and not rec["done"]:
-                rec["done"] = True
-                self.writes_lost += 1
+            if rec in self._w_t:
+                self._w_live[rec] -= 1
+                if self._w_live[rec] <= 0:
+                    del self._w_t[rec], self._w_live[rec]
+                    self.writes_lost += 1
 
     # ----------------------------------------------------------------- drain
     def drain(self) -> None:

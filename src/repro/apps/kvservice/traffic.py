@@ -94,7 +94,7 @@ class TrafficModel:
                 burst_left -= 1
             elif self.burst_prob > 0.0 and rng.random() < self.burst_prob:
                 burst_left = self.burst_len
-            key = bisect_left(self._cdf, rng.random())  # draw_key(), inline
+            key = self.draw_key()
             if rng.random() < self.read_fraction:
                 yield (t, "get", key, 0)
             else:

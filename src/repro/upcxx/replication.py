@@ -131,9 +131,7 @@ class ReplicaMap:
         """Ring-ordered owner set of ``key`` against a dead set
         (default: the current one).  May be shorter than ``factor``
         when fewer ranks survive."""
-        home = self._homes.get(key) if type(key) is int else None
-        if home is None:
-            home = self.home(key)
+        home = self.home(key)
         if dead is None and self.factor == 1 and not self.dead:
             return [home]
         excluded = self.dead if dead is None else set(dead)
@@ -206,10 +204,6 @@ class ReplicatedStore:
         rt.sched.on_rank_dead(self._on_dead_listener)
 
     # ------------------------------------------------------------ updates
-    def owners(self, key) -> List[int]:
-        """Current owner set of ``key`` (ring order, primary first)."""
-        return self.map.owners(key)
-
     def update(self, key, value) -> None:
         """Fan one update out to every owner (batched per destination)."""
         for o in self.map.owners(key):

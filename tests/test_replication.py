@@ -10,6 +10,8 @@ Covers the pieces the chaos suites exercise only end-to-end:
   read-through whose primary then dies all complete on the replica;
 - dead-peer accounting — a run folded into a buffer toward a peer that
   dies is dropped whole, every one of its updates counted once;
+- write records at a death — a write is lost only when every owner
+  died, and each settles exactly once;
 - admission control — a backlog limit sheds load as the typed
   :class:`Overloaded` rejection, counted in the service record and never
   silently folded into availability.
@@ -191,11 +193,11 @@ def test_a_run_buffered_for_a_dying_peer_is_dropped_whole(spec, dead):
                                 combine_at_source=True)
         agg = store.store
         hot = next(k for k in range(256) if store.map.primary(k) == dead)
-        cold = next(k for k in range(256) if dead not in store.owners(k))
+        cold = next(k for k in range(256) if dead not in store.map.owners(k))
         upcxx.barrier()
         addressed = 0
         for key in (hot,) * 5 + (cold,):
-            addressed += len(store.owners(key))
+            addressed += len(store.map.owners(key))
             store.update(key, 1)
         held = list(agg._buf_keys[dead])
         while not store.deaths_seen:
@@ -269,6 +271,41 @@ def test_the_second_death_ships_from_the_first_death_owner_sets(monkeypatch):
     assert golden.digest(held) == (
         "c463822bb7b11afe65610feb5437bab0a06c738c96044a46ec878afb9a032bec"
     )
+
+
+# ------------------------------------------------- write records at a death
+@pytest.mark.parametrize("factor,lost", [(1, 3), (2, 0)])
+def test_a_write_is_lost_only_when_every_owner_died(factor, lost):
+    """Each survivor buffers three writes of keys the dying rank owns and
+    one of a key it does not.  At factor 1 the death settles exactly the
+    three as lost; at factor 2 a surviving owner's ack completes them.
+    Either way every write settles once: done + lost == issued, and no
+    record stays open."""
+    from repro.apps.kvservice import KvService
+
+    spec, dead = golden.REPLICATED_CRASH_SPECS[0], 3
+
+    def body():
+        rt = upcxx.runtime_here()
+        svc = KvService(batch_size=64, credits=4, replication=factor)
+        owners = svc._repl.map.owners
+        doomed = [k for k in range(256) if dead in owners(k)][:3]
+        spared = next(k for k in range(256) if dead not in owners(k))
+        upcxx.barrier()
+        for key in doomed + [spared]:
+            svc.put(key, key + 1, upcxx.sim_now())
+        while not svc._repl.deaths_seen:
+            rt.compute(1e-6)
+            upcxx.progress()
+        svc.drain()
+        open_records = len(svc._w_t) + len(svc._w_live)
+        return svc.writes_issued, svc.writes_done, svc.writes_lost, open_records
+
+    res = upcxx.run_spmd(body, 4, seed=9, faults=spec)
+    assert res[dead] is None
+    for issued, done, lost_here, open_records in (r for r in res if r is not None):
+        assert (issued, lost_here, done + lost_here) == (4, lost, 4)
+        assert open_records == 0  # a settled record keeps no entry
 
 
 # ------------------------------------------------------- admission control
