@@ -55,13 +55,13 @@ def _get_vertex(dgraph: upcxx.DistObject, vid: int) -> Optional[Vertex]:
 class DistGraph:
     """A vertex store distributed by vertex id."""
 
-    def __init__(self, team: Optional[upcxx.Team] = None):
-        self.team = team if team is not None else upcxx.team_world()
+    def __init__(self):
         self.local: dict = {}
-        self._dobj = upcxx.DistObject(self.local, team=self.team)
+        self._dobj = upcxx.DistObject(self.local)
+        self._n = upcxx.rank_n()
 
     def owner_of(self, vid: int) -> int:
-        return self.team[default_route(vid, self.team.rank_n())]
+        return default_route(vid, self._n)
 
     def insert_vertex(self, vid: int, **properties) -> Future:
         return upcxx.rpc(self.owner_of(vid), _insert_vertex, self._dobj, vid, properties)

@@ -54,14 +54,14 @@ def _get_lz(dmap: upcxx.DistObject, key: int) -> Optional[GlobalPtr]:
 class DhtRmaLz:
     """The RPC+RMA hash table from the paper (Fig. 4's subject)."""
 
-    def __init__(self, team: Optional[upcxx.Team] = None):
-        self.team = team if team is not None else upcxx.team_world()
+    def __init__(self):
         #: key -> LandingZone for keys owned by this rank
         self.local_map: dict = {}
-        self._dobj = upcxx.DistObject(self.local_map, team=self.team)
+        self._dobj = upcxx.DistObject(self.local_map)
+        self._n = upcxx.rank_n()
 
     def target_of(self, key: int) -> int:
-        return self.team[default_route(key, self.team.rank_n())]
+        return default_route(key, self._n)
 
     def insert(self, key: int, val: bytes) -> Future:
         """The paper's insert: RPC for the landing zone, then rput."""

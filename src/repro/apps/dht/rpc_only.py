@@ -8,8 +8,6 @@ paper then adds the RMA landing-zone variant for larger values.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import repro.upcxx as upcxx
 from repro.upcxx.aggregator import default_route
 from repro.upcxx.future import Future
@@ -33,15 +31,15 @@ def _local_find(dmap: upcxx.DistObject, key: int):
 class DhtRpcOnly:
     """Distributed hash table where both insert and find are pure RPC."""
 
-    def __init__(self, team: Optional[upcxx.Team] = None):
-        self.team = team if team is not None else upcxx.team_world()
+    def __init__(self):
         #: the local shard (the paper's ``local_map``)
         self.local_map: dict = {}
-        self._dobj = upcxx.DistObject(self.local_map, team=self.team)
+        self._dobj = upcxx.DistObject(self.local_map)
+        self._n = upcxx.rank_n()
 
     def target_of(self, key: int) -> int:
-        """World rank owning ``key``."""
-        return self.team[default_route(key, self.team.rank_n())]
+        """Rank owning ``key``."""
+        return default_route(key, self._n)
 
     def insert(self, key: int, val: bytes) -> Future:
         """Asynchronous insert; the future completes when the target has

@@ -124,14 +124,12 @@ class KvService:
         cache_capacity: int = 0,
         replication: int = 1,
         admission_limit: Optional[int] = None,
-        team=None,
     ):
         self._rt = upcxx.current_runtime()
         self._repl = ReplicatedStore(
             "replace",
             batch_size=batch_size,
             replication=replication,
-            team=team,
             max_dwell=max_dwell,
             credits=credits,
             cache_capacity=cache_capacity,
@@ -143,7 +141,7 @@ class KvService:
         self._store = self._repl.store
         self._owners = self._repl.map.owners
         self.admission_limit = admission_limit
-        n = self._store.team.rank_n()
+        n = upcxx.rank_n()
         #: per-destination write records awaiting their batch's flush; a
         #: record is *shared* across its key's owners — the first ack of
         #: any covering batch completes the write, a covering owner's
@@ -308,30 +306,32 @@ def _sleep_until(rt, t: float, before_park=None) -> None:
 def kv_rank_body(cfg: dict) -> dict:
     """SPMD body: pace the configured traffic through the service.
 
-    Returns the rank's deterministic result record plus its elapsed
-    simulated serving time (``t_serve_s``) — the driver derives achieved
-    throughput from the slowest rank's elapsed time.
+    ``cfg`` holds every key of :func:`default_config` (the only source of
+    defaults), with any overrides applied.  Returns the rank's
+    deterministic result record plus its elapsed simulated serving time
+    (``t_serve_s``) — the driver derives achieved throughput from the
+    slowest rank's elapsed time.
     """
-    aggregate = cfg.get("aggregate", True)
+    aggregate = cfg["aggregate"]
     svc = KvService(
         batch_size=cfg["batch_size"] if aggregate else 1,
-        credits=cfg.get("credits") if aggregate else None,
-        max_dwell=cfg.get("max_dwell") if aggregate else None,
-        cache_capacity=cfg.get("cache_capacity", 0) if aggregate else 0,
-        replication=cfg.get("replication", 1),
-        admission_limit=cfg.get("admission_limit"),
+        credits=cfg["credits"] if aggregate else None,
+        max_dwell=cfg["max_dwell"] if aggregate else None,
+        cache_capacity=cfg["cache_capacity"] if aggregate else 0,
+        replication=cfg["replication"],
+        admission_limit=cfg["admission_limit"],
     )
     rt = upcxx.current_runtime()
     tm = TrafficModel(
         rt.rng.spawn("kv-traffic").py,
         rate=cfg["rate"],
         n_requests=cfg["n_requests"],
-        read_fraction=cfg.get("read_fraction", 0.9),
-        zipf_s=cfg.get("zipf_s", 1.1),
-        n_keys=cfg.get("n_keys", 1024),
-        burst_prob=cfg.get("burst_prob", 0.0),
-        burst_mult=cfg.get("burst_mult", 4.0),
-        burst_len=cfg.get("burst_len", 32),
+        read_fraction=cfg["read_fraction"],
+        zipf_s=cfg["zipf_s"],
+        n_keys=cfg["n_keys"],
+        burst_prob=cfg["burst_prob"],
+        burst_mult=cfg["burst_mult"],
+        burst_len=cfg["burst_len"],
     )
     upcxx.barrier()
     t_start = upcxx.sim_now()

@@ -20,7 +20,7 @@ concurrently because their teams are disjoint under proportional mapping.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np

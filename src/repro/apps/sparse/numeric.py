@@ -32,7 +32,7 @@ ancestors' owners) and root→leaves for Lᵀ·x = y.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional
 
 import numpy as np

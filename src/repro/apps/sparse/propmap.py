@@ -9,7 +9,7 @@ its parent's — the property the extend-add traffic pattern relies on.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, List
 
 from repro.apps.sparse.symbolic import FrontSymbolic
 

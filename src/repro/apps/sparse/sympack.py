@@ -20,7 +20,7 @@ sends its contribution block to the parent.  The two backends are:
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 import numpy as np
 

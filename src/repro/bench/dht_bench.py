@@ -11,7 +11,7 @@ to UPC++".  The y axis is aggregate insert throughput.
 from __future__ import annotations
 
 import os
-from typing import Dict, List, Sequence
+from typing import Dict, Sequence
 
 import repro.upcxx as upcxx
 from repro.apps.dht import DhtRmaLz, SerialMap

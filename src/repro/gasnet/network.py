@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.util.units import GiB, KiB, US
+from repro.util.units import GiB, US
 
 PATH_FMA = "fma"
 PATH_BTE = "bte"

@@ -63,7 +63,7 @@ aggregators:
 - **Hot-key read cache** — with ``cache_capacity > 0``, :meth:`read`
   serves repeated keys from a local LRU, kept coherent the way a
   directory protocol does it.  A read-through *registers* the reader in
-  the owner's sharer list for the key (``state["watchers"]``); a write
+  the owner's sharer list for the key (``AggStore.watchers``); a write
   *consumes* the list: every member — the writer included, it may have
   re-read the old value while its write sat in a buffer — is owed
   exactly one invalidation, piggybacked onto the aggregated flush
@@ -102,6 +102,13 @@ aggregators:
   message carries 10.8 misses on average, so the hot owner pays its
   dispatch and reply once per batch (``read_batches`` counts the
   messages; a lone miss is a batch of one).
+
+The store is its own ``dist_object`` representative: each rank's shard
+(``data``, ``watchers``) and owner-side counters are attributes of its
+``AggStore``, and an RPC body reaches them as ``dobj.value``.  Stores span
+the world team, so a destination is a world rank; only the quiescence
+collectives move to a subteam, the alive one, after a peer dies
+(:meth:`AggStore.exclude_dead`).
 
 Everything is deterministic: buffers are plain per-destination lists
 filled in program order, flush order is ascending destination rank, and
@@ -189,12 +196,12 @@ def _as_list(payload):
     return list(payload)
 
 
-def _apply_invals(rt, state, store: "AggStore", keys) -> None:
+def _apply_invals(rt, store: "AggStore", keys) -> None:
     """Apply a list of cache-invalidation keys at a watcher rank."""
     klist = _as_list(keys)
     # one lookup-ish charge per eviction probe
     rt.charge_sw(rt.cpu.map_lookup * len(klist))
-    state["applied_invals"] += len(klist)
+    store.applied_invals += len(klist)
     cache = store._cache
     if cache is not None:
         for k in klist:
@@ -205,19 +212,18 @@ def _apply_invals(rt, state, store: "AggStore", keys) -> None:
 def _agg_apply(dobj: DistObject, src: int, seq: int, keys, vals, invals) -> None:
     """RPC body: merge one aggregated batch into the local shard.
 
-    ``src`` is only "ack to": the sender's team rank when it wants an ack
+    ``src`` is only "ack to": the sender's rank when it wants an ack
     (credits or latency tracking), else ``-1``.  ``invals`` piggybacks
     invalidation keys the sender's shard owes *this* rank as a sharer.
     """
     rt = current_runtime()
-    state = dobj.value
-    store: AggStore = state["store"]
+    store: AggStore = dobj.value
     klist = _as_list(keys)
     vlist = _as_list(vals)
     rt.charge_sw(rt.cpu.map_insert * len(klist))
-    combine = state["combine"]
-    data = state["data"]
-    watchers = state["watchers"]
+    combine = store._combine
+    data = store.data
+    watchers = store.watchers
     for k, v in zip(klist, vlist):
         old = data.get(k, _MISS)
         data[k] = v if old is _MISS else combine(old, v)
@@ -226,37 +232,35 @@ def _agg_apply(dobj: DistObject, src: int, seq: int, keys, vals, invals) -> None
             # a registration arriving mid-flush starts a fresh list
             for w in watchers.pop(k, ()):
                 store._queue_inval(w, k)
-    state["applied_updates"] += len(klist)
-    state["applied_batches"] += 1
+    store.applied_updates += len(klist)
+    store.applied_batches += 1
     if invals:
-        _apply_invals(rt, state, store, invals)
+        _apply_invals(rt, store, invals)
     if src >= 0:
-        rpc_ff(store.team[src], _agg_ack, dobj, store._my_trank, seq)
+        rpc_ff(src, _agg_ack, dobj, rt.rank, seq)
 
 
-def _agg_ack(dobj: DistObject, from_trank: int, seq: int) -> None:
+def _agg_ack(dobj: DistObject, from_rank: int, seq: int) -> None:
     """RPC body at the *origin*: one batch was applied; return its credit."""
-    dobj.value["store"]._on_ack(from_trank, seq)
+    dobj.value._on_ack(from_rank, seq)
 
 
 def _agg_invalidate(dobj: DistObject, keys) -> None:
     """RPC body: standalone invalidation batch at a watcher rank."""
-    rt = current_runtime()
-    state = dobj.value
-    _apply_invals(rt, state, state["store"], keys)
+    _apply_invals(current_runtime(), dobj.value, keys)
 
 
-def _serve_read(state: dict, key, reader: int):
+def _serve_read(store: "AggStore", key, reader: int):
     """Owner side of one read-through: a caching ``reader`` joins the key's
     sharer list (good for one invalidation, see ``_agg_apply``); returns
     the stored value or ``_MISS``."""
-    state["reads_served"] += 1
+    store.reads_served += 1
     if reader >= 0:
-        ws = state["watchers"].setdefault(key, [])
+        ws = store.watchers.setdefault(key, [])
         if reader not in ws:
             ws.append(reader)
-            state["sharers_registered"] += 1
-    return state["data"].get(key, _MISS)
+            store.sharers_registered += 1
+    return store.data.get(key, _MISS)
 
 
 def _agg_read(dobj: DistObject, key, reader: int) -> Future:
@@ -280,10 +284,10 @@ def _agg_read_batch(dobj: DistObject, keys, reader: int) -> Future:
     rt = current_runtime()
     klist = _as_list(keys)
     rt.charge_sw(rt.cpu.map_lookup * len(klist))
-    state = dobj.value
+    store = dobj.value
     vals, absent = [], []
     for i, k in enumerate(klist):
-        v = _serve_read(state, k, reader)
+        v = _serve_read(store, k, reader)
         if v is _MISS:
             absent.append(i)
             v = 0
@@ -310,8 +314,6 @@ class AggStore:
     batch_size:
         entries buffered per destination before a flush (>= 1); without
         ``combine_at_source`` every update is an entry.
-    team:
-        the participating team (default: world).
     max_dwell:
         optional simulated-seconds deadline: a partial batch older than
         this flushes at the next :meth:`poll` (:meth:`update` stamps the
@@ -334,8 +336,8 @@ class AggStore:
         to see ``combine(combine(old, a), b)``.  The four named combines
         are; a callable is taken at the caller's word.
     on_batch_flushed / on_batch_acked:
-        measurement hooks: ``(dest_trank, seq, n_updates)`` at flush
-        time and ``(dest_trank, seq, t_now)`` when the ack returns
+        measurement hooks: ``(dest, seq, n_updates)`` at flush
+        time and ``(dest, seq, t_now)`` when the ack returns
         (acks are enabled by ``credits`` or by ``on_batch_acked``).
     """
 
@@ -344,7 +346,6 @@ class AggStore:
         combine: Union[str, Callable] = "+",
         batch_size: int = 64,
         *,
-        team=None,
         max_dwell: Optional[float] = None,
         credits: Optional[int] = None,
         cache_capacity: int = 0,
@@ -358,32 +359,28 @@ class AggStore:
             raise ValueError(f"credits must be >= 1, got {credits}")
         rt = current_runtime()
         self._rt = rt
-        self.team = team if team is not None else rt.team_world()
         self.batch_size = batch_size
         self.max_dwell = max_dwell
         self.cache_capacity = cache_capacity
         self.combine_at_source = combine_at_source
         self._on_batch_flushed = on_batch_flushed
         self._on_batch_acked = on_batch_acked
-        combine_fn = COMBINES[combine] if isinstance(combine, str) else combine
-        n = self.team.rank_n()
+        self._combine = COMBINES[combine] if isinstance(combine, str) else combine
+        n = rt.world.n_ranks
         self._n = n
-        self._my_trank = self.team.rank_me()
-        #: local shard + counters; the ``store`` back-pointer lets RPC
-        #: bodies reach the target rank's AggStore instance
-        self.state = {
-            "data": {},
-            "combine": combine_fn,
-            "watchers": {},
-            "sharers_registered": 0,
-            "applied_updates": 0,
-            "applied_batches": 0,
-            "applied_invals": 0,
-            "reads_served": 0,
-            "store": self,
-        }
-        self._dobj = DistObject(self.state, team=self.team)
-        # -- per-destination buffers (team-rank indexed) --------------------
+        # -- the local shard and what this rank did as its owner -------------
+        self.data: dict = {}
+        #: key -> ranks whose cached copy the next write must invalidate
+        self.watchers: dict = {}
+        self.sharers_registered = 0
+        self.applied_updates = 0
+        self.applied_batches = 0
+        self.applied_invals = 0
+        self.reads_served = 0
+        #: the store is its own representative: RPC bodies get the
+        #: target rank's AggStore as ``dobj.value``
+        self._dobj = DistObject(self)
+        # -- per-destination buffers (rank indexed) --------------------------
         self._buf_keys: List[list] = [[] for _ in range(n)]
         self._buf_vals: List[list] = [[] for _ in range(n)]
         self._t_first: List[Optional[float]] = [None] * n
@@ -403,7 +400,6 @@ class AggStore:
         self.updates_sent = 0
         self.updates_combined = 0
         self.acks_received = 0
-        self._batch_seq = 0
         # -- flow control ---------------------------------------------------
         self._credits: Optional[List[int]] = None if credits is None else [credits] * n
         self._credits_init = credits
@@ -427,13 +423,13 @@ class AggStore:
         self.cache_purges = 0
         #: team the quiescence collectives run on; swapped to the alive
         #: subteam by exclude_dead so a dead rank cannot hang the drain
-        self.quiesce_team = self.team
+        self.quiesce_team = rt.team_world()
         # -- hot-key cache --------------------------------------------------
         self._cache: Optional[OrderedDict] = OrderedDict() if cache_capacity > 0 else None
         self.cache_hits = 0
         self.cache_misses = 0
         self.cache_invalidations = 0
-        #: read-throughs in flight per holder (team-rank indexed), ``key ->
+        #: read-throughs in flight per holder (rank indexed), ``key ->
         #: reply future``: a second miss on the key waits on the same reply
         #: (an MSHR)
         self._fills: List[dict] = [{} for _ in range(n)]
@@ -448,7 +444,7 @@ class AggStore:
 
     # ----------------------------------------------------------- update side
     def dest_of(self, key) -> int:
-        """Team rank owning ``key``."""
+        """Rank owning ``key``."""
         return default_route(key, self._n)
 
     def update(self, key, value) -> None:
@@ -473,7 +469,7 @@ class AggStore:
             # a run: fold into the last entry, which the owner will apply
             # once — so the fold never enters ``_sent_updates``
             bv = self._buf_vals[t]
-            bv[-1] = self.state["combine"](bv[-1], value)
+            bv[-1] = self._combine(bv[-1], value)
             self._run_folds[t] += 1
             return
         if not bk:
@@ -610,19 +606,18 @@ class AggStore:
         invals = self._pack(inv) if inv else ()
         if credits is not None:
             credits[t] -= 1
-        self._batch_seq += 1
-        seq = self._batch_seq
         self.batches_sent += 1
+        seq = self.batches_sent
         self.updates_sent += n_updates
         if self._wants_ack:
             self._inflight_to[t] += 1
         rt.agg_batches += 1
         rt.agg_updates += n_updates
-        src = self._my_trank if self._wants_ack else -1
+        src = rt.rank if self._wants_ack else -1
         cb = self._on_batch_flushed
         if cb is not None:
             cb(t, seq, n_updates)
-        rpc_ff(self.team[t], _agg_apply, self._dobj, src, seq, keys, vals, invals)
+        rpc_ff(t, _agg_apply, self._dobj, src, seq, keys, vals, invals)
 
     def _fold(self, t: int, bk: list, bv: list):
         """The seal pass: fold same-key entries of one batch with the
@@ -631,7 +626,7 @@ class AggStore:
         never apply them — so counting quiescence still closes."""
         rt = self._rt
         rt.charge_sw(rt.cpu.map_lookup * len(bk))
-        combine = self.state["combine"]
+        combine = self._combine
         folded: dict = {}
         for k, v in zip(bk, bv):
             old = folded.get(k, _MISS)
@@ -651,36 +646,36 @@ class AggStore:
             return make_view(arr)
         return tuple(items)
 
-    def _on_ack(self, dest_trank: int, seq: int) -> None:
-        if dest_trank in self._dead_peers:
+    def _on_ack(self, dest: int, seq: int) -> None:
+        if dest in self._dead_peers:
             # a straggler ack from a peer we already excluded: its batch
             # was forgiven and its credit restored — drop it entirely so
             # the quiescence arithmetic stays exact
             self.acks_ignored += 1
             return
         self.acks_received += 1
-        if self._inflight_to[dest_trank] > 0:
-            self._inflight_to[dest_trank] -= 1
+        if self._inflight_to[dest] > 0:
+            self._inflight_to[dest] -= 1
         if self._credits is not None:
-            self._credits[dest_trank] += 1
+            self._credits[dest] += 1
         cb = self._on_batch_acked
         if cb is not None:
-            cb(dest_trank, seq, self._rt.now())
+            cb(dest, seq, self._rt.now())
 
     # ------------------------------------------------------- invalidations
-    def _queue_inval(self, watcher_trank: int, key) -> None:
+    def _queue_inval(self, watcher: int, key) -> None:
         """Owner side: queue one invalidation for a watcher (piggybacked)."""
-        if watcher_trank in self._dead_peers:
+        if watcher in self._dead_peers:
             # a pre-crash read RPC can still register a now-dead watcher;
             # never owe coherence traffic to a peer that cannot ack it
             return
-        buf = self._inval_buf[watcher_trank]
+        buf = self._inval_buf[watcher]
         buf.append(key)
-        self._sent_invals[watcher_trank] += 1
+        self._sent_invals[watcher] += 1
         if len(buf) >= self.batch_size:
-            self._flush_invals_dest(watcher_trank)
-        elif self.max_dwell is not None and self._t_first_inval[watcher_trank] is None:
-            self._t_first_inval[watcher_trank] = now = self._rt.now()
+            self._flush_invals_dest(watcher)
+        elif self.max_dwell is not None and self._t_first_inval[watcher] is None:
+            self._t_first_inval[watcher] = now = self._rt.now()
             self._oldest_armed = min(self._oldest_armed, now)
 
     def _flush_invals_dest(self, t: int) -> None:
@@ -696,7 +691,7 @@ class AggStore:
         self._t_first_inval[t] = None
         # no credit, no ack: invalidations are small control traffic and
         # must be sendable from inside an RPC body without blocking
-        rpc_ff(self.team[t], _agg_invalidate, self._dobj, self._pack(buf))
+        rpc_ff(t, _agg_invalidate, self._dobj, self._pack(buf))
 
     def flush_invals(self) -> None:
         for t in range(self._n):
@@ -714,7 +709,7 @@ class AggStore:
         not have; it never crosses the wire and is never cached."""
         cache = self._cache
         if cache is None:
-            return _or_default(rpc(self.team[t], _agg_read, self._dobj, key, -1), default)
+            return _or_default(rpc(t, _agg_read, self._dobj, key, -1), default)
         v = cache.get(key, _MISS)
         if v is not _MISS:
             self.cache_hits += 1
@@ -734,7 +729,6 @@ class AggStore:
             return _or_default(fill, default)
         self.cache_misses += 1
         fill = fills[key] = Future(self._rt)
-        fill._on_ready(lambda: self._fill_landed(fills, key, fill))
         if not self._reads_inflight[t]:
             self._send_reads(t, [key], [fill])
         else:
@@ -766,29 +760,39 @@ class AggStore:
     def _send_reads(self, t: int, keys: list, fills: list) -> None:
         """One read message to holder ``t``: the one-key ``_agg_read`` for
         a single miss, ``_agg_read_batch`` for more."""
-        me = self._my_trank
+        me = self._rt.rank
         if len(keys) == 1:
-            reply = rpc(self.team[t], _agg_read, self._dobj, keys[0], me)
+            reply = rpc(t, _agg_read, self._dobj, keys[0], me)
         else:
-            reply = rpc(self.team[t], _agg_read_batch, self._dobj, self._pack(keys), me)
+            reply = rpc(t, _agg_read_batch, self._dobj, self._pack(keys), me)
         self._reads_inflight[t] += 1
         self.read_batches += 1
         self._rt.agg_read_batches += 1
-        reply._on_ready(lambda: self._reads_landed(t, fills, reply))
+        reply._on_ready(lambda: self._reads_landed(t, keys, fills, reply))
 
-    def _reads_landed(self, t: int, fills: list, reply: Future) -> None:
-        """A read message's reply is home: complete its fills, then ship
-        what queued behind it."""
+    def _reads_landed(self, t: int, keys: list, fills: list, reply: Future) -> None:
+        """A read message's reply is home: per key, retire its shared fill
+        (unless a sealed write already replaced it), cache what the holder
+        said and complete the fill; then ship what queued behind it."""
         if t not in self._dead_peers:  # an exclusion already zeroed the count
             self._reads_inflight[t] -= 1
         if len(fills) == 1:
-            fills[0]._fulfill(reply._values)
+            found = [reply._values]
         else:
             vals, absent = reply._values
             vals = _as_list(vals)
             absent = set(absent)
-            for i, fill in enumerate(fills):
-                fill._fulfill(() if i in absent else (vals[i],))
+            found = [() if i in absent else (vals[i],) for i in range(len(fills))]
+        shared = self._fills[t]
+        cache = self._cache
+        for key, fill, values in zip(keys, fills, found):
+            if shared.get(key) is fill:
+                del shared[key]
+            cache[key] = values[0] if values else _ABSENT
+            cache.move_to_end(key)
+            if len(cache) > self.cache_capacity:
+                cache.popitem(last=False)
+            fill._fulfill(values)
         self._ship_reads(t)
 
     def _charge_probe(self, phase: str) -> None:
@@ -798,19 +802,8 @@ class AggStore:
         rt.charge_sw(rt.cpu.map_lookup)
         rt.span(t0, phase, "agg")
 
-    def _fill_landed(self, fills: dict, key, fill: Future) -> None:
-        """The holder's reply is home: retire its shared-fill entry (unless
-        a sealed write already replaced it) and cache what it said."""
-        if fills.get(key) is fill:
-            del fills[key]
-        cache = self._cache
-        cache[key] = fill._values[0] if fill._values else _ABSENT
-        cache.move_to_end(key)
-        if len(cache) > self.cache_capacity:
-            cache.popitem(last=False)
-
     # ----------------------------------------------------- death handling
-    def exclude_dead(self, trank: int, alive_team) -> None:
+    def exclude_dead(self, rank: int) -> None:
         """Cut a detected-dead peer out of every delivery obligation.
 
         Idempotent.  After this call the store can reach quiescence with
@@ -818,31 +811,33 @@ class AggStore:
         toward the ack drain in place of the acks that will never come),
         its credits are restored so no sender stalls on it forever, its
         buffered traffic is dropped, and the quiescence collectives are
-        re-pointed at ``alive_team`` so a dead rank cannot hang them.
+        re-pointed at the subteam of ranks not excluded so a dead rank
+        cannot hang them.
         The whole read cache is purged: the keys the dead rank owned are
         about to fail over to new primaries that hold no watcher
         registrations for us, so coherence restarts cold.
         """
-        if trank in self._dead_peers:
+        dead = self._dead_peers
+        if rank in dead:
             return
-        self._dead_peers.add(trank)
+        dead.add(rank)
         # forgive unackable in-flight batches and restore their credits
-        forgiven = self._inflight_to[trank]
+        forgiven = self._inflight_to[rank]
         if forgiven:
             self.acks_forgiven += forgiven
-            self._inflight_to[trank] = 0
+            self._inflight_to[rank] = 0
         if self._credits is not None:
-            self._credits[trank] = self._credits_init
+            self._credits[rank] = self._credits_init
         # drop buffered traffic addressed to the dead peer
-        self._drop_dead_buffer(trank)
-        self._read_keys[trank] = []
-        self._read_fills[trank] = []
-        self._reads_inflight[trank] = 0
-        self._flush_invals_dest(trank)
+        self._drop_dead_buffer(rank)
+        self._read_keys[rank] = []
+        self._read_fills[rank] = []
+        self._reads_inflight[rank] = 0
+        self._flush_invals_dest(rank)
         # stop owing the dead peer coherence traffic
-        for ws in self.state["watchers"].values():
-            if trank in ws:
-                ws.remove(trank)
+        for ws in self.watchers.values():
+            if rank in ws:
+                ws.remove(rank)
         # purge the local cache wholesale: failed-over owners hold no
         # watcher registration for us, so cached copies of their keys
         # could go silently stale — restart cold and re-register
@@ -854,7 +849,9 @@ class AggStore:
         # layer's failover re-issue names a new holder and starts afresh)
         for fills in self._fills:
             fills.clear()
-        self.quiesce_team = alive_team
+        self.quiesce_team = self._rt.team_world().create_subteam(
+            [r for r in range(self._n) if r not in dead]
+        )
 
     # --------------------------------------------------------- quiescence
     def quiesce(self) -> None:
@@ -871,12 +868,12 @@ class AggStore:
         does not hold.
         """
         rt = self._rt
-        me = self._my_trank
+        me = rt.rank
         team = self.quiesce_team
         self.flush()
         owed = self._settle(self._sent_updates, "applied_updates", "agg::quiesce")
-        applied = self.state["applied_updates"]
-        if team is self.team and applied != owed:
+        applied = self.applied_updates
+        if team is rt.team_world() and applied != owed:
             # the ledger: with every peer alive, each counted send is
             # applied exactly once
             raise UpcxxError(
@@ -906,8 +903,8 @@ class AggStore:
 
     def _settle(self, sent, applied: str, reason: str) -> int:
         """One counting round: all-reduce the per-destination ``sent``
-        counts, wait until ``state[applied]`` reaches what this rank is
-        owed, and seal with a barrier.  Returns the amount owed.
+        counts, wait until the counter named ``applied`` reaches what this
+        rank is owed, and seal with a barrier.  Returns the amount owed.
 
         ``>=``: a since-dead sender's pre-crash deliveries are not in the
         alive-team expectation, so applied may legitimately overshoot.
@@ -915,17 +912,17 @@ class AggStore:
         team = self.quiesce_team
         counts = np.array(sent, dtype=np.int64)
         expected = reduce_all(counts, lambda a, b: a + b, team=team).wait()
-        owed = int(expected[self._my_trank])
-        self._rt.wait_quiet(lambda: self.state[applied] >= owed, reason)
+        owed = int(expected[self._rt.rank])
+        self._rt.wait_quiet(lambda: getattr(self, applied) >= owed, reason)
         barrier(team=team)
         return owed
 
     # ------------------------------------------------------------- queries
     def local_items(self) -> dict:
-        return dict(self.state["data"])
+        return dict(self.data)
 
     def local_size(self) -> int:
-        return len(self.state["data"])
+        return len(self.data)
 
     def stats(self) -> dict:
         """Deterministic per-rank counters (JSON-ready)."""
@@ -934,12 +931,12 @@ class AggStore:
             "updates_sent": self.updates_sent,
             "updates_combined": self.updates_combined,
             "invals_sent": sum(self._sent_invals),
-            "sharers_registered": self.state["sharers_registered"],
+            "sharers_registered": self.sharers_registered,
             "acks_received": self.acks_received,
-            "applied_updates": self.state["applied_updates"],
-            "applied_batches": self.state["applied_batches"],
-            "applied_invals": self.state["applied_invals"],
-            "reads_served": self.state["reads_served"],
+            "applied_updates": self.applied_updates,
+            "applied_batches": self.applied_batches,
+            "applied_invals": self.applied_invals,
+            "reads_served": self.reads_served,
             "credit_stalls": self.credit_stalls,
             "credit_stall_s": self.credit_stall_s,
             "cache_hits": self.cache_hits,

@@ -62,7 +62,7 @@ class AmoOp(RmaOp):
 class AtomicDomain:
     """A set of atomic operations over one element dtype."""
 
-    def __init__(self, ops: Iterable[str], dtype=np.int64, team=None):
+    def __init__(self, ops: Iterable[str], dtype=np.int64):
         rt = current_runtime()
         self.rt = rt
         self.dtype = np.dtype(dtype)
@@ -70,7 +70,6 @@ class AtomicDomain:
         unknown = self.ops - set(_OP_TABLE)
         if unknown:
             raise UpcxxError(f"unsupported atomic ops: {sorted(unknown)}")
-        self.team = team if team is not None else rt.team_world()
 
     def _issue(self, op: str, gptr: GlobalPtr, operands: tuple, cx: Optional[Completion]) -> Optional[Future]:
         if op not in self.ops:

@@ -11,7 +11,6 @@ to/from a local (numpy) view by the owning rank (``local()``), mirroring
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 

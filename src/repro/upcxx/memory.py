@@ -7,8 +7,6 @@ RPC precisely because there is no remote allocate).
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from repro.upcxx.global_ptr import GlobalPtr

@@ -45,6 +45,11 @@ tests pin.  The design assumes at most ``factor - 1`` failures between
 recoveries; past that, a key can lose all its copies (reads then serve
 the default, counted by the service as lost writes).
 
+Placement is in world ranks: the store spans the world team and holds
+its shard itself (``AggStore.data``), which the recovery scan reads.  Only
+the drain collectives run on the alive subteam, which
+:meth:`AggStore.exclude_dead` builds.
+
 All recovery work happens in rank context: the death listener runs in
 network context and only *stages* the handler onto the runtime's
 completion queue (as ``RmaOp.remote_cx`` does), so every
@@ -69,7 +74,7 @@ def _repl_write(dobj: DistObject, keys, vals, overwrite: bool) -> int:
     klist = _as_list(keys)
     vlist = _as_list(vals)
     rt.charge_sw(rt.cpu.map_insert * len(klist))
-    data = dobj.value["data"]
+    data = dobj.value.data
     written = 0
     for k, v in zip(klist, vlist):
         if overwrite or k not in data:
@@ -114,7 +119,7 @@ class ReplicaMap:
             raise ValueError(f"replication factor must be >= 1, got {factor}")
         self.n = n_ranks
         self.factor = min(factor, n_ranks)
-        #: team ranks detected dead (shared view, updated at detection)
+        #: ranks detected dead (shared view, updated at detection)
         self.dead: Set[int] = set()
         self._homes: Dict[int, int] = {}
 
@@ -152,9 +157,6 @@ class ReplicaMap:
     def mark_dead(self, rank: int) -> None:
         self.dead.add(rank)
 
-    def alive(self) -> List[int]:
-        return [r for r in range(self.n) if r not in self.dead]
-
 
 # ------------------------------------------------------------- the store
 class ReplicatedStore:
@@ -162,7 +164,7 @@ class ReplicatedStore:
 
     Constructor is collective (it builds the underlying store's
     DistObject).  ``replication`` sets the target copy count and
-    ``on_death`` is the service hook ``(dead_team_rank, t_detect)`` run
+    ``on_death`` is the service hook ``(dead_rank, t_detect)`` run
     in rank context after read failover but before re-replication ships;
     every other argument goes to the :class:`AggStore`, which callers
     reach as ``.store`` for pacing, flushing and queries.
@@ -178,10 +180,7 @@ class ReplicatedStore:
         rt = current_runtime()
         self._rt = rt
         self.store = AggStore(*store_args, **store_kw)
-        self.team = self.store.team
-        self._my = self.store._my_trank
-        self.map = ReplicaMap(self.team.rank_n(), replication)
-        self.replication = self.map.factor
+        self.map = ReplicaMap(rt.world.n_ranks, replication)
         self._on_death_cb = on_death
         # -- outstanding reads (insertion-ordered: failover re-issues scan
         #    this deterministically) -----------------------------------------
@@ -217,14 +216,7 @@ class ReplicatedStore:
         retarget it to a surviving replica instead of losing it.
         """
         self._read_seq += 1
-        ctx = {
-            "id": self._read_seq,
-            "key": key,
-            "default": default,
-            "cb": cb,
-            "dest": -1,
-            "done": False,
-        }
+        ctx = {"id": self._read_seq, "key": key, "default": default, "cb": cb, "dest": -1}
         self._reads[ctx["id"]] = ctx
         self._issue(ctx)
 
@@ -235,9 +227,7 @@ class ReplicatedStore:
         def _done(v=None, ctx=ctx):  # a None reply calls back with no argument
             # first completion wins: a late reply from a since-dead
             # primary and its failover re-issue may both land
-            if not ctx["done"]:
-                ctx["done"] = True
-                del self._reads[ctx["id"]]
+            if self._reads.pop(ctx["id"], None) is not None:
                 cb = ctx["cb"]
                 if cb is not None:
                     cb(ctx["key"], v)
@@ -249,13 +239,10 @@ class ReplicatedStore:
         return len(self._reads)
 
     # ----------------------------------------------------- death handling
-    def _on_dead_listener(self, dead_world: int, err, t_detect: float) -> None:
+    def _on_dead_listener(self, dead: int, err, t_detect: float) -> None:
         """Network context: stage the death handler into rank context."""
         rt = self._rt
-        if dead_world not in self.team or rt._crash_at is not None:
-            return
-        dead = self.team.from_world(dead_world)
-        if dead == self._my:
+        if dead == rt.rank or rt._crash_at is not None:
             return
         item = CompQItem(
             rt._c_rpc_dispatch,
@@ -272,15 +259,13 @@ class ReplicatedStore:
         self.deaths_seen += 1
         dead_before = set(self.map.dead)
         self.map.mark_dead(dead)
-        alive_world = [self.team[r] for r in self.map.alive()]
-        alive_team = self.team.create_subteam(alive_world)
-        self.store.exclude_dead(dead, alive_team)
+        self.store.exclude_dead(dead)
         # a ship to a recruit that died before acking is forgiven; its
         # keys go to the next recruit in the re-replication below
         self._pending_ships.pop(dead, None)
         # retarget outstanding reads aimed at the dead rank
         for ctx in [c for c in self._reads.values() if c["dest"] == dead]:
-            if not ctx["done"]:
+            if ctx["id"] in self._reads:
                 self.failover_reads += 1
                 rt.kv_failover_reads += 1
                 self._issue(ctx)
@@ -299,13 +284,13 @@ class ReplicatedStore:
         scan is real work and must show up on the simulated clock.
         """
         rt = self._rt
-        data = self.store.state["data"]
+        data = self.store.data
         dead = self.map.dead
         ship: dict = {}
         for k, v in data.items():
             old = self.map.owners(k, dead=dead_before)
             survivors = [r for r in old if r not in dead]
-            if not survivors or survivors[0] != self._my:
+            if not survivors or survivors[0] != rt.rank:
                 continue
             for rec in self.map.owners(k):
                 if rec not in old:
@@ -334,7 +319,7 @@ class ReplicatedStore:
             pending[rec] = pending.get(rec, 0) + 1
             t0 = rt.now()
             fut = rpc(
-                self.team[rec], _repl_install, self.store._dobj,
+                rec, _repl_install, self.store._dobj,
                 AggStore._pack(ks), AggStore._pack(vs),
             )
             fut.then(lambda _v, t0=t0, rec=rec, n=len(ks): self._ship_done(t0, rec, n, t_detect))
@@ -378,7 +363,7 @@ class ReplicatedStore:
             self.synced_keys += len(ks)
             pending[0] += 1
             rpc(
-                self.team[rec], _repl_sync, self.store._dobj,
+                rec, _repl_sync, self.store._dobj,
                 AggStore._pack(ks), AggStore._pack(vs),
             ).then(_acked)
         rt.wait_quiet(lambda: pending[0] == 0, "repl::anti-entropy")
@@ -390,7 +375,7 @@ class ReplicatedStore:
     def stats(self) -> dict:
         out = self.store.stats()
         out.update(
-            replication=self.replication,
+            replication=self.map.factor,
             deaths_seen=self.deaths_seen,
             failover_reads=self.failover_reads,
             rereplicated_keys=self.rereplicated_keys,

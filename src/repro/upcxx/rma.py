@@ -16,13 +16,12 @@ round trip.
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
 from repro.gasnet.handle import Transfer
 from repro.gasnet.network import PATH_BTE, PATH_FMA
-from repro.upcxx import serialization
 from repro.upcxx.completion import Completion, resolve
 from repro.upcxx.errors import GlobalPtrError
 from repro.upcxx.future import Future
@@ -114,10 +113,6 @@ class RmaOp(Transfer):
         if self.kind == "rget":
             self.conduit.get(self, now)
             return
-        # remote_cx work crosses the wire as (fn, args, t_active) data
-        rrpc = self.remote_rpc
-        if rrpc is not None:
-            self.remote_rpc = (rrpc[0], rrpc[1], now)
         self.conduit.put(self, now)
 
     def remote_cx(self) -> None:
@@ -125,11 +120,11 @@ class RmaOp(Transfer):
         ``remote_cx::as_rpc`` on the target's compQ and wake it, as if it
         had been received there.  It keeps the put's sid, so its spans
         thread onto the put."""
-        fn, args, t_active = self.remote_rpc
+        fn, args = self.remote_rpc
         dst, t = self.dst, self.t_commit
         target = self.rt.world.runtimes[dst]
         target.gasnet_completed(CompQItem(target._c_rpc_dispatch, lambda: fn(*args),
-                                          "remote_cx_rpc", self.nbytes, t_active, sid=self.sid), t)
+                                          "remote_cx_rpc", self.nbytes, self.t_active, sid=self.sid), t)
         self.rt.sched.wake(dst, t)
 
     def complete(self, time: float, data=None) -> None:

@@ -32,7 +32,7 @@ def _snapshot(store: AggStore, primary_of) -> dict:
         "cache": cache,
         "primary": {k: primary_of(k) for k in cache},
         "data": store.local_items(),
-        "sharers": {k: list(ws) for k, ws in store.state["watchers"].items()},
+        "sharers": {k: list(ws) for k, ws in store.watchers.items()},
         "stats": store.stats(),
     }
 
@@ -143,10 +143,10 @@ def park_log(monkeypatch):
     park, on_death = KvService.park, KvService._on_death
 
     def logged_park(self):
-        first = self._store._batch_seq + 1
+        first = self._store.batches_sent + 1
         park(self)
         log["parks"].append((upcxx.rank_me(), upcxx.sim_now(),
-                             range(first, self._store._batch_seq + 1)))
+                             range(first, self._store.batches_sent + 1)))
 
     def logged_on_death(self, dead, t_detect):
         me = upcxx.rank_me()

@@ -51,7 +51,6 @@ def test_surviving_original_owners_stay_owners_after_death():
     before = {k: m.owners(k) for k in range(300)}
     dead = 3
     m.mark_dead(dead)
-    assert m.alive() == [r for r in range(N) if r != dead]
     for k, old in before.items():
         new = m.owners(k)
         assert len(new) == 2 and dead not in new
@@ -131,6 +130,26 @@ def test_read_of_missing_key_calls_back_with_none():
         return seen
 
     assert upcxx.run_spmd(body, 4) == [[("never-written", None)]] * 4
+
+
+def test_exclude_dead_builds_the_alive_subteam():
+    """The store builds its quiescence team itself from the ranks it has
+    not excluded; excluding the same rank again keeps that team, and the
+    drain collectives complete on it without the excluded rank."""
+    from repro.upcxx.aggregator import AggStore
+
+    def body():
+        store = AggStore("+", batch_size=4)
+        if upcxx.rank_me() == 2:
+            return None
+        store.exclude_dead(2)
+        team = store.quiesce_team
+        store.exclude_dead(2)
+        upcxx.barrier(team=team)
+        store.quiesce()
+        return team.members, store.quiesce_team is team
+
+    assert upcxx.run_spmd(body, 3) == [([0, 1], True), ([0, 1], True), None]
 
 
 # ------------------------------------------- failover under a shared fill

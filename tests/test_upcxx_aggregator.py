@@ -477,7 +477,7 @@ class TestFlushReady:
             seen = None
             if me == 0:
                 # the write lands here and leaves rank 1 owed an invalidation
-                rt.wait_quiet(lambda: store.state["applied_updates"] == 1, "test")
+                rt.wait_quiet(lambda: store.applied_updates == 1, "test")
                 owed = (list(store._inval_buf[1]), store._t_first_inval[1])
                 assert owed[0] == [hot] and owed[1] is not None
                 store.update(mine[0][1], 1)
@@ -1051,7 +1051,7 @@ class TestReadBatching:
                     store.flush()
                 store.quiesce()
                 snap = (dict(store._cache), store.local_items(),
-                        {k: list(w) for k, w in store.state["watchers"].items()})
+                        {k: list(w) for k, w in store.watchers.items()})
                 upcxx.barrier()
                 return got, snap
 
