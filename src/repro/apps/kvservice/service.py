@@ -355,8 +355,8 @@ def kv_rank_body(cfg: dict) -> dict:
     # run, so the drain collectives start on the final alive membership
     # everywhere.  The plan is deterministic data — identical on all
     # ranks.
-    faults = getattr(rt.world, "faults", None)
-    if faults is not None and getattr(faults, "survivable", False) and faults.crashes:
+    faults = rt.world.faults
+    if faults is not None and faults.survivable and faults.crashes:
         t_settle = max(t + faults.detect_timeout for t in faults.crashes.values())
         if rt.now() < t_settle:
             _sleep_until(rt, t_settle)

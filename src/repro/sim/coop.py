@@ -308,13 +308,6 @@ class Scheduler:
         self._ranks: List[_Fiber] = [_Fiber(r) for r in range(n_ranks)]
         self._ready: list = []  # heap of (clock, rid), one per READY rank
         self._failure: Optional[BaseException] = None
-        #: rank -> RankDeadError, filled by fault-injection crash events
-        self._dead_ranks: dict = {}
-        #: survivable-mode state (see Scheduler.on_rank_dead): whether a
-        #: crash ends the run, the detected-death registry, and listeners
-        self._survivable = False
-        self._dead_listeners: list = []
-        self._detected_dead: dict = {}
         self._n_done = 0
         self._running = False
         self._aborted = False
@@ -365,7 +358,7 @@ class Scheduler:
         if not clock <= self.max_time:  # a NaN clock fails every comparison
             if clock != clock:
                 raise ValueError(f"invalid charge: {dt}")
-            self._fail(SimError(f"simulated time exceeded max_time={self.max_time}"))
+            self.fail(SimError(f"simulated time exceeded max_time={self.max_time}"))
             raise SimAbort()
         self._drain(me, self.lookahead)
 
@@ -482,21 +475,6 @@ class Scheduler:
             ctl.pending_wake.append(at_time)
         # DONE: nothing to do.
 
-    def _notify_dead(self, rank: int, err: BaseException, t_detect: float) -> None:
-        """Network context: the heartbeat timeout for ``rank`` fired under
-        a survivable plan.  Instead of failing the run, record the death,
-        run the death listeners, and wake every survivor so blocked
-        predicates re-evaluate against the new membership (spurious wakes
-        are always legal)."""
-        if rank in self._detected_dead:
-            return
-        self._detected_dead[rank] = err
-        for fn in list(self._dead_listeners):
-            fn(rank, err, t_detect)
-        for r in range(self.n_ranks):
-            if r != rank:
-                self.wake(r, t_detect)
-
     # ----------------------------------------------------------- upper layers
     def sleep(self, dt: float) -> None:
         """Block for ``dt`` seconds of simulated time (pure delay)."""
@@ -516,20 +494,6 @@ class Scheduler:
         the type of what it finds there.
         """
         self._me().client = obj
-
-    # ------------------------------------------------- survivable crashes
-    def on_rank_dead(self, fn: Callable[[int, BaseException, float], None]) -> None:
-        """Register a death listener for *survivable* fault plans.
-
-        ``fn(rank, err, t_detect)`` runs in network context at the
-        heartbeat-detection instant, once per dead rank, in registration
-        order (registration happens in rank context during bootstrap, so
-        the order — and hence every downstream effect — is deterministic).
-        Listeners must follow network-context rules: stage work for rank
-        context (e.g. via a runtime completion queue) and call
-        :meth:`wake`; never run user code or block.
-        """
-        self._dead_listeners.append(fn)
 
     # ------------------------------------------------------------- internals
     def _push_ready(self, ctl: _Fiber) -> None:
@@ -620,7 +584,7 @@ class Scheduler:
                     return gate, True  # _abort_all emptied the heap: +inf
             return gate, False
         except Exception as exc:  # noqa: BLE001 - a broken event fails the run
-            self._fail(_event_failure(entry, exc))
+            self.fail(_event_failure(entry, exc))
             return _INF, True
         finally:
             self._firing_lane = None
@@ -697,7 +661,7 @@ class Scheduler:
                 for c in self._ranks
                 if c.state == _BLOCKED
             ]
-            self._fail(
+            self.fail(
                 DeadlockError(
                     "simulation deadlock: no runnable ranks and no pending events.\n"
                     + "\n".join(blocked)
@@ -728,7 +692,9 @@ class Scheduler:
             else:
                 self._release_main()
 
-    def _fail(self, exc: BaseException) -> None:
+    def fail(self, exc: BaseException) -> None:
+        """Fail the run with ``exc`` (a later failure is ignored) and
+        unwind every rank; :meth:`run` raises the first failure."""
         if self._failure is None:
             self._failure = exc
         self._abort_all()
@@ -783,12 +749,6 @@ class Scheduler:
                     ctl.thread.join(timeout=30.0)
             if self._failure is not None:
                 raise self._failure
-            if self._dead_ranks and not self._survivable:
-                # every survivor finished before the heartbeat timeout fired;
-                # the job still failed — a rank died (fail-stop semantics)
-                raise self._dead_ranks[min(self._dead_ranks)]
-            # survivable plans serve through the crash: survivors' results are
-            # returned and a dead rank's slot holds None
             return [ctl.result for ctl in self._ranks]
         finally:
             self._release()
@@ -797,18 +757,18 @@ class Scheduler:
         """End of ``run()``: let go of everything that points back at the job.
 
         What is left in a spent scheduler — the rank function, undelivered
-        events, death listeners, the per-rank client slots, the
-        failure about to be raised (whose traceback holds this very frame
-        chain) — belongs to the layers above, which hold the scheduler in
-        turn.  Dropping it here leaves no cycle through the scheduler, so
-        a finished job and its segments are freed by reference counting,
-        without waiting for a ``gc`` pass.  Results, clocks, counters and
-        the trace stay readable.
+        events, the per-rank client slots, the failure about to be raised
+        (whose traceback holds this very frame chain) — belongs to the
+        layers above, which hold the scheduler in turn.  Dropping it here
+        leaves no cycle through the scheduler, so a finished job and its
+        segments are freed by reference counting, without waiting for a
+        ``gc`` pass.  Results, clocks, counters and the trace stay
+        readable.  The scheduler keeps no crash state: the death listeners
+        (``World.on_rank_dead``) are the UPC++ world's, dropped by
+        ``World.close``.
         """
         self._fn = None
         self._failure = None
-        self._dead_ranks = {}
-        self._dead_listeners = []
         del self._events._heap[:]
         for ctl in self._ranks:
             ctl.client = None

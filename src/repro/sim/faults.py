@@ -81,18 +81,19 @@ class FaultPlan:
         outages per rank; ``0`` disables stalls.
     stall_s:
         Duration (seconds) of each NIC outage window.
-    crash:
-        Mapping of rank id → simulated crash time.
+    crashes:
+        Mapping of rank id → simulated crash time (spec key ``crash=``).
     detect_timeout:
         Heartbeat timeout: survivors raise ``RankDeadError`` at
         ``crash_time + detect_timeout``.
     survivable:
         When True, a detected crash does **not** unwind the run: the
-        scheduler records the death, fires registered death listeners
-        (``Scheduler.on_rank_dead``) and wakes the survivors, which keep
-        executing — the mode the replication/failover layer
-        (:mod:`repro.upcxx.replication`) builds on.  Default False
-        (fail-stop, the paper's semantics).
+        UPC++ world runs its death listeners (``World.on_rank_dead``) and
+        wakes the survivors, which keep executing — the mode the
+        replication/failover layer (:mod:`repro.upcxx.replication`)
+        builds on; a dead rank's result slot is ``None``.  Default False
+        (fail-stop, the paper's semantics: ``run_spmd`` raises the first
+        detected death's ``RankDeadError``).
     """
 
     seed: int = 0
@@ -101,7 +102,7 @@ class FaultPlan:
     jitter: float = 0.0
     stall_rate: float = 0.0
     stall_s: float = 0.0
-    crash: Dict[int, float] = field(default_factory=dict)
+    crashes: Dict[int, float] = field(default_factory=dict)
     detect_timeout: float = 2e-5
     survivable: bool = False
 
@@ -114,7 +115,7 @@ class FaultPlan:
             v = getattr(self, name)
             if not (v >= 0.0 and math.isfinite(v)):
                 raise ValueError(f"fault plan {name}={v!r}: must be finite and >= 0")
-        for rank, t in self.crash.items():
+        for rank, t in self.crashes.items():
             if rank < 0 or not (t >= 0.0 and math.isfinite(t)):
                 raise ValueError(f"fault plan crash={rank}@{t!r}: the rank must be >= 0 "
                                  "and the time finite and >= 0")
@@ -197,14 +198,10 @@ class FaultPlan:
     # ------------------------------------------------------------------
     # crashes
     # ------------------------------------------------------------------
-    @property
-    def crashes(self) -> Dict[int, float]:
-        return self.crash
-
     def crash_cutoff(self, rank: int) -> float:
         """Time after which frames addressed to ``rank`` are never
         delivered (``inf`` when the rank never crashes)."""
-        return self.crash.get(rank, float("inf"))
+        return self.crashes.get(rank, float("inf"))
 
     def dead_error(self, rank: int):
         """The :class:`RankDeadError` survivors raise for ``rank``'s death.
@@ -214,7 +211,7 @@ class FaultPlan:
         """
         from repro.sim.errors import RankDeadError
 
-        t_die = self.crash[rank]
+        t_die = self.crashes[rank]
         return RankDeadError(
             rank,
             f"rank {rank} died at t={t_die!r} "
@@ -267,7 +264,7 @@ class FaultPlan:
                 for entry in value.split("+"):
                     r, _, t = entry.partition("@")
                     crashes[int(r)] = float(t)
-                kw["crash"] = crashes
+                kw["crashes"] = crashes
             elif key == "detect":
                 kw["detect_timeout"] = float(value)
             elif key == "survive":

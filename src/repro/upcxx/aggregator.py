@@ -407,8 +407,9 @@ class AggStore:
         self.credit_stalls = 0
         self.credit_stall_s = 0.0
         # -- dead-peer exclusion (repro.upcxx.replication) ------------------
-        #: peers detected dead: no sends, no credit waits, acks forgiven
-        self._dead_peers: set = set()
+        #: peers detected dead: no sends, no credit waits, acks forgiven.
+        #: exclude_dead is its only writer; a ReplicaMap reads this same set
+        self.dead_peers: set = set()
         #: unacked in-flight batches per destination (forgiveness basis)
         self._inflight_to: List[int] = [0] * n
         #: batches to a now-dead peer whose ack will never arrive; counts
@@ -458,7 +459,7 @@ class AggStore:
         owns a surviving copy or accounts the loss.  Uncharged: buffering
         is a list append, and under ``combine_at_source`` a repeat of the
         buffer's last key folds into that entry instead."""
-        if t in self._dead_peers:
+        if t in self.dead_peers:
             self.updates_dropped += 1
             return
         if self._cache is not None:
@@ -553,7 +554,7 @@ class AggStore:
         bk = self._buf_keys[t]
         if not bk:
             return
-        if t in self._dead_peers:
+        if t in self.dead_peers:
             self._drop_dead_buffer(t)
             return
         rt = self._rt
@@ -563,14 +564,14 @@ class AggStore:
             self.credit_stalls += 1
             t0 = rt.now()
             rt.wait_quiet(
-                lambda: credits[t] > 0 or t in self._dead_peers, "agg::credit"
+                lambda: credits[t] > 0 or t in self.dead_peers, "agg::credit"
             )
             dt = rt.now() - t0
             if dt > 0.0:
                 self.credit_stall_s += dt
                 rt.agg_credit_stall_s += dt
                 rt.span(t0, "credit_wait", "agg", len(bk))
-            if t in self._dead_peers:
+            if t in self.dead_peers:
                 # the peer died while we stalled on its credits: the
                 # exclusion restored them, but the buffer is undeliverable
                 self._drop_dead_buffer(t)
@@ -647,7 +648,7 @@ class AggStore:
         return tuple(items)
 
     def _on_ack(self, dest: int, seq: int) -> None:
-        if dest in self._dead_peers:
+        if dest in self.dead_peers:
             # a straggler ack from a peer we already excluded: its batch
             # was forgiven and its credit restored — drop it entirely so
             # the quiescence arithmetic stays exact
@@ -665,7 +666,7 @@ class AggStore:
     # ------------------------------------------------------- invalidations
     def _queue_inval(self, watcher: int, key) -> None:
         """Owner side: queue one invalidation for a watcher (piggybacked)."""
-        if watcher in self._dead_peers:
+        if watcher in self.dead_peers:
             # a pre-crash read RPC can still register a now-dead watcher;
             # never owe coherence traffic to a peer that cannot ack it
             return
@@ -682,7 +683,7 @@ class AggStore:
         buf = self._inval_buf[t]
         if not buf:
             return
-        if t in self._dead_peers:
+        if t in self.dead_peers:
             self._sent_invals[t] -= len(buf)
             self._inval_buf[t] = []
             self._t_first_inval[t] = None
@@ -774,7 +775,7 @@ class AggStore:
         """A read message's reply is home: per key, retire its shared fill
         (unless a sealed write already replaced it), cache what the holder
         said and complete the fill; then ship what queued behind it."""
-        if t not in self._dead_peers:  # an exclusion already zeroed the count
+        if t not in self.dead_peers:  # an exclusion already zeroed the count
             self._reads_inflight[t] -= 1
         if len(fills) == 1:
             found = [reply._values]
@@ -817,7 +818,7 @@ class AggStore:
         about to fail over to new primaries that hold no watcher
         registrations for us, so coherence restarts cold.
         """
-        dead = self._dead_peers
+        dead = self.dead_peers
         if rank in dead:
             return
         dead.add(rank)

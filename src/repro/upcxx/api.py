@@ -87,8 +87,14 @@ def run_spmd(
     def bootstrap(rank: int):
         rt = Runtime(world, rank)
         sched.set_client(rt)
+        t_die = faults.crash_cutoff(rank) if faults is not None else float("inf")
         try:
             result = fn()
+            if sched.now() >= t_die:
+                # the crash came while the body computed: the rank died
+                # before it could report.  The plan's crash time decides,
+                # not whether the die event has been delivered yet
+                rt.die(t_die)
             rt.finish()
             return result
         finally:

@@ -3,7 +3,7 @@
 The paper's DHT/KV story ends where most PGAS runtimes end: one crash
 and the whole run unwinds with a :class:`RankDeadError`.  This module
 adds the missing availability layer on top of :class:`AggStore` and the
-survivable heartbeat machinery (``Scheduler.on_rank_dead``):
+survivable heartbeat machinery (``World.on_rank_dead``):
 
 - :class:`ReplicaMap` — deterministic primary-replica placement.  A
   key's *home* is its routed owner (:func:`default_route`);
@@ -109,18 +109,21 @@ class ReplicaMap:
 
     ``owners(key)`` is the first ``factor`` *alive* ranks walking the
     ring from the key's routed home.  Pure rank-local arithmetic over
-    the shared dead set — every rank computes identical owner sets
-    without communication.  An int key's home is routed once and
-    memoized: the route ignores deaths, so the memo never goes stale.
+    the dead set — every rank computes identical owner sets without
+    communication.  The map only reads ``dead``: in a
+    :class:`ReplicatedStore` it is the store's own set
+    (``AggStore.dead_peers``), which :meth:`AggStore.exclude_dead` fills
+    at detection.  An int key's home is routed once and memoized: the
+    route ignores deaths, so the memo never goes stale.
     """
 
-    def __init__(self, n_ranks: int, factor: int):
+    def __init__(self, n_ranks: int, factor: int, dead: Set[int]):
         if factor < 1:
             raise ValueError(f"replication factor must be >= 1, got {factor}")
         self.n = n_ranks
         self.factor = min(factor, n_ranks)
-        #: ranks detected dead (shared view, updated at detection)
-        self.dead: Set[int] = set()
+        #: ranks detected dead (read, never written, here)
+        self.dead = dead
         self._homes: Dict[int, int] = {}
 
     def home(self, key) -> int:
@@ -154,9 +157,6 @@ class ReplicaMap:
         """First alive owner — the read target."""
         return self.owners(key)[0]
 
-    def mark_dead(self, rank: int) -> None:
-        self.dead.add(rank)
-
 
 # ------------------------------------------------------------- the store
 class ReplicatedStore:
@@ -180,7 +180,7 @@ class ReplicatedStore:
         rt = current_runtime()
         self._rt = rt
         self.store = AggStore(*store_args, **store_kw)
-        self.map = ReplicaMap(rt.world.n_ranks, replication)
+        self.map = ReplicaMap(rt.world.n_ranks, replication, self.store.dead_peers)
         self._on_death_cb = on_death
         # -- outstanding reads (insertion-ordered: failover re-issues scan
         #    this deterministically) -----------------------------------------
@@ -190,7 +190,6 @@ class ReplicatedStore:
         self.failover_reads = 0
         self.rereplicated_keys = 0
         self.synced_keys = 0
-        self.deaths_seen = 0
         #: simulated seconds from detection until this rank's stage-1
         #: ships were all acked (0.0 when it had nothing to ship)
         self.recovery_s = 0.0
@@ -200,7 +199,12 @@ class ReplicatedStore:
         self._pending_ships: Dict[int, int] = {}
         # the listener fires only under survivable fault plans; it stages
         # rank-context work, never touching state from network context
-        rt.sched.on_rank_dead(self._on_dead_listener)
+        rt.world.on_rank_dead(self._on_dead_listener)
+
+    @property
+    def deaths_seen(self) -> int:
+        """Deaths this rank has handled: the size of the shared dead set."""
+        return len(self.map.dead)
 
     # ------------------------------------------------------------ updates
     def update(self, key, value) -> None:
@@ -256,9 +260,7 @@ class ReplicatedStore:
         re-replication — in that order, identically on every rank."""
         rt = self._rt
         t0 = rt.now()
-        self.deaths_seen += 1
         dead_before = set(self.map.dead)
-        self.map.mark_dead(dead)
         self.store.exclude_dead(dead)
         # a ship to a recruit that died before acking is forgiven; its
         # keys go to the next recruit in the re-replication below

@@ -117,21 +117,33 @@ class World:
         self.spans = spans
         self.telemetry = telemetry
         self.observers = tuple(o for o in (metrics, telemetry, sched.trace, spans) if o is not None)
-        if faults is not None and faults.survivable:
-            # return results instead of re-raising the recorded death at
-            # end of run
-            sched._survivable = True
         #: optional repro.sim.faults.FaultPlan (chaos injection)
         self.faults = faults
+        #: death listeners (:meth:`on_rank_dead`), run at each detection
+        #: under a survivable plan
+        self._death_listeners: list = []
         self.conduit = Conduit(sched, machine, network, segment_size, faults=faults)
         self.n_ranks = sched.n_ranks
         self.runtimes: List[Optional["Runtime"]] = [None] * self.n_ranks
 
+    def on_rank_dead(self, fn: Callable[[int, BaseException, float], None]) -> None:
+        """Register a death listener for *survivable* fault plans.
+
+        ``fn(rank, err, t_detect)`` runs in network context at the
+        heartbeat-detection instant, once per dead rank, in registration
+        order (registration happens in rank context during bootstrap, so
+        the order — and hence every downstream effect — is deterministic).
+        Listeners must follow network-context rules: stage work for rank
+        context (e.g. via :meth:`Runtime.gasnet_completed`); never run
+        user code or block.
+        """
+        self._death_listeners.append(fn)
+
     def close(self) -> None:
         """The job is over: fold the endpoints' NIC and reliability ledgers
-        into the metrics, then close the conduit and every rank's runtime,
-        so that reference counting alone frees the job at ``run_spmd``
-        return."""
+        into the metrics, then close the conduit and every rank's runtime
+        and drop the death listeners, so that reference counting alone
+        frees the job at ``run_spmd`` return."""
         if self.metrics is not None:
             self.metrics.read_endpoints(self.conduit.endpoints)
         self.conduit.close()
@@ -139,6 +151,7 @@ class World:
             if rt is not None:
                 rt.close()
         self.runtimes = []
+        self._death_listeners = []
 
 
 class Runtime:
@@ -259,27 +272,30 @@ class Runtime:
 
         - *die* at ``t_die``: marks the rank dead (fail-stop — the next call
           into the library raises the internal :class:`RankCrashed` control
-          exception and the rank's fiber simply stops) and records
-          the :class:`RankDeadError` for the end-of-run verdict.
+          exception and the rank's fiber simply stops).
         - *detect* at ``t_die + detect_timeout``: the simulated heartbeat
-          timeout fires on the survivors; unless the run already failed,
-          the scheduler aborts every rank with :class:`RankDeadError` so
-          blocked collectives/waits never hang.
+          timeout fires on the survivors.  Under a fatal plan it fails the
+          run (:meth:`Scheduler.fail`) with the :class:`RankDeadError`, so
+          blocked collectives/waits never hang; when every survivor has
+          already returned, the scheduler's end-of-run drain still fires
+          it, so the run ends in that error all the same.
 
-        Under a *survivable* plan the detect event instead notifies the
-        scheduler's death listeners (``Scheduler._notify_dead``) and the
-        run keeps going.  Because execution continues past detection, the
-        detect event's place among same-instant events matters: it is
-        armed under the synthetic stamp ``(0.0, rank, 0)`` — disjoint from
-        every organically minted stamp (rank-context seqs start at 1).
+        Under a *survivable* plan the detect event instead runs the
+        world's death listeners (:meth:`World.on_rank_dead`) and wakes
+        every survivor so blocked predicates re-evaluate against the new
+        membership (spurious wakes are always legal); the run keeps
+        going.  Because execution continues past detection, the detect
+        event's place among same-instant events matters: it is armed under
+        the synthetic stamp ``(0.0, rank, 0)`` — disjoint from every
+        organically minted stamp (rank-context seqs start at 1).
         """
         rank = self.rank
+        world = self.world
         sched = self.sched
         err = plan.dead_error(rank)
 
         def die() -> None:
             self._crash_at = t_die
-            sched._dead_ranks[rank] = err
             # kick the rank so a blocked fiber re-enters the library and
             # observes its own death instead of sleeping forever
             sched.wake(rank, t_die)
@@ -289,16 +305,24 @@ class Runtime:
         if plan.survivable:
 
             def detect() -> None:
-                sched._notify_dead(rank, err, t_detect)
+                for fn in world._death_listeners:
+                    fn(rank, err, t_detect)
+                for r in range(world.n_ranks):
+                    if r != rank:
+                        sched.wake(r, t_detect)
 
             sched.post_keyed(t_detect, (0.0, rank, 0), detect)
         else:
+            sched.post_at(t_detect, lambda: sched.fail(err))
 
-            def detect() -> None:
-                if sched._failure is None:
-                    sched._fail(err)
-
-            sched.post_at(t_detect, detect)
+    def die(self, t_die: float) -> None:
+        """Fail-stop: the rank observed its own crash at ``t_die``.  Its
+        death sinks see its in-flight state at its last deterministic point
+        (queue contents as of the previous suspension); the raised
+        :class:`RankCrashed` stops its fiber."""
+        for f in self._on.death:
+            f(self, t_die)
+        raise RankCrashed(f"rank {self.rank} crashed at t={t_die!r}")
 
     def finish(self) -> None:
         """The body returned: sinks close their books (never on abort: its clock reads vary)."""
@@ -387,11 +411,7 @@ class Runtime:
         compQ, and moves due inbox AMs into compQ.  Does NOT execute compQ.
         """
         if self._crash_at is not None:
-            # the dying rank's in-flight state at its last deterministic
-            # point (queue contents as of the previous suspension)
-            for f in self._on.death:
-                f(self, self._crash_at)
-            raise RankCrashed(f"rank {self.rank} crashed at t={self._crash_at!r}")
+            self.die(self._crash_at)
         # ensure due network events have been delivered at our clock
         sched = self.sched
         sched.checkpoint()

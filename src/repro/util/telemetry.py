@@ -285,10 +285,9 @@ class Telemetry:
         outlived its failures.  Per-rank entries then carry the
         replication-layer ``replica`` state table.
         """
-        crashes = getattr(faults, "crashes", None) if faults is not None else None
-        survivable = bool(getattr(faults, "survivable", False))
+        crashes = faults.crashes if faults is not None else {}
         cutoff: Optional[float] = None
-        if crashes and not (survivable and err is None):
+        if crashes and not (faults.survivable and err is None):
             cutoff = min(crashes.values())
         tails = None
         if trace is not None:
@@ -311,7 +310,7 @@ class Telemetry:
                 "type": "Survived",
                 "rank": None,
                 "message": (
-                    f"run completed through {len(crashes or {})} crash(es); "
+                    f"run completed through {len(crashes)} crash(es); "
                     "service stayed available"
                 ),
             }
@@ -321,9 +320,7 @@ class Telemetry:
                 "rank": getattr(err, "rank", None),
                 "message": str(err),
             }
-        verdict["detect_timeout_s"] = (
-            getattr(faults, "detect_timeout", None) if faults is not None else None
-        )
+        verdict["detect_timeout_s"] = faults.detect_timeout if faults is not None else None
         return {
             "schema": BLACKBOX_SCHEMA,
             "verdict": verdict,

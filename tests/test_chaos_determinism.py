@@ -206,6 +206,41 @@ def test_crash_before_any_communication():
     assert ei.value.rank == 3
 
 
+def _compute_then_report():
+    upcxx.compute(1e-6)
+    return upcxx.rank_me()
+
+
+def test_a_fatal_crash_fails_the_run_when_every_survivor_finished_first():
+    """Rank 1 dies at 0.5 us and every survivor returns at 1 us, long
+    before the 20 us heartbeat timeout fires: the fail-stop run still ends
+    in rank 1's RankDeadError, blackbox included."""
+    tel = Telemetry()
+    with pytest.raises(RankDeadError) as ei:
+        upcxx.run_spmd(_compute_then_report, 4, faults="crash=1@5e-7", telemetry=tel)
+    assert ei.value.rank == 1
+    assert tel.blackbox["verdict"]["type"] == "RankDeadError"
+    assert tel.blackbox["verdict"]["rank"] == 1
+
+
+@pytest.mark.parametrize("lookahead", [True, False])
+def test_a_rank_whose_crash_passes_while_it_computes_reports_nothing(lookahead, monkeypatch):
+    """Rank 1's crash time passes inside its compute and its body returns
+    before any further library call: it died all the same.  Its slot is
+    None and its death sinks ran at the crash time instead of its finish,
+    with or without lookahead."""
+    if not lookahead:
+        monkeypatch.setattr("repro.gasnet.machine.lookahead", lambda network: 0.0)
+    tel = Telemetry()
+    out = upcxx.run_spmd(
+        _compute_then_report, 4, faults="seed=1,crash=1@5e-7,survive=1", telemetry=tel,
+    )
+    assert out == [0, None, 2, 3]
+    ranks = tel.blackbox["ranks"]
+    assert ranks["1"]["died_at"] == 5e-7
+    assert [ranks[r]["dead"] for r in "0123"] == [False, True, False, False]
+
+
 # ----------------------------------------------------- aggregation layer
 @pytest.mark.parametrize("plan", golden.CHAOS_PLANS)
 def test_aggregated_chaos_reproduces_golden(plan):

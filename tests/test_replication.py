@@ -28,7 +28,7 @@ N = 8
 
 # ---------------------------------------------------------------- ReplicaMap
 def test_owner_sets_are_distinct_ring_successors():
-    m = ReplicaMap(N, factor=3)
+    m = ReplicaMap(N, factor=3, dead=set())
     for key in range(200):
         owners = m.owners(key)
         assert len(owners) == 3
@@ -39,7 +39,7 @@ def test_owner_sets_are_distinct_ring_successors():
 
 
 def test_factor_clamped_to_rank_count():
-    m = ReplicaMap(3, factor=16)
+    m = ReplicaMap(3, factor=16, dead=set())
     assert m.owners(0) == [m.home(0) % 3, (m.home(0) + 1) % 3, (m.home(0) + 2) % 3]
 
 
@@ -47,10 +47,10 @@ def test_surviving_original_owners_stay_owners_after_death():
     """The anti-entropy proof rests on this: a death only moves walk
     positions *earlier*, so every surviving original owner remains in the
     owner set and ring order among them is preserved."""
-    m = ReplicaMap(N, factor=2)
+    m = ReplicaMap(N, factor=2, dead=set())
     before = {k: m.owners(k) for k in range(300)}
     dead = 3
-    m.mark_dead(dead)
+    m.dead.add(dead)
     for k, old in before.items():
         new = m.owners(k)
         assert len(new) == 2 and dead not in new
@@ -66,11 +66,11 @@ def test_surviving_original_owners_stay_owners_after_death():
 def test_factor_one_owner_fails_over_after_mark_dead():
     """Factor 1 answers ``[home]`` while nobody is dead; a death moves a
     dead home's keys to the next alive rank, as the same list form."""
-    m = ReplicaMap(N, factor=1)
+    dead = set()
+    m = ReplicaMap(N, factor=1, dead=dead)
     before = {k: m.owners(k) for k in range(300)}
     assert before == {k: [m.home(k)] for k in range(300)}
-    m.mark_dead(3)
-    m.mark_dead(4)
+    dead.update((3, 4))  # the map reads the set it was given
     for k, old in before.items():
         expect = [5] if old[0] in (3, 4) else old
         assert m.owners(k) == expect and type(m.owners(k)) is list
@@ -78,9 +78,9 @@ def test_factor_one_owner_fails_over_after_mark_dead():
 
 
 def test_dead_override_matches_marked_state():
-    m = ReplicaMap(N, factor=2)
+    m = ReplicaMap(N, factor=2, dead=set())
     with_arg = {k: m.owners(k, dead={5}) for k in range(100)}
-    m.mark_dead(5)
+    m.dead.add(5)
     assert with_arg == {k: m.owners(k) for k in range(100)}
 
 
@@ -280,9 +280,7 @@ def test_the_second_death_ships_from_the_first_death_owner_sets(monkeypatch):
         "rereplicated_keys": 26, "synced_keys": 58, "failover_reads": 40,
         "availability": 1.0,
     }
-    m = ReplicaMap(cfg["ranks"], 3)
-    m.mark_dead(3)
-    m.mark_dead(5)
+    m = ReplicaMap(cfg["ranks"], 3, {3, 5})
     keys = set().union(*(r["shard"] for r in res if r is not None))
     held = sorted((k, o, res[o]["shard"].get(k)) for k in keys for o in m.owners(k))
     assert len(keys) == 77

@@ -240,7 +240,7 @@ def test_a_failure_stops_the_event_walk(path):
             s.block("forever")
         s.charge(1e-9)  # rank 1 blocks first
         t = s.now() + 1e-6
-        s.post_at(t, lambda: s._fail(RankDeadError(1, "rank 1 detected dead")))
+        s.post_at(t, lambda: s.fail(RankDeadError(1, "rank 1 detected dead")))
         for i in range(3):
             s.post_at(t, lambda i=i: fired.append(i))
         if path == "drain":

@@ -157,7 +157,7 @@ def _watch_ready_heap(m):
             resume(sched, ctl)
             return
         seen["violations"].append((ctl.rid, sorted(sched._ready), sorted(want)))
-        sched._fail(AssertionError(f"ready heap not exact at switch {seen['switches']}"))
+        sched.fail(AssertionError(f"ready heap not exact at switch {seen['switches']}"))
 
     m.setattr(Scheduler, "_resume", checked)
     return seen

@@ -1,10 +1,13 @@
-"""Source hygiene: no module under ``src/repro`` imports a name it never uses.
+"""Source hygiene, by stdlib ``ast`` walks (no linter needed).
 
-A stdlib ``ast`` walk, no linter needed.  A name counts as used when it
-appears anywhere else in its module as an identifier, inside an
-annotation (quoted annotations are parsed too) or in ``__all__``.
-``__future__`` imports and package ``__init__`` modules (re-export hubs)
-are exempt.
+- No module under ``src/repro`` imports a name it never uses.  A name
+  counts as used when it appears anywhere else in its module as an
+  identifier, inside an annotation (quoted annotations are parsed too) or
+  in ``__all__``.  ``__future__`` imports and package ``__init__`` modules
+  (re-export hubs) are exempt.
+- No module outside ``src/repro/sim`` reads or writes an underscore
+  attribute of the scheduler (a name ``sched`` or an attribute
+  ``.sched``): the layers above use its public interface only.
 """
 
 from __future__ import annotations
@@ -76,3 +79,35 @@ def test_the_walk_sees_annotations_and_flags_a_dead_import():
     )
     used = _used(tree)
     assert [n for n, _ in _imported(tree) if n not in used] == ["Optional", "Union"]
+
+
+OUTSIDE_SIM = sorted(p for p in SRC.rglob("*.py") if p.parent != SRC / "sim")
+
+
+def _sched_privates(tree: ast.Module):
+    """``(attribute, lineno)`` for every ``sched._x`` / ``<expr>.sched._x``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr.startswith("_"):
+            v = node.value
+            if (isinstance(v, ast.Name) and v.id == "sched") or (
+                isinstance(v, ast.Attribute) and v.attr == "sched"
+            ):
+                yield node.attr, node.lineno
+
+
+@pytest.mark.parametrize("path", OUTSIDE_SIM, ids=lambda p: str(p.relative_to(SRC)))
+def test_no_scheduler_private_is_touched_outside_sim(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    touched = [f"{name} (line {line})" for name, line in _sched_privates(tree)]
+    assert not touched, f"{path.relative_to(SRC.parent)} touches Scheduler privates: {', '.join(touched)}"
+
+
+def test_the_scheduler_walk_flags_private_attributes_of_sched_only():
+    tree = ast.parse(
+        "sched._failure = None\n"
+        "x = self.sched._ranks\n"
+        "sched.wake(0, 1.0)\n"
+        "self._sched = rt.sched\n"
+        "sched2._ready\n"
+    )
+    assert list(_sched_privates(tree)) == [("_failure", 1), ("_ranks", 2)]

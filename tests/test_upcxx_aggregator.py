@@ -532,10 +532,10 @@ class TestFlushReady:
                 store.update(k, 1)
                 store.update(k, 2)
                 # detection lands between buffering and the park
-                store._dead_peers.add(1)
+                store.dead_peers.add(1)
                 store.flush_ready()
                 assert store._buf_keys[1] == [] and store._sent_updates[1] == 0
-                store._dead_peers.discard(1)  # let the test's quiesce include rank 1
+                store.dead_peers.discard(1)  # let the test's quiesce include rank 1
             store.quiesce()
             upcxx.barrier()
             return store.stats()
