@@ -30,8 +30,9 @@ SLO measurement is open loop: each request is stamped with its *arrival*
 time from the traffic model, and its latency is ``completion - arrival``
 (sojourn time), so queueing delay from a saturated service is measured,
 not hidden.  Write completion is the first aggregation ack covering the
-update; read completion is future fulfillment (cache hits complete
-inline).  Latencies feed per-op-kind
+update; a read is a record whose token is its arrival time, and it
+completes when the replication layer's read hook fires (cache hits
+complete inline).  Latencies feed per-op-kind
 :class:`repro.util.metrics.DwellHistogram` instances whose p50/p95/p99/
 p999 come out in :meth:`KvService.result`.
 
@@ -136,6 +137,7 @@ class KvService:
             combine_at_source=True,  # Zipf keys: duplicates meet at the sender
             on_batch_flushed=self._batch_flushed,
             on_batch_acked=self._batch_acked,
+            on_read=self._read_done,
             on_death=self._on_death,
         )
         self._store = self._repl.store
@@ -199,10 +201,7 @@ class KvService:
         Raises :class:`Overloaded` when shed."""
         self._admit()
         self.reads_issued += 1
-        self._repl.read(
-            key, default=0,
-            cb=lambda _k, v, t=t_arrival: self._read_done(v, t),
-        )
+        self._repl.read(key, 0, t_arrival)
 
     def poll(self) -> None:
         """Pacing hook: honor the aggregator's dwell deadlines."""
@@ -228,7 +227,7 @@ class KvService:
                 del self._w_live[rec]
                 self.writes_done += 1
 
-    def _read_done(self, value, t_arrival: float) -> None:
+    def _read_done(self, t_arrival: float, _key, value) -> None:
         self.reads_done += 1
         if isinstance(value, int):
             self._read_sum = (self._read_sum + value) & _SUM_MASK

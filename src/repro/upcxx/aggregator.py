@@ -77,7 +77,13 @@ aggregators:
   dies when the reply lands, when a batch carrying the key to that
   holder is sealed — a read issued after my write *shipped* is ordered
   after it at the owner and must not see an older fill — and at a peer's
-  death).  The owner reports a missing key as absent; the cache holds an
+  death).  A fill is a list of *waiters*, completed in list order when
+  the reply lands: a read record's int id, handed to the store's
+  ``on_read(id, found)`` hook (the replication layer's reads: an open
+  read is then an id and a list slot, no closure or future), or a
+  :class:`Future` for callers that ask for one (:meth:`read`).  Each
+  waiter is charged one ``then_dispatch`` as the reader's continuation.
+  The owner reports a missing key as absent; the cache holds an
   absent marker and every reader applies its own ``default``.  Two
   laws, both checked by ``tests/test_kv_coherence.py``:
   after :meth:`quiesce` every cached value equals the owner's and its
@@ -295,12 +301,6 @@ def _agg_read_batch(dobj: DistObject, keys, reader: int) -> Future:
     return make_future(AggStore._pack(vals), tuple(absent))
 
 
-def _or_default(reply: Future, default) -> Future:
-    """A reader's view of an ``_agg_read`` reply: the value, or the
-    reader's own ``default`` when the owner reported the key absent."""
-    return reply.then(lambda *found: found[0] if found else default)
-
-
 # ---------------------------------------------------------------- the store
 class AggStore:
     """A destination-batched distributed map (collective constructor).
@@ -339,6 +339,10 @@ class AggStore:
         measurement hooks: ``(dest, seq, n_updates)`` at flush
         time and ``(dest, seq, t_now)`` when the ack returns
         (acks are enabled by ``credits`` or by ``on_batch_acked``).
+    on_read:
+        completion hook ``(read_id, found)`` for reads issued by id
+        through :meth:`read_into`; ``found`` is ``(value,)``, or ``()``
+        when the holder reported the key absent.
     """
 
     def __init__(
@@ -352,6 +356,7 @@ class AggStore:
         combine_at_source: bool = False,
         on_batch_flushed: Optional[Callable[[int, int, int], None]] = None,
         on_batch_acked: Optional[Callable[[int, int, float], None]] = None,
+        on_read: Optional[Callable[[int, tuple], None]] = None,
     ):
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
@@ -365,6 +370,7 @@ class AggStore:
         self.combine_at_source = combine_at_source
         self._on_batch_flushed = on_batch_flushed
         self._on_batch_acked = on_batch_acked
+        self._on_read = on_read
         self._combine = COMBINES[combine] if isinstance(combine, str) else combine
         n = rt.world.n_ranks
         self._n = n
@@ -431,8 +437,8 @@ class AggStore:
         self.cache_misses = 0
         self.cache_invalidations = 0
         #: read-throughs in flight per holder (rank indexed), ``key ->
-        #: reply future``: a second miss on the key waits on the same reply
-        #: (an MSHR)
+        #: waiter list``: a second miss on the key joins the same list and
+        #: waits on the same reply (an MSHR)
         self._fills: List[dict] = [{} for _ in range(n)]
         self.reads_coalesced = 0
         #: read messages in flight per holder, and the misses buffered
@@ -704,13 +710,25 @@ class AggStore:
         return self.read_from(self.dest_of(key), key, default)
 
     def read_from(self, t: int, key, default=None) -> Future:
-        """Read-through against an explicit holder rank (the replication
-        layer's failover entry point; :meth:`read` is the routed case).
-        ``default`` is what *this* reader gets for a key the holder does
-        not have; it never crosses the wire and is never cached."""
+        """Read-through against an explicit holder rank, as a
+        :class:`Future` waiter.  ``default`` is what *this* reader gets
+        for a key the holder does not have; it never crosses the wire and
+        is never cached."""
+        fut = Future(self._rt)
+        fut._values = (default,)  # staged until the fill lands, as a Promise does
+        self.read_into(t, key, fut)
+        return fut
+
+    def read_into(self, t: int, key, waiter) -> None:
+        """Read ``key`` from holder ``t`` (cache, then read-through) for
+        ``waiter``: a read id, completed through ``on_read(id, found)``,
+        or a :class:`Future` staged by :meth:`read_from`.  A cache hit
+        completes inline; a miss joins the key's shared fill."""
         cache = self._cache
         if cache is None:
-            return _or_default(rpc(t, _agg_read, self._dobj, key, -1), default)
+            reply = rpc(t, _agg_read, self._dobj, key, -1)
+            reply._on_ready(lambda: self._complete([waiter], reply._values))
+            return
         v = cache.get(key, _MISS)
         if v is not _MISS:
             self.cache_hits += 1
@@ -719,7 +737,8 @@ class AggStore:
             self._rt.agg_cache_hits += 1
             self._charge_probe("cache_hit")
             cache.move_to_end(key)
-            return make_future(default if v is _ABSENT else v)
+            self._deliver(waiter, () if v is _ABSENT else (v,))
+            return
         fills = self._fills[t]
         fill = fills.get(key)
         if fill is not None:
@@ -727,9 +746,10 @@ class AggStore:
             # holder: wait on its reply instead of sending a second RPC
             self.reads_coalesced += 1
             self._charge_probe("fill_share")
-            return _or_default(fill, default)
+            fill.append(waiter)
+            return
         self.cache_misses += 1
-        fill = fills[key] = Future(self._rt)
+        fill = fills[key] = [waiter]
         if not self._reads_inflight[t]:
             self._send_reads(t, [key], [fill])
         else:
@@ -743,7 +763,24 @@ class AggStore:
             self._read_fills[t].append(fill)
             if len(rk) >= self.batch_size:
                 self._ship_reads(t)
-        return _or_default(fill, default)
+
+    def _complete(self, fill: list, found: tuple) -> None:
+        """The holder answered ``found`` for one fill: complete its waiters
+        in list order, each charged one ``then_dispatch`` (the reader's
+        continuation)."""
+        rt = self._rt
+        for w in fill:
+            rt.sched.charge(rt._c_then_dispatch)
+            self._deliver(w, found)
+
+    def _deliver(self, waiter, found: tuple) -> None:
+        """Hand ``found`` (``(value,)``, or ``()`` for absent) to one
+        waiter: a read id goes to ``on_read``, a :class:`Future` gets the
+        value or its staged default."""
+        if type(waiter) is int:
+            self._on_read(waiter, found)
+        else:
+            waiter._fulfill(found or waiter._values)
 
     def _ship_reads(self, t: int) -> None:
         """Send holder ``t``'s buffered misses as one read batch, preceded
@@ -774,7 +811,8 @@ class AggStore:
     def _reads_landed(self, t: int, keys: list, fills: list, reply: Future) -> None:
         """A read message's reply is home: per key, retire its shared fill
         (unless a sealed write already replaced it), cache what the holder
-        said and complete the fill; then ship what queued behind it."""
+        said and complete the fill's waiters; then ship what queued behind
+        it."""
         if t not in self.dead_peers:  # an exclusion already zeroed the count
             self._reads_inflight[t] -= 1
         if len(fills) == 1:
@@ -793,7 +831,7 @@ class AggStore:
             cache.move_to_end(key)
             if len(cache) > self.cache_capacity:
                 cache.popitem(last=False)
-            fill._fulfill(values)
+            self._complete(fill, values)
         self._ship_reads(t)
 
     def _charge_probe(self, phase: str) -> None:

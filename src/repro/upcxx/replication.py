@@ -20,8 +20,8 @@ survivable heartbeat machinery (``World.on_rank_dead``):
      acks, restore credits, drop buffered traffic, purge the read
      cache, re-point quiescence at the alive subteam);
   2. **failover** every outstanding read that targeted the dead rank to
-     the key's new primary (first completion wins — a late reply from
-     the dead rank is harmless);
+     the key's new primary, by its id (first completion wins — a late
+     reply from the dead rank is harmless);
   3. run the **service hook** (``on_death``) so the app can settle its
      own write accounting;
   4. **re-replicate**: ship the keys the dead rank co-owned to the
@@ -38,8 +38,16 @@ survivable heartbeat machinery (``World.on_rank_dead``):
   the exact combine over all surviving writers' updates; copying it
   onto the recruits makes every replica exact.
 
+An open read is a *read record*: an int id keying four plain dicts
+(key, default, current holder, the caller's token).  The id itself is
+the waiter on the store's shared fill, so an open read holds no closure
+or future, and completion calls the ``on_read(token, key, value)`` hook
+given at construction.  Each completion is charged ``then_dispatch``
+once here and once by the store per filled waiter: the two
+continuations the modelled application chains per read.
+
 With ``factor == 1`` the veneer degenerates bit-identically to the bare
-store (same buffers, same flush order, same future chains), so turning
+store (same buffers, same flush order, same charges), so turning
 replication off costs nothing — the property the chaos-determinism
 tests pin.  The design assumes at most ``factor - 1`` failures between
 recoveries; past that, a key can lose all its copies (reads then serve
@@ -58,7 +66,7 @@ downstream effect carries a deterministic causal stamp.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Set
+from typing import AbstractSet, Any, Callable, Dict, List, Optional, Set
 
 from repro.upcxx.aggregator import AggStore, _as_list, default_route
 from repro.upcxx.collectives import barrier
@@ -135,14 +143,14 @@ class ReplicaMap:
             home = self._homes[key] = default_route(key, self.n)
         return home
 
-    def owners(self, key, dead: Optional[Iterable[int]] = None) -> List[int]:
+    def owners(self, key, dead: Optional[AbstractSet[int]] = None) -> List[int]:
         """Ring-ordered owner set of ``key`` against a dead set
-        (default: the current one).  May be shorter than ``factor``
-        when fewer ranks survive."""
+        (default: the current one; the caller builds it once, not per
+        key).  May be shorter than ``factor`` when fewer ranks survive."""
         home = self.home(key)
         if dead is None and self.factor == 1 and not self.dead:
             return [home]
-        excluded = self.dead if dead is None else set(dead)
+        excluded = self.dead if dead is None else dead
         out: List[int] = []
         for i in range(self.n):
             r = (home + i) % self.n
@@ -163,7 +171,8 @@ class ReplicatedStore:
     """A replication veneer over one :class:`AggStore`.
 
     Constructor is collective (it builds the underlying store's
-    DistObject).  ``replication`` sets the target copy count and
+    DistObject).  ``replication`` sets the target copy count,
+    ``on_read`` is the read completion hook ``(token, key, value)`` and
     ``on_death`` is the service hook ``(dead_rank, t_detect)`` run
     in rank context after read failover but before re-replication ships;
     every other argument goes to the :class:`AggStore`, which callers
@@ -174,17 +183,22 @@ class ReplicatedStore:
         self,
         *store_args,
         replication: int = 1,
+        on_read: Optional[Callable[[Any, Any, Any], None]] = None,
         on_death: Optional[Callable[[int, float], None]] = None,
         **store_kw,
     ):
         rt = current_runtime()
         self._rt = rt
-        self.store = AggStore(*store_args, **store_kw)
+        self.store = AggStore(*store_args, on_read=self._read_landed, **store_kw)
         self.map = ReplicaMap(rt.world.n_ranks, replication, self.store.dead_peers)
+        self._on_read = on_read
         self._on_death_cb = on_death
-        # -- outstanding reads (insertion-ordered: failover re-issues scan
-        #    this deterministically) -----------------------------------------
-        self._reads: dict = {}
+        # -- open read records, by id (insertion-ordered: failover scans
+        #    ``_read_dest`` deterministically) --------------------------------
+        self._read_key: Dict[int, Any] = {}
+        self._read_default: Dict[int, Any] = {}
+        self._read_dest: Dict[int, int] = {}
+        self._read_token: Dict[int, Any] = {}
         self._read_seq = 0
         # -- recovery accounting --------------------------------------------
         self.failover_reads = 0
@@ -213,34 +227,42 @@ class ReplicatedStore:
             self.store.update_to(o, key, value)
 
     # -------------------------------------------------------------- reads
-    def read(self, key, default=None, cb: Optional[Callable] = None) -> None:
-        """Read ``key`` from its primary; ``cb(key, value)`` on completion.
+    def read(self, key, default=None, token=None) -> None:
+        """Read ``key`` from its primary; ``on_read(token, key, value)``
+        on completion (cache hits complete inline).
 
-        The read is tracked until it completes so a detected death can
-        retarget it to a surviving replica instead of losing it.
+        The read is a record until it completes: its id keys the key,
+        ``default``, current holder and ``token``, so a detected death
+        can retarget it to a surviving replica instead of losing it.
         """
-        self._read_seq += 1
-        ctx = {"id": self._read_seq, "key": key, "default": default, "cb": cb, "dest": -1}
-        self._reads[ctx["id"]] = ctx
-        self._issue(ctx)
+        self._read_seq = rid = self._read_seq + 1
+        self._read_key[rid] = key
+        self._read_default[rid] = default
+        self._read_token[rid] = token
+        self._issue(rid)
 
-    def _issue(self, ctx: dict) -> None:
-        dest = self.map.primary(ctx["key"])
-        ctx["dest"] = dest
+    def _issue(self, rid: int) -> None:
+        key = self._read_key[rid]
+        dest = self._read_dest[rid] = self.map.primary(key)
+        self.store.read_into(dest, key, rid)
 
-        def _done(v=None, ctx=ctx):  # a None reply calls back with no argument
-            # first completion wins: a late reply from a since-dead
-            # primary and its failover re-issue may both land
-            if self._reads.pop(ctx["id"], None) is not None:
-                cb = ctx["cb"]
-                if cb is not None:
-                    cb(ctx["key"], v)
-            return v
-
-        self.store.read_from(dest, ctx["key"], ctx["default"]).then(_done)
+    def _read_landed(self, rid: int, found: tuple) -> None:
+        """Store hook: read ``rid``'s holder answered ``found``.  Charged
+        as the read's continuation whether or not it is still open: a
+        late reply from a since-dead primary and its failover re-issue
+        may both land, and the first completion wins."""
+        rt = self._rt
+        rt.sched.charge(rt._c_then_dispatch)
+        if self._read_dest.pop(rid, None) is None:
+            return
+        key = self._read_key.pop(rid)
+        default = self._read_default.pop(rid)
+        token = self._read_token.pop(rid)
+        if self._on_read is not None:
+            self._on_read(token, key, found[0] if found else default)
 
     def reads_outstanding(self) -> int:
-        return len(self._reads)
+        return len(self._read_dest)
 
     # ----------------------------------------------------- death handling
     def _on_dead_listener(self, dead: int, err, t_detect: float) -> None:
@@ -266,11 +288,11 @@ class ReplicatedStore:
         # keys go to the next recruit in the re-replication below
         self._pending_ships.pop(dead, None)
         # retarget outstanding reads aimed at the dead rank
-        for ctx in [c for c in self._reads.values() if c["dest"] == dead]:
-            if ctx["id"] in self._reads:
+        for rid in [r for r, d in self._read_dest.items() if d == dead]:
+            if rid in self._read_dest:
                 self.failover_reads += 1
                 rt.kv_failover_reads += 1
-                self._issue(ctx)
+                self._issue(rid)
         if self._on_death_cb is not None:
             self._on_death_cb(dead, t_detect)
         self._rereplicate(dead_before, t_detect)

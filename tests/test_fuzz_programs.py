@@ -238,8 +238,10 @@ def _run_repl_simulated(ops, crash_rank, spec, replication=2):
     def body():
         me = upcxx.rank_me()
         rt = upcxx.runtime_here()
+        got: dict = {}
         store = ReplicatedStore("+", batch_size=4, replication=replication,
-                                credits=2, max_dwell=5e-6, cache_capacity=8)
+                                credits=2, max_dwell=5e-6, cache_capacity=8,
+                                on_read=lambda _t, key, v: got.__setitem__(key, v))
         upcxx.barrier()
         for i, (src, key, delta) in enumerate(ops):
             if src != me or src == crash_rank:
@@ -260,9 +262,8 @@ def _run_repl_simulated(ops, crash_rank, spec, replication=2):
         upcxx.progress()
 
         store.store.quiesce()
-        got: dict = {}
         for k in range(N_AGG_KEYS):
-            store.read(k, default=0, cb=lambda key, v: got.__setitem__(key, v))
+            store.read(k, default=0)
         rt.wait_quiet(lambda: store.reads_outstanding() == 0, "fuzz::reads")
         store.store.quiesce()  # settle read-triggered invalidation watchers
         store.anti_entropy()

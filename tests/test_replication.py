@@ -6,8 +6,10 @@ Covers the pieces the chaos suites exercise only end-to-end:
   stability of surviving original owners across deaths, factor clamping;
 - :class:`ReplicatedStore` fan-out — with factor ``f`` every key is
   present on exactly ``f`` ranks after quiesce, with equal values;
-- read failover under a shared fill — reads coalesced onto one
-  read-through whose primary then dies all complete on the replica;
+- shared fills — a :class:`Future` reader and a read record coalesce
+  onto one read-through and each gets its own default, in issue order;
+  reads coalesced onto one read-through whose primary then dies all
+  complete on the replica;
 - dead-peer accounting — a run folded into a buffer toward a peer that
   dies is dropped whole, every one of its updates counted once;
 - write records at a death — a write is lost only when every owner
@@ -119,10 +121,11 @@ def test_read_of_missing_key_calls_back_with_none():
     from repro.upcxx.replication import ReplicatedStore
 
     def body():
-        store = ReplicatedStore("+", batch_size=4, replication=2)
-        upcxx.barrier()
         seen = []
-        store.read("never-written", cb=lambda k, v: seen.append((k, v)))
+        store = ReplicatedStore("+", batch_size=4, replication=2,
+                                on_read=lambda _t, k, v: seen.append((k, v)))
+        upcxx.barrier()
+        store.read("never-written")
         while store.reads_outstanding():
             upcxx.progress()
         store.store.quiesce()
@@ -152,6 +155,35 @@ def test_exclude_dead_builds_the_alive_subteam():
     assert upcxx.run_spmd(body, 3) == [([0, 1], True), ([0, 1], True), None]
 
 
+# ------------------------------------------------ two kinds of waiter
+def test_future_and_record_readers_share_one_fill():
+    """A :class:`Future` read and a read record of one absent key coalesce
+    onto one fill: each reader gets its own default, in issue order."""
+    from repro.upcxx.replication import ReplicatedStore
+
+    def body():
+        order = []
+        repl = ReplicatedStore("replace", batch_size=4, replication=1,
+                               cache_capacity=8,
+                               on_read=lambda t, k, v: order.append(("record", t, k, v)))
+        key = next(k for k in range(256) if repl.map.primary(k) == 1)
+        upcxx.barrier()
+        stats = None
+        if upcxx.rank_me() == 0:
+            repl.store.read(key, default=-1).then(
+                lambda v: order.append(("future", v)))
+            repl.read(key, -2, "tok")
+            while repl.reads_outstanding():
+                upcxx.progress()
+            stats = repl.stats()
+        upcxx.barrier()
+        return key, order, stats
+
+    key, order, stats = upcxx.run_spmd(body, 2, ppn=1)[0]
+    assert order == [("future", -1), ("record", "tok", key, -2)]
+    assert (stats["cache_misses"], stats["reads_coalesced"]) == (1, 1)
+
+
 # ------------------------------------------- failover under a shared fill
 @pytest.mark.parametrize(
     "spec,dead,t_die", zip(golden.REPLICATED_CRASH_SPECS, (3, 1), (2e-4, 1e-4))
@@ -165,17 +197,18 @@ def test_reads_sharing_a_fill_to_a_dying_primary_all_fail_over(spec, dead, t_die
 
     def body():
         rt = upcxx.runtime_here()
+        seen = []
         store = ReplicatedStore("replace", batch_size=4, replication=2, credits=4,
-                                max_dwell=5e-6, cache_capacity=8)
+                                max_dwell=5e-6, cache_capacity=8,
+                                on_read=lambda _t, _k, v: seen.append(v))
         key = next(k for k in range(256) if store.map.primary(k) == dead)
         upcxx.barrier()
         if upcxx.rank_me() == 0:
             store.update(key, 4242)
         store.store.quiesce()
         rt.compute(t_die - 1e-7 - rt.now())  # the request is on the wire at t_die
-        seen = []
         for _ in range(3):
-            store.read(key, default=-1, cb=lambda _k, v: seen.append(v))
+            store.read(key, default=-1)
         in_flight = store.stats()
         while store.reads_outstanding():
             upcxx.progress()

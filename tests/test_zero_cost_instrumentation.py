@@ -282,6 +282,46 @@ def test_rput_in_flight_is_one_record(size):
         assert after_drain <= 16, after_drain
 
 
+#: GC-tracked objects one open KV read may keep alive: its shared fill's
+#: waiter list (28.9 when a read was a chain of closures and futures)
+INFLIGHT_OBJECTS_PER_READ = 2.0
+
+
+@pytest.mark.usefixtures("no_cycle_collector")
+def test_kv_read_in_flight_is_a_record():
+    """An open KV read is an id in int-keyed tables.  Rank 0 sends one
+    read to rank 1, so 2 000 misses of distinct keys behind it stay
+    buffered and open with no user progress; counted in GC-tracked
+    objects, not timed."""
+    from repro.apps.kvservice.service import KvService
+
+    n = 2000
+
+    def body():
+        svc = KvService(batch_size=4096, credits=8, max_dwell=40e-6,
+                        cache_capacity=8192)
+        upcxx.barrier()
+        out = None
+        if upcxx.rank_me() == 0:
+            primary = svc._repl.map.primary
+            keys = [k for k in range(8 * n) if primary(k) == 1][: n + 1]
+            now = upcxx.sim_now()
+            svc.get(keys[0], now)  # in flight: the misses below buffer
+            base = gc.get_count()[0]
+            for k in keys[1:]:
+                svc.get(k, now)
+            out = (gc.get_count()[0] - base, svc._repl.reads_outstanding())
+        svc.drain()
+        return out, svc.reads_done
+
+    (in_flight, open_reads), done = upcxx.run_spmd(body, 2, ppn=1)[0]
+    assert open_reads == n + 1
+    assert done == n + 1
+    assert in_flight <= INFLIGHT_OBJECTS_PER_READ * n, (
+        f"{in_flight / n:.2f} GC-tracked objects per open read"
+    )
+
+
 #: operations of each kind counted after the warm-up
 OPS_COUNTED = 500
 
