@@ -16,6 +16,11 @@ tree, differing only in communication structure:
 
 The tree is processed bottom-up (postorder); disjoint subtrees proceed
 concurrently because their teams are disjoint under proportional mapping.
+
+The :class:`EaddPlan` holds every index the sweeps need — each rank's
+layout of each front and each (child front, rank)'s route into its
+parent — so a sweep allocates its fronts and only moves data: one gather
+per pack, one scatter-add per received message.
 """
 
 from __future__ import annotations
@@ -26,8 +31,8 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 import repro.upcxx as upcxx
-from repro.apps.sparse.frontal import FrontInstance, positions
-from repro.apps.sparse.matrices import laplacian_3d
+from repro.apps.sparse.frontal import FrontInstance, FrontLayout, Route, positions, to_parent
+from repro.apps.sparse.matrices import laplacian_3d_csr
 from repro.apps.sparse.ordering import nested_dissection_3d
 from repro.apps.sparse.propmap import proportional_mapping
 from repro.apps.sparse.symbolic import FrontSymbolic, symbolic_from_dissection
@@ -55,7 +60,9 @@ class EaddPlan:
 
     Built once outside the simulation; everything in it is static symbolic
     information each rank of a real run would compute redundantly during
-    setup (which the paper does not time).
+    setup (which the paper does not time).  It owns all of extend-add's
+    index work: the layouts and routes below are built here, once, and
+    every sweep of every variant reads them, so a sweep only moves data.
     """
 
     fronts: Dict[int, FrontSymbolic]
@@ -64,6 +71,10 @@ class EaddPlan:
     parents: List[int]
     #: expected incoming message count per (parent front, world rank)
     expected: Dict[Tuple[int, int], int]
+    #: each rank's layout of each front it belongs to, by (front, rank)
+    layouts: Dict[Tuple[int, int], FrontLayout]
+    #: each child-team rank's route into the parent, by (child front, rank)
+    routes: Dict[Tuple[int, int], Route]
     n_procs: int
     block: int = 24
     #: total packed entries over the whole tree (for reporting)
@@ -81,13 +92,20 @@ def build_eadd_plan(
     leaf_size: int = 64,
     block: int = 24,
 ) -> EaddPlan:
-    """Dissect the grid, map teams, and precompute expected message counts."""
-    a = laplacian_3d(nx, ny, nz)
+    """Dissect the grid, map teams, and precompute every layout, route and
+    expected message count."""
+    a = laplacian_3d_csr(nx, ny, nz)
     root, _perm = nested_dissection_3d(nx, ny, nz, leaf_size=leaf_size)
     fronts = symbolic_from_dissection(a, root)
     teams = proportional_mapping(fronts, n_procs)
     parents = [nid for nid in sorted(fronts) if fronts[nid].children]
+    layouts = {
+        (nid, r): FrontLayout(fronts[nid], teams[nid], r, block)
+        for nid in sorted(fronts)
+        for r in teams[nid]
+    }
 
+    routes: Dict[Tuple[int, int], Route] = {}
     expected: Dict[Tuple[int, int], int] = {}
     total_entries = 0
     for pid in parents:
@@ -95,19 +113,20 @@ def build_eadd_plan(
         for r in teams[pid]:
             expected[(pid, r)] = 0
         for cid in parent.children:
-            child = fronts[cid]
+            pos = to_parent(fronts[cid], parent)
             for s in teams[cid]:
-                inst = FrontInstance(child, teams[cid], s, block)
-                counts = inst.f22_nnz_for(parent, teams[pid], block)
+                route = routes[(cid, s)] = layouts[(cid, s)].route(pos, teams[pid], block)
+                counts = route.counts()
                 total_entries += sum(counts.values())
-                for dest_world, n in counts.items():
-                    if n > 0:
-                        expected[(pid, dest_world)] += 1
+                for dest_world in counts:
+                    expected[(pid, dest_world)] += 1
     return EaddPlan(
         fronts=fronts,
         teams=teams,
         parents=parents,
         expected=expected,
+        layouts=layouts,
+        routes=routes,
         n_procs=n_procs,
         block=block,
         total_entries=total_entries,
@@ -123,7 +142,7 @@ def _build_instances(plan: EaddPlan, me: int) -> Dict[int, FrontInstance]:
     """
     instances: Dict[int, FrontInstance] = {}
     for nid in plan.my_front_ids(me):
-        inst = FrontInstance(plan.fronts[nid], plan.teams[nid], me, plan.block)
+        inst = FrontInstance.of(plan.layouts[(nid, me)])
         if not plan.fronts[nid].children:
             inst.fill(1.0, f22_only=True)
         instances[nid] = inst
@@ -188,8 +207,7 @@ def upcxx_eadd_run(plan: EaddPlan, collect: Optional[dict] = None) -> float:
         for cid in parent.children:
             if me not in plan.teams[cid]:
                 continue
-            inst = instances[cid]
-            packed = inst.pack_for_parent(parent, plan.teams[pid], plan.block)
+            packed = instances[cid].pack(plan.routes[(cid, me)])
             _charge_pack(rt.charge_sw, rt.charge_copy, packed)
             my_idx = plan.teams[pid].index(me) if in_parent_team else 0
             n_team = len(plan.teams[pid])
@@ -223,8 +241,7 @@ def _mpi_pack_sends(plan, instances, pid, me, rt):
     for cid in parent.children:
         if me not in plan.teams[cid]:
             continue
-        inst = instances[cid]
-        packed = inst.pack_for_parent(parent, plan.teams[pid], plan.block)
+        packed = instances[cid].pack(plan.routes[(cid, me)])
         _charge_pack(rt.charge_sw, rt.charge_copy, packed)
         for dest, triple in packed.items():
             sends.append((dest, triple))

@@ -7,15 +7,24 @@ group").  A rank stores its share as one local 2-D array, as ScaLAPACK and
 STRUMPACK do: the owned rows by the owned columns, so per-rank memory is
 front_size²/P — the scalable layout extend-add must route into.
 
-All index math is whole-array numpy: packing produces, per destination
-rank, numpy arrays of (parent-local row, parent-local col, value) triples;
-the wire carries the values as a zero-copy view plus the two index arrays.
+Index work and data movement are kept apart.  A :class:`FrontLayout`
+(a rank's owned rows and cols of one front, and their inverse maps) and a
+:class:`Route` (where that rank's contribution block lands in the parent:
+local rows and cols in routing order, their parent coordinates, and one
+row slice by col slice per destination rank) depend only on the symbolic
+structure, so a plan builds them once.  A :class:`FrontInstance` is a
+layout plus its ``local`` array, and a sweep only moves data through it:
+:meth:`FrontInstance.pack` is one gather sliced per destination into
+(parent-local row, parent-local col, value) triples, and
+:meth:`FrontInstance.accumulate` one scatter-add per received message.
+The wire carries the values as a zero-copy view plus the two index arrays.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Tuple
+from functools import cached_property
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -72,6 +81,14 @@ def positions(rows: np.ndarray, ids: np.ndarray) -> np.ndarray:
     return out
 
 
+def to_parent(child: FrontSymbolic, parent: FrontSymbolic) -> np.ndarray:
+    """For each of the child's front-local indices, the parent-front-local
+    index (-1 for the child's own eliminated columns, which are not sent)."""
+    out = np.full(child.front_size, -1, dtype=np.int64)
+    out[child.n_cols :] = positions(parent.row_indices, child.border)
+    return out
+
+
 def _route(owned: np.ndarray, nc: int, pos: np.ndarray, block: int, nprocs: int):
     """The F22 part of one owned axis, stably sorted by the parent process
     coordinate it routes to: local indices, parent positions, and a
@@ -82,16 +99,82 @@ def _route(owned: np.ndarray, nc: int, pos: np.ndarray, block: int, nprocs: int)
     order = np.argsort(dest, kind="stable")
     cut = [0] + np.cumsum(np.bincount(dest, minlength=nprocs)).tolist()
     spans = [(d, slice(cut[d], cut[d + 1])) for d in range(nprocs) if cut[d + 1] > cut[d]]
-    return lo + order, ppos[order], spans
+    return _frozen(lo + order), _frozen(ppos[order]), spans
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+class Route(NamedTuple):
+    """Where one rank's share of a child front's F22 lands in the parent.
+
+    ``rows``/``cols`` are my local F22 rows and cols, each stably sorted by
+    the parent process row / col it routes to, and ``prow``/``pcol`` their
+    parent-front coordinates in the same order; ``bins`` holds one
+    (world rank, row slice, col slice) per receiving parent rank, in
+    ascending parent-team order.  The slices index ``rows``/``prow`` and
+    ``cols``/``pcol``; the arrays are read-only.
+    """
+
+    rows: np.ndarray
+    prow: np.ndarray
+    cols: np.ndarray
+    pcol: np.ndarray
+    bins: List[Tuple[int, slice, slice]]
+
+    def counts(self) -> Dict[int, int]:
+        """Entries per destination world rank, from the slice sizes alone."""
+        return {world: (rs.stop - rs.start) * (cs.stop - cs.start) for world, rs, cs in self.bins}
+
+
+class FrontLayout:
+    """One rank's place in one distributed front (read-only).
+
+    ``grow``/``gcol`` are the owned rows and cols (global front-local
+    indices, ascending); ``lrow``/``lcol`` map a front-local index to its
+    local row / col, -1 where not owned.  A rank outside ``team`` owns
+    nothing.
+    """
+
+    def __init__(self, sym: FrontSymbolic, team: List[int], my_world_rank: int, block: int = 24):
+        self.sym = sym
+        self.grid = g = BlockCyclic(len(team), block)
+        self.my_world_rank = my_world_rank
+        self.my_team_idx: Optional[int] = (
+            team.index(my_world_rank) if my_world_rank in team else None
+        )
+        n = sym.front_size
+        prow, pcol = (-1, -1) if self.my_team_idx is None else divmod(self.my_team_idx, g.pc)
+        blk_of = np.arange(n) // block
+        self.grow = _frozen(np.flatnonzero(blk_of % g.pr == prow))
+        self.gcol = _frozen(np.flatnonzero(blk_of % g.pc == pcol))
+        self.lrow = np.full(n, -1, dtype=np.int64)
+        self.lrow[self.grow] = np.arange(len(self.grow))
+        self.lcol = np.full(n, -1, dtype=np.int64)
+        self.lcol[self.gcol] = np.arange(len(self.gcol))
+        _frozen(self.lrow)
+        _frozen(self.lcol)
+
+    def route(self, pos: np.ndarray, parent_team: List[int], parent_block: int) -> Route:
+        """Route my F22 into a parent front distributed over
+        ``parent_team``; ``pos`` is :func:`to_parent` of my front."""
+        pgrid = BlockCyclic(len(parent_team), parent_block)
+        nc = self.sym.n_cols
+        rows, prow, row_spans = _route(self.grow, nc, pos, parent_block, pgrid.pr)
+        cols, pcol, col_spans = _route(self.gcol, nc, pos, parent_block, pgrid.pc)
+        bins = [
+            (parent_team[dr * pgrid.pc + dc], rs, cs) for dr, rs in row_spans for dc, cs in col_spans
+        ]
+        return Route(rows, prow, cols, pcol, bins)
 
 
 class FrontInstance:
-    """One rank's share of one distributed frontal matrix.
-
-    ``local`` holds the owned rows (global indices ``grow``, ascending) by
-    the owned columns (``gcol``); ``blocks`` maps each owned block
-    (bi, bj), in :meth:`BlockCyclic.my_blocks` order, to its view of
-    ``local``.
+    """One rank's share of one distributed frontal matrix: a
+    :class:`FrontLayout` plus ``local``, the owned rows by the owned
+    columns.  ``blocks`` maps each owned block (bi, bj), in
+    :meth:`BlockCyclic.my_blocks` order, to its view of ``local``.
     """
 
     def __init__(
@@ -101,34 +184,47 @@ class FrontInstance:
         my_world_rank: int,
         block: int = 24,
     ):
-        self.sym = sym
-        self.team = list(team)
-        self.grid = BlockCyclic(len(team), block)
-        self.my_world_rank = my_world_rank
-        self.my_team_idx: Optional[int] = (
-            self.team.index(my_world_rank) if my_world_rank in team else None
-        )
-        g, n = self.grid, self.n
-        prow, pcol = (-1, -1) if self.my_team_idx is None else divmod(self.my_team_idx, g.pc)
-        blk_of = np.arange(n) // block
-        self.grow = np.flatnonzero(blk_of % g.pr == prow)
-        self.gcol = np.flatnonzero(blk_of % g.pc == pcol)
-        #: inverse maps: global index -> local row / col, -1 where not owned
-        self.lrow = np.full(n, -1, dtype=np.int64)
-        self.lrow[self.grow] = np.arange(len(self.grow))
-        self.lcol = np.full(n, -1, dtype=np.int64)
-        self.lcol[self.gcol] = np.arange(len(self.gcol))
-        self.local = np.zeros((len(self.grow), len(self.gcol)))
-        self.blocks: Dict[Tuple[int, int], np.ndarray] = {}
-        for bi, bj in g.my_blocks(self.my_team_idx, n) if prow >= 0 else ():
-            r, c = bi // g.pr * block, bj // g.pc * block
-            self.blocks[(bi, bj)] = self.local[r : r + block, c : c + block]
-        self._parent_pos_cache: Dict[int, np.ndarray] = {}
+        self._adopt(FrontLayout(sym, team, my_world_rank, block))
+
+    @classmethod
+    def of(cls, layout: FrontLayout) -> "FrontInstance":
+        """A fresh zero instance on a layout built beforehand (shared, not
+        copied)."""
+        inst = cls.__new__(cls)
+        inst._adopt(layout)
+        return inst
+
+    def _adopt(self, layout: FrontLayout) -> None:
+        self.layout = layout
+        self.local = np.zeros((len(layout.grow), len(layout.gcol)))
 
     # ------------------------------------------------------------- geometry
     @property
+    def sym(self) -> FrontSymbolic:
+        return self.layout.sym
+
+    @property
+    def grid(self) -> BlockCyclic:
+        return self.layout.grid
+
+    @property
+    def my_team_idx(self) -> Optional[int]:
+        return self.layout.my_team_idx
+
+    @property
     def n(self) -> int:
-        return self.sym.front_size
+        return self.layout.sym.front_size
+
+    @cached_property
+    def blocks(self) -> Dict[Tuple[int, int], np.ndarray]:
+        """Built on first access (only the numeric factorization reads it)."""
+        g, me = self.grid, self.my_team_idx
+        nb = g.block
+        blocks = {}
+        for bi, bj in g.my_blocks(me, self.n) if me is not None else ():
+            r, c = bi // g.pr * nb, bj // g.pc * nb
+            blocks[(bi, bj)] = self.local[r : r + nb, c : c + nb]
+        return blocks
 
     # ------------------------------------------------------------------ fill
     def fill(self, value: float = 1.0, f22_only: bool = False) -> None:
@@ -140,35 +236,37 @@ class FrontInstance:
         if not f22_only:
             self.local[:] = value
             return
-        nc = self.sym.n_cols
+        lay = self.layout
+        nc = lay.sym.n_cols
         self.local[:] = 0.0
-        self.local[np.searchsorted(self.grow, nc) :, np.searchsorted(self.gcol, nc) :] = value
+        self.local[np.searchsorted(lay.grow, nc) :, np.searchsorted(lay.gcol, nc) :] = value
 
     # ------------------------------------------------------------- packing
-    def parent_positions(self, parent: FrontSymbolic) -> np.ndarray:
-        """For each of my front-local indices, the parent-front-local index
-        (or -1 for my own eliminated columns, which are not sent)."""
-        cached = self._parent_pos_cache.get(parent.node_id)
-        if cached is not None:
-            return cached
-        out = np.full(self.n, -1, dtype=np.int64)
-        out[self.sym.n_cols :] = positions(parent.row_indices, self.sym.border)
-        self._parent_pos_cache[parent.node_id] = out
-        return out
+    def route(self, parent: FrontSymbolic, parent_team: List[int], parent_block: int = 24) -> Route:
+        """My :class:`Route` into ``parent`` (index work: a plan keeps it)."""
+        return self.layout.route(to_parent(self.sym, parent), parent_team, parent_block)
 
-    def _bins(self, parent: FrontSymbolic, parent_team: List[int], parent_block: int):
-        """My F22 rows and cols, each routed by :func:`_route`, and one
-        (world rank, row slice, col slice) of them per receiving parent
-        rank, in ascending parent-team order."""
-        pos = self.parent_positions(parent)
-        pgrid = BlockCyclic(len(parent_team), parent_block)
-        nc = self.sym.n_cols
-        rows = _route(self.grow, nc, pos, parent_block, pgrid.pr)
-        cols = _route(self.gcol, nc, pos, parent_block, pgrid.pc)
-        bins = [
-            (parent_team[dr * pgrid.pc + dc], rs, cs) for dr, rs in rows[2] for dc, cs in cols[2]
-        ]
-        return rows, cols, bins
+    def pack(self, route: Route) -> Dict[int, Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """Bin my F22 entries by destination along ``route``.
+
+        Returns {world_rank: (parent_i, parent_j, values)} in ascending
+        parent-team order — the paper's ``pack`` utility that "bins outgoing
+        entries into sbuf".  Every array is fresh, never a view of
+        ``local`` or of the route.
+        """
+        # my F22 in routing order: two takes gather what np.ix_ would,
+        # without its broadcast fancy index
+        sub = self.local.take(route.rows, 0).take(route.cols, 1)
+        prow, pcol = route.prow, route.pcol
+        packed = {}
+        for world, rs, cs in route.bins:
+            nr, nc = rs.stop - rs.start, cs.stop - cs.start
+            packed[world] = (
+                np.repeat(prow[rs], nc),
+                np.broadcast_to(pcol[cs], (nr, nc)).flatten(),
+                sub[rs, cs].ravel(),
+            )
+        return packed
 
     def pack_for_parent(
         self,
@@ -176,48 +274,36 @@ class FrontInstance:
         parent_team: List[int],
         parent_block: int = 24,
     ) -> Dict[int, Tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """Bin my F22 entries by destination parent rank.
-
-        Returns {world_rank: (parent_i, parent_j, values)} in ascending
-        parent-team order — the paper's ``pack`` utility that "bins outgoing
-        entries into sbuf".  The values are a fresh gather, never a view of
-        ``local``.
-        """
-        (lr, pr, _), (lc, pc, _), bins = self._bins(parent, parent_team, parent_block)
-        sub = self.local[np.ix_(lr, lc)]
-        return {
-            world: (
-                np.repeat(pr[rs], cs.stop - cs.start),
-                np.tile(pc[cs], rs.stop - rs.start),
-                sub[rs, cs].ravel(),
-            )
-            for world, rs, cs in bins
-        }
+        """:meth:`pack` along a route computed on the spot."""
+        return self.pack(self.route(parent, parent_team, parent_block))
 
     # ---------------------------------------------------------- accumulate
     def accumulate(self, pi: np.ndarray, pj: np.ndarray, values: np.ndarray) -> None:
         """Scatter-add received contributions into my local array.  Each
-        element receives its contributions in input order; one outside my
-        owned blocks raises ``ValueError``."""
-        li, lj = self.lrow[pi], self.lcol[pj]
-        if (li < 0).any() or (lj < 0).any():
-            raise ValueError(f"contribution outside rank {self.my_world_rank}'s blocks")
+        element receives its contributions in input order (a merged
+        payload may repeat an element); one outside my owned blocks raises
+        ``ValueError``."""
+        lay = self.layout
+        flat = lay.lrow[pi]
+        lj = lay.lcol[pj]
+        if len(flat) and (flat.min() < 0 or lj.min() < 0):
+            raise ValueError(f"contribution outside rank {lay.my_world_rank}'s blocks")
+        flat *= self.local.shape[1]
+        flat += lj
         # a view of a received frame can be unaligned, and np.add.at then
         # takes a ~30x slower per-element path: copy it aligned first
         values = np.require(values, requirements="A")
-        np.add.at(self.local.reshape(-1), li * self.local.shape[1] + lj, values)
+        np.add.at(self.local.reshape(-1), flat, values)
 
     # ------------------------------------------------------------- queries
     def dense(self) -> np.ndarray:
         """Assemble my owned entries into a full (n x n) array (tests)."""
         out = np.zeros((self.n, self.n))
-        out[np.ix_(self.grow, self.gcol)] = self.local
+        out[np.ix_(self.layout.grow, self.layout.gcol)] = self.local
         return out
 
     def f22_nnz_for(
         self, parent: FrontSymbolic, parent_team: List[int], parent_block: int = 24
     ) -> Dict[int, int]:
-        """Per-destination entry counts of :meth:`pack_for_parent`, from the
-        row and column split sizes alone."""
-        _rows, _cols, bins = self._bins(parent, parent_team, parent_block)
-        return {world: (rs.stop - rs.start) * (cs.stop - cs.start) for world, rs, cs in bins}
+        """Per-destination entry counts of :meth:`pack_for_parent`."""
+        return self.route(parent, parent_team, parent_block).counts()

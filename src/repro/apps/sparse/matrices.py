@@ -11,7 +11,7 @@ deep and irregular enough to exercise proportional mapping).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -19,32 +19,54 @@ if TYPE_CHECKING:  # SciPy loads where a matrix is built
     import scipy.sparse as sp
 
 
-def laplacian_3d(nx: int, ny: int = 0, nz: int = 0) -> sp.csr_matrix:
-    """The 7-point Laplacian on an ``nx x ny x nz`` grid (SPD, CSR).
+class CsrArrays(NamedTuple):
+    """The three arrays of a square CSR matrix, without a SciPy object."""
 
-    Vertex id = x + nx*(y + ny*z) — the ordering assumed by
-    :func:`repro.apps.sparse.ordering.nested_dissection_3d`.
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+
+
+def laplacian_3d_csr(nx: int, ny: int = 0, nz: int = 0) -> CsrArrays:
+    """The CSR arrays of :func:`laplacian_3d`, built in numpy alone.
+
+    Row v holds its existing neighbours v - nx*ny, v - nx, v - 1, then v
+    (6.0: three 1-D second differences, Dirichlet on every axis), then
+    v + 1, v + nx, v + nx*ny, each off-diagonal -1.0, so each row's column
+    indices ascend.
     """
-    import scipy.sparse as sp
     ny = ny or nx
     nz = nz or nx
     if min(nx, ny, nz) < 1:
         raise ValueError(f"grid dims must be >= 1, got {(nx, ny, nz)}")
-
-    def lap1d(n: int) -> sp.csr_matrix:
-        if n == 1:
-            return sp.csr_matrix(np.array([[2.0]]))
-        main = 2.0 * np.ones(n)
-        off = -1.0 * np.ones(n - 1)
-        return sp.diags([off, main, off], [-1, 0, 1], format="csr")
-
-    ix, iy, iz = sp.identity(nx), sp.identity(ny), sp.identity(nz)
-    a = (
-        sp.kron(iz, sp.kron(iy, lap1d(nx)))
-        + sp.kron(iz, sp.kron(lap1d(ny), ix))
-        + sp.kron(sp.kron(lap1d(nz), iy), ix)
+    n = nx * ny * nz
+    v = np.arange(n)
+    x, y, z = v % nx, v // nx % ny, v // (nx * ny)
+    offsets = np.array([-nx * ny, -nx, -1, 0, 1, nx, nx * ny])
+    present = np.stack(
+        [z > 0, y > 0, x > 0, np.ones(n, dtype=bool), x < nx - 1, y < ny - 1, z < nz - 1], axis=1
     )
-    return sp.csr_matrix(a)
+    # int32 indices, as SciPy stores a matrix of this size
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(present.sum(axis=1), out=indptr[1:])
+    indices = (v[:, None] + offsets)[present].astype(np.int32)
+    data = np.where(offsets == 0, 6.0, -1.0)[np.nonzero(present)[1]]
+    return CsrArrays(indptr, indices, data)
+
+
+def laplacian_3d(nx: int, ny: int = 0, nz: int = 0) -> sp.csr_matrix:
+    """The 7-point Laplacian on an ``nx x ny x nz`` grid (SPD, CSR).
+
+    Vertex id = x + nx*(y + ny*z) — the ordering assumed by
+    :func:`repro.apps.sparse.ordering.nested_dissection_3d`.  The arrays
+    are :func:`laplacian_3d_csr`'s: the sum of Kronecker products of 1-D
+    second differences, without the explicit zeros SciPy's ``kron`` keeps
+    in that sum on some small grids (such as 2 x 2 x 2).
+    """
+    import scipy.sparse as sp
+    a = laplacian_3d_csr(nx, ny, nz)
+    n = len(a.indptr) - 1
+    return sp.csr_matrix((a.data, a.indices, a.indptr), shape=(n, n))
 
 
 def proxy_audikw(scale: int = 16) -> tuple:

@@ -17,10 +17,11 @@ Computed bottom-up over the separator tree in one pass.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional, Union
 
 import numpy as np
 
+from repro.apps.sparse.matrices import CsrArrays
 from repro.apps.sparse.ordering import DissectionNode
 
 if TYPE_CHECKING:  # SciPy loads where a matrix is converted
@@ -66,18 +67,21 @@ class FrontSymbolic:
 
 
 def symbolic_from_dissection(
-    a: sp.spmatrix,
+    a: Union[sp.spmatrix, CsrArrays],
     root: DissectionNode,
     elim_pos: Optional[np.ndarray] = None,
 ) -> Dict[int, FrontSymbolic]:
     """Bottom-up symbolic factorization over the separator tree.
 
-    ``elim_pos[v]`` = elimination position of vertex v; derived from the
-    tree's postorder if not given.  Returns {node_id: FrontSymbolic}.
+    ``a`` is a SciPy sparse matrix or the :class:`CsrArrays` of one (read
+    without loading SciPy).  ``elim_pos[v]`` = elimination position of
+    vertex v; derived from the tree's postorder if not given.  Returns
+    {node_id: FrontSymbolic}.
     """
-    import scipy.sparse as sp
-    a = sp.csr_matrix(a)
-    n = a.shape[0]
+    if not isinstance(a, CsrArrays):
+        import scipy.sparse as sp
+        a = sp.csr_matrix(a)
+    n = len(a.indptr) - 1
     nodes = root.postorder()
     if elim_pos is None:
         elim_pos = np.empty(n, dtype=np.int64)

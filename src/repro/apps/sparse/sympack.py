@@ -65,8 +65,7 @@ def sympack_v1_run(plan: EaddPlan) -> float:
         # (c) extend-add my piece of F22 into the parent
         if front.parent == -1:
             continue
-        parent = plan.fronts[front.parent]
-        packed = instances[nid].pack_for_parent(parent, plan.teams[front.parent], plan.block)
+        packed = instances[nid].pack(plan.routes[(nid, me)])
         _charge_pack(rt.charge_sw, rt.charge_copy, packed)
         f_conj = upcxx.make_future()
         for dest, (pi, pj, vals) in packed.items():
@@ -125,8 +124,7 @@ def sympack_v01_run(plan: EaddPlan) -> float:
         upcxx.compute(_factor_front_cost(plan, nid, rt))
         if front.parent == -1:
             continue
-        parent = plan.fronts[front.parent]
-        packed = instances[nid].pack_for_parent(parent, plan.teams[front.parent], plan.block)
+        packed = instances[nid].pack(plan.routes[(nid, me)])
         _charge_pack(rt.charge_sw, rt.charge_copy, packed)
         ack = Event()
         for dest, (pi, pj, vals) in packed.items():

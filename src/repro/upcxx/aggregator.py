@@ -647,8 +647,9 @@ class AggStore:
 
     @staticmethod
     def _pack(items: list):
-        """int-only batches ship as zero-copy int64 views; else verbatim."""
-        if items and all(type(x) is int for x in items):
+        """int-only batches ship as zero-copy int64 views; else verbatim
+        (a ``bool`` or numpy scalar is not an ``int`` here)."""
+        if set(map(type, items)) == {int}:
             arr = np.asarray(items, dtype=np.int64)
             return make_view(arr)
         return tuple(items)

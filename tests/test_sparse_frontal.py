@@ -1,12 +1,15 @@
 """FrontInstance kernels against per-element references on random float64
 fronts: pack routing and bin order, packed arrays never aliasing the front,
-scatter-add order, and rejection of contributions a rank does not own."""
+scatter-add order, and rejection of contributions a rank does not own;
+the Fig. 8 plan's stored routes against routes computed on the spot."""
 
 import numpy as np
 import pytest
 
-from repro.apps.sparse.frontal import BlockCyclic, FrontInstance, positions
+from repro.apps.sparse.extend_add import _build_instances, build_eadd_plan
+from repro.apps.sparse.frontal import BlockCyclic, FrontInstance, positions, to_parent
 from repro.apps.sparse.symbolic import FrontSymbolic
+from repro.bench.eadd_bench import FIG8_GRID, FIG8_LEAF
 
 # (child n_cols, child n_border, child block, child team, parent team, parent block)
 CASES = {
@@ -126,7 +129,82 @@ def test_contribution_outside_owned_blocks_raises():
 def test_border_index_missing_from_parent_raises_key_error():
     child, parent = _fronts(4, 6, seed=0)
     stray = FrontSymbolic(8, child.cols, np.r_[child.border[:-1], 5], parent=100)
-    inst = FrontInstance(stray, [0], 0, 4)
     with pytest.raises(KeyError, match="5"):
-        inst.parent_positions(parent)
+        to_parent(stray, parent)
     assert list(positions(np.array([30, 10, 20]), np.array([20, 30]))) == [2, 0]
+
+
+def test_a_merged_payload_repeating_parent_cells_adds_every_contribution():
+    """An Alltoallv buffer concatenates two children's bins for one
+    destination; where the children's borders share parent rows the
+    payload repeats a (pi, pj), and each repeat must land, in order."""
+    rng = np.random.default_rng(11)
+    parent_rows = rng.permutation(np.arange(500, 530))
+    parent = FrontSymbolic(100, parent_rows[:4], parent_rows[4:])
+    shared = parent_rows[4:12]
+    kids = [
+        FrontSymbolic(1, np.arange(3), np.r_[shared, parent_rows[12:18]], parent=100),
+        FrontSymbolic(2, np.arange(5), np.r_[parent_rows[20:25], shared], parent=100),
+    ]
+    team, parent_team, block = [0, 1], [0, 1, 2], 4
+    merged = {}
+    for kid in kids:
+        for me in team:
+            inst = FrontInstance(kid, team, me, block)
+            inst.local[:] = rng.standard_normal(inst.local.shape)
+            for dest, triple in inst.pack_for_parent(parent, parent_team, block).items():
+                merged.setdefault(dest, []).append(triple)
+    repeats = 0
+    for dest, parts in merged.items():
+        pi, pj, v = (np.concatenate(cols) for cols in zip(*parts))
+        repeats += len(pi) - len(set(zip(pi.tolist(), pj.tolist())))
+        inst = FrontInstance(parent, parent_team, dest, block)
+        want = inst.dense()
+        for i, j, x in zip(pi, pj, v):
+            want[i, j] += x
+        inst.accumulate(pi, pj, v)
+        assert np.array_equal(inst.dense(), want)
+    assert repeats > 0
+
+
+def test_an_empty_message_adds_nothing():
+    _child, parent, _values, _insts, parent_team, parent_block = _child_instances("ragged")
+    inst = FrontInstance(parent, parent_team, parent_team[0], parent_block)
+    none = np.array([], dtype=np.int64)
+    inst.accumulate(none, none, np.array([]))
+    assert not inst.local.any()
+
+
+def test_blocks_are_built_on_first_access_in_my_blocks_order():
+    child, _parent, _values, _insts, parent_team, parent_block = _child_instances("ragged")
+    inst = FrontInstance(child, [10, 11, 12, 13], 12, 4)
+    inst.fill(2.0)
+    assert "blocks" not in vars(inst)
+    assert list(inst.blocks) == inst.grid.my_blocks(inst.my_team_idx, child.front_size)
+    assert all(np.shares_memory(blk, inst.local) for blk in inst.blocks.values())
+    assert FrontInstance(child, [10, 11], 99, 4).blocks == {}
+
+
+@pytest.fixture(scope="module")
+def fig8_plan():
+    return build_eadd_plan(*FIG8_GRID, n_procs=16, leaf_size=FIG8_LEAF)
+
+
+def test_the_plans_routes_pack_as_routes_computed_on_the_spot(fig8_plan):
+    """Every (child, rank) of the 16-process Fig. 8 plan: packing along the
+    stored route gives what pack_for_parent gives — keys, order, dtypes,
+    values — on random fronts."""
+    plan = fig8_plan
+    rng = np.random.default_rng(5)
+    assert len(plan.routes) == sum(len(plan.teams[c]) for p in plan.parents for c in plan.fronts[p].children)
+    for (cid, me), route in plan.routes.items():
+        inst = _build_instances(plan, me)[cid]
+        inst.local[:] = rng.standard_normal(inst.local.shape)
+        pid = plan.fronts[cid].parent
+        got = inst.pack(route)
+        want = inst.pack_for_parent(plan.fronts[pid], plan.teams[pid], plan.block)
+        assert list(got) == list(want)
+        for dest in want:
+            for a, b in zip(got[dest], want[dest]):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+                assert not any(np.shares_memory(a, x) for x in (inst.local, *route[:4]))

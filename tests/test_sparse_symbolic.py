@@ -1,6 +1,8 @@
 """Tests for the serial sparse machinery: matrices, ordering, elimination
 trees, symbolic factorization, proportional mapping, block-cyclic layout."""
 
+import itertools
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -19,7 +21,7 @@ from repro.apps.sparse import (
     symbolic_from_dissection,
 )
 from repro.apps.sparse.elimtree import subtree_sizes, tree_height
-from repro.apps.sparse.matrices import random_spd
+from repro.apps.sparse.matrices import laplacian_3d_csr, random_spd
 from repro.apps.sparse.propmap import check_mapping_invariants, subtree_work
 from repro.apps.sparse.symbolic import check_symbolic_invariants
 
@@ -41,6 +43,44 @@ class TestMatrices:
         center = 1 + 3 * (1 + 3 * 1)
         assert a[center].nnz == 7
         assert a[center, center] == 6.0
+
+    @staticmethod
+    def _kron_laplacian(nx, ny, nz):
+        """The 7-point Laplacian as the sum of Kronecker products of 1-D
+        second differences (a 1-wide axis contributes [[2.0]])."""
+        def lap1d(n):
+            if n == 1:
+                return sp.csr_matrix(np.array([[2.0]]))
+            return sp.diags([-np.ones(n - 1), 2.0 * np.ones(n), -np.ones(n - 1)], [-1, 0, 1], format="csr")
+
+        ix, iy, iz = sp.identity(nx), sp.identity(ny), sp.identity(nz)
+        return sp.csr_matrix(
+            sp.kron(iz, sp.kron(iy, lap1d(nx)))
+            + sp.kron(iz, sp.kron(lap1d(ny), ix))
+            + sp.kron(sp.kron(lap1d(nz), iy), ix)
+        )
+
+    @pytest.mark.parametrize("dims", [(1, 1, 1), (1, 4, 3), (5, 4, 3), (16, 16, 12)])
+    def test_numpy_stencil_equals_the_kron_construction(self, dims):
+        want = self._kron_laplacian(*dims)
+        for got in (laplacian_3d_csr(*dims), laplacian_3d(*dims)):
+            for name in ("indptr", "indices", "data"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.dtype == b.dtype and np.array_equal(a, b), name
+        assert want.indices.dtype == np.int32 and set(want.diagonal()) == {6.0}
+
+    def test_numpy_stencil_stores_no_zeros_where_the_kron_sum_did(self):
+        """On small grids SciPy's kron keeps a dense factor's zeros (BSR
+        blocks) and the sum stores them; the stencil is the same matrix
+        without them."""
+        held_zeros = 0
+        for dims in itertools.product(range(1, 6), repeat=3):
+            want = self._kron_laplacian(*dims)
+            held_zeros += int((want.data == 0).sum())
+            want.eliminate_zeros()
+            got = laplacian_3d_csr(*dims)
+            assert all(np.array_equal(getattr(got, k), getattr(want, k)) for k in ("indptr", "indices", "data"))
+        assert held_zeros > 0
 
     def test_proxies(self):
         a, dims = proxy_audikw(8)

@@ -8,6 +8,7 @@ invalidation, and the stats/runtime counter plumbing.
 
 import re
 
+import numpy as np
 import pytest
 
 import repro.upcxx as upcxx
@@ -37,6 +38,22 @@ class TestCombines:
             t = default_route(k, 8)
             assert 0 <= t < 8
             assert default_route(k, 8) == t
+
+
+class TestWireForm:
+    def test_an_int_only_batch_ships_as_an_int64_view(self):
+        packed = AggStore._pack([3, -1, 2**40])
+        assert isinstance(packed, upcxx.View)
+        assert packed.dtype == np.int64 and packed.to_numpy().tolist() == [3, -1, 2**40]
+
+    @pytest.mark.parametrize(
+        "items", [[1, True], [np.int64(1), 2], [1, 2.0], [1, "a"], [(1, 2)], []],
+        ids=["bool", "np.int64", "float", "str", "tuple", "empty"],
+    )
+    def test_any_other_batch_ships_verbatim_as_a_tuple(self, items):
+        packed = AggStore._pack(items)
+        assert type(packed) is tuple and packed == tuple(items)
+        assert [type(x) for x in packed] == [type(x) for x in items]
 
 
 class TestAggStoreCore:
