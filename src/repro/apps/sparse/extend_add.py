@@ -62,7 +62,9 @@ class EaddPlan:
     information each rank of a real run would compute redundantly during
     setup (which the paper does not time).  It owns all of extend-add's
     index work: the layouts and routes below are built here, once, and
-    every sweep of every variant reads them, so a sweep only moves data.
+    every sweep of every variant — and the 2-D Cholesky of
+    :mod:`repro.apps.sparse.numeric2d`, over its padded fronts — reads
+    them, so a sweep only moves data.
     """
 
     fronts: Dict[int, FrontSymbolic]
@@ -92,12 +94,22 @@ def build_eadd_plan(
     leaf_size: int = 64,
     block: int = 24,
 ) -> EaddPlan:
-    """Dissect the grid, map teams, and precompute every layout, route and
-    expected message count."""
+    """Dissect the grid, map teams, and plan extend-add over them."""
     a = laplacian_3d_csr(nx, ny, nz)
     root, _perm = nested_dissection_3d(nx, ny, nz, leaf_size=leaf_size)
     fronts = symbolic_from_dissection(a, root)
-    teams = proportional_mapping(fronts, n_procs)
+    return plan_extend_add(fronts, proportional_mapping(fronts, n_procs), n_procs, block)
+
+
+def plan_extend_add(
+    fronts: Dict[int, FrontSymbolic],
+    teams: Dict[int, List[int]],
+    n_procs: int,
+    block: int = 24,
+) -> EaddPlan:
+    """Every layout, route and expected message count of extend-add over
+    ``fronts`` mapped onto ``teams``, each front block-cyclic in
+    ``block``."""
     parents = [nid for nid in sorted(fronts) if fronts[nid].children]
     layouts = {
         (nid, r): FrontLayout(fronts[nid], teams[nid], r, block)
@@ -142,9 +154,9 @@ def _build_instances(plan: EaddPlan, me: int) -> Dict[int, FrontInstance]:
     """
     instances: Dict[int, FrontInstance] = {}
     for nid in plan.my_front_ids(me):
-        inst = FrontInstance.of(plan.layouts[(nid, me)])
+        inst = FrontInstance(plan.layouts[(nid, me)])
         if not plan.fronts[nid].children:
-            inst.fill(1.0, f22_only=True)
+            inst.fill()
         instances[nid] = inst
     return instances
 

@@ -12,8 +12,11 @@ Index work and data movement are kept apart.  A :class:`FrontLayout`
 :class:`Route` (where that rank's contribution block lands in the parent:
 local rows and cols in routing order, their parent coordinates, and one
 row slice by col slice per destination rank) depend only on the symbolic
-structure, so a plan builds them once.  A :class:`FrontInstance` is a
-layout plus its ``local`` array, and a sweep only moves data through it:
+structure, so the extend-add plan
+(:func:`repro.apps.sparse.extend_add.plan_extend_add`) builds every one
+once, for the Fig. 8/9 sweeps and the 2-D Cholesky alike.  A
+:class:`FrontInstance` is a layout plus its ``local`` array, and a sweep
+or a factorization only moves data through it:
 :meth:`FrontInstance.pack` is one gather sliced per destination into
 (parent-local row, parent-local col, value) triples, and
 :meth:`FrontInstance.accumulate` one scatter-add per received message.
@@ -172,79 +175,35 @@ class FrontLayout:
 
 class FrontInstance:
     """One rank's share of one distributed frontal matrix: a
-    :class:`FrontLayout` plus ``local``, the owned rows by the owned
-    columns.  ``blocks`` maps each owned block (bi, bj), in
-    :meth:`BlockCyclic.my_blocks` order, to its view of ``local``.
+    :class:`FrontLayout` (shared, not copied) plus ``local``, the owned
+    rows by the owned columns, zero at construction.  ``blocks`` maps each
+    owned block (bi, bj), in :meth:`BlockCyclic.my_blocks` order, to its
+    view of ``local``.
     """
 
-    def __init__(
-        self,
-        sym: FrontSymbolic,
-        team: List[int],
-        my_world_rank: int,
-        block: int = 24,
-    ):
-        self._adopt(FrontLayout(sym, team, my_world_rank, block))
-
-    @classmethod
-    def of(cls, layout: FrontLayout) -> "FrontInstance":
-        """A fresh zero instance on a layout built beforehand (shared, not
-        copied)."""
-        inst = cls.__new__(cls)
-        inst._adopt(layout)
-        return inst
-
-    def _adopt(self, layout: FrontLayout) -> None:
+    def __init__(self, layout: FrontLayout):
         self.layout = layout
         self.local = np.zeros((len(layout.grow), len(layout.gcol)))
-
-    # ------------------------------------------------------------- geometry
-    @property
-    def sym(self) -> FrontSymbolic:
-        return self.layout.sym
-
-    @property
-    def grid(self) -> BlockCyclic:
-        return self.layout.grid
-
-    @property
-    def my_team_idx(self) -> Optional[int]:
-        return self.layout.my_team_idx
-
-    @property
-    def n(self) -> int:
-        return self.layout.sym.front_size
 
     @cached_property
     def blocks(self) -> Dict[Tuple[int, int], np.ndarray]:
         """Built on first access (only the numeric factorization reads it)."""
-        g, me = self.grid, self.my_team_idx
+        lay = self.layout
+        g, me = lay.grid, lay.my_team_idx
         nb = g.block
         blocks = {}
-        for bi, bj in g.my_blocks(me, self.n) if me is not None else ():
+        for bi, bj in g.my_blocks(me, lay.sym.front_size) if me is not None else ():
             r, c = bi // g.pr * nb, bj // g.pc * nb
             blocks[(bi, bj)] = self.local[r : r + nb, c : c + nb]
         return blocks
 
-    # ------------------------------------------------------------------ fill
-    def fill(self, value: float = 1.0, f22_only: bool = False) -> None:
-        """Set every owned element to ``value``.
-
-        With ``f22_only`` only elements in the contribution-block region
-        (rows and cols >= n_cols) are set; others are zero.
-        """
-        if not f22_only:
-            self.local[:] = value
-            return
+    def fill(self) -> None:
+        """Set my owned contribution-block elements (rows and cols >=
+        n_cols) to one and every other owned element to zero."""
         lay = self.layout
         nc = lay.sym.n_cols
         self.local[:] = 0.0
-        self.local[np.searchsorted(lay.grow, nc) :, np.searchsorted(lay.gcol, nc) :] = value
-
-    # ------------------------------------------------------------- packing
-    def route(self, parent: FrontSymbolic, parent_team: List[int], parent_block: int = 24) -> Route:
-        """My :class:`Route` into ``parent`` (index work: a plan keeps it)."""
-        return self.layout.route(to_parent(self.sym, parent), parent_team, parent_block)
+        self.local[np.searchsorted(lay.grow, nc) :, np.searchsorted(lay.gcol, nc) :] = 1.0
 
     def pack(self, route: Route) -> Dict[int, Tuple[np.ndarray, np.ndarray, np.ndarray]]:
         """Bin my F22 entries by destination along ``route``.
@@ -268,16 +227,6 @@ class FrontInstance:
             )
         return packed
 
-    def pack_for_parent(
-        self,
-        parent: FrontSymbolic,
-        parent_team: List[int],
-        parent_block: int = 24,
-    ) -> Dict[int, Tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """:meth:`pack` along a route computed on the spot."""
-        return self.pack(self.route(parent, parent_team, parent_block))
-
-    # ---------------------------------------------------------- accumulate
     def accumulate(self, pi: np.ndarray, pj: np.ndarray, values: np.ndarray) -> None:
         """Scatter-add received contributions into my local array.  Each
         element receives its contributions in input order (a merged
@@ -295,15 +244,9 @@ class FrontInstance:
         values = np.require(values, requirements="A")
         np.add.at(self.local.reshape(-1), flat, values)
 
-    # ------------------------------------------------------------- queries
     def dense(self) -> np.ndarray:
         """Assemble my owned entries into a full (n x n) array (tests)."""
-        out = np.zeros((self.n, self.n))
+        n = self.layout.sym.front_size
+        out = np.zeros((n, n))
         out[np.ix_(self.layout.grow, self.layout.gcol)] = self.local
         return out
-
-    def f22_nnz_for(
-        self, parent: FrontSymbolic, parent_team: List[int], parent_block: int = 24
-    ) -> Dict[int, int]:
-        """Per-destination entry counts of :meth:`pack_for_parent`."""
-        return self.route(parent, parent_team, parent_block).counts()

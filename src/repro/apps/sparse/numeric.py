@@ -33,11 +33,12 @@ ancestors' owners) and root→leaves for Lᵀ·x = y.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, Iterator, List, Tuple
 
 import numpy as np
 
 import repro.upcxx as upcxx
+from repro.apps.sparse.frontal import positions
 from repro.apps.sparse.ordering import nested_dissection_3d
 from repro.apps.sparse.propmap import proportional_mapping
 from repro.apps.sparse.symbolic import FrontSymbolic, symbolic_from_dissection
@@ -49,10 +50,13 @@ if TYPE_CHECKING:  # SciPy loads where a matrix is built
 
 @dataclass
 class CholeskyPlan:
-    """Symbolic plan for a numeric factorization (shared, read-only)."""
+    """Symbolic plan for a numeric factorization (shared, read-only): the
+    fronts, their proportional-mapping teams, and each front's owner."""
 
     a: sp.csr_matrix
     fronts: Dict[int, FrontSymbolic]
+    #: world ranks per front (proportional mapping)
+    teams: Dict[int, List[int]]
     #: owning rank per front (team lead of the proportional mapping)
     owner: Dict[int, int]
     #: global vertex -> elimination position
@@ -73,18 +77,16 @@ def build_cholesky_plan(nx: int, ny: int, nz: int, n_procs: int, leaf_size: int 
     from repro.apps.sparse.matrices import laplacian_3d
 
     a = laplacian_3d(nx, ny, nz)
-    root, _perm = nested_dissection_3d(nx, ny, nz, leaf_size=leaf_size)
-    fronts = symbolic_from_dissection(a, root)
+    root, perm = nested_dissection_3d(nx, ny, nz, leaf_size=leaf_size)
+    # perm lists the vertices in elimination order (the tree's postorder)
+    elim_pos = np.empty(len(perm), dtype=np.int64)
+    elim_pos[perm] = np.arange(len(perm))
+    fronts = symbolic_from_dissection(a, root, elim_pos=elim_pos)
     teams = proportional_mapping(fronts, n_procs)
     owner = {nid: team[0] for nid, team in teams.items()}
-    n = a.shape[0]
-    elim_pos = np.empty(n, dtype=np.int64)
-    k = 0
-    for node in root.postorder():
-        for v in node.vertices:
-            elim_pos[v] = k
-            k += 1
-    return CholeskyPlan(a=sp.csr_matrix(a), fronts=fronts, owner=owner, elim_pos=elim_pos, n_procs=n_procs)
+    return CholeskyPlan(
+        a=sp.csr_matrix(a), fronts=fronts, teams=teams, owner=owner, elim_pos=elim_pos, n_procs=n_procs
+    )
 
 
 # ---------------------------------------------------------------- factorize
@@ -116,15 +118,16 @@ class _FactorState:
         return mat
 
 
-def _assemble_a(plan: CholeskyPlan, nid: int, mat: np.ndarray) -> None:
-    """Add A's entries into the front (original-matrix part of assembly).
+def a_entries(plan: CholeskyPlan, nid: int, rows: np.ndarray) -> Iterator[Tuple[int, int, float]]:
+    """A's entries assembled at front ``nid``, each once, as front-local
+    (i, j, value) with ``rows`` the front's row ids (padded or not).
 
     Multifrontal convention: each nonzero A[i, j] is assembled exactly once,
     at the unique front whose column set contains the earlier-eliminated of
-    i and j.
+    i and j; of a pair inside the front only the lower triangle in
+    elimination order is yielded.
     """
     f = plan.fronts[nid]
-    rows = f.row_indices
     pos_in_front = {int(g): k for k, g in enumerate(rows)}
     a = plan.a
     col_set = set(f.cols.tolist())
@@ -133,14 +136,18 @@ def _assemble_a(plan: CholeskyPlan, nid: int, mat: np.ndarray) -> None:
         pj = plan.elim_pos[j]
         for p in range(a.indptr[j], a.indptr[j + 1]):
             i = a.indices[p]
-            # assemble only the lower triangle in elimination order, and
-            # only pairs whose earlier vertex is eliminated at this front
             if plan.elim_pos[i] < pj and int(i) in col_set:
                 continue  # the symmetric partner handles it
-            if int(i) not in pos_in_front:
+            fi = pos_in_front.get(int(i))
+            if fi is None:
                 continue  # eliminated in a descendant: assembled there
-            fi = pos_in_front[int(i)]
-            mat[fi, jf] += a.data[p]
+            yield fi, jf, a.data[p]
+
+
+def _assemble_a(plan: CholeskyPlan, nid: int, mat: np.ndarray) -> None:
+    """Add A's entries into the front (original-matrix part of assembly)."""
+    for fi, jf, v in a_entries(plan, nid, plan.fronts[nid].row_indices):
+        mat[fi, jf] += v
     # mirror to the full symmetric front (we keep fronts dense-symmetric)
     low = np.tril(mat, -1)
     mat += low.T - np.triu(mat, 1)
@@ -160,18 +167,15 @@ def _accum_schur(state_dobj: upcxx.DistObject, pid: int, idx, vals) -> None:
     state.promises[pid].fulfill_anonymous(1)
 
 
-def cholesky_factor(plan: CholeskyPlan, state_dobj: Optional[upcxx.DistObject] = None) -> "_FactorState":
+def cholesky_factor(plan: CholeskyPlan) -> _FactorState:
     """Run the distributed numeric factorization (call on every rank).
 
     Returns this rank's :class:`_FactorState` holding its factor pieces.
     """
     rt = upcxx.current_runtime()
     me = rt.rank
-    if state_dobj is None:
-        state = _FactorState(plan)
-        state_dobj = upcxx.DistObject(state)
-    else:
-        state = state_dobj.value
+    state = _FactorState(plan)
+    state_dobj = upcxx.DistObject(state)
     upcxx.barrier()
 
     for nid in plan.my_fronts(me):
@@ -195,8 +199,7 @@ def cholesky_factor(plan: CholeskyPlan, state_dobj: Optional[upcxx.DistObject] =
         if f.parent != -1:
             parent = plan.fronts[f.parent]
             parent_owner = plan.owner[f.parent]
-            lookup = {int(g): k for k, g in enumerate(parent.row_indices)}
-            idx = np.array([lookup[int(g)] for g in f.border], dtype=np.int64)
+            idx = positions(parent.row_indices, f.border)
             rt.charge_copy(schur.nbytes)
             upcxx.rpc(
                 parent_owner, _accum_schur, state_dobj, f.parent, idx, upcxx.make_view(schur.ravel())
@@ -217,9 +220,8 @@ def _solve_lower_t(l11: np.ndarray, f21: np.ndarray) -> np.ndarray:
 class _SolveState:
     """Per-rank state for the two triangular sweeps."""
 
-    def __init__(self, plan: CholeskyPlan, factor: _FactorState, b: np.ndarray):
+    def __init__(self, plan: CholeskyPlan, b: np.ndarray):
         self.plan = plan
-        self.factor = factor
         rt = upcxx.current_runtime()
         me = rt.rank
         #: right-hand-side slices for fronts I own (updated by children)
@@ -264,11 +266,16 @@ def _bwd_deliver(state_dobj: upcxx.DistObject, nid: int, vals) -> None:
     state.bwd_promises[nid].fulfill_anonymous(1)
 
 
-def cholesky_solve(plan: CholeskyPlan, factor: _FactorState, b: np.ndarray) -> np.ndarray:
-    """Distributed L·Lᵀ solve; returns the full x on every rank."""
+def cholesky_solve(plan: CholeskyPlan, factor, b: np.ndarray) -> np.ndarray:
+    """Distributed L·Lᵀ solve; returns the full x on every rank.
+
+    ``factor`` is this rank's factorization state; only its ``factors``
+    ({front: (L11, L21)} for the fronts ``plan`` says this rank owns) are
+    read.
+    """
     rt = upcxx.current_runtime()
     me = rt.rank
-    state = _SolveState(plan, factor, np.asarray(b, dtype=float))
+    state = _SolveState(plan, np.asarray(b, dtype=float))
     state_dobj = upcxx.DistObject(state)
     upcxx.barrier()
 
@@ -287,9 +294,7 @@ def cholesky_solve(plan: CholeskyPlan, factor: _FactorState, b: np.ndarray) -> n
             # outgoing update: what descendants accumulated here, minus my
             # own elimination's contribution (length n_border, possibly 0)
             update = rhs[nc:] - (l21 @ y1)
-            parent = plan.fronts[f.parent]
-            lookup = {int(g): k for k, g in enumerate(parent.row_indices)}
-            idx = np.array([lookup[int(g)] for g in f.border], dtype=np.int64)
+            idx = positions(plan.fronts[f.parent].row_indices, f.border)
             upcxx.rpc(
                 plan.owner[f.parent], _fwd_update, state_dobj, f.parent, idx, upcxx.make_view(update)
             ).wait()
@@ -314,9 +319,7 @@ def cholesky_solve(plan: CholeskyPlan, factor: _FactorState, b: np.ndarray) -> n
             state.x[int(g)] = float(v)
         # deliver border x values to each child's owner
         for cid in f.children:
-            child = plan.fronts[cid]
-            lookup = {int(g): k for k, g in enumerate(f.row_indices)}
-            idx = np.array([lookup[int(g)] for g in child.border], dtype=np.int64)
+            idx = positions(f.row_indices, plan.fronts[cid].border)
             upcxx.rpc(
                 plan.owner[cid], _bwd_deliver, state_dobj, cid, upcxx.make_view(rhs[idx])
             ).wait()

@@ -29,6 +29,11 @@ Implementation notes:
 - The eliminated region is padded to a block boundary with synthetic
   identity columns (factor of ``[[A,0],[0,I]]``), so the cols/border
   boundary always falls between blocks and every panel step is regular.
+  The plan pads each front once and builds the extend-add plan
+  (:func:`~repro.apps.sparse.extend_add.plan_extend_add`) over the padded
+  fronts, so every rank's layout, every child rank's route into its
+  parent and every expected message count come from there, computed
+  before the first message, as the Fig. 8/9 sweeps read them.
 - After the panels, the trailing square is the distributed Schur
   complement (value-carrying extend-add to the parent team); the factor
   panels are then gathered to the team lead so the tree-structured
@@ -38,65 +43,53 @@ Implementation notes:
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 import numpy as np
 
 import repro.upcxx as upcxx
+from repro.apps.sparse.extend_add import EaddPlan, plan_extend_add
 from repro.apps.sparse.frontal import FrontInstance
-from repro.apps.sparse.numeric import CholeskyPlan, _FactorState, build_cholesky_plan
-from repro.apps.sparse.propmap import proportional_mapping
+from repro.apps.sparse.numeric import CholeskyPlan, a_entries, build_cholesky_plan, cholesky_solve
 from repro.apps.sparse.symbolic import FrontSymbolic
 from repro.upcxx.future import Promise
 
 
-class Cholesky2DPlan:
-    """Symbolic plan with full teams (not just leads) per front."""
+@dataclass
+class Cholesky2DPlan(CholeskyPlan):
+    """The lead-only plan (same fronts, teams, owners: the solve runs on
+    it) plus the block size and the extend-add plan over the padded
+    fronts, which holds every front's layout and every child rank's route."""
 
-    def __init__(self, base: CholeskyPlan, teams: Dict[int, List[int]], block: int):
-        self.a = base.a
-        self.fronts = base.fronts
-        self.elim_pos = base.elim_pos
-        self.n_procs = base.n_procs
-        self.teams = teams
-        self.owner = {nid: team[0] for nid, team in teams.items()}
-        self.block = block
-
-    @property
-    def n(self) -> int:
-        return self.a.shape[0]
-
-    def my_fronts(self, rank: int) -> List[int]:
-        """Fronts this rank participates in (team membership), postorder."""
-        return [nid for nid in sorted(self.fronts) if rank in self.teams[nid]]
+    block: int
+    eadd: EaddPlan
 
 
 def build_cholesky_2d_plan(
     nx: int, ny: int, nz: int, n_procs: int, leaf_size: int = 32, block: int = 16
 ) -> Cholesky2DPlan:
     base = build_cholesky_plan(nx, ny, nz, n_procs=n_procs, leaf_size=leaf_size)
-    teams = proportional_mapping(base.fronts, n_procs)
-    return Cholesky2DPlan(base, teams, block)
+    padded = {nid: _padded_symbolic(f, block) for nid, f in base.fronts.items()}
+    eadd = plan_extend_add(padded, base.teams, n_procs, block)
+    return Cholesky2DPlan(**vars(base), block=block, eadd=eadd)
 
 
-def _padded_symbolic(sym: FrontSymbolic, block: int) -> Tuple[FrontSymbolic, int]:
+def _padded_symbolic(sym: FrontSymbolic, block: int) -> FrontSymbolic:
     """Pad ``cols`` with synthetic (negative-id) identity columns so the
     eliminated region ends exactly at a block boundary."""
     pad = (-sym.n_cols) % block
     if pad == 0:
-        return sym, 0
+        return sym
     synth = np.array(
         [-(sym.node_id * 1_000_000 + t + 1) for t in range(pad)], dtype=np.int64
     )
-    return (
-        FrontSymbolic(
-            node_id=sym.node_id,
-            cols=np.concatenate([sym.cols, synth]),
-            border=sym.border,
-            children=list(sym.children),
-            parent=sym.parent,
-        ),
-        pad,
+    return FrontSymbolic(
+        node_id=sym.node_id,
+        cols=np.concatenate([sym.cols, synth]),
+        border=sym.border,
+        children=list(sym.children),
+        parent=sym.parent,
     )
 
 
@@ -109,10 +102,10 @@ class _Front2D:
         self.nid = nid
         self.me = me
         self.sym_real: FrontSymbolic = plan.fronts[nid]
-        self.sym, self.pad = _padded_symbolic(self.sym_real, plan.block)
+        self.sym: FrontSymbolic = plan.eadd.fronts[nid]
         self.team = plan.teams[nid]
-        self.inst = FrontInstance(self.sym, self.team, me, plan.block)
-        self.grid = self.inst.grid
+        self.inst = FrontInstance(plan.eadd.layouts[(nid, me)])
+        self.grid = self.inst.layout.grid
         nb = plan.block
         assert self.sym.n_cols % nb == 0 or self.sym.front_size == self.sym.n_cols
         self.n_panels = -(-self.sym.n_cols // nb)
@@ -123,8 +116,9 @@ class _Front2D:
         self.row_panels: Dict[Tuple[int, int], np.ndarray] = {}  # (k, bj) -> inv(Lkk)A_kbj
         self.p_lkk: Dict[int, Promise] = {}
         self.p_panels: Dict[int, Promise] = {}
-        #: extend-add completion (children's Schur contributions)
+        #: extend-add completion: one dep per incoming child message
         self.p_children = Promise()
+        self.p_children.require_anonymous(plan.eadd.expected.get((nid, me), 0))
         self._setup_promises()
 
     # ------------------------------------------------------------- geometry
@@ -183,22 +177,10 @@ class _State2D:
         self.plan = plan
         rt = upcxx.current_runtime()
         me = rt.rank
+        #: the fronts whose team I am in, postorder
         self.fronts: Dict[int, _Front2D] = {
-            nid: _Front2D(plan, nid, me) for nid in plan.my_fronts(me)
+            nid: _Front2D(plan, nid, me) for nid in sorted(plan.eadd.my_front_ids(me))
         }
-        # size extend-add promises: one per incoming child contribution msg.
-        # (The padded symbolic is used on BOTH ends so destination geometry
-        # matches what the children actually send.)
-        for nid, fr in self.fronts.items():
-            expected = 0
-            for cid in plan.fronts[nid].children:
-                child_sym, _ = _padded_symbolic(plan.fronts[cid], plan.block)
-                for s in plan.teams[cid]:
-                    inst = FrontInstance(child_sym, plan.teams[cid], s, plan.block)
-                    counts = inst.f22_nnz_for(fr.sym, plan.teams[nid], plan.block)
-                    if counts.get(me, 0) > 0:
-                        expected += 1
-            fr.p_children.require_anonymous(expected)
         #: gathered factor pieces at team leads: nid -> (L11, L21)
         self.factors: Dict[int, tuple] = {}
         #: gather promises pre-created (gather traffic can outrun the lead)
@@ -261,11 +243,6 @@ def _rpc_gather(state_dobj, nid: int, bi: int, bj: int, rows: int, vals) -> None
 def _assemble_a_blocks(plan: Cholesky2DPlan, fr: _Front2D) -> None:
     """Add my owned blocks' share of A into the front (symmetric full),
     plus unit diagonals for the synthetic padding columns."""
-    f = fr.sym_real
-    rows = fr.sym.row_indices
-    pos_in_front = {int(g): i for i, g in enumerate(rows)}
-    a = plan.a
-    col_set = set(f.cols.tolist())
     nb = plan.block
 
     def add(ei: int, ej: int, v: float) -> None:
@@ -274,23 +251,12 @@ def _assemble_a_blocks(plan: Cholesky2DPlan, fr: _Front2D) -> None:
         if blk is not None:
             blk[ei - bi * nb, ej - bj * nb] += v
 
-    for j in f.cols:
-        jf = pos_in_front[int(j)]
-        pj = plan.elim_pos[j]
-        for p in range(a.indptr[j], a.indptr[j + 1]):
-            i = a.indices[p]
-            fi = pos_in_front.get(int(i))
-            if fi is None:
-                continue  # eliminated in a descendant: assembled there
-            if plan.elim_pos[i] < pj and int(i) in col_set:
-                continue  # the symmetric partner handles it
-            v = a.data[p]
-            add(fi, jf, v)
-            if fi != jf:
-                add(jf, fi, v)
+    for fi, jf, v in a_entries(plan, fr.nid, fr.sym.row_indices):
+        add(fi, jf, v)
+        if fi != jf:
+            add(jf, fi, v)
     # synthetic identity padding
-    for t in range(fr.pad):
-        p = f.n_cols + t
+    for p in range(fr.sym_real.n_cols, fr.sym.n_cols):
         add(p, p, 1.0)
 
 
@@ -364,16 +330,12 @@ def _factor_front_2d(plan: Cholesky2DPlan, fr: _Front2D, state_dobj) -> None:
 
 
 def _send_schur_to_parent(plan: Cholesky2DPlan, fr: _Front2D, state_dobj) -> None:
-    """Extend-add my Schur piece into the parent team (value-carrying).
-
-    Uses the padded symbolic of the PARENT so destination geometry matches
-    the parent's padded instance.
-    """
+    """Extend-add my Schur piece into the parent team (value-carrying),
+    along my route in the plan."""
     rt = upcxx.current_runtime()
     if fr.sym_real.parent == -1:
         return
-    parent_sym, _ = _padded_symbolic(plan.fronts[fr.sym_real.parent], plan.block)
-    packed = fr.inst.pack_for_parent(parent_sym, plan.teams[fr.sym_real.parent], plan.block)
+    packed = fr.inst.pack(plan.eadd.routes[(fr.nid, fr.me)])
     for dest, (pi, pj, vals) in packed.items():
         rt.charge_copy(vals.nbytes)
         upcxx.rpc_ff(
@@ -422,32 +384,18 @@ def _gather_factors_to_lead(plan: Cholesky2DPlan, fr: _Front2D, st: _State2D, st
 
 
 # ------------------------------------------------------------------ driver
-class _LeadPlanView(CholeskyPlan):
-    """A CholeskyPlan facade whose owner map is the 2-D plan's team leads."""
-
-    def __init__(self, plan2d: Cholesky2DPlan):
-        self.a = plan2d.a
-        self.fronts = plan2d.fronts
-        self.owner = plan2d.owner
-        self.elim_pos = plan2d.elim_pos
-        self.n_procs = plan2d.n_procs
-
-
-def cholesky_factor_2d(plan: Cholesky2DPlan) -> _FactorState:
+def cholesky_factor_2d(plan: Cholesky2DPlan) -> _State2D:
     """Team-parallel numeric factorization (call on every rank).
 
-    Returns a :class:`numeric._FactorState`-compatible object whose
-    ``factors`` live on each front's team lead, so
-    :func:`repro.apps.sparse.numeric.cholesky_solve` applies unchanged.
+    Returns this rank's state, whose ``factors`` live on each front's team
+    lead, so :func:`repro.apps.sparse.numeric.cholesky_solve` applies
+    unchanged.
     """
-    rt = upcxx.current_runtime()
-    me = rt.rank
     st = _State2D(plan)
     state_dobj = upcxx.DistObject(st)
     upcxx.barrier()
 
-    for nid in plan.my_fronts(me):
-        fr = st.fronts[nid]
+    for fr in st.fronts.values():
         # (1) wait for all children's extend-add contributions to my blocks
         fr.p_children.finalize().wait()
         # (2) assemble my share of A (plus padding identities)
@@ -460,17 +408,9 @@ def cholesky_factor_2d(plan: Cholesky2DPlan) -> _FactorState:
         _gather_factors_to_lead(plan, fr, st, state_dobj)
 
     upcxx.barrier()
-    out = _FactorState.__new__(_FactorState)
-    out.plan = _LeadPlanView(plan)
-    out.front_mats = {}
-    out.factors = st.factors
-    out.promises = {}
-    return out
+    return st
 
 
 def factor_and_solve_2d(plan: Cholesky2DPlan, b: np.ndarray) -> np.ndarray:
     """Team-parallel factorization + tree-structured solve."""
-    from repro.apps.sparse.numeric import cholesky_solve
-
-    state = cholesky_factor_2d(plan)
-    return cholesky_solve(state.plan, state, b)
+    return cholesky_solve(plan, cholesky_factor_2d(plan), b)

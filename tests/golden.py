@@ -614,6 +614,41 @@ def eadd_variants() -> Run:
     return run._replace(results=results)
 
 
+def sparse_cholesky() -> Run:
+    """Both numeric Cholesky paths through their extend-add: the lead-only
+    and the 2-D factorization of one 13-front tree (8 ranks, block 8) and
+    the 2-D one with a block of 7, which pads the separators.  Each rank
+    returns its clock after the factorization, a sha256 of the factor
+    pieces it holds, its clock after the solve and the solution's bytes;
+    the 2-D factors are solved on the lead-only plan of the same tree."""
+    from repro.apps.sparse.numeric import build_cholesky_plan, cholesky_factor, cholesky_solve
+    from repro.apps.sparse.numeric2d import build_cholesky_2d_plan, cholesky_factor_2d
+
+    def solved(factor, lead, b):
+        state = factor()
+        t_factor = upcxx.sim_now()
+        h = hashlib.sha256()
+        for nid in sorted(state.factors):
+            for piece in state.factors[nid]:
+                h.update(piece.tobytes())
+        x = cholesky_solve(lead, state, b)
+        return (t_factor, h.hexdigest(), upcxx.sim_now(), x.tobytes())
+
+    runs = {}
+    for name, grid, ranks, leaf, block in (
+        ("tree", (6, 6, 4), 8, 20, 8),
+        ("padded", (5, 4, 3), 4, 10, 7),
+    ):
+        lead = build_cholesky_plan(*grid, n_procs=ranks, leaf_size=leaf)
+        plan = build_cholesky_2d_plan(*grid, n_procs=ranks, leaf_size=leaf, block=block)
+        b = np.random.default_rng(3).standard_normal(lead.n)
+        if name == "tree":
+            runs["lead"] = _spmd(lambda: solved(partial(cholesky_factor, lead), lead, b), ranks)
+        runs[name] = _spmd(lambda: solved(partial(cholesky_factor_2d, plan), lead, b), ranks)
+    # trace, spans, metrics and event counts: the 2-D run on the tree
+    return runs["tree"]._replace(results={k: r.results for k, r in runs.items()})
+
+
 PROGRAMS: Dict[str, Callable[[], Run]] = {
     "fig3a_series": fig3a_series,
     "dht_totals": dht_totals,
@@ -637,6 +672,7 @@ PROGRAMS: Dict[str, Callable[[], Run]] = {
     "ci_survived_blackbox": survived_blackbox,
     "kv_telemetry_windows": kv_telemetry_windows,
     "eadd_variants": eadd_variants,
+    "sparse_cholesky": sparse_cholesky,
 }
 for _seed in CHAOS_SEEDS:
     for _plan in CHAOS_PLANS:

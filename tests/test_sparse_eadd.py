@@ -45,8 +45,8 @@ class TestPlan:
                 got += np.ones_like(inst.dense()) * 0  # shape check only
                 for (bi, bj), blk in inst.blocks.items():
                     got[
-                        bi * inst.grid.block : bi * inst.grid.block + blk.shape[0],
-                        bj * inst.grid.block : bj * inst.grid.block + blk.shape[1],
+                        bi * inst.layout.grid.block : bi * inst.layout.grid.block + blk.shape[0],
+                        bj * inst.layout.grid.block : bj * inst.layout.grid.block + blk.shape[1],
                     ] += 1
             assert np.all(got == 1), f"front {nid}: blocks not a partition"
 

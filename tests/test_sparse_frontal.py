@@ -1,13 +1,15 @@
 """FrontInstance kernels against per-element references on random float64
 fronts: pack routing and bin order, packed arrays never aliasing the front,
 scatter-add order, and rejection of contributions a rank does not own;
-the Fig. 8 plan's stored routes against routes computed on the spot."""
+the stored routes and message counts of the Fig. 8 plan and of a padded
+2-D Cholesky plan against ones computed on the spot."""
 
 import numpy as np
 import pytest
 
 from repro.apps.sparse.extend_add import _build_instances, build_eadd_plan
-from repro.apps.sparse.frontal import BlockCyclic, FrontInstance, positions, to_parent
+from repro.apps.sparse.frontal import BlockCyclic, FrontInstance, FrontLayout, positions, to_parent
+from repro.apps.sparse.numeric2d import build_cholesky_2d_plan
 from repro.apps.sparse.symbolic import FrontSymbolic
 from repro.bench.eadd_bench import FIG8_GRID, FIG8_LEAF
 
@@ -30,6 +32,12 @@ def _fronts(nc, nborder, seed):
     return child, parent
 
 
+def _route(inst, parent, parent_team, parent_block):
+    """``inst``'s route into ``parent``, computed on the spot."""
+    lay = inst.layout
+    return lay.route(to_parent(lay.sym, parent), parent_team, parent_block)
+
+
 def _child_instances(case, seed=0):
     """Every team member's instance of one random child front, filled
     block by block from one dense random matrix."""
@@ -39,7 +47,7 @@ def _child_instances(case, seed=0):
     team = [10 + t for t in range(team_size)]
     insts = []
     for me in team:
-        inst = FrontInstance(child, team, me, block)
+        inst = FrontInstance(FrontLayout(child, team, me, block))
         for (bi, bj), blk in inst.blocks.items():
             blk[:] = values[bi * block : bi * block + blk.shape[0], bj * block : bj * block + blk.shape[1]]
         insts.append(inst)
@@ -54,7 +62,7 @@ def _reference_bins(child, parent, values, inst, parent_team, parent_block):
     bins = {}
     for i in range(child.n_cols, child.front_size):
         for j in range(child.n_cols, child.front_size):
-            if inst.grid.owner(i, j) != inst.my_team_idx:
+            if inst.layout.grid.owner(i, j) != inst.layout.my_team_idx:
                 continue
             pi, pj = rows.index(child.row_indices[i]), rows.index(child.row_indices[j])
             dest = parent_team[pgrid.owner(pi, pj)]
@@ -66,7 +74,7 @@ def _reference_bins(child, parent, values, inst, parent_team, parent_block):
 def test_pack_matches_per_element_routing(case):
     child, parent, values, insts, parent_team, parent_block = _child_instances(case)
     for inst in insts:
-        packed = inst.pack_for_parent(parent, parent_team, parent_block)
+        packed = inst.pack(_route(inst, parent, parent_team, parent_block))
         want = _reference_bins(child, parent, values, inst, parent_team, parent_block)
         got = {
             dest: sorted(zip(pi.tolist(), pj.tolist(), v.tolist()))
@@ -74,13 +82,13 @@ def test_pack_matches_per_element_routing(case):
         }
         assert got == want
         assert list(packed) == sorted(packed, key=parent_team.index)
-        assert inst.f22_nnz_for(parent, parent_team, parent_block) == {
+        assert _route(inst, parent, parent_team, parent_block).counts() == {
             dest: len(v) for dest, (_pi, _pj, v) in packed.items()
         }
         for triple in packed.values():
             assert not any(np.shares_memory(a, inst.local) for a in triple)
     if case == "rank_without_f22":
-        assert insts[3].pack_for_parent(parent, parent_team, parent_block) == {}
+        assert insts[3].pack(_route(insts[3], parent, parent_team, parent_block)) == {}
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -90,10 +98,11 @@ def test_accumulate_is_sequential_per_element(case):
     _child, parent, _values, _insts, parent_team, parent_block = _child_instances(case)
     rng = np.random.default_rng(3)
     for me in parent_team:
-        inst = FrontInstance(parent, parent_team, me, parent_block)
+        inst = FrontInstance(FrontLayout(parent, parent_team, me, parent_block))
         n = parent.front_size
+        lay = inst.layout
         owned = np.array(
-            [(i, j) for i in range(n) for j in range(n) if inst.grid.owner(i, j) == inst.my_team_idx]
+            [(i, j) for i in range(n) for j in range(n) if lay.grid.owner(i, j) == lay.my_team_idx]
         )
         start = rng.standard_normal(len(owned))
         inst.accumulate(owned[:, 0], owned[:, 1], start)
@@ -115,13 +124,13 @@ def test_accumulate_is_sequential_per_element(case):
 
 def test_contribution_outside_owned_blocks_raises():
     _child, parent, _values, _insts, parent_team, parent_block = _child_instances("ragged")
-    inst = FrontInstance(parent, parent_team, parent_team[0], parent_block)
+    inst = FrontInstance(FrontLayout(parent, parent_team, parent_team[0], parent_block))
     i, j = 0, parent_block  # block (0, 1): team index 1's
-    assert inst.grid.owner(i, j) != inst.my_team_idx
+    assert inst.layout.grid.owner(i, j) != inst.layout.my_team_idx
     with pytest.raises(ValueError, match="outside"):
         inst.accumulate(np.array([0, i]), np.array([0, j]), np.ones(2))
     assert not inst.local.any()  # nothing of a rejected message lands
-    outsider = FrontInstance(parent, parent_team, 999, parent_block)
+    outsider = FrontInstance(FrontLayout(parent, parent_team, 999, parent_block))
     with pytest.raises(ValueError, match="outside"):
         outsider.accumulate(np.array([0]), np.array([0]), np.ones(1))
 
@@ -150,15 +159,15 @@ def test_a_merged_payload_repeating_parent_cells_adds_every_contribution():
     merged = {}
     for kid in kids:
         for me in team:
-            inst = FrontInstance(kid, team, me, block)
+            inst = FrontInstance(FrontLayout(kid, team, me, block))
             inst.local[:] = rng.standard_normal(inst.local.shape)
-            for dest, triple in inst.pack_for_parent(parent, parent_team, block).items():
+            for dest, triple in inst.pack(_route(inst, parent, parent_team, block)).items():
                 merged.setdefault(dest, []).append(triple)
     repeats = 0
     for dest, parts in merged.items():
         pi, pj, v = (np.concatenate(cols) for cols in zip(*parts))
         repeats += len(pi) - len(set(zip(pi.tolist(), pj.tolist())))
-        inst = FrontInstance(parent, parent_team, dest, block)
+        inst = FrontInstance(FrontLayout(parent, parent_team, dest, block))
         want = inst.dense()
         for i, j, x in zip(pi, pj, v):
             want[i, j] += x
@@ -169,7 +178,7 @@ def test_a_merged_payload_repeating_parent_cells_adds_every_contribution():
 
 def test_an_empty_message_adds_nothing():
     _child, parent, _values, _insts, parent_team, parent_block = _child_instances("ragged")
-    inst = FrontInstance(parent, parent_team, parent_team[0], parent_block)
+    inst = FrontInstance(FrontLayout(parent, parent_team, parent_team[0], parent_block))
     none = np.array([], dtype=np.int64)
     inst.accumulate(none, none, np.array([]))
     assert not inst.local.any()
@@ -177,34 +186,37 @@ def test_an_empty_message_adds_nothing():
 
 def test_blocks_are_built_on_first_access_in_my_blocks_order():
     child, _parent, _values, _insts, parent_team, parent_block = _child_instances("ragged")
-    inst = FrontInstance(child, [10, 11, 12, 13], 12, 4)
-    inst.fill(2.0)
+    inst = FrontInstance(FrontLayout(child, [10, 11, 12, 13], 12, 4))
+    inst.fill()
     assert "blocks" not in vars(inst)
-    assert list(inst.blocks) == inst.grid.my_blocks(inst.my_team_idx, child.front_size)
+    assert list(inst.blocks) == inst.layout.grid.my_blocks(inst.layout.my_team_idx, child.front_size)
     assert all(np.shares_memory(blk, inst.local) for blk in inst.blocks.values())
-    assert FrontInstance(child, [10, 11], 99, 4).blocks == {}
+    assert FrontInstance(FrontLayout(child, [10, 11], 99, 4)).blocks == {}
 
 
-@pytest.fixture(scope="module")
-def fig8_plan():
-    return build_eadd_plan(*FIG8_GRID, n_procs=16, leaf_size=FIG8_LEAF)
-
-
-def test_the_plans_routes_pack_as_routes_computed_on_the_spot(fig8_plan):
-    """Every (child, rank) of the 16-process Fig. 8 plan: packing along the
-    stored route gives what pack_for_parent gives — keys, order, dtypes,
-    values — on random fronts."""
-    plan = fig8_plan
+def test_the_plans_routes_pack_as_routes_computed_on_the_spot():
+    """Every (child, rank) of the 16-process Fig. 8 plan and of the 2-D
+    Cholesky's plan over fronts padded to a block of 7: packing along the
+    stored route gives what packing along a route computed on the spot
+    gives — keys, order, dtypes, values — on random fronts, and the plan's
+    expected message counts are those routes' counts."""
     rng = np.random.default_rng(5)
-    assert len(plan.routes) == sum(len(plan.teams[c]) for p in plan.parents for c in plan.fronts[p].children)
-    for (cid, me), route in plan.routes.items():
-        inst = _build_instances(plan, me)[cid]
-        inst.local[:] = rng.standard_normal(inst.local.shape)
-        pid = plan.fronts[cid].parent
-        got = inst.pack(route)
-        want = inst.pack_for_parent(plan.fronts[pid], plan.teams[pid], plan.block)
-        assert list(got) == list(want)
-        for dest in want:
-            for a, b in zip(got[dest], want[dest]):
-                assert a.dtype == b.dtype and np.array_equal(a, b)
-                assert not any(np.shares_memory(a, x) for x in (inst.local, *route[:4]))
+    for plan in (
+        build_eadd_plan(*FIG8_GRID, n_procs=16, leaf_size=FIG8_LEAF),
+        build_cholesky_2d_plan(5, 4, 3, n_procs=4, leaf_size=10, block=7).eadd,
+    ):
+        assert len(plan.routes) == sum(len(plan.teams[c]) for p in plan.parents for c in plan.fronts[p].children)
+        expected = {(pid, r): 0 for pid in plan.parents for r in plan.teams[pid]}
+        for (cid, me), route in plan.routes.items():
+            inst = _build_instances(plan, me)[cid]
+            inst.local[:] = rng.standard_normal(inst.local.shape)
+            pid = plan.fronts[cid].parent
+            got = inst.pack(route)
+            want = inst.pack(_route(inst, plan.fronts[pid], plan.teams[pid], plan.block))
+            assert list(got) == list(want)
+            for dest in want:
+                expected[(pid, dest)] += 1
+                for a, b in zip(got[dest], want[dest]):
+                    assert a.dtype == b.dtype and np.array_equal(a, b)
+                    assert not any(np.shares_memory(a, x) for x in (inst.local, *route[:4]))
+        assert plan.expected == expected

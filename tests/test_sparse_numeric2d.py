@@ -6,6 +6,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 import repro.upcxx as upcxx
+from repro.apps.sparse.frontal import FrontLayout
 from repro.apps.sparse.numeric import build_cholesky_plan, factor_and_solve
 from repro.apps.sparse.numeric2d import (
     build_cholesky_2d_plan,
@@ -115,3 +116,20 @@ class TestFactor2D:
 
             assert np.allclose(out["x"], spla.spsolve(sp.csc_matrix(plan.a), b), atol=1e-7)
         assert times["2d"] < times["lead"]
+
+
+def test_a_factorization_computes_no_layout_or_route(monkeypatch):
+    """Every layout and route of the 2-D factorization comes from its plan:
+    the numeric phase builds no FrontLayout and routes nothing."""
+    plan = build_cholesky_2d_plan(8, 8, 6, n_procs=16)
+    calls = {"__init__": 0, "route": 0}
+    for name in calls:
+        real = getattr(FrontLayout, name)
+
+        def counted(*args, _name=name, _real=real, **kw):
+            calls[_name] += 1
+            return _real(*args, **kw)
+
+        monkeypatch.setattr(FrontLayout, name, counted)
+    upcxx.run_spmd(lambda: cholesky_factor_2d(plan), 16, max_time=1e7)
+    assert calls == {"__init__": 0, "route": 0}
