@@ -26,28 +26,26 @@ from repro.util.units import GiB, US
 
 @dataclass(frozen=True)
 class CpuModel:
-    """Costs of CPU-side work on one platform."""
+    """Costs of CPU-side work on one platform, tagged (DESIGN.md §4)."""
 
     name: str
-    #: multiplier on every software-path cost (KNL ~ 2.6x slower serial)
+    #: [repr] multiplier on every software-path cost (KNL ~ 2.6x slower serial)
     serial_factor: float
-    #: memory copy / serialization throughput (bytes/second)
+    #: [repr] memory copy / serialization throughput (bytes/second)
     copy_bw: float
-    #: cost of hashing + std::unordered_map-style insert (excluding payload copy)
-    map_insert: float = 0.20 * US
-    #: cost of a map lookup
-    map_lookup: float = 0.12 * US
-    #: function-call/lambda dispatch overhead
-    call_dispatch: float = 0.05 * US
-    #: dense floating point throughput (flops/second) for factorization work
-    flop_rate: float = 2.0e9
-    #: scattered read-modify-write throughput (updates/second): indexed
+    #: [repr] dense floating point throughput (flops/second) for factorization work
+    flop_rate: float
+    #: [repr] scattered read-modify-write throughput (updates/second): indexed
     #: accumulation into a distributed front is cache-unfriendly and runs
     #: far below streaming rate on both platforms
-    scatter_rate: float = 0.45e9
-    #: processes per node of the DHT runs, and of any job that names none
+    scatter_rate: float
+    #: [repr] cost of hashing + std::unordered_map-style insert (excluding payload copy)
+    map_insert: float = 0.20 * US
+    #: [repr] cost of a map lookup
+    map_lookup: float = 0.12 * US
+    #: [paper] processes per node of the DHT runs, and of any job that names none
     ppn_dht: int = 32
-    #: processes per node of the extend-add runs
+    #: [paper] processes per node of the extend-add runs
     ppn_eadd: int = 32
 
     def t(self, base_seconds: float) -> float:

@@ -36,22 +36,20 @@ PATH_BTE = "bte"
 class NetworkModel:
     """Parametric network timing model.
 
-    All times in seconds, bandwidths in bytes/second.
+    All times in seconds, bandwidths in bytes/second; fields tagged (DESIGN.md §4).
     """
 
     name: str = "generic"
-    latency_oneway: float = 0.65 * US
-    latency_oneway_shm: float = 0.15 * US
-    bw_fma: float = 7.6 * GiB
-    bw_bte: float = 10.2 * GiB
-    bw_shm: float = 14.0 * GiB
-    bte_startup: float = 0.12 * US
-    header_bytes: int = 64  # control/header traffic per message
+    latency_oneway: float = 0.65 * US  #: [hw] half an Aries small-put round trip
+    latency_oneway_shm: float = 0.15 * US  #: [repr] same node
+    bw_fma: float = 7.6 * GiB  #: [repr]
+    bw_bte: float = 10.2 * GiB  #: [hw] Aries per-NIC streaming bandwidth
+    bw_shm: float = 14.0 * GiB  #: [repr]
+    bte_startup: float = 0.12 * US  #: [repr]
+    header_bytes: int = 64  #: [repr] control/header traffic per message
     # ---- device (GPU) memory path: PCIe-class staging link per node ----
-    pcie_latency: float = 1.80 * US
-    pcie_bw: float = 12.0 * GiB
-    #: same-device copies (HBM-to-HBM through the GPU's memory system)
-    device_local_bw: float = 40.0 * GiB
+    pcie_latency: float = 1.80 * US  #: [repr]
+    pcie_bw: float = 12.0 * GiB  #: [repr]
 
     def pcie_time(self, nbytes: int) -> float:
         """One traversal of the host<->device link."""

@@ -26,32 +26,32 @@ from repro.util.units import US
 
 @dataclass(frozen=True)
 class UpcxxCosts:
-    """Haswell-calibrated per-op software costs (seconds)."""
+    """Haswell-calibrated per-op software costs (seconds), tagged (DESIGN.md §4)."""
 
-    #: rput/rget: promise creation + defQ enqueue + GASNet injection
+    #: [repr] rput/rget: promise creation + defQ enqueue + GASNet injection
     rma_inject: float = 0.35 * US
-    #: promoting one completed op actQ -> compQ and fulfilling its promise
+    #: [repr] promoting one completed op actQ -> compQ and fulfilling its promise
     completion: float = 0.06 * US
-    #: fixed cost of one progress() call (queue polling)
+    #: [repr] fixed cost of one progress() call (queue polling)
     progress_poll: float = 0.05 * US
-    #: scheduling/invoking one .then() callback
+    #: [repr] scheduling/invoking one .then() callback
     then_dispatch: float = 0.06 * US
-    #: RPC injection (envelope build + AM send), excluding payload copy
+    #: [repr] RPC injection (envelope build + AM send), excluding payload copy
     rpc_inject: float = 0.50 * US
-    #: RPC execution setup at the target (envelope decode + call)
+    #: [repr] RPC execution setup at the target (envelope decode + call)
     rpc_dispatch: float = 0.60 * US
-    #: sending an RPC's return value back
+    #: [repr] sending an RPC's return value back
     rpc_reply_inject: float = 0.35 * US
-    #: shared-segment allocate/deallocate
+    #: [repr] shared-segment allocate/deallocate
     alloc: float = 0.25 * US
-    #: remote atomic injection
+    #: [repr] remote atomic injection
     atomic_inject: float = 0.30 * US
-    #: per-fragment extra cost for non-contiguous (VIS) transfers
+    #: [repr] per-fragment extra cost for non-contiguous (VIS) transfers
     vis_per_fragment: float = 0.08 * US
-    #: dist_object registry lookup/registration
+    #: [repr] dist_object registry lookup/registration
     dist_object_lookup: float = 0.08 * US
 
-    #: GASNet path selection: FMA below this many bytes, BTE at/above.  MPI
+    #: [repr] GASNet path selection: FMA below this many bytes, BTE at/above.  MPI
     #: switches at the same 4096, so the switch plays no part in the model's
     #: Fig. 3b gap: that is ``MpiCosts``'s fitted dip (``rma_occ_scale``).
     bte_threshold: int = 4096

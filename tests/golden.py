@@ -649,6 +649,40 @@ def sparse_cholesky() -> Run:
     return runs["tree"]._replace(results={k: r.results for k, r in runs.items()})
 
 
+def fig3_mpi() -> Run:
+    """Fig. 3's MPI side at every ``FIG3_SIZES`` point, with small counts:
+    the blocking ``MPI_Put`` + flush latency (256 B and 2 KiB are the edges
+    of ``MpiCosts``'s protocol-switch window) and the flood bandwidth (its
+    mid-size dip).  The MPI runner has no observer: results only."""
+    from repro.bench.microbench import FIG3_SIZES, mpi_flood_bw, mpi_put_latency
+
+    return Run({"latency": mpi_put_latency(FIG3_SIZES, iters=2),
+                "flood": mpi_flood_bw(FIG3_SIZES, iters=8)})
+
+
+def knl_points() -> Run:
+    """One small point of each KNL figure, on the KNL CPU model: a Fig. 4b
+    DHT insert rate (4 ranks, 8 inserts of 512 B each) and a Fig. 8
+    extend-add sweep (4 ranks, all three variants), plus the lead-only
+    Cholesky factorization of an 11-front tree (4 ranks), the one path
+    that reads KNL's flop rate.  Results only."""
+    from repro.apps.sparse.numeric import build_cholesky_plan, cholesky_factor
+    from repro.bench.dht_bench import dht_insert_rate
+    from repro.bench.eadd_bench import eadd_times
+
+    plan = build_cholesky_plan(5, 4, 3, n_procs=4, leaf_size=10)
+
+    def factored():
+        cholesky_factor(plan)
+        return upcxx.sim_now()
+
+    return Run({
+        "dht": dht_insert_rate(4, 512, volume_per_rank=4096, platform="knl"),
+        "eadd": eadd_times(4, "knl", grid=(8, 8, 6), leaf=12),
+        "cholesky": upcxx.run_spmd(factored, 4, platform="knl"),
+    })
+
+
 PROGRAMS: Dict[str, Callable[[], Run]] = {
     "fig3a_series": fig3a_series,
     "dht_totals": dht_totals,
@@ -673,6 +707,8 @@ PROGRAMS: Dict[str, Callable[[], Run]] = {
     "kv_telemetry_windows": kv_telemetry_windows,
     "eadd_variants": eadd_variants,
     "sparse_cholesky": sparse_cholesky,
+    "fig3_mpi": fig3_mpi,
+    "knl_points": knl_points,
 }
 for _seed in CHAOS_SEEDS:
     for _plan in CHAOS_PLANS:

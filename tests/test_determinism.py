@@ -42,6 +42,13 @@ def test_fig3a_series_reproduces_golden():
     assert sorted(series) == [8, 64, 512, 4096, 65536] and min(series.values()) > 0
 
 
+@pytest.mark.parametrize("program", ["fig3_mpi", "knl_points"])
+def test_mpi_rma_and_knl_programs_reproduce_golden(program):
+    """The only golden programs that read the MPI RMA fields and the KNL
+    platform values (``tests/cost_census.py``); results only."""
+    golden.reproduces(program)
+
+
 # ------------------------------------------------------- lost-wakeup guard
 def test_pending_wakes_drain_in_timestamp_order():
     """Wakes landing while a rank is RUNNING must not be lost or reordered.

@@ -258,6 +258,19 @@ class TestCosts:
         assert c.latency_window_extra(512) > 0
         assert c.latency_window_extra(4096) == 0
 
+    def test_small_put_gap_is_the_software_path(self):
+        """Fig. 3a at 8 B: a blocking MPI put + flush and a blocking rput
+        cross the same wire, so MPI's extra time is its software path less
+        UPC++'s.  At 8 B the fitted dip adds ~1e-13 s (3e-11 s at 64 B)."""
+        from repro.bench.microbench import mpi_put_latency, upcxx_put_latency
+        from repro.upcxx.costs import DEFAULT_COSTS as u
+
+        c = DEFAULT_MPI_COSTS
+        gap = mpi_put_latency([8], iters=4)[8] - upcxx_put_latency([8], iters=4)[8]
+        software = c.put_sw + c.flush_sw - u.rma_inject - u.completion - u.progress_poll
+        assert gap == pytest.approx(software, rel=0, abs=1e-12)
+        assert software == pytest.approx(0.29e-6, rel=0, abs=1e-15)
+
 
 @pytest.mark.usefixtures("no_cycle_collector")
 class TestTeardown:
